@@ -2,10 +2,10 @@ GO ?= go
 
 .PHONY: ci build test race chaos trace-smoke telemetry-smoke serve-smoke \
 	router-smoke sampler-smoke checkpoint-smoke vet fmt bench bench-comm \
-	bench-kernels-diff bench-smoke bench-sampler
+	bench-kernels-diff bench-smoke bench-sampler bench-e2e-smoke
 
 ci: vet fmt race chaos trace-smoke telemetry-smoke serve-smoke router-smoke \
-	sampler-smoke checkpoint-smoke test bench-smoke
+	sampler-smoke checkpoint-smoke test bench-smoke bench-e2e-smoke
 
 build:
 	$(GO) build ./...
@@ -16,9 +16,11 @@ test:
 # Race-check the packages the kernel hot path and the communication plane
 # touch (includes the fault-injection chaos tests, which live in the rpc,
 # collective and cluster packages, and the lock-free span ring / metrics
-# registry behind the observability layer).
+# registry behind the observability layer), plus the selection path: the
+# graph kernels, hdg.Build and the nau driver that fans UDFs over roots.
 race: chaos
 	$(GO) test -race ./internal/tensor/... ./internal/engine/... \
+		./internal/graph/... ./internal/hdg/... ./internal/nau/... \
 		./internal/rpc/... ./internal/collective/... ./internal/cluster/... \
 		./internal/metrics/... ./internal/trace/... ./internal/serve/... \
 		./internal/router/... ./internal/store/... ./internal/telemetry/...
@@ -132,32 +134,42 @@ bench-kernels-diff:
 		| tee /tmp/bench_kernels_diff.txt
 	$(GO) run ./cmd/benchdiff -max-regress 0.10 /tmp/bench_kernels_diff.txt
 
-# Short-iteration kernel bench smoke for ci: a handful of iterations per
-# benchmark, checked against the baseline with a deliberately loose 4x bound.
-# This is not a performance gate — it proves the bench harness still
-# compiles, every baseline row still exists under its recorded name, and
-# nothing fell off a cliff, in seconds instead of minutes.
+# Short-iteration bench smoke for ci: a handful of iterations per benchmark,
+# checked against the baselines with a deliberately loose 4x bound. This is
+# not a performance gate — it proves the bench harnesses still compile,
+# every baseline row still exists under its recorded name, and nothing fell
+# off a cliff, in seconds instead of minutes. Kernel rows check against
+# BENCH_kernels.json, the NeighborSelection rows against BENCH_sampler.json;
+# those also gate allocs/op at +5%, which repeats exactly on any host.
 bench-smoke:
 	@{ $(GO) test -run xxx -bench 'Kernel' -benchtime 5x -benchmem ./internal/tensor/; \
 	   $(GO) test -run xxx -bench 'Fused' -benchtime 5x -benchmem ./internal/engine/; } \
 		> /tmp/bench_kernels_smoke.txt 2>&1 || { cat /tmp/bench_kernels_smoke.txt; exit 1; }
 	$(GO) run ./cmd/benchdiff -max-regress 4.0 \
 		-write-latest /tmp/bench_kernels_smoke.latest.json /tmp/bench_kernels_smoke.txt
+	@$(GO) test -run xxx -bench 'NeighborSelection' -benchtime 5x -benchmem ./internal/nau/ \
+		> /tmp/bench_sampler_smoke.txt 2>&1 || { cat /tmp/bench_sampler_smoke.txt; exit 1; }
+	$(GO) run ./cmd/benchdiff -baseline BENCH_sampler.json -max-regress 4.0 -max-alloc-regress 0.05 \
+		-write-latest /tmp/bench_sampler_smoke.latest.json /tmp/bench_sampler_smoke.txt
 
-# Prefetch-overlap benchmark over the simulated-latency store link; writes a
-# machine-readable snapshot to BENCH_sampler.latest.json (recorded numbers
-# live in BENCH_sampler.json). Same ns/op token scan as `bench`.
+# The end-to-end benchmark's own checks (its module is separate, so `go vet
+# ./...` and `go test ./...` at the root do not reach it): vet, then the
+# tests that run every workload once in a tiny configuration.
+bench-e2e-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test .
+
+# Input-side benchmarks: NeighborSelection end to end (driver, kernels, UDF,
+# hdg.Build) and the prefetch overlap over the simulated-latency store link.
+# Writes a machine-readable snapshot to BENCH_sampler.latest.json. The gate
+# that means something is allocs/op (+5%): single runs on a shared host swing
+# 1.3-2x in wall time, so ns/op only gets the same loose 4x cliff check as
+# bench-smoke.
 bench-sampler:
-	@$(GO) test -run xxx -bench 'PrefetchOverlap' -benchtime 5x ./internal/store/ \
+	@{ $(GO) test -run xxx -bench 'NeighborSelection' -benchmem ./internal/nau/; \
+	   $(GO) test -run xxx -bench 'PrefetchOverlap' -benchtime 5x -benchmem ./internal/store/; } \
 		| tee /tmp/bench_sampler.txt
-	@awk 'BEGIN { printf "{\n  \"benchmarks\": [\n"; first = 1 } \
-	/^Benchmark/ { ns = ""; \
-		for (i = 2; i < NF; i++) if ($$(i+1) == "ns/op") ns = $$i; \
-		if (ns == "") next; \
-		if (!first) printf ",\n"; first = 0; \
-		printf "    {\"name\": \"%s\", \"ns_per_op\": %s}", $$1, ns } \
-	END { printf "\n  ]\n}\n" }' /tmp/bench_sampler.txt > BENCH_sampler.latest.json
-	@echo "wrote BENCH_sampler.latest.json"
+	$(GO) run ./cmd/benchdiff -baseline BENCH_sampler.json -max-regress 4.0 -max-alloc-regress 0.05 \
+		-write-latest BENCH_sampler.latest.json /tmp/bench_sampler.txt
 
 # Codec microbenchmarks; appends a machine-readable snapshot to
 # BENCH_comm.json (see that file for the recorded before/after numbers).

@@ -1,16 +1,19 @@
-// Command benchdiff guards the kernel microbenchmark baselines committed in
-// BENCH_kernels.json. It parses raw `go test -bench` output (a file argument
-// or stdin), writes a machine-readable snapshot, and compares every baseline
-// row that carries a "bench" field against the fresh measurement:
+// Command benchdiff guards the microbenchmark baselines committed in
+// BENCH_kernels.json (the default) and, with -baseline, BENCH_sampler.json.
+// It parses raw `go test -bench` output (a file argument or stdin), writes a
+// machine-readable snapshot, and compares every baseline row that carries a
+// "bench" field against the fresh measurement:
 //
 //	go test -run xxx -bench 'Kernel' -benchmem ./internal/tensor/ > out.txt
 //	go test -run xxx -bench 'Fused' -benchmem ./internal/engine/ >> out.txt
 //	go run ./cmd/benchdiff out.txt
 //
 // The exit status is non-zero when any opt row regresses more than
-// -max-regress (fraction, default 0.10) over its committed ns/op, or when a
-// baseline row was not measured at all (disable with -require-all=false for
-// partial smoke runs). `make bench-kernels-diff` wires the full pipeline;
+// -max-regress (fraction, default 0.10) over its committed ns/op, allocates
+// more than -max-alloc-regress over its committed allocs/op (off by default;
+// allocation counts repeat exactly where wall time on a shared host does
+// not), or when a baseline row was not measured at all (disable with
+// -require-all=false for partial smoke runs). `make bench-kernels-diff` wires the full pipeline;
 // `make bench-smoke` runs a short-iteration subset with a lenient bound so
 // CI catches rows that stop compiling or fall off a cliff without paying for
 // a full benchmark run.
@@ -28,7 +31,7 @@ import (
 	"strings"
 )
 
-// baseline mirrors the parts of BENCH_kernels.json benchdiff needs; unknown
+// baseline mirrors the parts of a BENCH_*.json baseline benchdiff needs; unknown
 // fields (machine info, notes, seed rows' extra detail) pass through
 // untouched because the file is only read here, never rewritten.
 type baseline struct {
@@ -38,7 +41,8 @@ type baseline struct {
 			Name  string `json:"name"`
 			Bench string `json:"bench"` // raw benchmark name, e.g. BenchmarkKernelScatterMax/opt
 			Opt   struct {
-				NsOp float64 `json:"ns_op"`
+				NsOp     float64 `json:"ns_op"`
+				AllocsOp int64   `json:"allocs_op"`
 			} `json:"opt"`
 		} `json:"benchmarks"`
 	} `json:"suites"`
@@ -132,6 +136,7 @@ func main() {
 	baselinePath := flag.String("baseline", "BENCH_kernels.json", "committed baseline file")
 	latestPath := flag.String("write-latest", "BENCH_kernels.latest.json", "snapshot file to (re)write; empty to skip")
 	maxRegress := flag.Float64("max-regress", 0.10, "maximum tolerated opt-row slowdown as a fraction of the baseline ns/op")
+	maxAllocRegress := flag.Float64("max-alloc-regress", -1, "maximum tolerated growth of an opt row's allocs/op as a fraction of the baseline; negative skips the check")
 	requireAll := flag.Bool("require-all", true, "fail when a baseline row with a bench field was not measured")
 	flag.Parse()
 
@@ -169,9 +174,10 @@ func main() {
 	}
 
 	type row struct {
-		bench    string
-		baseline float64
-		latest   float64
+		bench           string
+		baseline        float64
+		latest          float64
+		allocs, allocs0 int64 // measured and baseline allocs/op; allocs0 == 0 when unchecked
 	}
 	var checked []row
 	var missing []string
@@ -185,7 +191,11 @@ func main() {
 				missing = append(missing, b.Bench)
 				continue
 			}
-			checked = append(checked, row{bench: b.Bench, baseline: b.Opt.NsOp, latest: m.NsOp})
+			r := row{bench: b.Bench, baseline: b.Opt.NsOp, latest: m.NsOp}
+			if *maxAllocRegress >= 0 && m.HasMem {
+				r.allocs, r.allocs0 = m.AllocsOp, b.Opt.AllocsOp
+			}
+			checked = append(checked, r)
 		}
 	}
 	if len(checked) == 0 && len(missing) == 0 {
@@ -198,13 +208,18 @@ func main() {
 	failed := 0
 	for _, r := range checked {
 		ratio := r.latest / r.baseline
+		slow := ratio > 1+*maxRegress
+		greedy := r.allocs0 > 0 && float64(r.allocs) > float64(r.allocs0)*(1+*maxAllocRegress)
 		status := "ok  "
-		if ratio > 1+*maxRegress {
+		if slow || greedy {
 			status = "FAIL"
 			failed++
 		}
 		fmt.Printf("%s %-44s baseline %12.0f ns/op  now %12.0f ns/op  (%+.1f%%)\n",
 			status, r.bench, r.baseline, r.latest, (ratio-1)*100)
+		if greedy {
+			fmt.Printf("     %-44s baseline %12d allocs/op  now %9d allocs/op\n", "", r.allocs0, r.allocs)
+		}
 	}
 	if *requireAll {
 		for _, name := range missing {
@@ -215,7 +230,7 @@ func main() {
 		fmt.Printf("note: %d baseline rows not measured (partial run)\n", len(missing))
 	}
 	if failed > 0 {
-		fatal("%d of %d checked rows regressed more than %.0f%% (or were missing) vs %s",
+		fatal("%d of %d checked rows regressed more than %.0f%% (or allocated more than allowed, or were missing) vs %s",
 			failed, len(checked)+len(missing), *maxRegress*100, *baselinePath)
 	}
 	fmt.Printf("all %d checked rows within %.0f%% of %s\n", len(checked), *maxRegress*100, *baselinePath)

@@ -511,10 +511,12 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 // vertex IDs.
 func localGraphAdjacency(g *graph.Graph, roots []graph.VertexID) *engine.Adjacency {
 	ptr := make([]int64, len(roots)+1)
-	var idx []int32
 	for i, v := range roots {
-		idx = append(idx, g.InNeighbors(v)...)
-		ptr[i+1] = int64(len(idx))
+		ptr[i+1] = ptr[i] + int64(g.InDegree(v))
+	}
+	idx := make([]int32, ptr[len(roots)])
+	for i, v := range roots {
+		copy(idx[ptr[i]:ptr[i+1]], g.InNeighbors(v))
 	}
 	return &engine.Adjacency{NumDst: len(roots), NumSrc: g.NumVertices(), DstPtr: ptr, SrcIdx: idx}
 }
@@ -534,8 +536,7 @@ func (w *worker) ensureHDG() error {
 	epochSeed := w.cfg.Seed ^ (uint64(w.epoch+1) * 0x9e3779b97f4a7c15)
 	span := w.tracer.Begin(int32(w.rank), w.epoch, 0, trace.CatStage, "select")
 	start := time.Now()
-	records := selectSeeded(w.g, schema, udf, w.roots, epochSeed)
-	h, err := hdg.Build(schema, w.roots, records)
+	h, err := selectSeeded(w.g, schema, udf, w.roots, epochSeed)
 	w.breakdown.Add(metrics.StageNeighborSelection, time.Since(start))
 	span.End()
 	if err != nil {
@@ -548,22 +549,12 @@ func (w *worker) ensureHDG() error {
 	return nil
 }
 
-// selectSeeded runs the neighbor UDF for every root in parallel with a
-// per-root RNG seed derived from (epochSeed, root), making the selection
-// independent of partitioning and worker count.
-func selectSeeded(g *graph.Graph, schema *hdg.SchemaTree, udf nau.NeighborUDF, roots []graph.VertexID, epochSeed uint64) []hdg.Record {
-	perRoot := make([][]hdg.Record, len(roots))
-	tensor.ParallelFor(len(roots), func(s, e int) {
-		for i := s; i < e; i++ {
-			rng := tensor.NewRNG(epochSeed ^ (uint64(roots[i])+1)*0xbf58476d1ce4e5b9)
-			perRoot[i] = udf(g, schema, roots[i], rng)
-		}
-	})
-	var records []hdg.Record
-	for _, rs := range perRoot {
-		records = append(records, rs...)
-	}
-	return records
+// selectSeeded builds the HDG of roots with each root's RNG seeded from
+// (epochSeed, root), making the selection independent of partitioning and
+// worker count.
+func selectSeeded(g *graph.Graph, schema *hdg.SchemaTree, udf nau.NeighborUDF, roots []graph.VertexID, epochSeed uint64) (*hdg.HDG, error) {
+	return nau.NeighborSelectionSeeded(g, schema, udf, roots,
+		func(_ int, v graph.VertexID) uint64 { return store.VertexSeed(epochSeed, v) }, 0)
 }
 
 // runEpoch executes one synchronous training epoch: the shared prologue

@@ -423,9 +423,8 @@ func (s *Simulation) Epoch() (*SimResult, error) {
 		}
 		layer := m.Layers[0]
 		start := time.Now()
-		recs := selectSeeded(d.Graph, layer.Schema(), layer.NeighborUDF(), s.roots[rank],
+		h, err := selectSeeded(d.Graph, layer.Schema(), layer.NeighborUDF(), s.roots[rank],
 			s.cfg.Seed^(uint64(s.epoch+1)*0x9e3779b97f4a7c15))
-		h, err := hdg.Build(layer.Schema(), s.roots[rank], recs)
 		s.state.workers[rank].Selection = time.Since(start)
 		if err != nil {
 			return nil, err

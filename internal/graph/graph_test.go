@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +166,62 @@ func TestTopKVisited(t *testing.T) {
 	top2 := g.TopKVisited(tensor.NewRNG(3), 0, 50, 3, 2)
 	if top[0] != top2[0] || top[1] != top2[1] {
 		t.Fatal("TopKVisited must be deterministic for a fixed seed")
+	}
+}
+
+// TestTopKVisitedMatchesCountingWalks rebuilds the ranking from RandomWalk
+// paths drawn off an identically seeded RNG — the kernel walks in place, so
+// this pins its draw order, the early stop at sinks, the start filter and
+// the (count desc, id asc) order.
+func TestTopKVisitedMatchesCountingWalks(t *testing.T) {
+	g := samplePaperGraph()
+	for _, c := range []struct{ walks, hops, k int }{{10, 3, 10}, {50, 3, 2}, {40, 4, 3}, {3, 2, 50}, {5, 3, 0}} {
+		for start := VertexID(0); int(start) < g.NumVertices(); start++ {
+			rng := tensor.NewRNG(uint64(start) + 1)
+			counts := map[VertexID]int{}
+			for w := 0; w < c.walks; w++ {
+				for _, v := range g.RandomWalk(rng, start, c.hops)[1:] {
+					if v != start {
+						counts[v]++
+					}
+				}
+			}
+			var want []VertexID
+			for v := range counts {
+				want = append(want, v)
+			}
+			slices.SortFunc(want, func(a, b VertexID) int {
+				if counts[a] != counts[b] {
+					return counts[b] - counts[a]
+				}
+				return int(a - b)
+			})
+			want = want[:min(c.k, len(want))]
+			got := g.TopKVisited(tensor.NewRNG(uint64(start)+1), start, c.walks, c.hops, c.k)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%+v from %d: TopKVisited = %v, want %v", c, start, got, want)
+			}
+		}
+	}
+}
+
+// TestAppendKernelsDoNotAllocate is the point of the Append* kernels: with
+// room in dst, a PinSage-sized walk budget and a metapath search touch the
+// heap not at all.
+func TestAppendKernelsDoNotAllocate(t *testing.T) {
+	g := samplePaperGraph()
+	rng := tensor.NewRNG(5)
+	dst := make([]VertexID, 0, 64)
+	mp2 := Metapath{Name: "MP2", Types: []uint8{0, 1, 0}}
+	if n := testing.AllocsPerRun(100, func() {
+		dst = g.AppendTopKVisited(dst[:0], rng, 0, 10, 3, 10)
+	}); n != 0 {
+		t.Fatalf("AppendTopKVisited allocated %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		dst = g.AppendMetapathInstances(dst[:0], 0, mp2, 0)
+	}); n != 0 || len(dst) != 12 {
+		t.Fatalf("AppendMetapathInstances: %v allocations, %d vertices (want 0, 12)", n, len(dst))
 	}
 }
 

@@ -53,40 +53,61 @@ func (g *Graph) RandomWalk(rng *tensor.RNG, start VertexID, hops int) []VertexID
 // most-visited first — PinSage's importance-based neighborhood (§2.2).
 // Ties break by smaller vertex ID for determinism.
 func (g *Graph) TopKVisited(rng *tensor.RNG, start VertexID, numWalks, hops, k int) []VertexID {
-	counts := make(map[VertexID]int)
+	return g.AppendTopKVisited(nil, rng, start, numWalks, hops, k)
+}
+
+// walkScratch is how many distinct vertices AppendTopKVisited counts on its
+// own stack frame; PinSage's 10 walks of 3 hops visit at most 30. A larger
+// walk budget spills to the heap through append.
+const walkScratch = 64
+
+// AppendTopKVisited appends TopKVisited's result to dst without allocating:
+// it walks in place (the same RNG draws, in the same order, as numWalks
+// RandomWalk calls) and counts visits in a short list on its stack instead
+// of a map. The list is searched linearly, which beats hashing up to a few
+// hundred distinct vertices per root and is quadratic beyond.
+func (g *Graph) AppendTopKVisited(dst []VertexID, rng *tensor.RNG, start VertexID, numWalks, hops, k int) []VertexID {
+	// One entry per distinct visited vertex: visit count in the high half,
+	// complemented ID in the low half, so a larger entry ranks earlier in
+	// exactly the (count desc, id asc) order.
+	var buf [walkScratch]uint64
+	seen := buf[:0]
 	for w := 0; w < numWalks; w++ {
-		for _, v := range g.RandomWalk(rng, start, hops)[1:] {
-			if v != start {
-				counts[v]++
+		cur := start
+	hop:
+		for i := 0; i < hops; i++ {
+			adj := g.OutNeighbors(cur)
+			if len(adj) == 0 {
+				break
 			}
+			cur = adj[rng.Intn(len(adj))]
+			if cur == start {
+				continue
+			}
+			id := ^uint32(cur)
+			for j, e := range seen {
+				if uint32(e) == id {
+					seen[j] = e + 1<<32
+					continue hop
+				}
+			}
+			seen = append(seen, 1<<32|uint64(id))
 		}
 	}
-	type vc struct {
-		v VertexID
-		c int
-	}
-	all := make([]vc, 0, len(counts))
-	for v, c := range counts {
-		all = append(all, vc{v, c})
-	}
-	// Selection by (count desc, id asc).
-	for i := 0; i < len(all) && i < k; i++ {
-		best := i
-		for j := i + 1; j < len(all); j++ {
-			if all[j].c > all[best].c || (all[j].c == all[best].c && all[j].v < all[best].v) {
-				best = j
+	// Partial selection sort: k passes, each moving the largest remaining
+	// entry to the front.
+	for i := 0; i < len(seen) && i < k; i++ {
+		best, at := seen[i], i
+		for j := i + 1; j < len(seen); j++ {
+			if e := seen[j]; e > best {
+				best, at = e, j
 			}
 		}
-		all[i], all[best] = all[best], all[i]
+		seen[at] = seen[i]
+		seen[i] = best
+		dst = append(dst, VertexID(^uint32(best)))
 	}
-	if len(all) > k {
-		all = all[:k]
-	}
-	out := make([]VertexID, len(all))
-	for i, e := range all {
-		out[i] = e.v
-	}
-	return out
+	return dst
 }
 
 // Metapath is an ordered sequence of vertex types; a metapath instance
@@ -107,39 +128,59 @@ func (m Metapath) Length() int { return len(m.Types) }
 // (0 means unlimited). Restricting to simple paths matches the paper's
 // Fig. 2c, where vertex A has exactly 1 MP1 instance and 4 MP2 instances.
 func (g *Graph) MetapathInstances(root VertexID, mp Metapath, maxInstances int) [][]VertexID {
-	if len(mp.Types) == 0 || g.Type(root) != mp.Types[0] {
+	flat := g.AppendMetapathInstances(nil, root, mp, maxInstances)
+	if len(flat) == 0 {
 		return nil
 	}
-	var out [][]VertexID
-	path := make([]VertexID, 1, len(mp.Types))
-	path[0] = root
-	var dfs func(depth int) bool
-	dfs = func(depth int) bool {
-		if depth == len(mp.Types) {
-			out = append(out, append([]VertexID(nil), path...))
-			return maxInstances > 0 && len(out) >= maxInstances
-		}
-	next:
-		for _, u := range g.OutNeighbors(path[depth-1]) {
-			if g.Type(u) != mp.Types[depth] {
-				continue
-			}
-			for _, seen := range path {
-				if seen == u {
-					continue next
-				}
-			}
-			path = append(path, u)
-			stop := dfs(depth + 1)
-			path = path[:len(path)-1]
-			if stop {
-				return true
-			}
-		}
-		return false
+	n := mp.Length()
+	out := make([][]VertexID, len(flat)/n)
+	for i := range out {
+		out[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
-	dfs(1)
 	return out
+}
+
+// AppendMetapathInstances appends MetapathInstances' result to dst as one
+// flat run of mp.Length()-vertex instances, in the same depth-first order,
+// and allocates nothing beyond dst's growth: the instance under
+// construction lives in dst's tail.
+func (g *Graph) AppendMetapathInstances(dst []VertexID, root VertexID, mp Metapath, maxInstances int) []VertexID {
+	if len(mp.Types) == 0 || g.Type(root) != mp.Types[0] {
+		return dst
+	}
+	if maxInstances <= 0 {
+		maxInstances = -1
+	}
+	dst, _ = g.extendMetapath(append(dst, root), mp.Types, 1, maxInstances)
+	return dst[:len(dst)-1]
+}
+
+// extendMetapath grows the partial instance held in dst's last depth
+// entries. A completed instance stays in dst and is copied behind itself as
+// the next partial instance, so on return dst ends with the caller's partial
+// instance again. left counts the instances still wanted (negative: no
+// bound) and is returned updated; the search stops when it reaches zero.
+func (g *Graph) extendMetapath(dst []VertexID, types []uint8, depth, left int) ([]VertexID, int) {
+	if depth == len(types) {
+		return append(dst, dst[len(dst)-depth:]...), left - 1
+	}
+next:
+	for _, u := range g.OutNeighbors(dst[len(dst)-1]) {
+		if g.Type(u) != types[depth] {
+			continue
+		}
+		for _, seen := range dst[len(dst)-depth:] {
+			if seen == u {
+				continue next
+			}
+		}
+		dst, left = g.extendMetapath(append(dst, u), types, depth+1, left)
+		dst = dst[:len(dst)-1]
+		if left == 0 {
+			break
+		}
+	}
+	return dst, left
 }
 
 // ParallelVertexMap runs fn over every vertex using all cores; fn must be

@@ -22,7 +22,9 @@ package hdg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -73,8 +75,9 @@ type HDG struct {
 	Schema *SchemaTree
 
 	// Roots lists the root vertices, in rank order. rootRank is the
-	// inverse mapping for roots present in this HDG.
+	// inverse mapping, built on RootRank's first call.
 	Roots    []graph.VertexID
+	rankOnce sync.Once
 	rootRank map[graph.VertexID]int32
 
 	// flat records that every neighbor instance is a single vertex.
@@ -97,50 +100,139 @@ type HDG struct {
 // Build constructs the HDG for the given roots from NeighborSelection
 // records. Records may arrive in any order; they are grouped by
 // (root, type). Records whose root is not in roots are rejected.
+//
+// Records that already arrive grouped — root-major in roots order, types
+// ascending within a root, which is how the selection driver emits them —
+// are laid out in one pass without the root index. That order is
+// verified record by record, never assumed: the first record out of place
+// sends the whole input through the counting sort instead.
 func Build(schema *SchemaTree, roots []graph.VertexID, records []Record) (*HDG, error) {
-	h := &HDG{
-		Schema:   schema,
-		Roots:    append([]graph.VertexID(nil), roots...),
-		rootRank: make(map[graph.VertexID]int32, len(roots)),
-		flat:     true,
+	if err := checkRoots(roots); err != nil {
+		return nil, err
 	}
-	for i, r := range h.Roots {
-		if _, dup := h.rootRank[r]; dup {
-			return nil, fmt.Errorf("hdg: duplicate root %d", r)
+	h := &HDG{Schema: schema, Roots: slices.Clone(roots)}
+	ok, err := h.buildInOrder(records)
+	if !ok && err == nil {
+		err = h.buildSorted(records)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// checkRoots rejects duplicate roots.
+func checkRoots(roots []graph.VertexID) error {
+	sorted := slices.Clone(roots)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return fmt.Errorf("hdg: duplicate root %d", sorted[i])
 		}
-		h.rootRank[r] = int32(i)
 	}
-	T := schema.NumTypes()
-	// Validate and bucket-count.
-	counts := make([]int32, len(roots)*T+1)
-	for _, rec := range records {
-		rank, ok := h.rootRank[rec.Root]
+	return nil
+}
+
+// checkRecord validates the parts of a record that do not depend on its
+// position.
+func checkRecord(rec *Record, numTypes int) error {
+	if rec.Type < 0 || rec.Type >= numTypes {
+		return fmt.Errorf("hdg: record type %d out of range [0,%d)", rec.Type, numTypes)
+	}
+	if len(rec.Nei) == 0 {
+		return fmt.Errorf("hdg: record for root %d has no leaves", rec.Root)
+	}
+	return nil
+}
+
+// buildInOrder fills the storage arrays in a single pass, provided records
+// are already ordered by (root rank, type). It reports false, leaving h's
+// arrays for buildSorted to overwrite, at the first record that is not.
+func (h *HDG) buildInOrder(records []Record) (bool, error) {
+	T := h.Schema.NumTypes()
+	instOffset := make([]int32, len(h.Roots)*T+1)
+	leafIDs := make([]graph.VertexID, 0, len(records)) // exact while flat
+	var leafOffset []int32                             // nil while flat
+	rank, slot := 0, 0                                 // instOffset[:slot+1] is final
+	for i := range records {
+		rec := &records[i]
+		if rank == len(h.Roots) || rec.Root != h.Roots[rank] {
+			// A later root (roots without records are skipped), or out of
+			// order; an unknown root is for buildSorted to report.
+			for rank++; rank < len(h.Roots) && h.Roots[rank] != rec.Root; rank++ {
+			}
+			if rank >= len(h.Roots) {
+				return false, nil
+			}
+		}
+		if err := checkRecord(rec, T); err != nil {
+			return false, err
+		}
+		s := rank*T + rec.Type
+		if s < slot {
+			return false, nil
+		}
+		for ; slot < s; slot++ {
+			instOffset[slot+1] = int32(i)
+		}
+		if len(rec.Nei) > 1 && leafOffset == nil {
+			leafOffset = make([]int32, i+1, len(records)+1)
+			for j := range leafOffset {
+				leafOffset[j] = int32(j)
+			}
+			// Hierarchical from here on: size LeafIDs exactly, from the
+			// leaves of the records still to come.
+			rest := 0
+			for j := i; j < len(records); j++ {
+				rest += len(records[j].Nei)
+			}
+			leafIDs = append(make([]graph.VertexID, 0, i+rest), leafIDs...)
+		}
+		leafIDs = append(leafIDs, rec.Nei...)
+		if leafOffset != nil {
+			leafOffset = append(leafOffset, int32(len(leafIDs)))
+		}
+	}
+	for ; slot < len(h.Roots)*T; slot++ {
+		instOffset[slot+1] = int32(len(records))
+	}
+	h.flat = leafOffset == nil
+	h.InstOffset, h.LeafOffset, h.LeafIDs = instOffset, leafOffset, leafIDs
+	return true, nil
+}
+
+// buildSorted is the general path: it orders records by (root rank, type)
+// with a stable counting sort, so the instance ordering matches InstOffset
+// and Dst2 stays implicit.
+func (h *HDG) buildSorted(records []Record) error {
+	T := h.Schema.NumTypes()
+	h.flat = true
+	counts := make([]int32, len(h.Roots)*T+1)
+	for i := range records {
+		rec := &records[i]
+		rank, ok := h.RootRank(rec.Root)
 		if !ok {
-			return nil, fmt.Errorf("hdg: record for unknown root %d", rec.Root)
+			return fmt.Errorf("hdg: record for unknown root %d", rec.Root)
 		}
-		if rec.Type < 0 || rec.Type >= T {
-			return nil, fmt.Errorf("hdg: record type %d out of range [0,%d)", rec.Type, T)
-		}
-		if len(rec.Nei) == 0 {
-			return nil, fmt.Errorf("hdg: record for root %d has no leaves", rec.Root)
+		if err := checkRecord(rec, T); err != nil {
+			return err
 		}
 		if len(rec.Nei) > 1 {
 			h.flat = false
 		}
 		counts[int(rank)*T+rec.Type+1]++
 	}
-	// Order records by (root rank, type) with a stable counting sort, so
-	// the instance ordering matches InstOffset and Dst2 stays implicit.
 	h.InstOffset = counts
 	for i := 1; i < len(h.InstOffset); i++ {
 		h.InstOffset[i] += h.InstOffset[i-1]
 	}
 	ordered := make([]*Record, len(records))
-	next := make([]int32, len(roots)*T)
-	copy(next, h.InstOffset[:len(roots)*T])
+	next := make([]int32, len(h.Roots)*T)
+	copy(next, h.InstOffset[:len(h.Roots)*T])
 	for i := range records {
 		rec := &records[i]
-		slot := int(h.rootRank[rec.Root])*T + rec.Type
+		rank, _ := h.RootRank(rec.Root)
+		slot := int(rank)*T + rec.Type
 		ordered[next[slot]] = rec
 		next[slot]++
 	}
@@ -150,19 +242,19 @@ func Build(schema *SchemaTree, roots []graph.VertexID, records []Record) (*HDG, 
 		for i, rec := range ordered {
 			h.LeafIDs[i] = rec.Nei[0]
 		}
-	} else {
-		h.LeafOffset = make([]int32, len(ordered)+1)
-		total := 0
-		for i, rec := range ordered {
-			total += len(rec.Nei)
-			h.LeafOffset[i+1] = int32(total)
-		}
-		h.LeafIDs = make([]graph.VertexID, 0, total)
-		for _, rec := range ordered {
-			h.LeafIDs = append(h.LeafIDs, rec.Nei...)
-		}
+		return nil
 	}
-	return h, nil
+	h.LeafOffset = make([]int32, len(ordered)+1)
+	total := 0
+	for i, rec := range ordered {
+		total += len(rec.Nei)
+		h.LeafOffset[i+1] = int32(total)
+	}
+	h.LeafIDs = make([]graph.VertexID, 0, total)
+	for _, rec := range ordered {
+		h.LeafIDs = append(h.LeafIDs, rec.Nei...)
+	}
+	return nil
 }
 
 // NumRoots returns the number of root vertices.
@@ -182,6 +274,12 @@ func (h *HDG) IsFlat() bool { return h.flat }
 
 // RootRank returns the rank of root v and whether it is present.
 func (h *HDG) RootRank(v graph.VertexID) (int32, bool) {
+	h.rankOnce.Do(func() {
+		h.rootRank = make(map[graph.VertexID]int32, len(h.Roots))
+		for i, r := range h.Roots {
+			h.rootRank[r] = int32(i)
+		}
+	})
 	r, ok := h.rootRank[v]
 	return r, ok
 }
@@ -233,19 +331,12 @@ func (h *HDG) InstanceSlots() []int32 {
 }
 
 // LeafVertexSet returns the deduplicated set of leaf vertices referenced by
-// this HDG, which is exactly the set of features the owning partition needs
-// (locally or via synchronisation) to aggregate.
+// this HDG, ascending, which is exactly the set of features the owning
+// partition needs (locally or via synchronisation) to aggregate.
 func (h *HDG) LeafVertexSet() []graph.VertexID {
-	seen := make(map[graph.VertexID]struct{})
-	for _, v := range h.LeafIDs {
-		seen[v] = struct{}{}
-	}
-	out := make([]graph.VertexID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := slices.Clone(h.LeafIDs)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Hierarchicalize converts a flat HDG to the explicit hierarchical
@@ -277,7 +368,6 @@ func (h *HDG) RemapLeaves(f func(graph.VertexID) (graph.VertexID, bool)) (*HDG, 
 	out := &HDG{
 		Schema:     h.Schema,
 		Roots:      h.Roots,
-		rootRank:   h.rootRank,
 		flat:       h.flat,
 		InstOffset: h.InstOffset,
 		LeafOffset: h.LeafOffset,

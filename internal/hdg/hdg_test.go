@@ -1,6 +1,8 @@
 package hdg
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -256,5 +258,118 @@ func TestRootRankLookup(t *testing.T) {
 	}
 	if _, ok := h.RootRank(7); ok {
 		t.Fatal("unknown root must not be found")
+	}
+}
+
+// leafVertexSetByMap is LeafVertexSet as it was before the sort-and-compact
+// rewrite, kept as the reference the new one must match.
+func leafVertexSetByMap(h *HDG) []graph.VertexID {
+	seen := make(map[graph.VertexID]struct{})
+	for _, v := range h.LeafIDs {
+		seen[v] = struct{}{}
+	}
+	out := make([]graph.VertexID, 0, len(seen))
+	for v := range seen {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// randomRecords returns roots (ascending or shuffled) and records grouped
+// root-major in roots order with types ascending — the order the selection
+// driver emits. Some roots get no record; multiLeaf mixes in instances of
+// two to four leaves, the first of them late.
+func randomRecords(rng *tensor.RNG, numRoots, T int, shuffle, multiLeaf bool) ([]graph.VertexID, []Record) {
+	roots := make([]graph.VertexID, numRoots)
+	for i := range roots {
+		roots[i] = graph.VertexID(3 * i)
+	}
+	if shuffle {
+		for i, j := range rng.Perm(numRoots) {
+			roots[i], roots[j] = roots[j], roots[i]
+		}
+	}
+	var recs []Record
+	for _, r := range roots {
+		if rng.Intn(4) == 0 {
+			continue
+		}
+		for ty := 0; ty < T; ty++ {
+			for k := rng.Intn(4); k > 0; k-- {
+				n := 1
+				if multiLeaf && len(recs) > numRoots && rng.Intn(3) == 0 {
+					n = 2 + rng.Intn(3)
+				}
+				nei := make([]graph.VertexID, n)
+				for j := range nei {
+					nei[j] = graph.VertexID(rng.Intn(50))
+				}
+				recs = append(recs, Record{Root: r, Nei: nei, Type: ty})
+			}
+		}
+	}
+	return roots, recs
+}
+
+func TestLeafVertexSetMatchesMapImplementation(t *testing.T) {
+	rng := tensor.NewRNG(11)
+	schema := NewSchemaTree("a", "b")
+	for trial := 0; trial < 50; trial++ {
+		numRoots := rng.Intn(30) // 0 roots: the empty HDG
+		roots, recs := randomRecords(rng, numRoots, 2, trial%2 == 0, trial%3 == 0)
+		h, err := Build(schema, roots, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := h.LeafVertexSet(), leafVertexSetByMap(h)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: LeafVertexSet = %v, map implementation %v", trial, got, want)
+		}
+	}
+}
+
+// TestBuildInOrderAgreesWithFallback feeds Build the same records grouped
+// (single-pass path) and with the root blocks reversed (counting-sort
+// path). Reversing whole blocks keeps the arrival order inside every
+// (root, type) slot, so both must produce identical storage.
+func TestBuildInOrderAgreesWithFallback(t *testing.T) {
+	rng := tensor.NewRNG(12)
+	schema := NewSchemaTree("a", "b", "c")
+	for trial := 0; trial < 60; trial++ {
+		roots, recs := randomRecords(rng, 1+rng.Intn(40), 3, trial%2 == 0, trial%3 != 0)
+		var blocks [][]Record
+		for i := 0; i < len(recs); {
+			j := i
+			for j < len(recs) && recs[j].Root == recs[i].Root {
+				j++
+			}
+			blocks = append(blocks, recs[i:j])
+			i = j
+		}
+		var reversed []Record
+		for i := len(blocks) - 1; i >= 0; i-- {
+			reversed = append(reversed, blocks[i]...)
+		}
+		fast, err := Build(schema, roots, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow, err := Build(schema, roots, reversed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast.IsFlat() != slow.IsFlat() || !slices.Equal(fast.InstOffset, slow.InstOffset) ||
+			!slices.Equal(fast.LeafOffset, slow.LeafOffset) || !slices.Equal(fast.LeafIDs, slow.LeafIDs) {
+			t.Fatalf("trial %d: in-order and counting-sort paths disagree", trial)
+		}
+		for rank, r := range roots {
+			if got, ok := fast.RootRank(r); !ok || int(got) != rank {
+				t.Fatalf("trial %d: RootRank(%d) = %d, %v; want %d", trial, r, got, ok, rank)
+			}
+		}
+		if _, ok := fast.RootRank(1); ok {
+			t.Fatal("vertex 1 is never a root")
+		}
 	}
 }

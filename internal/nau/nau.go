@@ -18,7 +18,7 @@
 package nau
 
 import (
-	"fmt"
+	"errors"
 	"sync"
 
 	"repro/internal/engine"
@@ -141,101 +141,92 @@ func (c *Context) InvalidateHDG(h *hdg.HDG) {
 }
 
 // NeighborSelection runs the UDF for every root in parallel and builds the
-// HDGs (the paper's Fig. 4 first stage). Each parallel worker gets an
-// independent RNG stream split from rng, so results are deterministic for a
-// fixed seed and worker count-independent grouping is handled by Build.
+// HDGs (the paper's Fig. 4 first stage). Each root gets its own RNG stream
+// split from rng, so results are deterministic for a fixed seed and
+// independent of how the roots are spread over workers.
 func NeighborSelection(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, rng *tensor.RNG) (*hdg.HDG, error) {
-	if schema == nil || udf == nil {
-		return nil, fmt.Errorf("nau: NeighborSelection requires a schema and a UDF")
-	}
-	return NeighborSelectionBounded(g, schema, udf, roots, rng, 0)
+	return neighborSelectionSplit(g, schema, udf, roots, rng, 0)
 }
 
-// NeighborSelectionBounded is NeighborSelection with the per-root UDF
-// fan-out bounded to at most `workers` goroutines (<= 0 selects the kernel
-// parallelism). Seeds are pre-split from rng either way, so the records —
-// and everything built from them — are bitwise independent of the bound;
-// the bound only controls how much CPU selection takes from a concurrently
-// running training step.
-func NeighborSelectionBounded(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, rng *tensor.RNG, workers int) (*hdg.HDG, error) {
+// neighborSelectionSplit is NeighborSelection with the fan-out bounded to
+// `workers` goroutines (the trainer's SamplerWorkers). A rejected call
+// leaves rng where it was.
+func neighborSelectionSplit(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, rng *tensor.RNG, workers int) (*hdg.HDG, error) {
 	if schema == nil || udf == nil {
-		return nil, fmt.Errorf("nau: NeighborSelection requires a schema and a UDF")
+		return nil, errNoSchemaOrUDF
 	}
-	// Pre-split one RNG per root so parallel execution is deterministic.
-	seeds := make([]uint64, len(roots))
+	return NeighborSelectionSeeded(g, schema, udf, roots, splitSeeds(rng, len(roots)), workers)
+}
+
+var errNoSchemaOrUDF = errors.New("nau: NeighborSelection requires a schema and a UDF")
+
+// NeighborSelectionSeeded is NeighborSelection with the per-root RNG seed
+// chosen by the caller instead of split from a shared stream, and the
+// fan-out bounded to `workers` goroutines (see SelectRecords for both).
+// Seeding each root from its vertex ID makes a vertex's records — and
+// everything cached from them — independent of which batch, partition or
+// prefetch slot it arrived in.
+func NeighborSelectionSeeded(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64, workers int) (*hdg.HDG, error) {
+	if schema == nil || udf == nil {
+		return nil, errNoSchemaOrUDF
+	}
+	return hdg.Build(schema, roots, SelectRecords(g, schema, udf, roots, seedFor, workers))
+}
+
+// splitSeeds draws one seed per root from rng, in root order, and returns
+// them as a SelectRecords seed function.
+func splitSeeds(rng *tensor.RNG, n int) func(i int, _ graph.VertexID) uint64 {
+	seeds := make([]uint64, n)
 	for i := range seeds {
 		seeds[i] = rng.Uint64()
 	}
-	return neighborSelectionSeeded(g, schema, udf, roots, func(i int, _ graph.VertexID) uint64 {
-		return seeds[i]
-	}, workers)
+	return func(i int, _ graph.VertexID) uint64 { return seeds[i] }
 }
 
-// NeighborSelectionSeeded is NeighborSelection with the per-root RNG seed
-// chosen by the caller instead of split from a shared stream. The online
-// inference path seeds each root from its vertex ID, so a vertex's records —
-// and therefore its cached embeddings — do not depend on which micro-batch
-// it happened to arrive in. seedFor receives the root's position and ID.
-func NeighborSelectionSeeded(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64) (*hdg.HDG, error) {
-	if schema == nil || udf == nil {
-		return nil, fmt.Errorf("nau: NeighborSelection requires a schema and a UDF")
+// SelectRecords is the one driver that fans a neighbor UDF over roots: the
+// trainer, the cluster workers and the serving planner reach it through
+// NeighborSelectionSeeded, the store's Sample query calls it directly.
+// Root i runs with an RNG seeded seedFor(i, roots[i]), and the records come
+// back concatenated in root order, so the result is bitwise independent of
+// the fan-out; workers only bounds how many goroutines selection may take.
+// <= 0 selects what tensor.ParallelFor would: the kernel parallelism, at
+// most one goroutine per tensor.DefaultGrain roots. Each worker walks one
+// contiguous chunk of roots — adjacent in the CSR — with one RNG it reseeds
+// per root.
+func SelectRecords(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64, workers int) []hdg.Record {
+	n := len(roots)
+	if workers <= 0 {
+		workers = min(tensor.Parallelism(), (n+tensor.DefaultGrain-1)/tensor.DefaultGrain)
 	}
-	return neighborSelectionSeeded(g, schema, udf, roots, seedFor, 0)
-}
-
-// neighborSelectionSeeded runs the per-root UDF across at most `workers`
-// goroutines (<= 0 selects the kernel parallelism) and builds the HDGs.
-// Records land in a per-root slot, so the concatenation order — and
-// therefore the result — never depends on the fan-out.
-func neighborSelectionSeeded(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64, workers int) (*hdg.HDG, error) {
-	perRoot := make([][]hdg.Record, len(roots))
-	selectBounded(len(roots), workers, func(i int) {
-		perRoot[i] = udf(g, schema, roots[i], tensor.NewRNG(seedFor(i, roots[i])))
-	})
-	var records []hdg.Record
+	workers = max(1, min(workers, n))
+	perRoot := make([][]hdg.Record, n)
+	chunk := (n + workers - 1) / workers
+	run := func(s, e int) {
+		rng := tensor.NewRNG(0)
+		for i := s; i < e; i++ {
+			rng.SetState(seedFor(i, roots[i]))
+			perRoot[i] = udf(g, schema, roots[i], rng)
+		}
+	}
+	var wg sync.WaitGroup
+	for s := chunk; s < n; s += chunk {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			run(s, min(s+chunk, n))
+		}(s)
+	}
+	run(0, min(chunk, n))
+	wg.Wait()
+	total := 0
+	for _, rs := range perRoot {
+		total += len(rs)
+	}
+	records := make([]hdg.Record, 0, total)
 	for _, rs := range perRoot {
 		records = append(records, rs...)
 	}
-	return hdg.Build(schema, roots, records)
-}
-
-// selectBounded runs fn(i) for i in [0, n) across at most `workers`
-// goroutines; <= 0 defers to tensor.ParallelFor (kernel parallelism).
-// Contiguous chunking keeps each worker's roots adjacent in the CSR.
-func selectBounded(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		tensor.ParallelFor(n, func(s, e int) {
-			for i := s; i < e; i++ {
-				fn(i)
-			}
-		})
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for s := 0; s < n; s += chunk {
-		e := s + chunk
-		if e > n {
-			e = n
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			for i := s; i < e; i++ {
-				fn(i)
-			}
-		}(s, e)
-	}
-	wg.Wait()
+	return records
 }
 
 // AllVertices returns the full root set [0, n) for whole-graph training.

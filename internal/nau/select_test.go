@@ -1,0 +1,327 @@
+package nau
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/hdg"
+	"repro/internal/tensor"
+)
+
+// trickyGraph is a typed graph with every shape the walk and metapath
+// kernels special-case: a hub (vertex 0: many in- and out-edges), sinks
+// (v%11 == 5: no out-edge, walks stop early), self-loops (v%7 == 3: the
+// v != start filter), multi-edges and low-degree vertices whose walks visit
+// fewer than k distinct vertices. Types cycle 0,1,2.
+func trickyGraph(n int, seed uint64) *graph.Graph {
+	rng := tensor.NewRNG(seed)
+	b := graph.NewBuilder(n)
+	types := make([]uint8, n)
+	for v := range types {
+		types[v] = uint8(v % 3)
+	}
+	b.SetTypes(types, 3)
+	for v := 1; v < n; v++ {
+		if v%11 == 5 {
+			continue
+		}
+		if v%7 == 3 {
+			b.AddEdge(graph.VertexID(v), graph.VertexID(v))
+		}
+		if v%3 == 1 {
+			b.AddEdge(graph.VertexID(v), 0)
+		}
+		for e := rng.Intn(4); e >= 0; e-- {
+			u := graph.VertexID(rng.Intn(n))
+			b.AddEdge(graph.VertexID(v), u)
+			if rng.Intn(8) == 0 {
+				b.AddEdge(graph.VertexID(v), u)
+			}
+		}
+	}
+	for e := 0; e < 40; e++ {
+		b.AddEdge(0, graph.VertexID(rng.Intn(n)))
+	}
+	return b.Build()
+}
+
+type udfCase struct {
+	name        string
+	schema      *hdg.SchemaTree
+	udf, oracle NeighborUDF
+}
+
+func udfCases() []udfCase {
+	flat := hdg.NewSchemaTree("vertex")
+	three := hdg.NewSchemaTree("a", "b", "c")
+	paths := []graph.Metapath{
+		{Name: "012", Types: []uint8{0, 1, 2}},
+		{Name: "0120", Types: []uint8{0, 1, 2, 0}},
+		{Name: "02", Types: []uint8{0, 2}},
+	}
+	anchors := [][]graph.VertexID{{1, 2, 3}, {4}, {5, 6}}
+	return []udfCase{
+		{"randomwalk", flat, RandomWalkUDF(10, 3, 10), oracleRandomWalkUDF(10, 3, 10)},
+		{"randomwalk/k-beyond-visited", flat, RandomWalkUDF(3, 2, 50), oracleRandomWalkUDF(3, 2, 50)},
+		{"randomwalk/heap-scratch", flat, RandomWalkUDF(40, 4, 5), oracleRandomWalkUDF(40, 4, 5)},
+		{"metapath/bounded", three, MetapathUDF(paths, 3), oracleMetapathUDF(paths, 3)},
+		{"metapath/unbounded", three, MetapathUDF(paths, 0), oracleMetapathUDF(paths, 0)},
+		{"onehop", flat, OneHopUDF(), oracleOneHopUDF()},
+		{"anchorset", three, AnchorSetUDF(anchors), oracleAnchorSetUDF(anchors)},
+		{"hopfrontier", three, HopFrontierUDF(3), oracleHopFrontierUDF(3)},
+	}
+}
+
+// requireSameHDG fails unless h stores exactly the oracle's arrays.
+func requireSameHDG(t *testing.T, h *hdg.HDG, o *oracleHDG) {
+	t.Helper()
+	if h.IsFlat() != o.flat {
+		t.Fatalf("flat = %v, oracle %v", h.IsFlat(), o.flat)
+	}
+	if !slices.Equal(h.InstOffset, o.instOffset) {
+		t.Fatalf("InstOffset differs from the oracle's")
+	}
+	if !slices.Equal(h.LeafOffset, o.leafOffset) || (h.LeafOffset == nil) != (o.leafOffset == nil) {
+		t.Fatalf("LeafOffset differs from the oracle's")
+	}
+	if !slices.Equal(h.LeafIDs, o.leafIDs) {
+		t.Fatalf("LeafIDs differ from the oracle's")
+	}
+}
+
+// rootShapes returns the two root lists selection runs over: every vertex
+// ascending (whole-graph training) and a shuffled subset (a cluster rank's
+// or a mini-batch's roots).
+func rootShapes(g *graph.Graph, seed uint64) map[string][]graph.VertexID {
+	all := AllVertices(g)
+	perm := tensor.NewRNG(seed).Perm(len(all))
+	subset := make([]graph.VertexID, 0, len(all)*3/4)
+	for _, i := range perm[:cap(subset)] {
+		subset = append(subset, all[i])
+	}
+	return map[string][]graph.VertexID{"all": all, "shuffled-subset": subset}
+}
+
+// TestSelectionMatchesFrozenOracle is the bit-parity guard of the scratch
+// kernels, the O(1)-allocation UDFs, the driver and Build's in-order path:
+// for every built-in UDF, several seeds, both root shapes and every fan-out
+// the HDG's arrays must equal what the frozen pre-rewrite path builds.
+func TestSelectionMatchesFrozenOracle(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3} {
+		g := trickyGraph(600, seed)
+		seedFor := func(_ int, v graph.VertexID) uint64 { return seed ^ (uint64(v)+1)*0xbf58476d1ce4e5b9 }
+		for shape, roots := range rootShapes(g, seed) {
+			for _, c := range udfCases() {
+				want, err := oracleBuild(c.schema, roots, oracleSelect(g, c.schema, c.oracle, roots, seedFor))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{1, 2, 3, 7} {
+					t.Run(fmt.Sprintf("seed%d/%s/%s/workers%d", seed, shape, c.name, workers), func(t *testing.T) {
+						h, err := NeighborSelectionSeeded(g, c.schema, c.udf, roots, seedFor, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						requireSameHDG(t, h, want)
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestNeighborSelectionMatchesOracleStream covers the 5-argument entry
+// point: seeds pre-split from one stream, kernel-parallelism fan-out.
+func TestNeighborSelectionMatchesOracleStream(t *testing.T) {
+	g := trickyGraph(600, 4)
+	roots := AllVertices(g)
+	c := udfCases()[0]
+	h, err := NeighborSelection(g, c.schema, c.udf, roots, tensor.NewRNG(77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracleBuild(c.schema, roots, oracleSelect(g, c.schema, c.oracle, roots, splitSeeds(tensor.NewRNG(77), len(roots))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameHDG(t, h, want)
+}
+
+// TestBuildKeepsArbitraryOrderSemantics drives Build's fallback: records a
+// UDF attributes to a different root than it was called with, types
+// descending within a root, and a full shuffle must all build what the
+// frozen Build built; and whichever path rejects a bad input must report
+// the frozen Build's error.
+func TestBuildKeepsArbitraryOrderSemantics(t *testing.T) {
+	g := trickyGraph(200, 5)
+	three := hdg.NewSchemaTree("a", "b", "c")
+	n := graph.VertexID(g.NumVertices())
+	misattributing := func(g *graph.Graph, _ *hdg.SchemaTree, v graph.VertexID, rng *tensor.RNG) []hdg.Record {
+		other := (v + 1 + graph.VertexID(rng.Intn(3))) % n
+		return []hdg.Record{
+			{Root: other, Nei: []graph.VertexID{v, other}, Type: 2},
+			{Root: v, Nei: []graph.VertexID{v}, Type: 1},
+			{Root: other, Nei: []graph.VertexID{other}, Type: 0},
+		}
+	}
+	seedFor := func(_ int, v graph.VertexID) uint64 { return uint64(v) }
+	for shape, roots := range map[string][]graph.VertexID{"all": AllVertices(g), "reversed": reversed(AllVertices(g))} {
+		want, err := oracleBuild(three, roots, oracleSelect(g, three, misattributing, roots, seedFor))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := NeighborSelectionSeeded(g, three, misattributing, roots, seedFor, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", shape, err)
+		}
+		requireSameHDG(t, h, want)
+	}
+
+	roots := rootShapes(g, 5)["shuffled-subset"]
+	c := udfCases()[3]
+	inOrder := SelectRecords(g, c.schema, c.udf, roots, seedFor, 2)
+	shuffled := slices.Clone(inOrder)
+	for i, j := range tensor.NewRNG(6).Perm(len(shuffled)) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	}
+	want, err := oracleBuild(c.schema, roots, shuffled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := hdg.Build(c.schema, roots, shuffled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameHDG(t, h, want)
+
+	// Rejections, each met once on the in-order path (bad record last) and
+	// once behind an out-of-order prefix (first two records swapped).
+	last := len(inOrder) - 1
+	bad := map[string]func(recs []hdg.Record, roots []graph.VertexID) ([]hdg.Record, []graph.VertexID){
+		"unknown root": func(recs []hdg.Record, roots []graph.VertexID) ([]hdg.Record, []graph.VertexID) {
+			recs[last].Root = n + 7
+			return recs, roots
+		},
+		"type out of range": func(recs []hdg.Record, roots []graph.VertexID) ([]hdg.Record, []graph.VertexID) {
+			recs[last].Type = 3
+			return recs, roots
+		},
+		"negative type": func(recs []hdg.Record, roots []graph.VertexID) ([]hdg.Record, []graph.VertexID) {
+			recs[last].Type = -1
+			return recs, roots
+		},
+		"empty Nei": func(recs []hdg.Record, roots []graph.VertexID) ([]hdg.Record, []graph.VertexID) {
+			recs[last].Nei = nil
+			return recs, roots
+		},
+		"duplicate root": func(recs []hdg.Record, roots []graph.VertexID) ([]hdg.Record, []graph.VertexID) {
+			return recs, append(slices.Clone(roots), roots[0])
+		},
+		"duplicate root, ascending but for it": func(recs []hdg.Record, _ []graph.VertexID) ([]hdg.Record, []graph.VertexID) {
+			return nil, []graph.VertexID{1, 2, 2, 3}
+		},
+	}
+	for name, corrupt := range bad {
+		for _, swapped := range []bool{false, true} {
+			recs, rs := corrupt(slices.Clone(inOrder), roots)
+			if swapped && len(recs) > 1 {
+				recs[0], recs[1] = recs[1], recs[0]
+			}
+			_, wantErr := oracleBuild(c.schema, rs, recs)
+			_, err := hdg.Build(c.schema, rs, recs)
+			if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s (swapped=%v): Build error %v, frozen Build %v", name, swapped, err, wantErr)
+			}
+		}
+	}
+}
+
+func reversed(vs []graph.VertexID) []graph.VertexID {
+	out := slices.Clone(vs)
+	slices.Reverse(out)
+	return out
+}
+
+// TestRecordsDoNotBleedIntoEachOther pins the aliasing contract: a UDF's
+// records may share one leaf backing, so each Nei is capacity-limited and
+// an append by a consumer reallocates instead of overwriting a neighbour.
+func TestRecordsDoNotBleedIntoEachOther(t *testing.T) {
+	g := trickyGraph(600, 8)
+	for _, c := range udfCases() {
+		for _, v := range []graph.VertexID{0, 1, 3, 6, 9} {
+			recs := c.udf(g, c.schema, v, tensor.NewRNG(uint64(v)))
+			before := make([][]graph.VertexID, len(recs))
+			for i, r := range recs {
+				before[i] = slices.Clone(r.Nei)
+			}
+			for i := range recs {
+				_ = append(recs[i].Nei, -1)
+			}
+			for i, r := range recs {
+				if !slices.Equal(r.Nei, before[i]) {
+					t.Fatalf("%s root %d: appending to another record's Nei changed record %d: %v -> %v",
+						c.name, v, i, before[i], r.Nei)
+				}
+			}
+		}
+	}
+}
+
+// TestNeighborSelectionAllocationBudget keeps the map, the per-walk path
+// slices and the per-record leaf slices from creeping back: PinSage
+// selection over N roots may allocate the UDF's two slices per root, a
+// constant per worker and a constant for the driver and Build.
+func TestNeighborSelectionAllocationBudget(t *testing.T) {
+	g := trickyGraph(2000, 9)
+	roots := AllVertices(g)
+	schema, udf := hdg.NewSchemaTree("vertex"), RandomWalkUDF(10, 3, 10)
+	seedFor := func(_ int, v graph.VertexID) uint64 { return uint64(v) }
+	for _, workers := range []int{1, 4} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := NeighborSelectionSeeded(g, schema, udf, roots, seedFor, workers); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if budget := float64(2*len(roots) + 16*workers + 32); allocs > budget {
+			t.Fatalf("workers=%d: %.0f allocations for %d roots, budget %.0f", workers, allocs, len(roots), budget)
+		}
+	}
+}
+
+// TestBuildSizesLeafIDsToTheRecords keeps Build from reserving leaf storage
+// by extrapolating one instance's length: HopFrontier instances vary in
+// length and the first multi-leaf one belongs to the hub (vertex 0), so any
+// such guess over-reserves by orders of magnitude, and a CacheForever HDG
+// would hold that backing for the whole run.
+func TestBuildSizesLeafIDsToTheRecords(t *testing.T) {
+	g := trickyGraph(2000, 10)
+	seedFor := func(_ int, v graph.VertexID) uint64 { return uint64(v) }
+	h, err := NeighborSelectionSeeded(g, hdg.NewSchemaTree("a", "b", "c"), HopFrontierUDF(1), AllVertices(g), seedFor, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, mean := len(h.Leaves(0)), len(h.LeafIDs)/h.NumInstances(); first < 4*mean {
+		t.Fatalf("fixture lost its hub: first instance has %d leaves, mean %d", first, mean)
+	}
+	if c, n := cap(h.LeafIDs), len(h.LeafIDs); c > n+n/4 {
+		t.Fatalf("cap(LeafIDs) = %d for %d leaves", c, n)
+	}
+}
+
+// TestRejectedSelectionLeavesRNGAlone: a call without a schema or a UDF
+// fails before any per-root seed is drawn from the caller's stream.
+func TestRejectedSelectionLeavesRNGAlone(t *testing.T) {
+	g := trickyGraph(50, 11)
+	rng := tensor.NewRNG(5)
+	if _, err := NeighborSelection(g, nil, OneHopUDF(), AllVertices(g), rng); err == nil {
+		t.Fatal("nil schema accepted")
+	}
+	if _, err := NeighborSelection(g, hdg.NewSchemaTree("vertex"), nil, AllVertices(g), rng); err == nil {
+		t.Fatal("nil UDF accepted")
+	}
+	if got, want := rng.Uint64(), tensor.NewRNG(5).Uint64(); got != want {
+		t.Fatal("a rejected NeighborSelection advanced the caller's RNG")
+	}
+}

@@ -209,7 +209,7 @@ func (t *Trainer) ensureHDG() error {
 	defer t.Tracer.Begin(0, int32(t.epoch), 0, trace.CatStage, "select").End()
 	t.Breakdown.Time(metrics.StageNeighborSelection, func() {
 		layer := t.Model.Layers[0]
-		h, err = NeighborSelectionBounded(t.Graph, layer.Schema(), layer.NeighborUDF(),
+		h, err = neighborSelectionSplit(t.Graph, layer.Schema(), layer.NeighborUDF(),
 			AllVertices(t.Graph), t.RNG, t.SamplerWorkers)
 	})
 	if err != nil {

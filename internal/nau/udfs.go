@@ -12,18 +12,30 @@ import (
 // neighbors (pinsage_nbr) and metapath instances (magnn_nbr), plus the
 // anchor-set and per-hop selections used by the §3.2 extension models.
 
+// Every UDF here allocates per root, not per record: one []hdg.Record plus,
+// at most, one leaf backing (grown by append where its size is not known up
+// front) that each record's Nei sub-slices. Consumers must treat Nei as
+// read-only; the sub-slices are capacity-limited so that an append
+// reallocates instead of overwriting the next record's leaves.
+
+// singleLeafRecords returns one type-0 record per vertex of leaves, each
+// Nei a one-vertex window of leaves.
+func singleLeafRecords(v graph.VertexID, leaves []graph.VertexID) []hdg.Record {
+	recs := make([]hdg.Record, len(leaves))
+	for i := range recs {
+		recs[i] = hdg.Record{Root: v, Nei: leaves[i : i+1 : i+1]}
+	}
+	return recs
+}
+
 // OneHopUDF returns every out-neighbor of v as a flat single-vertex
 // neighbor — the paper's gnn_nbr. (DNFA models normally skip HDGs entirely
 // by returning a nil schema; this UDF exists for models that want explicit
 // flat HDGs over 1-hop neighborhoods.)
 func OneHopUDF() NeighborUDF {
 	return func(g *graph.Graph, _ *hdg.SchemaTree, v graph.VertexID, _ *tensor.RNG) []hdg.Record {
-		adj := g.OutNeighbors(v)
-		recs := make([]hdg.Record, len(adj))
-		for i, u := range adj {
-			recs[i] = hdg.Record{Root: v, Nei: []graph.VertexID{u}, Type: 0}
-		}
-		return recs
+		// Copied, so records never alias the graph's own adjacency array.
+		return singleLeafRecords(v, append([]graph.VertexID(nil), g.OutNeighbors(v)...))
 	}
 }
 
@@ -31,12 +43,8 @@ func OneHopUDF() NeighborUDF {
 // random walks of the given hop count — the paper's pinsage_nbr.
 func RandomWalkUDF(numWalks, hops, topK int) NeighborUDF {
 	return func(g *graph.Graph, _ *hdg.SchemaTree, v graph.VertexID, rng *tensor.RNG) []hdg.Record {
-		top := g.TopKVisited(rng, v, numWalks, hops, topK)
-		recs := make([]hdg.Record, len(top))
-		for i, u := range top {
-			recs[i] = hdg.Record{Root: v, Nei: []graph.VertexID{u}, Type: 0}
-		}
-		return recs
+		leaves := make([]graph.VertexID, 0, max(0, min(topK, numWalks*hops)))
+		return singleLeafRecords(v, g.AppendTopKVisited(leaves, rng, v, numWalks, hops, topK))
 	}
 }
 
@@ -45,10 +53,28 @@ func RandomWalkUDF(numWalks, hops, topK int) NeighborUDF {
 // the search per (vertex, metapath); 0 means unlimited.
 func MetapathUDF(paths []graph.Metapath, maxInstances int) NeighborUDF {
 	return func(g *graph.Graph, _ *hdg.SchemaTree, v graph.VertexID, _ *tensor.RNG) []hdg.Record {
-		var recs []hdg.Record
+		// First every instance into one backing, then the records over it:
+		// windows taken while the backing still grows would be left behind
+		// by a reallocation.
+		var endsBuf [8]int
+		ends, n := endsBuf[:0], 0
+		var leaves []graph.VertexID
+		for _, mp := range paths {
+			before := len(leaves)
+			leaves = g.AppendMetapathInstances(leaves, v, mp, maxInstances)
+			if l := mp.Length(); l > 0 {
+				n += (len(leaves) - before) / l
+			}
+			ends = append(ends, len(leaves))
+		}
+		if n == 0 {
+			return nil
+		}
+		recs := make([]hdg.Record, 0, n)
+		lo := 0
 		for t, mp := range paths {
-			for _, inst := range g.MetapathInstances(v, mp, maxInstances) {
-				recs = append(recs, hdg.Record{Root: v, Nei: inst, Type: t})
+			for l := mp.Length(); lo < ends[t]; lo += l {
+				recs = append(recs, hdg.Record{Root: v, Nei: leaves[lo : lo+l : lo+l], Type: t})
 			}
 		}
 		return recs
@@ -56,12 +82,12 @@ func MetapathUDF(paths []graph.Metapath, maxInstances int) NeighborUDF {
 }
 
 // AnchorSetUDF returns one record per pre-sampled anchor set — P-GNN's
-// neighborhood (§3.2).
+// neighborhood (§3.2). Every root's records share the anchor sets.
 func AnchorSetUDF(anchors [][]graph.VertexID) NeighborUDF {
 	return func(_ *graph.Graph, _ *hdg.SchemaTree, v graph.VertexID, _ *tensor.RNG) []hdg.Record {
 		recs := make([]hdg.Record, len(anchors))
 		for i, set := range anchors {
-			recs[i] = hdg.Record{Root: v, Nei: set, Type: i}
+			recs[i] = hdg.Record{Root: v, Nei: set[:len(set):len(set)], Type: i}
 		}
 		return recs
 	}
@@ -72,24 +98,32 @@ func AnchorSetUDF(anchors [][]graph.VertexID) NeighborUDF {
 // shortest-path distance exactly i+1.
 func HopFrontierUDF(hops int) NeighborUDF {
 	return func(g *graph.Graph, _ *hdg.SchemaTree, v graph.VertexID, _ *tensor.RNG) []hdg.Record {
-		var recs []hdg.Record
+		// order is v followed by the BFS discovery order; ends[h] closes
+		// frontier h in it (frontier 0 is v alone), so the BFS queue is the
+		// leaf backing.
 		visited := map[graph.VertexID]bool{v: true}
-		frontier := []graph.VertexID{v}
-		for h := 1; h <= hops; h++ {
-			var next []graph.VertexID
-			for _, u := range frontier {
+		order := []graph.VertexID{v}
+		var endsBuf [8]int
+		ends := append(endsBuf[:0], 1)
+		for lo := 0; len(ends) <= hops; {
+			hi := len(order)
+			for _, u := range order[lo:hi] {
 				for _, w := range g.OutNeighbors(u) {
 					if !visited[w] {
 						visited[w] = true
-						next = append(next, w)
+						order = append(order, w)
 					}
 				}
 			}
-			if len(next) == 0 {
+			if len(order) == hi {
 				break
 			}
-			recs = append(recs, hdg.Record{Root: v, Nei: append([]graph.VertexID(nil), next...), Type: h - 1})
-			frontier = next
+			ends = append(ends, len(order))
+			lo = hi
+		}
+		recs := make([]hdg.Record, len(ends)-1)
+		for h := range recs {
+			recs[h] = hdg.Record{Root: v, Nei: order[ends[h]:ends[h+1]:ends[h+1]], Type: h}
 		}
 		return recs
 	}

@@ -91,7 +91,7 @@ func (s *Server) expand(p *layerPlan) error {
 	h, err := nau.NeighborSelectionSeeded(s.graph, s.schema, s.udf, p.miss,
 		func(_ int, v graph.VertexID) uint64 {
 			return s.seed ^ (0x9e3779b97f4a7c15 * (uint64(v) + 1))
-		})
+		}, 0)
 	if err != nil {
 		return fmt.Errorf("serve: neighbor selection: %w", err)
 	}

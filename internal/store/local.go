@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -78,56 +77,8 @@ func (l *Local) Sample(ctx context.Context, roots []graph.VertexID, epochSeed ui
 	if err := ctx.Err(); err != nil {
 		return nil, &FetchError{Op: "sample", Verts: len(roots), Err: err}
 	}
-	perRoot := make([][]hdg.Record, len(roots))
-	sampleBounded(len(roots), l.cfg.Workers, func(i int) {
-		rng := tensor.NewRNG(VertexSeed(epochSeed, roots[i]))
-		perRoot[i] = l.cfg.UDF(l.cfg.Graph, l.cfg.Schema, roots[i], rng)
-	})
-	var records []hdg.Record
-	for _, rs := range perRoot {
-		records = append(records, rs...)
-	}
-	return records, nil
-}
-
-// sampleBounded runs fn(i) for i in [0, n) across at most `workers`
-// goroutines (<= 0 selects the kernel parallelism via tensor.ParallelFor).
-// Contiguous chunking keeps each worker's roots adjacent, matching the CSR
-// layout.
-func sampleBounded(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		tensor.ParallelFor(n, func(s, e int) {
-			for i := s; i < e; i++ {
-				fn(i)
-			}
-		})
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for s := 0; s < n; s += chunk {
-		e := s + chunk
-		if e > n {
-			e = n
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			for i := s; i < e; i++ {
-				fn(i)
-			}
-		}(s, e)
-	}
-	wg.Wait()
+	return nau.SelectRecords(l.cfg.Graph, l.cfg.Schema, l.cfg.UDF, roots,
+		func(_ int, v graph.VertexID) uint64 { return VertexSeed(epochSeed, v) }, l.cfg.Workers), nil
 }
 
 // KHopInduced expands the roots k out-hops (full neighborhoods, §7.1),

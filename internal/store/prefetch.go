@@ -290,8 +290,14 @@ func (st *Stream) Next() (*Batch, error) {
 	st.s.depthGauge.Set(float64(len(st.out)))
 	span.End()
 	if !ok {
-		st.fail(io.EOF)
-		return nil, io.EOF
+		// The forwarder also closes out when the context is cancelled, and
+		// the select above may see the close before Done.
+		err := st.ctx.Err()
+		if err == nil {
+			err = io.EOF
+		}
+		st.fail(err)
+		return nil, err
 	}
 	if r.err != nil {
 		st.fail(r.err)

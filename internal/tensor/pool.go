@@ -36,9 +36,10 @@ import (
 // it saves.
 const minParallelCost = 1 << 14
 
-// defaultGrain preserves the historical "n < 64 runs inline" threshold for
-// callers that provide no cost hint.
-const defaultGrain = 64
+// DefaultGrain preserves the historical "n < 64 runs inline" threshold for
+// callers that provide no cost hint. Exported for fan-outs that size their
+// own worker count (nau.SelectRecords) but want the same threshold.
+const DefaultGrain = 64
 
 var (
 	// parallelism is the target number of concurrent workers.
@@ -159,7 +160,7 @@ func ParallelForGrain(n, grain int, body func(start, end int)) {
 		return
 	}
 	if grain <= 0 {
-		grain = defaultGrain
+		grain = DefaultGrain
 	}
 	workers := Parallelism()
 	if mc := (n + grain - 1) / grain; workers > mc {
@@ -188,7 +189,7 @@ func ParallelForGrain(n, grain int, body func(start, end int)) {
 // the cost of one loop item (e.g. the feature width for row-wise kernels).
 func GrainForCost(itemCost int) int {
 	if itemCost <= 0 {
-		return defaultGrain
+		return DefaultGrain
 	}
 	g := minParallelCost / itemCost
 	if g < 1 {

@@ -131,8 +131,8 @@ func TestNestedParallelForNoDeadlock(t *testing.T) {
 }
 
 func TestGrainForCost(t *testing.T) {
-	if g := GrainForCost(0); g != defaultGrain {
-		t.Fatalf("GrainForCost(0) = %d, want default %d", g, defaultGrain)
+	if g := GrainForCost(0); g != DefaultGrain {
+		t.Fatalf("GrainForCost(0) = %d, want default %d", g, DefaultGrain)
 	}
 	if g := GrainForCost(1); g != minParallelCost {
 		t.Fatalf("GrainForCost(1) = %d, want %d", g, minParallelCost)
