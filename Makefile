@@ -17,7 +17,10 @@ test:
 # touch (includes the fault-injection chaos tests, which live in the rpc,
 # collective and cluster packages, and the lock-free span ring / metrics
 # registry behind the observability layer), plus the selection path: the
-# graph kernels, hdg.Build and the nau driver that fans UDFs over roots.
+# graph kernels, hdg.Build and the nau driver that fans UDFs over roots —
+# and the execution core's own tests, which live in those same packages:
+# the layer step (nau), the cross-driver parity legs (serve, cluster) and
+# the simulator-vs-cluster loss and byte parity (cluster).
 race: chaos
 	$(GO) test -race ./internal/tensor/... ./internal/engine/... \
 		./internal/graph/... ./internal/hdg/... ./internal/nau/... \

@@ -49,7 +49,6 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 1, "epochs between cluster checkpoints")
 	resume := flag.String("resume", "",
 		"resume from this checkpoint before the startup barrier: every rank restores params/optimizer/epoch so epoch numbering and sampling seeds continue where the snapshot left off; -epochs counts ADDITIONAL epochs ('' starts fresh)")
-	gradSync := flag.String("gradsync", "ring", "gradient all-reduce: ring (≤2·|payload| bytes/worker) or broadcast ((k−1)·|payload|)")
 	ringChunk := flag.Int("ringchunk", 0, "ring all-reduce segment size in float32 words (0 = default)")
 	dialRetries := flag.Int("dial-retries", 0, "mesh dial attempts per peer (0 = default)")
 	dialBackoff := flag.Duration("dial-backoff", 0, "initial mesh dial retry delay (0 = default)")
@@ -67,16 +66,6 @@ func main() {
 	flightDir := flag.String("flight-dir", "",
 		"flight recorder directory: on an abort, timeout or crash, every surviving rank dumps its last spans, metrics and goroutine stacks to <dir>/flight-<rank>.json; merge dumps offline with flexgraph-trace ('' disables)")
 	flag.Parse()
-
-	var gs cluster.GradSync
-	switch *gradSync {
-	case "ring":
-		gs = cluster.GradSyncRing
-	case "broadcast":
-		gs = cluster.GradSyncBroadcast
-	default:
-		log.Fatalf("unknown -gradsync %q (want ring or broadcast)", *gradSync)
-	}
 
 	addrs := strings.Split(*addrList, ",")
 	if *rank < 0 || *rank >= len(addrs) {
@@ -187,7 +176,6 @@ func main() {
 		Strategy:     engine.StrategyHA,
 		Epochs:       *epochs,
 		Seed:         *seed,
-		GradSync:     gs,
 		RingChunk:    *ringChunk,
 		RecvTimeout:  *recvTimeout,
 		Tracer:       tracer,

@@ -228,14 +228,8 @@ var (
 	ForwardBatch = store.Forward
 )
 
-// Collective-communication plane (gradient synchronisation + traffic
-// accounting knobs).
-type (
-	// GradSync selects the gradient all-reduce algorithm.
-	GradSync = cluster.GradSync
-	// MsgClass indexes per-kind traffic counters on a StageBreakdown.
-	MsgClass = metrics.MsgClass
-)
+// MsgClass indexes the per-kind traffic counters on a StageBreakdown.
+type MsgClass = metrics.MsgClass
 
 // Fail-fast runtime errors. Distributed training with
 // ClusterConfig.RecvTimeout set never hangs on a dead peer: a missed
@@ -258,13 +252,6 @@ type (
 )
 
 const (
-	// GradSyncRing (default) is the chunked ring all-reduce: at most
-	// 2·|payload| bytes per worker, independent of the cluster size.
-	GradSyncRing = cluster.GradSyncRing
-	// GradSyncBroadcast is the all-to-all broadcast the ring replaced
-	// ((k−1)·|payload| bytes per worker); bit-identical results.
-	GradSyncBroadcast = cluster.GradSyncBroadcast
-
 	// DefaultRingChunk is the default all-reduce segment size in float32
 	// words (ClusterConfig.RingChunk overrides it).
 	DefaultRingChunk = collective.DefaultRingChunk
@@ -317,11 +304,6 @@ var (
 
 // Training entry points.
 var (
-	// NewTrainer wires single-machine whole-graph training from six
-	// positional arguments.
-	//
-	// Deprecated: use NewTrainerWith with TrainerOptions.
-	NewTrainer = nau.NewTrainer
 	// NewEngine builds an execution engine with the given strategy.
 	NewEngine = engine.New
 	// TrainDistributed runs data-parallel training over an in-process

@@ -27,9 +27,6 @@ type Options struct {
 	Seed uint64
 }
 
-// Defaults returns the standard configuration.
-func Defaults() Options { return Options{Scale: 0.5, Epochs: 3, Seed: 1} }
-
 func (o Options) dataset(name string) *dataset.Dataset {
 	return o.datasetDim(name, 0)
 }

@@ -22,20 +22,6 @@ import (
 	"repro/internal/trace"
 )
 
-// GradSync selects the gradient synchronisation algorithm.
-type GradSync int
-
-const (
-	// GradSyncRing (default) runs the chunked ring all-reduce: at most
-	// 2·|payload| bytes per worker, independent of the cluster size k.
-	GradSyncRing GradSync = iota
-	// GradSyncBroadcast runs the all-to-all broadcast the ring replaced
-	// ((k−1)·|payload| bytes per worker). Both algorithms sum in rank
-	// order, so their results are bit-identical; broadcast is kept as the
-	// equivalence reference and a debugging fallback.
-	GradSyncBroadcast
-)
-
 // Config controls a distributed training run.
 type Config struct {
 	// NumWorkers is the number of shared-nothing workers (the paper's k).
@@ -52,8 +38,6 @@ type Config struct {
 	Epochs int
 	// Seed drives model init and neighbor selection.
 	Seed uint64
-	// GradSync selects the gradient all-reduce algorithm (default ring).
-	GradSync GradSync
 	// RingChunk overrides the ring all-reduce segment size in float32
 	// words (0 selects collective.DefaultRingChunk).
 	RingChunk int
@@ -410,7 +394,7 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 		eng:       engine.New(cfg.Strategy),
 		rng:       tensor.NewRNG(cfg.Seed + 1000),
 		breakdown: breakdown,
-		plans:     make(map[*engine.Adjacency]*workerPlan),
+		plans:     make(map[*engine.Adjacency]*exchanged),
 		tracer:    cfg.Tracer,
 		// Per-epoch cluster instruments (set on rank 0 only); nil-safe
 		// no-ops when no registry is configured.
@@ -521,22 +505,15 @@ func localGraphAdjacency(g *graph.Graph, roots []graph.VertexID) *engine.Adjacen
 	return &engine.Adjacency{NumDst: len(roots), NumSrc: g.NumVertices(), DstPtr: ptr, SrcIdx: idx}
 }
 
-// ensureHDG runs NeighborSelection for the worker's local roots. Per-root
-// RNG seeds are derived from (seed, root) so results are independent of the
-// partitioning and worker count.
+// ensureHDG runs NeighborSelection for the worker's local roots when the
+// model's cache policy calls for it.
 func (w *worker) ensureHDG() error {
-	if !w.model.NeedsHDG() {
+	if !needsSelection(w.model, w.localHDG) {
 		return nil
 	}
-	if w.localHDG != nil && w.model.Cache == nau.CacheForever {
-		return nil
-	}
-	layer := w.model.Layers[0]
-	schema, udf := layer.Schema(), layer.NeighborUDF()
-	epochSeed := w.cfg.Seed ^ (uint64(w.epoch+1) * 0x9e3779b97f4a7c15)
 	span := w.tracer.Begin(int32(w.rank), w.epoch, 0, trace.CatStage, "select")
 	start := time.Now()
-	h, err := selectSeeded(w.g, schema, udf, w.roots, epochSeed)
+	h, err := selectSeeded(w.model, w.g, w.roots, w.cfg.Seed, int(w.epoch))
 	w.breakdown.Add(metrics.StageNeighborSelection, time.Since(start))
 	span.End()
 	if err != nil {
@@ -545,34 +522,31 @@ func (w *worker) ensureHDG() error {
 	w.localHDG = h
 	w.ctx.InvalidateHDG(h)
 	// HDGs changed: the old adjacency plans are stale.
-	w.plans = make(map[*engine.Adjacency]*workerPlan)
+	w.plans = make(map[*engine.Adjacency]*exchanged)
 	return nil
 }
 
-// selectSeeded builds the HDG of roots with each root's RNG seeded from
-// (epochSeed, root), making the selection independent of partitioning and
-// worker count.
-func selectSeeded(g *graph.Graph, schema *hdg.SchemaTree, udf nau.NeighborUDF, roots []graph.VertexID, epochSeed uint64) (*hdg.HDG, error) {
-	return nau.NeighborSelectionSeeded(g, schema, udf, roots,
+// needsSelection applies the model's HDG cache policy at an epoch boundary:
+// DNFA models never select, CacheForever models select once, CachePerEpoch
+// models every epoch.
+func needsSelection(m *nau.Model, have *hdg.HDG) bool {
+	return m.NeedsHDG() && (have == nil || m.Cache != nau.CacheForever)
+}
+
+// selectSeeded builds the epoch's HDG of roots with each root's RNG seeded
+// from (seed, epoch, root), making the selection independent of partitioning
+// and worker count.
+func selectSeeded(m *nau.Model, g *graph.Graph, roots []graph.VertexID, seed uint64, epoch int) (*hdg.HDG, error) {
+	layer := m.Layers[0]
+	epochSeed := store.EpochSeed(seed, epoch)
+	return nau.NeighborSelectionSeeded(g, layer.Schema(), layer.NeighborUDF(), roots,
 		func(_ int, v graph.VertexID) uint64 { return store.VertexSeed(epochSeed, v) }, 0)
 }
 
 // runEpoch executes one synchronous training epoch: the shared prologue
 // (stage snapshot, epoch span), the whole-graph or mini-batch epoch body,
 // and the shared epilogue (rank-0 instruments, epoch counter).
-func (w *worker) runEpoch() (loss float32, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			// Keep the error chain intact: typed failures (timeouts,
-			// aborts, fence errors) panicked out of aggregation hooks must
-			// stay matchable with errors.As after the recover.
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("cluster: %w", e)
-			} else {
-				err = fmt.Errorf("cluster: %v", r)
-			}
-		}
-	}()
+func (w *worker) runEpoch() (float32, error) {
 	w.aggCalls = 0
 	epochStart := time.Now()
 	// Snapshot the cumulative stage breakdown so syncGradients can ship
@@ -580,12 +554,11 @@ func (w *worker) runEpoch() (loss float32, err error) {
 	w.stageMark = w.breakdown.StageTimes()
 	defer w.tracer.Begin(int32(w.rank), w.epoch, 0, trace.CatEpoch, "epoch").End()
 
-	var globalLoss float32
+	run := w.wholeGraphEpoch
 	if w.cfg.MiniBatch != nil {
-		globalLoss, err = w.miniBatchEpoch()
-	} else {
-		globalLoss, err = w.wholeGraphEpoch()
+		run = w.miniBatchEpoch
 	}
+	globalLoss, err := run()
 	if err != nil {
 		return 0, err
 	}
@@ -675,8 +648,11 @@ func (w *worker) wholeGraphEpoch() (float32, error) {
 	w.ctx.RNG = w.rng
 	w.ctx.Train = true
 
-	hLocal := w.forward()
-	lossV, masked := w.localLoss(hLocal)
+	hLocal, err := w.forward()
+	if err != nil {
+		return 0, err
+	}
+	lossV, masked := localLoss(hLocal, w.roots, w.labels, w.trainMask)
 	bspan := w.tracer.Begin(int32(w.rank), w.epoch, 0, trace.CatStage, "backward")
 	w.breakdown.Time(metrics.StageBackward, func() {
 		w.opt.ZeroGrad()
@@ -697,49 +673,33 @@ func (w *worker) wholeGraphEpoch() (float32, error) {
 // tensor stays local-width: the Aggregation stage receives this worker's
 // rows, and remote contributions arrive through the BottomAggregator hook's
 // collective exchanges.
-func (w *worker) forward() *nn.Value {
-	hLocal := nn.Gather(nn.Constant(w.features), w.rootIdx)
+func (w *worker) forward() (*nn.Value, error) {
+	probe := nau.Probe{Timer: w.breakdown, Tracer: w.tracer, Rank: int32(w.rank), Epoch: w.epoch}
+	h := nn.Gather(nn.Constant(w.features), w.rootIdx)
 	for li, layer := range w.model.Layers {
-		var nbr *nn.Value
-		syncBefore := w.breakdown.Get(metrics.StageSync)
-		aggBefore := w.breakdown.Get(metrics.StageAggregation)
-		aspan := w.tracer.Begin(int32(w.rank), w.epoch, int32(li), trace.CatStage, "aggregate")
-		start := time.Now()
-		nbr = layer.Aggregation(w.ctx, hLocal)
-		elapsed := time.Since(start)
-		aspan.End()
-		// AggregateBottom already recorded its sync and fused-compute
-		// slices; attribute the remainder (intermediate/schema levels) to
-		// Aggregation without double counting.
-		inner := (w.breakdown.Get(metrics.StageSync) - syncBefore) +
-			(w.breakdown.Get(metrics.StageAggregation) - aggBefore)
-		if rest := elapsed - inner; rest > 0 {
-			w.breakdown.Add(metrics.StageAggregation, rest)
+		var err error
+		if h, err = w.ctx.RunLayer(probe, li, layer, h, h.Data.Rows(), nil); err != nil {
+			return nil, err
 		}
-		uspan := w.tracer.Begin(int32(w.rank), w.epoch, int32(li), trace.CatStage, "update")
-		w.breakdown.Time(metrics.StageUpdate, func() {
-			hLocal = layer.Update(w.ctx, hLocal, nbr)
-		})
-		uspan.End()
 	}
-	return hLocal
+	return h, nil
 }
 
-// localLoss computes the masked cross-entropy over this worker's roots and
-// returns it with the masked-vertex count (the loss-weighting denominator
-// share).
-func (w *worker) localLoss(hLocal *nn.Value) (*nn.Value, int) {
-	labels := make([]int32, len(w.roots))
-	mask := make([]bool, len(w.roots))
+// localLoss computes the masked cross-entropy of a rank's logits over its
+// roots and returns it with the masked-vertex count (the rank's share of the
+// loss-weighting denominator).
+func localLoss(hLocal *nn.Value, roots []graph.VertexID, labels []int32, trainMask []bool) (*nn.Value, int) {
+	rootLabels := make([]int32, len(roots))
+	mask := make([]bool, len(roots))
 	masked := 0
-	for i, v := range w.roots {
-		labels[i] = w.labels[v]
-		mask[i] = w.trainMask[v]
+	for i, v := range roots {
+		rootLabels[i] = labels[v]
+		mask[i] = trainMask[v]
 		if mask[i] {
 			masked++
 		}
 	}
-	return nn.CrossEntropy(hLocal, labels, mask), masked
+	return nn.CrossEntropy(hLocal, rootLabels, mask), masked
 }
 
 // syncGradients all-reduces the flattened parameter gradients (plus the
@@ -757,10 +717,9 @@ func (w *worker) localLoss(hLocal *nn.Value) (*nn.Value, int) {
 // the paper's Fig. 14-style per-rank stage table — with no extra
 // collective round.
 //
-// The default ring algorithm ships at most 2·|payload| bytes per worker
-// regardless of k; GradSyncBroadcast restores the (k−1)·|payload|
-// all-to-all, bit-identical by construction (both sum in rank order).
-func (w *worker) syncGradients(localLoss float32, localCount int, phase int32) (float32, error) {
+// The ring all-reduce ships at most 2·|payload| bytes per worker regardless
+// of k.
+func (w *worker) syncGradients(loss float32, localCount int, phase int32) (float32, error) {
 	span := w.tracer.Begin(int32(w.rank), w.epoch, 0, trace.CatStage, "gradsync")
 	defer span.End()
 	syncStart := time.Now()
@@ -784,7 +743,7 @@ func (w *worker) syncGradients(localLoss float32, localCount int, phase int32) (
 			off += p.Data.Len()
 		}
 	}
-	payload[total] = localLoss * float32(localCount)
+	payload[total] = loss * float32(localCount)
 	payload[total+1] = float32(localCount)
 	// This epoch's per-stage seconds: cumulative breakdown minus the mark
 	// taken at epoch start. Sync time is still accumulating (we are inside
@@ -795,15 +754,7 @@ func (w *worker) syncGradients(localLoss float32, localCount int, phase int32) (
 		payload[stageBase+w.rank*metrics.StageCount+s] = float32((stageNow[s] - w.stageMark[s]).Seconds())
 	}
 
-	fence := collective.Fence{Epoch: w.epoch, Phase: phase}
-	var err error
-	switch w.cfg.GradSync {
-	case GradSyncBroadcast:
-		err = w.comm.AllReduceBroadcast(fence, payload, rpc.KindGrads)
-	default:
-		err = w.comm.AllReduce(fence, payload, rpc.KindGrads)
-	}
-	if err != nil {
+	if err := w.comm.AllReduce(collective.Fence{Epoch: w.epoch, Phase: phase}, payload, rpc.KindGrads); err != nil {
 		return 0, fmt.Errorf("cluster: gradient all-reduce: %w", err)
 	}
 

@@ -2,13 +2,17 @@ package cluster
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/models"
 	"repro/internal/nau"
+	"repro/internal/nn"
 	"repro/internal/partition"
+	"repro/internal/rpc"
 	"repro/internal/tensor"
 )
 
@@ -187,7 +191,7 @@ func TestBadConfig(t *testing.T) {
 
 func TestTaskCodecRoundTrip(t *testing.T) {
 	tasks := []Task{{Dst: 3, Leaves: []int32{1, 2}}, {Dst: 9, Leaves: []int32{7}}}
-	got, err := decodeTasks(encodeTasks(tasks))
+	got, err := decodeTasks((&rankPlan{wants: [][]Task{tasks}}).request(0).IDs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +216,8 @@ func TestSplitAdjacency(t *testing.T) {
 	owner := []int32{0, 1, 1, 0}
 	// Worker 0 owns vertices 0 (rank 0) and 3 (rank 1).
 	localRank := []int32{0, -1, -1, 1}
-	local, remote, universe, tasks := splitAdjacency(adj, owner, localRank, 0, 2)
+	plan := newRankPlan(adj, owner, localRank, 0, 2, true)
+	local, remote, universe, tasks := plan.local, plan.remote, plan.remoteUniverse, plan.wants
 	if local.NumEdges() != 2 { // sources 0 and 3
 		t.Fatalf("local edges = %d", local.NumEdges())
 	}
@@ -271,6 +276,76 @@ func TestMAGNNPipelineModesAgree(t *testing.T) {
 			if diff := math.Abs(float64(res.Losses[i] - ref[i])); diff > 1e-3 {
 				t.Fatalf("epoch %d: pipeline %v vs raw %v", i, res.Losses[i], ref[i])
 			}
+		}
+	}
+}
+
+// maxLayer is a GCN layer that reduces its neighbors with max, which the
+// distributed hook cannot split into per-owner partial sums.
+type maxLayer struct{ *models.GCNLayer }
+
+func (l maxLayer) Aggregation(ctx *nau.Context, feats *nn.Value) *nn.Value {
+	return ctx.Aggregate(feats, nau.Max)
+}
+
+func TestUnsupportedReduceOpIsAnError(t *testing.T) {
+	d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 50})
+	factory := func(rng *tensor.RNG) *nau.Model {
+		m := models.NewGCN(d.FeatureDim(), 8, d.NumClasses, rng)
+		for i, l := range m.Layers {
+			m.Layers[i] = maxLayer{l.(*models.GCNLayer)}
+		}
+		return m
+	}
+	_, err := Train(Config{NumWorkers: 2, Pipeline: true, Epochs: 1, Seed: 51}, d, factory)
+	if err == nil || !strings.Contains(err.Error(), "supports sum and mean") {
+		t.Fatalf("max through the distributed hook: err = %v, want the unsupported-op error", err)
+	}
+	if _, err := SimulateEpoch(d, factory, SimConfig{NumWorkers: 2, Pipeline: true, Seed: 51}); err == nil {
+		t.Fatal("max through the simulated hook must be an error")
+	}
+}
+
+// TestSingleRankForwardIsTrainerPredict is the cluster leg of the
+// cross-driver parity chain (internal/serve's bit-identical tests hold the
+// store.Forward and serving legs against the same Trainer.Predict): a k=1
+// worker's forward pass — the partition that is the whole graph, behind the
+// distributed hook — produces Trainer.Predict's logits bit for bit.
+func TestSingleRankForwardIsTrainerPredict(t *testing.T) {
+	reddit := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 52})
+	imdb := dataset.IMDBLike(dataset.Config{Scale: 0.04, Seed: 53})
+	cases := []struct {
+		name    string
+		d       *dataset.Dataset
+		factory ModelFactory
+	}{
+		{"GCN", reddit, gcnFactory(reddit)},
+		{"MAGNN", imdb, func(rng *tensor.RNG) *nau.Model {
+			return models.NewMAGNN(imdb.FeatureDim(), 8, imdb.NumClasses, imdb.Metapaths, models.MAGNNConfig{MaxInstances: 4}, rng)
+		}},
+	}
+	for _, c := range cases {
+		tr := nau.NewTrainerWith(c.factory(tensor.NewRNG(54)), nau.TrainerOptions{
+			Graph: c.d.Graph, Features: c.d.Features, Labels: c.d.Labels, TrainMask: c.d.TrainMask, Seed: 54})
+		want, err := tr.Predict()
+		if err != nil {
+			t.Fatal(err)
+		}
+		netw := rpc.NewLoopbackNetwork(1)
+		w, err := newWorker(0, Config{NumWorkers: 1, Pipeline: true, Seed: 54}, c.d, c.factory, netw.Transport(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.ensureHDG(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := w.forward()
+		netw.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Data.Data(), want.Data()) {
+			t.Errorf("%s: k=1 worker forward differs from Trainer.Predict", c.name)
 		}
 	}
 }

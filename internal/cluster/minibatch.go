@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/nau"
 	"repro/internal/nn"
 	"repro/internal/store"
 )
@@ -42,9 +43,8 @@ func (w *worker) miniBatchEpoch() (float32, error) {
 			if err != nil {
 				return 0, err
 			}
-			fstart := time.Now()
-			logits, err := store.Forward(w.model, w.eng, w.g, bt, w.rng, true)
-			w.breakdown.Add(metrics.StageAggregation, time.Since(fstart))
+			probe := nau.Probe{Timer: w.breakdown, Tracer: w.tracer, Rank: int32(w.rank), Epoch: w.epoch}
+			logits, err := store.ForwardWith(probe, w.model, w.eng, w.g, bt, w.rng, true)
 			if err != nil {
 				return 0, err
 			}

@@ -66,6 +66,12 @@ func TestSamplerSmoke(t *testing.T) {
 	if len(res.Losses) != 3 {
 		t.Fatalf("want 3 epoch losses, got %d", len(res.Losses))
 	}
+	// Batches run through the same layer step as whole-graph epochs, so the
+	// breakdown splits their forward into aggregation and update.
+	if res.Merged.Get(metrics.StageAggregation) == 0 || res.Merged.Get(metrics.StageUpdate) == 0 {
+		t.Fatalf("mini-batch forward not split per stage: aggregation %v, update %v",
+			res.Merged.Get(metrics.StageAggregation), res.Merged.Get(metrics.StageUpdate))
+	}
 
 	wait := reg.Histogram("sample_wait_ns")
 	if wait.Count() == 0 {

@@ -8,19 +8,22 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hdg"
+	"repro/internal/metrics"
 	"repro/internal/nau"
 	"repro/internal/nn"
 	"repro/internal/partition"
+	"repro/internal/rpc"
 	"repro/internal/tensor"
 )
 
 // SimConfig controls a simulated multi-machine epoch. The paper's testbed
 // is 16 machines with 96 cores and 3.25 GB/s NICs; one laptop cannot show
 // that scaling with real goroutine workers (they share the same cores), so
-// the simulator executes each worker's compute phases serially with full
-// machine parallelism — as if each worker were one of the paper's machines
-// — and models communication from the actual message bytes with a
-// bandwidth/latency model.
+// the simulator runs the worker's own rank-local pieces (plan.go) and layer
+// step serially with full machine parallelism — as if each worker were one
+// of the paper's machines — and prices the messages they build with a
+// bandwidth/latency model. What it owns is the serial schedule and the cost
+// model below; the arithmetic is the concurrent runtime's.
 type SimConfig struct {
 	NumWorkers   int
 	Pipeline     bool
@@ -46,9 +49,9 @@ func (c *SimConfig) defaults() {
 // SimWorker holds one worker's measured compute and modeled communication.
 type SimWorker struct {
 	Selection     time.Duration
-	RemotePartial time.Duration // computing partial sums for peers
+	RemotePartial time.Duration // building peers' payloads (partial sums or raw rows)
 	LocalPartial  time.Duration // local bottom aggregation
-	Combine       time.Duration // merging received partials / raw rows
+	Combine       time.Duration // folding received partials / raw rows
 	RestAgg       time.Duration // intermediate + schema levels
 	Update        time.Duration
 	Backward      time.Duration
@@ -65,14 +68,11 @@ type SimWorker struct {
 // the configured mode: with pipeline, local partial aggregation overlaps
 // communication (§5); without, aggregation waits for all raw features.
 func (w *SimWorker) AggStage(pipeline bool) time.Duration {
+	wire := w.CommIn + w.LocalPartial
 	if pipeline {
-		overlap := w.LocalPartial
-		if w.CommIn > overlap {
-			overlap = w.CommIn
-		}
-		return w.RemotePartial + overlap + w.Combine + w.RestAgg
+		wire = max(w.CommIn, w.LocalPartial)
 	}
-	return w.CommIn + w.LocalPartial + w.Combine + w.RestAgg
+	return w.RemotePartial + wire + w.Combine + w.RestAgg
 }
 
 // AggCompute returns the worker's aggregation-stage compute only (no
@@ -102,229 +102,82 @@ type SimResult struct {
 	Loss float32
 }
 
-// simBottom intercepts bottom-level aggregation during simulation. It
-// performs the same local-width arithmetic as the concurrent runtime;
-// partial sums "from peers" are computed on the owners' local tensors with
-// the time attributed to the owner, and transfer time is modeled from the
-// message bytes.
+// simBottom is rank's bottom-aggregation hook during simulation: the
+// worker's AggregateBottom with the Exchange replaced by building every
+// peer's payload in place, from the owner's previous-layer rows and on the
+// owner's clock.
 type simBottom struct {
-	s    *simState
+	s    *Simulation
 	rank int
 }
 
-type simState struct {
-	cfg     SimConfig
-	owner   []int32
-	ranks   [][]int32 // per worker: global vertex -> local rank
-	workers []SimWorker
-	eng     *engine.Engine
-	// prev holds every worker's previous-layer local features during a
-	// layer phase.
-	prev []*tensor.Tensor
-	// plans caches split adjacencies per (worker, adjacency).
-	plans map[*engine.Adjacency]*simPlan
-}
-
-type simPlan struct {
-	local, remote  *engine.Adjacency
-	remoteUniverse []graph.VertexID
-	// tasksFromPeer[q] is what peer q computes for this worker, with
-	// leaves remapped to q's local ranks.
-	tasksFromPeer [][]Task
-	totalDeg      []int32
-	// rawRefRows counts raw rows per peer for the naive baseline (one row
-	// per dependency reference); rawDedupRows counts the deduplicated rows
-	// the pipelined fallback ships.
-	rawRefRows   []int64
-	rawDedupRows []int64
-	// usePartials records whether per-destination partial sums ship fewer
-	// rows than the deduplicated raw features (§5: partial aggregation is
-	// applied "when possible").
-	usePartials bool
-}
-
-func (b *simBottom) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.Value {
-	if op != tensor.ReduceSum && op != tensor.ReduceMean {
-		panic(fmt.Sprintf("cluster: simulated aggregation supports sum and mean, got %v", op))
+func (b *simBottom) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tensor.ReduceOp) (*nn.Value, error) {
+	if err := checkSplittable(op); err != nil {
+		return nil, err
 	}
-	s := b.s
-	w := &s.workers[b.rank]
-	plan := s.plan(adj, b.rank)
-	dim := feats.Data.Cols()
-
-	var out *nn.Value
-	if s.cfg.Pipeline {
-		if plan.usePartials {
-			w.PartialModeCalls++
-		} else {
-			w.RawModeCalls++
-		}
+	s, w := b.s, &b.s.stats[b.rank]
+	// Every phase in here is attributed below; booking the whole call as
+	// sync keeps it out of the layer step's remainder, which is RestAgg.
+	defer func(start time.Time) {
+		s.ranks[b.rank].timer.Add(metrics.StageSync, time.Since(start))
+	}(time.Now())
+	x, err := s.exchangePlan(adj, b.rank)
+	if err != nil {
+		return nil, err
 	}
-	if s.cfg.Pipeline && plan.usePartials {
-		// Partial aggregation: peers pre-combine their contributions per
-		// destination; the transfer overlaps local partial aggregation.
-		remote := tensor.New(adj.NumDst, dim)
-		rd := remote.Data()
-		var bytesIn, msgs int64
-		for q := range plan.tasksFromPeer {
-			tasks := plan.tasksFromPeer[q]
-			if len(tasks) == 0 {
-				continue
-			}
-			start := time.Now()
-			dsts, _, data := PartialAggregate(tasks, s.prev[q])
-			s.workers[q].RemotePartial += time.Since(start)
-			start = time.Now()
-			for i, dst := range dsts {
-				tensor.AddUnrolled(rd[int(dst)*dim:int(dst+1)*dim], data[i*dim:(i+1)*dim])
-			}
-			w.Combine += time.Since(start)
-			bytesIn += int64(len(tasks)) * (int64(dim)*4 + 8)
-			msgs++
-		}
-		start := time.Now()
-		local := s.eng.AggregateBottom(plan.local, feats, tensor.ReduceSum)
-		w.LocalPartial += time.Since(start)
-		w.BytesIn += bytesIn
-		w.MessagesIn += msgs
-		w.CommIn += time.Duration((float64(bytesIn)/s.cfg.BandwidthBytesPerSec + float64(msgs)*s.cfg.LatencySec) * 1e9)
-		out = nn.Add(local, nn.Constant(remote))
+	if x.plan.usePartials {
+		w.PartialModeCalls++
 	} else if s.cfg.Pipeline {
-		// Partial aggregation would ship more rows than the deduplicated
-		// raw features (MAGNN's many-instances-per-leaf case): fall back
-		// to batched deduplicated raw rows but keep the overlap — local
-		// partial aggregation proceeds while the transfer is in flight,
-		// and the remote rows are folded in on arrival (§5's "when
-		// possible").
-		var bytesIn, msgs int64
-		for q, rows := range plan.rawDedupRows {
-			if rows == 0 || q == b.rank {
-				continue
-			}
-			bytesIn += rows * (int64(dim)*4 + 4)
-			msgs++
-		}
-		buffer := tensor.New(maxInt(len(plan.remoteUniverse), 1), dim)
-		bd := buffer.Data()
-		start := time.Now()
-		local := s.eng.AggregateBottom(plan.local, feats, tensor.ReduceSum)
-		w.LocalPartial += time.Since(start)
-		start = time.Now()
-		for i, v := range plan.remoteUniverse {
-			q := s.owner[v]
-			r := int(s.ranks[q][v])
-			copy(bd[i*dim:(i+1)*dim], s.prev[q].Data()[r*dim:(r+1)*dim])
-		}
-		remoteAdj := plan.remote
-		if len(plan.remoteUniverse) == 0 {
-			remoteAdj = &engine.Adjacency{NumDst: plan.remote.NumDst, NumSrc: 1, DstPtr: plan.remote.DstPtr, SrcIdx: plan.remote.SrcIdx}
-		}
-		remote := s.eng.AggregateBottom(remoteAdj, nn.Constant(buffer), tensor.ReduceSum)
-		w.Combine += time.Since(start)
-		w.BytesIn += bytesIn
-		w.MessagesIn += msgs
-		w.CommIn += time.Duration((float64(bytesIn)/s.cfg.BandwidthBytesPerSec + float64(msgs)*s.cfg.LatencySec) * 1e9)
-		out = nn.Add(local, nn.Constant(remote.Data))
-	} else {
-		// Raw mode (the §5 baseline): peers ship one raw row per
-		// dependency reference; everything is aggregated after arrival.
-		var bytesIn, msgs int64
-		for q, rows := range plan.rawRefRows {
-			if rows == 0 || q == b.rank {
-				continue
-			}
-			bytesIn += rows * (int64(dim)*4 + 4)
-			msgs++
-		}
-		buffer := tensor.New(maxInt(len(plan.remoteUniverse), 1), dim)
-		bd := buffer.Data()
-		start := time.Now()
-		for i, v := range plan.remoteUniverse {
-			q := s.owner[v]
-			r := int(s.ranks[q][v])
-			copy(bd[i*dim:(i+1)*dim], s.prev[q].Data()[r*dim:(r+1)*dim])
-		}
-		w.Combine += time.Since(start)
-		remoteAdj := plan.remote
-		if len(plan.remoteUniverse) == 0 {
-			remoteAdj = &engine.Adjacency{NumDst: plan.remote.NumDst, NumSrc: 1, DstPtr: plan.remote.DstPtr, SrcIdx: plan.remote.SrcIdx}
-		}
-		start = time.Now()
-		local := s.eng.AggregateBottom(plan.local, feats, tensor.ReduceSum)
-		remote := s.eng.AggregateBottom(remoteAdj, nn.Constant(buffer), tensor.ReduceSum)
-		w.LocalPartial += time.Since(start)
-		w.BytesIn += bytesIn
-		w.MessagesIn += msgs
-		w.CommIn += time.Duration((float64(bytesIn)/s.cfg.BandwidthBytesPerSec + float64(msgs)*s.cfg.LatencySec) * 1e9)
-		out = nn.Add(local, nn.Constant(remote.Data))
+		w.RawModeCalls++
 	}
-	if op == tensor.ReduceMean {
+	var msgs []*rpc.Message
+	var bytes int64
+	for q := range s.ranks {
+		if q == b.rank {
+			continue
+		}
 		start := time.Now()
-		out = scaleByDeg(out, plan.totalDeg)
-		w.Combine += time.Since(start)
+		m := x.duties[q].payload(s.ranks[q].prev, s.ranks[q].localRank)
+		s.stats[q].RemotePartial += time.Since(start)
+		m.From = int32(q)
+		msgs = append(msgs, m)
+		bytes += m.NumBytes()
 	}
-	return out
+	start := time.Now()
+	localSum := x.plan.localSum(feats)
+	w.LocalPartial += time.Since(start)
+	start = time.Now()
+	out, err := x.plan.combine(localSum, msgs, op)
+	w.Combine += time.Since(start)
+	w.BytesIn += bytes
+	w.MessagesIn += int64(len(msgs))
+	w.CommIn += time.Duration((float64(bytes)/s.cfg.BandwidthBytesPerSec + float64(len(msgs))*s.cfg.LatencySec) * 1e9)
+	return out, err
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// exchangePlan is the plan exchange without a wire: rank's requests are
+// accepted by each peer in place.
+func (s *Simulation) exchangePlan(adj *engine.Adjacency, rank int) (*exchanged, error) {
+	if x, ok := s.plans[adj]; ok {
+		return x, nil
 	}
-	return b
-}
-
-func scaleByDeg(v *nn.Value, deg []int32) *nn.Value {
-	dim := v.Data.Cols()
-	scale := tensor.New(v.Data.Rows(), dim)
-	sd := scale.Data()
-	for d := 0; d < v.Data.Rows(); d++ {
-		inv := float32(0)
-		if deg[d] > 0 {
-			inv = 1 / float32(deg[d])
+	x := &exchanged{
+		plan:   newRankPlan(adj, s.owner, s.ranks[rank].localRank, rank, len(s.ranks), s.cfg.Pipeline),
+		duties: make([]*duty, len(s.ranks)),
+	}
+	for q := range s.ranks {
+		if q == rank {
+			continue
 		}
-		row := sd[d*dim : (d+1)*dim]
-		for j := range row {
-			row[j] = inv
+		req := x.plan.request(q)
+		req.From = int32(rank)
+		var err error
+		if x.duties[q], err = newDuty(req, s.ranks[q].localRank, q, s.cfg.Pipeline); err != nil {
+			return nil, err
 		}
 	}
-	return nn.Mul(v, nn.Constant(scale))
-}
-
-func (s *simState) plan(adj *engine.Adjacency, rank int) *simPlan {
-	if p, ok := s.plans[adj]; ok {
-		return p
-	}
-	local, remote, remoteUniverse, peerTasks := splitAdjacency(adj, s.owner, s.ranks[rank], rank, s.cfg.NumWorkers)
-	p := &simPlan{
-		local:          local,
-		remote:         remote,
-		remoteUniverse: remoteUniverse,
-		tasksFromPeer:  peerTasks,
-		totalDeg:       adj.Degrees(),
-		rawRefRows:     make([]int64, s.cfg.NumWorkers),
-		rawDedupRows:   make([]int64, s.cfg.NumWorkers),
-	}
-	// Remap each peer's task leaves into the peer's local ranks and count
-	// its reference and deduplicated raw rows.
-	var totalTasks, totalDedup int64
-	for q := range peerTasks {
-		seen := map[int32]bool{}
-		for ti := range peerTasks[q] {
-			for li, v := range peerTasks[q][ti].Leaves {
-				p.rawRefRows[q]++
-				if !seen[v] {
-					seen[v] = true
-					p.rawDedupRows[q]++
-				}
-				peerTasks[q][ti].Leaves[li] = s.ranks[q][v]
-			}
-		}
-		totalTasks += int64(len(peerTasks[q]))
-		totalDedup += p.rawDedupRows[q]
-	}
-	p.usePartials = totalTasks <= totalDedup
-	s.plans[adj] = p
-	return p
+	s.plans[adj] = x
+	return x, nil
 }
 
 // SimulateEpoch runs one simulated distributed training epoch and returns
@@ -339,15 +192,31 @@ func SimulateEpoch(d *dataset.Dataset, factory ModelFactory, cfg SimConfig) (*Si
 
 // Simulation holds reusable state for multi-epoch simulated runs.
 type Simulation struct {
-	cfg    SimConfig
-	d      *dataset.Dataset
-	models []*nau.Model
-	ctxs   []*nau.Context
-	roots  [][]graph.VertexID
-	rootIx [][]int32
-	hdgs   []*hdg.HDG
-	state  *simState
-	epoch  int
+	cfg   SimConfig
+	d     *dataset.Dataset
+	owner []int32
+	ranks []simRank
+	// plans caches the plan exchange per bottom adjacency (adjacencies are
+	// per rank, so one map serves all ranks).
+	plans map[*engine.Adjacency]*exchanged
+	stats []SimWorker
+	epoch int
+}
+
+// simRank is one simulated worker: a model replica over its partition.
+type simRank struct {
+	model     *nau.Model
+	ctx       *nau.Context
+	roots     []graph.VertexID
+	rootIdx   []int32
+	localRank []int32
+	hdg       *hdg.HDG
+	// timer receives the layer step's stage times: the aggregation
+	// remainder (RestAgg) and Update.
+	timer *metrics.Breakdown
+	// prev is the rank's previous-layer rows during a layer phase, where
+	// its peers' hooks read them.
+	prev *tensor.Tensor
 }
 
 // NewSimulation partitions the dataset and builds per-worker model
@@ -364,154 +233,104 @@ func NewSimulation(d *dataset.Dataset, factory ModelFactory, cfg SimConfig) (*Si
 	if p.K != cfg.NumWorkers {
 		return nil, fmt.Errorf("cluster: partitioning has %d parts, want %d", p.K, cfg.NumWorkers)
 	}
-	sim := &Simulation{cfg: cfg, d: d}
-	sim.state = &simState{
+	s := &Simulation{
 		cfg:   cfg,
+		d:     d,
 		owner: p.Assign,
-		eng:   engine.New(cfg.Strategy),
-		plans: map[*engine.Adjacency]*simPlan{},
+		ranks: make([]simRank, cfg.NumWorkers),
+		plans: map[*engine.Adjacency]*exchanged{},
 	}
-	sim.roots = make([][]graph.VertexID, cfg.NumWorkers)
 	for v, part := range p.Assign {
-		sim.roots[part] = append(sim.roots[part], graph.VertexID(v))
+		s.ranks[part].roots = append(s.ranks[part].roots, graph.VertexID(v))
 	}
-	sim.state.ranks = make([][]int32, cfg.NumWorkers)
-	for rank := 0; rank < cfg.NumWorkers; rank++ {
-		sim.state.ranks[rank] = buildLocalRank(d.Graph.NumVertices(), sim.roots[rank])
-		m := factory(tensor.NewRNG(cfg.Seed))
-		sim.models = append(sim.models, m)
-		ctx := &nau.Context{
+	eng := engine.New(cfg.Strategy)
+	for rank := range s.ranks {
+		r := &s.ranks[rank]
+		r.model = factory(tensor.NewRNG(cfg.Seed))
+		r.rootIdx = localRows(r.roots)
+		r.localRank = buildLocalRank(d.Graph.NumVertices(), r.roots)
+		r.timer = &metrics.Breakdown{}
+		r.ctx = &nau.Context{
 			Graph:          d.Graph,
-			Engine:         sim.state.eng,
+			Engine:         eng,
 			NumFeatureRows: d.Graph.NumVertices(),
 			RNG:            tensor.NewRNG(cfg.Seed + uint64(rank)),
-			Bottom:         &simBottom{s: sim.state, rank: rank},
+			Bottom:         &simBottom{s: s, rank: rank},
 		}
-		ctx.SetGraphAdjacency(localGraphAdjacency(d.Graph, sim.roots[rank]))
-		sim.ctxs = append(sim.ctxs, ctx)
-		sim.rootIx = append(sim.rootIx, localRows(sim.roots[rank]))
+		r.ctx.SetGraphAdjacency(localGraphAdjacency(d.Graph, r.roots))
 	}
-	sim.hdgs = make([]*hdg.HDG, cfg.NumWorkers)
-	return sim, nil
+	return s, nil
 }
 
-// totalAggAccounted sums the aggregation compute already attributed across
-// all workers, used to avoid double counting in RestAgg.
-func (s *Simulation) totalAggAccounted() time.Duration {
-	var t time.Duration
-	for i := range s.state.workers {
-		w := &s.state.workers[i]
-		t += w.RemotePartial + w.LocalPartial + w.Combine
-	}
-	return t
-}
-
-// Epoch runs one simulated epoch.
+// Epoch runs one simulated epoch: the worker's epoch, one rank at a time
+// within each phase.
 func (s *Simulation) Epoch() (*SimResult, error) {
-	k := s.cfg.NumWorkers
-	s.state.workers = make([]SimWorker, k)
 	d := s.d
-
-	// Neighbor selection per worker (serial, timed).
-	for rank := 0; rank < k; rank++ {
-		m := s.models[rank]
-		if !m.NeedsHDG() {
+	s.stats = make([]SimWorker, len(s.ranks))
+	h := make([]*nn.Value, len(s.ranks))
+	input := nn.Constant(d.Features)
+	for rank := range s.ranks {
+		r := &s.ranks[rank]
+		r.timer.Reset()
+		h[rank] = nn.Gather(input, r.rootIdx)
+		if !needsSelection(r.model, r.hdg) {
 			continue
 		}
-		if s.hdgs[rank] != nil && m.Cache == nau.CacheForever {
-			continue
-		}
-		layer := m.Layers[0]
 		start := time.Now()
-		h, err := selectSeeded(d.Graph, layer.Schema(), layer.NeighborUDF(), s.roots[rank],
-			s.cfg.Seed^(uint64(s.epoch+1)*0x9e3779b97f4a7c15))
-		s.state.workers[rank].Selection = time.Since(start)
+		hd, err := selectSeeded(r.model, d.Graph, r.roots, s.cfg.Seed, s.epoch)
+		s.stats[rank].Selection = time.Since(start)
 		if err != nil {
 			return nil, err
 		}
-		s.hdgs[rank] = h
-		s.ctxs[rank].InvalidateHDG(h)
-		s.state.plans = map[*engine.Adjacency]*simPlan{}
+		r.hdg = hd
+		r.ctx.InvalidateHDG(hd)
+		s.plans = map[*engine.Adjacency]*exchanged{}
 	}
 
-	numLayers := len(s.models[0].Layers)
-	hLocal := make([]*nn.Value, k)
-	input := nn.Constant(d.Features)
-	for rank := 0; rank < k; rank++ {
-		hLocal[rank] = nn.Gather(input, s.rootIx[rank])
-	}
-	for li := 0; li < numLayers; li++ {
-		// Publish the previous-layer local tensors so simBottom can
-		// compute peers' partial sums from the owners' data.
-		s.state.prev = make([]*tensor.Tensor, k)
-		for rank := 0; rank < k; rank++ {
-			s.state.prev[rank] = hLocal[rank].Data
+	for li := range s.ranks[0].model.Layers {
+		// Publish the previous-layer local tensors before any rank runs the
+		// layer: a rank's hook builds its peers' payloads from them.
+		for rank := range s.ranks {
+			s.ranks[rank].prev = h[rank].Data
 		}
-		next := make([]*nn.Value, k)
-		for rank := 0; rank < k; rank++ {
-			ctx := s.ctxs[rank]
-			layer := s.models[rank].Layers[li]
-			w := &s.state.workers[rank]
-			// Peers' partial-sum time is attributed to the *sender* inside
-			// the Aggregation call, so the double-count subtraction must
-			// total the deltas across all workers.
-			before := s.totalAggAccounted()
-			start := time.Now()
-			nbr := layer.Aggregation(ctx, hLocal[rank])
-			elapsed := time.Since(start)
-			inner := s.totalAggAccounted() - before
-			if rest := elapsed - inner; rest > 0 {
-				w.RestAgg += rest
+		next := make([]*nn.Value, len(s.ranks))
+		for rank := range s.ranks {
+			r := &s.ranks[rank]
+			var err error
+			next[rank], err = r.ctx.RunLayer(nau.Probe{Timer: r.timer}, li, r.model.Layers[li], h[rank], h[rank].Data.Rows(), nil)
+			if err != nil {
+				return nil, err
 			}
-			start = time.Now()
-			next[rank] = layer.Update(ctx, hLocal[rank], nbr)
-			w.Update += time.Since(start)
 		}
-		hLocal = next
+		h = next
 	}
 
 	// Loss and backward per worker (each with its own replica and a
 	// local-only gradient graph).
 	var lossSum float64
 	var maskSum int
-	for rank := 0; rank < k; rank++ {
-		labels := make([]int32, len(s.roots[rank]))
-		mask := make([]bool, len(s.roots[rank]))
-		m := 0
-		for i, v := range s.roots[rank] {
-			labels[i] = d.Labels[v]
-			mask[i] = d.TrainMask[v]
-			if mask[i] {
-				m++
-			}
-		}
-		loss := nn.CrossEntropy(hLocal[rank], labels, mask)
+	for rank := range s.ranks {
+		r, w := &s.ranks[rank], &s.stats[rank]
+		loss, masked := localLoss(h[rank], r.roots, d.Labels, d.TrainMask)
 		start := time.Now()
-		for _, p := range s.models[rank].Parameters() {
+		for _, p := range r.model.Parameters() {
 			p.ZeroGrad()
 		}
 		loss.Backward()
-		s.state.workers[rank].Backward += time.Since(start)
-		lossSum += float64(loss.Data.At(0, 0)) * float64(m)
-		maskSum += m
-	}
-	if maskSum == 0 {
-		maskSum = 1
+		w.Backward = time.Since(start)
+		w.RestAgg = r.timer.Get(metrics.StageAggregation)
+		w.Update = r.timer.Get(metrics.StageUpdate)
+		lossSum += float64(loss.Data.At(0, 0)) * float64(masked)
+		maskSum += masked
 	}
 	s.epoch++
 
-	res := &SimResult{PerWorker: s.state.workers, Loss: float32(lossSum / float64(maskSum))}
+	res := &SimResult{PerWorker: s.stats, Loss: float32(lossSum / float64(max(maskSum, 1)))}
 	for i := range res.PerWorker {
 		w := &res.PerWorker[i]
-		if t := w.Epoch(s.cfg.Pipeline); t > res.EpochTime {
-			res.EpochTime = t
-		}
-		if t := w.AggStage(s.cfg.Pipeline); t > res.AggTime {
-			res.AggTime = t
-		}
-		if t := w.AggCompute(); t > res.AggComputeTime {
-			res.AggComputeTime = t
-		}
+		res.EpochTime = max(res.EpochTime, w.Epoch(s.cfg.Pipeline))
+		res.AggTime = max(res.AggTime, w.AggStage(s.cfg.Pipeline))
+		res.AggComputeTime = max(res.AggComputeTime, w.AggCompute())
 	}
 	return res, nil
 }

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/nau"
 	"repro/internal/tensor"
@@ -35,20 +37,47 @@ func TestSimulateEpochGCN(t *testing.T) {
 }
 
 func TestSimLossMatchesConcurrentCluster(t *testing.T) {
-	// The simulator must compute the same forward math as the concurrent
-	// runtime: first-epoch global loss must agree.
-	d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 3})
-	conc, err := Train(Config{NumWorkers: 3, Pipeline: true, Strategy: engine.StrategyHA, Epochs: 1, Seed: 4}, d, gcnFactory(d))
-	if err != nil {
-		t.Fatal(err)
+	// The simulator runs the concurrent runtime's own arithmetic, so the
+	// first-epoch global loss agrees up to the final fold (the all-reduce
+	// sums float32 in rank order, the simulator float64), and it prices the
+	// very messages the runtime sends, so each rank's modeled bytes equal
+	// the feature/partial bytes that rank received.
+	reddit := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 3})
+	imdb := dataset.IMDBLike(dataset.Config{Scale: 0.04, Seed: 7})
+	cases := []struct {
+		name    string
+		d       *dataset.Dataset
+		factory ModelFactory
+	}{
+		{"GCN", reddit, gcnFactory(reddit)},
+		{"MAGNN", imdb, func(rng *tensor.RNG) *nau.Model {
+			return models.NewMAGNN(imdb.FeatureDim(), 8, imdb.NumClasses, imdb.Metapaths, models.MAGNNConfig{MaxInstances: 4}, rng)
+		}},
 	}
-	sim, err := SimulateEpoch(d, gcnFactory(d), SimConfig{NumWorkers: 3, Pipeline: true, Strategy: engine.StrategyHA, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := sim.Loss - conc.Losses[0]
-	if diff > 1e-3 || diff < -1e-3 {
-		t.Fatalf("sim loss %v != concurrent loss %v", sim.Loss, conc.Losses[0])
+	for _, c := range cases {
+		for _, k := range []int{2, 3} {
+			for _, pipeline := range []bool{true, false} {
+				conc, err := Train(Config{NumWorkers: k, Pipeline: pipeline, Strategy: engine.StrategyHA, Epochs: 1, Seed: 4}, c.d, c.factory)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sim, err := SimulateEpoch(c.d, c.factory, SimConfig{NumWorkers: k, Pipeline: pipeline, Strategy: engine.StrategyHA, Seed: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := conc.Losses[0]
+				if rel := math.Abs(float64(sim.Loss-want)) / math.Abs(float64(want)); rel > 1e-6 {
+					t.Errorf("%s k=%d pipeline=%v: sim loss %v vs concurrent %v (relative %.2g)", c.name, k, pipeline, sim.Loss, want, rel)
+				}
+				for rank, bd := range conc.PerWorker {
+					got := bd.RecvBytes(metrics.ClassFeatures) + bd.RecvBytes(metrics.ClassPartials)
+					if sim.PerWorker[rank].BytesIn != got {
+						t.Errorf("%s k=%d pipeline=%v rank %d: sim models %d bytes in, the runtime received %d",
+							c.name, k, pipeline, rank, sim.PerWorker[rank].BytesIn, got)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/collective"
@@ -76,7 +75,7 @@ type worker struct {
 	aggCalls int32 // aggregation call counter within the epoch (layer tag)
 
 	// plans caches the exchanged communication plan per adjacency.
-	plans map[*engine.Adjacency]*workerPlan
+	plans map[*engine.Adjacency]*exchanged
 
 	// Mini-batch mode (Config.MiniBatch != nil): the prefetching data
 	// plane over this worker's partition, the per-round batch size and
@@ -86,40 +85,13 @@ type worker struct {
 	mbRounds int
 }
 
-// workerPlan is this worker's view of the communication plan for one
-// bottom-level adjacency (destination rows local to this worker, source
-// IDs global).
-type workerPlan struct {
-	// local is the adjacency restricted to leaves this worker owns, with
-	// sources remapped to local root ranks (compact universe).
-	local *engine.Adjacency
-	// remote is the complement, with sources remapped into the compact
-	// remoteUniverse (raw path).
-	remote *engine.Adjacency
-	// remoteUniverse lists the distinct remote vertices this worker's
-	// destinations depend on; remoteIndex inverts it.
-	remoteUniverse []graph.VertexID
-	remoteIndex    map[graph.VertexID]int32
-	// tasksForPeer[p] are the partial sums this worker computes for p,
-	// with leaves remapped to THIS worker's local root ranks.
-	tasksForPeer [][]Task
-	// rawForPeer[p] are the global vertex IDs whose raw feature rows this
-	// worker ships to p in the unoptimised path — one row per dependency
-	// reference, as a naive implementation collects them (the §5 baseline).
-	// The pipelined fallback path ships the deduplicated set instead.
-	rawForPeer      [][]graph.VertexID
-	dedupRawForPeer [][]graph.VertexID
-	// totalDeg is the full per-destination in-degree (mean denominator).
-	totalDeg []int32
-	degInv   []float32
-	// usePartials records whether THIS worker wants to receive
-	// per-destination partial sums (they ship fewer rows than its
-	// deduplicated raw features — §5's partial aggregation "when
-	// possible"); when false, peers ship raw rows and the overlap is kept.
-	// The preference is announced to peers during plan exchange.
-	usePartials bool
-	// sendPartialsTo[p] is peer p's announced receive preference.
-	sendPartialsTo []bool
+// exchanged is what a plan exchange over one bottom-level adjacency leaves
+// behind: the rank's own plan and the duties it accepted. A worker holds the
+// duties it owes each peer; the simulator, which plays every rank, holds the
+// duties each peer owes this plan's rank.
+type exchanged struct {
+	plan   *rankPlan
+	duties []*duty
 }
 
 // localRows returns the global feature row indices of the given roots.
@@ -143,345 +115,84 @@ func buildLocalRank(n int, roots []graph.VertexID) []int32 {
 	return out
 }
 
-// splitAdjacency splits adj (global source IDs) into
-//   - a local part whose sources are remapped by localRank (compact),
-//   - a remote part whose sources are remapped into a compact universe of
-//     distinct remote vertices (returned), and
-//   - per-peer task lists (leaves kept as global IDs; the receiving owner
-//     remaps them into its own local ranks).
-func splitAdjacency(adj *engine.Adjacency, owner, localRank []int32, self, k int) (local, remote *engine.Adjacency, remoteUniverse []graph.VertexID, peerTasks [][]Task) {
-	localPtr := make([]int64, adj.NumDst+1)
-	remotePtr := make([]int64, adj.NumDst+1)
-	var localIdx, remoteIdx []int32
-	remoteIndex := make(map[graph.VertexID]int32)
-	peerTasks = make([][]Task, k)
-	buf := make([][]int32, k)
-	for d := 0; d < adj.NumDst; d++ {
-		for q := range buf {
-			buf[q] = buf[q][:0]
-		}
-		for p := adj.DstPtr[d]; p < adj.DstPtr[d+1]; p++ {
-			src := adj.Src(p)
-			if int(owner[src]) == self {
-				localIdx = append(localIdx, localRank[src])
-			} else {
-				pos, ok := remoteIndex[src]
-				if !ok {
-					pos = int32(len(remoteUniverse))
-					remoteIndex[src] = pos
-					remoteUniverse = append(remoteUniverse, src)
-				}
-				remoteIdx = append(remoteIdx, pos)
-				buf[owner[src]] = append(buf[owner[src]], src)
-			}
-		}
-		localPtr[d+1] = int64(len(localIdx))
-		remotePtr[d+1] = int64(len(remoteIdx))
-		for q := 0; q < k; q++ {
-			if len(buf[q]) > 0 {
-				peerTasks[q] = append(peerTasks[q], Task{Dst: int32(d), Leaves: append([]int32(nil), buf[q]...)})
-			}
-		}
-	}
-	nLocal := 0
-	for _, r := range localRank {
-		if r >= 0 {
-			nLocal++
-		}
-	}
-	local = &engine.Adjacency{NumDst: adj.NumDst, NumSrc: nLocal, DstPtr: localPtr, SrcIdx: localIdx}
-	remote = &engine.Adjacency{NumDst: adj.NumDst, NumSrc: len(remoteUniverse), DstPtr: remotePtr, SrcIdx: remoteIdx}
-	return local, remote, remoteUniverse, peerTasks
-}
-
-// encodeTasks flattens tasks into the IDs section of a message:
-// [dst, nLeaves, leaves...]* .
-func encodeTasks(tasks []Task) []int32 {
-	var out []int32
-	for _, t := range tasks {
-		out = append(out, t.Dst, int32(len(t.Leaves)))
-		out = append(out, t.Leaves...)
-	}
-	return out
-}
-
-func decodeTasks(ids []int32) ([]Task, error) {
-	var out []Task
-	for i := 0; i < len(ids); {
-		if i+2 > len(ids) {
-			return nil, fmt.Errorf("cluster: truncated task encoding")
-		}
-		dst, n := ids[i], int(ids[i+1])
-		i += 2
-		// A corrupt frame can carry a negative leaf count, which would pass
-		// the overflow check below (i+n < i) and slice out of range.
-		if n < 0 {
-			return nil, fmt.Errorf("cluster: corrupt task encoding: negative leaf count %d", n)
-		}
-		if i+n > len(ids) {
-			return nil, fmt.Errorf("cluster: truncated task leaves")
-		}
-		out = append(out, Task{Dst: dst, Leaves: append([]int32(nil), ids[i:i+n]...)})
-		i += n
-	}
-	return out, nil
-}
-
 // ensurePlan exchanges the communication plan for adj with all peers
 // (cached per adjacency; PinSage re-exchanges each epoch because its HDGs
-// change).
-func (w *worker) ensurePlan(adj *engine.Adjacency) (*workerPlan, error) {
-	if p, ok := w.plans[adj]; ok {
-		return p, nil
+// change). The exchange is a dedicated KindPlan collective, fenced on
+// (epoch, aggregation call).
+func (w *worker) ensurePlan(adj *engine.Adjacency) (*exchanged, error) {
+	if x, ok := w.plans[adj]; ok {
+		return x, nil
 	}
-	local, remote, remoteUniverse, peerTasks := splitAdjacency(adj, w.owner, w.localRank, w.rank, w.k)
-	plan := &workerPlan{
-		local:           local,
-		remote:          remote,
-		remoteUniverse:  remoteUniverse,
-		remoteIndex:     make(map[graph.VertexID]int32, len(remoteUniverse)),
-		tasksForPeer:    make([][]Task, w.k),
-		rawForPeer:      make([][]graph.VertexID, w.k),
-		dedupRawForPeer: make([][]graph.VertexID, w.k),
-		totalDeg:        adj.Degrees(),
-		sendPartialsTo:  make([]bool, w.k),
+	x := &exchanged{
+		plan:   newRankPlan(adj, w.owner, w.localRank, w.rank, w.k, w.cfg.Pipeline),
+		duties: make([]*duty, w.k),
 	}
-	for i, v := range remoteUniverse {
-		plan.remoteIndex[v] = int32(i)
-	}
-	// My receive preference: partial sums iff they ship fewer rows than my
-	// deduplicated raw dependency set.
-	var incomingTasks int64
-	for q := 0; q < w.k; q++ {
-		incomingTasks += int64(len(peerTasks[q]))
-	}
-	plan.usePartials = incomingTasks <= int64(len(remoteUniverse))
-	// Tell each peer which partial sums it must compute for me (leaf IDs
-	// are global; the peer remaps them into its own local ranks), along
-	// with my receive preference (Dim=1 for partials, 0 for raw rows).
-	// The exchange is a dedicated KindPlan collective, fenced on
-	// (epoch, aggregation call).
-	prefDim := int32(0)
-	if plan.usePartials {
-		prefDim = 1
-	}
-	msgs, err := w.comm.Exchange(
-		collective.Fence{Epoch: w.epoch, Phase: w.aggCalls},
-		rpc.KindPlan,
-		func(q int) *rpc.Message {
-			return &rpc.Message{Kind: rpc.KindPlan, IDs: encodeTasks(peerTasks[q]), Dim: prefDim}
-		},
-		nil)
+	msgs, err := w.comm.Exchange(collective.Fence{Epoch: w.epoch, Phase: w.aggCalls}, rpc.KindPlan, x.plan.request, nil)
 	if err != nil {
 		return nil, err
 	}
-	// msgs hold the tasks each peer wants from me; remap leaves to my
-	// local ranks and derive the raw-mode vertex lists.
 	for _, m := range msgs {
-		tasks, err := decodeTasks(m.IDs)
-		if err != nil {
+		if x.duties[m.From], err = newDuty(m, w.localRank, w.rank, w.cfg.Pipeline); err != nil {
 			return nil, err
 		}
-		seen := make(map[graph.VertexID]bool)
-		for ti := range tasks {
-			for li, v := range tasks[ti].Leaves {
-				// The naive baseline ships every reference; the dedup list
-				// backs the pipelined raw fallback.
-				plan.rawForPeer[m.From] = append(plan.rawForPeer[m.From], v)
-				if !seen[v] {
-					seen[v] = true
-					plan.dedupRawForPeer[m.From] = append(plan.dedupRawForPeer[m.From], v)
-				}
-				if w.localRank[v] < 0 {
-					return nil, fmt.Errorf("cluster: peer %d requested vertex %d not owned by worker %d", m.From, v, w.rank)
-				}
-				tasks[ti].Leaves[li] = w.localRank[v]
-			}
-		}
-		sort.Slice(plan.dedupRawForPeer[m.From], func(i, j int) bool {
-			return plan.dedupRawForPeer[m.From][i] < plan.dedupRawForPeer[m.From][j]
-		})
-		plan.tasksForPeer[m.From] = tasks
-		plan.sendPartialsTo[m.From] = m.Dim == 1
 	}
-	w.plans[adj] = plan
-	return plan, nil
+	w.plans[adj] = x
+	return x, nil
 }
 
 // AggregateBottom implements nau.BottomAggregator: the distributed bottom
-// aggregation with either partial aggregation + pipeline overlap (§5) or
-// the unoptimised raw-feature synchronisation. feats holds the previous
-// layer's local-width features ([#local roots, dim]).
-func (w *worker) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.Value {
-	if op != tensor.ReduceSum && op != tensor.ReduceMean {
-		panic(fmt.Sprintf("cluster: distributed aggregation supports sum and mean, got %v", op))
+// aggregation, the rank-local pieces of plan.go around one fenced Exchange.
+// Every peer is built the payload kind it announced at plan exchange. With
+// pipeline processing (§5) the local fused aggregation runs in the
+// collective's overlap window while messages are in flight; without it,
+// aggregation waits for all raw rows. feats holds the previous layer's
+// local-width features ([#local roots, dim]).
+func (w *worker) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tensor.ReduceOp) (*nn.Value, error) {
+	if err := checkSplittable(op); err != nil {
+		return nil, err
 	}
-	plan, err := w.ensurePlan(adj)
+	x, err := w.ensurePlan(adj)
 	if err != nil {
-		panic(fmt.Errorf("cluster: plan exchange failed: %w", err))
+		return nil, fmt.Errorf("cluster: plan exchange failed: %w", err)
 	}
 	layer := w.aggCalls
 	w.aggCalls++
 
-	var out *nn.Value
-	if w.cfg.Pipeline {
-		out = w.aggregatePipelined(plan, feats, layer)
-	} else {
-		out = w.aggregateRaw(plan, feats, layer)
-	}
-	if op == tensor.ReduceMean {
-		out = scaleRowsByInvDeg(out, plan)
-	}
-	return out
-}
-
-// aggregatePipelined overlaps communication with local partial aggregation
-// (§5), expressed as one fenced Exchange: each peer is built the payload
-// kind it announced at plan exchange, and the local fused aggregation runs
-// in the collective's overlap window while messages are in flight.
-func (w *worker) aggregatePipelined(plan *workerPlan, feats *nn.Value, layer int32) *nn.Value {
-	dim := feats.Data.Cols()
-	recvKind := rpc.KindPartials
-	if !plan.usePartials {
-		recvKind = rpc.KindFeatures
-	}
 	var (
 		localSum *nn.Value
 		aggDur   time.Duration
 	)
+	local := func() {
+		start := time.Now()
+		localSum = x.plan.localSum(feats)
+		aggDur = time.Since(start)
+	}
+	overlap := local
+	if !w.cfg.Pipeline {
+		overlap = nil
+	}
 	syncStart := time.Now()
 	msgs, err := w.comm.Exchange(
 		collective.Fence{Epoch: w.epoch, Phase: layer},
-		recvKind,
-		func(q int) *rpc.Message {
-			if plan.sendPartialsTo[q] {
-				dsts, counts, data := PartialAggregate(plan.tasksForPeer[q], feats.Data)
-				return &rpc.Message{Kind: rpc.KindPartials, IDs: dsts, Counts: counts, Data: data, Dim: int32(dim)}
-			}
-			return w.rawMessage(plan, feats, q, true)
-		},
-		func() {
-			start := time.Now()
-			localSum = engine.FusedAggregate(plan.local, feats, tensor.ReduceSum)
-			aggDur = time.Since(start)
-		})
+		x.plan.recvKind(),
+		func(q int) *rpc.Message { return x.duties[q].payload(feats.Data, w.localRank) },
+		overlap)
 	if err != nil {
-		panic(fmt.Errorf("cluster: partial sync failed: %w", err))
+		return nil, fmt.Errorf("cluster: feature sync failed: %w", err)
 	}
-	var remote *tensor.Tensor
-	if plan.usePartials {
-		remote = tensor.New(plan.local.NumDst, dim)
-		rd := remote.Data()
-		for _, m := range msgs {
-			for i, dst := range m.IDs {
-				tensor.AddUnrolled(rd[int(dst)*dim:int(dst+1)*dim], m.Data[i*dim:(i+1)*dim])
-			}
-		}
-	} else {
-		var rerr error
-		remote, rerr = w.remoteSumFromRaw(plan, msgs, dim)
-		if rerr != nil {
-			panic(rerr)
-		}
+	if overlap == nil {
+		local()
+	}
+	start := time.Now()
+	out, err := x.plan.combine(localSum, msgs, op)
+	if !w.cfg.Pipeline {
+		// Without the overlap everything after the wait is aggregation;
+		// with it, folding the arrivals is the tail of the sync.
+		aggDur += time.Since(start)
 	}
 	w.breakdown.Add(metrics.StageAggregation, aggDur)
 	w.breakdown.Add(metrics.StageSync, time.Since(syncStart)-aggDur)
-	return nn.Add(localSum, nn.Constant(remote))
-}
-
-// rawMessage assembles the batched raw-feature message for peer q (the
-// sender and fence are stamped by the collective layer). dedup selects the
-// reference list (naive baseline) or the deduplicated set (the pipelined
-// fallback).
-func (w *worker) rawMessage(plan *workerPlan, feats *nn.Value, q int, dedup bool) *rpc.Message {
-	dim := feats.Data.Cols()
-	verts := plan.rawForPeer[q]
-	if dedup {
-		verts = plan.dedupRawForPeer[q]
-	}
-	ids := make([]int32, len(verts))
-	data := make([]float32, len(verts)*dim)
-	fd := feats.Data.Data()
-	for i, v := range verts {
-		ids[i] = v
-		r := int(w.localRank[v])
-		copy(data[i*dim:(i+1)*dim], fd[r*dim:(r+1)*dim])
-	}
-	return &rpc.Message{Kind: rpc.KindFeatures, IDs: ids, Data: data, Dim: int32(dim)}
-}
-
-// remoteSumFromRaw fills the compact remote buffer from raw-feature
-// messages and reduces it over the remote adjacency. A vertex outside the
-// plan's remote universe is a protocol violation (the peer shipped rows this
-// worker never asked for) and surfaces as an error — skipping it would turn
-// a wire bug into silently wrong sums.
-func (w *worker) remoteSumFromRaw(plan *workerPlan, msgs []*rpc.Message, dim int) (*tensor.Tensor, error) {
-	buffer := tensor.New(max(len(plan.remoteUniverse), 1), dim)
-	bd := buffer.Data()
-	for _, m := range msgs {
-		for i, v := range m.IDs {
-			pos, ok := plan.remoteIndex[v]
-			if !ok {
-				return nil, fmt.Errorf("cluster: peer %d shipped vertex %d outside worker %d's remote universe", m.From, v, w.rank)
-			}
-			copy(bd[int(pos)*dim:int(pos+1)*dim], m.Data[i*dim:(i+1)*dim])
-		}
-	}
-	remoteAdj := plan.remote
-	if len(plan.remoteUniverse) == 0 {
-		remoteAdj = &engine.Adjacency{NumDst: plan.remote.NumDst, NumSrc: 1, DstPtr: plan.remote.DstPtr, SrcIdx: plan.remote.SrcIdx}
-	}
-	return engine.FusedAggregate(remoteAdj, nn.Constant(buffer), tensor.ReduceSum).Data, nil
-}
-
-// aggregateRaw ships raw feature rows (one batched message per peer), waits
-// for all of them, and then aggregates everything locally — FlexGraph
-// without pipeline processing (no overlap window on the Exchange).
-func (w *worker) aggregateRaw(plan *workerPlan, feats *nn.Value, layer int32) *nn.Value {
-	dim := feats.Data.Cols()
-	syncStart := time.Now()
-	msgs, err := w.comm.Exchange(
-		collective.Fence{Epoch: w.epoch, Phase: layer},
-		rpc.KindFeatures,
-		func(q int) *rpc.Message { return w.rawMessage(plan, feats, q, false) },
-		nil)
-	if err != nil {
-		panic(fmt.Errorf("cluster: raw sync failed: %w", err))
-	}
-	w.breakdown.Add(metrics.StageSync, time.Since(syncStart))
-
-	start := time.Now()
-	localSum := engine.FusedAggregate(plan.local, feats, tensor.ReduceSum)
-	remoteSum, rerr := w.remoteSumFromRaw(plan, msgs, dim)
-	if rerr != nil {
-		panic(rerr)
-	}
-	w.breakdown.Add(metrics.StageAggregation, time.Since(start))
-	return nn.Add(localSum, nn.Constant(remoteSum))
-}
-
-// scaleRowsByInvDeg divides each destination row by its full in-degree
-// (local + remote contributions), completing a distributed mean.
-func scaleRowsByInvDeg(v *nn.Value, plan *workerPlan) *nn.Value {
-	dim := v.Data.Cols()
-	if plan.degInv == nil {
-		plan.degInv = make([]float32, len(plan.totalDeg))
-		for d, deg := range plan.totalDeg {
-			if deg > 0 {
-				plan.degInv[d] = 1 / float32(deg)
-			}
-		}
-	}
-	scale := tensor.New(v.Data.Rows(), dim)
-	sd := scale.Data()
-	for d := 0; d < v.Data.Rows(); d++ {
-		inv := plan.degInv[d]
-		row := sd[d*dim : (d+1)*dim]
-		for j := range row {
-			row[j] = inv
-		}
-	}
-	return nn.Mul(v, nn.Constant(scale))
+	return out, err
 }
 
 var _ nau.BottomAggregator = (*worker)(nil)

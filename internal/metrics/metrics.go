@@ -144,17 +144,19 @@ func (b *Breakdown) SentBytes(c MsgClass) int64 { return b.sentBy[c].Load() }
 // RecvBytes returns the bytes received for one message class.
 func (b *Breakdown) RecvBytes(c MsgClass) int64 { return b.recvBy[c].Load() }
 
-// Add accumulates d into stage s.
+// Add accumulates d into stage s. Like the registry's instruments it is a
+// no-op on a nil Breakdown, so a forward-only caller can run untimed.
 func (b *Breakdown) Add(s Stage, d time.Duration) {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	b.times[s] += d
 	b.mu.Unlock()
 }
 
 // Time runs fn and accumulates its duration into stage s. The recording is
-// deferred so a stage that panics (e.g. a collective failure recovered by
-// the cluster's runEpoch) still contributes its elapsed time to the
-// breakdown instead of silently vanishing from Table 4.
+// deferred, so a stage that panics still contributes its elapsed time.
 func (b *Breakdown) Time(s Stage, fn func()) {
 	start := time.Now()
 	defer func() { b.Add(s, time.Since(start)) }()
@@ -163,7 +165,11 @@ func (b *Breakdown) Time(s Stage, fn func()) {
 
 // StageTimes returns a snapshot of all stage durations, indexed by Stage
 // (length StageCount) — the per-epoch delta source for straggler reports.
+// A nil Breakdown reports zeros.
 func (b *Breakdown) StageTimes() [StageCount]time.Duration {
+	if b == nil {
+		return [StageCount]time.Duration{}
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.times

@@ -135,9 +135,8 @@ func TestConcurrentUse(t *testing.T) {
 }
 
 func TestTimeRecordsOnPanic(t *testing.T) {
-	// A stage that panics (the cluster's runEpoch recovers collective
-	// failures that panic out of aggregation hooks) must still contribute
-	// its elapsed time to the breakdown.
+	// A stage that panics must still contribute its elapsed time to the
+	// breakdown.
 	var b Breakdown
 	func() {
 		defer func() {

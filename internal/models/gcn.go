@@ -5,7 +5,6 @@
 package models
 
 import (
-	"repro/internal/graph"
 	"repro/internal/hdg"
 	"repro/internal/nau"
 	"repro/internal/nn"
@@ -64,13 +63,3 @@ func NewGCN(in, hidden, classes int, rng *tensor.RNG) *nau.Model {
 }
 
 var _ nau.Layer = (*GCNLayer)(nil)
-
-// AllVertexMask returns a mask selecting every vertex of g, a convenience
-// for whole-graph loss computation.
-func AllVertexMask(g *graph.Graph) []bool {
-	m := make([]bool, g.NumVertices())
-	for i := range m {
-		m[i] = true
-	}
-	return m
-}

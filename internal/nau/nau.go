@@ -67,7 +67,7 @@ type Layer interface {
 // aggregates remote contributions and synchronises across workers (§5);
 // when nil, the local hybrid engine runs the level directly.
 type BottomAggregator interface {
-	AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.Value
+	AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tensor.ReduceOp) (*nn.Value, error)
 }
 
 // Context carries everything a layer's Aggregation needs: the graph, the
@@ -90,17 +90,38 @@ type Context struct {
 	graphAdj  *engine.Adjacency
 	bottomAdj *engine.Adjacency
 	flatAdj   *engine.Adjacency
+
+	// err is the first failure the Bottom hook reported during the layer
+	// being run; RunLayer returns and clears it after Aggregation.
+	err error
+	// self is the identity index 0..n-1 behind the batch callers' self
+	// gather, grown on demand and never rewritten (autograd keeps prefixes).
+	self []int32
 }
 
 // AggregateBottom runs the bottom-level aggregation through the installed
 // BottomAggregator, or the hybrid engine when none is installed. Models
 // should use this instead of calling the engine directly so they run
 // unchanged on a single machine and in the distributed runtime.
+//
+// Layer.Aggregation has no error return, so a failing hook cannot stop the
+// model mid-layer: the first error is kept on the context for RunLayer to
+// return, and the model gets a zero constant of the shape the level would
+// have produced, so whatever it still computes on top (MAGNN's upper levels)
+// stays in range. Once a layer has failed the hook is not called again — a
+// dead collective would only time out a second time.
 func (c *Context) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.Value {
-	if c.Bottom != nil {
-		return c.Bottom.AggregateBottom(adj, feats, op)
+	if c.Bottom == nil {
+		return c.Engine.AggregateBottom(adj, feats, op)
 	}
-	return c.Engine.AggregateBottom(adj, feats, op)
+	if c.err == nil {
+		out, err := c.Bottom.AggregateBottom(adj, feats, op)
+		if err == nil {
+			return out
+		}
+		c.err = err
+	}
+	return nn.Constant(tensor.New(adj.NumDst, feats.Data.Cols()))
 }
 
 // GraphAdjacency returns the 1-hop in-edge adjacency of the input graph,

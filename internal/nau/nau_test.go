@@ -98,11 +98,17 @@ func TestContextAdjacencyCaching(t *testing.T) {
 	}
 }
 
-type recordingAggregator struct{ calls int }
+type recordingAggregator struct {
+	calls int
+	err   error // returned instead of a result when set
+}
 
-func (r *recordingAggregator) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.Value {
+func (r *recordingAggregator) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tensor.ReduceOp) (*nn.Value, error) {
 	r.calls++
-	return engine.FusedAggregate(adj, feats, op)
+	if r.err != nil {
+		return nil, r.err
+	}
+	return engine.FusedAggregate(adj, feats, op), nil
 }
 
 func TestContextBottomHook(t *testing.T) {

@@ -102,8 +102,7 @@ type TrainerOptions struct {
 	SamplerWorkers int
 }
 
-// NewTrainerWith wires up a trainer from options — the constructor new code
-// should use.
+// NewTrainerWith wires up a trainer from options.
 func NewTrainerWith(m *Model, o TrainerOptions) *Trainer {
 	eng := o.Engine
 	if eng == nil {
@@ -132,22 +131,6 @@ func NewTrainerWith(m *Model, o TrainerOptions) *Trainer {
 		Tracer:         o.Tracer,
 		SamplerWorkers: o.SamplerWorkers,
 	}
-}
-
-// NewTrainer wires up a trainer with an Adam optimizer and HA engine by
-// default.
-//
-// Deprecated: use NewTrainerWith, which names its arguments and exposes the
-// engine, optimizer and tracer without post-construction field pokes. This
-// wrapper remains for source compatibility.
-func NewTrainer(m *Model, g *graph.Graph, feats *tensor.Tensor, labels []int32, mask []bool, seed uint64) *Trainer {
-	return NewTrainerWith(m, TrainerOptions{
-		Graph:     g,
-		Features:  feats,
-		Labels:    labels,
-		TrainMask: mask,
-		Seed:      seed,
-	})
 }
 
 // CompletedEpochs reports how many training epochs the trainer has run.
@@ -258,24 +241,13 @@ func (t *Trainer) ForwardContext(cctx context.Context, train bool) (*nn.Value, e
 		return nil, err
 	}
 	ctx := t.context(train)
+	probe := Probe{Timer: t.Breakdown, Tracer: t.Tracer, Epoch: int32(t.epoch)}
 	feats := nn.Constant(t.Feats)
 	for li, layer := range t.Model.Layers {
-		if err := cctx.Err(); err != nil {
+		var err error
+		if feats, err = ctx.RunLayer(probe, li, layer, feats, feats.Data.Rows(), cctx.Err); err != nil {
 			return nil, err
 		}
-		var nbr *nn.Value
-		aspan := t.Tracer.Begin(0, int32(t.epoch), int32(li), trace.CatStage, "aggregate")
-		t.Breakdown.Time(metrics.StageAggregation, func() {
-			nbr = layer.Aggregation(ctx, feats)
-		})
-		aspan.End()
-		var out *nn.Value
-		uspan := t.Tracer.Begin(0, int32(t.epoch), int32(li), trace.CatStage, "update")
-		t.Breakdown.Time(metrics.StageUpdate, func() {
-			out = layer.Update(ctx, feats, nbr)
-		})
-		uspan.End()
-		feats = out
 	}
 	return feats, nil
 }

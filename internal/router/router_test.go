@@ -672,17 +672,17 @@ func TestRouterSmokeRevival(t *testing.T) {
 			rt.HealthyReplicas(), reg.Counter("router_evictions_total").Load())
 	}
 
-	// Heal the primary; the background prober must restore it.
+	// Heal the primary; the background prober must restore it. The prober
+	// flips the healthy flag before it increments the counter, so both are
+	// polled under the one deadline.
 	primary.setFailing(false)
 	deadline := time.Now().Add(2 * time.Second)
-	for rt.HealthyReplicas() != 2 {
+	for rt.HealthyReplicas() != 2 || reg.Counter("router_revivals_total").Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("healed replica was never revived by the health prober")
+			t.Fatalf("healed replica was never revived by the health prober: healthy=%d revivals=%d",
+				rt.HealthyReplicas(), reg.Counter("router_revivals_total").Load())
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if reg.Counter("router_revivals_total").Load() == 0 {
-		t.Fatal("router_revivals_total not incremented")
 	}
 	before := primary.callCount(v)
 	if _, err := rt.Query(ctx, []graph.VertexID{v}); err != nil {

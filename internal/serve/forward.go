@@ -21,9 +21,11 @@ func (s *Server) computeBatch(plans []layerPlan, roots []graph.VertexID, version
 	// hits and freshly computed rows of layer l-1.
 	rowOf := func(v graph.VertexID) []float32 { return s.feats.Row(int(v)) }
 	dim := s.feats.Cols()
+	probe := nau.Probe{Tracer: s.tracer, Epoch: int32(version)}
 
-	for l, p := range plans {
-		if len(p.miss) == 0 {
+	for l := range plans {
+		p := &plans[l]
+		if len(p.Out) == 0 {
 			// The cache covered this layer's whole frontier (planBatch then
 			// stopped expanding, so every lower plan is empty too). The hit
 			// rows feed the next layer — or the reply, for the last layer.
@@ -38,41 +40,23 @@ func (s *Server) computeBatch(plans []layerPlan, roots []graph.VertexID, version
 			}
 			continue
 		}
-		if err := checkCancel(); err != nil {
-			return nil, err
-		}
 		// Assemble the layer input: one row per universe vertex. The row
 		// copies are exact, so this gather never perturbs the numerics.
-		x := tensor.New(len(p.in), dim)
-		for i, v := range p.in {
+		x := tensor.New(len(p.In), dim)
+		for i, v := range p.In {
 			copy(x.Row(i), rowOf(v))
 		}
-		feats := nn.Constant(x)
-
-		ctx := &nau.Context{
-			Graph:          s.graph,
-			Engine:         s.engine,
-			HDG:            p.sub,
-			NumFeatureRows: len(p.in),
+		res, err := p.Run(s.ctx, probe, l, s.model.Layers[l], nn.Constant(x), checkCancel)
+		if err != nil {
+			return nil, err
 		}
-		if p.adj != nil {
-			ctx.SetGraphAdjacency(p.adj)
-		}
-		layer := s.model.Layers[l]
-		nbr := layer.Aggregation(ctx, feats)
-		// The universe puts the miss vertices first, so the Update stage's
-		// self rows are the identity prefix of the input.
-		self := make([]int32, len(p.miss))
-		for i := range self {
-			self[i] = int32(i)
-		}
-		out := layer.Update(ctx, nn.Gather(feats, self), nbr).Data
+		out := res.Data
 		dim = out.Cols()
 
-		for i, v := range p.miss {
+		miss := p.Out
+		for i, v := range miss {
 			s.cache.Put(int32(l), v, version, out.Row(i))
 		}
-		miss := p.miss
 		hits := p.hits
 		rowOf = func(v graph.VertexID) []float32 {
 			if row, ok := hits[v]; ok {

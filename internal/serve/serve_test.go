@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/nau"
+	"repro/internal/store"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 )
@@ -72,6 +74,32 @@ func assertBitIdentical(t *testing.T, reply *Reply, whole *tensor.Tensor) {
 	}
 }
 
+// assertAllRootsBatchIdentical is the mini-batch leg of the cross-driver
+// parity chain: store.Forward over one batch whose roots are all vertices
+// reproduces the whole-graph logits bit for bit. (The cluster leg, a k=1
+// worker's forward against the same Trainer.Predict, lives in
+// internal/cluster.)
+func assertAllRootsBatchIdentical(t *testing.T, tr *nau.Trainer, d *dataset.Dataset, whole *tensor.Tensor) {
+	t.Helper()
+	layer0 := tr.Model.Layers[0]
+	local := store.NewLocal(store.LocalConfig{Graph: d.Graph, Features: d.Features,
+		Schema: layer0.Schema(), UDF: layer0.NeighborUDF()})
+	sampler := store.NewSampler(local, local, store.SamplerOptions{Layers: len(tr.Model.Layers), Schema: layer0.Schema()})
+	st := sampler.Epoch(context.Background(), 0, [][]graph.VertexID{nau.AllVertices(d.Graph)})
+	defer st.Close()
+	b, err := st.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logits, err := store.Forward(tr.Model, tr.Engine, d.Graph, b, tensor.NewRNG(0), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(logits.Data.Data(), whole.Data()) {
+		t.Fatal("store.Forward over an all-roots batch is not bit-identical to Trainer.Predict")
+	}
+}
+
 // TestServeBitIdenticalGCN proves the acceptance criterion for the DNFA
 // path: micro-batched serving — cold, fully cached, and mixed — answers
 // bit-identically to a whole-graph Trainer.Predict.
@@ -82,6 +110,7 @@ func TestServeBitIdenticalGCN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertAllRootsBatchIdentical(t, tr, d, whole)
 
 	verts := []graph.VertexID{0, 3, 9, 17, 42}
 	cold, err := s.Query(context.Background(), verts)
@@ -133,6 +162,7 @@ func TestServeBitIdenticalHierarchical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertAllRootsBatchIdentical(t, tr, d, whole)
 	verts := []graph.VertexID{0, 1, 5, 11, 23}
 	for round := 0; round < 2; round++ { // cold, then cache-assisted
 		reply, err := s.Query(context.Background(), verts)
@@ -541,5 +571,11 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"serve"`)) {
 		t.Fatal("no serve spans visible in /trace")
+	}
+	// So is the per-layer cost of a batch: the layer step's stage spans.
+	for _, name := range []string{`"aggregate"`, `"update"`} {
+		if !bytes.Contains(buf.Bytes(), []byte(name)) {
+			t.Fatalf("no per-layer %s span visible in /trace", name)
+		}
 	}
 }

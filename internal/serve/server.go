@@ -35,6 +35,7 @@ import (
 	"repro/internal/hdg"
 	"repro/internal/metrics"
 	"repro/internal/nau"
+	"repro/internal/store"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 )
@@ -134,6 +135,10 @@ type Server struct {
 	schema *hdg.SchemaTree
 	udf    nau.NeighborUDF
 	seed   uint64
+	// topo answers the planner's in-edge queries; ctx is the one layer
+	// context the executor points at each plan in turn (under execMu).
+	topo store.GraphStore
+	ctx  *nau.Context
 
 	batchSize int
 	flush     time.Duration
@@ -212,6 +217,8 @@ func New(opts Options) (*Server, error) {
 		schema:    opts.Model.Layers[0].Schema(),
 		udf:       opts.Model.Layers[0].NeighborUDF(),
 		seed:      opts.Seed,
+		topo:      store.NewLocal(store.LocalConfig{Graph: opts.Graph}),
+		ctx:       &nau.Context{Graph: opts.Graph, Engine: eng},
 		batchSize: batch,
 		flush:     flush,
 		maxVerts:  maxVerts,

@@ -10,40 +10,42 @@ import (
 	"repro/internal/tensor"
 )
 
+// Run executes layer l of a model over this plan: it points c at the plan's
+// sub-level (c is reused across layers and batches; everything cached from
+// the previous plan is dropped) and runs the layer there. x holds the
+// previous layer's activations of In; the result has one row per Out vertex.
+func (p *LayerPlan) Run(c *nau.Context, probe nau.Probe, l int, layer nau.Layer, x *nn.Value, cancel func() error) (*nn.Value, error) {
+	c.InvalidateHDG(p.Sub)
+	c.SetGraphAdjacency(p.Adj)
+	c.NumFeatureRows = len(p.In)
+	return c.RunLayer(probe, l, layer, x, len(p.Out), cancel)
+}
+
 // Forward runs a NAU model over a layered batch with autograd intact: layer
 // l consumes layer l-1's activations through plan l's sub-structure, and
-// the result holds one logits row per batch root. It is the training twin
-// of the serve planner's computeBatch — same universe walk, but every op
-// stays on the tape so Backward reaches the parameters.
+// the result holds one logits row per batch root.
 //
 // Because plan l-1's input universe extends plan l's (layer l's inputs are
 // the prefix of layer l-1's outputs), no inter-layer gather is needed
-// beyond the identity-prefix self gather every NAU Update already does.
+// beyond the identity-prefix self gather the layer step already does.
 func Forward(model *nau.Model, eng *engine.Engine, g *graph.Graph, b *Batch, rng *tensor.RNG, train bool) (*nn.Value, error) {
+	return ForwardWith(nau.Probe{}, model, eng, g, b, rng, train)
+}
+
+// ForwardWith is Forward reporting each layer's stage time and spans to
+// probe.
+func ForwardWith(probe nau.Probe, model *nau.Model, eng *engine.Engine, g *graph.Graph, b *Batch, rng *tensor.RNG, train bool) (*nn.Value, error) {
 	if len(b.Plans) != len(model.Layers) {
 		return nil, fmt.Errorf("store: batch has %d layer plans, model has %d layers",
 			len(b.Plans), len(model.Layers))
 	}
+	ctx := &nau.Context{Graph: g, Engine: eng, RNG: rng, Train: train}
 	x := nn.Constant(b.Feats)
 	for l, layer := range model.Layers {
-		p := &b.Plans[l]
-		ctx := &nau.Context{
-			Graph:          g,
-			Engine:         eng,
-			HDG:            p.Sub,
-			RNG:            rng,
-			Train:          train,
-			NumFeatureRows: len(p.In),
+		var err error
+		if x, err = b.Plans[l].Run(ctx, probe, l, layer, x, nil); err != nil {
+			return nil, err
 		}
-		if p.Adj != nil {
-			ctx.SetGraphAdjacency(p.Adj)
-		}
-		nbr := layer.Aggregation(ctx, x)
-		self := make([]int32, len(p.Out))
-		for i := range self {
-			self[i] = int32(i)
-		}
-		x = layer.Update(ctx, nn.Gather(x, self), nbr)
 	}
 	return x, nil
 }

@@ -377,50 +377,27 @@ func (s *Sampler) extractKHop(ctx context.Context, b *Batch) error {
 	return nil
 }
 
-// extractLayered builds per-layer plans top-down from the roots — the serve
-// planner's expansion without a cache, shared with it through Universe.
+// extractLayered builds per-layer plans top-down from the roots: layer l's
+// input universe is layer l-1's output frontier.
 func (s *Sampler) extractLayered(ctx context.Context, epoch int, epochSeed uint64, idx int, b *Batch) error {
 	L := s.opts.Layers
 	if L <= 0 {
 		L = 1
 	}
+	sel := func(frontier []graph.VertexID) ([]hdg.Record, error) {
+		if s.opts.Select != nil {
+			return s.opts.Select(epoch, idx, frontier)
+		}
+		return s.gs.Sample(ctx, frontier, epochSeed)
+	}
 	b.Plans = make([]LayerPlan, L)
 	frontier := b.Roots
 	for l := L - 1; l >= 0; l-- {
-		p := &b.Plans[l]
-		p.Out = frontier
-		u := NewUniverse(frontier)
-		if s.opts.Schema == nil {
-			nbrs, err := s.gs.InEdges(ctx, frontier)
-			if err != nil {
-				return err
-			}
-			p.Adj = u.InEdgeAdjacency(frontier, nbrs)
-		} else {
-			var recs []hdg.Record
-			var err error
-			if s.opts.Select != nil {
-				recs, err = s.opts.Select(epoch, idx, frontier)
-			} else {
-				recs, err = s.gs.Sample(ctx, frontier, epochSeed)
-			}
-			if err != nil {
-				return err
-			}
-			h, err := hdg.Build(s.opts.Schema, frontier, recs)
-			if err != nil {
-				return err
-			}
-			if !s.opts.Schema.IsFlat() {
-				// Multi-type schemas aggregate through the hierarchical
-				// driver; force that shape even for degenerate batches.
-				h.Hierarchicalize()
-			}
-			if p.Sub, err = u.SubHDG(h); err != nil {
-				return err
-			}
+		p, err := Expand(ctx, s.gs, s.opts.Schema, frontier, sel)
+		if err != nil {
+			return err
 		}
-		p.In = u.Vertices()
+		b.Plans[l] = p
 		frontier = p.In
 	}
 	b.In = b.Plans[0].In
@@ -433,4 +410,44 @@ func (s *Sampler) extractLayered(ctx context.Context, epoch int, epochSeed uint6
 		b.Sub = b.Plans[0].Sub
 	}
 	return nil
+}
+
+// Expand builds the plan of one layer whose output frontier is out — the one
+// frontier expansion mini-batch training and serving share (the k-hop
+// sub-HDG extraction of §4.1, one hop at a time). A nil schema takes each
+// frontier vertex's 1-hop in-edges from gs; otherwise sel supplies the
+// frontier's neighbor records, which become a leaf-remapped sub-HDG. The
+// universe puts the frontier first (the Update stage's self rows), then each
+// destination's sources in whole-graph order, which is what keeps a batch
+// bit-identical to whole-graph execution.
+func Expand(ctx context.Context, gs GraphStore, schema *hdg.SchemaTree, out []graph.VertexID,
+	sel func(frontier []graph.VertexID) ([]hdg.Record, error)) (LayerPlan, error) {
+	p := LayerPlan{Out: out}
+	u := NewUniverse(out)
+	if schema == nil {
+		nbrs, err := gs.InEdges(ctx, out)
+		if err != nil {
+			return p, err
+		}
+		p.Adj = u.InEdgeAdjacency(out, nbrs)
+	} else {
+		recs, err := sel(out)
+		if err != nil {
+			return p, err
+		}
+		h, err := hdg.Build(schema, out, recs)
+		if err != nil {
+			return p, err
+		}
+		if !schema.IsFlat() {
+			// Multi-type schemas aggregate through the hierarchical
+			// driver; force that shape even for degenerate batches.
+			h.Hierarchicalize()
+		}
+		if p.Sub, err = u.SubHDG(h); err != nil {
+			return p, err
+		}
+	}
+	p.In = u.Vertices()
+	return p, nil
 }

@@ -60,9 +60,6 @@ func (t *Tensor) Scale(a float32) *Tensor {
 	return out
 }
 
-// ScaleInPlace multiplies every element by a.
-func (t *Tensor) ScaleInPlace(a float32) { ScaleUnrolled(t.data, a) }
-
 // AddScaledInPlace computes t += a*o. Shapes must match exactly.
 func (t *Tensor) AddScaledInPlace(o *Tensor, a float32) {
 	if !t.SameShape(o) {
