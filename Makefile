@@ -20,9 +20,12 @@ test:
 # graph kernels, hdg.Build and the nau driver that fans UDFs over roots —
 # and the execution core's own tests, which live in those same packages:
 # the layer step (nau), the cross-driver parity legs (serve, cluster) and
-# the simulator-vs-cluster loss and byte parity (cluster).
+# the simulator-vs-cluster loss and byte parity (cluster). The dense path
+# rides along: the kernel oracle (tensor) and the fused-Linear parity (nn)
+# both run their grids at kernel parallelism 8 here.
 race: chaos
 	$(GO) test -race ./internal/tensor/... ./internal/engine/... \
+		./internal/nn/... ./internal/models/... \
 		./internal/graph/... ./internal/hdg/... ./internal/nau/... \
 		./internal/rpc/... ./internal/collective/... ./internal/cluster/... \
 		./internal/metrics/... ./internal/trace/... ./internal/serve/... \
@@ -127,15 +130,20 @@ bench:
 	@echo "wrote BENCH_kernels.latest.json"
 
 # Rerun the kernel microbenchmark suites at full benchtime, regenerate
-# BENCH_kernels.latest.json, and fail loudly if any opt row regresses more
-# than 10% against the committed BENCH_kernels.json baseline (rows are
-# matched by their "bench" field). Run this before touching anything on the
-# kernel hot path.
+# BENCH_kernels.latest.json, and check every row of BENCH_kernels.json that
+# carries a "bench" field under the policy that has proven stable on this
+# host (the sampler's): allocs/op may not exceed the recorded count by more
+# than 5% plus 2 (a pooled kernel misses the pool once in a few iterations;
+# an allocation per row or per element is hundreds), and ns/op only gets a
+# 4x cliff check, because single runs here swing 1.3-2x in wall time with
+# the host's CPU state. The dense rows (MatMul/TMatMul/MatMulT at the workloads' shapes)
+# run at kernel parallelism 1 and 2 inside the benchmark (/p1, /p2). A perf
+# claim is made with alternated parent/change pairs, not with this target.
 bench-kernels-diff:
 	@{ $(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/tensor/; \
 	   $(GO) test -run xxx -bench 'Fused' -benchmem ./internal/engine/; } \
 		| tee /tmp/bench_kernels_diff.txt
-	$(GO) run ./cmd/benchdiff -max-regress 0.10 /tmp/bench_kernels_diff.txt
+	$(GO) run ./cmd/benchdiff -max-regress 4.0 -max-alloc-regress 0.05 -alloc-slack 2 /tmp/bench_kernels_diff.txt
 
 # Short-iteration bench smoke for ci: a handful of iterations per benchmark,
 # checked against the baselines with a deliberately loose 4x bound. This is
@@ -143,12 +151,12 @@ bench-kernels-diff:
 # every baseline row still exists under its recorded name, and nothing fell
 # off a cliff, in seconds instead of minutes. Kernel rows check against
 # BENCH_kernels.json, the NeighborSelection rows against BENCH_sampler.json;
-# those also gate allocs/op at +5%, which repeats exactly on any host.
+# both also gate allocs/op at +5%, which repeats exactly on any host.
 bench-smoke:
 	@{ $(GO) test -run xxx -bench 'Kernel' -benchtime 5x -benchmem ./internal/tensor/; \
 	   $(GO) test -run xxx -bench 'Fused' -benchtime 5x -benchmem ./internal/engine/; } \
 		> /tmp/bench_kernels_smoke.txt 2>&1 || { cat /tmp/bench_kernels_smoke.txt; exit 1; }
-	$(GO) run ./cmd/benchdiff -max-regress 4.0 \
+	$(GO) run ./cmd/benchdiff -max-regress 4.0 -max-alloc-regress 0.05 -alloc-slack 2 \
 		-write-latest /tmp/bench_kernels_smoke.latest.json /tmp/bench_kernels_smoke.txt
 	@$(GO) test -run xxx -bench 'NeighborSelection' -benchtime 5x -benchmem ./internal/nau/ \
 		> /tmp/bench_sampler_smoke.txt 2>&1 || { cat /tmp/bench_sampler_smoke.txt; exit 1; }

@@ -7,14 +7,13 @@ import (
 )
 
 // KernelConfig gathers the kernel execution levers behind one struct, so a
-// caller configures the whole hot path in a single Apply instead of five
+// caller configures the whole hot path in a single Apply instead of four
 // global setter calls (SetKernelParallelism, SetWorkerPool, SetBufferPooling,
-// SetBlockedMatMul, SetEdgeBalancedSplit — all retained as wrappers for
-// existing code). Start from DefaultKernelConfig, flip the fields under test,
-// and Apply:
+// SetEdgeBalancedSplit — all retained as wrappers for existing code). Start
+// from DefaultKernelConfig, flip the fields under test, and Apply:
 //
 //	cfg := flexgraph.DefaultKernelConfig()
-//	cfg.BlockedMatMul = false // ablate cache blocking
+//	cfg.BufferPooling = false // ablate the buffer free list
 //	cfg.Apply()
 //
 // The fields map 1:1 onto the global toggles, which remain process-wide: an
@@ -26,12 +25,9 @@ type KernelConfig struct {
 	// WorkerPool runs parallel loops on the persistent worker pool instead
 	// of spawning goroutines per call.
 	WorkerPool bool
-	// BufferPooling recycles tensor buffers through free lists and
-	// step-scoped arenas instead of plain allocations.
+	// BufferPooling recycles tensor buffers through size-classed free lists
+	// instead of plain allocations.
 	BufferPooling bool
-	// BlockedMatMul enables k-dimension cache blocking in the dense matrix
-	// kernels.
-	BlockedMatMul bool
 	// EdgeBalancedSplit partitions fused-aggregation work by edge count
 	// rather than destination count.
 	EdgeBalancedSplit bool
@@ -61,7 +57,6 @@ func DefaultKernelConfig() KernelConfig {
 		Parallelism:       tensor.Parallelism(),
 		WorkerPool:        tensor.WorkerPoolEnabled(),
 		BufferPooling:     tensor.BufferPooling(),
-		BlockedMatMul:     tensor.BlockedMatMul(),
 		EdgeBalancedSplit: engine.EdgeBalancedSplit(),
 		HubDegree:         hub,
 		LeafDegree:        leaf,
@@ -75,7 +70,6 @@ func (c KernelConfig) Apply() {
 	tensor.SetParallelism(c.Parallelism)
 	tensor.SetWorkerPool(c.WorkerPool)
 	tensor.SetBufferPooling(c.BufferPooling)
-	tensor.SetBlockedMatMul(c.BlockedMatMul)
 	engine.SetEdgeBalancedSplit(c.EdgeBalancedSplit)
 	engine.SetDegreeBuckets(c.HubDegree, c.LeafDegree)
 	tensor.SetFeatureTile(c.FeatureTile)

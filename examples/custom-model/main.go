@@ -65,13 +65,10 @@ func (l *walkHopLayer) Aggregation(ctx *flexgraph.LayerContext, feats *flexgraph
 	return ctx.Aggregate(feats, flexgraph.AggMean, flexgraph.AggSum, flexgraph.AggMean)
 }
 
-// Update concatenates self and neighborhood representations.
+// Update concatenates self and neighborhood representations and applies the
+// layer — product, bias and ReLU as one fused autograd node.
 func (l *walkHopLayer) Update(_ *flexgraph.LayerContext, feats, nbr *flexgraph.Value) *flexgraph.Value {
-	out := l.lin.Forward(flexgraph.ConcatValues(feats, nbr))
-	if l.act {
-		out = flexgraph.ReLUValue(out)
-	}
-	return out
+	return l.lin.Apply(flexgraph.ConcatValues(feats, nbr), l.act)
 }
 
 // Parameters exposes the trainable weights.

@@ -106,9 +106,6 @@ type (
 	Engine = engine.Engine
 	// Strategy selects the hybrid-execution level (SA, SA+FA, HA).
 	Strategy = engine.Strategy
-	// TensorArena tracks step-scoped pooled tensors and recycles them in
-	// one sweep; the Trainer threads one through the engine per epoch.
-	TensorArena = tensor.Arena
 )
 
 // Kernel execution toggles. All levers default to on; they exist so the
@@ -121,12 +118,9 @@ var (
 	// SetWorkerPool toggles the persistent worker pool behind ParallelFor
 	// (off = spawn goroutines per call, the seed behaviour).
 	SetWorkerPool = tensor.SetWorkerPool
-	// SetBufferPooling toggles the pooled tensor free list and arenas
-	// (off = plain allocations).
+	// SetBufferPooling toggles the pooled tensor free list (off = plain
+	// allocations).
 	SetBufferPooling = tensor.SetBufferPooling
-	// SetBlockedMatMul toggles k-dimension cache blocking in the dense
-	// matrix kernels.
-	SetBlockedMatMul = tensor.SetBlockedMatMul
 	// SetEdgeBalancedSplit toggles degree-weighted worker ranges in the
 	// fused aggregation kernels (off = equal destination counts).
 	SetEdgeBalancedSplit = engine.SetEdgeBalancedSplit

@@ -162,10 +162,9 @@ func TestPublicAPIKernelConfig(t *testing.T) {
 	cfg := orig
 	cfg.Parallelism = 2
 	cfg.WorkerPool = false
-	cfg.BlockedMatMul = false
 	cfg.Apply()
 	got := DefaultKernelConfig()
-	if got.Parallelism != 2 || got.WorkerPool || got.BlockedMatMul {
+	if got.Parallelism != 2 || got.WorkerPool {
 		t.Fatalf("Apply did not take: %+v", got)
 	}
 	if !got.BufferPooling || !got.EdgeBalancedSplit {

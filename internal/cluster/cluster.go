@@ -665,6 +665,7 @@ func (w *worker) wholeGraphEpoch() (float32, error) {
 	}
 	w.breakdown.Time(metrics.StageBackward, func() {
 		w.opt.Step()
+		nn.ReleaseGraph(lossV)
 	})
 	return globalLoss, nil
 }

@@ -60,6 +60,9 @@ func (w *worker) miniBatchEpoch() (float32, error) {
 			w.breakdown.Time(metrics.StageBackward, func() {
 				w.opt.ZeroGrad()
 				lossV.Backward()
+				// Parameter gradients are leaves; the batch's activations
+				// are done once they exist.
+				nn.ReleaseGraph(lossV)
 			})
 			lossVal = lossV.Data.At(0, 0)
 		} else {

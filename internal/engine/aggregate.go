@@ -41,15 +41,8 @@ func (s Strategy) String() string {
 }
 
 // Engine executes aggregation levels under a strategy.
-//
-// Arena, when non-nil, supplies the buffers for the fused kernels' forward
-// outputs. The training loop installs it for the duration of one step and
-// Resets it after the optimizer update; everything else (Predict, Evaluate,
-// concurrent cluster workers sharing an engine) leaves it nil and gets plain
-// allocations.
 type Engine struct {
 	Strategy Strategy
-	Arena    *tensor.Arena
 }
 
 // New returns an engine with the given strategy. The zero value is SA.
@@ -110,7 +103,7 @@ func (e *Engine) AggregateBottom(adj *Adjacency, feats *nn.Value, op tensor.Redu
 	if e.Strategy == StrategySA {
 		return ScatterAggregate(adj, feats, op)
 	}
-	return fusedAggregate(adj, feats, op, true, e.Arena)
+	return fusedAggregate(adj, feats, op, true)
 }
 
 // AggregateIntermediate reduces instance features into (root, type) slots
@@ -216,18 +209,18 @@ func FusedAggregateScalar(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp) *
 
 // FusedAggregateOpt is the fused path with an explicit SIMD toggle.
 func FusedAggregateOpt(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bool) *nn.Value {
-	return fusedAggregate(adj, feats, op, simd, nil)
+	return fusedAggregate(adj, feats, op, simd)
 }
 
-func fusedAggregate(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bool, ar *tensor.Arena) *nn.Value {
+func fusedAggregate(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bool) *nn.Value {
 	adj.validate(feats.Data.Rows())
 	switch op {
 	case tensor.ReduceSum, tensor.ReduceMean:
-		return fusedSumMean(adj, feats, op, simd, ar)
+		return fusedSumMean(adj, feats, op, simd)
 	case tensor.ReduceMax:
-		return fusedExtreme(adj, feats, true, simd, ar)
+		return fusedExtreme(adj, feats, true, simd)
 	case tensor.ReduceMin:
-		return fusedExtreme(adj, feats, false, simd, ar)
+		return fusedExtreme(adj, feats, false, simd)
 	default:
 		panic(fmt.Sprintf("engine: unsupported fused op %v", op))
 	}
@@ -240,9 +233,9 @@ func fusedAggregate(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bo
 // Wide feature dims fold one column tile at a time, and hub destinations
 // split their columns across workers — both leave each column's edge-order
 // fold untouched, so every schedule is bitwise identical.
-func fusedForwardSum(adj *Adjacency, feats *tensor.Tensor, mean, simd bool, ar *tensor.Arena) *tensor.Tensor {
+func fusedForwardSum(adj *Adjacency, feats *tensor.Tensor, mean, simd bool) *tensor.Tensor {
 	dim := feats.Cols()
-	out := ar.NewUninit(adj.NumDst, dim)
+	out := tensor.NewUninit(adj.NumDst, dim)
 	od, fd := out.Data(), feats.Data()
 	add := tensor.AddUnrolled
 	if !simd {
@@ -295,15 +288,12 @@ func fusedForwardSum(adj *Adjacency, feats *tensor.Tensor, mean, simd bool, ar *
 	return out
 }
 
-func fusedSumMean(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bool, ar *tensor.Arena) *nn.Value {
+func fusedSumMean(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bool) *nn.Value {
 	mean := op == tensor.ReduceMean
-	data := fusedForwardSum(adj, feats.Data, mean, simd, ar)
+	data := fusedForwardSum(adj, feats.Data, mean, simd)
 	backward := func(out *nn.Value) {
 		rev := adj.Reverse()
 		dim := feats.Data.Cols()
-		// The gradient is handed off to AccumGradOwned, which adopts or
-		// recycles it — so it must come from the global pool, never from the
-		// step arena (an arena Reset would reclaim a live accumulator).
 		grad := tensor.NewUninit(feats.Data.Shape()...)
 		gd, od := grad.Data(), out.Grad.Data()
 		add, axpy := tensor.AddUnrolled, tensor.AxpyUnrolled
@@ -387,9 +377,9 @@ func fusedSumMean(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bool
 // destinations fold edge-parallel segments into private partial
 // accumulators merged in segment order — bit-exact for a selection fold,
 // first occurrence still wins ties.
-func fusedExtreme(adj *Adjacency, feats *nn.Value, max, simd bool, ar *tensor.Arena) *nn.Value {
+func fusedExtreme(adj *Adjacency, feats *nn.Value, max, simd bool) *nn.Value {
 	dim := feats.Data.Cols()
-	out := ar.NewUninit(adj.NumDst, dim)
+	out := tensor.NewUninit(adj.NumDst, dim)
 	tracked := feats.RequiresGrad()
 	var argmax []int32
 	if tracked {

@@ -187,11 +187,9 @@ func benchFusedForward(b *testing.B, op tensor.ReduceOp) {
 		}
 	})
 	b.Run("opt", func(b *testing.B) {
-		ar := &tensor.Arena{}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			fusedAggregate(adj, fv, op, true, ar)
-			ar.Reset()
+			tensor.Recycle(fusedAggregate(adj, fv, op, true).Data)
 		}
 	})
 }
@@ -223,11 +221,9 @@ func benchFusedForwardWide(b *testing.B, op tensor.ReduceOp) {
 		}
 	})
 	opt := func(b *testing.B) {
-		ar := &tensor.Arena{}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			fusedAggregate(adj, fv, op, true, ar)
-			ar.Reset()
+			tensor.Recycle(fusedAggregate(adj, fv, op, true).Data)
 		}
 	}
 	b.Run("opt", opt)
@@ -265,14 +261,13 @@ func benchFusedTrainStep(b *testing.B, op tensor.ReduceOp) {
 		}
 	})
 	b.Run("opt", func(b *testing.B) {
-		ar := &tensor.Arena{}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			fv := nn.Param(feats)
-			out := fusedAggregate(adj, fv, op, true, ar)
+			out := fusedAggregate(adj, fv, op, true)
 			out.BackwardWith(grad)
 			tensor.Recycle(fv.Grad)
-			ar.Reset()
+			tensor.Recycle(out.Data)
 		}
 	})
 }

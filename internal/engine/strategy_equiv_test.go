@@ -45,22 +45,26 @@ func randomHeteroHDG(t *testing.T, rng *tensor.RNG, nRoots, nVerts int) *hdg.HDG
 
 // runHierarchical aggregates bottom -> intermediate -> schema under the
 // engine's strategy, backprops a deterministic seed, and returns the root
-// output plus the leaf gradient.
+// output plus the leaf gradient. It ends the step the way the training loops
+// do — ReleaseGraph returns every level's output to the pool — so each
+// configuration of the sweep computes on buffers the previous one recycled.
 func runHierarchical(e *Engine, h *hdg.HDG, adj *Adjacency, base *tensor.Tensor, op tensor.ReduceOp) (*tensor.Tensor, *tensor.Tensor) {
 	feats := nn.Param(base.Clone())
 	inst := e.AggregateBottom(adj, feats, op)
 	slots := e.AggregateIntermediate(h, inst, tensor.ReduceSum)
 	root := e.AggregateSchema(h, slots, tensor.ReduceSum)
-	nn.MeanAll(root).Backward()
-	return root.Data.Clone(), feats.Grad.Clone()
+	loss := nn.MeanAll(root)
+	loss.Backward()
+	out, grad := root.Data.Clone(), feats.Grad.Clone()
+	nn.ReleaseGraph(loss)
+	return out, grad
 }
 
 // Property test for the kernel overhaul: SA, SA+FA and HA must produce
 // numerically identical forward outputs and leaf gradients on a random
 // heterogeneous graph — under every combination of the kernel toggles
 // (worker pool, buffer pooling, edge-balanced splitting, degree buckets,
-// feature tiling), at parallelism 1 and 8, and with or without a step arena
-// installed on the engine. The feature width (17) is wide enough that the
+// feature tiling) and at parallelism 1 and 8. The feature width (17) is wide enough that the
 // tile-8 configurations genuinely tile (dim >= 2*tile) and odd so the
 // unrolled kernels exercise their scalar tails; the bucket thresholds (4, 2)
 // are small enough that all three buckets are populated.
@@ -104,36 +108,23 @@ func TestStrategiesAgreeUnderAllKernelConfigs(t *testing.T) {
 				for _, buckets := range [][2]int{{0, 0}, {4, 2}} {
 					for _, tile := range []int{0, 8} {
 						for _, par := range []int{1, 8} {
-							for _, withArena := range []bool{false, true} {
-								tensor.SetWorkerPool(pool)
-								tensor.SetBufferPooling(pooling)
-								SetEdgeBalancedSplit(balanced)
-								SetDegreeBuckets(buckets[0], buckets[1])
-								tensor.SetFeatureTile(tile)
-								tensor.SetParallelism(par)
-								cfg := fmt.Sprintf("pool=%v pooling=%v balanced=%v buckets=%v tile=%d par=%d arena=%v",
-									pool, pooling, balanced, buckets, tile, par, withArena)
-								for _, strat := range []Strategy{StrategySA, StrategySAFA, StrategyHA} {
-									e := New(strat)
-									var ar *tensor.Arena
-									if withArena {
-										ar = &tensor.Arena{}
-										e.Arena = ar
+							tensor.SetWorkerPool(pool)
+							tensor.SetBufferPooling(pooling)
+							SetEdgeBalancedSplit(balanced)
+							SetDegreeBuckets(buckets[0], buckets[1])
+							tensor.SetFeatureTile(tile)
+							tensor.SetParallelism(par)
+							cfg := fmt.Sprintf("pool=%v pooling=%v balanced=%v buckets=%v tile=%d par=%d",
+								pool, pooling, balanced, buckets, tile, par)
+							for _, strat := range []Strategy{StrategySA, StrategySAFA, StrategyHA} {
+								e := New(strat)
+								for _, op := range ops {
+									out, grad := runHierarchical(e, h, adj, base, op)
+									if !out.ApproxEqual(wantOut[op], 1e-5) {
+										t.Fatalf("[%s %v op=%v] forward output diverged", cfg, strat, op)
 									}
-									for _, op := range ops {
-										out, grad := runHierarchical(e, h, adj, base, op)
-										if !out.ApproxEqual(wantOut[op], 1e-5) {
-											t.Fatalf("[%s %v op=%v] forward output diverged", cfg, strat, op)
-										}
-										if !grad.ApproxEqual(wantGrad[op], 1e-5) {
-											t.Fatalf("[%s %v op=%v] leaf gradient diverged", cfg, strat, op)
-										}
-									}
-									if withArena {
-										if e.Strategy != StrategySA && ar.Live() == 0 {
-											t.Fatalf("[%s %v] fused path did not use the arena", cfg, strat)
-										}
-										ar.Reset()
+									if !grad.ApproxEqual(wantGrad[op], 1e-5) {
+										t.Fatalf("[%s %v op=%v] leaf gradient diverged", cfg, strat, op)
 									}
 								}
 							}
@@ -169,33 +160,40 @@ func TestFusedMultiEdgeGradients(t *testing.T) {
 	}
 }
 
-// An engine arena installed for a step must recycle the fused outputs on
-// Reset without corrupting parameter gradients accumulated in the step.
-func TestArenaStepIsolation(t *testing.T) {
+// Releasing a step's graph must recycle every level's output — the dense
+// schema level runs on a Reshape view, which must not return its parent's
+// buffer a second time — without touching the leaf gradient the step
+// accumulated.
+func TestReleaseGraphStepIsolation(t *testing.T) {
 	rng := tensor.NewRNG(21)
 	h := randomHeteroHDG(t, rng, 6, 20)
 	adj := FromHDGBottom(h, 20)
 	base := tensor.RandN(rng, 1, 20, 3)
 
 	e := New(StrategyHA)
-	e.Arena = &tensor.Arena{}
-	feats := nn.Param(base.Clone())
-	inst := e.AggregateBottom(adj, feats, tensor.ReduceMean)
-	slots := e.AggregateIntermediate(h, inst, tensor.ReduceSum)
-	root := e.AggregateSchema(h, slots, tensor.ReduceSum)
-	nn.MeanAll(root).Backward()
+	step := func(release bool) (*nn.Value, []*nn.Value) {
+		feats := nn.Param(base.Clone())
+		inst := e.AggregateBottom(adj, feats, tensor.ReduceMean)
+		slots := e.AggregateIntermediate(h, inst, tensor.ReduceSum)
+		root := e.AggregateSchema(h, slots, tensor.ReduceSum)
+		loss := nn.MeanAll(root)
+		loss.Backward()
+		if release {
+			nn.ReleaseGraph(loss)
+		}
+		return feats, []*nn.Value{inst, slots, root}
+	}
+	feats, interior := step(true)
+	for i, v := range interior {
+		if v.Data.Data() != nil {
+			t.Fatalf("interior node %d still holds its forward buffer after release", i)
+		}
+	}
 	grad := feats.Grad.Clone()
-	e.Arena.Reset()
-	e.Arena = nil
-
-	// Same computation without any arena must produce the same gradient,
-	// and the pre-Reset copy must still hold it.
-	feats2 := nn.Param(base.Clone())
-	inst2 := e.AggregateBottom(adj, feats2, tensor.ReduceMean)
-	slots2 := e.AggregateIntermediate(h, inst2, tensor.ReduceSum)
-	root2 := e.AggregateSchema(h, slots2, tensor.ReduceSum)
-	nn.MeanAll(root2).Backward()
-	if !grad.ApproxEqual(feats2.Grad, 1e-6) {
-		t.Fatalf("gradient corrupted across arena reset: %v vs %v", grad, feats2.Grad)
+	// The next step draws the recycled buffers; it must not disturb the
+	// first step's leaf gradient, and must reproduce it.
+	feats2, _ := step(false)
+	if !grad.ApproxEqual(feats.Grad, 0) || !grad.ApproxEqual(feats2.Grad, 1e-6) {
+		t.Fatalf("gradient corrupted across release: %v vs %v / %v", grad, feats.Grad, feats2.Grad)
 	}
 }

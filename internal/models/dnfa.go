@@ -53,12 +53,8 @@ func (l *GINLayer) Update(_ *nau.Context, feats, nbrFeats *nn.Value) *nn.Value {
 	ones := nn.Constant(tensor.Ones(feats.Data.Rows(), 1))
 	epsCol := nn.MatMul(ones, l.eps) // [n,1] of ε, differentiable in ε
 	scaled := nn.Add(feats, nn.MulBroadcast(epsCol, feats))
-	h := nn.ReLU(l.mlp1.Forward(nn.Add(scaled, nbrFeats)))
-	out := l.mlp2.Forward(h)
-	if l.act {
-		out = nn.ReLU(out)
-	}
-	return out
+	h := l.mlp1.Apply(nn.Add(scaled, nbrFeats), true)
+	return l.mlp2.Apply(h, l.act)
 }
 
 // Parameters returns ε and the MLP weights.
@@ -116,11 +112,7 @@ func (l *GGCNLayer) Aggregation(ctx *nau.Context, feats *nn.Value) *nn.Value {
 func (l *GGCNLayer) Update(_ *nau.Context, feats, nbrFeats *nn.Value) *nn.Value {
 	g := nn.Sigmoid(l.gate.Forward(feats)) // [n,1]
 	gated := nn.MulBroadcast(g, nbrFeats)
-	out := l.lin.Forward(nn.Add(feats, gated))
-	if l.act {
-		out = nn.ReLU(out)
-	}
-	return out
+	return l.lin.Apply(nn.Add(feats, gated), l.act)
 }
 
 // Parameters returns the combine and gate weights.

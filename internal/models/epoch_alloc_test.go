@@ -1,0 +1,110 @@
+package models
+
+import (
+	"math"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/nau"
+	"repro/internal/tensor"
+)
+
+func gcnTrainer(scale float64) *nau.Trainer {
+	d := dataset.RedditLike(dataset.Config{Scale: scale, Seed: 1})
+	m := NewGCN(d.FeatureDim(), 64, d.NumClasses, tensor.NewRNG(3))
+	return nau.NewTrainerWith(m, nau.TrainerOptions{
+		Graph: d.Graph, Features: d.Features, Labels: d.Labels, TrainMask: d.TrainMask, Seed: 1,
+	})
+}
+
+// TestSteadyStateEpochAllocatesOParams: once the pools are warm, a GCN epoch
+// allocates a small fixed number of objects and bytes — tensor headers,
+// closures, the tape — and nothing proportional to the vertex count: every
+// [V, ·] buffer of the forward pass, the backward pass and the loss is drawn
+// from the pool and returned when the step ends (nn.ReleaseGraph). The bounds
+// are the same at 1200 and at 6000 vertices.
+func TestSteadyStateEpochAllocatesOParams(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	// One P and no collection while counting: sync.Pool keeps a private slot
+	// per P and is emptied by two collections, so otherwise the count depends
+	// on which P the test goroutine happens to run on and on when the dataset
+	// generator's garbage gets collected.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const maxObjects, maxBytes = 200, 32 << 10
+	for _, scale := range []float64{0.3, 1.5} {
+		tr := gcnTrainer(scale)
+		epoch := func() {
+			if _, err := tr.Epoch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			epoch()
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			epoch()
+		}
+		runtime.ReadMemStats(&after)
+		objects := float64(after.Mallocs-before.Mallocs) / runs
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		v := tr.Graph.NumVertices()
+		t.Logf("V=%d: %.0f objects, %d bytes per epoch", v, objects, bytes)
+		if objects > maxObjects || bytes > maxBytes {
+			t.Fatalf("V=%d: steady-state epoch allocates %.0f objects / %d bytes, budget %d / %d",
+				v, objects, bytes, maxObjects, maxBytes)
+		}
+	}
+}
+
+// TestPredictAfterRecycledEpochs: Predict builds a graph nobody releases, so
+// it must never read a buffer an epoch recycled — and the epochs themselves
+// must compute on recycled buffers exactly what they compute on fresh ones.
+// The twin trainer runs with pooling off (every buffer a fresh allocation,
+// Recycle a no-op); losses and logits must agree bit for bit.
+func TestPredictAfterRecycledEpochs(t *testing.T) {
+	run := func(pooling bool) ([]float32, *tensor.Tensor) {
+		tensor.SetBufferPooling(pooling)
+		defer tensor.SetBufferPooling(true)
+		tr := gcnTrainer(0.3)
+		var losses []float32
+		for i := 0; i < 4; i++ {
+			l, err := tr.Epoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			losses = append(losses, l)
+		}
+		p1, err := tr.Predict()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Epoch(); err != nil { // recycles; must not touch p1
+			t.Fatal(err)
+		}
+		if p1.Data() == nil {
+			t.Fatal("Predict's logits were recycled by a later epoch")
+		}
+		return losses, p1
+	}
+	wantLoss, wantLogits := run(false)
+	gotLoss, gotLogits := run(true)
+	for i := range wantLoss {
+		if math.Float32bits(wantLoss[i]) != math.Float32bits(gotLoss[i]) {
+			t.Fatalf("epoch %d: loss %v on recycled buffers, %v on fresh ones", i+1, gotLoss[i], wantLoss[i])
+		}
+	}
+	wd, gd := wantLogits.Data(), gotLogits.Data()
+	for i := range wd {
+		if math.Float32bits(wd[i]) != math.Float32bits(gd[i]) {
+			t.Fatalf("logit %d: %v on recycled buffers, %v on fresh ones", i, gd[i], wd[i])
+		}
+	}
+}

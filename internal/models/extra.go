@@ -71,11 +71,7 @@ func (l *PGNNLayer) Aggregation(ctx *nau.Context, feats *nn.Value) *nn.Value {
 
 // Update computes ReLU(CONCAT(feas, nbr_feas) @ W + b).
 func (l *PGNNLayer) Update(_ *nau.Context, feats, nbrFeats *nn.Value) *nn.Value {
-	out := l.lin.Forward(nn.Concat(feats, nbrFeats))
-	if l.act {
-		out = nn.ReLU(out)
-	}
-	return out
+	return l.lin.Apply(nn.Concat(feats, nbrFeats), l.act)
 }
 
 // Parameters returns the layer's weights.
@@ -139,11 +135,7 @@ func (l *JKNetLayer) Aggregation(ctx *nau.Context, feats *nn.Value) *nn.Value {
 
 // Update computes ReLU(CONCAT(feas, nbr_feas) @ W + b).
 func (l *JKNetLayer) Update(_ *nau.Context, feats, nbrFeats *nn.Value) *nn.Value {
-	out := l.lin.Forward(nn.Concat(feats, nbrFeats))
-	if l.act {
-		out = nn.ReLU(out)
-	}
-	return out
+	return l.lin.Apply(nn.Concat(feats, nbrFeats), l.act)
 }
 
 // Parameters returns the layer's weights.

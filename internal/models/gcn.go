@@ -40,11 +40,7 @@ func (l *GCNLayer) Aggregation(ctx *nau.Context, feats *nn.Value) *nn.Value {
 
 // Update computes ReLU((feas + nbr_feas) @ W + b).
 func (l *GCNLayer) Update(_ *nau.Context, feats, nbrFeats *nn.Value) *nn.Value {
-	out := l.lin.Forward(nn.Add(feats, nbrFeats))
-	if l.act {
-		out = nn.ReLU(out)
-	}
-	return out
+	return l.lin.Apply(nn.Add(feats, nbrFeats), l.act)
 }
 
 // Parameters returns the layer's weights.

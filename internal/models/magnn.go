@@ -75,11 +75,7 @@ func (l *MAGNNLayer) Aggregation(ctx *nau.Context, feats *nn.Value) *nn.Value {
 // Update computes ReLU(nbr_feas @ W + b); MAGNN's update uses the
 // neighborhood representation only (Fig. 7).
 func (l *MAGNNLayer) Update(_ *nau.Context, _, nbrFeats *nn.Value) *nn.Value {
-	out := l.lin.Forward(nbrFeats)
-	if l.act {
-		out = nn.ReLU(out)
-	}
-	return out
+	return l.lin.Apply(nbrFeats, l.act)
 }
 
 // Parameters returns the layer's weights and attention vector.

@@ -60,11 +60,7 @@ func (l *PinSageLayer) Aggregation(ctx *nau.Context, feats *nn.Value) *nn.Value 
 
 // Update computes ReLU(CONCAT(feas, nbr_feas) @ W + b).
 func (l *PinSageLayer) Update(_ *nau.Context, feats, nbrFeats *nn.Value) *nn.Value {
-	out := l.lin.Forward(nn.Concat(feats, nbrFeats))
-	if l.act {
-		out = nn.ReLU(out)
-	}
-	return out
+	return l.lin.Apply(nn.Concat(feats, nbrFeats), l.act)
 }
 
 // Parameters returns the layer's weights.

@@ -63,7 +63,6 @@ type Trainer struct {
 	hdgUsed   bool // one training epoch has consumed cachedHDG
 	ctx       *Context
 	epoch     int
-	arena     *tensor.Arena // step-scoped buffers for the engine's fused kernels
 }
 
 // TrainerOptions configures NewTrainerWith. Graph, Features and Labels are
@@ -259,19 +258,6 @@ func (t *Trainer) Epoch() (float32, error) {
 	if t.Model.Cache == CachePerEpoch && t.hdgUsed {
 		t.cachedHDG = nil // force re-selection for the new epoch
 	}
-	// The fused kernels draw their forward outputs from a step-scoped arena
-	// while the engine is ours: everything the aggregation levels allocate
-	// this epoch is recycled in one sweep after the optimizer update. The
-	// arena is uninstalled before returning so Predict/Evaluate (and any
-	// concurrent user of the engine) never see step-scoped buffers.
-	if t.arena == nil {
-		t.arena = &tensor.Arena{}
-	}
-	t.Engine.Arena = t.arena
-	defer func() {
-		t.Engine.Arena = nil
-		t.arena.Reset()
-	}()
 	logits, err := t.Forward(true)
 	if err != nil {
 		return 0, err
@@ -284,6 +270,10 @@ func (t *Trainer) Epoch() (float32, error) {
 		t.Opt.ZeroGrad()
 		loss.Backward()
 		t.Opt.Step()
+		// The step is over: every forward buffer of this epoch's graph goes
+		// back to the pool for the next epoch to draw. Predict and Evaluate
+		// build graphs nobody releases, so they never see a recycled buffer.
+		nn.ReleaseGraph(loss)
 	})
 	return loss.Data.At(0, 0), nil
 }

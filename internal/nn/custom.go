@@ -6,6 +6,9 @@ import "repro/internal/tensor"
 // forward result; backward, invoked during the backward pass with the
 // output node (whose Grad is populated), must push gradients into the
 // parents via AccumGrad. backward is dropped when no parent requires grad.
+// data must be a tensor the operation owns outright — not a view or alias of
+// a tensor that outlives the training step — because ReleaseGraph returns it
+// to the buffer pool when the step ends.
 //
 // This is the extension point the execution engine uses to register its
 // fused aggregation kernels with autograd, mirroring how the paper's
@@ -21,6 +24,5 @@ func AccumGrad(v *Value, grad *tensor.Tensor) { v.accumGrad(grad) }
 // AccumGradOwned is AccumGrad for a gradient tensor the caller owns outright
 // and will not touch again. On first accumulation the tensor is adopted as
 // v's accumulator (no zero-fill, no add pass); otherwise it is added and its
-// buffer recycled. The tensor must not be a view and must not come from an
-// Arena (arena Reset would pull the accumulator out from under the caller).
+// buffer recycled. The tensor must not be a view.
 func AccumGradOwned(v *Value, grad *tensor.Tensor) { v.accumGradOwned(grad) }

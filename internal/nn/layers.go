@@ -29,12 +29,65 @@ func NewLinear(in, out int, bias bool, rng *tensor.RNG) *Linear {
 }
 
 // Forward applies the layer to x of shape [n, in].
-func (l *Linear) Forward(x *Value) *Value {
-	y := MatMul(x, l.W)
+func (l *Linear) Forward(x *Value) *Value { return l.Apply(x, false) }
+
+// Apply computes x @ W + b, followed by ReLU when relu is set, as one
+// autograd node: one [n, out] forward buffer and one gradient accumulator
+// where the MatMul → Add → ReLU chain holds three of each. Values and every
+// gradient are bitwise those of the chain. The forward epilogue runs inside
+// the product (tensor.MatMulBias); the backward pass masks dOut in place by
+// the output's sign (the output is positive exactly where the pre-activation
+// was), column-sums the masked rows into db in the same sweep, and forms only
+// the products whose target requires a gradient.
+func (l *Linear) Apply(x *Value, relu bool) *Value {
+	var bias *tensor.Tensor
+	parents := []*Value{x, l.W}
 	if l.B != nil {
-		y = Add(y, l.B)
+		bias = l.B.Data
+		parents = append(parents, l.B)
 	}
-	return y
+	return newResult(x.Data.MatMulBias(l.W.Data, bias, relu), func(out *Value) {
+		g := out.Grad
+		var db *tensor.Tensor
+		if l.B != nil && l.B.requiresGrad {
+			db = tensor.NewPooled(1, g.Cols())
+		}
+		if relu || db != nil {
+			maskAndColumnSum(g, out.Data, relu, db)
+		}
+		if db != nil {
+			l.B.accumGradOwned(db)
+		}
+		if x.requiresGrad {
+			x.accumGradOwned(g.MatMulT(l.W.Data))
+		}
+		if l.W.requiresGrad {
+			l.W.accumGradOwned(x.Data.TMatMul(g))
+		}
+	}, parents...)
+}
+
+// maskAndColumnSum is the in-place half of Linear's backward pass. With relu
+// set, each element of g is multiplied by the ReLU mask of y (1 where y > 0,
+// else 0 — a multiply, so a non-finite gradient under a closed gate stays
+// NaN exactly as in the unfused Mul). With db non-nil, the rows of the
+// masked g are added into db top to bottom, the order SumRows uses.
+func maskAndColumnSum(g, y *tensor.Tensor, relu bool, db *tensor.Tensor) {
+	c := g.Cols()
+	gd, yd := g.Data(), y.Data()
+	for r := 0; r < g.Rows(); r++ {
+		row := gd[r*c : (r+1)*c]
+		if relu {
+			for j, v := range yd[r*c : (r+1)*c] {
+				if !(v > 0) {
+					row[j] *= 0
+				}
+			}
+		}
+		if db != nil {
+			tensor.AddUnrolled(db.Data(), row)
+		}
+	}
 }
 
 // Parameters returns the trainable parameters.

@@ -39,9 +39,9 @@ func CrossEntropy(logits *Value, labels []int32, mask []bool) *Value {
 		m = 1
 	}
 	data := tensor.FromSlice([]float32{float32(loss / float64(m))}, 1, 1)
-	return newResult(data, func(out *Value) {
+	out := newResult(data, func(out *Value) {
 		seed := out.Grad.Data()[0]
-		g := tensor.New(logits.Data.Shape()...)
+		g := tensor.NewPooled(logits.Data.Shape()...) // excluded rows stay zero
 		c := g.Cols()
 		gd, pd := g.Data(), probs.Data()
 		inv := seed / float32(m)
@@ -54,8 +54,10 @@ func CrossEntropy(logits *Value, labels []int32, mask []bool) *Value {
 			}
 			gd[r*c+int(labels[r])] -= inv
 		}
-		logits.accumGrad(g)
+		logits.accumGradOwned(g)
 	}, logits)
+	out.scratch = probs
+	return out
 }
 
 // Accuracy returns the fraction of rows (restricted to mask when non-nil)

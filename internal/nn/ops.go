@@ -6,11 +6,23 @@ import (
 	"repro/internal/tensor"
 )
 
+// Backward closures with more than one parent compute a parent's gradient
+// only when that parent requires one: the check sits at the source, before
+// the product is formed, not in accumGrad after it. The layer-1 input
+// gradient dX = dOut @ Wᵀ of every model here is the largest tensor of the
+// backward pass, and its parent — the input features — is a constant.
+// (Single-parent operations need no check: newResult drops their closure
+// when the parent does not require grad.)
+
 // MatMul returns a @ b with gradients dA = dOut @ bᵀ and dB = aᵀ @ dOut.
 func MatMul(a, b *Value) *Value {
 	return newResult(a.Data.MatMul(b.Data), func(out *Value) {
-		a.accumGradOwned(out.Grad.MatMulT(b.Data))
-		b.accumGradOwned(a.Data.TMatMul(out.Grad))
+		if a.requiresGrad {
+			a.accumGradOwned(out.Grad.MatMulT(b.Data))
+		}
+		if b.requiresGrad {
+			b.accumGradOwned(a.Data.TMatMul(out.Grad))
+		}
 	}, a, b)
 }
 
@@ -21,7 +33,7 @@ func Add(a, b *Value) *Value {
 		a.accumGrad(out.Grad)
 		if b.Data.SameShape(a.Data) {
 			b.accumGrad(out.Grad)
-		} else {
+		} else if b.requiresGrad {
 			b.accumGradOwned(out.Grad.SumRows())
 		}
 	}, a, b)
@@ -31,15 +43,21 @@ func Add(a, b *Value) *Value {
 func Sub(a, b *Value) *Value {
 	return newResult(a.Data.Sub(b.Data), func(out *Value) {
 		a.accumGrad(out.Grad)
-		b.accumGradOwned(out.Grad.Scale(-1))
+		if b.requiresGrad {
+			b.accumGradOwned(out.Grad.Scale(-1))
+		}
 	}, a, b)
 }
 
 // Mul returns the elementwise product.
 func Mul(a, b *Value) *Value {
 	return newResult(a.Data.Mul(b.Data), func(out *Value) {
-		a.accumGradOwned(out.Grad.Mul(b.Data))
-		b.accumGradOwned(out.Grad.Mul(a.Data))
+		if a.requiresGrad {
+			a.accumGradOwned(out.Grad.Mul(b.Data))
+		}
+		if b.requiresGrad {
+			b.accumGradOwned(out.Grad.Mul(a.Data))
+		}
 	}, a, b)
 }
 
@@ -97,18 +115,23 @@ func Concat(vs ...*Value) *Value {
 		widths[i] = v.Data.Dim(1)
 	}
 	return newResult(tensor.Concat(datas...), func(out *Value) {
-		parts := out.Grad.SplitCols(widths...)
+		off := 0
 		for i, v := range vs {
-			v.accumGradOwned(parts[i])
+			if v.requiresGrad {
+				v.accumGradOwned(out.Grad.SliceCols(off, widths[i]))
+			}
+			off += widths[i]
 		}
 	}, vs...)
 }
 
 // Reshape returns a view with a new shape; gradients are reshaped back.
 func Reshape(a *Value, shape ...int) *Value {
-	return newResult(a.Data.Reshape(shape...), func(out *Value) {
+	out := newResult(a.Data.Reshape(shape...), func(out *Value) {
 		a.accumGrad(out.Grad.Reshape(a.Data.Shape()...))
 	}, a)
+	out.view = true
+	return out
 }
 
 // Gather selects rows of src: out.Row(i) = src.Row(index[i]). Gradients
@@ -354,24 +377,41 @@ func MulBroadcast(col, feats *Value) *Value {
 		}
 	})
 	return newResult(out, func(outV *Value) {
+		var gc, gf *tensor.Tensor
+		var gcd, gfd []float32
+		if col.requiresGrad {
+			gc = tensor.NewUninit(n, 1)
+			gcd = gc.Data()
+		}
+		if feats.requiresGrad {
+			gf = tensor.NewUninit(n, d)
+			gfd = gf.Data()
+		}
 		gd := outV.Grad.Data()
-		gc := tensor.NewUninit(n, 1)
-		gf := tensor.NewUninit(n, d)
-		gcd, gfd := gc.Data(), gf.Data()
 		tensor.ParallelForGrain(n, tensor.GrainForCost(d), func(s, e int) {
 			for i := s; i < e; i++ {
-				a := cd[i]
-				var dot float32
-				for j := 0; j < d; j++ {
-					g := gd[i*d+j]
-					dot += g * fd[i*d+j]
-					gfd[i*d+j] = g * a
+				g := gd[i*d : (i+1)*d]
+				if gcd != nil {
+					var dot float32
+					for j, f := range fd[i*d : (i+1)*d] {
+						dot += g[j] * f
+					}
+					gcd[i] = dot
 				}
-				gcd[i] = dot
+				if gfd != nil {
+					a := cd[i]
+					for j := range g {
+						gfd[i*d+j] = g[j] * a
+					}
+				}
 			}
 		})
-		col.accumGradOwned(gc)
-		feats.accumGradOwned(gf)
+		if gc != nil {
+			col.accumGradOwned(gc)
+		}
+		if gf != nil {
+			feats.accumGradOwned(gf)
+		}
 	}, col, feats)
 }
 

@@ -22,6 +22,13 @@ type Value struct {
 	prev         []*Value
 	backward     func() // accumulates into prev nodes' Grad
 	label        string
+
+	// view marks an interior node whose Data shares its parent's buffer
+	// (Reshape); ReleaseGraph must not return that buffer a second time.
+	view bool
+	// scratch is a forward by-product the backward closure reads (the loss's
+	// softmax); it dies with the step like Data does.
+	scratch *tensor.Tensor
 }
 
 // NewValue wraps t as a leaf node. If requiresGrad is true the node
@@ -142,6 +149,38 @@ func (v *Value) BackwardWith(dOut *tensor.Tensor) {
 			tensor.Recycle(g)
 		}
 	}
+}
+
+// ReleaseGraph ends a training step: it returns to the buffer pool the
+// forward output (and backward scratch) of every interior node reachable
+// from root, so the next step's forward pass draws the same buffers again
+// instead of allocating. Call it once the step has no further use for its
+// activations — after Backward, and after reading anything wanted from them.
+// root keeps its own Data (the loss scalar stays readable); leaves —
+// parameters, constants, input features — are never touched, and neither is
+// a graph nobody releases (Predict, Evaluate, serving).
+//
+// Every operation in this package, and every NewOp, produces a Data tensor it
+// owns outright, with one exception the walk skips: a Reshape view shares its
+// parent's buffer. Released tensors are poisoned (nil data), so a use after
+// the step fails loudly rather than reading a recycled buffer.
+func ReleaseGraph(root *Value) {
+	visited := map[*Value]bool{root: true}
+	stack := append([]*Value(nil), root.prev...)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if visited[n] || n.prev == nil {
+			continue
+		}
+		visited[n] = true
+		stack = append(stack, n.prev...)
+		if !n.view {
+			tensor.Recycle(n.Data)
+		}
+		tensor.Recycle(n.scratch)
+	}
+	tensor.Recycle(root.scratch)
 }
 
 func topoSort(root *Value) []*Value {

@@ -3,25 +3,20 @@ package tensor
 // This file implements the pooled tensor buffers behind the hot training
 // path. The seed implementation allocated a fresh output tensor for every
 // op in every layer of every epoch, so steady-state training churned the GC
-// with short-lived [vertices, dim] buffers. Two mechanisms remove that:
+// with short-lived [vertices, dim] buffers. A global, size-classed free list
+// (GetBuf/PutBuf, backed by sync.Pool) removes that: kernels draw their
+// outputs from it, and deterministic dead points return them — a gradient
+// that has just been accumulated into its target (nn.AccumGradOwned), an
+// interior gradient once the backward pass is over (nn.BackwardWith), and a
+// step's forward outputs once the optimizer has stepped (nn.ReleaseGraph).
 //
-//   - a global, size-classed free list (GetBuf/PutBuf, backed by sync.Pool)
-//     that kernels draw their outputs from and deterministic dead points
-//     (e.g. a gradient that has just been accumulated into its target)
-//     return to;
-//   - an Arena that tracks tensors whose lifetime is "one training step"
-//     (aggregation outputs live until the backward pass has consumed them);
-//     the training loop resets it between steps, returning every tracked
-//     buffer at once.
-//
-// Lifetime rules (see DESIGN.md "Kernel execution"): nothing allocated from
-// an Arena may be referenced after the owner calls Reset, and a buffer
-// passed to PutBuf/Recycle must have no other live referers (including
-// Reshape views). Parameter and optimizer state never comes from the pool's
+// Lifetime rule (see DESIGN.md "Dense path"): a buffer passed to
+// PutBuf/Recycle must have no other live referers (including Reshape
+// views). Parameter and optimizer state never comes from the pool's
 // recycled side — parameters allocate once and live forever, which is safe
 // because a Get without a matching Put is just a normal allocation.
 //
-// SetBufferPooling(false) turns both mechanisms into plain allocations for
+// SetBufferPooling(false) turns the free list into plain allocations for
 // the ablation benches.
 
 import (
@@ -89,8 +84,8 @@ func PutBuf(buf []float32) {
 }
 
 // NewPooled returns a zero-filled tensor whose buffer is drawn from the
-// pooled free list. Semantically identical to New; use Recycle (or an
-// Arena) to return the buffer when the tensor dies at a known point.
+// pooled free list. Semantically identical to New; use Recycle to return
+// the buffer when the tensor dies at a known point.
 func NewPooled(shape ...int) *Tensor {
 	n := checkShape(shape)
 	return &Tensor{shape: append([]int(nil), shape...), data: GetBuf(n)}
@@ -114,65 +109,4 @@ func Recycle(t *Tensor) {
 	}
 	PutBuf(t.data)
 	t.data = nil
-}
-
-// Arena tracks pooled tensors with a common lifetime — one training step in
-// the engine's case — and recycles them all at once. Alloc is safe for
-// concurrent use; Reset is not (the owner calls it at a quiescent point,
-// after the step's backward pass and optimizer update).
-//
-// A nil *Arena is valid and falls back to untracked global allocation, so
-// code paths can thread an optional arena without branching.
-type Arena struct {
-	mu sync.Mutex
-	ts []*Tensor
-}
-
-// New allocates a zeroed tracked tensor (tensor.New when a is nil).
-func (a *Arena) New(shape ...int) *Tensor {
-	if a == nil {
-		return New(shape...)
-	}
-	return a.track(NewPooled(shape...))
-}
-
-// NewUninit allocates a tracked tensor with unspecified contents
-// (tensor.NewUninit, untracked, when a is nil).
-func (a *Arena) NewUninit(shape ...int) *Tensor {
-	if a == nil {
-		return NewUninit(shape...)
-	}
-	return a.track(NewUninit(shape...))
-}
-
-func (a *Arena) track(t *Tensor) *Tensor {
-	a.mu.Lock()
-	a.ts = append(a.ts, t)
-	a.mu.Unlock()
-	return t
-}
-
-// Reset recycles every tracked tensor. The owner must guarantee nothing
-// allocated from the arena is referenced afterwards.
-func (a *Arena) Reset() {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	ts := a.ts
-	a.ts = a.ts[:0]
-	a.mu.Unlock()
-	for _, t := range ts {
-		Recycle(t)
-	}
-}
-
-// Live returns how many tensors the arena currently tracks.
-func (a *Arena) Live() int {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.ts)
 }

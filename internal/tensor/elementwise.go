@@ -121,7 +121,7 @@ func (t *Tensor) Exp() *Tensor {
 // SoftmaxRows applies a numerically stable softmax across each row of a
 // tensor viewed as [Rows, Cols].
 func (t *Tensor) SoftmaxRows() *Tensor {
-	out := New(t.shape...)
+	out := NewUninit(t.shape...) // softmaxInto writes every element
 	c := t.Cols()
 	for r := 0; r < t.Rows(); r++ {
 		src := t.data[r*c : (r+1)*c]
@@ -167,7 +167,7 @@ func Concat(ts ...*Tensor) *Tensor {
 		}
 		cols += t.Dim(1)
 	}
-	out := New(rows, cols)
+	out := NewUninit(rows, cols) // the inputs' widths cover every column
 	off := 0
 	for _, t := range ts {
 		c := t.Dim(1)
@@ -179,26 +179,16 @@ func Concat(ts ...*Tensor) *Tensor {
 	return out
 }
 
-// SplitCols splits a 2-D tensor into pieces with the given column widths,
-// the inverse of Concat.
-func (t *Tensor) SplitCols(widths ...int) []*Tensor {
-	total := 0
-	for _, w := range widths {
-		total += w
-	}
-	if t.Dims() != 2 || total != t.Dim(1) {
-		panic(fmt.Sprintf("tensor: SplitCols widths %v do not cover shape %v", widths, t.shape))
+// SliceCols returns a copy of columns [off, off+w) of a 2-D tensor — one
+// piece of the inverse of Concat.
+func (t *Tensor) SliceCols(off, w int) *Tensor {
+	if t.Dims() != 2 || off < 0 || w < 0 || off+w > t.Dim(1) {
+		panic(fmt.Sprintf("tensor: SliceCols [%d,%d) of shape %v", off, off+w, t.shape))
 	}
 	rows, cols := t.Rows(), t.Dim(1)
-	out := make([]*Tensor, len(widths))
-	off := 0
-	for i, w := range widths {
-		p := New(rows, w)
-		for r := 0; r < rows; r++ {
-			copy(p.Row(r), t.data[r*cols+off:r*cols+off+w])
-		}
-		out[i] = p
-		off += w
+	p := NewUninit(rows, w) // every element written below
+	for r := 0; r < rows; r++ {
+		copy(p.Row(r), t.data[r*cols+off:r*cols+off+w])
 	}
-	return out
+	return p
 }

@@ -1,16 +1,21 @@
 package tensor
 
-// Microbenchmarks for the hot-path kernel overhaul. Each benchmark has a
-// "seed" sub-benchmark replicating the pre-overhaul kernel (fresh zeroed
-// allocations, serial or count-split loops) and an "opt" sub-benchmark
-// running the current implementation, so before/after throughput and
-// allocs/op come from one `go test -bench` run:
+// Microbenchmarks for the hot-path kernel overhaul. The scatter/gather
+// benchmarks have a "seed" sub-benchmark replicating the pre-overhaul kernel
+// (fresh zeroed allocations, serial or count-split loops) and an "opt"
+// sub-benchmark running the current implementation, so before/after
+// throughput and allocs/op come from one `go test -bench` run:
 //
 //	go test -run xxx -bench 'Kernel' -benchmem ./internal/tensor/
+//
+// The dense products carry no replica of the kernels they replaced (their
+// recorded numbers are frozen in the JSON): their before/after comes from
+// alternating the parent commit's test binary with this one's.
 //
 // Results are recorded in BENCH_kernels.json at the repo root.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -89,27 +94,6 @@ func seedScatter(values *Tensor, index []int32, numOut int, op ReduceOp) *Tensor
 	return out
 }
 
-// seedMatMul replicates the pre-overhaul dense product: fresh zeroed output,
-// single k pass (no cache blocking), count-split rows.
-func seedMatMul(t, o *Tensor) *Tensor {
-	m, k, n := t.Dim(0), t.Dim(1), o.Dim(1)
-	out := New(m, n)
-	ParallelFor(m, func(rs, re int) {
-		for i := rs; i < re; i++ {
-			ti := t.data[i*k : (i+1)*k]
-			oi := out.data[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				a := ti[p]
-				if a == 0 {
-					continue
-				}
-				AxpyUnrolled(oi, o.data[p*n:(p+1)*n], a)
-			}
-		}
-	})
-	return out
-}
-
 func seedGather(src *Tensor, index []int32) *Tensor {
 	c := src.Cols()
 	out := New(len(index), c)
@@ -121,62 +105,59 @@ func seedGather(src *Tensor, index []int32) *Tensor {
 	return out
 }
 
-func BenchmarkKernelMatMul(b *testing.B) {
+// denseShapes are the products the end-to-end workloads run: GCN's two
+// layers on Reddit×1.5 (6000×64→64→16), PinSage's on Twitter (12000×32→16→4)
+// and MAGNN's [in,1] attention scorer — as [rows, inner, cols] of the forward
+// product x[rows,inner] @ W[inner,cols]. The backward products reuse them:
+// TMatMul is xᵀ @ dOut and MatMulT is dOut @ Wᵀ.
+var denseShapes = [][3]int{{6000, 64, 64}, {6000, 64, 16}, {12000, 32, 16}, {12000, 32, 4}, {6000, 64, 1}}
+
+// benchDense runs one product at every workload shape and at kernel
+// parallelism 1 and 2 (the benchmark host has two CPUs; p1 is the row a
+// one-CPU container reproduces).
+func benchDense(b *testing.B, product func(x, w, dOut *Tensor) *Tensor) {
+	defer SetParallelism(0)
 	rng := NewRNG(1)
-	m, k, n := 256, 1024, 128
-	a := RandN(rng, 1, m, k)
-	w := RandN(rng, 1, k, n)
-	b.Run("seed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			seedMatMul(a, w)
+	for _, s := range denseShapes {
+		x := RandN(rng, 1, s[0], s[1])
+		w := RandN(rng, 1, s[1], s[2])
+		dOut := RandN(rng, 1, s[0], s[2])
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%dx%dx%d/p%d", s[0], s[1], s[2], par), func(b *testing.B) {
+				SetParallelism(par)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					Recycle(product(x, w, dOut))
+				}
+			})
 		}
-	})
-	b.Run("opt", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Recycle(a.MatMul(w))
-		}
-	})
-	b.Run("opt-noblock", func(b *testing.B) {
-		SetBlockedMatMul(false)
-		defer SetBlockedMatMul(true)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Recycle(a.MatMul(w))
-		}
-	})
+	}
 }
 
-// BenchmarkKernelMatMulWide uses a 2 MiB right operand (1024x512 floats),
-// above the 1 MiB blocking threshold, so its opt row actually exercises the
-// k-blocked path — the 256x1024x128 shape above stays under the threshold
-// and runs unblocked on both rows.
-func BenchmarkKernelMatMulWide(b *testing.B) {
+func BenchmarkKernelMatMul(b *testing.B) {
+	// The two historical rows: a 256×1024 left operand against a 512 KiB and
+	// a 2 MiB right operand (the sizes the deleted k-blocking layer switched
+	// on); their seed ns/op are frozen in BENCH_kernels.json.
 	rng := NewRNG(1)
-	m, k, n := 256, 1024, 512
-	a := RandN(rng, 1, m, k)
-	w := RandN(rng, 1, k, n)
-	b.Run("seed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			seedMatMul(a, w)
-		}
-	})
-	b.Run("opt", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Recycle(a.MatMul(w))
-		}
-	})
-	b.Run("opt-noblock", func(b *testing.B) {
-		SetBlockedMatMul(false)
-		defer SetBlockedMatMul(true)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			Recycle(a.MatMul(w))
-		}
-	})
+	a := RandN(rng, 1, 256, 1024)
+	for _, n := range []int{128, 512} {
+		w := RandN(rng, 1, 1024, n)
+		b.Run(fmt.Sprintf("256x1024x%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Recycle(a.MatMul(w))
+			}
+		})
+	}
+	benchDense(b, func(x, w, _ *Tensor) *Tensor { return x.MatMul(w) })
+}
+
+func BenchmarkKernelTMatMul(b *testing.B) {
+	benchDense(b, func(x, _, dOut *Tensor) *Tensor { return x.TMatMul(dOut) })
+}
+
+func BenchmarkKernelMatMulT(b *testing.B) {
+	benchDense(b, func(_, w, dOut *Tensor) *Tensor { return dOut.MatMulT(w) })
 }
 
 func benchScatterOp(b *testing.B, op ReduceOp, dim int) {

@@ -1,90 +1,63 @@
 package tensor
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
-// The axpy-style dense products below (MatMul and TMatMul, the Update-stage
-// hot path) are cache-blocked over the shared k dimension when the right
-// operand is too large to stay cache-resident: the operand is walked one
-// [kb, n] panel at a time, sized by kBlockFor, so the panel is hot across
-// every row of the worker's range instead of being re-streamed from memory
-// per row. MatMulT is deliberately not blocked — its inner loop is a
-// contiguous dot over both operands already, and splitting those dots into
-// k-segments measured strictly slower. SetBlockedMatMul(false) restores the
-// seed single-pass loops for the ablation benches.
+// The three dense products of the Update stage and its backward pass. Their
+// per-element accumulation order is a contract (DESIGN.md "Dense path"):
+//
+//   - MatMul and TMatMul: out[i][j] starts at +0 and adds a[p]*b[p][j] for
+//     p = 0, 1, ..., k-1, one rounded multiply and one rounded add per term;
+//   - MatMulT: DotUnrolled's order — four partial sums over p ≡ 0..3 (mod 4),
+//     the k%4 tail folded into the first, combined as ((s0+s1)+s2)+s3.
+//
+// An element's value therefore depends on neither m, nor the row's position
+// in a tile, nor how rows were split over workers: serving a vertex subset
+// reproduces Trainer.Predict bit for bit, and so does every strategy and
+// parallelism setting. The kernels only change how often operands travel:
+// MatMul and TMatMul consume p in blocks of four through Axpy4, so an output
+// row is loaded and stored once per four terms instead of once per term, and
+// TMatMul walks p outermost so both [k, ·] operands stream once while the
+// [m, n] output stays cache-resident; MatMulT shares each left-row load
+// between two output columns. No term is skipped for a zero factor: 0·Inf
+// and 0·NaN are NaN, as in the naive triple loop.
 
-var blockingOff atomic.Bool
+// MatMul returns t @ o for 2-D tensors [m,k] x [k,n] -> [m,n].
+func (t *Tensor) MatMul(o *Tensor) *Tensor { return t.MatMulBias(o, nil, false) }
 
-// SetBlockedMatMul toggles k-dimension cache blocking in MatMul and TMatMul.
-// When off, the kernels use the seed single-pass traversal.
-func SetBlockedMatMul(on bool) { blockingOff.Store(!on) }
-
-// BlockedMatMul reports whether cache blocking is enabled.
-func BlockedMatMul() bool { return !blockingOff.Load() }
-
-// panelFloats bounds the right-operand panel to 64 KiB (16Ki float32), small
-// enough to stay resident in a typical 128–512 KiB L2 alongside the output
-// row being accumulated.
-const panelFloats = 1 << 14
-
-// blockThresholdFloats is the right-operand size (k*n floats, 1 MiB) below
-// which the whole operand stays cache-resident across rows on typical L2/L3
-// sizes and blocking is pure loop overhead.
-const blockThresholdFloats = 1 << 18
-
-// kBlockFor picks the k-tile so a [kb, n]-float panel fits panelFloats.
-func kBlockFor(n int) int {
-	if n <= 0 {
-		return 64
-	}
-	kb := panelFloats / n
-	if kb < 8 {
-		kb = 8
-	}
-	if kb > 512 {
-		kb = 512
-	}
-	return kb
-}
-
-// matmulKB returns the k-tile for an axpy-style product with a [k, n] right
-// operand, or k (a single pass) when blocking is off or unprofitable.
-func matmulKB(k, n int) int {
-	if BlockedMatMul() && k*n > blockThresholdFloats {
-		if kb := kBlockFor(n); kb < k {
-			return kb
-		}
-	}
-	return k
-}
-
-// MatMul returns t @ o for 2-D tensors [m,k] x [k,n] -> [m,n]. Rows are
-// computed in parallel; the inner loop is an ikj traversal so the innermost
-// access pattern is sequential over both operands.
-func (t *Tensor) MatMul(o *Tensor) *Tensor {
+// MatMulBias returns t @ o with the Linear layer's epilogue applied to each
+// output row while it is still in cache: bias (a [1,n] row, nil for none) is
+// added to the completed sums, then relu clamps negatives to zero. The result
+// is bitwise what MatMul, Add and ReLU produce in sequence.
+func (t *Tensor) MatMulBias(o, bias *Tensor, relu bool) *Tensor {
 	if t.Dims() != 2 || o.Dims() != 2 || t.Dim(1) != o.Dim(0) {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v x %v", t.shape, o.shape))
 	}
 	m, k, n := t.Dim(0), t.Dim(1), o.Dim(1)
-	out := NewPooled(m, n)
-	kb := matmulKB(k, n)
+	if bias != nil && (bias.Dims() != 2 || bias.Dim(0) != 1 || bias.Dim(1) != n) {
+		panic(fmt.Sprintf("tensor: MatMulBias bias %v for output [%d,%d]", bias.shape, m, n))
+	}
+	out := NewUninit(m, n) // every row is cleared below before it accumulates
 	ParallelForGrain(m, GrainForCost(k*n), func(rs, re int) {
-		for p0 := 0; p0 < k; p0 += kb {
-			p1 := p0 + kb
-			if p1 > k {
-				p1 = k
+		for i := rs; i < re; i++ {
+			ti := t.data[i*k : (i+1)*k]
+			oi := out.data[i*n : (i+1)*n]
+			clear(oi)
+			p := 0
+			for ; p+4 <= k; p += 4 {
+				Axpy4(oi, o.data[p*n:(p+1)*n], o.data[(p+1)*n:(p+2)*n], o.data[(p+2)*n:(p+3)*n], o.data[(p+3)*n:(p+4)*n],
+					ti[p], ti[p+1], ti[p+2], ti[p+3])
 			}
-			for i := rs; i < re; i++ {
-				ti := t.data[i*k : (i+1)*k]
-				oi := out.data[i*n : (i+1)*n]
-				for p := p0; p < p1; p++ {
-					a := ti[p]
-					if a == 0 {
-						continue
+			for ; p < k; p++ {
+				AxpyUnrolled(oi, o.data[p*n:(p+1)*n], ti[p])
+			}
+			if bias != nil {
+				AddUnrolled(oi, bias.data)
+			}
+			if relu {
+				for j, v := range oi {
+					if v < 0 {
+						oi[j] = 0
 					}
-					AxpyUnrolled(oi, o.data[p*n:(p+1)*n], a)
 				}
 			}
 		}
@@ -94,9 +67,7 @@ func (t *Tensor) MatMul(o *Tensor) *Tensor {
 
 // MatMulT returns t @ oᵀ for 2-D tensors [m,k] x [n,k] -> [m,n]. Using the
 // transposed right operand keeps both inner accesses sequential, which is
-// the layout the backward pass of Linear needs. Each output element is one
-// contiguous dot product, so no cache blocking applies (see the file
-// comment).
+// the layout the backward pass of Linear needs (grad of the input).
 func (t *Tensor) MatMulT(o *Tensor) *Tensor {
 	if t.Dims() != 2 || o.Dims() != 2 || t.Dim(1) != o.Dim(1) {
 		panic(fmt.Sprintf("tensor: MatMulT shape mismatch %v x %vᵀ", t.shape, o.shape))
@@ -107,7 +78,11 @@ func (t *Tensor) MatMulT(o *Tensor) *Tensor {
 		for i := rs; i < re; i++ {
 			ti := t.data[i*k : (i+1)*k]
 			oi := out.data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
+			j := 0
+			for ; j+2 <= n; j += 2 {
+				oi[j], oi[j+1] = dot2Unrolled(ti, o.data[j*k:(j+1)*k], o.data[(j+1)*k:(j+2)*k])
+			}
+			if j < n {
 				oi[j] = DotUnrolled(ti, o.data[j*k:(j+1)*k])
 			}
 		}
@@ -115,32 +90,59 @@ func (t *Tensor) MatMulT(o *Tensor) *Tensor {
 	return out
 }
 
+// dot2Unrolled returns DotUnrolled(x, a) and DotUnrolled(x, b), loading x
+// once for both.
+func dot2Unrolled(x, a, b []float32) (float32, float32) {
+	n := len(x)
+	if len(a) != n || len(b) != n {
+		panic("tensor: dot length mismatch")
+	}
+	var a0, a1, a2, a3, b0, b1, b2, b3 float32
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		xs, as, bs := x[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
+		a0 += xs[0] * as[0]
+		a1 += xs[1] * as[1]
+		a2 += xs[2] * as[2]
+		a3 += xs[3] * as[3]
+		b0 += xs[0] * bs[0]
+		b1 += xs[1] * bs[1]
+		b2 += xs[2] * bs[2]
+		b3 += xs[3] * bs[3]
+	}
+	for ; i < n; i++ {
+		a0 += x[i] * a[i]
+		b0 += x[i] * b[i]
+	}
+	return a0 + a1 + a2 + a3, b0 + b1 + b2 + b3
+}
+
 // TMatMul returns tᵀ @ o for 2-D tensors [k,m] x [k,n] -> [m,n], the other
-// product shape the Linear backward pass needs (grad of the weight).
+// product shape the Linear backward pass needs (grad of the weight). k is
+// the vertex dimension there, so p runs outermost: each block of four operand
+// rows is read once and folded into every output row of the worker's range.
 func (t *Tensor) TMatMul(o *Tensor) *Tensor {
 	if t.Dims() != 2 || o.Dims() != 2 || t.Dim(0) != o.Dim(0) {
 		panic(fmt.Sprintf("tensor: TMatMul shape mismatch %vᵀ x %v", t.shape, o.shape))
 	}
 	k, m, n := t.Dim(0), t.Dim(1), o.Dim(1)
 	out := NewPooled(m, n)
-	kb := matmulKB(k, n)
-	// Parallelize over output rows; each output row i accumulates
-	// t[p][i] * o[p][:] over all p, so every worker writes a disjoint range.
+	// Workers own disjoint ranges of output rows (columns of t).
 	ParallelForGrain(m, GrainForCost(k*n), func(rs, re int) {
-		for p0 := 0; p0 < k; p0 += kb {
-			p1 := p0 + kb
-			if p1 > k {
-				p1 = k
-			}
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			o0, o1 := o.data[p*n:(p+1)*n], o.data[(p+1)*n:(p+2)*n]
+			o2, o3 := o.data[(p+2)*n:(p+3)*n], o.data[(p+3)*n:(p+4)*n]
+			t0, t1 := t.data[p*m:(p+1)*m], t.data[(p+1)*m:(p+2)*m]
+			t2, t3 := t.data[(p+2)*m:(p+3)*m], t.data[(p+3)*m:(p+4)*m]
 			for i := rs; i < re; i++ {
-				oi := out.data[i*n : (i+1)*n]
-				for p := p0; p < p1; p++ {
-					a := t.data[p*m+i]
-					if a == 0 {
-						continue
-					}
-					AxpyUnrolled(oi, o.data[p*n:(p+1)*n], a)
-				}
+				Axpy4(out.data[i*n:(i+1)*n], o0, o1, o2, o3, t0[i], t1[i], t2[i], t3[i])
+			}
+		}
+		for ; p < k; p++ {
+			op, tp := o.data[p*n:(p+1)*n], t.data[p*m:(p+1)*m]
+			for i := rs; i < re; i++ {
+				AxpyUnrolled(out.data[i*n:(i+1)*n], op, tp[i])
 			}
 		}
 	})

@@ -198,65 +198,6 @@ func TestRecyclePoisonsTensor(t *testing.T) {
 	Recycle(nil) // nil is a no-op
 }
 
-func TestArenaLifecycle(t *testing.T) {
-	var a Arena
-	x := a.New(8, 8)
-	y := a.NewUninit(3, 5)
-	if x.Len() != 64 || y.Len() != 15 {
-		t.Fatalf("arena shapes wrong: %v %v", x.Shape(), y.Shape())
-	}
-	for _, v := range x.Data() {
-		if v != 0 {
-			t.Fatal("Arena.New must zero")
-		}
-	}
-	if a.Live() != 2 {
-		t.Fatalf("Live = %d, want 2", a.Live())
-	}
-	a.Reset()
-	if a.Live() != 0 {
-		t.Fatalf("Live after Reset = %d", a.Live())
-	}
-	if x.data != nil || y.data != nil {
-		t.Fatal("Reset must poison tracked tensors")
-	}
-
-	// A nil arena degrades to plain allocation.
-	var nilA *Arena
-	z := nilA.New(2, 2)
-	if z.Len() != 4 || nilA.Live() != 0 {
-		t.Fatal("nil arena must allocate untracked")
-	}
-	nilA.Reset() // no-op, must not panic
-}
-
-// Cache-blocked dense kernels must agree with the seed single-pass loops.
-func TestBlockedMatMulMatchesUnblocked(t *testing.T) {
-	rng := NewRNG(11)
-	m, k, n := 9, 1500, 7 // k large enough to span several panels at n=7
-	a := RandN(rng, 1, m, k)
-	b := RandN(rng, 1, k, n)
-	bt := b.Transpose2D()
-
-	SetBlockedMatMul(false)
-	wantMM := a.MatMul(b)
-	wantMMT := a.MatMulT(bt)
-	at := a.Transpose2D()
-	wantTMM := at.TMatMul(b)
-	SetBlockedMatMul(true)
-	defer SetBlockedMatMul(true)
-
-	if got := a.MatMul(b); !got.ApproxEqual(wantMM, 1e-4) {
-		t.Fatal("blocked MatMul disagrees")
-	}
-	if got := a.MatMulT(bt); !got.ApproxEqual(wantMMT, 1e-4) {
-		t.Fatal("blocked MatMulT disagrees")
-	}
-	if got := at.TMatMul(b); !got.ApproxEqual(wantTMM, 1e-4) {
-		t.Fatal("blocked TMatMul disagrees")
-	}
-}
-
 // The worker-pool toggle and parallelism accessors round-trip.
 func TestKernelToggles(t *testing.T) {
 	SetWorkerPool(false)
@@ -275,9 +216,4 @@ func TestKernelToggles(t *testing.T) {
 	if Parallelism() < 1 {
 		t.Fatal("default parallelism must be >= 1")
 	}
-	SetBlockedMatMul(false)
-	if BlockedMatMul() {
-		t.Fatal("blocking should be off")
-	}
-	SetBlockedMatMul(true)
 }

@@ -36,7 +36,7 @@ func (t *Tensor) Max() float32 {
 // SumRows reduces a [R, C] tensor to [1, C] by summing over rows.
 func (t *Tensor) SumRows() *Tensor {
 	c := t.Cols()
-	out := New(1, c)
+	out := NewPooled(1, c)
 	for r := 0; r < t.Rows(); r++ {
 		AddUnrolled(out.data, t.data[r*c:(r+1)*c])
 	}

@@ -31,6 +31,28 @@ func AxpyUnrolled(dst, x []float32, a float32) {
 	}
 }
 
+// Axpy4 folds four scaled rows into dst in one pass:
+//
+//	dst[j] = (((dst[j] + a0*x0[j]) + a1*x1[j]) + a2*x2[j]) + a3*x3[j]
+//
+// exactly the value four AxpyUnrolled calls in that order leave — the same
+// adds in the same order — but dst is loaded and stored once per element
+// instead of four times. The dense products are built on it (matmul.go).
+func Axpy4(dst, x0, x1, x2, x3 []float32, a0, a1, a2, a3 float32) {
+	n := len(dst)
+	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
+		panic("tensor: axpy4 length mismatch")
+	}
+	for j := range dst {
+		v := dst[j]
+		v += a0 * x0[j]
+		v += a1 * x1[j]
+		v += a2 * x2[j]
+		v += a3 * x3[j]
+		dst[j] = v
+	}
+}
+
 // AddUnrolled computes dst[i] += x[i] with 8-wide unrolling.
 func AddUnrolled(dst, x []float32) {
 	n := len(dst)

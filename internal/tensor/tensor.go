@@ -109,13 +109,15 @@ func (t *Tensor) At(idx ...int) float32 { return t.data[t.offset(idx)] }
 func (t *Tensor) Set(v float32, idx ...int) { t.data[t.offset(idx)] = v }
 
 func (t *Tensor) offset(idx []int) int {
+	// The panics format a copy of idx: handing idx itself to fmt would make
+	// every caller's variadic index escape — one heap allocation per At/Set.
 	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v does not match shape %v", idx, t.shape))
+		panic(fmt.Sprintf("tensor: index %v does not match shape %v", append([]int(nil), idx...), t.shape))
 	}
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", append([]int(nil), idx...), t.shape))
 		}
 		off = off*t.shape[i] + x
 	}

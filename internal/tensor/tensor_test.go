@@ -153,9 +153,8 @@ func TestConcatSplit(t *testing.T) {
 	if !c.ApproxEqual(want, 0) {
 		t.Fatalf("Concat = %v", c)
 	}
-	parts := c.SplitCols(2, 1)
-	if !parts[0].ApproxEqual(a, 0) || !parts[1].ApproxEqual(b, 0) {
-		t.Fatalf("SplitCols did not invert Concat: %v %v", parts[0], parts[1])
+	if l, r := c.SliceCols(0, 2), c.SliceCols(2, 1); !l.ApproxEqual(a, 0) || !r.ApproxEqual(b, 0) {
+		t.Fatalf("SliceCols did not invert Concat: %v %v", l, r)
 	}
 }
 
@@ -319,7 +318,7 @@ func TestSoftmaxRowsPropertyQuick(t *testing.T) {
 	}
 }
 
-// Property: Transpose2D is an involution and SplitCols inverts Concat.
+// Property: Transpose2D is an involution and SliceCols inverts Concat.
 func TestTransposeAndSplitQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := NewRNG(seed)
@@ -330,8 +329,7 @@ func TestTransposeAndSplitQuick(t *testing.T) {
 		}
 		y := RandN(rng, 1, r, 1+rng.Intn(4))
 		joined := Concat(x, y)
-		parts := joined.SplitCols(c, y.Dim(1))
-		return parts[0].ApproxEqual(x, 0) && parts[1].ApproxEqual(y, 0)
+		return joined.SliceCols(0, c).ApproxEqual(x, 0) && joined.SliceCols(c, y.Dim(1)).ApproxEqual(y, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -392,5 +390,15 @@ func TestCopyFromAndAddScaled(t *testing.T) {
 	b.AddScaledInPlace(a, 2)
 	if b.At(0, 1) != 6 {
 		t.Fatalf("AddScaled = %v", b)
+	}
+}
+
+// At and Set take a variadic index; it must stay on the caller's stack. (It
+// used to escape through the out-of-range panic's fmt call: one allocation
+// per element access, 4 200 per epoch in the loss alone.)
+func TestAtSetDoNotAllocate(t *testing.T) {
+	x := New(4, 4)
+	if n := testing.AllocsPerRun(100, func() { x.Set(x.At(1, 2)+1, 2, 3) }); n != 0 {
+		t.Fatalf("At+Set allocate %v objects per call", n)
 	}
 }

@@ -3,7 +3,7 @@ package flexgraph
 // End-to-end training-step benchmark for the kernel overhaul: one GCN epoch
 // on a small Reddit-shaped dataset, run once with every kernel lever off
 // (the seed configuration: goroutine-per-call dispatch, plain allocations,
-// unblocked dense products, count-split fused ranges) and once with the
+// count-split fused ranges) and once with the
 // levers on. allocs/op is the headline number — with pooling on, steady-state
 // epochs recycle their aggregation outputs and gradient buffers instead of
 // churning the GC.
@@ -25,7 +25,6 @@ import (
 func setKernelLevers(on bool) {
 	tensor.SetWorkerPool(on)
 	tensor.SetBufferPooling(on)
-	tensor.SetBlockedMatMul(on)
 	engine.SetEdgeBalancedSplit(on)
 }
 
