@@ -150,15 +150,19 @@ bench-kernels-diff:
 # not a performance gate — it proves the bench harnesses still compile,
 # every baseline row still exists under its recorded name, and nothing fell
 # off a cliff, in seconds instead of minutes. Kernel rows check against
-# BENCH_kernels.json, the NeighborSelection rows against BENCH_sampler.json;
-# both also gate allocs/op at +5%, which repeats exactly on any host.
+# BENCH_kernels.json, the NeighborSelection, ServeBatch and Expand rows
+# against BENCH_sampler.json (Expand is microseconds an iteration, so it gets
+# 2000 of them); both also gate allocs/op at +5%, which repeats exactly on
+# any host.
 bench-smoke:
 	@{ $(GO) test -run xxx -bench 'Kernel' -benchtime 5x -benchmem ./internal/tensor/; \
 	   $(GO) test -run xxx -bench 'Fused' -benchtime 5x -benchmem ./internal/engine/; } \
 		> /tmp/bench_kernels_smoke.txt 2>&1 || { cat /tmp/bench_kernels_smoke.txt; exit 1; }
 	$(GO) run ./cmd/benchdiff -max-regress 4.0 -max-alloc-regress 0.05 -alloc-slack 2 \
 		-write-latest /tmp/bench_kernels_smoke.latest.json /tmp/bench_kernels_smoke.txt
-	@$(GO) test -run xxx -bench 'NeighborSelection' -benchtime 5x -benchmem ./internal/nau/ \
+	@{ $(GO) test -run xxx -bench 'NeighborSelection' -benchtime 5x -benchmem ./internal/nau/; \
+	   $(GO) test -run xxx -bench 'ServeBatch' -benchtime 5x -benchmem ./internal/serve/; \
+	   $(GO) test -run xxx -bench 'Expand' -benchtime 2000x -benchmem ./internal/store/; } \
 		> /tmp/bench_sampler_smoke.txt 2>&1 || { cat /tmp/bench_sampler_smoke.txt; exit 1; }
 	$(GO) run ./cmd/benchdiff -baseline BENCH_sampler.json -max-regress 4.0 -max-alloc-regress 0.05 \
 		-write-latest /tmp/bench_sampler_smoke.latest.json /tmp/bench_sampler_smoke.txt
@@ -170,13 +174,16 @@ bench-e2e-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Input-side benchmarks: NeighborSelection end to end (driver, kernels, UDF,
-# hdg.Build) and the prefetch overlap over the simulated-latency store link.
+# hdg.Build), the serve batch (plan + execute) with the store.Expand under
+# it, and the prefetch overlap over the simulated-latency store link.
 # Writes a machine-readable snapshot to BENCH_sampler.latest.json. The gate
 # that means something is allocs/op (+5%): single runs on a shared host swing
 # 1.3-2x in wall time, so ns/op only gets the same loose 4x cliff check as
 # bench-smoke.
 bench-sampler:
 	@{ $(GO) test -run xxx -bench 'NeighborSelection' -benchmem ./internal/nau/; \
+	   $(GO) test -run xxx -bench 'ServeBatch' -benchmem ./internal/serve/; \
+	   $(GO) test -run xxx -bench 'Expand' -benchmem ./internal/store/; \
 	   $(GO) test -run xxx -bench 'PrefetchOverlap' -benchtime 5x -benchmem ./internal/store/; } \
 		| tee /tmp/bench_sampler.txt
 	$(GO) run ./cmd/benchdiff -baseline BENCH_sampler.json -max-regress 4.0 -max-alloc-regress 0.05 \

@@ -30,8 +30,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8090", "HTTP listen address")
-	batch := flag.Int("batch", flexgraph.DefaultServeBatchSize, "micro-batch flush threshold in query vertices")
-	flush := flag.Duration("flush", flexgraph.DefaultServeFlushInterval, "micro-batch flush deadline")
+	batch := flag.Int("batch", flexgraph.DefaultServeBatchSize, "micro-batch bound in query vertices")
 	cacheCap := flag.Int("cache-cap", flexgraph.DefaultServeCacheCapacity, "embedding cache capacity in rows (negative disables)")
 	maxVerts := flag.Int("max-vertices", flexgraph.DefaultServeMaxQueryVertices, "per-request vertex cap (negative disables)")
 	datasetName := flag.String("dataset", "reddit", "generated dataset: reddit, fb91, twitter or imdb")
@@ -129,7 +128,6 @@ func main() {
 		Features:         d.Features,
 		Engine:           eng,
 		BatchSize:        *batch,
-		FlushInterval:    *flush,
 		CacheCapacity:    *cacheCap,
 		MaxQueryVertices: *maxVerts,
 		Seed:             *seed,

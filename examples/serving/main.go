@@ -62,8 +62,8 @@ func main() {
 	}
 	defer srv.Close()
 
-	// 1. Micro-batching: fire concurrent single-vertex queries; the
-	// dispatcher coalesces them into shared forward passes.
+	// 1. Micro-batching: fire concurrent single-vertex queries; what queues
+	// while the executor is busy runs as one shared forward pass.
 	var wg sync.WaitGroup
 	for v := 0; v < 32; v++ {
 		wg.Add(1)

@@ -173,7 +173,10 @@ type (
 // or a remote rank), and the Sampler turns them into a prefetched stream of
 // self-contained training batches.
 type (
-	// GraphStore serves topology and neighbor-selection queries.
+	// GraphStore serves topology and neighbor-selection queries. Since
+	// PR 17 InEdges hands each destination's neighbor list to a visit
+	// callback instead of returning [][]VertexID; implementations outside
+	// this module need the new signature.
 	GraphStore = store.GraphStore
 	// FeatureStore serves vertex feature/label/mask slices.
 	FeatureStore = store.FeatureStore

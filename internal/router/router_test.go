@@ -204,7 +204,7 @@ func TestRouterSmokeBitParity(t *testing.T) {
 	}
 	var reps []Replica
 	for i := 0; i < 3; i++ {
-		s, _ := newReplicaServer(t, tr, d, serve.Options{FlushInterval: time.Millisecond})
+		s, _ := newReplicaServer(t, tr, d, serve.Options{})
 		reps = append(reps, Replica{Name: fmt.Sprintf("replica-%d", i), Querier: s})
 	}
 	rt, reg := newTestRouter(t, Options{
@@ -275,7 +275,7 @@ func TestRouterSmokeCacheLocality(t *testing.T) {
 		reg := metrics.NewRegistry()
 		s, err := serve.New(serve.Options{
 			Model: model, Graph: g, Features: feats,
-			CacheCapacity: cacheRows, FlushInterval: time.Millisecond, Metrics: reg,
+			CacheCapacity: cacheRows, Metrics: reg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -412,7 +412,7 @@ func TestRouterSmokeChaos(t *testing.T) {
 	var servers []*serve.Server
 	var shutdowns []func() error
 	for i := 0; i < 3; i++ {
-		s, _ := newReplicaServer(t, tr, d, serve.Options{FlushInterval: time.Millisecond})
+		s, _ := newReplicaServer(t, tr, d, serve.Options{})
 		addr, shutdown, err := s.ListenAndServe("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

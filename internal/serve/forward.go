@@ -1,98 +1,66 @@
 package serve
 
 import (
-	"repro/internal/graph"
 	"repro/internal/nau"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
 // computeBatch runs the model forward over the planned sub-levels and
-// returns one logits row per root, in root order. checkCancel is consulted
-// at every layer boundary (the serving path's context plumbing); rows for
-// freshly computed vertices are inserted into the cache under version.
+// returns one logits row per root, in root order, in a pooled tensor the
+// caller recycles. cancel is consulted at every layer boundary (the serving
+// path's context plumbing); rows for freshly computed vertices are inserted
+// into the cache under version.
 //
-// The pass is forward-only: inputs are nn constants and the autograd graph
-// each layer builds is dropped as soon as its output tensor is extracted, so
-// a batch retains no backward closures or gradient buffers.
-func (s *Server) computeBatch(plans []layerPlan, roots []graph.VertexID, version int64, checkCancel func() error) ([][]float32, error) {
-	// rowOf resolves a vertex's previous-layer activation while running
-	// layer l: for l == 0 the global input features, above that the cached
-	// hits and freshly computed rows of layer l-1.
-	rowOf := func(v graph.VertexID) []float32 { return s.feats.Row(int(v)) }
-	dim := s.feats.Cols()
+// The pass is forward-only and holds one layer at a time: a layer's input is
+// a pooled tensor assembled from the layer below, and once its output rows
+// are copied on (into the cache and the next layer's input) its whole
+// autograd graph goes back to the buffer pool, so a batch in steady state
+// allocates no activation storage at all.
+func (s *Server) computeBatch(version int64, cancel func() error) (*tensor.Tensor, error) {
 	probe := nau.Probe{Tracer: s.tracer, Epoch: int32(version)}
-
-	for l := range plans {
-		p := &plans[l]
-		if len(p.Out) == 0 {
-			// The cache covered this layer's whole frontier (planBatch then
-			// stopped expanding, so every lower plan is empty too). The hit
-			// rows feed the next layer — or the reply, for the last layer.
-			if len(p.hits) == 0 {
-				continue
-			}
-			hits := p.hits
-			rowOf = func(v graph.VertexID) []float32 { return hits[v] }
-			for _, row := range hits {
-				dim = len(row) // the next layer assembles rows of this width
-				break
-			}
-			continue
+	var x *tensor.Tensor // activations of the current layer's In, one row each
+	for l := range s.plans {
+		p := &s.plans[l]
+		if len(p.hits) == 0 {
+			continue // below a fully cached layer
 		}
-		// Assemble the layer input: one row per universe vertex. The row
-		// copies are exact, so this gather never perturbs the numerics.
-		x := tensor.New(len(p.In), dim)
-		for i, v := range p.In {
-			copy(x.Row(i), rowOf(v))
-		}
-		res, err := p.Run(s.ctx, probe, l, s.model.Layers[l], nn.Constant(x), checkCancel)
-		if err != nil {
-			return nil, err
-		}
-		out := res.Data
-		dim = out.Cols()
-
-		miss := p.Out
-		for i, v := range miss {
-			s.cache.Put(int32(l), v, version, out.Row(i))
-		}
-		hits := p.hits
-		rowOf = func(v graph.VertexID) []float32 {
-			if row, ok := hits[v]; ok {
-				return row
+		var out *nn.Value
+		var width int
+		if len(p.Out) > 0 {
+			if l == 0 {
+				x = tensor.Gather(s.feats, p.In) // exact row copies, pooled
 			}
-			for i, u := range miss {
-				if u == v {
-					return out.Row(i)
-				}
+			var err error
+			out, err = p.Run(s.ctx, probe, l, s.model.Layers[l], nn.Constant(x), cancel)
+			if err != nil {
+				return nil, err // x and the half-built graph are left to the GC
 			}
-			return nil
+			width = out.Data.Cols()
+			s.cache.Fill(int32(l), p.Out, version, out.Data)
+		} else {
+			width = len(p.hits[0])
 		}
-		if len(miss) > 16 {
-			// Linear scans stop paying off; index the computed rows.
-			idx := make(map[graph.VertexID]int, len(miss))
-			for i, u := range miss {
-				idx[u] = i
+		// The frontier's rows — cached or just computed, the misses being
+		// out's rows in order — are the input of the layer above, or the
+		// answer after the last layer.
+		next := tensor.NewUninit(len(p.hits), width)
+		computed := 0
+		for i, hit := range p.hits {
+			if hit == nil {
+				hit = out.Data.Row(computed)
+				computed++
 			}
-			rowOf = func(v graph.VertexID) []float32 {
-				if row, ok := hits[v]; ok {
-					return row
-				}
-				if i, ok := idx[v]; ok {
-					return out.Row(i)
-				}
-				return nil
-			}
+			copy(next.Row(i), hit)
 		}
+		if out != nil {
+			// ReleaseGraph spares its root's Data (a trainer still reads the
+			// loss), so hang the output under a data-less root: the walk then
+			// returns every buffer the layer drew, views excepted.
+			nn.ReleaseGraph(nn.NewOp(nil, nil, out))
+			tensor.Recycle(x)
+		}
+		x = next
 	}
-
-	answers := make([][]float32, len(roots))
-	for i, v := range roots {
-		row := rowOf(v)
-		// Copy out: reply rows must outlive the batch and never alias cache
-		// or tensor storage.
-		answers[i] = append([]float32(nil), row...)
-	}
-	return answers, nil
+	return x, nil
 }

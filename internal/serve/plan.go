@@ -10,48 +10,41 @@ import (
 	"repro/internal/store"
 )
 
-// layerPlan is the work one model layer contributes to a batch: the store's
-// expansion of the vertices whose output must be computed (the cache misses
-// are the plan's Out, and so the identity prefix of its In), plus the cached
-// rows that cover the rest of the frontier.
+// layerPlan is the work one model layer contributes to a batch. The layer's
+// frontier — the vertices whose output the batch needs — is the query roots
+// for the last layer and the In of the layer above otherwise; the cache
+// covers part of it and the store expands the rest. The executor keeps one
+// plan per layer and rebuilds them in place batch after batch.
 type layerPlan struct {
-	// LayerPlan is empty when the cache covered the whole frontier — the
-	// layers below then do no work at all.
+	// LayerPlan expands the cache misses (they are its Out, and so the
+	// identity prefix of its In). No Out: the cache covered the whole
+	// frontier, and the layers below do no work at all.
 	store.LayerPlan
-	// hits maps the frontier vertices that were not expanded to their cached
-	// output rows (read-only slices owned by the cache).
-	hits map[graph.VertexID][]float32
+	// hits has one entry per frontier vertex (none below a fully cached
+	// layer): its cached output row (read-only, owned by the cache), or nil
+	// for a miss. The misses, in frontier order, are Out.
+	hits [][]float32
 }
 
 // planBatch walks the model top-down from the query roots, probing the cache
-// at every layer boundary and expanding only the misses into the next
-// frontier. plans[l] describes layer l (0 = first layer).
-func (s *Server) planBatch(roots []graph.VertexID, version int64) ([]layerPlan, error) {
-	L := len(s.model.Layers)
-	plans := make([]layerPlan, L)
+// once per layer boundary and expanding only the misses into the next
+// frontier. s.plans[l] describes layer l (0 = first layer).
+func (s *Server) planBatch(roots []graph.VertexID, version int64) error {
 	frontier := roots
-	for l := L - 1; l >= 0; l-- {
-		p := &plans[l]
-		p.hits = make(map[graph.VertexID][]float32)
-		var miss []graph.VertexID // in deterministic first-seen order
-		for _, v := range frontier {
-			if row := s.cache.Get(int32(l), v, version); row != nil {
-				p.hits[v] = row
-			} else {
-				miss = append(miss, v)
-			}
+	for l := len(s.plans) - 1; l >= 0; l-- {
+		p := &s.plans[l]
+		p.Out = nil
+		p.hits, s.miss = s.cache.Probe(int32(l), frontier, version, p.hits, s.miss)
+		if len(s.miss) == 0 {
+			frontier = nil // fully cached: nothing below this layer runs
+			continue
 		}
-		if len(miss) == 0 {
-			// Fully cached: nothing below this layer runs.
-			break
-		}
-		var err error
-		if p.LayerPlan, err = store.Expand(context.Background(), s.topo, s.schema, miss, s.selectRecords); err != nil {
-			return nil, fmt.Errorf("serve: expand layer %d: %w", l, err)
+		if err := store.Expand(context.Background(), s.topo, s.schema, s.universe, s.miss, s.selectRecords, &p.LayerPlan); err != nil {
+			return fmt.Errorf("serve: expand layer %d: %w", l, err)
 		}
 		frontier = p.In
 	}
-	return plans, nil
+	return nil
 }
 
 // selectRecords runs the model's own NeighborSelection over a frontier,

@@ -270,14 +270,12 @@ func TestServeCacheInvalidation(t *testing.T) {
 }
 
 // TestServeConcurrentBatching hammers the server from many goroutines (run
-// under -race) and checks every reply is bit-identical to Predict while the
-// dispatcher actually coalesced requests into shared batches.
+// under -race) and checks every reply is bit-identical to Predict whatever
+// batches the requests fell into. (How batches form is pinned, without a
+// clock, by the batching-contract tests in batching_test.go.)
 func TestServeConcurrentBatching(t *testing.T) {
 	tr, d := trainedGCN(t, 0.05)
-	s, reg := newServer(t, tr, d, Options{
-		BatchSize:     8,
-		FlushInterval: 500 * time.Microsecond,
-	})
+	s, reg := newServer(t, tr, d, Options{BatchSize: 8})
 	whole, err := tr.Predict()
 	if err != nil {
 		t.Fatal(err)
@@ -308,9 +306,8 @@ func TestServeConcurrentBatching(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	batches := reg.Counter("serve_batches_total").Load()
-	if batches == 0 || batches >= N {
-		t.Fatalf("%d requests ran as %d batches; micro-batching is not coalescing", N, batches)
+	if batches := reg.Counter("serve_batches_total").Load(); batches == 0 || batches > N {
+		t.Fatalf("%d requests ran as %d batches", N, batches)
 	}
 }
 
@@ -319,7 +316,7 @@ func TestServeConcurrentBatching(t *testing.T) {
 // version it reports.
 func TestServeConcurrentWithUpdates(t *testing.T) {
 	tr, d := trainedGCN(t, 0.03)
-	s, _ := newServer(t, tr, d, Options{BatchSize: 4, FlushInterval: 200 * time.Microsecond})
+	s, _ := newServer(t, tr, d, Options{BatchSize: 4})
 	stop := make(chan struct{})
 	var updWG sync.WaitGroup
 	updWG.Add(1)
@@ -380,44 +377,65 @@ func TestServeQueryErrors(t *testing.T) {
 	s.Close() // idempotent
 }
 
+// get and put drive the cache's frontier-at-a-time Probe and Fill one row at
+// a time.
+func (c *embedCache) get(layer int32, v graph.VertexID, version int64) []float32 {
+	rows, _ := c.Probe(layer, []graph.VertexID{v}, version, nil, nil)
+	return rows[0]
+}
+
+func (c *embedCache) put(layer int32, v graph.VertexID, version int64, row []float32) {
+	c.Fill(layer, []graph.VertexID{v}, version, tensor.FromSlice(row, 1, len(row)))
+}
+
 // TestEmbedCache unit-tests the LRU and version semantics directly.
 func TestEmbedCache(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := newEmbedCache(2, reg)
-	c.Put(0, 1, 1, []float32{1})
-	c.Put(0, 2, 1, []float32{2})
-	if c.Get(0, 1, 1) == nil {
+	c.put(0, 1, 1, []float32{1})
+	c.put(0, 2, 1, []float32{2})
+	if c.get(0, 1, 1) == nil {
 		t.Fatal("lost a row within capacity")
 	}
-	c.Put(0, 3, 1, []float32{3}) // evicts vertex 2 (LRU; 1 was just touched)
-	if c.Get(0, 2, 1) != nil {
+	c.put(0, 3, 1, []float32{3}) // evicts vertex 2 (LRU; 1 was just touched)
+	if c.get(0, 2, 1) != nil {
 		t.Fatal("LRU kept the least recently used row")
 	}
-	if c.Get(0, 1, 1) == nil {
+	if c.get(0, 1, 1) == nil {
 		t.Fatal("LRU evicted the most recently used row")
 	}
-	if row := c.Get(0, 1, 2); row != nil {
+	if row := c.get(0, 1, 2); row != nil {
 		t.Fatal("version bump did not invalidate")
 	}
-	if c.Get(0, 1, 1) != nil {
-		t.Fatal("stale row not dropped after version-mismatch Get")
+	if c.get(0, 1, 1) != nil {
+		t.Fatal("stale row not dropped after version-mismatch probe")
 	}
 	if got := reg.Counter("serve_cache_evictions_total").Load(); got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 
 	// Rows handed out stay immutable across overwrites.
-	c.Put(1, 9, 1, []float32{42})
-	row := c.Get(1, 9, 1)
-	c.Put(1, 9, 1, []float32{-1})
+	c.put(1, 9, 1, []float32{42})
+	row := c.get(1, 9, 1)
+	c.put(1, 9, 1, []float32{-1})
 	if row[0] != 42 {
 		t.Fatal("overwrite mutated a previously returned row")
 	}
 
+	// A frontier is probed and filled in one call each: hits and misses line
+	// up with the frontier, and a fill larger than the capacity keeps the
+	// most recently inserted rows.
+	c = newEmbedCache(2, reg)
+	c.Fill(0, []graph.VertexID{4, 5, 6}, 1, tensor.FromSlice([]float32{4, 5, 6}, 3, 1))
+	rows, miss := c.Probe(0, []graph.VertexID{6, 4, 5}, 1, nil, nil)
+	if !slices.Equal(miss, []graph.VertexID{4}) || rows[0][0] != 6 || rows[1] != nil || rows[2][0] != 5 || c.Len() != 2 {
+		t.Fatalf("frontier probe after an overfull fill: rows %v, misses %v, %d resident", rows, miss, c.Len())
+	}
+
 	// Disabled cache: everything misses, nothing is stored.
 	off := newEmbedCache(-1, reg)
-	off.Put(0, 1, 1, []float32{1})
-	if off.Get(0, 1, 1) != nil || off.Len() != 0 {
+	off.put(0, 1, 1, []float32{1})
+	if off.get(0, 1, 1) != nil || off.Len() != 0 {
 		t.Fatal("disabled cache stored a row")
 	}
 }
@@ -496,9 +514,8 @@ func TestServeSmoke(t *testing.T) {
 	tr, d := trainedGCN(t, 0.05)
 	tracer := trace.New(0)
 	s, reg := newServer(t, tr, d, Options{
-		BatchSize:     8,
-		FlushInterval: time.Millisecond,
-		Tracer:        tracer,
+		BatchSize: 8,
+		Tracer:    tracer,
 	})
 	addr, shutdown, err := s.ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -578,4 +595,61 @@ func TestServeSmoke(t *testing.T) {
 			t.Fatalf("no per-layer %s span visible in /trace", name)
 		}
 	}
+}
+
+// TestReplyRowsAreNotShared: every Reply owns its rows. Two requests that
+// asked for the same vertex in one batch, and two results of one request
+// that names a vertex twice, must each get storage nobody else reads — a
+// caller scribbling over its logits corrupts no other answer.
+func TestReplyRowsAreNotShared(t *testing.T) {
+	tr, d := trainedGCN(t, 0.05)
+	s, reg := newServer(t, tr, d, Options{})
+	whole, err := tr.Predict()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Two requests naming vertex 7 (one of them twice), made to share a batch.
+	release := holdExecutor(t, s)
+	queries := [][]graph.VertexID{{7, 3, 7}, {9, 7}}
+	replies := make([]*Reply, len(queries))
+	var wg sync.WaitGroup
+	for i := range queries {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if replies[i], err = s.Query(context.Background(), queries[i]); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	waitFor(t, "both requests to queue", func() bool { return len(s.reqCh) == 1 })
+	release()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if got := reg.Counter("serve_batches_total").Load(); got != 1 {
+		t.Fatalf("the two requests ran as %d batches, want one shared batch", got)
+	}
+	for _, r := range replies[0].Results {
+		for j := range r.Logits {
+			r.Logits[j] = -12345 // the first caller reuses its reply as scratch
+		}
+	}
+	assertBitIdentical(t, replies[1], whole)
+
+	again, err := s.Query(context.Background(), []graph.VertexID{7, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again.Results[0].Logits[0] = -12345
+	assertBitIdentical(t, &Reply{Results: again.Results[1:]}, whole)
+	// Nor does a reply alias the embedding cache: the cached answer is intact.
+	cached, err := s.Query(context.Background(), []graph.VertexID{7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, cached, whole)
 }

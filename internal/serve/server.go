@@ -1,10 +1,11 @@
 // Package serve is FlexGraph-Go's online inference subsystem: the request
 // path the training stack never had. Queries name vertices; the server
-// micro-batches them (flush on batch size or deadline, whichever comes
-// first), extracts each batch's k-hop sub-HDG with the same NeighborSelection
-// machinery training uses (§4.1 — the NAU stage already takes an explicit
-// root set), runs the hybrid engine forward-only over the batch's compact
-// feature universe, and answers with per-vertex logits.
+// micro-batches them (an idle executor runs a request at once, a busy one
+// finds the requests that queued behind it and runs them together), extracts
+// each batch's k-hop sub-HDG with the same NeighborSelection machinery
+// training uses (§4.1 — the NAU stage already takes an explicit root set),
+// runs the hybrid engine forward-only over the batch's compact feature
+// universe, and answers with per-vertex logits.
 //
 // A versioned per-layer embedding cache (vertex -> hidden activation) sits
 // between batches: hot vertices resolve at the top layer and skip their
@@ -22,13 +23,12 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"context"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -50,11 +50,8 @@ var (
 
 // Defaults for the zero-valued Options fields.
 const (
-	// DefaultBatchSize is the flush threshold in query vertices.
+	// DefaultBatchSize is the micro-batch bound in query vertices.
 	DefaultBatchSize = 64
-	// DefaultFlushInterval bounds how long the first request of a batch
-	// waits for company.
-	DefaultFlushInterval = 2 * time.Millisecond
 	// DefaultCacheCapacity is the embedding cache bound in rows.
 	DefaultCacheCapacity = 1 << 16
 	// DefaultQueueDepth is the pending-request channel capacity.
@@ -75,12 +72,9 @@ type Options struct {
 	Features *tensor.Tensor
 	// Engine overrides the execution engine; nil selects HA.
 	Engine *engine.Engine
-	// BatchSize flushes a micro-batch once this many query vertices are
-	// pending (<= 0 selects DefaultBatchSize).
+	// BatchSize bounds a micro-batch: the executor adds queued requests to
+	// one until it holds this many query vertices (<= 0: DefaultBatchSize).
 	BatchSize int
-	// FlushInterval flushes a non-empty micro-batch after this long even if
-	// it is not full (<= 0 selects DefaultFlushInterval).
-	FlushInterval time.Duration
 	// CacheCapacity bounds the embedding cache in rows; 0 selects
 	// DefaultCacheCapacity and a negative value disables caching.
 	CacheCapacity int
@@ -110,7 +104,8 @@ type Result struct {
 	Class int `json:"class"`
 }
 
-// Reply answers one Query.
+// Reply answers one Query. Its rows are the caller's own: no other reply,
+// and nothing inside the server, shares their storage.
 type Reply struct {
 	ModelVersion int64    `json:"model_version"`
 	Results      []Result `json:"results"`
@@ -123,6 +118,12 @@ type request struct {
 	done     chan struct{}
 	reply    *Reply
 	err      error
+
+	// From admission to the start of the batch that runs the request: span
+	// is the request span's ID, wait its queue_wait child.
+	enqueued time.Time
+	span     uint64
+	wait     trace.Region
 }
 
 // Server is the online inference service. Create with New, query with Query
@@ -131,17 +132,13 @@ type Server struct {
 	model  *nau.Model
 	graph  *graph.Graph
 	feats  *tensor.Tensor
-	engine *engine.Engine
 	schema *hdg.SchemaTree
 	udf    nau.NeighborUDF
 	seed   uint64
-	// topo answers the planner's in-edge queries; ctx is the one layer
-	// context the executor points at each plan in turn (under execMu).
+	// topo answers the planner's in-edge queries.
 	topo store.GraphStore
-	ctx  *nau.Context
 
 	batchSize int
-	flush     time.Duration
 	maxVerts  int
 
 	cache   *embedCache
@@ -150,27 +147,38 @@ type Server struct {
 	reg    *metrics.Registry
 	tracer *trace.Tracer
 
-	reqCh  chan *request
-	execCh chan []*request
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	reqCh chan *request
+	stop  chan struct{}
+	wg    sync.WaitGroup
 
 	// closeMu orders request admission against Close: Query enqueues under
 	// the read side, Close flips closed and fires stop under the write side,
-	// so every accepted request is in reqCh before the dispatcher drains it
-	// — a racing send can never strand a request unanswered.
+	// so every accepted request is in reqCh before the executor drains it —
+	// a racing send can never strand a request unanswered.
 	closeMu sync.RWMutex
 	closed  bool
 
 	// execMu serialises batch execution with model updates, so a forward
-	// pass never reads weights mid-mutation.
-	execMu sync.Mutex
-
-	closeOnce sync.Once
+	// pass never reads weights mid-mutation. It also guards the executor's
+	// working memory below, rebuilt in place batch after batch: ctx is the
+	// layer context pointed at each plan in turn, universe the vertex -> row
+	// index (root union, then each layer's expansion), plans one plan per
+	// model layer, miss the frontier being expanded.
+	execMu   sync.Mutex
+	ctx      *nau.Context
+	universe *store.Universe
+	plans    []layerPlan
+	miss     []graph.VertexID
+	// The batch in hand: its requests less the abandoned ones, their
+	// distinct vertices in first-seen order, and each requested vertex's
+	// (request after request) row in roots.
+	live    []*request
+	roots   []graph.VertexID
+	rootRow []int32
 }
 
-// New validates opts and starts the server's dispatcher and executor
-// goroutines. The returned server is ready for Query immediately.
+// New validates opts and starts the server's executor goroutine. The
+// returned server is ready for Query immediately.
 func New(opts Options) (*Server, error) {
 	if opts.Model == nil || len(opts.Model.Layers) == 0 {
 		return nil, fmt.Errorf("serve: Options.Model is required")
@@ -193,10 +201,6 @@ func New(opts Options) (*Server, error) {
 	if batch <= 0 {
 		batch = DefaultBatchSize
 	}
-	flush := opts.FlushInterval
-	if flush <= 0 {
-		flush = DefaultFlushInterval
-	}
 	capacity := opts.CacheCapacity
 	if capacity == 0 {
 		capacity = DefaultCacheCapacity
@@ -213,40 +217,38 @@ func New(opts Options) (*Server, error) {
 		model:     opts.Model,
 		graph:     opts.Graph,
 		feats:     opts.Features,
-		engine:    eng,
 		schema:    opts.Model.Layers[0].Schema(),
 		udf:       opts.Model.Layers[0].NeighborUDF(),
 		seed:      opts.Seed,
 		topo:      store.NewLocal(store.LocalConfig{Graph: opts.Graph}),
 		ctx:       &nau.Context{Graph: opts.Graph, Engine: eng},
+		universe:  store.NewUniverse(opts.Graph.NumVertices()),
+		plans:     make([]layerPlan, len(opts.Model.Layers)),
 		batchSize: batch,
-		flush:     flush,
 		maxVerts:  maxVerts,
 		cache:     newEmbedCache(capacity, opts.Metrics),
 		reg:       opts.Metrics,
 		tracer:    opts.Tracer,
 		reqCh:     make(chan *request, queue),
-		execCh:    make(chan []*request, 1),
 		stop:      make(chan struct{}),
 	}
 	s.version.Store(1)
 	s.reg.Gauge("serve_model_version").Set(1)
-	s.wg.Add(2)
-	go s.dispatch()
+	s.wg.Add(1)
 	go s.execute()
 	return s, nil
 }
 
-// Close stops the server. Pending and queued requests fail with ErrClosed;
-// a batch already executing completes and answers normally. Close is
-// idempotent and returns once both background goroutines have exited.
+// Close stops the server. Queued requests fail with ErrClosed; a batch
+// already executing completes and answers normally. Close is idempotent and
+// returns once the executor goroutine has exited.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		s.closeMu.Lock()
+	s.closeMu.Lock()
+	if !s.closed {
 		s.closed = true
 		close(s.stop)
-		s.closeMu.Unlock()
-	})
+	}
+	s.closeMu.Unlock()
 	s.wg.Wait()
 }
 
@@ -303,21 +305,25 @@ func (s *Server) Query(ctx context.Context, vertices []graph.VertexID) (*Reply, 
 			return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrBadVertex, v, n)
 		}
 	}
-	r := &request{
-		ctx:      ctx,
-		vertices: vertices,
-		done:     make(chan struct{}),
-	}
 	s.closeMu.RLock()
 	if s.closed {
 		s.closeMu.RUnlock()
 		return nil, ErrClosed
+	}
+	r := &request{
+		ctx:      ctx,
+		vertices: vertices,
+		done:     make(chan struct{}),
+		enqueued: time.Now(),
+		span:     span.ID(),
+		wait:     s.tracer.BeginChild(0, int32(s.version.Load()), int32(len(vertices)), trace.CatServe, "queue_wait", span.ID()),
 	}
 	select {
 	case s.reqCh <- r:
 		s.closeMu.RUnlock()
 	case <-ctx.Done():
 		s.closeMu.RUnlock()
+		r.wait.End()
 		s.reg.Counter("serve_cancelled_total").Inc()
 		return nil, ctx.Err()
 	}
@@ -337,159 +343,150 @@ func (s *Server) Query(ctx context.Context, vertices []graph.VertexID) (*Reply, 
 	}
 }
 
-// dispatch accumulates requests into micro-batches and hands them to the
-// executor when the batch fills or the flush deadline fires — whichever
-// comes first.
-func (s *Server) dispatch() {
-	defer s.wg.Done()
-	var (
-		pending []*request
-		verts   int
-		timer   *time.Timer
-		timerC  <-chan time.Time
-	)
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-			timerC = nil
-		}
-	}
-	flush := func() {
-		stopTimer()
-		if len(pending) == 0 {
-			return
-		}
-		batch := pending
-		pending = nil
-		verts = 0
-		select {
-		case s.execCh <- batch:
-		case <-s.stop:
-			failAll(batch, ErrClosed)
-		}
-	}
-	for {
-		select {
-		case r := <-s.reqCh:
-			pending = append(pending, r)
-			verts += len(r.vertices)
-			if verts >= s.batchSize {
-				flush()
-			} else if timer == nil {
-				timer = time.NewTimer(s.flush)
-				timerC = timer.C
-			}
-		case <-timerC:
-			timer = nil
-			timerC = nil
-			flush()
-		case <-s.stop:
-			stopTimer()
-			failAll(pending, ErrClosed)
-			// Drain anything that raced past the Query-side stop check.
-			for {
-				select {
-				case r := <-s.reqCh:
-					failAll([]*request{r}, ErrClosed)
-				default:
-					close(s.execCh)
-					return
-				}
-			}
-		}
-	}
-}
-
-// execute runs micro-batches sequentially; requests keep queueing in the
-// dispatcher while a batch computes.
+// execute is the server's one scheduler and executor. It sleeps until a
+// request is queued, then runs it with whatever else is already queued, up
+// to BatchSize query vertices. Nothing waits for company: an idle server
+// answers a lone request at once, and batches form exactly when requests
+// arrive faster than batches finish — which is when sharing a pass pays.
 func (s *Server) execute() {
 	defer s.wg.Done()
-	for batch := range s.execCh {
+	var batch []*request
+	for {
+		var first *request
+		select {
+		case first = <-s.reqCh:
+		case <-s.stop:
+			s.failQueued(nil)
+			return
+		}
+		// Take the lock before the rest of the batch, not after: what queues
+		// while a model update (or nothing at all) holds the executor up
+		// still joins this batch.
+		s.execMu.Lock()
+		select {
+		case <-s.stop:
+			s.execMu.Unlock()
+			s.failQueued(first)
+			return
+		default:
+		}
+		batch = append(batch[:0], first)
+		verts := len(first.vertices)
+	fill:
+		for verts < s.batchSize {
+			select {
+			case r := <-s.reqCh:
+				batch = append(batch, r)
+				verts += len(r.vertices)
+			default:
+				break fill
+			}
+		}
 		s.runBatch(batch)
+		s.execMu.Unlock()
+		clear(batch) // answered: the executor must not keep the replies alive
 	}
 }
 
-// failAll finishes every request with err.
-func failAll(batch []*request, err error) {
-	for _, r := range batch {
-		r.err = err
-		close(r.done)
+// failQueued fails first (when non-nil) and everything still queued with
+// ErrClosed; Close has barred admissions, so an empty reqCh stays empty.
+func (s *Server) failQueued(first *request) {
+	now := time.Now()
+	for r := first; ; {
+		if r != nil {
+			s.dequeued(r, now)
+			r.finish(nil, ErrClosed)
+		}
+		select {
+		case r = <-s.reqCh:
+		default:
+			return
+		}
 	}
 }
 
-// runBatch plans, computes and answers one micro-batch.
+// dequeued records that r left the queue at now.
+func (s *Server) dequeued(r *request, now time.Time) {
+	s.reg.Histogram("serve_queue_wait_ns").ObserveExemplar(now.Sub(r.enqueued).Nanoseconds(), r.span)
+	r.wait.End()
+}
+
+func (r *request) finish(reply *Reply, err error) {
+	r.reply, r.err = reply, err
+	close(r.done)
+}
+
+// runBatch plans, computes and answers one micro-batch, under execMu.
 func (s *Server) runBatch(batch []*request) {
-	s.execMu.Lock()
-	defer s.execMu.Unlock()
 	t0 := time.Now()
 	version := s.version.Load()
 
-	// Drop requests abandoned while waiting for the flush.
-	live := batch[:0]
+	// Drop requests abandoned while queued, and union the others' query
+	// vertices in first-seen order.
+	s.live, s.rootRow = batch[:0], s.rootRow[:0]
+	_ = s.universe.Reset(s.roots, nil) // no seeds, nothing to reject
 	for _, r := range batch {
-		if r.ctx != nil && r.ctx.Err() != nil {
-			r.err = r.ctx.Err()
-			close(r.done)
+		s.dequeued(r, t0)
+		if err := r.ctx.Err(); err != nil {
+			r.finish(nil, err)
 			continue
 		}
-		live = append(live, r)
-	}
-	if len(live) == 0 {
-		return
-	}
-
-	// Union the batch's query vertices in first-seen order.
-	var roots []graph.VertexID
-	seen := make(map[graph.VertexID]struct{})
-	for _, r := range live {
+		s.live = append(s.live, r)
 		for _, v := range r.vertices {
-			if _, ok := seen[v]; !ok {
-				seen[v] = struct{}{}
-				roots = append(roots, v)
-			}
+			s.rootRow = append(s.rootRow, s.universe.Add(v)) // Query bounds-checked v
 		}
 	}
+	if len(s.live) == 0 {
+		return
+	}
+	// Own the union: the planner resets the universe for each layer.
+	s.roots = s.universe.Vertices()
 
-	span := s.tracer.Begin(0, int32(version), int32(len(roots)), trace.CatServe, "batch")
+	span := s.tracer.Begin(0, int32(version), int32(len(s.roots)), trace.CatServe, "batch")
 	defer span.End()
 	s.reg.Counter("serve_batches_total").Inc()
-	s.reg.Histogram("serve_batch_vertices").Observe(int64(len(roots)))
+	s.reg.Histogram("serve_batch_vertices").Observe(int64(len(s.roots)))
 
-	checkCancel := func() error {
-		for _, r := range live {
-			if r.ctx == nil || r.ctx.Err() == nil {
-				return nil
-			}
-		}
-		return context.Canceled // every requester is gone
+	err := s.planBatch(s.roots, version)
+	var logits *tensor.Tensor // one row per root, pooled
+	if err == nil {
+		logits, err = s.computeBatch(version, s.abandoned)
 	}
-
-	rows, err := func() ([][]float32, error) {
-		plans, err := s.planBatch(roots, version)
-		if err != nil {
-			return nil, err
-		}
-		return s.computeBatch(plans, roots, version, checkCancel)
-	}()
 	if err != nil {
-		failAll(live, err)
+		for _, r := range s.live {
+			r.finish(nil, err)
+		}
 		return
 	}
-	byVertex := make(map[graph.VertexID][]float32, len(roots))
-	for i, v := range roots {
-		byVertex[v] = rows[i]
-	}
-	for _, r := range live {
-		reply := &Reply{ModelVersion: version, Results: make([]Result, len(r.vertices))}
+	// One private backing array per reply: rows never alias another reply's,
+	// another result's of the same reply, the cache or pooled storage.
+	classes := logits.Cols()
+	rows := s.rootRow
+	for _, r := range s.live {
+		n := len(r.vertices)
+		reply := &Reply{ModelVersion: version, Results: make([]Result, n)}
+		flat := make([]float32, n*classes)
 		for i, v := range r.vertices {
-			logits := byVertex[v]
-			reply.Results[i] = Result{Vertex: v, Logits: logits, Class: argmax(logits)}
+			row := flat[i*classes : (i+1)*classes : (i+1)*classes]
+			copy(row, logits.Row(int(rows[i])))
+			reply.Results[i] = Result{Vertex: v, Logits: row, Class: argmax(row)}
 		}
-		r.reply = reply
-		close(r.done)
+		rows = rows[n:]
+		r.finish(reply, nil)
 	}
+	tensor.Recycle(logits)
 	s.reg.Histogram("serve_batch_ns").ObserveExemplar(time.Since(t0).Nanoseconds(), span.ID())
+}
+
+// abandoned reports context.Canceled once every requester of the batch in
+// hand is gone, which aborts its forward pass at the next layer boundary.
+func (s *Server) abandoned() error {
+	for _, r := range s.live {
+		if r.ctx.Err() == nil {
+			return nil
+		}
+	}
+	return context.Canceled
 }
 
 // argmax returns the index of the largest logit (ties break low, -1 for an

@@ -52,17 +52,15 @@ func (l *Local) FeatureDim() int { return l.cfg.Features.Cols() }
 // Close is a no-op: the local store owns no resources.
 func (l *Local) Close() error { return nil }
 
-// InEdges returns read-only views of each destination's CSR in-neighbor
-// list.
-func (l *Local) InEdges(ctx context.Context, dsts []graph.VertexID) ([][]graph.VertexID, error) {
+// InEdges visits each destination's CSR in-neighbor list in place.
+func (l *Local) InEdges(ctx context.Context, dsts []graph.VertexID, visit func(nbrs []graph.VertexID)) error {
 	if err := ctx.Err(); err != nil {
-		return nil, &FetchError{Op: "in_edges", Verts: len(dsts), Err: err}
+		return &FetchError{Op: "in_edges", Verts: len(dsts), Err: err}
 	}
-	out := make([][]graph.VertexID, len(dsts))
-	for i, v := range dsts {
-		out[i] = l.cfg.Graph.InNeighbors(v)
+	for _, v := range dsts {
+		visit(l.cfg.Graph.InNeighbors(v))
 	}
-	return out, nil
+	return nil
 }
 
 // Sample runs the configured UDF over the roots, each root seeded from

@@ -153,6 +153,7 @@ type Stream struct {
 
 	// Synchronous mode (Depth <= 0).
 	sync      bool
+	u         *Universe
 	epoch     int
 	epochSeed uint64
 	batches   [][]graph.VertexID
@@ -177,7 +178,7 @@ func (s *Sampler) Epoch(ctx context.Context, epoch int, batches [][]graph.Vertex
 		batches:   batches,
 	}
 	if s.opts.Depth <= 0 {
-		st.sync = true
+		st.sync, st.u = true, NewUniverse(s.gs.NumVertices())
 		return st
 	}
 
@@ -216,8 +217,9 @@ func (s *Sampler) Epoch(ctx context.Context, epoch int, batches [][]graph.Vertex
 		st.wg.Add(1)
 		go func() {
 			defer st.wg.Done()
+			u := NewUniverse(s.gs.NumVertices()) // this worker's own
 			for i := range jobs {
-				b, err := s.materialize(ictx, epoch, st.epochSeed, i, batches[i])
+				b, err := s.materialize(ictx, u, epoch, st.epochSeed, i, batches[i])
 				slots[i] <- result{b, err} // cap 1: never blocks
 				if err != nil {
 					return
@@ -266,7 +268,7 @@ func (st *Stream) Next() (*Batch, error) {
 			st.err = io.EOF
 			return nil, io.EOF
 		}
-		b, err := st.s.materialize(st.ctx, st.epoch, st.epochSeed, st.next, st.batches[st.next])
+		b, err := st.s.materialize(st.ctx, st.u, st.epoch, st.epochSeed, st.next, st.batches[st.next])
 		if err != nil {
 			st.fail(err)
 			return nil, err
@@ -333,15 +335,16 @@ func (st *Stream) Close() {
 
 // materialize builds one self-contained batch: dependency structure first
 // (CatSample "sample" span), then the feature/label gather over the batch
-// universe (CatSample "gather" span).
-func (s *Sampler) materialize(ctx context.Context, epoch int, epochSeed uint64, idx int, roots []graph.VertexID) (*Batch, error) {
+// universe (CatSample "gather" span). u is the calling goroutine's scratch
+// index.
+func (s *Sampler) materialize(ctx context.Context, u *Universe, epoch int, epochSeed uint64, idx int, roots []graph.VertexID) (*Batch, error) {
 	b := &Batch{Epoch: epoch, Index: idx, Roots: roots}
 	span := s.opts.Tracer.Begin(s.opts.Rank, int32(epoch), int32(idx), trace.CatSample, "sample")
 	var err error
 	if s.opts.Hops > 0 {
 		err = s.extractKHop(ctx, b)
 	} else {
-		err = s.extractLayered(ctx, epoch, epochSeed, idx, b)
+		err = s.extractLayered(ctx, u, epoch, epochSeed, idx, b)
 	}
 	span.End()
 	if err != nil {
@@ -379,7 +382,7 @@ func (s *Sampler) extractKHop(ctx context.Context, b *Batch) error {
 
 // extractLayered builds per-layer plans top-down from the roots: layer l's
 // input universe is layer l-1's output frontier.
-func (s *Sampler) extractLayered(ctx context.Context, epoch int, epochSeed uint64, idx int, b *Batch) error {
+func (s *Sampler) extractLayered(ctx context.Context, u *Universe, epoch int, epochSeed uint64, idx int, b *Batch) error {
 	L := s.opts.Layers
 	if L <= 0 {
 		L = 1
@@ -393,12 +396,10 @@ func (s *Sampler) extractLayered(ctx context.Context, epoch int, epochSeed uint6
 	b.Plans = make([]LayerPlan, L)
 	frontier := b.Roots
 	for l := L - 1; l >= 0; l-- {
-		p, err := Expand(ctx, s.gs, s.opts.Schema, frontier, sel)
-		if err != nil {
+		if err := Expand(ctx, s.gs, s.opts.Schema, u, frontier, sel, &b.Plans[l]); err != nil {
 			return err
 		}
-		b.Plans[l] = p
-		frontier = p.In
+		frontier = b.Plans[l].In
 	}
 	b.In = b.Plans[0].In
 	b.RootRows = make([]int32, len(b.Roots))
@@ -412,42 +413,50 @@ func (s *Sampler) extractLayered(ctx context.Context, epoch int, epochSeed uint6
 	return nil
 }
 
-// Expand builds the plan of one layer whose output frontier is out — the one
-// frontier expansion mini-batch training and serving share (the k-hop
+// Expand builds into p the plan of one layer whose output frontier is out —
+// the one frontier expansion mini-batch training and serving share (the k-hop
 // sub-HDG extraction of §4.1, one hop at a time). A nil schema takes each
 // frontier vertex's 1-hop in-edges from gs; otherwise sel supplies the
 // frontier's neighbor records, which become a leaf-remapped sub-HDG. The
 // universe puts the frontier first (the Update stage's self rows), then each
 // destination's sources in whole-graph order, which is what keeps a batch
 // bit-identical to whole-graph execution.
-func Expand(ctx context.Context, gs GraphStore, schema *hdg.SchemaTree, out []graph.VertexID,
-	sel func(frontier []graph.VertexID) ([]hdg.Record, error)) (LayerPlan, error) {
-	p := LayerPlan{Out: out}
-	u := NewUniverse(out)
+//
+// u is the caller's scratch index (reset here). Whatever p held is dead after
+// the call — its In and adjacency arrays are rebuilt in place, so expanding
+// batch after batch into the same plan stops allocating; a zero p gets
+// storage of its own.
+func Expand(ctx context.Context, gs GraphStore, schema *hdg.SchemaTree, u *Universe, out []graph.VertexID,
+	sel func(frontier []graph.VertexID) ([]hdg.Record, error), p *LayerPlan) error {
+	err := u.Reset(p.In, out)
+	if err != nil {
+		return err
+	}
 	if schema == nil {
-		nbrs, err := gs.InEdges(ctx, out)
-		if err != nil {
-			return p, err
+		p.Sub = nil
+		if p.Adj, err = u.InEdgeAdjacency(ctx, gs, out, p.Adj); err != nil {
+			return err
 		}
-		p.Adj = u.InEdgeAdjacency(out, nbrs)
 	} else {
 		recs, err := sel(out)
 		if err != nil {
-			return p, err
+			return err
 		}
 		h, err := hdg.Build(schema, out, recs)
 		if err != nil {
-			return p, err
+			return err
 		}
 		if !schema.IsFlat() {
 			// Multi-type schemas aggregate through the hierarchical
 			// driver; force that shape even for degenerate batches.
 			h.Hierarchicalize()
 		}
+		p.Adj = nil
 		if p.Sub, err = u.SubHDG(h); err != nil {
-			return p, err
+			return err
 		}
 	}
 	p.In = u.Vertices()
-	return p, nil
+	p.Out = p.In[:len(out):len(out)]
+	return nil
 }

@@ -136,3 +136,47 @@ func BenchmarkPrefetchOverlap(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkExpand times store.Expand alone — the frontier expansion the
+// sampler and the serve planner share — over 64-vertex frontiers of
+// TwitterLike x0.25. inedges is the DNFA expansion as the serve executor
+// drives it (one universe and one plan, rebuilt in place); subhdg is the HDG
+// expansion as a sampler worker drives it (its own universe, a fresh plan per
+// batch, because the batch outlives the call).
+func BenchmarkExpand(b *testing.B) {
+	d, err := dataset.ByName("twitter", dataset.Config{Scale: 0.25, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	schema := hdg.NewSchemaTree("vertex")
+	l := NewLocal(LocalConfig{Graph: d.Graph, Schema: schema, UDF: testUDF})
+	n := d.Graph.NumVertices()
+	frontiers := batchesOf(d, n, 64)
+	sel := func(f []graph.VertexID) ([]hdg.Record, error) { return l.Sample(context.Background(), f, 7) }
+	for _, c := range []struct {
+		name   string
+		schema *hdg.SchemaTree
+		reuse  bool
+	}{{"inedges", nil, true}, {"subhdg", schema, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			u := NewUniverse(n)
+			var p LayerPlan
+			expand := func(i int) {
+				if !c.reuse {
+					p = LayerPlan{}
+				}
+				if err := Expand(context.Background(), l, c.schema, u, frontiers[i%len(frontiers)], sel, &p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := range frontiers { // grow the reused arrays to their steady state
+				expand(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				expand(i)
+			}
+		})
+	}
+}

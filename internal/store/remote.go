@@ -235,28 +235,27 @@ func (r *Remote) terminal() error {
 }
 
 // InEdges queries the server for each destination's 1-hop in-neighbors.
-func (r *Remote) InEdges(ctx context.Context, dsts []graph.VertexID) ([][]graph.VertexID, error) {
+func (r *Remote) InEdges(ctx context.Context, dsts []graph.VertexID, visit func(nbrs []graph.VertexID)) error {
 	reply, err := r.call(ctx, "in_edges", len(dsts), &rpc.Message{
 		Kind: rpc.KindSample, Layer: opInEdges, IDs: vertsToIDs(dsts),
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(reply.Counts) != len(dsts) {
-		return nil, &FetchError{Op: "in_edges", Verts: len(dsts),
+		return &FetchError{Op: "in_edges", Verts: len(dsts),
 			Err: fmt.Errorf("store: reply has %d counts, want %d", len(reply.Counts), len(dsts))}
 	}
-	out := make([][]graph.VertexID, len(dsts))
 	off := 0
-	for i, n := range reply.Counts {
+	for _, n := range reply.Counts {
 		if n < 0 || off+int(n) > len(reply.IDs) {
-			return nil, &FetchError{Op: "in_edges", Verts: len(dsts),
+			return &FetchError{Op: "in_edges", Verts: len(dsts),
 				Err: fmt.Errorf("store: malformed in_edges reply")}
 		}
-		out[i] = idsToVerts(reply.IDs[off : off+int(n)])
+		visit(reply.IDs[off : off+int(n)]) // VertexID is int32: a view, no copy
 		off += int(n)
 	}
-	return out, nil
+	return nil
 }
 
 // Sample asks the server to run its configured neighbor UDF over the roots
@@ -416,17 +415,13 @@ func (s *Server) handle(m *rpc.Message) {
 	ctx := context.Background()
 	switch m.Layer {
 	case opInEdges:
-		nbrs, _ := s.local.InEdges(ctx, idsToVerts(m.IDs))
-		reply.Counts = make([]int32, len(nbrs))
-		total := 0
-		for i, ns := range nbrs {
-			reply.Counts[i] = int32(len(ns))
-			total += len(ns)
-		}
-		reply.IDs = make([]int32, 0, total)
-		for _, ns := range nbrs {
-			reply.IDs = append(reply.IDs, vertsToIDs(ns)...)
-		}
+		reply.Counts = make([]int32, 0, len(m.IDs))
+		// A Local store's InEdges fails only on a cancelled context, and
+		// this one never is.
+		_ = s.local.InEdges(ctx, idsToVerts(m.IDs), func(ns []graph.VertexID) {
+			reply.Counts = append(reply.Counts, int32(len(ns)))
+			reply.IDs = append(reply.IDs, ns...)
+		})
 	case opSample:
 		if len(m.Counts) != 2 {
 			reply.Layer = -m.Layer

@@ -30,10 +30,12 @@ import (
 type GraphStore interface {
 	// NumVertices returns the vertex count of the stored graph.
 	NumVertices() int
-	// InEdges returns, for each destination, its 1-hop in-neighbor list in
-	// whole-graph order — the DNFA dependency structure. The returned
-	// slices are read-only views; callers must not mutate them.
-	InEdges(ctx context.Context, dsts []graph.VertexID) ([][]graph.VertexID, error)
+	// InEdges calls visit once per destination, in order, with its 1-hop
+	// in-neighbor list in whole-graph order — the DNFA dependency
+	// structure. The lists are read-only views valid only during the call
+	// (visit must neither mutate nor keep them); on an error, whatever was
+	// visited so far is to be discarded.
+	InEdges(ctx context.Context, dsts []graph.VertexID, visit func(nbrs []graph.VertexID)) error
 	// Sample runs the store's configured neighbor UDF over the roots with
 	// per-vertex seeds derived from (epochSeed, root), so a vertex's
 	// records do not depend on which batch it arrived in — the property

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hdg"
 	"repro/internal/rpc"
@@ -76,10 +79,26 @@ func firstRoots(d *dataset.Dataset, n int) []graph.VertexID {
 	return roots
 }
 
+// listStore is a GraphStore that answers InEdges from a fixed table.
+type listStore struct {
+	*Local
+	nbrs map[graph.VertexID][]graph.VertexID
+}
+
+func (l listStore) InEdges(_ context.Context, dsts []graph.VertexID, visit func([]graph.VertexID)) error {
+	for _, v := range dsts {
+		visit(l.nbrs[v])
+	}
+	return nil
+}
+
 func TestUniverseOrdering(t *testing.T) {
-	u := NewUniverse([]graph.VertexID{5, 3, 9})
-	if u.Len() != 3 || u.Row(3) != 1 {
-		t.Fatalf("seed rows wrong: len=%d row(3)=%d", u.Len(), u.Row(3))
+	u := NewUniverse(16)
+	if err := u.Reset(nil, []graph.VertexID{5, 3, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if len(u.Vertices()) != 3 || u.Add(3) != 1 {
+		t.Fatalf("seed rows wrong: len=%d row(3)=%d", len(u.Vertices()), u.Add(3))
 	}
 	if r := u.Add(5); r != 0 {
 		t.Fatalf("re-adding seed must return its row, got %d", r)
@@ -87,21 +106,107 @@ func TestUniverseOrdering(t *testing.T) {
 	if r := u.Add(7); r != 3 {
 		t.Fatalf("new vertex must append, got row %d", r)
 	}
-	if u.Row(42) != -1 {
-		t.Fatal("absent vertex must report -1")
+	if u.Add(16) != -1 || u.Add(-1) != -1 || len(u.Vertices()) != 4 {
+		t.Fatal("a vertex outside the graph must be refused")
 	}
 
-	adj := u.InEdgeAdjacency(
-		[]graph.VertexID{5, 3},
-		[][]graph.VertexID{{9, 7, 11}, {5}},
-	)
-	if adj.NumDst != 2 || adj.NumSrc != u.Len() {
-		t.Fatalf("adjacency dims: dst=%d src=%d universe=%d", adj.NumDst, adj.NumSrc, u.Len())
+	gs := listStore{nbrs: map[graph.VertexID][]graph.VertexID{5: {9, 7, 11}, 3: {5}}}
+	adj, err := u.InEdgeAdjacency(context.Background(), gs, []graph.VertexID{5, 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adj.NumDst != 2 || adj.NumSrc != len(u.Vertices()) {
+		t.Fatalf("adjacency dims: dst=%d src=%d universe=%d", adj.NumDst, adj.NumSrc, len(u.Vertices()))
 	}
 	wantPtr := []int64{0, 3, 4}
 	wantIdx := []int32{2, 3, 4, 0} // 9->2, 7->3, 11 appended as 4, 5->0
 	if !reflect.DeepEqual(adj.DstPtr, wantPtr) || !reflect.DeepEqual(adj.SrcIdx, wantIdx) {
 		t.Fatalf("adjacency ptr=%v idx=%v, want %v %v", adj.DstPtr, adj.SrcIdx, wantPtr, wantIdx)
+	}
+
+	// A neighbor or a seed outside the graph is an error, not a panic: the
+	// lists may come from a remote store.
+	gs.nbrs[3] = []graph.VertexID{99}
+	var fe *FetchError
+	if _, err := u.InEdgeAdjacency(context.Background(), gs, []graph.VertexID{3}, nil); !errors.As(err, &fe) {
+		t.Fatalf("out-of-range neighbor: err = %v, want *FetchError", err)
+	}
+	if err := u.Reset(nil, []graph.VertexID{2, 16}); err == nil {
+		t.Fatal("out-of-range seed must error")
+	}
+}
+
+// TestUniverseReuseMatchesFresh: a universe reused across 1000 random
+// frontiers (its generation counter wrapping on the way, its buffers and
+// adjacency arrays recycled) yields exactly the In, Adj and SubHDG of a
+// universe made fresh for each.
+func TestUniverseReuseMatchesFresh(t *testing.T) {
+	d, l := testLocal(t, 1)
+	n := d.Graph.NumVertices()
+	schema := hdg.NewSchemaTree("vertex")
+	ctx := context.Background()
+	rng := tensor.NewRNG(5)
+	reused := NewUniverse(n)
+	reused.gen = math.MaxUint32 - 300 // wraps about a third of the way in
+	var in []graph.VertexID
+	var adj *engine.Adjacency
+	for trial := 0; trial < 1000; trial++ {
+		frontier := make([]graph.VertexID, 0, 24)
+		for _, v := range rng.Perm(n)[:1+rng.Intn(24)] {
+			frontier = append(frontier, graph.VertexID(v))
+		}
+		fresh := NewUniverse(n)
+		if err := fresh.Reset(nil, frontier); err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.Reset(in, frontier); err != nil {
+			t.Fatal(err)
+		}
+		if trial%2 == 0 {
+			want, err := fresh.InEdgeAdjacency(ctx, l, frontier, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if adj, err = reused.InEdgeAdjacency(ctx, l, frontier, adj); err != nil {
+				t.Fatal(err)
+			}
+			if adj.NumDst != want.NumDst || adj.NumSrc != want.NumSrc ||
+				!slices.Equal(adj.DstPtr, want.DstPtr) || !slices.Equal(adj.SrcIdx, want.SrcIdx) {
+				t.Fatalf("trial %d: reused adjacency differs from fresh", trial)
+			}
+		} else {
+			recs := make([]hdg.Record, 0, len(frontier))
+			for _, v := range frontier {
+				recs = append(recs, hdg.Record{Root: v, Nei: d.Graph.InNeighbors(v)})
+			}
+			h, err := hdg.Build(schema, frontier, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.SubHDG(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := reused.SubHDG(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.LeafIDs, want.LeafIDs) {
+				t.Fatalf("trial %d: reused sub-HDG leaves differ from fresh", trial)
+			}
+		}
+		in = reused.Vertices()
+		if !slices.Equal(in, fresh.Vertices()) {
+			t.Fatalf("trial %d: reused In differs from fresh", trial)
+		}
+		for row, v := range in {
+			if got := reused.Add(v); got != int32(row) {
+				t.Fatalf("trial %d: vertex %d has row %d, want %d", trial, v, got, row)
+			}
+		}
+	}
+	if reused.gen > 1000 {
+		t.Fatalf("generation %d: the counter never wrapped", reused.gen)
 	}
 }
 
@@ -143,14 +248,17 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	ctx := context.Background()
 	roots := firstRoots(d, 24)
 
-	lNbrs, err := l.InEdges(ctx, roots)
-	if err != nil {
-		t.Fatal(err)
+	collect := func(gs GraphStore) (lists [][]graph.VertexID) {
+		t.Helper()
+		err := gs.InEdges(ctx, roots, func(nbrs []graph.VertexID) {
+			lists = append(lists, slices.Clone(nbrs))
+		})
+		if err != nil || len(lists) != len(roots) {
+			t.Fatalf("in-edges: %d lists for %d roots, err %v", len(lists), len(roots), err)
+		}
+		return lists
 	}
-	rNbrs, err := r.InEdges(ctx, roots)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lNbrs, rNbrs := collect(l), collect(r)
 	for i := range roots {
 		if len(lNbrs[i]) != len(rNbrs[i]) {
 			t.Fatalf("in-edges %d: %d vs %d neighbors", i, len(lNbrs[i]), len(rNbrs[i]))

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -12,72 +14,95 @@ import (
 // previous-layer activations a batch computation reads, each assigned one
 // row. The seed vertices (a layer's output frontier) come first, so the
 // Update stage's self-feature gather is the identity prefix; dependencies
-// are appended in deterministic first-add order. This is the ordering
-// invariant the serve planner introduced in PR 5 — extracting it here lets
-// the prefetch sampler and the planner share one implementation.
+// are appended in deterministic first-add order — the one ordering the
+// prefetch sampler and the serve planner share.
+//
+// The vertex -> row index is a dense stamp table over the graph's vertex
+// IDs: a slot counts only while its generation is current, so Reset forgets
+// every row in O(1) and one Universe serves every expansion its owner makes
+// without allocating. Not safe for concurrent use: one per goroutine.
 type Universe struct {
 	in    []graph.VertexID
-	index map[graph.VertexID]int32
+	slots []slot
+	gen   uint32
 }
 
-// NewUniverse starts a universe from the seed vertices, which must be
-// duplicate-free (a layer frontier always is).
-func NewUniverse(seeds []graph.VertexID) *Universe {
-	u := &Universe{
-		in:    append([]graph.VertexID(nil), seeds...),
-		index: make(map[graph.VertexID]int32, 2*len(seeds)),
-	}
-	for i, v := range u.in {
-		u.index[v] = int32(i)
-	}
-	return u
+type slot struct {
+	gen uint32
+	row int32
 }
 
-// Add ensures v has a row and returns it.
+// NewUniverse returns an empty universe over vertex IDs [0, numVertices).
+func NewUniverse(numVertices int) *Universe {
+	return &Universe{slots: make([]slot, numVertices)}
+}
+
+// Reset starts a new universe from the seed vertices, which must be
+// duplicate-free (a layer frontier always is). The rows are built in buf's
+// backing array (nil: Vertices outlives the next Reset).
+func (u *Universe) Reset(buf, seeds []graph.VertexID) error {
+	u.gen++
+	if u.gen == 0 {
+		clear(u.slots) // wrapped: slots stamped 2^32 resets ago would read as current
+		u.gen = 1
+	}
+	u.in = slices.Grow(buf[:0], len(seeds))
+	for _, v := range seeds {
+		if u.Add(v) < 0 {
+			return fmt.Errorf("store: seed vertex %d not in [0,%d)", v, len(u.slots))
+		}
+	}
+	return nil
+}
+
+// Add ensures v has a row and returns it (-1: v is outside the graph).
 func (u *Universe) Add(v graph.VertexID) int32 {
-	if i, ok := u.index[v]; ok {
-		return i
+	if uint(v) >= uint(len(u.slots)) {
+		return -1
 	}
-	i := int32(len(u.in))
-	u.index[v] = i
-	u.in = append(u.in, v)
-	return i
-}
-
-// Row returns v's row, or -1 if v is not in the universe.
-func (u *Universe) Row(v graph.VertexID) int32 {
-	if i, ok := u.index[v]; ok {
-		return i
+	s := &u.slots[v]
+	if s.gen != u.gen {
+		*s = slot{gen: u.gen, row: int32(len(u.in))}
+		u.in = append(u.in, v)
 	}
-	return -1
+	return s.row
 }
 
 // Vertices returns the universe's vertices in row order. The slice is owned
-// by the universe; callers must not mutate it.
+// by the universe until the next Reset; callers must not mutate it.
 func (u *Universe) Vertices() []graph.VertexID { return u.in }
 
-// Len returns the number of rows.
-func (u *Universe) Len() int { return len(u.in) }
-
-// InEdgeAdjacency appends each destination's in-neighbors to the universe
-// and returns the sub-level adjacency over it: one destination row per dst
-// (in order), sources remapped to universe rows with whole-graph neighbor
-// order preserved — the property that keeps batched aggregation bit-equal
-// to the whole-graph level. nbrs[i] lists dsts[i]'s in-neighbors.
-func (u *Universe) InEdgeAdjacency(dsts []graph.VertexID, nbrs [][]graph.VertexID) *engine.Adjacency {
-	ptr := make([]int64, len(dsts)+1)
-	total := 0
-	for _, ns := range nbrs {
-		total += len(ns)
+// InEdgeAdjacency appends each destination's in-neighbors (read from gs) to
+// the universe and returns the sub-level adjacency over it: one destination
+// row per dst (in order), sources remapped to universe rows with whole-graph
+// neighbor order preserved — the property that keeps batched aggregation
+// bit-equal to the whole-graph level. DstPtr and SrcIdx are filled in one
+// pass over the store's lists, into the arrays of reuse when it is non-nil
+// (an earlier batch's adjacency that nothing reads any more).
+func (u *Universe) InEdgeAdjacency(ctx context.Context, gs GraphStore, dsts []graph.VertexID, reuse *engine.Adjacency) (*engine.Adjacency, error) {
+	adj := &engine.Adjacency{NumDst: len(dsts)}
+	if reuse != nil {
+		adj.DstPtr, adj.SrcIdx = reuse.DstPtr[:0], reuse.SrcIdx[:0]
 	}
-	idx := make([]int32, 0, total)
-	for i, ns := range nbrs {
-		for _, v := range ns {
-			idx = append(idx, u.Add(v))
+	adj.DstPtr = append(adj.DstPtr, 0)
+	bad := false
+	err := gs.InEdges(ctx, dsts, func(nbrs []graph.VertexID) {
+		for _, v := range nbrs {
+			row := u.Add(v)
+			bad = bad || row < 0
+			adj.SrcIdx = append(adj.SrcIdx, row)
 		}
-		ptr[i+1] = int64(len(idx))
+		adj.DstPtr = append(adj.DstPtr, int64(len(adj.SrcIdx)))
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &engine.Adjacency{NumDst: len(dsts), NumSrc: u.Len(), DstPtr: ptr, SrcIdx: idx}
+	if bad || len(adj.DstPtr) != len(dsts)+1 {
+		return nil, &FetchError{Op: "in_edges", Verts: len(dsts),
+			Err: fmt.Errorf("store: neighbor lists do not fit %d destinations over %d vertices", len(dsts), len(u.slots))}
+	}
+	adj.NumSrc = len(u.in)
+	return adj, nil
 }
 
 // SubHDG appends h's leaf vertices to the universe (in LeafVertexSet's
@@ -90,8 +115,8 @@ func (u *Universe) SubHDG(h *hdg.HDG) (*hdg.HDG, error) {
 		u.Add(v)
 	}
 	sub, err := h.RemapLeaves(func(v graph.VertexID) (graph.VertexID, bool) {
-		i := u.Row(v)
-		return graph.VertexID(i), i >= 0
+		row := u.Add(v) // a lookup: every leaf has its row by now
+		return row, row >= 0
 	})
 	if err != nil {
 		return nil, fmt.Errorf("store: remap leaves: %w", err)

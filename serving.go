@@ -8,8 +8,10 @@ import (
 )
 
 // Online inference. An InferenceServer answers per-vertex queries over a
-// trained model: requests are micro-batched (flush on batch size or
-// deadline), each batch's k-hop sub-HDG is extracted with the model's own
+// trained model: requests are micro-batched (whatever queued while the
+// executor was busy runs as one batch, up to ServeOptions.BatchSize vertices;
+// an idle server never waits), each batch's k-hop sub-HDG is extracted with
+// the model's own
 // NeighborSelection, and the forward pass runs over a compact per-batch
 // feature universe with a versioned per-layer embedding cache in front.
 // For deterministic-neighborhood models the answers are bit-identical to a
@@ -40,6 +42,10 @@ import (
 // *QueryLimitError / HTTP 413; negative disables); /v1/healthz rejects
 // non-GET methods. Code that queried the HTTP surface with well-formed
 // requests is unaffected.
+//
+// Migration notes (PR 17): ServeOptions.FlushInterval and
+// DefaultServeFlushInterval are gone with the flush timer — delete the
+// field; no setting replaces it. ServeReply rows are private to each reply.
 type (
 	// InferenceServer is the online inference service.
 	InferenceServer = serve.Server
@@ -106,10 +112,8 @@ const (
 
 // Serving defaults, re-exported for flag declarations.
 const (
-	// DefaultServeBatchSize is the micro-batch flush threshold.
+	// DefaultServeBatchSize is the micro-batch bound in query vertices.
 	DefaultServeBatchSize = serve.DefaultBatchSize
-	// DefaultServeFlushInterval is the micro-batch flush deadline.
-	DefaultServeFlushInterval = serve.DefaultFlushInterval
 	// DefaultServeCacheCapacity is the embedding cache bound in rows.
 	DefaultServeCacheCapacity = serve.DefaultCacheCapacity
 	// DefaultServeMaxQueryVertices is the per-request vertex cap.
