@@ -22,7 +22,9 @@ test:
 # the layer step (nau), the cross-driver parity legs (serve, cluster) and
 # the simulator-vs-cluster loss and byte parity (cluster). The dense path
 # rides along: the kernel oracle (tensor) and the fused-Linear parity (nn)
-# both run their grids at kernel parallelism 8 here.
+# both run their grids at kernel parallelism 8 here. So do the upper HDG
+# levels: the segment oracle (engine/segment_oracle_test.go) sweeps
+# parallelism {1, 2, 4} with the worker pool on and off under the detector.
 race: chaos
 	$(GO) test -race ./internal/tensor/... ./internal/engine/... \
 		./internal/nn/... ./internal/models/... \
@@ -112,7 +114,7 @@ fmt:
 # carries MB/s for kernels that call SetBytes.
 bench:
 	@{ $(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/tensor/; \
-	   $(GO) test -run xxx -bench 'Fused' -benchmem ./internal/engine/; \
+	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|AggregateIntermediate' -benchmem ./internal/engine/; \
 	   $(GO) test -run xxx -bench 'TrainStep' -benchmem .; \
 	   $(GO) test -run xxx -bench 'Span|Record' -benchmem ./internal/trace/; } | tee /tmp/bench_kernels.txt
 	@awk 'BEGIN { printf "{\n  \"benchmarks\": [\n"; first = 1 } \
@@ -137,11 +139,14 @@ bench:
 # an allocation per row or per element is hundreds), and ns/op only gets a
 # 4x cliff check, because single runs here swing 1.3-2x in wall time with
 # the host's CPU state. The dense rows (MatMul/TMatMul/MatMulT at the workloads' shapes)
-# run at kernel parallelism 1 and 2 inside the benchmark (/p1, /p2). A perf
-# claim is made with alternated parent/change pairs, not with this target.
+# run at kernel parallelism 1 and 2 inside the benchmark (/p1, /p2); the upper
+# HDG level rows (SegSoftmaxWeighted, AggregateIntermediate) and the MAGNN
+# train step run at the train_magnn_hetero shape. A perf claim is made with
+# alternated parent/change pairs, not with this target.
 bench-kernels-diff:
 	@{ $(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/tensor/; \
-	   $(GO) test -run xxx -bench 'Fused' -benchmem ./internal/engine/; } \
+	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|AggregateIntermediate' -benchmem ./internal/engine/; \
+	   $(GO) test -run xxx -bench 'TrainStepMAGNN' -benchmem .; } \
 		| tee /tmp/bench_kernels_diff.txt
 	$(GO) run ./cmd/benchdiff -max-regress 4.0 -max-alloc-regress 0.05 -alloc-slack 2 /tmp/bench_kernels_diff.txt
 
@@ -156,7 +161,8 @@ bench-kernels-diff:
 # any host.
 bench-smoke:
 	@{ $(GO) test -run xxx -bench 'Kernel' -benchtime 5x -benchmem ./internal/tensor/; \
-	   $(GO) test -run xxx -bench 'Fused' -benchtime 5x -benchmem ./internal/engine/; } \
+	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|AggregateIntermediate' -benchtime 5x -benchmem ./internal/engine/; \
+	   $(GO) test -run xxx -bench 'TrainStepMAGNN' -benchtime 5x -benchmem .; } \
 		> /tmp/bench_kernels_smoke.txt 2>&1 || { cat /tmp/bench_kernels_smoke.txt; exit 1; }
 	$(GO) run ./cmd/benchdiff -max-regress 4.0 -max-alloc-regress 0.05 -alloc-slack 2 \
 		-write-latest /tmp/bench_kernels_smoke.latest.json /tmp/bench_kernels_smoke.txt

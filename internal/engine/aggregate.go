@@ -21,8 +21,9 @@ const (
 	StrategySA Strategy = iota
 	// StrategySAFA adds feature fusion at the bottom level.
 	StrategySAFA
-	// StrategyHA is full hybrid aggregation: fusion at the bottom, sparse
-	// ops in the middle, dense tensor ops at the schema level.
+	// StrategyHA is full hybrid aggregation: fusion at the bottom, dense
+	// tensor ops at the schema level. (The intermediate level is a segment
+	// reduction under every strategy.)
 	StrategyHA
 )
 
@@ -106,34 +107,44 @@ func (e *Engine) AggregateBottom(adj *Adjacency, feats *nn.Value, op tensor.Redu
 	return fusedAggregate(adj, feats, op, true)
 }
 
-// AggregateIntermediate reduces instance features into (root, type) slots
-// with a sparse scatter — the level where sparse NN ops carry no
-// materialisation overhead because each instance has exactly one out-edge.
+// AggregateIntermediate reduces instance features into (root, type) slots.
+// Instances are stored contiguously per slot, so the level is a segment
+// reduction over h.InstOffset: each instance has exactly one out-edge, its
+// destination is implicit in its position (§4.1), and no index is built or
+// scanned. The paper's three strategies differ at the bottom and schema
+// levels only; this one runs the same way under all of them.
 func (e *Engine) AggregateIntermediate(h *hdg.HDG, instFeats *nn.Value, op tensor.ReduceOp) *nn.Value {
-	slots := h.InstanceSlots()
-	n := h.NumRoots() * h.NumTypes()
-	switch op {
-	case tensor.ReduceSum:
-		return nn.ScatterAdd(instFeats, slots, n)
-	case tensor.ReduceMean:
-		return nn.ScatterMean(instFeats, slots, n)
-	case tensor.ReduceMax:
-		return nn.ScatterMax(instFeats, slots, n)
-	case tensor.ReduceMin:
-		return nn.ScatterMin(instFeats, slots, n)
-	default:
-		panic(fmt.Sprintf("engine: unsupported intermediate op %v", op))
+	off := h.InstOffset
+	var arg []int32
+	if (op == tensor.ReduceMax || op == tensor.ReduceMin) && instFeats.RequiresGrad() {
+		arg = make([]int32, (len(off)-1)*instFeats.Data.Cols())
 	}
+	out := tensor.SegmentReduce(instFeats.Data, off, op, arg)
+	return nn.NewOp(out, func(out *nn.Value) {
+		nn.AccumGradOwned(instFeats, tensor.SegmentReduceBackward(out.Grad, off, op, arg))
+	}, instFeats)
 }
 
-// SoftmaxWeighted applies scatter_softmax attention over instances within
-// each (root, type) slot and returns the attention-weighted slot sums —
-// MAGNN's intermediate aggregation (Fig. 7's scatter_softmax step).
+// SoftmaxWeighted applies softmax attention over the instances of each
+// (root, type) slot and returns the attention-weighted slot sums — MAGNN's
+// intermediate aggregation (Fig. 7's scatter_softmax step) as one autograd
+// node over h.InstOffset: neither the weighted instances nor their gradient
+// are materialised, and each parent's gradient is formed only if it is read.
 func (e *Engine) SoftmaxWeighted(h *hdg.HDG, scores, instFeats *nn.Value) *nn.Value {
-	slots := h.InstanceSlots()
-	n := h.NumRoots() * h.NumTypes()
-	att := nn.ScatterSoftmax(scores, slots, n)
-	return nn.ScatterAdd(nn.MulBroadcast(att, instFeats), slots, n)
+	off := h.InstOffset
+	data, att := tensor.SegmentSoftmaxWeighted(scores.Data, instFeats.Data, off)
+	out := nn.NewOp(data, func(out *nn.Value) {
+		dScores, dInst := tensor.SegmentSoftmaxWeightedBackward(out.Grad, att, instFeats.Data, off,
+			scores.RequiresGrad(), instFeats.RequiresGrad())
+		if dScores != nil {
+			nn.AccumGradOwned(scores, dScores)
+		}
+		if dInst != nil {
+			nn.AccumGradOwned(instFeats, dInst)
+		}
+	}, scores, instFeats)
+	nn.AttachScratch(out, att)
+	return out
 }
 
 // AggregateSchema reduces slot features [roots*T, dim] to root features
@@ -160,6 +171,8 @@ func (e *Engine) AggregateSchema(h *hdg.HDG, slotFeats *nn.Value, op tensor.Redu
 		return nn.ScatterMean(slotFeats, index, nR)
 	case tensor.ReduceMax:
 		return nn.ScatterMax(slotFeats, index, nR)
+	case tensor.ReduceMin:
+		return nn.ScatterMin(slotFeats, index, nR)
 	default:
 		panic(fmt.Sprintf("engine: unsupported schema op %v", op))
 	}

@@ -44,15 +44,17 @@ func randomHeteroHDG(t *testing.T, rng *tensor.RNG, nRoots, nVerts int) *hdg.HDG
 }
 
 // runHierarchical aggregates bottom -> intermediate -> schema under the
-// engine's strategy, backprops a deterministic seed, and returns the root
-// output plus the leaf gradient. It ends the step the way the training loops
-// do — ReleaseGraph returns every level's output to the pool — so each
-// configuration of the sweep computes on buffers the previous one recycled.
+// engine's strategy with the same operator at every level (so min and max
+// reach the segment level and both schema paths), backprops a deterministic
+// seed, and returns the root output plus the leaf gradient. It ends the step
+// the way the training loops do — ReleaseGraph returns every level's output
+// to the pool — so each configuration of the sweep computes on buffers the
+// previous one recycled.
 func runHierarchical(e *Engine, h *hdg.HDG, adj *Adjacency, base *tensor.Tensor, op tensor.ReduceOp) (*tensor.Tensor, *tensor.Tensor) {
 	feats := nn.Param(base.Clone())
 	inst := e.AggregateBottom(adj, feats, op)
-	slots := e.AggregateIntermediate(h, inst, tensor.ReduceSum)
-	root := e.AggregateSchema(h, slots, tensor.ReduceSum)
+	slots := e.AggregateIntermediate(h, inst, op)
+	root := e.AggregateSchema(h, slots, op)
 	loss := nn.MeanAll(root)
 	loss.Backward()
 	out, grad := root.Data.Clone(), feats.Grad.Clone()

@@ -38,9 +38,11 @@ var (
 //     instances -> (root, type) slots, slots -> roots.
 //
 // Each level executes on the hybrid engine's preferred path for that level
-// (§4.2): feature fusion at the bottom, sparse scatter in the middle, and a
-// dense reshape+reduce at the schema level under the HA strategy. The
-// distributed runtime transparently intercepts the bottom level.
+// (§4.2): feature fusion at the bottom, a segment reduction over the HDG's
+// own instance offsets in the middle (one out-edge per instance, nothing to
+// materialise), and a dense reshape+reduce at the schema level under the HA
+// strategy. The distributed runtime transparently intercepts the bottom
+// level.
 func (c *Context) Aggregate(feats *nn.Value, udfs ...LevelUDF) *nn.Value {
 	if c.HDG == nil {
 		if len(udfs) != 1 {

@@ -360,6 +360,87 @@ func TestAggregateDriverArity(t *testing.T) {
 	}()
 }
 
+// nau.Min is an exported level UDF: it must work at the intermediate and the
+// schema level under every strategy (the dense schema reduction used to
+// panic on it, the sparse fallback had no case for it). Forward and the
+// gradient reaching the input features are checked against naive loops.
+func TestAggregateMinAtUpperLevels(t *testing.T) {
+	const numVerts, numRoots, numTypes, dim = 12, 5, 3, 4
+	rng := tensor.NewRNG(77)
+	names := []string{"a", "b", "c"}
+	var roots []graph.VertexID
+	var recs []hdg.Record
+	for r := 0; r < numRoots; r++ {
+		roots = append(roots, graph.VertexID(r))
+		for ty := 0; ty < numTypes; ty++ {
+			if (r+ty)%4 == 0 {
+				continue // empty slot: a zero row that takes part in the root's min
+			}
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				nei := make([]graph.VertexID, 2+rng.Intn(2))
+				for i := range nei {
+					nei[i] = graph.VertexID(rng.Intn(numVerts))
+				}
+				recs = append(recs, hdg.Record{Root: roots[r], Nei: nei, Type: ty})
+			}
+		}
+	}
+	h, err := hdg.Build(hdg.NewSchemaTree(names...), roots, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.RandN(rng, 1, numVerts, dim)
+	seed := tensor.RandN(rng, 1, numRoots, dim)
+
+	// Naive reference: per root and column, the winning slot (first minimum
+	// over all numTypes slots, empty ones reading 0) and, inside it, the
+	// winning instance (first minimum); the gradient spreads over that
+	// instance's leaves with the mean's 1/len weight.
+	want, wantGrad := tensor.New(numRoots, dim), tensor.New(numVerts, dim)
+	for r := 0; r < numRoots; r++ {
+		for j := 0; j < dim; j++ {
+			best, bestInst := float32(0), -1
+			for ty := 0; ty < numTypes; ty++ {
+				lo, hi := h.Instances(r, ty)
+				slot, slotInst := float32(0), -1
+				for i := int(lo); i < int(hi); i++ {
+					var mean float32
+					for _, v := range h.Leaves(i) {
+						mean += x.At(int(v), j)
+					}
+					mean /= float32(len(h.Leaves(i)))
+					if slotInst < 0 || mean < slot {
+						slot, slotInst = mean, i
+					}
+				}
+				if ty == 0 || slot < best {
+					best, bestInst = slot, slotInst
+				}
+			}
+			want.Set(best, r, j)
+			if bestInst >= 0 {
+				leaves := h.Leaves(bestInst)
+				for _, v := range leaves {
+					wantGrad.Set(wantGrad.At(int(v), j)+seed.At(r, j)/float32(len(leaves)), int(v), j)
+				}
+			}
+		}
+	}
+
+	for _, strat := range []engine.Strategy{engine.StrategySA, engine.StrategySAFA, engine.StrategyHA} {
+		ctx := &Context{Graph: ringGraph(numVerts), HDG: h, Engine: engine.New(strat), NumFeatureRows: numVerts}
+		feats := nn.Param(x.Clone())
+		out := ctx.Aggregate(feats, Mean, Min, Min)
+		if !out.Data.ApproxEqual(want, 1e-6) {
+			t.Fatalf("[%v] Aggregate(Mean, Min, Min) = %v, want %v", strat, out.Data, want)
+		}
+		out.BackwardWith(seed)
+		if !feats.Grad.ApproxEqual(wantGrad, 1e-6) {
+			t.Fatalf("[%v] feature gradient = %v, want %v", strat, feats.Grad, wantGrad)
+		}
+	}
+}
+
 func expectPanicT(t *testing.T, what string) {
 	t.Helper()
 	if recover() == nil {

@@ -26,3 +26,16 @@ func AccumGrad(v *Value, grad *tensor.Tensor) { v.accumGrad(grad) }
 // v's accumulator (no zero-fill, no add pass); otherwise it is added and its
 // buffer recycled. The tensor must not be a view.
 func AccumGradOwned(v *Value, grad *tensor.Tensor) { v.accumGradOwned(grad) }
+
+// AttachScratch hands v a forward by-product that only v's backward closure
+// reads (an attention vector, an argmax table held as a tensor). Like v's
+// Data it must be owned outright: ReleaseGraph returns it to the buffer pool
+// when the step ends. A v with no backward — no parent requires grad — never
+// reads it, so it is returned now.
+func AttachScratch(v *Value, scratch *tensor.Tensor) {
+	if v.backward == nil {
+		tensor.Recycle(scratch)
+		return
+	}
+	v.scratch = scratch
+}

@@ -451,16 +451,24 @@ func TestScatterMinGradRouting(t *testing.T) {
 	}
 }
 
-func TestReduceMiddleMaxGradRouting(t *testing.T) {
-	// [1 root, 2 groups, 2 dims]: group maxima are (3, 4) from groups (1, 0).
-	w := Param(tensor.FromSlice([]float32{1, 4, 3, 2}, 1, 2, 2))
-	out := ReduceMiddle(w, tensor.ReduceMax)
-	if out.Data.At(0, 0) != 3 || out.Data.At(0, 1) != 4 {
-		t.Fatalf("middle max = %v", out.Data)
-	}
-	out.BackwardWith(tensor.Ones(1, 2))
-	want := tensor.FromSlice([]float32{0, 1, 1, 0}, 1, 2, 2)
-	if !w.Grad.ApproxEqual(want, 1e-6) {
-		t.Fatalf("middle max grad = %v, want %v", w.Grad, want)
+func TestReduceMiddleExtremeGradRouting(t *testing.T) {
+	// [1 root, 2 groups, 2 dims]: group maxima are (3, 4) from groups (1, 0),
+	// minima (1, 2) from groups (0, 1).
+	for _, c := range []struct {
+		op       tensor.ReduceOp
+		out, dIn []float32
+	}{
+		{tensor.ReduceMax, []float32{3, 4}, []float32{0, 1, 1, 0}},
+		{tensor.ReduceMin, []float32{1, 2}, []float32{1, 0, 0, 1}},
+	} {
+		w := Param(tensor.FromSlice([]float32{1, 4, 3, 2}, 1, 2, 2))
+		out := ReduceMiddle(w, c.op)
+		if !out.Data.ApproxEqual(tensor.FromSlice(c.out, 1, 2), 0) {
+			t.Fatalf("middle %v = %v", c.op, out.Data)
+		}
+		out.BackwardWith(tensor.Ones(1, 2))
+		if want := tensor.FromSlice(c.dIn, 1, 2, 2); !w.Grad.ApproxEqual(want, 1e-6) {
+			t.Fatalf("middle %v grad = %v, want %v", c.op, w.Grad, want)
+		}
 	}
 }

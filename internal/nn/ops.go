@@ -324,15 +324,15 @@ func ScatterSoftmax(values *Value, index []int32, numOut int) *Value {
 }
 
 // ReduceMiddle reduces a [N, G, D] value to [N, D]; see
-// tensor.Tensor.ReduceMiddle. Sum, mean and max are differentiable (max
-// routes gradients to the winning group per element, JK-Net's max-pooling
-// combiner).
+// tensor.Tensor.ReduceMiddle. Max and min route gradients to the winning
+// group per element (max is JK-Net's max-pooling combiner).
 func ReduceMiddle(a *Value, op tensor.ReduceOp) *Value {
-	if op == tensor.ReduceMax {
-		return reduceMiddleMax(a)
-	}
-	if op != tensor.ReduceSum && op != tensor.ReduceMean {
-		panic("nn: ReduceMiddle supports sum, mean and max only")
+	switch op {
+	case tensor.ReduceSum, tensor.ReduceMean:
+	case tensor.ReduceMax, tensor.ReduceMin:
+		return reduceMiddleExtreme(a, op == tensor.ReduceMax)
+	default:
+		panic(fmt.Sprintf("nn: unsupported ReduceMiddle op %v", op))
 	}
 	g := a.Data.Dim(1)
 	return newResult(a.Data.ReduceMiddle(op), func(out *Value) {
@@ -425,21 +425,25 @@ func SpMM(a, at *tensor.CSR, x *Value) *Value {
 	}, x)
 }
 
-func reduceMiddleMax(a *Value) *Value {
+func reduceMiddleExtreme(a *Value, max bool) *Value {
 	n, g, d := a.Data.Dim(0), a.Data.Dim(1), a.Data.Dim(2)
 	out := tensor.NewUninit(n, d) // every element written below
 	argmax := make([]int32, n*d)
 	ad, od := a.Data.Data(), out.Data()
-	// Copy-first fold with the shared arg-tracking max kernel, so the
-	// middle reduction ties, NaNs and signed zeros resolve exactly like the
-	// scatter and fused aggregation paths (builtin max semantics, first
+	foldArg := tensor.MaxArgUnrolled
+	if !max {
+		foldArg = tensor.MinArgUnrolled
+	}
+	// Copy-first fold with the shared arg-tracking kernels, so the middle
+	// reduction's ties, NaNs and signed zeros resolve exactly like the
+	// scatter and fused aggregation paths (builtin max/min semantics, first
 	// occurrence wins).
 	tensor.ParallelForGrain(n, tensor.GrainForCost(g*d), func(is, ie int) {
 		for i := is; i < ie; i++ {
 			base := i * g * d
 			copy(od[i*d:(i+1)*d], ad[base:base+d])
 			for j := 1; j < g; j++ {
-				tensor.MaxArgUnrolled(od[i*d:(i+1)*d], argmax[i*d:(i+1)*d], ad[base+j*d:base+(j+1)*d], int32(j))
+				foldArg(od[i*d:(i+1)*d], argmax[i*d:(i+1)*d], ad[base+j*d:base+(j+1)*d], int32(j))
 			}
 		}
 	})

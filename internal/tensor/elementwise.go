@@ -100,12 +100,18 @@ func (t *Tensor) Sigmoid() *Tensor {
 	return out
 }
 
-// Tanh returns tanh(t) elementwise.
+// transcendentalCost is the grain hint for one math.Tanh-sized call, in
+// single-element operations.
+const transcendentalCost = 32
+
+// Tanh returns tanh(t) elementwise, in a pooled tensor.
 func (t *Tensor) Tanh() *Tensor {
-	out := New(t.shape...)
-	for i, v := range t.data {
-		out.data[i] = float32(math.Tanh(float64(v)))
-	}
+	out := NewUninit(t.shape...) // every element written below
+	ParallelForGrain(len(t.data), GrainForCost(transcendentalCost), func(s, e int) {
+		for i := s; i < e; i++ {
+			out.data[i] = float32(math.Tanh(float64(t.data[i])))
+		}
+	})
 	return out
 }
 

@@ -107,10 +107,12 @@ func seedGather(src *Tensor, index []int32) *Tensor {
 
 // denseShapes are the products the end-to-end workloads run: GCN's two
 // layers on Reddit×1.5 (6000×64→64→16), PinSage's on Twitter (12000×32→16→4)
-// and MAGNN's [in,1] attention scorer — as [rows, inner, cols] of the forward
-// product x[rows,inner] @ W[inner,cols]. The backward products reuse them:
-// TMatMul is xᵀ @ dOut and MatMulT is dOut @ Wᵀ.
-var denseShapes = [][3]int{{6000, 64, 64}, {6000, 64, 16}, {12000, 32, 16}, {12000, 32, 4}, {6000, 64, 1}}
+// and MAGNN's [in,1] attention scorer, over 6000 rows and over the 32550
+// metapath instances of IMDB×0.7 (the rank-1 shapes matmul.go dispatches to
+// vector kernels) — as [rows, inner, cols] of the forward product
+// x[rows,inner] @ W[inner,cols]. The backward products reuse them: TMatMul is
+// xᵀ @ dOut and MatMulT is dOut @ Wᵀ.
+var denseShapes = [][3]int{{6000, 64, 64}, {6000, 64, 16}, {12000, 32, 16}, {12000, 32, 4}, {6000, 64, 1}, {32550, 64, 1}}
 
 // benchDense runs one product at every workload shape and at kernel
 // parallelism 1 and 2 (the benchmark host has two CPUs; p1 is the row a

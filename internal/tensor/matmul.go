@@ -20,6 +20,15 @@ import "fmt"
 // [m, n] output stays cache-resident; MatMulT shares each left-row load
 // between two output columns. No term is skipped for a zero factor: 0·Inf
 // and 0·NaN are NaN, as in the naive triple loop.
+//
+// Rank-1 shapes — a [dim, 1] scorer applied to every row, and the two
+// products of its backward pass — are dispatched on shape to vector kernels
+// that form the same terms in the same order: MatMul with n = 1 is one
+// p-ascending dot per row (dotRows), TMatMul with n = 1 one Axpy4 of four
+// whole t rows per four p, MatMulT with k = 1 the outer product +0 + t[i]·o[j]
+// (DotUnrolled's first partial sum; the other three stay +0). The general
+// loops would reach the same values through length-1 Axpy4 and dot2Unrolled
+// calls, one per output element per four terms.
 
 // MatMul returns t @ o for 2-D tensors [m,k] x [k,n] -> [m,n].
 func (t *Tensor) MatMul(o *Tensor) *Tensor { return t.MatMulBias(o, nil, false) }
@@ -38,17 +47,24 @@ func (t *Tensor) MatMulBias(o, bias *Tensor, relu bool) *Tensor {
 	}
 	out := NewUninit(m, n) // every row is cleared below before it accumulates
 	ParallelForGrain(m, GrainForCost(k*n), func(rs, re int) {
+		if n == 1 {
+			// One output column: the range's sums in one call, the loop
+			// below left with the epilogue.
+			dotRows(out.data[rs:re], t.data[rs*k:re*k], o.data)
+		}
 		for i := rs; i < re; i++ {
 			ti := t.data[i*k : (i+1)*k]
 			oi := out.data[i*n : (i+1)*n]
-			clear(oi)
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				Axpy4(oi, o.data[p*n:(p+1)*n], o.data[(p+1)*n:(p+2)*n], o.data[(p+2)*n:(p+3)*n], o.data[(p+3)*n:(p+4)*n],
-					ti[p], ti[p+1], ti[p+2], ti[p+3])
-			}
-			for ; p < k; p++ {
-				AxpyUnrolled(oi, o.data[p*n:(p+1)*n], ti[p])
+			if n != 1 {
+				clear(oi)
+				p := 0
+				for ; p+4 <= k; p += 4 {
+					Axpy4(oi, o.data[p*n:(p+1)*n], o.data[(p+1)*n:(p+2)*n], o.data[(p+2)*n:(p+3)*n], o.data[(p+3)*n:(p+4)*n],
+						ti[p], ti[p+1], ti[p+2], ti[p+3])
+				}
+				for ; p < k; p++ {
+					AxpyUnrolled(oi, o.data[p*n:(p+1)*n], ti[p])
+				}
 			}
 			if bias != nil {
 				AddUnrolled(oi, bias.data)
@@ -65,6 +81,39 @@ func (t *Tensor) MatMulBias(o, bias *Tensor, relu bool) *Tensor {
 	return out
 }
 
+// dotRows writes dst[i] = Σ_p rows[i][p]·x[p] for the len(dst) rows of width
+// len(x) packed in rows, each sum starting at +0 and taking p in ascending
+// order through a single accumulator — MatMul's order for a one-column right
+// operand. One such sum is a chain of dependent adds, so four rows run
+// abreast, sharing each load of x.
+func dotRows(dst, rows, x []float32) {
+	k := len(x)
+	if len(rows) != len(dst)*k {
+		panic("tensor: dotRows length mismatch")
+	}
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		r0, r1 := rows[i*k:][:k], rows[(i+1)*k:][:k]
+		r2, r3 := rows[(i+2)*k:][:k], rows[(i+3)*k:][:k]
+		var s0, s1, s2, s3 float32
+		for p, xv := range x {
+			s0 += r0[p] * xv
+			s1 += r1[p] * xv
+			s2 += r2[p] * xv
+			s3 += r3[p] * xv
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(dst); i++ {
+		r := rows[i*k:][:k]
+		var s float32
+		for p, xv := range x {
+			s += r[p] * xv
+		}
+		dst[i] = s
+	}
+}
+
 // MatMulT returns t @ oᵀ for 2-D tensors [m,k] x [n,k] -> [m,n]. Using the
 // transposed right operand keeps both inner accesses sequential, which is
 // the layout the backward pass of Linear needs (grad of the input).
@@ -78,6 +127,14 @@ func (t *Tensor) MatMulT(o *Tensor) *Tensor {
 		for i := rs; i < re; i++ {
 			ti := t.data[i*k : (i+1)*k]
 			oi := out.data[i*n : (i+1)*n]
+			if k == 1 {
+				var zero float32 // +0 + x is x except for x = -0, which becomes +0
+				tv, ov := ti[0], o.data[:len(oi)]
+				for j := range oi {
+					oi[j] = zero + tv*ov[j]
+				}
+				continue
+			}
 			j := 0
 			for ; j+2 <= n; j += 2 {
 				oi[j], oi[j+1] = dot2Unrolled(ti, o.data[j*k:(j+1)*k], o.data[(j+1)*k:(j+2)*k])
@@ -127,8 +184,28 @@ func (t *Tensor) TMatMul(o *Tensor) *Tensor {
 	}
 	k, m, n := t.Dim(0), t.Dim(1), o.Dim(1)
 	out := NewPooled(m, n)
+	grain := GrainForCost(k * n)
+	if n == 1 {
+		// A worker's share of the single output column is one vector; below
+		// 64 elements the per-p kernel call outweighs the elements it folds.
+		grain = max(grain, 64)
+	}
 	// Workers own disjoint ranges of output rows (columns of t).
-	ParallelForGrain(m, GrainForCost(k*n), func(rs, re int) {
+	ParallelForGrain(m, grain, func(rs, re int) {
+		if n == 1 {
+			// out is one column, so the worker's rows are a contiguous
+			// vector and each t row folds into all of them at once.
+			dst, p := out.data[rs:re], 0
+			for ; p+4 <= k; p += 4 {
+				Axpy4(dst, t.data[p*m+rs:p*m+re], t.data[(p+1)*m+rs:(p+1)*m+re],
+					t.data[(p+2)*m+rs:(p+2)*m+re], t.data[(p+3)*m+rs:(p+3)*m+re],
+					o.data[p], o.data[p+1], o.data[p+2], o.data[p+3])
+			}
+			for ; p < k; p++ {
+				AxpyUnrolled(dst, t.data[p*m+rs:p*m+re], o.data[p])
+			}
+			return
+		}
 		p := 0
 		for ; p+4 <= k; p += 4 {
 			o0, o1 := o.data[p*n:(p+1)*n], o.data[(p+1)*n:(p+2)*n]

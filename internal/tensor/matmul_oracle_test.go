@@ -120,6 +120,43 @@ func TestDenseProductsMatchOracle(t *testing.T) {
 	}
 }
 
+// TestRankOneProductsMatchOracle: a [dim, 1] scorer over tall inputs — the
+// shapes matmul.go dispatches to vector kernels (MatMul n = 1, TMatMul n = 1,
+// MatMulT k = 1). Row counts straddle dotRows' four-row blocks and the worker
+// split, include no rows at all, and the operands carry exact zeros (whose
+// -0 products the +0 start must absorb) and non-finite values.
+func TestRankOneProductsMatchOracle(t *testing.T) {
+	defer SetParallelism(0)
+	inf := float32(math.Inf(1))
+	special := []float32{inf, -inf, float32(math.NaN()), float32(math.Copysign(0, -1))}
+	for _, par := range []int{1, 2, 8} {
+		SetParallelism(par)
+		rng := NewRNG(uint64(40 + par))
+		for _, rows := range []int{0, 1, 3, 4, 5, 4099} {
+			for _, dim := range []int{1, 3, 4, 7, 64} {
+				for _, spiked := range []bool{false, true} {
+					name := fmt.Sprintf("par%d %dx%dx1 spiked=%v", par, rows, dim, spiked)
+					x := sparsify(rng, RandN(rng, 1, rows, dim))
+					a := RandN(rng, 1, dim, 1)
+					dz := sparsify(rng, RandN(rng, 1, rows, 1))
+					if spiked {
+						for _, t := range []*Tensor{x, a, dz} {
+							for i := range t.data {
+								if rng.Intn(16) == 0 {
+									t.data[i] = special[rng.Intn(len(special))]
+								}
+							}
+						}
+					}
+					bitsEqualModNaN(t, "MatMul "+name, oracleMatMul(x, a), x.MatMul(a))
+					bitsEqualModNaN(t, "TMatMul "+name, oracleTMatMul(x, dz), x.TMatMul(dz))
+					bitsEqualModNaN(t, "MatMulT "+name, oracleMatMulT(dz, a), dz.MatMulT(a))
+				}
+			}
+		}
+	}
+}
+
 // TestDenseProductsParallelGrain uses shapes large enough that the grain
 // really splits rows over workers (the grid above mostly runs inline).
 func TestDenseProductsParallelGrain(t *testing.T) {
@@ -199,6 +236,9 @@ func TestDenseProductsPropagateNonFinite(t *testing.T) {
 // sign of a produced NaN are the hardware's choice).
 func bitsEqualModNaN(t *testing.T, what string, want, got *Tensor) {
 	t.Helper()
+	if !want.SameShape(got) {
+		t.Fatalf("%s: shape %v, want %v", what, got.shape, want.shape)
+	}
 	for i := range want.data {
 		w, g := want.data[i], got.data[i]
 		if w != w && g != g {

@@ -204,8 +204,9 @@ func GrainForCost(itemCost int) int {
 // itemCost single-element operations. prefix must be nondecreasing with
 // len(prefix) >= n+1 — typically a CSR destination pointer, making this the
 // edge-balanced split: a hub vertex lands alone in a chunk instead of
-// serialising its neighbours' chunk.
-func ParallelForWeighted(n int, prefix []int64, itemCost int, body func(start, end int)) {
+// serialising its neighbours' chunk — or an HDG's InstOffset, which is why
+// the prefix may be int32.
+func ParallelForWeighted[P int32 | int64](n int, prefix []P, itemCost int, body func(start, end int)) {
 	if n <= 0 {
 		return
 	}
@@ -213,7 +214,7 @@ func ParallelForWeighted(n int, prefix []int64, itemCost int, body func(start, e
 		itemCost = 1
 	}
 	base := prefix[0]
-	costAt := func(i int) int64 { return prefix[i] - base + int64(i) }
+	costAt := func(i int) int64 { return int64(prefix[i]-base) + int64(i) }
 	totalCost := costAt(n)
 	workers := int64(Parallelism())
 	if mc := totalCost * int64(itemCost) / minParallelCost; workers > mc {

@@ -67,13 +67,15 @@ func (t *Tensor) ReduceMiddle(op ReduceOp) *Tensor {
 		panic(fmt.Sprintf("tensor: ReduceMiddle on shape %v, want 3-D", t.shape))
 	}
 	n, g, d := t.Dim(0), t.Dim(1), t.Dim(2)
-	out := New(n, d)
+	out := NewUninit(n, d) // every element written below
 	if g == 0 {
+		identity := float32(0)
 		if op == ReduceMin {
-			out.Fill(float32(math.Inf(1)))
+			identity = float32(math.Inf(1))
 		} else if op == ReduceMax {
-			out.Fill(float32(math.Inf(-1)))
+			identity = float32(math.Inf(-1))
 		}
+		out.Fill(identity)
 		return out
 	}
 	ParallelForGrain(n, GrainForCost(g*d), func(rs, re int) {
