@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: ci build test race chaos trace-smoke telemetry-smoke serve-smoke \
-	router-smoke sampler-smoke checkpoint-smoke vet fmt bench bench-comm \
+	router-smoke sampler-smoke checkpoint-smoke vet fmt bench-comm \
 	bench-kernels-diff bench-smoke bench-sampler bench-e2e-smoke
 
 ci: vet fmt race chaos trace-smoke telemetry-smoke serve-smoke router-smoke \
@@ -24,7 +24,8 @@ test:
 # rides along: the kernel oracle (tensor) and the fused-Linear parity (nn)
 # both run their grids at kernel parallelism 8 here. So do the upper HDG
 # levels: the segment oracle (engine/segment_oracle_test.go) sweeps
-# parallelism {1, 2, 4} with the worker pool on and off under the detector.
+# parallelism {1, 2, 4} under every strategy under the detector, and the
+# bucket scheduler's bit-exactness test runs its hub paths at 2 and 8.
 race: chaos
 	$(GO) test -race ./internal/tensor/... ./internal/engine/... \
 		./internal/nn/... ./internal/models/... \
@@ -107,30 +108,6 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Kernel before/after microbenchmarks (historical numbers recorded in
-# BENCH_kernels.json); appends a machine-readable snapshot to
-# BENCH_kernels.latest.json like bench-comm does. The awk scans for the
-# unit tokens rather than fixed columns because benchmem output only
-# carries MB/s for kernels that call SetBytes.
-bench:
-	@{ $(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/tensor/; \
-	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|AggregateIntermediate' -benchmem ./internal/engine/; \
-	   $(GO) test -run xxx -bench 'TrainStep' -benchmem .; \
-	   $(GO) test -run xxx -bench 'Span|Record' -benchmem ./internal/trace/; } | tee /tmp/bench_kernels.txt
-	@awk 'BEGIN { printf "{\n  \"benchmarks\": [\n"; first = 1 } \
-	/^Benchmark/ { ns = ""; bytes = ""; allocs = ""; \
-		for (i = 2; i < NF; i++) { \
-			if ($$(i+1) == "ns/op") ns = $$i; \
-			else if ($$(i+1) == "B/op") bytes = $$i; \
-			else if ($$(i+1) == "allocs/op") allocs = $$i; \
-		} \
-		if (ns == "") next; \
-		if (!first) printf ",\n"; first = 0; \
-		printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-			$$1, ns, (bytes == "" ? "null" : bytes), (allocs == "" ? "null" : allocs) } \
-	END { printf "\n  ]\n}\n" }' /tmp/bench_kernels.txt > BENCH_kernels.latest.json
-	@echo "wrote BENCH_kernels.latest.json"
-
 # Rerun the kernel microbenchmark suites at full benchtime, regenerate
 # BENCH_kernels.latest.json, and check every row of BENCH_kernels.json that
 # carries a "bench" field under the policy that has proven stable on this
@@ -141,12 +118,15 @@ bench:
 # the host's CPU state. The dense rows (MatMul/TMatMul/MatMulT at the workloads' shapes)
 # run at kernel parallelism 1 and 2 inside the benchmark (/p1, /p2); the upper
 # HDG level rows (SegSoftmaxWeighted, AggregateIntermediate) and the MAGNN
-# train step run at the train_magnn_hetero shape. A perf claim is made with
-# alternated parent/change pairs, not with this target.
+# train step run at the train_magnn_hetero shape. The GCN train step and the
+# trace Span/Record benches ride along into the snapshot ungated (no baseline
+# row names them). A perf claim is made with alternated parent/change pairs,
+# not with this target.
 bench-kernels-diff:
 	@{ $(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/tensor/; \
 	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|AggregateIntermediate' -benchmem ./internal/engine/; \
-	   $(GO) test -run xxx -bench 'TrainStepMAGNN' -benchmem .; } \
+	   $(GO) test -run xxx -bench 'TrainStep' -benchmem .; \
+	   $(GO) test -run xxx -bench 'Span|Record' -benchmem ./internal/trace/; } \
 		| tee /tmp/bench_kernels_diff.txt
 	$(GO) run ./cmd/benchdiff -max-regress 4.0 -max-alloc-regress 0.05 -alloc-slack 2 /tmp/bench_kernels_diff.txt
 
@@ -195,12 +175,9 @@ bench-sampler:
 	$(GO) run ./cmd/benchdiff -baseline BENCH_sampler.json -max-regress 4.0 -max-alloc-regress 0.05 \
 		-write-latest BENCH_sampler.latest.json /tmp/bench_sampler.txt
 
-# Codec microbenchmarks; appends a machine-readable snapshot to
-# BENCH_comm.json (see that file for the recorded before/after numbers).
+# Codec microbenchmarks; writes the current machine's numbers to
+# BENCH_comm.latest.json (BENCH_comm.json holds the recorded before/after
+# rows; none carries a "bench" field, so nothing is gated).
 bench-comm:
 	@$(GO) test -run xxx -bench 'Codec' -benchmem ./internal/rpc/ | tee /tmp/bench_comm.txt
-	@awk 'BEGIN { printf "{\n  \"benchmarks\": [\n"; first = 1 } \
-	/^Benchmark/ { if (!first) printf ",\n"; first = 0; \
-		printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"mb_per_s\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", $$1, $$3, $$5, $$7, $$9 } \
-	END { printf "\n  ]\n}\n" }' /tmp/bench_comm.txt > BENCH_comm.latest.json
-	@echo "wrote BENCH_comm.latest.json"
+	$(GO) run ./cmd/benchdiff -baseline BENCH_comm.json -write-latest BENCH_comm.latest.json /tmp/bench_comm.txt

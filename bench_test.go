@@ -342,19 +342,19 @@ func BenchmarkAblation_HDGStorage(b *testing.B) {
 
 // Ablation 3: SIMD (8-wide unrolled) vs scalar inner kernels, the §6
 // feature-fusion acceleration.
-func benchSIMD(b *testing.B, simd bool) {
+func benchSIMD(b *testing.B, aggregate func(*engine.Adjacency, *nn.Value, tensor.ReduceOp) *nn.Value) {
 	b.Helper()
 	d := dataset.RedditLike(dataset.Config{Scale: benchScale, Seed: 1, FeatureDim: 256})
 	adj := engine.FromGraphInEdges(d.Graph)
 	feats := nn.Constant(d.Features)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.FusedAggregateOpt(adj, feats, tensor.ReduceSum, simd)
+		aggregate(adj, feats, tensor.ReduceSum)
 	}
 }
 
-func BenchmarkAblation_SIMDKernels(b *testing.B)   { benchSIMD(b, true) }
-func BenchmarkAblation_ScalarKernels(b *testing.B) { benchSIMD(b, false) }
+func BenchmarkAblation_SIMDKernels(b *testing.B)   { benchSIMD(b, engine.FusedAggregate) }
+func BenchmarkAblation_ScalarKernels(b *testing.B) { benchSIMD(b, engine.FusedAggregateScalar) }
 
 // Ablation 4: dense reshape+reduce vs sparse scatter at the schema level
 // (Fig. 10).

@@ -13,7 +13,9 @@
 // more than -max-alloc-regress (plus -alloc-slack allocations) over its
 // committed allocs/op (off by default; allocation counts repeat where wall
 // time on a shared host does not), or when a baseline row was not measured
-// at all (disable with -require-all=false for partial smoke runs).
+// at all (disable with -require-all=false for partial smoke runs). A baseline
+// with no "bench" fields at all (BENCH_comm.json) gates nothing: the run only
+// writes the snapshot.
 // `make bench-kernels-diff` wires the full pipeline; `make bench-smoke` runs
 // a short-iteration subset so CI catches rows that stop compiling, start
 // allocating or fall off a cliff without paying for a full benchmark run.
@@ -200,7 +202,9 @@ func main() {
 		}
 	}
 	if len(checked) == 0 && len(missing) == 0 {
-		fatal("baseline %s has no rows with a \"bench\" field; nothing to check", *baselinePath)
+		// An ungated baseline (BENCH_comm.json): the snapshot is the output.
+		fmt.Printf("baseline %s has no rows with a \"bench\" field; nothing gated\n", *baselinePath)
+		return
 	}
 
 	sort.Slice(checked, func(i, j int) bool {

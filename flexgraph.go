@@ -108,31 +108,12 @@ type (
 	Strategy = engine.Strategy
 )
 
-// Kernel execution toggles. All levers default to on; they exist so the
-// ablation benches (and users chasing a suspected kernel issue) can restore
-// the seed behaviour one mechanism at a time.
-var (
-	// SetKernelParallelism caps the worker count used by the tensor and
-	// engine kernels (n <= 0 restores GOMAXPROCS).
-	SetKernelParallelism = tensor.SetParallelism
-	// SetWorkerPool toggles the persistent worker pool behind ParallelFor
-	// (off = spawn goroutines per call, the seed behaviour).
-	SetWorkerPool = tensor.SetWorkerPool
-	// SetBufferPooling toggles the pooled tensor free list (off = plain
-	// allocations).
-	SetBufferPooling = tensor.SetBufferPooling
-	// SetEdgeBalancedSplit toggles degree-weighted worker ranges in the
-	// fused aggregation kernels (off = equal destination counts).
-	SetEdgeBalancedSplit = engine.SetEdgeBalancedSplit
-	// SetDegreeBuckets sets the hub/leaf degree thresholds of the
-	// degree-bucketed aggregation scheduler (hubMin <= 0 disables
-	// bucketing).
-	SetDegreeBuckets = engine.SetDegreeBuckets
-	// SetFeatureTile sets the column tile width of the feature-dim-tiled
-	// fused aggregation kernels (w <= 0 disables tiling, the default; see
-	// internal/tensor/tile.go for why).
-	SetFeatureTile = tensor.SetFeatureTile
-)
+// SetKernelParallelism caps the worker count used by the tensor and engine
+// kernels (n <= 0 restores GOMAXPROCS). It is the one kernel setting: the
+// worker pool, the edge-balanced split, the degree-bucketed scheduler and
+// the buffer free list are how the kernels run, not options (DESIGN.md
+// "Kernel execution").
+var SetKernelParallelism = tensor.SetParallelism
 
 // Hybrid execution strategies (the paper's Fig. 14 ablation).
 const (

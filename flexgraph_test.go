@@ -153,31 +153,6 @@ func TestPublicAPIServing(t *testing.T) {
 	}
 }
 
-// TestPublicAPIKernelConfig checks the consolidated kernel-lever struct
-// round-trips through the retained global setters.
-func TestPublicAPIKernelConfig(t *testing.T) {
-	orig := DefaultKernelConfig()
-	defer orig.Apply()
-
-	cfg := orig
-	cfg.Parallelism = 2
-	cfg.WorkerPool = false
-	cfg.Apply()
-	got := DefaultKernelConfig()
-	if got.Parallelism != 2 || got.WorkerPool {
-		t.Fatalf("Apply did not take: %+v", got)
-	}
-	if !got.BufferPooling || !got.EdgeBalancedSplit {
-		t.Fatalf("Apply clobbered untouched levers: %+v", got)
-	}
-
-	// The legacy per-lever setters still work and are visible in the struct.
-	SetWorkerPool(true)
-	if !DefaultKernelConfig().WorkerPool {
-		t.Fatal("legacy setter invisible to DefaultKernelConfig")
-	}
-}
-
 // TestPublicAPIPartitioners exercises the balancing surface.
 func TestPublicAPIPartitioners(t *testing.T) {
 	d := TwitterLike(DatasetConfig{Scale: 0.02, Seed: 7})

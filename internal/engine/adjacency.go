@@ -20,7 +20,6 @@ package engine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/hdg"
@@ -44,9 +43,10 @@ type Adjacency struct {
 	revOnce sync.Once
 	rev     *Adjacency
 
-	// bplan caches the degree-bucket classification for the bucketed
-	// scheduler (see schedule.go); rebuilt when the thresholds change.
-	bplan atomic.Pointer[bucketPlan]
+	// plan caches the degree-bucket classification for the bucketed
+	// scheduler (see schedule.go).
+	planOnce sync.Once
+	plan     *bucketPlan
 }
 
 // NumEdges returns the level's edge count.

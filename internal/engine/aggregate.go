@@ -49,19 +49,6 @@ type Engine struct {
 // New returns an engine with the given strategy. The zero value is SA.
 func New(s Strategy) *Engine { return &Engine{Strategy: s} }
 
-// edgeBalanceOff gates contribution-weighted range splitting in the fused
-// kernels (off = seed behaviour: equal destination-count chunks, which a
-// power-law hub can serialise).
-var edgeBalanceOff atomic.Bool
-
-// SetEdgeBalancedSplit toggles edge-balanced (degree-weighted) worker range
-// splitting in the fused aggregation kernels. On by default; turning it off
-// restores the seed's equal-row chunking for the ablation benches.
-func SetEdgeBalancedSplit(on bool) { edgeBalanceOff.Store(!on) }
-
-// EdgeBalancedSplit reports whether edge-balanced splitting is enabled.
-func EdgeBalancedSplit() bool { return !edgeBalanceOff.Load() }
-
 // grainHist, when installed, observes the wall-clock duration of every
 // fused-aggregation grain (one worker's destination range) in nanoseconds —
 // the distribution a skewed graph shows as a heavy tail even when the
@@ -72,26 +59,6 @@ var grainHist atomic.Pointer[metrics.Histogram]
 // SetGrainHistogram installs (or, with nil, removes) the histogram
 // observing per-grain fused-aggregation durations.
 func SetGrainHistogram(h *metrics.Histogram) { grainHist.Store(h) }
-
-// parallelDst partitions [0, n) destination rows across workers. With
-// edge-balanced splitting the CSR pointer array acts as a prefix-sum of
-// per-row work so chunk boundaries equalise edges, not rows; itemCost is the
-// per-edge cost in float ops (the feature width). It is the pre-bucketing
-// scheduling policy, still used directly by runDst's fallback when degree
-// bucketing is disabled.
-func parallelDst(n int, ptr []int64, itemCost int, body func(start, end int)) {
-	body = instrumented(body)
-	if EdgeBalancedSplit() {
-		tensor.ParallelForWeighted(n, ptr, itemCost, body)
-		return
-	}
-	tensor.ParallelForGrain(n, 0, body)
-}
-
-// minTileEdges is the minimum in-degree at which a destination's fold is
-// worth running once per column tile: below it the repeated edge-list walks
-// cost more than the cache locality buys.
-const minTileEdges = 4
 
 // minHubSegEdges is the minimum edge count of one hub segment in the
 // edge-parallel fold, amortising the partial-accumulator init and merge.
@@ -209,7 +176,7 @@ func ScatterAggregate(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.V
 // never materialising per-edge messages. The backward pass routes gradients
 // through the cached reverse adjacency, also fused.
 func FusedAggregate(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.Value {
-	return FusedAggregateOpt(adj, feats, op, true)
+	return fusedAggregate(adj, feats, op, true)
 }
 
 // FusedAggregateScalar is FusedAggregate with the wide "SIMD" inner kernels
@@ -217,12 +184,7 @@ func FusedAggregate(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.Val
 // without FlexGraph's SIMD acceleration (the paper attributes part of the
 // DGL gap to AVX-512, §7.1), and for the SIMD ablation bench.
 func FusedAggregateScalar(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.Value {
-	return FusedAggregateOpt(adj, feats, op, false)
-}
-
-// FusedAggregateOpt is the fused path with an explicit SIMD toggle.
-func FusedAggregateOpt(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bool) *nn.Value {
-	return fusedAggregate(adj, feats, op, simd)
+	return fusedAggregate(adj, feats, op, false)
 }
 
 func fusedAggregate(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bool) *nn.Value {
@@ -241,11 +203,13 @@ func fusedAggregate(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bo
 
 // fusedForwardSum streams source rows into each destination. The first edge
 // of a destination copies instead of accumulating, so the output needs no
-// zero-fill pass (0 + x == x exactly in IEEE arithmetic, so results are
-// bitwise identical to the seed); empty destinations are cleared explicitly.
-// Wide feature dims fold one column tile at a time, and hub destinations
-// split their columns across workers — both leave each column's edge-order
-// fold untouched, so every schedule is bitwise identical.
+// zero-fill pass; empty destinations are cleared explicitly. Copy-first is
+// part of the order contract, not an identity: a sum that starts at +0 turns
+// a lone -0 into +0 (0 + -0 == +0), so a destination whose only edge carries
+// -0 stays -0 here and becomes +0 under the SA scatter; every other input
+// gives the same bits either way. Hub destinations split their columns
+// across workers, which leaves each column's edge-order fold untouched, so
+// every schedule is bitwise identical.
 func fusedForwardSum(adj *Adjacency, feats *tensor.Tensor, mean, simd bool) *tensor.Tensor {
 	dim := feats.Cols()
 	out := tensor.NewUninit(adj.NumDst, dim)
@@ -255,9 +219,9 @@ func fusedForwardSum(adj *Adjacency, feats *tensor.Tensor, mean, simd bool) *ten
 		add = tensor.AddScalarLoop
 	}
 	idx := adj.SrcIdx
-	tile := tensor.FeatureTileFor(dim)
-	// rowPass folds columns [j0, j1) of destination d in edge order.
-	rowPass := func(d, j0, j1 int) {
+	// Fold columns [j0, j1) of destination d in edge order, then scale them
+	// for the mean (elementwise, so a column split scales the same values).
+	runDst(adj, dim, func(d, j0, j1 int) {
 		dst := od[d*dim+j0 : d*dim+j1]
 		lo, hi := adj.DstPtr[d], adj.DstPtr[d+1]
 		if lo == hi {
@@ -277,27 +241,10 @@ func fusedForwardSum(adj *Adjacency, feats *tensor.Tensor, mean, simd bool) *ten
 				add(dst, fd[s+j0:s+j1])
 			}
 		}
-	}
-	scale := func(d int) {
-		if lo, hi := adj.DstPtr[d], adj.DstPtr[d+1]; mean && hi > lo {
-			tensor.ScaleUnrolled(od[d*dim:(d+1)*dim], 1/float32(hi-lo))
+		if mean {
+			tensor.ScaleUnrolled(dst, 1/float32(hi-lo))
 		}
-	}
-	runDst(adj, dim, func(d int) {
-		if tile > 0 && adj.DstPtr[d+1]-adj.DstPtr[d] >= minTileEdges {
-			for j0 := 0; j0 < dim; j0 += tile {
-				rowPass(d, j0, min(j0+tile, dim))
-			}
-		} else {
-			rowPass(d, 0, dim)
-		}
-		scale(d)
-	}, func(d int) {
-		parallelCols(dim, adj.DstPtr[d+1]-adj.DstPtr[d], func(j0, j1 int) {
-			rowPass(d, j0, j1)
-		})
-		scale(d)
-	})
+	}, nil)
 	return out
 }
 
@@ -334,10 +281,9 @@ func fusedSumMean(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bool
 				}
 			}
 		}
-		tile := tensor.FeatureTileFor(dim)
-		// rowPass accumulates gradient columns [j0, j1) of source v; the
-		// reverse adjacency lists v's destinations, walked in edge order.
-		rowPass := func(v, j0, j1 int) {
+		// Accumulate gradient columns [j0, j1) of source v; the reverse
+		// adjacency lists v's destinations, walked in edge order.
+		runDst(rev, dim, func(v, j0, j1 int) {
 			dst := gd[v*dim+j0 : v*dim+j1]
 			lo, hi := rev.DstPtr[v], rev.DstPtr[v+1]
 			if lo == hi {
@@ -359,20 +305,7 @@ func fusedSumMean(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bool
 					add(dst, row)
 				}
 			}
-		}
-		runDst(rev, dim, func(v int) {
-			if tile > 0 && rev.DstPtr[v+1]-rev.DstPtr[v] >= minTileEdges {
-				for j0 := 0; j0 < dim; j0 += tile {
-					rowPass(v, j0, min(j0+tile, dim))
-				}
-			} else {
-				rowPass(v, 0, dim)
-			}
-		}, func(v int) {
-			parallelCols(dim, rev.DstPtr[v+1]-rev.DstPtr[v], func(j0, j1 int) {
-				rowPass(v, j0, j1)
-			})
-		})
+		}, nil)
 		if mean {
 			tensor.PutBuf(degInv)
 		}
@@ -446,23 +379,13 @@ func fusedExtreme(adj *Adjacency, feats *nn.Value, max, simd bool) *nn.Value {
 			}
 		}
 	}
-	tile := tensor.FeatureTileFor(dim)
-	rowBody := func(d int) {
-		if tile > 0 && adj.DstPtr[d+1]-adj.DstPtr[d] >= minTileEdges {
-			for j0 := 0; j0 < dim; j0 += tile {
-				rowPass(d, j0, min(j0+tile, dim))
-			}
-		} else {
-			rowPass(d, 0, dim)
-		}
-	}
 	hubBody := func(d int) {
 		base := d * dim
 		lo, hi := adj.DstPtr[d], adj.DstPtr[d+1]
 		bounds := edgeSegments(lo, hi, minHubSegEdges)
 		nseg := len(bounds) - 1
 		if nseg <= 1 {
-			rowBody(d)
+			rowPass(d, 0, dim)
 			return
 		}
 		// Segment 0 folds straight into the output row (copy-first, as the
@@ -522,7 +445,7 @@ func fusedExtreme(adj *Adjacency, feats *nn.Value, max, simd bool) *nn.Value {
 		}
 		tensor.PutBuf(partials)
 	}
-	runDst(adj, dim, rowBody, hubBody)
+	runDst(adj, dim, rowPass, hubBody)
 	backward := func(outV *nn.Value) {
 		if tensor.Parallelism() <= 1 {
 			// One worker: no write races to avoid, so scatter the argmax
@@ -550,7 +473,7 @@ func fusedExtreme(adj *Adjacency, feats *nn.Value, max, simd bool) *nn.Value {
 		rev := adj.Reverse()
 		grad := tensor.NewUninit(feats.Data.Shape()...)
 		gd, ogd := grad.Data(), outV.Grad.Data()
-		rowPass := func(v, j0, j1 int) {
+		runDst(rev, dim, func(v, j0, j1 int) {
 			row := gd[v*dim+j0 : v*dim+j1]
 			clear(row)
 			prev := int32(-1)
@@ -567,14 +490,7 @@ func fusedExtreme(adj *Adjacency, feats *nn.Value, max, simd bool) *nn.Value {
 					}
 				}
 			}
-		}
-		runDst(rev, dim, func(v int) {
-			rowPass(v, 0, dim)
-		}, func(v int) {
-			parallelCols(dim, rev.DstPtr[v+1]-rev.DstPtr[v], func(j0, j1 int) {
-				rowPass(v, j0, j1)
-			})
-		})
+		}, nil)
 		nn.AccumGradOwned(feats, grad)
 	}
 	return nn.NewOp(out, backward, feats)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/tensor"
@@ -16,107 +15,57 @@ import (
 // (DstPtr[d+1]-DstPtr[d]) into three buckets and gives each its own
 // execution path:
 //
-//   - leaf  (deg <= LeafDegree): vertex-parallel batches sized by the
+//   - leaf  (deg <= leafMaxDeg): vertex-parallel batches sized by the
 //     bucket's average degree — no weighted-split binary searches, no merge;
-//   - mid   (LeafDegree < deg < HubDegree): edge-balanced weighted split,
-//     the pre-bucketing default policy;
-//   - hub   (deg >= HubDegree): executed one at a time with intra-vertex
+//   - mid   (leafMaxDeg < deg < hubMinDeg): edge-balanced weighted split;
+//   - hub   (deg >= hubMinDeg): executed one at a time with intra-vertex
 //     parallelism — either edge-parallel segments folding into private
 //     partial accumulators merged in edge order (selection ops, where the
 //     merge is bit-exact), or a column split of the feature dimension
 //     (additive ops and backward passes, where per-column edge order must
 //     be preserved for IEEE bit-exactness).
 //
-// The classification is cached per Adjacency and rebuilt only when the
-// thresholds change. SetDegreeBuckets(0, _) disables bucketing entirely and
-// restores the single weighted-split policy.
+// The classification is built once per Adjacency. With one worker every
+// path runs rowPass(d, 0, dim) inline, which is the serial reference the
+// bit-exactness tests compare the parallel schedules against.
 
 const (
-	defaultHubMinDeg  = 1024
-	defaultLeafMaxDeg = 32
+	hubMinDeg  = 1024
+	leafMaxDeg = 32
 )
 
-var (
-	// hubMinDeg is the minimum degree of a hub destination; <= 0 disables
-	// degree bucketing.
-	hubMinDeg atomic.Int32
-	// leafMaxDeg is the maximum degree of a leaf destination.
-	leafMaxDeg atomic.Int32
-)
-
-func init() {
-	hubMinDeg.Store(defaultHubMinDeg)
-	leafMaxDeg.Store(defaultLeafMaxDeg)
-}
-
-// SetDegreeBuckets sets the degree thresholds of the bucketed scheduler:
-// destinations with degree >= hubMin are hubs, degree <= leafMax are
-// leaves, the rest are mid. hubMin <= 0 disables bucketing (the ablation
-// baseline). leafMax is clamped below hubMin so the buckets stay disjoint.
-func SetDegreeBuckets(hubMin, leafMax int) {
-	if hubMin <= 0 {
-		hubMinDeg.Store(0)
-		leafMaxDeg.Store(defaultLeafMaxDeg)
-		return
-	}
-	if leafMax < 0 {
-		leafMax = 0
-	}
-	if leafMax >= hubMin {
-		leafMax = hubMin - 1
-	}
-	hubMinDeg.Store(int32(hubMin))
-	leafMaxDeg.Store(int32(leafMax))
-}
-
-// DegreeBuckets returns the current (hubMin, leafMax) thresholds; hubMin of
-// 0 means bucketing is disabled.
-func DegreeBuckets() (hubMin, leafMax int) {
-	return int(hubMinDeg.Load()), int(leafMaxDeg.Load())
-}
-
-// bucketPlan is the cached destination classification of one Adjacency
-// under one (hubMin, leafMax) threshold pair.
+// bucketPlan is the cached destination classification of one Adjacency.
 type bucketPlan struct {
-	hubMin, leafMax int32
-	leaf            []int32 // ascending destination ids, deg <= leafMax
-	leafEdges       int64   // total edges into leaf destinations
-	mid             []int32 // ascending destination ids, leafMax < deg < hubMin
-	midPrefix       []int64 // degree prefix over mid, for the weighted split
-	hubs            []int32 // ascending destination ids, deg >= hubMin
+	leaf      []int32 // ascending destination ids, deg <= leafMaxDeg
+	leafEdges int64   // total edges into leaf destinations
+	mid       []int32 // ascending destination ids, leafMaxDeg < deg < hubMinDeg
+	midPrefix []int64 // degree prefix over mid, for the weighted split
+	hubs      []int32 // ascending destination ids, deg >= hubMinDeg
 }
 
-// buckets returns the adjacency's bucket plan for the current thresholds,
-// building and caching it on first use. Returns nil when bucketing is
-// disabled.
+// buckets returns the adjacency's bucket plan, building it on first use.
 func (a *Adjacency) buckets() *bucketPlan {
-	hubMin := hubMinDeg.Load()
-	if hubMin <= 0 {
-		return nil
-	}
-	leafMax := leafMaxDeg.Load()
-	if p := a.bplan.Load(); p != nil && p.hubMin == hubMin && p.leafMax == leafMax {
-		return p
-	}
-	p := &bucketPlan{hubMin: hubMin, leafMax: leafMax}
-	for d := 0; d < a.NumDst; d++ {
-		deg := a.DstPtr[d+1] - a.DstPtr[d]
-		switch {
-		case deg >= int64(hubMin):
-			p.hubs = append(p.hubs, int32(d))
-		case deg <= int64(leafMax):
-			p.leaf = append(p.leaf, int32(d))
-			p.leafEdges += deg
-		default:
-			p.mid = append(p.mid, int32(d))
+	a.planOnce.Do(func() {
+		p := &bucketPlan{}
+		for d := 0; d < a.NumDst; d++ {
+			deg := a.DstPtr[d+1] - a.DstPtr[d]
+			switch {
+			case deg >= hubMinDeg:
+				p.hubs = append(p.hubs, int32(d))
+			case deg <= leafMaxDeg:
+				p.leaf = append(p.leaf, int32(d))
+				p.leafEdges += deg
+			default:
+				p.mid = append(p.mid, int32(d))
+			}
 		}
-	}
-	p.midPrefix = make([]int64, len(p.mid)+1)
-	for k, d := range p.mid {
-		p.midPrefix[k+1] = p.midPrefix[k] + (a.DstPtr[d+1] - a.DstPtr[d])
-	}
-	a.bplan.Store(p)
-	return p
+		p.midPrefix = make([]int64, len(p.mid)+1)
+		for k, d := range p.mid {
+			p.midPrefix[k+1] = p.midPrefix[k] + (a.DstPtr[d+1] - a.DstPtr[d])
+		}
+		a.plan = p
+	})
+	return a.plan
 }
 
 // instrumented wraps a range body with the per-grain duration histogram when
@@ -133,73 +82,51 @@ func instrumented(body func(s, e int)) func(s, e int) {
 	}
 }
 
-// runDst executes a per-destination body over every destination of adj
-// under the bucketed scheduler. rowBody(d) processes one destination on the
-// vertex-parallel paths (leaf batches, edge-balanced mid chunks). hubBody(d)
-// processes one hub destination and may use intra-vertex parallelism
-// (parallelCols or edge-parallel segments); hubs run one at a time on the
-// calling goroutine. If hubBody is nil, hubs fall through to rowBody. When
-// bucketing is disabled the whole range runs through rowBody under the
-// pre-bucketing weighted-split policy.
+// runDst runs rowPass over every destination of adj under the bucketed
+// scheduler. rowPass(d, j0, j1) folds feature columns [j0, j1) of
+// destination d over d's whole edge list, in edge order. Leaf batches and
+// edge-balanced mid chunks call it with the full row; hubs run one at a
+// time on the calling goroutine, parallel inside the vertex: hubBody(d) if
+// given (fusedExtreme's edge-parallel segment fold), otherwise rowPass over
+// a split of the feature columns — per-column work is untouched, so that
+// split is bit-exact for every operator, including IEEE addition.
 //
-// Every path visits each destination exactly once and rowBody/hubBody touch
-// only destination d's output rows, so all schedules produce the same
-// writes; the per-destination fold order is the caller's, so results are
-// bitwise identical across schedules.
-func runDst(adj *Adjacency, dim int, rowBody func(d int), hubBody func(d int)) {
+// Every path visits each destination exactly once and touches only
+// destination d's output row, so all schedules produce the same writes; the
+// per-column fold order is rowPass's own, so results are bitwise identical
+// across schedules.
+func runDst(adj *Adjacency, dim int, rowPass func(d, j0, j1 int), hubBody func(d int)) {
 	plan := adj.buckets()
-	if plan == nil {
-		parallelDst(adj.NumDst, adj.DstPtr, dim, func(s, e int) {
-			for d := s; d < e; d++ {
-				rowBody(d)
-			}
-		})
-		return
-	}
 	// Leaf phase: plain batches; grain sized so a chunk carries enough work
 	// even when leaf degrees are tiny.
 	if len(plan.leaf) > 0 {
 		avgCost := (int(plan.leafEdges)/len(plan.leaf) + 1) * dim
 		tensor.ParallelForGrain(len(plan.leaf), tensor.GrainForCost(avgCost), instrumented(func(s, e int) {
 			for _, d := range plan.leaf[s:e] {
-				rowBody(int(d))
+				rowPass(int(d), 0, dim)
 			}
 		}))
 	}
-	// Mid phase: edge-balanced weighted split (or equal batches when the
-	// ablation toggle disables balancing).
+	// Mid phase: edge-balanced weighted split.
 	if len(plan.mid) > 0 {
-		body := instrumented(func(s, e int) {
+		tensor.ParallelForWeighted(len(plan.mid), plan.midPrefix, dim, instrumented(func(s, e int) {
 			for _, d := range plan.mid[s:e] {
-				rowBody(int(d))
+				rowPass(int(d), 0, dim)
 			}
-		})
-		if EdgeBalancedSplit() {
-			tensor.ParallelForWeighted(len(plan.mid), plan.midPrefix, dim, body)
-		} else {
-			tensor.ParallelForGrain(len(plan.mid), 0, body)
+		}))
+	}
+	for _, h := range plan.hubs {
+		d := int(h)
+		if hubBody != nil {
+			hubBody(d)
+			continue
 		}
+		grain := tensor.GrainForCost(int(adj.DstPtr[d+1] - adj.DstPtr[d]))
+		if grain < 8 {
+			grain = 8 // keep the unrolled kernels out of their scalar tails
+		}
+		tensor.ParallelForGrain(dim, grain, func(j0, j1 int) { rowPass(d, j0, j1) })
 	}
-	// Hub phase: one destination at a time, parallel inside the vertex.
-	if hubBody == nil {
-		hubBody = rowBody
-	}
-	for _, d := range plan.hubs {
-		hubBody(int(d))
-	}
-}
-
-// parallelCols splits the feature columns [0, dim) of one hub destination
-// across workers; body(j0, j1) processes columns [j0, j1) over the hub's
-// whole edge list. Per-column work is untouched — every column still folds
-// its edges in edge order — so this split is bit-exact for every operator,
-// including IEEE addition. deg scales the per-column cost estimate.
-func parallelCols(dim int, deg int64, body func(j0, j1 int)) {
-	grain := tensor.GrainForCost(int(deg))
-	if grain < 8 {
-		grain = 8 // keep the unrolled kernels out of their scalar tails
-	}
-	tensor.ParallelForGrain(dim, grain, body)
 }
 
 // edgeSegments splits the edge range [lo, hi) of one hub destination into

@@ -5,8 +5,8 @@ package engine
 // those kernels replaced — the instance → slot index materialised
 // (hdg.InstanceSlots), then nn's generic index-scan nodes. Forward values and
 // both parents' gradients must agree bit for bit (any NaN equals any NaN: a
-// produced NaN's payload is the hardware's choice), at every parallelism, with
-// the worker pool on and off, and under every Strategy. Do not move these
+// produced NaN's payload is the hardware's choice), at every parallelism and
+// under every Strategy. Do not move these
 // compositions onto the segment kernels; they are the specification.
 
 import (
@@ -100,20 +100,13 @@ func sameBits(t *testing.T, what string, want, got *tensor.Tensor) {
 	}
 }
 
-// sweepKernelConfigs runs body at parallelism {1, 2, 4} with the worker pool
-// on and off, under every strategy.
-func sweepKernelConfigs(t *testing.T, body func(cfg string, e *Engine)) {
-	defer func() {
-		tensor.SetParallelism(0)
-		tensor.SetWorkerPool(true)
-	}()
+// sweepParallelism runs body at parallelism {1, 2, 4} under every strategy.
+func sweepParallelism(t *testing.T, body func(cfg string, e *Engine)) {
+	defer tensor.SetParallelism(0)
 	for _, par := range []int{1, 2, 4} {
-		for _, pool := range []bool{true, false} {
-			tensor.SetParallelism(par)
-			tensor.SetWorkerPool(pool)
-			for _, strat := range []Strategy{StrategySA, StrategySAFA, StrategyHA} {
-				body(fmt.Sprintf("par=%d pool=%v %v", par, pool, strat), New(strat))
-			}
+		tensor.SetParallelism(par)
+		for _, strat := range []Strategy{StrategySA, StrategySAFA, StrategyHA} {
+			body(fmt.Sprintf("par=%d %v", par, strat), New(strat))
 		}
 	}
 }
@@ -145,7 +138,7 @@ func TestSegmentSoftmaxWeightedMatchesScatterComposition(t *testing.T) {
 		}
 		return v.Data, scores.Grad, inst.Grad
 	}
-	sweepKernelConfigs(t, func(cfg string, e *Engine) {
+	sweepParallelism(t, func(cfg string, e *Engine) {
 		for in := range inputs {
 			for _, g := range grads {
 				what := fmt.Sprintf("[%s %s grads=%v]", cfg, inputs[in].name, g)
@@ -175,7 +168,7 @@ func TestSegmentReduceMatchesScatter(t *testing.T) {
 		}
 		return v.Data, inst.Grad
 	}
-	sweepKernelConfigs(t, func(cfg string, e *Engine) {
+	sweepParallelism(t, func(cfg string, e *Engine) {
 		for in := range inputs {
 			for _, op := range ops {
 				for _, tracked := range []bool{true, false} {

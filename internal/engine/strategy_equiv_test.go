@@ -62,24 +62,17 @@ func runHierarchical(e *Engine, h *hdg.HDG, adj *Adjacency, base *tensor.Tensor,
 	return out, grad
 }
 
-// Property test for the kernel overhaul: SA, SA+FA and HA must produce
+// Property test for the kernel schedule: SA, SA+FA and HA must produce
 // numerically identical forward outputs and leaf gradients on a random
-// heterogeneous graph — under every combination of the kernel toggles
-// (worker pool, buffer pooling, edge-balanced splitting, degree buckets,
-// feature tiling) and at parallelism 1 and 8. The feature width (17) is wide enough that the
-// tile-8 configurations genuinely tile (dim >= 2*tile) and odd so the
-// unrolled kernels exercise their scalar tails; the bucket thresholds (4, 2)
-// are small enough that all three buckets are populated.
+// heterogeneous graph, with buffer pooling off and on (each pooled
+// configuration computes on buffers the previous one recycled) and at
+// parallelism 1 and 8. The feature width (17) is odd so the unrolled kernels
+// exercise their scalar tails. Every destination here is a leaf of the
+// bucketed scheduler; TestBucketedFusedBitExact covers the mid and hub paths.
 func TestStrategiesAgreeUnderAllKernelConfigs(t *testing.T) {
-	hubDef, leafDef := DegreeBuckets()
-	tileDef := tensor.FeatureTile()
 	defer func() {
 		tensor.SetParallelism(0)
-		tensor.SetWorkerPool(true)
 		tensor.SetBufferPooling(true)
-		SetEdgeBalancedSplit(true)
-		SetDegreeBuckets(hubDef, leafDef)
-		tensor.SetFeatureTile(tileDef)
 	}()
 
 	rng := tensor.NewRNG(42)
@@ -90,47 +83,29 @@ func TestStrategiesAgreeUnderAllKernelConfigs(t *testing.T) {
 
 	ops := []tensor.ReduceOp{tensor.ReduceSum, tensor.ReduceMean, tensor.ReduceMax, tensor.ReduceMin}
 
-	// Reference: seed-equivalent configuration (no pool, no pooling, no
-	// edge balancing, no buckets, no tiling, serial), SA strategy.
+	// Reference: SA, serial, nothing recycled.
 	tensor.SetParallelism(1)
-	tensor.SetWorkerPool(false)
 	tensor.SetBufferPooling(false)
-	SetEdgeBalancedSplit(false)
-	SetDegreeBuckets(0, 0)
-	tensor.SetFeatureTile(0)
 	wantOut := make(map[tensor.ReduceOp]*tensor.Tensor)
 	wantGrad := make(map[tensor.ReduceOp]*tensor.Tensor)
 	for _, op := range ops {
 		wantOut[op], wantGrad[op] = runHierarchical(New(StrategySA), h, adj, base, op)
 	}
 
-	for _, pool := range []bool{false, true} {
-		for _, pooling := range []bool{false, true} {
-			for _, balanced := range []bool{false, true} {
-				for _, buckets := range [][2]int{{0, 0}, {4, 2}} {
-					for _, tile := range []int{0, 8} {
-						for _, par := range []int{1, 8} {
-							tensor.SetWorkerPool(pool)
-							tensor.SetBufferPooling(pooling)
-							SetEdgeBalancedSplit(balanced)
-							SetDegreeBuckets(buckets[0], buckets[1])
-							tensor.SetFeatureTile(tile)
-							tensor.SetParallelism(par)
-							cfg := fmt.Sprintf("pool=%v pooling=%v balanced=%v buckets=%v tile=%d par=%d",
-								pool, pooling, balanced, buckets, tile, par)
-							for _, strat := range []Strategy{StrategySA, StrategySAFA, StrategyHA} {
-								e := New(strat)
-								for _, op := range ops {
-									out, grad := runHierarchical(e, h, adj, base, op)
-									if !out.ApproxEqual(wantOut[op], 1e-5) {
-										t.Fatalf("[%s %v op=%v] forward output diverged", cfg, strat, op)
-									}
-									if !grad.ApproxEqual(wantGrad[op], 1e-5) {
-										t.Fatalf("[%s %v op=%v] leaf gradient diverged", cfg, strat, op)
-									}
-								}
-							}
-						}
+	for _, pooling := range []bool{false, true} {
+		for _, par := range []int{1, 8} {
+			tensor.SetBufferPooling(pooling)
+			tensor.SetParallelism(par)
+			cfg := fmt.Sprintf("pooling=%v par=%d", pooling, par)
+			for _, strat := range []Strategy{StrategySA, StrategySAFA, StrategyHA} {
+				e := New(strat)
+				for _, op := range ops {
+					out, grad := runHierarchical(e, h, adj, base, op)
+					if !out.ApproxEqual(wantOut[op], 1e-5) {
+						t.Fatalf("[%s %v op=%v] forward output diverged", cfg, strat, op)
+					}
+					if !grad.ApproxEqual(wantGrad[op], 1e-5) {
+						t.Fatalf("[%s %v op=%v] leaf gradient diverged", cfg, strat, op)
 					}
 				}
 			}

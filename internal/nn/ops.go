@@ -253,10 +253,13 @@ func scatterExtremeWithArg(values *tensor.Tensor, index []int32, numOut int, max
 		foldArg = tensor.MinArgUnrolled
 	}
 	vd, od := values.Data(), out.Data()
-	pass := func(lo, hi, j0, j1 int) {
+	// Each worker owns a contribution-weighted range of destination rows and
+	// scans the whole index, touching only its own rows: disjoint writes,
+	// and a hub destination cannot serialise a chunk.
+	tensor.ParallelForWeighted(numOut, prefix, c, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			if counts[r] == 0 {
-				args := argmax[r*c+j0 : r*c+j1]
+				args := argmax[r*c : (r+1)*c]
 				for j := range args {
 					args[j] = -1
 				}
@@ -267,9 +270,9 @@ func scatterExtremeWithArg(values *tensor.Tensor, index []int32, numOut int, max
 				continue
 			}
 			base := int(dst) * c
-			dstRow := od[base+j0 : base+j1]
-			args := argmax[base+j0 : base+j1]
-			vrow := vd[i*c+j0 : i*c+j1]
+			dstRow := od[base : base+c]
+			args := argmax[base : base+c]
+			vrow := vd[i*c : (i+1)*c]
 			if int32(i) == firstEdge[dst] {
 				copy(dstRow, vrow)
 				for j := range args {
@@ -279,15 +282,6 @@ func scatterExtremeWithArg(values *tensor.Tensor, index []int32, numOut int, max
 				foldArg(dstRow, args, vrow, int32(i))
 			}
 		}
-	}
-	// Each worker owns a contribution-weighted range of destination rows and
-	// scans the whole index, touching only its own rows: disjoint writes,
-	// and a hub destination cannot serialise a chunk. Like tensor's scatter,
-	// this index-scan structure deliberately ignores the FeatureTile knob:
-	// re-running the scan per column tile re-streams the values array with
-	// strided reads and measured strictly slower (see tensor/scatter.go).
-	tensor.ParallelForWeighted(numOut, prefix, c, func(lo, hi int) {
-		pass(lo, hi, 0, c)
 	})
 	return out, argmax
 }

@@ -29,13 +29,8 @@ func replacesSpec(d, x float32, max bool) bool {
 
 // TestScatterExtremeArgTieBreaking pins scatterExtremeWithArg to the
 // brute-force spec on inputs with NaN, ±Inf, -0 and many exact ties: first
-// occurrence wins every tie, empty groups return zero values and arg -1,
-// and the FeatureTile knob setting never changes the result (the index-scan
-// scatter deliberately ignores it; see tensor/scatter.go).
+// occurrence wins every tie, and empty groups return zero values and arg -1.
 func TestScatterExtremeArgTieBreaking(t *testing.T) {
-	tileDef := tensor.FeatureTile()
-	defer tensor.SetFeatureTile(tileDef)
-
 	rng := tensor.NewRNG(5)
 	const nRows, dim, numOut = 80, 24, 11 // groups 4 and 9 stay empty
 	specials := []float32{
@@ -85,24 +80,21 @@ func TestScatterExtremeArgTieBreaking(t *testing.T) {
 			}
 		}
 
-		for _, tile := range []int{0, 8} {
-			tensor.SetFeatureTile(tile)
-			out, arg := scatterExtremeWithArg(values, index, numOut, max)
-			od := out.Data()
-			for i := range od {
-				if arg[i] != refArg[i] {
-					t.Fatalf("max=%v tile=%d: arg[%d] = %d, want %d", max, tile, i, arg[i], refArg[i])
-				}
-				if !eqNaN(od[i], refVal[i]) {
-					t.Fatalf("max=%v tile=%d: value[%d] = %v, want %v", max, tile, i, od[i], refVal[i])
-				}
+		out, arg := scatterExtremeWithArg(values, index, numOut, max)
+		od := out.Data()
+		for i := range od {
+			if arg[i] != refArg[i] {
+				t.Fatalf("max=%v: arg[%d] = %d, want %d", max, i, arg[i], refArg[i])
 			}
-			for _, empty := range []int{4, 9} {
-				for j := 0; j < dim; j++ {
-					if od[empty*dim+j] != 0 || arg[empty*dim+j] != -1 {
-						t.Fatalf("max=%v tile=%d: empty group %d col %d = (%v, %d), want (0, -1)",
-							max, tile, empty, j, od[empty*dim+j], arg[empty*dim+j])
-					}
+			if !eqNaN(od[i], refVal[i]) {
+				t.Fatalf("max=%v: value[%d] = %v, want %v", max, i, od[i], refVal[i])
+			}
+		}
+		for _, empty := range []int{4, 9} {
+			for j := 0; j < dim; j++ {
+				if od[empty*dim+j] != 0 || arg[empty*dim+j] != -1 {
+					t.Fatalf("max=%v: empty group %d col %d = (%v, %d), want (0, -1)",
+						max, empty, j, od[empty*dim+j], arg[empty*dim+j])
 				}
 			}
 		}

@@ -405,15 +405,22 @@ func (s *Server) Close() error {
 	return s.tr.Close()
 }
 
-// handle answers one query. Reply send errors are dropped: the client is
-// gone and its deadline will fire.
+// handle answers one query. Vertex IDs come off the wire, so they are
+// checked against the graph before any op indexes with them; a request
+// carrying one outside [0, NumVertices) gets the error reply (the client's
+// *FetchError) like any other rejected query. Reply send errors are
+// dropped: the client is gone and its deadline will fire.
 func (s *Server) handle(m *rpc.Message) {
 	span := s.opts.Tracer.BeginChild(int32(s.tr.Rank()), m.Epoch, m.Layer,
 		trace.CatSample, "serve:"+opName(m.Layer), m.Trace)
 	defer span.End()
 	reply := &rpc.Message{Kind: m.Kind, From: int32(s.tr.Rank()), Epoch: m.Epoch, Layer: m.Layer, Trace: span.ID()}
 	ctx := context.Background()
-	switch m.Layer {
+	op := m.Layer
+	if !s.idsInGraph(m.IDs) {
+		op = -1 // rejected the way an unknown opcode is
+	}
+	switch op {
 	case opInEdges:
 		reply.Counts = make([]int32, 0, len(m.IDs))
 		// A Local store's InEdges fails only on a cancelled context, and
@@ -472,6 +479,17 @@ func (s *Server) handle(m *rpc.Message) {
 		s.opts.Breakdown.CountSent(classOfKind(reply.Kind), reply.NumBytes())
 	}
 	_ = s.tr.Send(int(m.From), reply)
+}
+
+// idsInGraph reports whether every wire-supplied vertex ID names a vertex.
+func (s *Server) idsInGraph(ids []int32) bool {
+	n := s.local.NumVertices()
+	for _, id := range ids {
+		if id < 0 || int(id) >= n {
+			return false
+		}
+	}
+	return true
 }
 
 // opName names a store opcode for span labels.

@@ -315,6 +315,36 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	}
 }
 
+// A vertex ID that names no vertex arrives off the wire like any other: the
+// server must reject the query with the error reply (the client's typed
+// *FetchError) instead of indexing the graph with it, for every op, and go
+// on serving.
+func TestServerRejectsOutOfRangeVertexIDs(t *testing.T) {
+	d, l := testLocal(t, 1)
+	r := remotePair(t, l, RemoteOptions{})
+	ctx := context.Background()
+	ops := map[string]func(ids []graph.VertexID) error{
+		"in_edges": func(ids []graph.VertexID) error {
+			return r.InEdges(ctx, ids, func([]graph.VertexID) {})
+		},
+		"sample":   func(ids []graph.VertexID) error { _, err := r.Sample(ctx, ids, EpochSeed(7, 0)); return err },
+		"khop":     func(ids []graph.VertexID) error { _, err := r.KHopInduced(ctx, ids, 2); return err },
+		"features": func(ids []graph.VertexID) error { _, err := r.Gather(ctx, ids); return err },
+	}
+	n := graph.VertexID(d.Graph.NumVertices())
+	for name, op := range ops {
+		for _, bad := range []graph.VertexID{-1, n, 1 << 30} {
+			var fe *FetchError
+			if err := op([]graph.VertexID{0, bad}); !errors.As(err, &fe) || fe.Op != name {
+				t.Fatalf("%s with vertex %d: err %v, want *FetchError", name, bad, err)
+			}
+		}
+		if err := op([]graph.VertexID{0, n - 1}); err != nil {
+			t.Fatalf("%s after a rejected query: %v", name, err)
+		}
+	}
+}
+
 // collect drains one epoch's stream into a slice.
 func collect(t *testing.T, st *Stream) []*Batch {
 	t.Helper()

@@ -16,8 +16,8 @@ package tensor
 // recycled side — parameters allocate once and live forever, which is safe
 // because a Get without a matching Put is just a normal allocation.
 //
-// SetBufferPooling(false) turns the free list into plain allocations for
-// the ablation benches.
+// SetBufferPooling(false) turns the free list into plain allocations: the
+// reference run that the recycled-buffer parity tests compare against.
 
 import (
 	"math/bits"
@@ -29,12 +29,11 @@ import (
 var poolingOff atomic.Bool
 
 // SetBufferPooling toggles the pooled buffer free list. When off, GetBuf
-// degrades to make([]float32, n) and PutBuf/Recycle to no-ops — the seed
-// allocation behaviour, kept for the ablation benches.
+// degrades to make([]float32, n) and PutBuf/Recycle to no-ops, so no buffer
+// is ever reused — what the parity tests (Predict after recycled epochs,
+// fused Linear, the strategy sweep) run their reference under. Not a
+// public option: nothing outside tests turns it off.
 func SetBufferPooling(on bool) { poolingOff.Store(!on) }
-
-// BufferPooling reports whether pooled buffers are in use.
-func BufferPooling() bool { return !poolingOff.Load() }
 
 // bufClasses[c] holds free buffers of exactly 1<<c floats. Entries are
 // stored as unsafe.Pointer to the first element so Put/Get do not allocate

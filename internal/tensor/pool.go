@@ -15,9 +15,7 @@ package tensor
 //   - ParallelForWeighted splits by cumulative cost from a prefix-sum array
 //     (e.g. a CSR row pointer), so one high-degree vertex cannot serialise a
 //     whole chunk — the edge-balanced split the fused aggregation kernels
-//     use;
-//   - SetWorkerPool(false) restores goroutine-per-chunk dispatch for the
-//     ablation benches.
+//     use.
 //
 // The dispatch channel is deliberately unbuffered: a send succeeds only when
 // a worker is parked on the receive, and otherwise the submitting goroutine
@@ -44,8 +42,6 @@ const DefaultGrain = 64
 var (
 	// parallelism is the target number of concurrent workers.
 	parallelism atomic.Int32
-	// poolOff disables the persistent pool (ablation baseline).
-	poolOff atomic.Bool
 
 	poolMu      sync.Mutex
 	poolSpawned atomic.Int32
@@ -67,14 +63,6 @@ func SetParallelism(n int) {
 	}
 	parallelism.Store(int32(n))
 }
-
-// SetWorkerPool toggles the persistent worker pool. When off, ParallelFor
-// falls back to spawning one goroutine per chunk — the seed behaviour, kept
-// for the ablation benches.
-func SetWorkerPool(on bool) { poolOff.Store(!on) }
-
-// WorkerPoolEnabled reports whether the persistent pool is in use.
-func WorkerPoolEnabled() bool { return !poolOff.Load() }
 
 type poolTask struct {
 	body       func(start, end int)
@@ -110,33 +98,19 @@ func poolWorker(ch chan poolTask) {
 // must be >= 2.
 func dispatch(workers int, bounds func(w int) (start, end int), body func(start, end int)) {
 	var wg sync.WaitGroup
-	if poolOff.Load() {
-		for w := 1; w < workers; w++ {
-			s, e := bounds(w)
-			if s >= e {
-				continue
-			}
-			wg.Add(1)
-			go func(s, e int) {
-				defer wg.Done()
-				body(s, e)
-			}(s, e)
+	ensureWorkers(workers - 1)
+	for w := 1; w < workers; w++ {
+		s, e := bounds(w)
+		if s >= e {
+			continue
 		}
-	} else {
-		ensureWorkers(workers - 1)
-		for w := 1; w < workers; w++ {
-			s, e := bounds(w)
-			if s >= e {
-				continue
-			}
-			wg.Add(1)
-			select {
-			case taskCh <- poolTask{body, s, e, &wg}:
-			default:
-				// No parked worker: run the chunk here rather than queue it.
-				body(s, e)
-				wg.Done()
-			}
+		wg.Add(1)
+		select {
+		case taskCh <- poolTask{body, s, e, &wg}:
+		default:
+			// No parked worker: run the chunk here rather than queue it.
+			body(s, e)
+			wg.Done()
 		}
 	}
 	if s, e := bounds(0); s < e {

@@ -5,16 +5,11 @@ import (
 	"testing"
 )
 
-// withKernelConfig runs f under the given parallelism / pool toggle and
-// restores the defaults afterwards.
-func withKernelConfig(t *testing.T, par int, pool bool, f func()) {
-	t.Helper()
+// withParallelism runs f under the given kernel parallelism and restores
+// the default afterwards.
+func withParallelism(par int, f func()) {
 	SetParallelism(par)
-	SetWorkerPool(pool)
-	defer func() {
-		SetParallelism(0)
-		SetWorkerPool(true)
-	}()
+	defer SetParallelism(0)
 	f()
 }
 
@@ -28,73 +23,69 @@ func checkExactCover(t *testing.T, n int, hits []int32, label string) {
 }
 
 func TestParallelForGrainCoversExactlyOnce(t *testing.T) {
-	for _, pool := range []bool{true, false} {
-		withKernelConfig(t, 8, pool, func() {
-			for _, tc := range []struct{ n, grain int }{
-				{1, 0}, {63, 0}, {64, 0}, {65, 0}, {1000, 0},
-				{1000, 1}, {1000, 7}, {1000, 1000}, {1000, 5000},
-				{17, 3}, {100000, 0},
-			} {
-				hits := make([]int32, tc.n)
-				ParallelForGrain(tc.n, tc.grain, func(s, e int) {
-					if s < 0 || e > tc.n || s >= e {
-						t.Errorf("bad chunk [%d,%d) for n=%d", s, e, tc.n)
-						return
-					}
-					for i := s; i < e; i++ {
-						hits[i]++ // chunks are disjoint; -race verifies
-					}
-				})
-				checkExactCover(t, tc.n, hits, "grain")
-			}
-		})
-	}
+	withParallelism(8, func() {
+		for _, tc := range []struct{ n, grain int }{
+			{1, 0}, {63, 0}, {64, 0}, {65, 0}, {1000, 0},
+			{1000, 1}, {1000, 7}, {1000, 1000}, {1000, 5000},
+			{17, 3}, {100000, 0},
+		} {
+			hits := make([]int32, tc.n)
+			ParallelForGrain(tc.n, tc.grain, func(s, e int) {
+				if s < 0 || e > tc.n || s >= e {
+					t.Errorf("bad chunk [%d,%d) for n=%d", s, e, tc.n)
+					return
+				}
+				for i := s; i < e; i++ {
+					hits[i]++ // chunks are disjoint; -race verifies
+				}
+			})
+			checkExactCover(t, tc.n, hits, "grain")
+		}
+	})
 }
 
 func TestParallelForWeightedCoversExactlyOnce(t *testing.T) {
-	for _, pool := range []bool{true, false} {
-		withKernelConfig(t, 8, pool, func() {
-			// Power-law-ish weights: one hub with most of the edges, a few
-			// mid rows, a long tail of zeros.
-			n := 4000
-			prefix := make([]int64, n+1)
-			for i := 0; i < n; i++ {
-				w := int64(0)
-				switch {
-				case i == 17:
-					w = 1 << 20
-				case i%97 == 0:
-					w = 512
-				case i%7 == 0:
-					w = 3
-				}
-				prefix[i+1] = prefix[i] + w
+	withParallelism(8, func() {
+		// Power-law-ish weights: one hub with most of the edges, a few
+		// mid rows, a long tail of zeros.
+		n := 4000
+		prefix := make([]int64, n+1)
+		for i := 0; i < n; i++ {
+			w := int64(0)
+			switch {
+			case i == 17:
+				w = 1 << 20
+			case i%97 == 0:
+				w = 512
+			case i%7 == 0:
+				w = 3
 			}
-			hits := make([]int32, n)
-			ParallelForWeighted(n, prefix, 16, func(s, e int) {
-				for i := s; i < e; i++ {
-					hits[i]++
-				}
-			})
-			checkExactCover(t, n, hits, "weighted")
-
-			// All-zero weights must still cover every index once.
-			zero := make([]int64, n+1)
-			hits = make([]int32, n)
-			ParallelForWeighted(n, zero, 1<<20, func(s, e int) {
-				for i := s; i < e; i++ {
-					hits[i]++
-				}
-			})
-			checkExactCover(t, n, hits, "zero-weight")
+			prefix[i+1] = prefix[i] + w
+		}
+		hits := make([]int32, n)
+		ParallelForWeighted(n, prefix, 16, func(s, e int) {
+			for i := s; i < e; i++ {
+				hits[i]++
+			}
 		})
-	}
+		checkExactCover(t, n, hits, "weighted")
+
+		// All-zero weights must still cover every index once.
+		zero := make([]int64, n+1)
+		hits = make([]int32, n)
+		ParallelForWeighted(n, zero, 1<<20, func(s, e int) {
+			for i := s; i < e; i++ {
+				hits[i]++
+			}
+		})
+		checkExactCover(t, n, hits, "zero-weight")
+	})
 }
 
 // A prefix array with a nonzero base (a sub-range of a larger CSR pointer)
 // must weigh items relative to prefix[0].
 func TestParallelForWeightedNonzeroBase(t *testing.T) {
-	withKernelConfig(t, 8, true, func() {
+	withParallelism(8, func() {
 		n := 300
 		prefix := make([]int64, n+1)
 		prefix[0] = 1 << 40
@@ -114,7 +105,7 @@ func TestParallelForWeightedNonzeroBase(t *testing.T) {
 // Nested ParallelFor must not deadlock: with an unbuffered dispatch channel,
 // inner calls fall back to inline execution when every worker is busy.
 func TestNestedParallelForNoDeadlock(t *testing.T) {
-	withKernelConfig(t, 8, true, func() {
+	withParallelism(8, func() {
 		var total atomic.Int64
 		outer, inner := 512, 3000
 		ParallelForGrain(outer, 1, func(s, e int) {
@@ -183,8 +174,8 @@ func TestBufferPoolingOff(t *testing.T) {
 	if len(c) != 100 {
 		t.Fatalf("len = %d", len(c))
 	}
-	if BufferPooling() {
-		t.Fatal("BufferPooling() should report off")
+	if c[0] != 0 {
+		t.Fatal("PutBuf recycled a buffer with pooling off")
 	}
 }
 
@@ -198,16 +189,7 @@ func TestRecyclePoisonsTensor(t *testing.T) {
 	Recycle(nil) // nil is a no-op
 }
 
-// The worker-pool toggle and parallelism accessors round-trip.
-func TestKernelToggles(t *testing.T) {
-	SetWorkerPool(false)
-	if WorkerPoolEnabled() {
-		t.Fatal("pool should be off")
-	}
-	SetWorkerPool(true)
-	if !WorkerPoolEnabled() {
-		t.Fatal("pool should be on")
-	}
+func TestSetParallelism(t *testing.T) {
 	SetParallelism(3)
 	if Parallelism() != 3 {
 		t.Fatalf("Parallelism = %d", Parallelism())

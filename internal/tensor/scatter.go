@@ -74,23 +74,17 @@ func scatter(values *Tensor, index []int32, numOut int, op ReduceOp) *Tensor {
 	// atomics. The ranges are weighted by contribution counts so a hub
 	// destination cannot serialise a whole chunk.
 	//
-	// This path deliberately ignores the FeatureTile knob: scatter's source
-	// stream is sequential and prefetch-bound, and both tiled structures we
-	// measured — re-scanning the index once per column tile, and grouping
-	// edges per destination with a counting sort so tiles fold per
-	// destination — lose 2-3x to this single sequential scan on the bench
-	// machine (the strided re-reads break the stream, and the 260 MiB LLC
-	// absorbs the output working set the tiles were meant to shrink).
-	// Tiling pays where contributions are already grouped per destination:
-	// the engine's fused CSR aggregation kernels.
-	// TestScatterExtremeTilingBitExact pins that the knob setting never
-	// changes scatter output.
+	// The scan is one sequential pass over full rows: scatter's source
+	// stream is prefetch-bound, and both column-tiled structures measured —
+	// re-scanning the index once per tile, and grouping edges per
+	// destination with a counting sort — lost 2-3x to it (BENCH_kernels.json
+	// history).
 	prefix := make([]int64, numOut+1)
 	for d, n := range counts {
 		prefix[d+1] = prefix[d] + int64(n)
 	}
 	ParallelForWeighted(numOut, prefix, c, func(lo, hi int) {
-		scatterPass(values, index, out, op, lo, hi, 0, c)
+		scatterPass(values, index, out, op, lo, hi)
 		for r := lo; r < hi; r++ {
 			drow := out.data[r*c : (r+1)*c]
 			if counts[r] == 0 {
@@ -108,12 +102,12 @@ func scatter(values *Tensor, index []int32, numOut int, op ReduceOp) *Tensor {
 	return out
 }
 
-// scatterPass initialises and accumulates columns [j0, j1) of output rows
-// [lo, hi). The reduce-op dispatch is hoisted out of the edge loop so each
-// pass runs a single tight accumulate kernel. The ±Inf extreme identities
-// are transparent under builtin max/min (any value, including NaN,
-// replaces them), so no first-contribution special case is needed.
-func scatterPass(values *Tensor, index []int32, out *Tensor, op ReduceOp, lo, hi, j0, j1 int) {
+// scatterPass initialises and accumulates output rows [lo, hi). The
+// reduce-op dispatch is hoisted out of the edge loop so each pass runs a
+// single tight accumulate kernel. The ±Inf extreme identities are
+// transparent under builtin max/min (any value, including NaN, replaces
+// them), so no first-contribution special case is needed.
+func scatterPass(values *Tensor, index []int32, out *Tensor, op ReduceOp, lo, hi int) {
 	c := values.Cols()
 	init := float32(0)
 	switch op {
@@ -122,11 +116,9 @@ func scatterPass(values *Tensor, index []int32, out *Tensor, op ReduceOp, lo, hi
 	case ReduceMin:
 		init = float32(math.Inf(1))
 	}
-	for r := lo; r < hi; r++ {
-		row := out.data[r*c+j0 : r*c+j1]
-		for j := range row {
-			row[j] = init
-		}
+	rows := out.data[lo*c : hi*c]
+	for j := range rows {
+		rows[j] = init
 	}
 	vd := values.data
 	switch op {
@@ -135,21 +127,21 @@ func scatterPass(values *Tensor, index []int32, out *Tensor, op ReduceOp, lo, hi
 			if int(dst) < lo || int(dst) >= hi {
 				continue
 			}
-			AddUnrolled(out.data[int(dst)*c+j0:int(dst)*c+j1], vd[i*c+j0:i*c+j1])
+			AddUnrolled(out.data[int(dst)*c:(int(dst)+1)*c], vd[i*c:(i+1)*c])
 		}
 	case ReduceMax:
 		for i, dst := range index {
 			if int(dst) < lo || int(dst) >= hi {
 				continue
 			}
-			MaxUnrolled(out.data[int(dst)*c+j0:int(dst)*c+j1], vd[i*c+j0:i*c+j1])
+			MaxUnrolled(out.data[int(dst)*c:(int(dst)+1)*c], vd[i*c:(i+1)*c])
 		}
 	case ReduceMin:
 		for i, dst := range index {
 			if int(dst) < lo || int(dst) >= hi {
 				continue
 			}
-			MinUnrolled(out.data[int(dst)*c+j0:int(dst)*c+j1], vd[i*c+j0:i*c+j1])
+			MinUnrolled(out.data[int(dst)*c:(int(dst)+1)*c], vd[i*c:(i+1)*c])
 		}
 	}
 }
