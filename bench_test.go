@@ -405,8 +405,9 @@ func BenchmarkAblation_PartialAggregate(b *testing.B) {
 		}
 		tasks[i] = cluster.Task{Dst: int32(i), Leaves: leaves}
 	}
+	data := make([]float32, len(tasks)*feats.Cols())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cluster.PartialAggregate(tasks, feats)
+		cluster.PartialAggregate(tasks, feats, data)
 	}
 }

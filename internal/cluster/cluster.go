@@ -383,11 +383,7 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 		g:         d.Graph,
 		owner:     p.Assign,
 		roots:     roots,
-		rootIdx:   localRows(roots),
 		localRank: buildLocalRank(d.Graph.NumVertices(), roots),
-		features:  d.Features,
-		labels:    d.Labels,
-		trainMask: d.TrainMask,
 		model:     model,
 		params:    params,
 		opt:       nn.NewAdam(params, lr),
@@ -427,7 +423,12 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 		Bottom:         w,
 	}
 	w.ctx.SetGraphAdjacency(localGraphAdjacency(d.Graph, roots))
-	if mb := cfg.MiniBatch; mb != nil {
+	// The gradient all-reduce's payload: the flattened gradients, then the
+	// loss and the masked count, then k ranks' per-stage seconds.
+	w.gradBuf = make([]float32, nn.NumParams(params)+2+w.k*metrics.StageCount)
+	if mb := cfg.MiniBatch; mb == nil {
+		w.part = newPartitionData(d, roots)
+	} else {
 		bs := mb.BatchSize
 		if bs <= 0 {
 			bs = 128
@@ -652,14 +653,14 @@ func (w *worker) wholeGraphEpoch() (float32, error) {
 	if err != nil {
 		return 0, err
 	}
-	lossV, masked := localLoss(hLocal, w.roots, w.labels, w.trainMask)
+	lossV := nn.CrossEntropy(hLocal, w.part.labels, w.part.mask)
 	bspan := w.tracer.Begin(int32(w.rank), w.epoch, 0, trace.CatStage, "backward")
 	w.breakdown.Time(metrics.StageBackward, func() {
 		w.opt.ZeroGrad()
 		lossV.Backward()
 	})
 	bspan.End()
-	globalLoss, err := w.syncGradients(lossV.Data.At(0, 0), masked, 0)
+	globalLoss, err := w.syncGradients(lossV.Data.At(0, 0), w.part.masked, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -673,10 +674,13 @@ func (w *worker) wholeGraphEpoch() (float32, error) {
 // forward runs the model's layers over this worker's partition. Every
 // tensor stays local-width: the Aggregation stage receives this worker's
 // rows, and remote contributions arrive through the BottomAggregator hook's
-// collective exchanges.
+// collective exchanges — for the first layer's bottom level in the worker's
+// first epoch only: its input is the partition's immutable rows, so the
+// context keeps the aggregate and later epochs neither reduce nor exchange
+// it (nau.Context.Input).
 func (w *worker) forward() (*nn.Value, error) {
 	probe := nau.Probe{Timer: w.breakdown, Tracer: w.tracer, Rank: int32(w.rank), Epoch: w.epoch}
-	h := nn.Gather(nn.Constant(w.features), w.rootIdx)
+	h := w.ctx.Input(w.model, w.part.features)
 	for li, layer := range w.model.Layers {
 		var err error
 		if h, err = w.ctx.RunLayer(probe, li, layer, h, h.Data.Rows(), nil); err != nil {
@@ -684,23 +688,6 @@ func (w *worker) forward() (*nn.Value, error) {
 		}
 	}
 	return h, nil
-}
-
-// localLoss computes the masked cross-entropy of a rank's logits over its
-// roots and returns it with the masked-vertex count (the rank's share of the
-// loss-weighting denominator).
-func localLoss(hLocal *nn.Value, roots []graph.VertexID, labels []int32, trainMask []bool) (*nn.Value, int) {
-	rootLabels := make([]int32, len(roots))
-	mask := make([]bool, len(roots))
-	masked := 0
-	for i, v := range roots {
-		rootLabels[i] = labels[v]
-		mask[i] = trainMask[v]
-		if mask[i] {
-			masked++
-		}
-	}
-	return nn.CrossEntropy(hLocal, rootLabels, mask), masked
 }
 
 // syncGradients all-reduces the flattened parameter gradients (plus the
@@ -727,12 +714,10 @@ func (w *worker) syncGradients(loss float32, localCount int, phase int32) (float
 	defer func() { w.breakdown.Add(metrics.StageSync, time.Since(syncStart)) }()
 
 	// Flatten local grads scaled by the local count.
-	total := 0
-	for _, p := range w.params {
-		total += p.Data.Len()
-	}
+	total := nn.NumParams(w.params)
 	stageBase := total + 2
-	payload := make([]float32, stageBase+w.k*metrics.StageCount)
+	payload := w.gradBuf
+	clear(payload)
 	off := 0
 	for _, p := range w.params {
 		if p.Grad != nil {

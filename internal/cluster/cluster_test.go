@@ -242,15 +242,35 @@ func TestSplitAdjacency(t *testing.T) {
 	}
 }
 
-func TestPartialAggregate(t *testing.T) {
-	feats := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 3, 2)
-	tasks := []Task{{Dst: 7, Leaves: []int32{0, 2}}, {Dst: 9, Leaves: []int32{1}}}
-	dsts, counts, data := PartialAggregate(tasks, feats)
-	if dsts[0] != 7 || dsts[1] != 9 || counts[0] != 2 || counts[1] != 1 {
-		t.Fatalf("dsts=%v counts=%v", dsts, counts)
+// TestDutyPayloadPartials drives the partial-sum payload the way a worker
+// does: one duty, two aggregations of different widths. The message and its
+// sections are the duty's own and are rebuilt in place, so the second payload
+// must start every sum from +0 whatever the first left behind.
+func TestDutyPayloadPartials(t *testing.T) {
+	// Rank 1 owns global vertices 10..12 as local rows 0..2.
+	localRank := make([]int32, 13)
+	for i := range localRank {
+		localRank[i] = -1
 	}
-	if data[0] != 6 || data[1] != 8 || data[2] != 3 || data[3] != 4 {
-		t.Fatalf("data=%v", data)
+	localRank[10], localRank[11], localRank[12] = 0, 1, 2
+	req := &rpc.Message{Kind: rpc.KindPlan, From: 0, Dim: 1, IDs: []int32{7, 2, 10, 12, 9, 1, 11}}
+	d, err := newDuty(req, localRank, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := d.payload(tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 3, 3))
+	if !slices.Equal(wide.Data, []float32{8, 10, 12, 4, 5, 6}) || wide.Dim != 3 {
+		t.Fatalf("wide payload: dim %d data %v", wide.Dim, wide.Data)
+	}
+	m := d.payload(tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 3, 2))
+	if m != wide {
+		t.Fatal("the duty built a second message instead of rebuilding its own")
+	}
+	if m.Kind != rpc.KindPartials || !slices.Equal(m.IDs, []int32{7, 9}) || !slices.Equal(m.Counts, []int32{2, 1}) {
+		t.Fatalf("kind %v ids %v counts %v", m.Kind, m.IDs, m.Counts)
+	}
+	if !slices.Equal(m.Data, []float32{6, 8, 3, 4}) || m.Dim != 2 {
+		t.Fatalf("payload: dim %d data %v", m.Dim, m.Data)
 	}
 }
 

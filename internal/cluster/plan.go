@@ -12,8 +12,8 @@
 // A rank's share of one bottom-level aggregation is written once, in this
 // file, as pieces that touch no transport: split the adjacency by owner
 // (newRankPlan), accept what a peer asks for (newDuty), build the payload a
-// peer is owed (duty.payload), fold the local sum and the received payloads
-// (rankPlan.combine). The concurrent runtime (worker.go; goroutines per
+// peer is owed (duty.payload, into a buffer the duty keeps), fold the
+// received payloads into the local sum's own buffer (rankPlan.combine). The concurrent runtime (worker.go; goroutines per
 // worker over loopback or TCP) runs them around collective.Exchange. The
 // simulation mode behind the Figure-13/15 benchmarks (sim.go) runs the same
 // pieces serially with full machine parallelism — as if each worker were one
@@ -65,8 +65,9 @@ type rankPlan struct {
 	// preference is announced to peers in the plan request.
 	usePartials bool
 	// degInv is 1/in-degree per destination over local + remote
-	// contributions (0 for isolated rows) — the distributed mean's scale.
-	degInv []float32
+	// contributions (0 for isolated rows) — the distributed mean's scale, a
+	// [rows, 1] column for the broadcast multiply.
+	degInv *nn.Value
 }
 
 // newRankPlan splits adj by owner — the one place that is done. localRank
@@ -117,12 +118,13 @@ func newRankPlan(adj *engine.Adjacency, owner, localRank []int32, self, k int, p
 	// so a rank with no remote dependency still reduces a well-formed level.
 	p.remote = &engine.Adjacency{NumDst: adj.NumDst, NumSrc: max(len(p.remoteUniverse), 1), DstPtr: remotePtr, SrcIdx: remoteIdx}
 	p.usePartials = pipeline && tasks <= len(p.remoteUniverse)
-	p.degInv = make([]float32, adj.NumDst)
+	degInv := tensor.New(adj.NumDst, 1)
 	for d, deg := range adj.Degrees() {
 		if deg > 0 {
-			p.degInv[d] = 1 / float32(deg)
+			degInv.Data()[d] = 1 / float32(deg)
 		}
 	}
+	p.degInv = nn.Constant(degInv)
 	return p
 }
 
@@ -174,16 +176,20 @@ func decodeTasks(ids []int32) ([]Task, error) {
 // duty is what a rank owes one peer at every aggregation over the adjacency
 // the peer's plan request was for.
 type duty struct {
-	// partials is the peer's announced receive preference.
-	partials bool
 	// tasks are the partial sums the peer asked for, leaves remapped to the
-	// sender's local ranks (partials only).
+	// sender's local ranks (when the peer announced it wants partials).
 	tasks []Task
-	// raw are the global IDs of the vertices whose feature rows ship
-	// otherwise: the deduplicated, sorted set under pipeline processing, one
+	// rows are the sender's local rows that ship otherwise, one per vertex of
+	// msg.IDs: the deduplicated, sorted set under pipeline processing, one
 	// row per dependency reference — as a naive implementation collects them
 	// — in the unoptimised §5 baseline.
-	raw []graph.VertexID
+	rows []int32
+	// msg is the payload, rebuilt in place at every aggregation. What the
+	// request fixes is filled once — the kind, and IDs/Counts: the tasks'
+	// destination rows and contribution counts, or the raw rows' global
+	// vertex IDs — and Data is rewritten from the layer's rows. The previous
+	// aggregation's exchange has returned by then, so no send still reads it.
+	msg rpc.Message
 }
 
 // newDuty accepts peer req.From's plan request on behalf of rank self, whose
@@ -193,41 +199,57 @@ func newDuty(req *rpc.Message, localRank []int32, self int, pipeline bool) (*dut
 	if err != nil {
 		return nil, err
 	}
-	d := &duty{partials: req.Dim == 1}
+	partials := req.Dim == 1
+	var raw []graph.VertexID
 	for _, t := range tasks {
 		for i, v := range t.Leaves {
 			if int(v) < 0 || int(v) >= len(localRank) || localRank[v] < 0 {
 				return nil, fmt.Errorf("cluster: peer %d requested vertex %d not owned by worker %d", req.From, v, self)
 			}
-			if d.partials {
+			if partials {
 				t.Leaves[i] = localRank[v]
 			} else {
-				d.raw = append(d.raw, v)
+				raw = append(raw, v)
 			}
 		}
 	}
-	if d.partials {
-		d.tasks = tasks
-	} else if pipeline {
-		slices.Sort(d.raw)
-		d.raw = slices.Compact(d.raw)
+	if partials {
+		d := &duty{tasks: tasks, msg: rpc.Message{Kind: rpc.KindPartials}}
+		d.msg.IDs = make([]int32, len(tasks))
+		d.msg.Counts = make([]int32, len(tasks))
+		for i, t := range tasks {
+			d.msg.IDs[i] = t.Dst
+			d.msg.Counts[i] = int32(len(t.Leaves))
+		}
+		return d, nil
+	}
+	if pipeline {
+		slices.Sort(raw)
+		raw = slices.Compact(raw)
+	}
+	d := &duty{rows: make([]int32, len(raw)), msg: rpc.Message{Kind: rpc.KindFeatures, IDs: raw}}
+	for i, v := range raw {
+		d.rows[i] = localRank[v]
 	}
 	return d, nil
 }
 
 // payload builds the message the peer is owed from the sender's
-// previous-layer rows (the collective layer stamps sender and fence).
-func (d *duty) payload(feats *tensor.Tensor, localRank []int32) *rpc.Message {
+// previous-layer rows (the collective layer stamps sender and fence). The
+// message and its sections are the duty's: they hold until its next payload.
+func (d *duty) payload(feats *tensor.Tensor) *rpc.Message {
 	dim := feats.Cols()
-	if d.partials {
-		dsts, counts, data := PartialAggregate(d.tasks, feats)
-		return &rpc.Message{Kind: rpc.KindPartials, IDs: dsts, Counts: counts, Data: data, Dim: int32(dim)}
+	m := &d.msg
+	m.Dim = int32(dim)
+	m.Data = slices.Grow(m.Data[:0], len(m.IDs)*dim)[:len(m.IDs)*dim]
+	if m.Kind == rpc.KindPartials {
+		PartialAggregate(d.tasks, feats, m.Data)
+		return m
 	}
-	data := make([]float32, len(d.raw)*dim)
-	for i, v := range d.raw {
-		copy(data[i*dim:(i+1)*dim], feats.Row(int(localRank[v])))
+	for i, r := range d.rows {
+		copy(m.Data[i*dim:(i+1)*dim], feats.Row(int(r)))
 	}
-	return &rpc.Message{Kind: rpc.KindFeatures, IDs: d.raw, Data: data, Dim: int32(dim)}
+	return m
 }
 
 // checkSplittable rejects the reduce ops that cannot be split into per-owner
@@ -245,26 +267,34 @@ func (p *rankPlan) localSum(feats *nn.Value) *nn.Value {
 	return engine.FusedAggregate(p.local, feats, tensor.ReduceSum)
 }
 
-// combine folds the peers' payloads (in sender-rank order) into localSum and
-// completes a mean. The remote contribution enters as a constant: no
-// gradient flows to the embeddings a peer computed.
+// combine folds the peers' payloads into localSum's own buffer and completes
+// a mean; for a sum the value returned is localSum itself. The remote
+// contribution enters as a constant: no gradient flows to the embeddings a
+// peer computed, so localSum's backward is the whole level's.
+//
+// The accumulation order is a contract: local + ((0 + m₁) + m₂ + …), peers
+// in sender-rank order. With one peer that is local + m₁, added straight onto
+// the rows the peer has a partial for (a payload is summed up from +0, so it
+// holds no -0 and 0 + m₁ is m₁ to the bit). With more, the payloads are first
+// summed in rank order in a pooled scratch. Rows no peer contributes to are
+// left as they are; adding a zero-filled remainder to them (the test oracle's
+// nn.Add) differs only in turning a -0 sum into +0 — the sign of an exact
+// zero, which no operation downstream turns into a different non-zero value.
 func (p *rankPlan) combine(localSum *nn.Value, msgs []*rpc.Message, op tensor.ReduceOp) (*nn.Value, error) {
-	dim := localSum.Data.Cols()
-	var remote *tensor.Tensor
-	if p.usePartials {
-		remote = tensor.New(p.local.NumDst, dim)
-		rd := remote.Data()
-		for _, m := range msgs {
-			for i, dst := range m.IDs {
-				tensor.AddUnrolled(rd[int(dst)*dim:int(dst+1)*dim], m.Data[i*dim:(i+1)*dim])
-			}
+	sum := localSum.Data
+	dim := sum.Cols()
+	for _, m := range msgs {
+		if len(m.Data) != len(m.IDs)*dim {
+			return nil, fmt.Errorf("cluster: peer %d shipped %d values for %d rows of width %d", m.From, len(m.Data), len(m.IDs), dim)
 		}
-	} else {
+	}
+	switch {
+	case !p.usePartials:
 		// Fill the compact remote buffer from the raw rows and reduce it
 		// over the remote adjacency. A vertex outside the remote universe is
 		// a protocol violation (the peer shipped rows this rank never asked
 		// for) — skipping it would turn a wire bug into silently wrong sums.
-		buffer := tensor.New(p.remote.NumSrc, dim)
+		buffer := tensor.NewPooled(p.remote.NumSrc, dim)
 		for _, m := range msgs {
 			for i, v := range m.IDs {
 				pos, ok := p.remoteIndex[v]
@@ -274,42 +304,57 @@ func (p *rankPlan) combine(localSum *nn.Value, msgs []*rpc.Message, op tensor.Re
 				copy(buffer.Row(int(pos)), m.Data[i*dim:(i+1)*dim])
 			}
 		}
-		remote = engine.FusedAggregate(p.remote, nn.Constant(buffer), tensor.ReduceSum).Data
-	}
-	out := nn.Add(localSum, nn.Constant(remote))
-	if op == tensor.ReduceMean {
-		scale := tensor.New(out.Data.Rows(), dim)
-		for d, inv := range p.degInv {
-			row := scale.Row(d)
-			for j := range row {
-				row[j] = inv
+		remote := engine.FusedAggregate(p.remote, nn.Constant(buffer), tensor.ReduceSum).Data
+		sum.AddInPlace(remote)
+		tensor.Recycle(remote)
+		tensor.Recycle(buffer)
+	case len(msgs) == 1:
+		if err := p.addPartials(sum, msgs[0]); err != nil {
+			return nil, err
+		}
+	case len(msgs) > 1:
+		scratch := tensor.NewPooled(sum.Rows(), dim)
+		for _, m := range msgs {
+			if err := p.addPartials(scratch, m); err != nil {
+				return nil, err
 			}
 		}
-		out = nn.Mul(out, nn.Constant(scale))
+		sum.AddInPlace(scratch)
+		tensor.Recycle(scratch)
 	}
-	return out, nil
+	if op == tensor.ReduceMean {
+		return nn.MulBroadcast(p.degInv, localSum), nil
+	}
+	return localSum, nil
+}
+
+// addPartials adds each of m's partial sums onto its destination row of acc.
+func (p *rankPlan) addPartials(acc *tensor.Tensor, m *rpc.Message) error {
+	dim, rows := acc.Cols(), acc.Rows()
+	ad := acc.Data()
+	for i, dst := range m.IDs {
+		if dst < 0 || int(dst) >= rows {
+			return fmt.Errorf("cluster: peer %d shipped a partial for row %d, worker %d has %d", m.From, dst, p.self, rows)
+		}
+		tensor.AddUnrolled(ad[int(dst)*dim:int(dst+1)*dim], m.Data[i*dim:(i+1)*dim])
+	}
+	return nil
 }
 
 // PartialAggregate computes, for each task, the sum of the sender's local
 // feature rows — the "single assembled message that includes the sum" of
-// §5. Returns per-task destination rows, contribution counts, and the
-// row-major sums.
-func PartialAggregate(tasks []Task, feats *tensor.Tensor) (dsts []int32, counts []int32, data []float32) {
+// §5 — into data, one row of feats' width per task. Every sum starts from
+// +0, whatever data held.
+func PartialAggregate(tasks []Task, feats *tensor.Tensor, data []float32) {
 	dim := feats.Cols()
-	dsts = make([]int32, len(tasks))
-	counts = make([]int32, len(tasks))
-	data = make([]float32, len(tasks)*dim)
 	fd := feats.Data()
 	tensor.ParallelFor(len(tasks), func(s, e int) {
 		for i := s; i < e; i++ {
-			t := tasks[i]
-			dsts[i] = t.Dst
-			counts[i] = int32(len(t.Leaves))
 			row := data[i*dim : (i+1)*dim]
-			for _, v := range t.Leaves {
+			clear(row)
+			for _, v := range tasks[i].Leaves {
 				tensor.AddUnrolled(row, fd[int(v)*dim:int(v+1)*dim])
 			}
 		}
 	})
-	return dsts, counts, data
 }

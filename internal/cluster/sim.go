@@ -137,7 +137,7 @@ func (b *simBottom) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op t
 			continue
 		}
 		start := time.Now()
-		m := x.duties[q].payload(s.ranks[q].prev, s.ranks[q].localRank)
+		m := x.duties[q].payload(s.ranks[q].prev)
 		s.stats[q].RemotePartial += time.Since(start)
 		m.From = int32(q)
 		msgs = append(msgs, m)
@@ -208,8 +208,8 @@ type simRank struct {
 	model     *nau.Model
 	ctx       *nau.Context
 	roots     []graph.VertexID
-	rootIdx   []int32
 	localRank []int32
+	part      partitionData
 	hdg       *hdg.HDG
 	// timer receives the layer step's stage times: the aggregation
 	// remainder (RestAgg) and Update.
@@ -247,7 +247,7 @@ func NewSimulation(d *dataset.Dataset, factory ModelFactory, cfg SimConfig) (*Si
 	for rank := range s.ranks {
 		r := &s.ranks[rank]
 		r.model = factory(tensor.NewRNG(cfg.Seed))
-		r.rootIdx = localRows(r.roots)
+		r.part = newPartitionData(d, r.roots)
 		r.localRank = buildLocalRank(d.Graph.NumVertices(), r.roots)
 		r.timer = &metrics.Breakdown{}
 		r.ctx = &nau.Context{
@@ -263,16 +263,18 @@ func NewSimulation(d *dataset.Dataset, factory ModelFactory, cfg SimConfig) (*Si
 }
 
 // Epoch runs one simulated epoch: the worker's epoch, one rank at a time
-// within each phase.
+// within each phase. Like a worker's, a simulation's first epoch is the cold
+// one: from the second on, a model whose dependency structure is static pays
+// neither the compute nor the modeled bytes of the first layer's bottom
+// level (nau.Context.Input).
 func (s *Simulation) Epoch() (*SimResult, error) {
 	d := s.d
 	s.stats = make([]SimWorker, len(s.ranks))
 	h := make([]*nn.Value, len(s.ranks))
-	input := nn.Constant(d.Features)
 	for rank := range s.ranks {
 		r := &s.ranks[rank]
 		r.timer.Reset()
-		h[rank] = nn.Gather(input, r.rootIdx)
+		h[rank] = r.ctx.Input(r.model, r.part.features)
 		if !needsSelection(r.model, r.hdg) {
 			continue
 		}
@@ -311,7 +313,7 @@ func (s *Simulation) Epoch() (*SimResult, error) {
 	var maskSum int
 	for rank := range s.ranks {
 		r, w := &s.ranks[rank], &s.stats[rank]
-		loss, masked := localLoss(h[rank], r.roots, d.Labels, d.TrainMask)
+		loss, masked := nn.CrossEntropy(h[rank], r.part.labels, r.part.mask), r.part.masked
 		start := time.Now()
 		for _, p := range r.model.Parameters() {
 			p.ZeroGrad()

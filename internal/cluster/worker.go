@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/collective"
+	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hdg"
@@ -37,17 +38,18 @@ type worker struct {
 	g         *graph.Graph
 	owner     []int32
 	roots     []graph.VertexID
-	rootIdx   []int32 // roots as int32 row indices (global IDs)
 	localRank []int32 // global vertex -> local root rank, -1 if not owned
-	features  *tensor.Tensor
-	labels    []int32
-	trainMask []bool
+	// part is the rank's share of the dataset, gathered once: the whole-graph
+	// epoch's input rows, labels and loss mask never change.
+	part partitionData
 
 	model  *nau.Model
 	params []*nn.Value
-	opt    nn.Optimizer
-	eng    *engine.Engine
-	rng    *tensor.RNG
+	// gradBuf is the gradient all-reduce's payload, reused by every sync.
+	gradBuf []float32
+	opt     nn.Optimizer
+	eng     *engine.Engine
+	rng     *tensor.RNG
 
 	ctx       *nau.Context
 	localHDG  *hdg.HDG
@@ -94,13 +96,33 @@ type exchanged struct {
 	duties []*duty
 }
 
-// localRows returns the global feature row indices of the given roots.
-func localRows(roots []graph.VertexID) []int32 {
-	out := make([]int32, len(roots))
-	for i, v := range roots {
-		out[i] = v
+// partitionData is the rows of a dataset that belong to one rank's roots, in
+// root order: what a whole-graph epoch reads of it, built once per rank.
+type partitionData struct {
+	// features is the epoch's input ([#roots, dim], exact row copies) — the
+	// tensor the rank hands nau.Context.Input, so it is never written again.
+	features *tensor.Tensor
+	labels   []int32
+	mask     []bool
+	// masked is the number of roots under the mask: the rank's share of the
+	// loss-weighting denominator.
+	masked int
+}
+
+func newPartitionData(d *dataset.Dataset, roots []graph.VertexID) partitionData {
+	p := partitionData{
+		features: tensor.Gather(d.Features, roots),
+		labels:   make([]int32, len(roots)),
+		mask:     make([]bool, len(roots)),
 	}
-	return out
+	for i, v := range roots {
+		p.labels[i] = d.Labels[v]
+		p.mask[i] = d.TrainMask[v]
+		if p.mask[i] {
+			p.masked++
+		}
+	}
+	return p
 }
 
 // buildLocalRank inverts a root list into a global-size rank array.
@@ -175,7 +197,7 @@ func (w *worker) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tens
 	msgs, err := w.comm.Exchange(
 		collective.Fence{Epoch: w.epoch, Phase: layer},
 		x.plan.recvKind(),
-		func(q int) *rpc.Message { return x.duties[q].payload(feats.Data, w.localRank) },
+		func(q int) *rpc.Message { return x.duties[q].payload(feats.Data) },
 		overlap)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: feature sync failed: %w", err)
@@ -185,6 +207,10 @@ func (w *worker) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tens
 	}
 	start := time.Now()
 	out, err := x.plan.combine(localSum, msgs, op)
+	// The payloads are folded: their messages go back to the transport.
+	for _, m := range msgs {
+		m.Release()
+	}
 	if !w.cfg.Pipeline {
 		// Without the overlap everything after the wait is aggregation;
 		// with it, folding the arrivals is the tail of the sync.

@@ -91,6 +91,11 @@ type Context struct {
 	bottomAdj *engine.Adjacency
 	flatAdj   *engine.Adjacency
 
+	// input is the leaf Input handed the driver; kept is the bottom
+	// aggregate computed from it, which no step after the first recomputes.
+	input *nn.Value
+	kept  keptBottom
+
 	// err is the first failure the Bottom hook reported during the layer
 	// being run; RunLayer returns and clears it after Aggregation.
 	err error
@@ -99,10 +104,68 @@ type Context struct {
 	self []int32
 }
 
+// keptBottom is one bottom-level aggregate of the context's declared input:
+// the level it ran over, the reduction, and the result as a constant leaf
+// (a leaf, so nn.ReleaseGraph never returns its buffer to the pool).
+type keptBottom struct {
+	adj *engine.Adjacency
+	op  tensor.ReduceOp
+	out *nn.Value
+}
+
+// Input returns the constant leaf a whole-graph driver feeds the model's
+// first layer: the same Value for as long as t is the same tensor. Handing
+// the features over this way is the driver's promise that t's contents never
+// change — replace the tensor, do not write into it. When m's dependency
+// structure outlives an epoch too (DNFA, or HDGs cached forever) nothing the
+// first layer's bottom aggregate reads can differ from one step to the next,
+// so AggregateBottom computes it once and keeps it. A model that re-selects
+// its HDGs every epoch gets a plain constant: there would be nothing to hit,
+// and a kept result is a buffer the pool does not get back.
+func (c *Context) Input(m *Model, t *tensor.Tensor) *nn.Value {
+	if m.NeedsHDG() && m.Cache != CacheForever {
+		return nn.Constant(t)
+	}
+	if c.input == nil || c.input.Data != t {
+		c.input, c.kept = nn.Constant(t), keptBottom{}
+	}
+	return c.input
+}
+
 // AggregateBottom runs the bottom-level aggregation through the installed
 // BottomAggregator, or the hybrid engine when none is installed. Models
 // should use this instead of calling the engine directly so they run
 // unchanged on a single machine and in the distributed runtime.
+//
+// The aggregate of the leaf Input returned is epoch-invariant: the first one
+// a step computes is kept (with the level and the reduction it was computed
+// for) and every later step that asks for the same one gets the kept leaf —
+// the engine is not run and the Bottom hook is not called, so on a cluster
+// rank the level's exchange does not happen either. Every rank's context
+// sees the same sequence of calls, so ranks hit and miss together. The kept
+// result is dropped wherever the level's identity changes (InvalidateHDG,
+// SetGraphAdjacency) and with the input tensor (Input). Every other feats —
+// a differentiable value, an interior node, a batch's gathered rows — takes
+// the plain path and touches none of this.
+func (c *Context) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.Value {
+	if feats != c.input {
+		return c.aggregateBottom(adj, feats, op)
+	}
+	k := &c.kept
+	if k.out != nil && k.adj == adj && k.op == op {
+		return k.out
+	}
+	out := c.aggregateBottom(adj, feats, op)
+	if k.out != nil || c.err != nil {
+		// A second, different aggregate of the input (computed every step,
+		// the kept one stays), or a failed hook's stand-in.
+		return out
+	}
+	*k = keptBottom{adj: adj, op: op, out: nn.Constant(out.Data)}
+	return k.out
+}
+
+// aggregateBottom is AggregateBottom's miss path: the hook, or the engine.
 //
 // Layer.Aggregation has no error return, so a failing hook cannot stop the
 // model mid-layer: the first error is kept on the context for RunLayer to
@@ -110,7 +173,7 @@ type Context struct {
 // have produced, so whatever it still computes on top (MAGNN's upper levels)
 // stays in range. Once a layer has failed the hook is not called again — a
 // dead collective would only time out a second time.
-func (c *Context) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.Value {
+func (c *Context) aggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.Value {
 	if c.Bottom == nil {
 		return c.Engine.AggregateBottom(adj, feats, op)
 	}
@@ -152,13 +215,17 @@ func (c *Context) FlatAdjacency() *engine.Adjacency {
 
 // SetGraphAdjacency overrides the 1-hop adjacency; the distributed runtime
 // installs each worker's local-root view here.
-func (c *Context) SetGraphAdjacency(adj *engine.Adjacency) { c.graphAdj = adj }
+func (c *Context) SetGraphAdjacency(adj *engine.Adjacency) {
+	c.graphAdj = adj
+	c.kept = keptBottom{}
+}
 
 // InvalidateHDG replaces the context's HDG and drops cached adjacencies.
 func (c *Context) InvalidateHDG(h *hdg.HDG) {
 	c.HDG = h
 	c.bottomAdj = nil
 	c.flatAdj = nil
+	c.kept = keptBottom{}
 }
 
 // NeighborSelection runs the UDF for every root in parallel and builds the

@@ -41,8 +41,11 @@ func (m *Model) NeedsHDG() bool {
 // Trainer runs whole-graph single-machine training of a NAU model, timing
 // the three NAU stages for the Table-4 breakdown.
 type Trainer struct {
-	Model  *Model
-	Graph  *graph.Graph
+	Model *Model
+	Graph *graph.Graph
+	// Feats is the input feature matrix. It is immutable while the trainer
+	// holds it (Context.Input): assign a new tensor to change the features,
+	// never write into this one.
 	Feats  *tensor.Tensor
 	Labels []int32
 	Mask   []bool
@@ -72,7 +75,8 @@ type Trainer struct {
 type TrainerOptions struct {
 	// Graph is the input graph (required).
 	Graph *graph.Graph
-	// Features is the [vertices, dim] input feature matrix (required).
+	// Features is the [vertices, dim] input feature matrix (required). The
+	// trainer treats it as immutable (see Trainer.Feats).
 	Features *tensor.Tensor
 	// Labels holds one class per vertex (required for Epoch/Evaluate).
 	Labels []int32
@@ -241,7 +245,7 @@ func (t *Trainer) ForwardContext(cctx context.Context, train bool) (*nn.Value, e
 	}
 	ctx := t.context(train)
 	probe := Probe{Timer: t.Breakdown, Tracer: t.Tracer, Epoch: int32(t.epoch)}
-	feats := nn.Constant(t.Feats)
+	feats := ctx.Input(t.Model, t.Feats)
 	for li, layer := range t.Model.Layers {
 		var err error
 		if feats, err = ctx.RunLayer(probe, li, layer, feats, feats.Data.Rows(), cctx.Err); err != nil {

@@ -8,6 +8,7 @@ package rpc
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // MsgKind tags the payload type of a Message.
@@ -143,51 +144,97 @@ func (m *Message) EncodeInto(buf []byte) {
 	putFloat32s(buf[off:], m.Data)
 }
 
-// Decode parses a buffer produced by Encode. Unknown message kinds are
-// rejected — garbage or version-skewed frames must surface as errors, not
-// flow through demultiplexing. The returned message owns fresh section
-// slices, so buf may be pooled and reused by the caller.
+// Decode parses a buffer produced by Encode into a fresh message; see
+// DecodeInto for what is rejected. The message owns its section slices, so
+// buf may be pooled and reused by the caller.
 func Decode(buf []byte) (*Message, error) {
-	if len(buf) < headerBytes {
-		return nil, fmt.Errorf("rpc: message too short (%d bytes)", len(buf))
+	m := new(Message)
+	if err := DecodeInto(m, buf); err != nil {
+		return nil, err
 	}
-	m := &Message{Kind: MsgKind(buf[0])}
-	if !m.Kind.Valid() {
-		return nil, fmt.Errorf("rpc: unknown message kind %d", buf[0])
+	return m, nil
+}
+
+// DecodeInto parses a buffer produced by Encode into m, overwriting every
+// field and reusing the capacity m's sections already have. Unknown message
+// kinds are rejected — garbage or version-skewed frames must surface as
+// errors, not flow through demultiplexing — and so is a frame whose section
+// lengths do not add up to its own length, before any section grows: a
+// corrupt length can never make the decoder allocate more than the frame
+// holds. On error m's contents are unspecified. The sections are copies, so
+// buf may be pooled and reused by the caller.
+func DecodeInto(m *Message, buf []byte) error {
+	if len(buf) < headerBytes {
+		return fmt.Errorf("rpc: message too short (%d bytes)", len(buf))
+	}
+	kind := MsgKind(buf[0])
+	if !kind.Valid() {
+		return fmt.Errorf("rpc: unknown message kind %d", buf[0])
 	}
 	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(buf[off:]) }
+	nIDs, nCounts, nData := int64(u32(17)), int64(u32(21)), int64(u32(25))
+	if want := headerBytes + 4*(nIDs+nCounts+nData); int64(len(buf)) != want {
+		return fmt.Errorf("rpc: message length %d, want %d", len(buf), want)
+	}
+	m.Kind = kind
 	m.From = int32(u32(1))
 	m.Layer = int32(u32(5))
 	m.Epoch = int32(u32(9))
 	m.Dim = int32(u32(13))
-	nIDs := int(u32(17))
-	nCounts := int(u32(21))
-	nData := int(u32(25))
 	m.Trace = binary.LittleEndian.Uint64(buf[29:])
-	if nIDs < 0 || nCounts < 0 || nData < 0 {
-		return nil, fmt.Errorf("rpc: negative section length")
-	}
-	want := int64(headerBytes) + 4*(int64(nIDs)+int64(nCounts)+int64(nData))
-	if int64(len(buf)) != want {
-		return nil, fmt.Errorf("rpc: message length %d, want %d", len(buf), want)
-	}
+	m.IDs = section(m.IDs, int(nIDs))
+	m.Counts = section(m.Counts, int(nCounts))
+	m.Data = section(m.Data, int(nData))
 	off := headerBytes
-	if nIDs > 0 {
-		m.IDs = make([]int32, nIDs)
-		getInt32s(m.IDs, buf[off:])
-		off += 4 * nIDs
+	getInt32s(m.IDs, buf[off:])
+	off += 4 * len(m.IDs)
+	getInt32s(m.Counts, buf[off:])
+	off += 4 * len(m.Counts)
+	getFloat32s(m.Data, buf[off:])
+	return nil
+}
+
+// section returns a slice of n elements for a decoded section: s's own
+// storage when it is large enough, a fresh slice otherwise, nil for an empty
+// section (what a message built by hand carries). Every element is
+// overwritten by the caller.
+func section[T int32 | float32](s []T, n int) []T {
+	if n == 0 {
+		return nil
 	}
-	if nCounts > 0 {
-		m.Counts = make([]int32, nCounts)
-		getInt32s(m.Counts, buf[off:])
-		off += 4 * nCounts
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	if nData > 0 {
-		m.Data = make([]float32, nData)
-		getFloat32s(m.Data, buf[off:])
+	return s[:n]
+}
+
+// bulkMessages recycles the messages transports decode feature and partial
+// frames into — the [rows, dim] payloads of every layer's exchange, whose
+// sections are the only large allocation on the receive path. A consumer
+// that has folded such a message hands it back with Release; one that does
+// not (the data plane's gathers, tests) leaves it to the GC as before. Other
+// kinds never draw from the pool, so a small frame cannot walk away with a
+// large message's sections.
+var bulkMessages = sync.Pool{New: func() any { return new(Message) }}
+
+// decodeFrame is the transports' Decode: feature and partial frames land in
+// a recycled message, everything else in a fresh one.
+func decodeFrame(buf []byte) (*Message, error) {
+	if len(buf) == 0 || (MsgKind(buf[0]) != KindFeatures && MsgKind(buf[0]) != KindPartials) {
+		return Decode(buf)
+	}
+	m := bulkMessages.Get().(*Message)
+	if err := DecodeInto(m, buf); err != nil {
+		bulkMessages.Put(m)
+		return nil, err
 	}
 	return m, nil
 }
+
+// Release hands a received feature or partial message back to the transports
+// for reuse. The caller must be the message's only holder and must not touch
+// it, or any of its sections, afterwards.
+func (m *Message) Release() { bulkMessages.Put(m) }
 
 // PackBytes packs an arbitrary byte payload into an []int32 section (4
 // bytes per word, little-endian, zero-padded). KindTelemetry uses it to

@@ -60,3 +60,39 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCodecDecodeInto is the receive side as the transports run it for
+// feature and partial frames: the frame is decoded into a message whose
+// sections already have the capacity (a released one), so it costs the three
+// section copies and nothing else. BenchmarkCodecDecode is the same frame
+// into a fresh message.
+func BenchmarkCodecDecodeInto(b *testing.B) {
+	for _, sz := range []struct{ ids, dim int }{{256, 16}, {4096, 64}} {
+		frame := benchMessage(sz.ids, sz.dim).Encode()
+		b.Run(fmt.Sprintf("ids%d_dim%d", sz.ids, sz.dim), func(b *testing.B) {
+			b.SetBytes(int64(len(frame)))
+			b.ReportAllocs()
+			var m Message
+			for i := 0; i < b.N; i++ {
+				if err := DecodeInto(&m, frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkCodecDecode(b *testing.B) {
+	for _, sz := range []struct{ ids, dim int }{{256, 16}, {4096, 64}} {
+		frame := benchMessage(sz.ids, sz.dim).Encode()
+		b.Run(fmt.Sprintf("ids%d_dim%d", sz.ids, sz.dim), func(b *testing.B) {
+			b.SetBytes(int64(len(frame)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Decode(frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -257,4 +258,99 @@ func TestDecodeBitflipRobust(t *testing.T) {
 			}()
 		}
 	}
+}
+
+// TestDecodeIntoReusesSections: decoding into a message that has been used
+// before overwrites every field, reuses the capacity its sections have — no
+// allocation at all once they are large enough — and leaves nothing of the
+// previous frame behind, including sections the new frame does not have.
+func TestDecodeIntoReusesSections(t *testing.T) {
+	big := (&Message{Kind: KindPartials, From: 2, Layer: 1, Epoch: 5, Dim: 4, Trace: 77,
+		IDs: []int32{4, 5, 6}, Counts: []int32{1, 1, 2}, Data: make([]float32, 12)}).Encode()
+	small := (&Message{Kind: KindFeatures, From: 1, Epoch: 6, Dim: 2,
+		IDs: []int32{9}, Data: []float32{0.5, -1}}).Encode()
+	var m Message
+	if err := DecodeInto(&m, big); err != nil {
+		t.Fatal(err)
+	}
+	ids, data := &m.IDs[0], &m.Data[0]
+	if err := DecodeInto(&m, small); err != nil {
+		t.Fatal(err)
+	}
+	if m.Kind != KindFeatures || m.From != 1 || m.Layer != 0 || m.Epoch != 6 || m.Dim != 2 || m.Trace != 0 {
+		t.Fatalf("header of the previous frame survived: %+v", m)
+	}
+	if len(m.IDs) != 1 || m.IDs[0] != 9 || m.Counts != nil || len(m.Data) != 2 || m.Data[1] != -1 {
+		t.Fatalf("sections: %+v", m)
+	}
+	if &m.IDs[0] != ids || &m.Data[0] != data {
+		t.Fatal("a frame that fits the message's sections was decoded into fresh ones")
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := DecodeInto(&m, small); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("DecodeInto into a large-enough message allocates %v objects", allocs)
+	}
+}
+
+// TestDecodeIntoChecksLengthBeforeGrowing: a header whose section lengths do
+// not add up to the frame is rejected before any section is sized from it —
+// a corrupt length must not be able to make the decoder allocate.
+func TestDecodeIntoChecksLengthBeforeGrowing(t *testing.T) {
+	frame := (&Message{Kind: KindFeatures, IDs: []int32{1, 2}, Data: make([]float32, 8), Dim: 4}).Encode()
+	for _, off := range []int{17, 21, 25} { // the three section lengths
+		bad := append([]byte(nil), frame...)
+		bad[off+3] = 0x7f // ~2^31 elements
+		m := Message{IDs: make([]int32, 0, 2), Data: make([]float32, 0, 8)}
+		if err := DecodeInto(&m, bad); err == nil {
+			t.Fatalf("length at offset %d: corrupt frame accepted", off)
+		}
+		if cap(m.IDs) != 2 || cap(m.Counts) != 0 || cap(m.Data) != 8 {
+			t.Fatalf("length at offset %d: a section grew before the frame was rejected", off)
+		}
+	}
+}
+
+// TestReleasedBulkMessageIsReused: the transports decode feature and partial
+// frames into messages a consumer released, and only those — a small frame of
+// another kind never takes a recycled message (and its sections) away.
+func TestReleasedBulkMessageIsReused(t *testing.T) {
+	// One P: sync.Pool keeps a private slot per P, and the test needs its
+	// Put and the transport's Get to meet.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	netw := NewLoopbackNetwork(2)
+	defer netw.Close()
+	a, b := netw.Transport(0), netw.Transport(1)
+	roundTrip := func(m *Message) *Message {
+		t.Helper()
+		if err := a.Send(1, m); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	// sync.Pool may drop a Put (it does so at random under the race detector,
+	// and a collection empties it), so reuse is tried a few times; a barrier
+	// frame must never get a released message on any of them.
+	for attempt := 0; attempt < 20; attempt++ {
+		first := roundTrip(&Message{Kind: KindPartials, IDs: []int32{1, 2}, Counts: []int32{1, 1}, Data: make([]float32, 8), Dim: 4})
+		data := &first.Data[0]
+		first.Release()
+		if got := roundTrip(&Message{Kind: KindBarrier}); got == first {
+			t.Fatal("a barrier frame was decoded into a released bulk message")
+		}
+		second := roundTrip(&Message{Kind: KindFeatures, IDs: []int32{7}, Data: []float32{1, 2, 3, 4}, Dim: 4})
+		if second.Kind != KindFeatures || second.Counts != nil || second.IDs[0] != 7 || second.Data[3] != 4 {
+			t.Fatalf("received message carries the wrong frame: %+v", second)
+		}
+		if second == first && &second.Data[0] == data {
+			return
+		}
+	}
+	t.Fatal("a feature frame was never decoded into the released message's sections")
 }

@@ -120,7 +120,7 @@ func (l *loopback) Send(to int, msg *Message) error {
 	// TCP and byte accounting is identical.
 	frame := GetFrame(int(msg.NumBytes()))
 	msg.EncodeInto(frame)
-	dup, err := Decode(frame)
+	dup, err := decodeFrame(frame)
 	PutFrame(frame)
 	if err != nil {
 		return err
@@ -379,7 +379,7 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 			t.errs <- err
 			return
 		}
-		msg, err := Decode(frame)
+		msg, err := decodeFrame(frame)
 		PutFrame(frame)
 		if err != nil {
 			t.errs <- err
