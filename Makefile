@@ -2,10 +2,12 @@ GO ?= go
 
 .PHONY: ci build test race chaos trace-smoke telemetry-smoke serve-smoke \
 	router-smoke sampler-smoke checkpoint-smoke vet fmt bench-comm \
-	bench-kernels-diff bench-smoke bench-sampler bench-e2e-smoke
+	bench-kernels-diff bench-smoke bench-sampler bench-e2e-smoke \
+	purego cross fuzz-smoke
 
 ci: vet fmt race chaos trace-smoke telemetry-smoke serve-smoke router-smoke \
-	sampler-smoke checkpoint-smoke test bench-smoke bench-e2e-smoke
+	sampler-smoke checkpoint-smoke test purego cross fuzz-smoke bench-smoke \
+	bench-e2e-smoke
 
 build:
 	$(GO) build ./...
@@ -100,6 +102,25 @@ sampler-smoke:
 	$(GO) test -count=1 -run 'SamplerSmoke|PrefetchOverlapBeatsSync' \
 		./internal/cluster/... ./internal/store/...
 
+# The reference path of the vector kernels (internal/tensor/simd.go) stays
+# compiled and green: the purego tag drops the assembly, so the kernel
+# oracles, the strategy sweep and the fused-Linear parity run on the Go loops
+# an amd64 CPU without AVX2, or any other architecture, would run.
+purego:
+	$(GO) test -tags purego ./internal/tensor/... ./internal/engine/... ./internal/nn/...
+
+# Cross-compile only (nothing here runs arm64): the !amd64 side of the build
+# constraints has to build.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+
+# A few seconds of native fuzzing per target on top of the committed seed
+# corpus (internal/tensor/testdata/fuzz), which plain `go test` already runs.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzVecKernelsMatchReference -fuzztime 5s ./internal/tensor/
+
+# vet's asmdecl pass checks internal/tensor/simd_amd64.s against its Go
+# declarations.
 vet:
 	$(GO) vet ./...
 
@@ -130,8 +151,11 @@ bench-kernels-diff:
 		| tee /tmp/bench_kernels_diff.txt
 	$(GO) run ./cmd/benchdiff -max-regress 4.0 -max-alloc-regress 0.05 -alloc-slack 2 /tmp/bench_kernels_diff.txt
 
-# Short-iteration bench smoke for ci: a handful of iterations per benchmark,
-# checked against the baselines with a deliberately loose 4x bound. This is
+# Short-iteration bench smoke for ci: a handful of iterations per benchmark
+# (twenty for the kernel rows since PR 24: most of them are now under a
+# millisecond, and five iterations of such a row are one scheduler or GC
+# hiccup away from the cliff), checked against the baselines with a
+# deliberately loose 4x bound. This is
 # not a performance gate — it proves the bench harnesses still compile,
 # every baseline row still exists under its recorded name, and nothing fell
 # off a cliff, in seconds instead of minutes. Kernel rows check against
@@ -140,9 +164,9 @@ bench-kernels-diff:
 # 2000 of them); both also gate allocs/op at +5%, which repeats exactly on
 # any host.
 bench-smoke:
-	@{ $(GO) test -run xxx -bench 'Kernel' -benchtime 5x -benchmem ./internal/tensor/; \
-	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|AggregateIntermediate' -benchtime 5x -benchmem ./internal/engine/; \
-	   $(GO) test -run xxx -bench 'TrainStepMAGNN' -benchtime 5x -benchmem .; } \
+	@{ $(GO) test -run xxx -bench 'Kernel' -benchtime 20x -benchmem ./internal/tensor/; \
+	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|AggregateIntermediate' -benchtime 20x -benchmem ./internal/engine/; \
+	   $(GO) test -run xxx -bench 'TrainStepMAGNN' -benchtime 20x -benchmem .; } \
 		> /tmp/bench_kernels_smoke.txt 2>&1 || { cat /tmp/bench_kernels_smoke.txt; exit 1; }
 	$(GO) run ./cmd/benchdiff -max-regress 4.0 -max-alloc-regress 0.05 -alloc-slack 2 \
 		-write-latest /tmp/bench_kernels_smoke.latest.json /tmp/bench_kernels_smoke.txt

@@ -340,8 +340,9 @@ func BenchmarkAblation_HDGStorage(b *testing.B) {
 	}
 }
 
-// Ablation 3: SIMD (8-wide unrolled) vs scalar inner kernels, the §6
-// feature-fusion acceleration.
+// Ablation 3: SIMD (the AVX2 kernels of internal/tensor/simd_amd64.s, or the
+// 8-wide unrolled Go loops where they do not run) vs one-element scalar inner
+// loops, the §6 feature-fusion acceleration.
 func benchSIMD(b *testing.B, aggregate func(*engine.Adjacency, *nn.Value, tensor.ReduceOp) *nn.Value) {
 	b.Helper()
 	d := dataset.RedditLike(dataset.Config{Scale: benchScale, Seed: 1, FeatureDim: 256})

@@ -179,8 +179,8 @@ func FusedAggregate(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.Val
 	return fusedAggregate(adj, feats, op, true)
 }
 
-// FusedAggregateScalar is FusedAggregate with the wide "SIMD" inner kernels
-// replaced by plain scalar loops. It exists to emulate kernel-fusion systems
+// FusedAggregateScalar is FusedAggregate with the SIMD inner kernels replaced
+// by plain one-element scalar loops. It exists to emulate kernel-fusion systems
 // without FlexGraph's SIMD acceleration (the paper attributes part of the
 // DGL gap to AVX-512, §7.1), and for the SIMD ablation bench.
 func FusedAggregateScalar(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.Value {

@@ -145,3 +145,31 @@ func BenchmarkKernelGather(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkKernelRow times the row kernels the sparse passes call once per
+// edge, at the feature widths the end-to-end workloads run (16, 50, 64), on
+// one L1-resident pair of rows: an op is 1000 calls (so a short smoke run still
+// measures calls, not the timer), and what it costs is the call and the
+// arithmetic, not memory.
+func BenchmarkKernelRow(b *testing.B) {
+	rng := NewRNG(5)
+	for _, w := range []int{16, 50, 64} {
+		dst, x := RandN(rng, 1, w).data, RandN(rng, 1, w).data
+		for _, k := range []struct {
+			name string
+			call func()
+		}{
+			{"Add", func() { AddUnrolled(dst, x) }},
+			{"Axpy", func() { AxpyUnrolled(dst, x, 1e-3) }},
+			{"Scale", func() { ScaleUnrolled(dst, 1) }},
+		} {
+			b.Run(fmt.Sprintf("%s/w%d", k.name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for r := 0; r < 1000; r++ {
+						k.call()
+					}
+				}
+			})
+		}
+	}
+}

@@ -13,17 +13,25 @@ import "fmt"
 // An element's value therefore depends on neither m, nor the row's position
 // in a tile, nor how rows were split over workers: serving a vertex subset
 // reproduces Trainer.Predict bit for bit, and so does every strategy and
-// parallelism setting. The kernels only change how often operands travel:
-// MatMul and TMatMul consume p in blocks of four through Axpy4, so an output
-// row is loaded and stored once per four terms instead of once per term, and
-// TMatMul walks p outermost so both [k, ·] operands stream once while the
-// [m, n] output stays cache-resident; MatMulT shares each left-row load
-// between two output columns. No term is skipped for a zero factor: 0·Inf
+// parallelism setting. The kernels only change how often operands travel, and
+// there are two sets of them with the same bits (simd.go).
+//
+// On the vector path a sum lives in a register lane from its first term to
+// its last: matmulRowVec computes an output row of MatMul for all of k with
+// the Linear epilogue folded in, TMatMul runs on the same kernel with the
+// output transposed (tmatmulVec), and MatMulT transposes its right operand
+// once so that matmulTRowVec has the output columns as its lanes and needs no
+// horizontal sum. The Go loops below them are the reference path: MatMul and
+// TMatMul consume p in blocks of four through Axpy4, so an output row is
+// loaded and stored once per four terms instead of once per term, and TMatMul
+// walks p outermost so both [k, ·] operands stream once while the [m, n]
+// output stays cache-resident; MatMulT shares each left-row load between two
+// output columns. No term is skipped for a zero factor on either path: 0·Inf
 // and 0·NaN are NaN, as in the naive triple loop.
 //
 // Rank-1 shapes — a [dim, 1] scorer applied to every row, and the two
-// products of its backward pass — are dispatched on shape to vector kernels
-// that form the same terms in the same order: MatMul with n = 1 is one
+// products of its backward pass — are dispatched on shape to loops over whole
+// vectors that form the same terms in the same order: MatMul with n = 1 is one
 // p-ascending dot per row (dotRows), TMatMul with n = 1 one Axpy4 of four
 // whole t rows per four p, MatMulT with k = 1 the outer product +0 + t[i]·o[j]
 // (DotUnrolled's first partial sum; the other three stay +0). The general
@@ -45,40 +53,72 @@ func (t *Tensor) MatMulBias(o, bias *Tensor, relu bool) *Tensor {
 	if bias != nil && (bias.Dims() != 2 || bias.Dim(0) != 1 || bias.Dim(1) != n) {
 		panic(fmt.Sprintf("tensor: MatMulBias bias %v for output [%d,%d]", bias.shape, m, n))
 	}
-	out := NewUninit(m, n) // every row is cleared below before it accumulates
+	out := NewUninit(m, n) // every element is written below
+	var bd []float32
+	if bias != nil {
+		bd = bias.data
+	}
 	ParallelForGrain(m, GrainForCost(k*n), func(rs, re int) {
 		if n == 1 {
-			// One output column: the range's sums in one call, the loop
-			// below left with the epilogue.
-			dotRows(out.data[rs:re], t.data[rs*k:re*k], o.data)
-		}
-		for i := rs; i < re; i++ {
-			ti := t.data[i*k : (i+1)*k]
-			oi := out.data[i*n : (i+1)*n]
-			if n != 1 {
-				clear(oi)
-				p := 0
-				for ; p+4 <= k; p += 4 {
-					Axpy4(oi, o.data[p*n:(p+1)*n], o.data[(p+1)*n:(p+2)*n], o.data[(p+2)*n:(p+3)*n], o.data[(p+3)*n:(p+4)*n],
-						ti[p], ti[p+1], ti[p+2], ti[p+3])
+			// One output column: the range's sums in one call, then the
+			// epilogue on them as one row.
+			dst := out.data[rs:re]
+			dotRows(dst, t.data[rs*k:re*k], o.data)
+			if bd != nil {
+				for i := range dst {
+					dst[i] += bd[0]
 				}
-				for ; p < k; p++ {
-					AxpyUnrolled(oi, o.data[p*n:(p+1)*n], ti[p])
-				}
-			}
-			if bias != nil {
-				AddUnrolled(oi, bias.data)
 			}
 			if relu {
-				for j, v := range oi {
-					if v < 0 {
-						oi[j] = 0
-					}
-				}
+				clampNegative(dst)
 			}
+			return
+		}
+		for i := rs; i < re; i++ {
+			matmulRow(out.data[i*n:(i+1)*n], t.data[i*k:(i+1)*k], o.data, bd, relu)
 		}
 	})
 	return out
+}
+
+// matmulRow writes one output row of MatMulBias: dst = x @ o, plus bias when
+// it is not nil, clamped at zero when relu — o being the [len(x), len(dst)]
+// right operand. The vector kernel keeps the row's sums in registers for all
+// of k; the loop below is what it reproduces.
+func matmulRow(dst, x, o, bias []float32, relu bool) {
+	k, n := len(x), len(dst)
+	if useVec && n >= vecMin && k > 0 {
+		var b *float32
+		if bias != nil {
+			b = &bias[0]
+		}
+		matmulRowVec(&dst[0], &x[0], &o[0], b, k, n, 1, n, false, relu)
+		return
+	}
+	clear(dst)
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		Axpy4(dst, o[p*n:(p+1)*n], o[(p+1)*n:(p+2)*n], o[(p+2)*n:(p+3)*n], o[(p+3)*n:(p+4)*n],
+			x[p], x[p+1], x[p+2], x[p+3])
+	}
+	for ; p < k; p++ {
+		AxpyUnrolled(dst, o[p*n:(p+1)*n], x[p])
+	}
+	if bias != nil {
+		AddUnrolled(dst, bias)
+	}
+	if relu {
+		clampNegative(dst)
+	}
+}
+
+// clampNegative is ReLU in place: -0 and NaN are not below zero and stay.
+func clampNegative(dst []float32) {
+	for j, v := range dst {
+		if v < 0 {
+			dst[j] = 0
+		}
+	}
 }
 
 // dotRows writes dst[i] = Σ_p rows[i][p]·x[p] for the len(dst) rows of width
@@ -123,6 +163,23 @@ func (t *Tensor) MatMulT(o *Tensor) *Tensor {
 	}
 	m, k, n := t.Dim(0), t.Dim(1), o.Dim(0)
 	out := NewUninit(m, n) // every element written below
+	if useVec && k > 1 && n >= matmulTMin {
+		// The vector kernel wants the output columns as its lanes: o
+		// transposed once, [k, n], so a row of it is one term of n dots.
+		ot := GetBufUninit(k * n)
+		for j := 0; j < n; j++ {
+			for p, v := range o.data[j*k : (j+1)*k] {
+				ot[p*n+j] = v
+			}
+		}
+		ParallelForGrain(m, GrainForCost(k*n), func(rs, re int) {
+			for i := rs; i < re; i++ {
+				matmulTRowVec(&out.data[i*n], &t.data[i*k], &ot[0], k, n)
+			}
+		})
+		PutBuf(ot)
+		return out
+	}
 	ParallelForGrain(m, GrainForCost(k*n), func(rs, re int) {
 		for i := rs; i < re; i++ {
 			ti := t.data[i*k : (i+1)*k]
@@ -183,6 +240,9 @@ func (t *Tensor) TMatMul(o *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: TMatMul shape mismatch %vᵀ x %v", t.shape, o.shape))
 	}
 	k, m, n := t.Dim(0), t.Dim(1), o.Dim(1)
+	if useVec && k > 0 && m >= vecMin {
+		return t.tmatmulVec(o)
+	}
 	out := NewPooled(m, n)
 	grain := GrainForCost(k * n)
 	if n == 1 {
@@ -223,6 +283,42 @@ func (t *Tensor) TMatMul(o *Tensor) *Tensor {
 			}
 		}
 	})
+	return out
+}
+
+// tmatmulChunk is how many operand rows tmatmulVec folds into every sum
+// before moving on: 64 rows of a [k, 64] pair are 32 KiB, so both chunks stay
+// in L1 while the sums take their turns.
+const tmatmulChunk = 64
+
+// tmatmulVec is TMatMul on matmulRowVec with the output transposed: row j of
+// acc holds column j of the result, out[·][j] = Σ_p o[p][j]·t[p][·], so o's
+// scalars are the broadcast operand and t's rows the vectors. The products
+// commute and p still ascends along one chain per element, continued from
+// chunk to chunk through acc, so the bits are TMatMul's. o is the side to
+// broadcast because it is the gradient in every caller (dW = xᵀ @ dOut), and
+// gradients carry the denormals (DESIGN.md "Dense path"): a denormal that is
+// broadcast slows the m/8 multiplies of its own term, one that sits in a
+// vector slows that vector's multiply for every output row.
+func (t *Tensor) tmatmulVec(o *Tensor) *Tensor {
+	k, m, n := t.Dim(0), t.Dim(1), o.Dim(1)
+	out := NewUninit(m, n) // every element written below
+	acc := GetBufUninit(n * m)
+	// Workers own disjoint ranges of output rows (columns of t).
+	ParallelForGrain(m, max(GrainForCost(k*n), 2*vecMin), func(rs, re int) {
+		for p0 := 0; p0 < k; p0 += tmatmulChunk {
+			kc := min(tmatmulChunk, k-p0)
+			for j := 0; j < n; j++ {
+				matmulRowVec(&acc[j*m+rs], &o.data[p0*n+j], &t.data[p0*m+rs], nil, kc, re-rs, n, m, p0 > 0, false)
+			}
+		}
+		for i := rs; i < re; i++ {
+			for j := 0; j < n; j++ {
+				out.data[i*n+j] = acc[j*m+i]
+			}
+		}
+	})
+	PutBuf(acc)
 	return out
 }
 

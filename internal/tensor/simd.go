@@ -2,33 +2,56 @@ package tensor
 
 import "math"
 
-// This file holds the "SIMD" kernels. The paper accelerates feature fusion
-// with Intel AVX-512; stdlib-only Go cannot emit vector intrinsics, so these
-// kernels use 8-wide manual unrolling, which the compiler lowers to
-// straight-line scalar code with good scheduling. The ablation benchmarks
-// compare them against naive one-element loops so the *shape* of the
-// SIMD-vs-scalar gap from the paper is observable.
+// This file holds the feature-fusion kernels the paper runs on Intel AVX-512.
+// The arithmetic ones run as AVX2 Go-assembly kernels (simd_amd64.s) on amd64
+// CPUs that have AVX2: AxpyUnrolled, AddUnrolled and ScaleUnrolled here, and
+// the row kernels of the dense products in matmul.go. Everywhere else — other
+// architectures, the purego build tag, an amd64 CPU without AVX2, and rows
+// shorter than one vector, which are not worth a call — the Go loops of
+// simd_ref.go and matmul.go run instead: the reference path. Both give the
+// same bits, because the vector path only ever does what the loops do, eight
+// output elements at a time: the elements of one call are independent, each
+// term is one rounded multiply then one rounded add (VMULPS + VADDPS, never a
+// fused multiply-add, whose single rounding differs), terms are taken in the
+// loops' order, and MXCSR is left alone, so denormals stay denormals. The bits
+// of a NaN result are the one thing not promised (an element that is NaN on
+// one path is NaN on the other): when both operands of an add or multiply are
+// NaN the hardware keeps the first one's payload, and the compiler orders the
+// scalar loops' operands as its register allocator likes.
+//
+// One vector width ships. A 128-bit build of the same kernels needs no CPU
+// probe but measured 31 % slower end to end (CHANGES.md, PR 24). AVX-512
+// would halve the instruction count again on the CPUs that have it, for a
+// second probe, a second copy of every kernel and a second leg in every
+// parity test, on rows that are 16 to 64 floats long — one or two iterations.
+// The max/min/arg kernels stay Go: VMAXPS returns its second operand when
+// either is NaN and treats -0 and +0 as equal, which is not the builtin max
+// the tie-breaking contract below is written against. Axpy4 and DotUnrolled
+// stay Go because nothing on the vector path calls them: the products keep
+// their sums in registers instead (matmul.go).
+//
+// The *ScalarLoop functions are the deliberately naive one-element loops the
+// ablation benchmarks compare against.
 
-// AxpyUnrolled computes dst[i] += a*x[i] with 8-wide unrolling.
+const (
+	// vecMin is the shortest row handed to the assembly: one 8-lane vector.
+	vecMin = 8
+	// matmulTMin is the narrowest output row matmulTRowVec takes: one
+	// column block.
+	matmulTMin = 16
+)
+
+// AxpyUnrolled computes dst[i] += a*x[i].
 func AxpyUnrolled(dst, x []float32, a float32) {
 	n := len(dst)
 	if len(x) != n {
 		panic("tensor: axpy length mismatch")
 	}
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		dst[i] += a * x[i]
-		dst[i+1] += a * x[i+1]
-		dst[i+2] += a * x[i+2]
-		dst[i+3] += a * x[i+3]
-		dst[i+4] += a * x[i+4]
-		dst[i+5] += a * x[i+5]
-		dst[i+6] += a * x[i+6]
-		dst[i+7] += a * x[i+7]
+	if useVec && n >= vecMin {
+		axpyVec(&dst[0], &x[0], n, a)
+		return
 	}
-	for ; i < n; i++ {
-		dst[i] += a * x[i]
-	}
+	axpyRef(dst, x, a)
 }
 
 // Axpy4 folds four scaled rows into dst in one pass:
@@ -37,7 +60,8 @@ func AxpyUnrolled(dst, x []float32, a float32) {
 //
 // exactly the value four AxpyUnrolled calls in that order leave — the same
 // adds in the same order — but dst is loaded and stored once per element
-// instead of four times. The dense products are built on it (matmul.go).
+// instead of four times. The reference path of the dense products is built on
+// it (matmul.go).
 func Axpy4(dst, x0, x1, x2, x3 []float32, a0, a1, a2, a3 float32) {
 	n := len(dst)
 	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
@@ -53,26 +77,17 @@ func Axpy4(dst, x0, x1, x2, x3 []float32, a0, a1, a2, a3 float32) {
 	}
 }
 
-// AddUnrolled computes dst[i] += x[i] with 8-wide unrolling.
+// AddUnrolled computes dst[i] += x[i].
 func AddUnrolled(dst, x []float32) {
 	n := len(dst)
 	if len(x) != n {
 		panic("tensor: add length mismatch")
 	}
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		dst[i] += x[i]
-		dst[i+1] += x[i+1]
-		dst[i+2] += x[i+2]
-		dst[i+3] += x[i+3]
-		dst[i+4] += x[i+4]
-		dst[i+5] += x[i+5]
-		dst[i+6] += x[i+6]
-		dst[i+7] += x[i+7]
+	if useVec && n >= vecMin {
+		addVec(&dst[0], &x[0], n)
+		return
 	}
-	for ; i < n; i++ {
-		dst[i] += x[i]
-	}
+	addRef(dst, x)
 }
 
 // AddScalarLoop is the deliberately naive counterpart of AddUnrolled, kept
@@ -333,23 +348,13 @@ func MergeMinArg(dst []float32, dargs []int32, x []float32, xargs []int32) {
 	}
 }
 
-// ScaleUnrolled computes dst[i] *= a with 8-wide unrolling.
+// ScaleUnrolled computes dst[i] *= a.
 func ScaleUnrolled(dst []float32, a float32) {
-	n := len(dst)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		dst[i] *= a
-		dst[i+1] *= a
-		dst[i+2] *= a
-		dst[i+3] *= a
-		dst[i+4] *= a
-		dst[i+5] *= a
-		dst[i+6] *= a
-		dst[i+7] *= a
+	if n := len(dst); useVec && n >= vecMin {
+		scaleVec(&dst[0], n, a)
+		return
 	}
-	for ; i < n; i++ {
-		dst[i] *= a
-	}
+	scaleRef(dst, a)
 }
 
 // DotUnrolled returns the dot product of x and y with 4 parallel

@@ -1,0 +1,465 @@
+//go:build amd64 && !purego
+
+#include "textflag.h"
+
+// The AVX2 feature-fusion kernels (simd.go says what they may and may not
+// do). Lengths are element counts. Every kernel ends its 256-bit region with
+// VZEROUPPER and reads but never writes MXCSR; none uses a fused multiply-add.
+// Go operand order: the last operand is the destination and the one before it
+// the first source, so `VADDPS Y6, Y4, Y4` is Y4 = Y4 + Y6 with the
+// accumulator first. The three streaming kernels take any n >= 0: sixteen
+// elements per iteration, then eight, then a scalar VEX tail in the same order.
+
+// func cpuHasAVX2() bool
+//
+// CPUID.1:ECX says the OS uses XSAVE and the CPU has AVX, XCR0 says the OS
+// saves the XMM and YMM halves, CPUID.7.0:EBX bit 5 is AVX2.
+TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  no
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX // OSXSAVE | AVX
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX // XCR0: SSE and AVX state enabled
+	CMPL AX, $6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $5, BX
+	JCC  no
+	MOVB $1, ret+0(FP)
+no:
+	RET
+
+// func axpyVec(dst, x *float32, n int, a float32)
+//
+// dst[j] += a*x[j].
+TEXT ·axpyVec(SB), NOSPLIT, $0-28
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS a+24(FP), Y0
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-16, DX
+	JMP          check16
+
+loop16:
+	VMULPS  (SI)(AX*4), Y0, Y6
+	VMULPS  32(SI)(AX*4), Y0, Y7
+	VMOVUPS (DI)(AX*4), Y4
+	VMOVUPS 32(DI)(AX*4), Y5
+	VADDPS  Y6, Y4, Y4
+	VADDPS  Y7, Y5, Y5
+	VMOVUPS Y4, (DI)(AX*4)
+	VMOVUPS Y5, 32(DI)(AX*4)
+	ADDQ    $16, AX
+
+check16:
+	CMPQ AX, DX
+	JLT  loop16
+	MOVQ CX, DX
+	ANDQ $-8, DX
+	CMPQ AX, DX
+	JGE  check1
+	VMULPS  (SI)(AX*4), Y0, Y6
+	VMOVUPS (DI)(AX*4), Y4
+	VADDPS  Y6, Y4, Y4
+	VMOVUPS Y4, (DI)(AX*4)
+	ADDQ    $8, AX
+	JMP     check1
+
+loop1:
+	VMULSS (SI)(AX*4), X0, X6
+	VMOVSS (DI)(AX*4), X4
+	VADDSS X6, X4, X4
+	VMOVSS X4, (DI)(AX*4)
+	INCQ   AX
+
+check1:
+	CMPQ AX, CX
+	JLT  loop1
+	VZEROUPPER
+	RET
+
+// func addVec(dst, x *float32, n int)
+//
+// dst[j] += x[j].
+TEXT ·addVec(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-16, DX
+	JMP  check16
+
+loop16:
+	VMOVUPS (DI)(AX*4), Y4
+	VMOVUPS 32(DI)(AX*4), Y5
+	VADDPS  (SI)(AX*4), Y4, Y4
+	VADDPS  32(SI)(AX*4), Y5, Y5
+	VMOVUPS Y4, (DI)(AX*4)
+	VMOVUPS Y5, 32(DI)(AX*4)
+	ADDQ    $16, AX
+
+check16:
+	CMPQ AX, DX
+	JLT  loop16
+	MOVQ CX, DX
+	ANDQ $-8, DX
+	CMPQ AX, DX
+	JGE  check1
+	VMOVUPS (DI)(AX*4), Y4
+	VADDPS  (SI)(AX*4), Y4, Y4
+	VMOVUPS Y4, (DI)(AX*4)
+	ADDQ    $8, AX
+	JMP     check1
+
+loop1:
+	VMOVSS (DI)(AX*4), X4
+	VADDSS (SI)(AX*4), X4, X4
+	VMOVSS X4, (DI)(AX*4)
+	INCQ   AX
+
+check1:
+	CMPQ AX, CX
+	JLT  loop1
+	VZEROUPPER
+	RET
+
+// func scaleVec(dst *float32, n int, a float32)
+//
+// dst[j] *= a.
+TEXT ·scaleVec(SB), NOSPLIT, $0-20
+	MOVQ         dst+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSS a+16(FP), Y0
+	XORQ         AX, AX
+	MOVQ         CX, DX
+	ANDQ         $-16, DX
+	JMP          check16
+
+loop16:
+	VMULPS  (DI)(AX*4), Y0, Y4
+	VMULPS  32(DI)(AX*4), Y0, Y5
+	VMOVUPS Y4, (DI)(AX*4)
+	VMOVUPS Y5, 32(DI)(AX*4)
+	ADDQ    $16, AX
+
+check16:
+	CMPQ AX, DX
+	JLT  loop16
+	MOVQ CX, DX
+	ANDQ $-8, DX
+	CMPQ AX, DX
+	JGE  check1
+	VMULPS  (DI)(AX*4), Y0, Y4
+	VMOVUPS Y4, (DI)(AX*4)
+	ADDQ    $8, AX
+	JMP     check1
+
+loop1:
+	VMULSS (DI)(AX*4), X0, X4
+	VMOVSS X4, (DI)(AX*4)
+	INCQ   AX
+
+check1:
+	CMPQ AX, CX
+	JLT  loop1
+	VZEROUPPER
+	RET
+
+// A row of sums that never leaves its registers: for j in [0, n)
+//
+//	dst[j] = init + t[0]*o[0][j] + t[1*ts]*o[1][j] + ... + t[(k-1)*ts]*o[k-1][j]
+//
+// added left to right, one rounded multiply and one rounded add per term,
+// rows of o being os floats apart. init is +0, or dst[j] when acc is set (the
+// sum continues where an earlier call stopped). Afterwards bias[j] is added
+// when bias is not nil (accumulator first), then relu clamps with VMAXPS 0,
+// acc — which returns its second operand unless the first is greater, so -0
+// and NaN pass through as they do through `if v < 0`. Columns go in blocks of
+// 32, then 16, then one masked block of the 1..15 left over: VMASKMOVPS reads
+// masked-off lanes as +0 without touching their memory and does not write
+// them. Requires k >= 1.
+
+// tailmask<> + 4*(8-r) is a mask with the first r of eight lanes set.
+DATA tailmask<>+0(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+8(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+16(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+24(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+32(SB)/8, $0
+DATA tailmask<>+40(SB)/8, $0
+DATA tailmask<>+48(SB)/8, $0
+DATA tailmask<>+56(SB)/8, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $64
+
+#define MM_TERM(off, acc) \
+	VMULPS off(R9), Y8, Y9; \
+	VADDPS Y9, acc, acc
+
+// func matmulRowVec(dst, t, o, bias *float32, k, n, ts, os int, acc, relu bool)
+TEXT ·matmulRowVec(SB), NOSPLIT, $0-66
+	MOVQ   dst+0(FP), DI
+	MOVQ   t+8(FP), SI
+	MOVQ   o+16(FP), DX
+	MOVQ   bias+24(FP), BX
+	MOVQ   k+32(FP), CX
+	MOVQ   n+40(FP), R11
+	MOVQ   ts+48(FP), R12
+	MOVQ   os+56(FP), R13
+	SHLQ   $2, R12 // strides in bytes
+	SHLQ   $2, R13
+	VXORPS Y15, Y15, Y15
+	XORQ   AX, AX // first column of the block
+
+next32:
+	MOVQ   R11, R10
+	SUBQ   AX, R10 // columns left
+	CMPQ   R10, $32
+	JLT    next16
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	CMPB   acc+64(FP), $0
+	JEQ    start32
+	VMOVUPS (DI)(AX*4), Y0
+	VMOVUPS 32(DI)(AX*4), Y1
+	VMOVUPS 64(DI)(AX*4), Y2
+	VMOVUPS 96(DI)(AX*4), Y3
+
+start32:
+	MOVQ SI, R8
+	LEAQ (DX)(AX*4), R9
+	MOVQ CX, R10
+
+term32:
+	VBROADCASTSS (R8), Y8
+	MM_TERM(0, Y0)
+	MM_TERM(32, Y1)
+	MM_TERM(64, Y2)
+	MM_TERM(96, Y3)
+	ADDQ  R12, R8
+	ADDQ  R13, R9
+	DECQ  R10
+	JNZ   term32
+	TESTQ BX, BX
+	JEQ   relu32
+	VADDPS (BX)(AX*4), Y0, Y0
+	VADDPS 32(BX)(AX*4), Y1, Y1
+	VADDPS 64(BX)(AX*4), Y2, Y2
+	VADDPS 96(BX)(AX*4), Y3, Y3
+
+relu32:
+	CMPB   relu+65(FP), $0
+	JEQ    store32
+	VMAXPS Y0, Y15, Y0
+	VMAXPS Y1, Y15, Y1
+	VMAXPS Y2, Y15, Y2
+	VMAXPS Y3, Y15, Y3
+
+store32:
+	VMOVUPS Y0, (DI)(AX*4)
+	VMOVUPS Y1, 32(DI)(AX*4)
+	VMOVUPS Y2, 64(DI)(AX*4)
+	VMOVUPS Y3, 96(DI)(AX*4)
+	ADDQ    $32, AX
+	JMP     next32
+
+next16:
+	CMPQ   R10, $16
+	JLT    tail
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	CMPB   acc+64(FP), $0
+	JEQ    start16
+	VMOVUPS (DI)(AX*4), Y0
+	VMOVUPS 32(DI)(AX*4), Y1
+
+start16:
+	MOVQ SI, R8
+	LEAQ (DX)(AX*4), R9
+	MOVQ CX, R10
+
+term16:
+	VBROADCASTSS (R8), Y8
+	MM_TERM(0, Y0)
+	MM_TERM(32, Y1)
+	ADDQ  R12, R8
+	ADDQ  R13, R9
+	DECQ  R10
+	JNZ   term16
+	TESTQ BX, BX
+	JEQ   relu16
+	VADDPS (BX)(AX*4), Y0, Y0
+	VADDPS 32(BX)(AX*4), Y1, Y1
+
+relu16:
+	CMPB   relu+65(FP), $0
+	JEQ    store16
+	VMAXPS Y0, Y15, Y0
+	VMAXPS Y1, Y15, Y1
+
+store16:
+	VMOVUPS Y0, (DI)(AX*4)
+	VMOVUPS Y1, 32(DI)(AX*4)
+	ADDQ    $16, AX
+	MOVQ    R11, R10
+	SUBQ    AX, R10
+
+tail:
+	// R10 = 0..15 columns left: Y10 masks the first min(R10, 8) of them,
+	// Y11 the rest.
+	TESTQ   R10, R10
+	JEQ     done
+	LEAQ    tailmask<>+32(SB), R8
+	MOVQ    R10, R9
+	SUBQ    $8, R9 // lanes of the second vector, negative if none
+	JGE     2(PC)
+	XORQ    R9, R9
+	SUBQ    R9, R10 // lanes of the first
+	SHLQ    $2, R10
+	SHLQ    $2, R9
+	NEGQ    R10
+	NEGQ    R9
+	VMOVDQU (R8)(R10*1), Y10
+	VMOVDQU (R8)(R9*1), Y11
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+	CMPB    acc+64(FP), $0
+	JEQ     starttail
+	VMASKMOVPS (DI)(AX*4), Y10, Y0
+	VMASKMOVPS 32(DI)(AX*4), Y11, Y1
+
+starttail:
+	MOVQ SI, R8
+	LEAQ (DX)(AX*4), R9
+	MOVQ CX, R10
+
+termtail:
+	VBROADCASTSS (R8), Y8
+	VMASKMOVPS   (R9), Y10, Y9
+	VMULPS       Y9, Y8, Y9
+	VADDPS       Y9, Y0, Y0
+	VMASKMOVPS   32(R9), Y11, Y9
+	VMULPS       Y9, Y8, Y9
+	VADDPS       Y9, Y1, Y1
+	ADDQ         R12, R8
+	ADDQ         R13, R9
+	DECQ         R10
+	JNZ          termtail
+	TESTQ        BX, BX
+	JEQ          relutail
+	VMASKMOVPS   (BX)(AX*4), Y10, Y9
+	VADDPS       Y9, Y0, Y0
+	VMASKMOVPS   32(BX)(AX*4), Y11, Y9
+	VADDPS       Y9, Y1, Y1
+
+relutail:
+	CMPB   relu+65(FP), $0
+	JEQ    storetail
+	VMAXPS Y0, Y15, Y0
+	VMAXPS Y1, Y15, Y1
+
+storetail:
+	VMASKMOVPS Y0, Y10, (DI)(AX*4)
+	VMASKMOVPS Y1, Y11, 32(DI)(AX*4)
+
+done:
+	VZEROUPPER
+	RET
+
+// One output row of MatMulT against the transposed right operand ot [k, n]:
+// dst[j] = ((s0 + s1) + s2) + s3 with s_r = the sum, from +0 in ascending p,
+// of x[p]*ot[p][j] over p = r (mod 4), and the k%4 last terms folded into s0
+// after its own — DotUnrolled's order with the output columns as the lanes, so
+// no horizontal sum is needed. Sixteen columns per block: Y0..Y3 are s0..s3 of
+// the first eight, Y4..Y7 of the second; a last partial block is moved back to
+// end at n, as in matmulRowVec. Requires n >= 16.
+
+#define MT_TERM(xoff, lo, hi) \
+	VBROADCASTSS xoff(R8), Y8; \
+	VMULPS       (R9), Y8, Y9; \
+	VADDPS       Y9, lo, lo;   \
+	VMULPS       32(R9), Y8, Y9; \
+	VADDPS       Y9, hi, hi;   \
+	ADDQ         R13, R9
+
+// func matmulTRowVec(dst, x, ot *float32, k, n int)
+TEXT ·matmulTRowVec(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ ot+16(FP), DX
+	MOVQ k+24(FP), CX
+	MOVQ n+32(FP), R11
+	LEAQ (R11*4), R13 // bytes between rows of ot
+	XORQ AX, AX // first column of the block
+
+block:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ   SI, R8
+	LEAQ   (DX)(AX*4), R9
+	MOVQ   CX, R10
+	SHRQ   $2, R10
+	JEQ    tail
+
+term4:
+	MT_TERM(0, Y0, Y4)
+	MT_TERM(4, Y1, Y5)
+	MT_TERM(8, Y2, Y6)
+	MT_TERM(12, Y3, Y7)
+	ADDQ $16, R8
+	DECQ R10
+	JNZ  term4
+
+tail:
+	MOVQ CX, R10
+	ANDQ $3, R10
+	JEQ  combine
+
+term1:
+	MT_TERM(0, Y0, Y4)
+	ADDQ $4, R8
+	DECQ R10
+	JNZ  term1
+
+combine:
+	VADDPS  Y1, Y0, Y0
+	VADDPS  Y5, Y4, Y4
+	VADDPS  Y2, Y0, Y0
+	VADDPS  Y6, Y4, Y4
+	VADDPS  Y3, Y0, Y0
+	VADDPS  Y7, Y4, Y4
+	VMOVUPS Y0, (DI)(AX*4)
+	VMOVUPS Y4, 32(DI)(AX*4)
+	ADDQ    $16, AX
+	MOVQ    R11, R10
+	SUBQ    AX, R10 // columns left
+	JLE     done
+	CMPQ    R10, $16
+	JGE     block
+	MOVQ    R11, AX // fewer than 16 left: redo the last 16
+	SUBQ    $16, AX
+	JMP     block
+
+done:
+	VZEROUPPER
+	RET
