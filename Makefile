@@ -3,11 +3,26 @@ GO ?= go
 .PHONY: ci build test race chaos trace-smoke telemetry-smoke serve-smoke \
 	router-smoke sampler-smoke checkpoint-smoke vet fmt bench-comm \
 	bench-kernels-diff bench-smoke bench-sampler bench-e2e-smoke \
-	purego cross fuzz-smoke
+	purego cross fuzz-smoke frozen loc
 
-ci: vet fmt race chaos trace-smoke telemetry-smoke serve-smoke router-smoke \
+ci: frozen vet fmt race chaos trace-smoke telemetry-smoke serve-smoke router-smoke \
 	sampler-smoke checkpoint-smoke test purego cross fuzz-smoke bench-smoke \
 	bench-e2e-smoke
+
+# BENCHMARK.json and benchmark/ are a frozen contract: the gate runs them from
+# the parent commit and from the change, and rejects a change that edits them.
+# Fails when the working tree differs from BASE there (BASE=<parent commit>
+# checks a whole PR rather than the uncommitted part of it).
+BASE ?= HEAD
+frozen:
+	git diff --exit-code $(BASE) -- BENCHMARK.json benchmark/
+
+# The two sizes the simplicity PRs are held to: non-test Go under internal/,
+# cmd/ and the root (assembly not counted), and the root package's exported
+# names (TestEveryExportHasACaller holds each of those to a caller).
+loc:
+	@echo "non-test Go lines: $$( { find internal cmd -name '*.go' ! -name '*_test.go'; ls *.go | grep -v _test.go; } | xargs cat | wc -l)"
+	@$(GO) test -count=1 -run TestEveryExportHasACaller -v . | grep -o '[0-9]* exports.*'
 
 build:
 	$(GO) build ./...
@@ -115,9 +130,11 @@ cross:
 	GOARCH=arm64 $(GO) build ./...
 
 # A few seconds of native fuzzing per target on top of the committed seed
-# corpus (internal/tensor/testdata/fuzz), which plain `go test` already runs.
+# corpora (internal/{tensor,rpc}/testdata/fuzz), which plain `go test` already
+# runs.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzVecKernelsMatchReference -fuzztime 5s ./internal/tensor/
+	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 5s ./internal/rpc/
 
 # vet's asmdecl pass checks internal/tensor/simd_amd64.s against its Go
 # declarations.

@@ -149,7 +149,7 @@ func benchFig13(b *testing.B, kind baseline.ModelKind, workers int) {
 	spec := baseline.DefaultSpec(kind)
 	factory := benchFactory(d, spec)
 	sim, err := cluster.NewSimulation(d, factory, cluster.SimConfig{
-		NumWorkers: workers, Pipeline: true, Strategy: engine.StrategyHA, Seed: 1,
+		NumWorkers: workers, Pipeline: true, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -243,7 +243,7 @@ func benchFig15a(b *testing.B, pname string) {
 	}
 	spec := baseline.DefaultSpec(baseline.ModelMAGNN)
 	sim, err := cluster.NewSimulation(d, benchFactory(d, spec), cluster.SimConfig{
-		NumWorkers: k, Pipeline: true, Strategy: engine.StrategyHA, Partitioning: p, Seed: 1,
+		NumWorkers: k, Pipeline: true, Partitioning: p, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -271,7 +271,7 @@ func benchFig15Pipeline(b *testing.B, pipeline bool) {
 	d := dataset.FB91Like(dataset.Config{Scale: benchScale, Seed: 1, FeatureDim: 128})
 	spec := baseline.DefaultSpec(baseline.ModelGCN)
 	sim, err := cluster.NewSimulation(d, benchFactory(d, spec), cluster.SimConfig{
-		NumWorkers: 8, Pipeline: pipeline, Strategy: engine.StrategyHA, Seed: 1,
+		NumWorkers: 8, Pipeline: pipeline, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)

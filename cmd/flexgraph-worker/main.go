@@ -20,7 +20,6 @@ import (
 	flexgraph "repro"
 	"repro/internal/cluster"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/models"
 	"repro/internal/nau"
 	"repro/internal/rpc"
@@ -49,7 +48,6 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 1, "epochs between cluster checkpoints")
 	resume := flag.String("resume", "",
 		"resume from this checkpoint before the startup barrier: every rank restores params/optimizer/epoch so epoch numbering and sampling seeds continue where the snapshot left off; -epochs counts ADDITIONAL epochs ('' starts fresh)")
-	ringChunk := flag.Int("ringchunk", 0, "ring all-reduce segment size in float32 words (0 = default)")
 	dialRetries := flag.Int("dial-retries", 0, "mesh dial attempts per peer (0 = default)")
 	dialBackoff := flag.Duration("dial-backoff", 0, "initial mesh dial retry delay (0 = default)")
 	recvTimeout := flag.Duration("recv-timeout", 30*time.Second,
@@ -173,10 +171,8 @@ func main() {
 	cfg := cluster.Config{
 		NumWorkers:   len(addrs),
 		Pipeline:     *pipeline,
-		Strategy:     engine.StrategyHA,
 		Epochs:       *epochs,
 		Seed:         *seed,
-		RingChunk:    *ringChunk,
 		RecvTimeout:  *recvTimeout,
 		Tracer:       tracer,
 		Metrics:      reg,

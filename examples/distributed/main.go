@@ -37,7 +37,6 @@ func main() {
 	res, err := flexgraph.TrainDistributed(flexgraph.ClusterConfig{
 		NumWorkers:   workers,
 		Pipeline:     true,
-		Strategy:     flexgraph.StrategyHA,
 		Partitioning: adb,
 		Epochs:       10,
 		Seed:         5,

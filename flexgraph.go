@@ -13,8 +13,13 @@
 //   - the hybrid execution engine (feature fusion, sparse and dense tensor
 //     paths) with the SA / SA+FA / HA strategy switch;
 //   - single-machine training (Trainer) and the shared-nothing distributed
-//     runtime (TrainDistributed / Simulate) with application-driven
-//     workload balancing and pipeline processing.
+//     runtime (TrainDistributed) with application-driven workload balancing
+//     and pipeline processing.
+//
+// The surface is what examples/, cmd/ and the README quick-starts call, plus
+// the type aliases needed to name what those calls take and return
+// (TestEveryExportHasACaller holds it there). Everything else lives in the
+// internal packages; the README's migration table maps each removed name.
 //
 // A minimal training run:
 //
@@ -36,7 +41,6 @@ package flexgraph
 
 import (
 	"repro/internal/cluster"
-	"repro/internal/collective"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -46,7 +50,6 @@ import (
 	"repro/internal/nau"
 	"repro/internal/nn"
 	"repro/internal/partition"
-	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/trace"
@@ -56,8 +59,6 @@ import (
 type (
 	// Graph is an immutable directed (optionally heterogeneous) graph.
 	Graph = graph.Graph
-	// GraphBuilder accumulates edges for a Graph.
-	GraphBuilder = graph.Builder
 	// VertexID identifies a vertex.
 	VertexID = graph.VertexID
 	// Metapath is an ordered sequence of vertex types (MAGNN neighbors).
@@ -108,13 +109,6 @@ type (
 	Strategy = engine.Strategy
 )
 
-// SetKernelParallelism caps the worker count used by the tensor and engine
-// kernels (n <= 0 restores GOMAXPROCS). It is the one kernel setting: the
-// worker pool, the edge-balanced split, the degree-bucketed scheduler and
-// the buffer free list are how the kernels run, not options (DESIGN.md
-// "Kernel execution").
-var SetKernelParallelism = tensor.SetParallelism
-
 // Hybrid execution strategies (the paper's Fig. 14 ablation).
 const (
 	StrategySA   = engine.StrategySA
@@ -130,10 +124,6 @@ type (
 	ClusterResult = cluster.Result
 	// ModelFactory builds identical model replicas per worker.
 	ModelFactory = cluster.ModelFactory
-	// SimConfig configures a simulated multi-machine epoch.
-	SimConfig = cluster.SimConfig
-	// SimResult reports a simulated epoch.
-	SimResult = cluster.SimResult
 	// Partitioning assigns vertices to workers.
 	Partitioning = partition.Partitioning
 	// PinSageConfig holds PinSage's random-walk parameters.
@@ -149,106 +139,8 @@ type (
 	ClusterCheckpointConfig = cluster.CheckpointConfig
 )
 
-// Data-plane types: the store interfaces decouple *what* the trainer reads
-// (topology queries, feature rows) from *where* it lives (in-memory shard
-// or a remote rank), and the Sampler turns them into a prefetched stream of
-// self-contained training batches.
-type (
-	// GraphStore serves topology and neighbor-selection queries. Since
-	// PR 17 InEdges hands each destination's neighbor list to a visit
-	// callback instead of returning [][]VertexID; implementations outside
-	// this module need the new signature.
-	GraphStore = store.GraphStore
-	// FeatureStore serves vertex feature/label/mask slices.
-	FeatureStore = store.FeatureStore
-	// LocalStore implements both stores in memory over a Graph.
-	LocalStore = store.Local
-	// LocalStoreConfig configures NewLocalStore.
-	LocalStoreConfig = store.LocalConfig
-	// RemoteStore speaks the store protocol to a peer rank with a
-	// pipelined request window.
-	RemoteStore = store.Remote
-	// RemoteStoreOptions configures NewRemoteStore.
-	RemoteStoreOptions = store.RemoteOptions
-	// StoreServer answers store requests over a transport from a backing
-	// local store.
-	StoreServer = store.Server
-	// StoreServerOptions configures NewStoreServer.
-	StoreServerOptions = store.ServerOptions
-	// Sampler materialises training batches through the stores, optionally
-	// prefetching ahead of the trainer.
-	Sampler = store.Sampler
-	// SamplerOptions configures NewSampler.
-	SamplerOptions = store.SamplerOptions
-	// SamplerStream delivers one epoch's batches in schedule order.
-	SamplerStream = store.Stream
-	// SampleBatch is one self-contained materialised training batch.
-	SampleBatch = store.Batch
-	// SampleLayerPlan is one model layer's share of a materialised batch.
-	SampleLayerPlan = store.LayerPlan
-	// FetchError is a typed store failure naming the operation and the
-	// vertex count in flight; match with errors.As.
-	FetchError = store.FetchError
-)
-
-// Data-plane constructors.
-var (
-	// NewLocalStore builds an in-memory store over a graph and features.
-	NewLocalStore = store.NewLocal
-	// NewRemoteStore builds a pipelined remote store over a transport.
-	NewRemoteStore = store.NewRemote
-	// NewStoreServer serves a local store to remote ranks.
-	NewStoreServer = store.NewServer
-	// NewSampler builds a prefetching batch sampler over the given stores.
-	NewSampler = store.NewSampler
-	// ForwardBatch runs a NAU model over a layered batch with autograd
-	// intact, returning one logits row per batch root.
-	ForwardBatch = store.Forward
-)
-
-// MsgClass indexes the per-kind traffic counters on a StageBreakdown.
-type MsgClass = metrics.MsgClass
-
-// Fail-fast runtime errors. Distributed training with
-// ClusterConfig.RecvTimeout set never hangs on a dead peer: a missed
-// deadline is a *TimeoutError naming the fence and the missing ranks, a
-// peer's broadcast failure is an *AbortError, and protocol violations are
-// *FenceError / *OverflowError / *DuplicateError. Match with errors.As.
-type (
-	// TimeoutError reports a collective receive deadline that expired,
-	// naming the fence and the ranks never heard from.
-	TimeoutError = collective.TimeoutError
-	// AbortError reports that a peer's epoch failed and the cluster tore
-	// down (fail-fast abort propagation).
-	AbortError = collective.AbortError
-	// FenceError reports a message from an epoch behind the current fence.
-	FenceError = collective.FenceError
-	// OverflowError reports a diverged cluster overflowing the mailbox.
-	OverflowError = collective.OverflowError
-	// DuplicateError reports two messages from one sender at one fence.
-	DuplicateError = collective.DuplicateError
-)
-
-const (
-	// DefaultRingChunk is the default all-reduce segment size in float32
-	// words (ClusterConfig.RingChunk overrides it).
-	DefaultRingChunk = collective.DefaultRingChunk
-
-	// Traffic classes for StageBreakdown.SentBytes / RecvBytes.
-	TrafficFeatures = metrics.ClassFeatures
-	TrafficPartials = metrics.ClassPartials
-	TrafficGrads    = metrics.ClassGrads
-	TrafficBarrier  = metrics.ClassBarrier
-	TrafficPlan     = metrics.ClassPlan
-	TrafficAbort    = metrics.ClassAbort
-	TrafficSample   = metrics.ClassSample
-)
-
 // NewRNG returns a deterministic random generator.
 func NewRNG(seed uint64) *RNG { return tensor.NewRNG(seed) }
-
-// NewGraphBuilder returns a builder for a graph with n vertices.
-func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
 
 // Dataset generators (Table 1 shapes).
 var (
@@ -256,8 +148,6 @@ var (
 	RedditLike = dataset.RedditLike
 	// FB91Like generates the power-law LDBC-FB91-shaped dataset.
 	FB91Like = dataset.FB91Like
-	// TwitterLike generates the power-law Twitter-shaped dataset.
-	TwitterLike = dataset.TwitterLike
 	// IMDBLike generates the heterogeneous IMDB-shaped dataset.
 	IMDBLike = dataset.IMDBLike
 	// DatasetByName returns a generator output by Table-1 name.
@@ -272,6 +162,10 @@ var (
 	NewPinSage = models.NewPinSage
 	// NewMAGNN builds the 2-layer MAGNN (INHA).
 	NewMAGNN = models.NewMAGNN
+	// NewGIN builds the 2-layer Graph Isomorphism Network (DNFA).
+	NewGIN = models.NewGIN
+	// NewGGCN builds the 2-layer gated GCN (DNFA).
+	NewGGCN = models.NewGGCN
 	// NewPGNN builds the 2-layer P-GNN extension model.
 	NewPGNN = models.NewPGNN
 	// NewJKNet builds the 2-layer JK-Net extension model.
@@ -287,76 +181,25 @@ var (
 	// TrainDistributed runs data-parallel training over an in-process
 	// loopback cluster.
 	TrainDistributed = cluster.Train
-	// Simulate runs one simulated multi-machine epoch (Fig. 13/15).
-	Simulate = cluster.SimulateEpoch
-	// NewSimulation builds reusable multi-epoch simulation state.
-	NewSimulation = cluster.NewSimulation
 )
 
 // Partitioners (§5/§6).
 var (
 	// HashPartition assigns vertex v to part v mod k.
 	HashPartition = partition.Hash
-	// LabelPropPartition is the PuLP-style partitioner.
-	LabelPropPartition = partition.LabelProp
 	// DefaultADB returns the application-driven balancer with the §6
 	// configuration.
 	DefaultADB = partition.DefaultADB
 )
 
-// Optimizers.
-type (
-	// Optimizer updates parameters from accumulated gradients.
-	Optimizer = nn.Optimizer
-	// StatefulOptimizer is an Optimizer whose internal state (step counter,
-	// moment buffers) can be captured and restored for resume-correct
-	// checkpointing.
-	StatefulOptimizer = nn.StatefulOptimizer
-	// OptState is a snapshot of an optimizer's kind, hyperparameters and
-	// internal state.
-	OptState = nn.OptState
-)
-
-// Optimizer constructors, for callers that want to replace a Trainer's
-// default Adam(lr=0.01).
+// Persistence. Trainer.SaveCheckpoint and ClusterConfig.Checkpoint write the
+// v2 training state (the Fig. 12 fault-tolerance module).
 var (
-	// NewAdam returns an Adam optimizer over params.
-	NewAdam = nn.NewAdam
-	// NewSGD returns a plain SGD optimizer over params.
-	NewSGD = nn.NewSGD
-)
-
-// Additional DNFA model constructors (§2.2 names GIN and G-GCN alongside
-// GCN) and checkpointing (the Fig. 12 fault-tolerance module).
-var (
-	// NewGIN builds the 2-layer Graph Isomorphism Network (DNFA).
-	NewGIN = models.NewGIN
-	// NewGGCN builds the 2-layer gated GCN (DNFA).
-	NewGGCN = models.NewGGCN
-	// SaveCheckpoint writes model parameters to a file atomically.
-	SaveCheckpoint = nn.SaveCheckpoint
-	// LoadCheckpoint restores model parameters from a file.
+	// LoadCheckpoint restores model parameters from a checkpoint file (v2,
+	// or legacy weights-only v1).
 	LoadCheckpoint = nn.LoadCheckpoint
-	// SaveTrainingState writes a full v2 checkpoint (params + optimizer +
-	// epoch + RNG) to a file atomically.
-	SaveTrainingState = nn.SaveStateFile
-	// LoadTrainingState restores a full checkpoint written by
-	// SaveTrainingState; legacy v1 files restore weights only.
-	LoadTrainingState = nn.LoadStateFile
 	// LoadDataset reads a serialised dataset (.fgds) from a file.
 	LoadDataset = dataset.Load
-)
-
-// Checkpoint state and typed load errors.
-type (
-	// TrainState bundles everything a v2 checkpoint carries.
-	TrainState = nn.TrainState
-	// CheckpointFormatError reports a structurally invalid checkpoint
-	// (bad magic, unknown version, truncation, trailing bytes).
-	CheckpointFormatError = nn.FormatError
-	// CheckpointMismatchError reports a checkpoint that is well-formed but
-	// does not match the receiver (optimizer kind, parameter count, shape).
-	CheckpointMismatchError = nn.MismatchError
 )
 
 // Level-wise aggregation (the paper's Fig. 6 driver).
@@ -371,23 +214,13 @@ var (
 	AggSum = nau.Sum
 	// AggMean reduces a level by averaging.
 	AggMean = nau.Mean
-	// AggMax reduces a level by elementwise max.
-	AggMax = nau.Max
-	// AggMin reduces a level by elementwise min.
-	AggMin = nau.Min
 )
 
 // Reusable neighbor-selection UDFs (the paper's Fig. 5 library).
 var (
-	// OneHopUDF selects every 1-hop out-neighbor (gnn_nbr).
-	OneHopUDF = nau.OneHopUDF
 	// RandomWalkUDF selects the top-k visited vertices over random walks
 	// (pinsage_nbr).
 	RandomWalkUDF = nau.RandomWalkUDF
-	// MetapathUDF selects metapath instances (magnn_nbr).
-	MetapathUDF = nau.MetapathUDF
-	// AnchorSetUDF selects pre-sampled anchor sets (P-GNN).
-	AnchorSetUDF = nau.AnchorSetUDF
 	// HopFrontierUDF selects per-hop BFS frontiers (JK-Net).
 	HopFrontierUDF = nau.HopFrontierUDF
 	// NewSchemaTree builds a schema tree from neighbor type names.
@@ -404,22 +237,13 @@ type (
 	Tracer = trace.Tracer
 	// TraceSpan is one recorded span (rank, epoch, phase, category, name).
 	TraceSpan = trace.Span
-	// TraceRegion is an in-flight span returned by Tracer.Begin.
-	TraceRegion = trace.Region
 	// MetricsRegistry names counters, gauges and latency histograms.
 	MetricsRegistry = metrics.Registry
-	// MetricCounter is a monotonically increasing counter.
-	MetricCounter = metrics.Counter
-	// MetricGauge is a last-value float metric.
-	MetricGauge = metrics.Gauge
 	// MetricHistogram is a log-bucketed latency histogram.
 	MetricHistogram = metrics.Histogram
 	// BalanceReport is the per-epoch Fig. 14-style per-rank stage table
 	// assembled inside the gradient-sync fence.
 	BalanceReport = metrics.BalanceReport
-	// MetricsSnapshot is a full-fidelity copy of a registry (raw histogram
-	// buckets), mergeable into another registry via MergeSnapshot.
-	MetricsSnapshot = metrics.RegistrySnapshot
 	// TelemetryConfig turns on the cluster telemetry plane in
 	// ClusterConfig: epoch-fenced snapshot pushes to rank 0, clock
 	// alignment, and the crash flight recorder.
@@ -433,15 +257,6 @@ type (
 	FlightDump = telemetry.FlightDump
 )
 
-// Span categories on TraceSpan.Cat (timeline lanes in the Chrome export).
-const (
-	TraceCatEpoch  = trace.CatEpoch
-	TraceCatStage  = trace.CatStage
-	TraceCatFence  = trace.CatFence
-	TraceCatComm   = trace.CatComm
-	TraceCatSample = trace.CatSample
-)
-
 var (
 	// NewTracer allocates a span ring (capacity rounded up to a power of
 	// two; <= 0 selects the default). A nil *Tracer is a valid no-op.
@@ -452,21 +267,15 @@ var (
 	// WriteChromeTrace writes spans as Chrome trace-event JSON
 	// (chrome://tracing / Perfetto), one process per rank.
 	WriteChromeTrace = trace.WriteChromeTrace
-	// WriteTraceJSONL writes spans as one JSON object per line.
-	WriteTraceJSONL = trace.WriteJSONL
-	// ServeDebug serves /metrics, /trace, expvar and pprof on addr and
-	// returns the bound address plus a shutdown func.
-	ServeDebug = trace.ServeDebug
 	// DebugMux builds the introspection handler without binding it, so a
 	// process can mount extra routes (rank 0 adds the collector's
 	// /metrics/cluster and /trace/cluster) before or after serving.
 	DebugMux = trace.DebugMux
-	// ServeMux serves an arbitrary handler with ServeDebug's contract.
+	// ServeMux serves a handler on addr and returns the bound address plus
+	// a shutdown func.
 	ServeMux = trace.ServeMux
 	// ReadFlightFile parses a flight-<rank>.json crash dump.
 	ReadFlightFile = telemetry.ReadFlightFile
-	// FlightWorthy reports whether an error should trigger flight dumps.
-	FlightWorthy = telemetry.FlightWorthy
 	// SetGrainHistogram observes every engine aggregation grain's duration
 	// into h (nil detaches).
 	SetGrainHistogram = engine.SetGrainHistogram
@@ -494,10 +303,4 @@ var (
 	NewLinear = nn.NewLinear
 	// ConcatValues concatenates values along the feature dimension.
 	ConcatValues = nn.Concat
-	// ReLUValue applies max(x, 0).
-	ReLUValue = nn.ReLU
-	// AddValues adds two values (with bias-row broadcasting).
-	AddValues = nn.Add
-	// MatMulValues multiplies two values.
-	MatMulValues = nn.MatMul
 )

@@ -50,29 +50,13 @@ func TestPublicAPIDistributed(t *testing.T) {
 		return NewGCN(d.FeatureDim(), 8, d.NumClasses, rng)
 	}
 	res, err := TrainDistributed(ClusterConfig{
-		NumWorkers: 2, Pipeline: true, Strategy: StrategyHA, Epochs: 3, Seed: 3,
+		NumWorkers: 2, Pipeline: true, Epochs: 3, Seed: 3,
 	}, d, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Losses) != 3 {
 		t.Fatalf("losses = %v", res.Losses)
-	}
-}
-
-// TestPublicAPISimulate exercises the multi-machine simulator.
-func TestPublicAPISimulate(t *testing.T) {
-	d := RedditLike(DatasetConfig{Scale: 0.02, Seed: 4})
-	factory := func(rng *RNG) *Model {
-		return NewPinSage(d.FeatureDim(), 8, d.NumClasses,
-			PinSageConfig{NumWalks: 3, Hops: 2, TopK: 3}, rng)
-	}
-	res, err := Simulate(d, factory, SimConfig{NumWorkers: 4, Pipeline: true, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EpochTime <= 0 || res.Loss <= 0 {
-		t.Fatalf("bad sim result: %+v", res)
 	}
 }
 
@@ -92,14 +76,32 @@ func TestPublicAPICheckpointAndDatasetIO(t *testing.T) {
 		t.Fatal("dataset IO mismatch")
 	}
 
-	rng := NewRNG(6)
-	model := NewMAGNN(d.FeatureDim(), 8, d.NumClasses, d.Metapaths, MAGNNConfig{MaxInstances: 4}, rng)
-	ckPath := filepath.Join(dir, "m.fgck")
-	if err := SaveCheckpoint(ckPath, model.Parameters()); err != nil {
+	// Train → serve hand-off: the trainer writes the v2 state, a fresh
+	// replica reads its parameters back.
+	newModel := func() *Model {
+		return NewMAGNN(d.FeatureDim(), 8, d.NumClasses, d.Metapaths, MAGNNConfig{MaxInstances: 4}, NewRNG(6))
+	}
+	tr := NewTrainerWith(newModel(), TrainerOptions{
+		Graph: d.Graph, Features: d.Features, Labels: d.Labels, TrainMask: d.TrainMask, Seed: 6,
+	})
+	if _, err := tr.Epoch(); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadCheckpoint(ckPath, model.Parameters()); err != nil {
+	ckPath := filepath.Join(dir, "m.fgck")
+	if err := tr.SaveCheckpoint(ckPath); err != nil {
 		t.Fatal(err)
+	}
+	replica := newModel()
+	if err := LoadCheckpoint(ckPath, replica.Parameters()); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range replica.Parameters() {
+		want := tr.Model.Parameters()[i].Data.Data()
+		for j, x := range p.Data.Data() {
+			if x != want[j] {
+				t.Fatalf("param %d[%d]: loaded %v, trained %v", i, j, x, want[j])
+			}
+		}
 	}
 }
 
@@ -155,16 +157,18 @@ func TestPublicAPIServing(t *testing.T) {
 
 // TestPublicAPIPartitioners exercises the balancing surface.
 func TestPublicAPIPartitioners(t *testing.T) {
-	d := TwitterLike(DatasetConfig{Scale: 0.02, Seed: 7})
+	d, err := DatasetByName("twitter", DatasetConfig{Scale: 0.02, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := d.Graph.NumVertices()
 	cost := make([]float64, n)
 	for v := 0; v < n; v++ {
 		cost[v] = 1 + float64(d.Graph.OutDegree(VertexID(v)))
 	}
 	hash := HashPartition(n, 4)
-	lp := LabelPropPartition(d.Graph, 4, 3, 1.2, 7)
 	adb := DefaultADB().Rebalance(d.Graph, hash, cost)
-	for _, p := range []*Partitioning{hash, lp, adb} {
+	for _, p := range []*Partitioning{hash, adb} {
 		if len(p.Assign) != n {
 			t.Fatal("partitioning does not cover the graph")
 		}

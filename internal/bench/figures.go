@@ -73,7 +73,6 @@ func Fig13(o Options) []Fig13Point {
 			sim, err := cluster.NewSimulation(d, factoryFor(d, spec), cluster.SimConfig{
 				NumWorkers: k,
 				Pipeline:   true,
-				Strategy:   engine.StrategyHA,
 				Seed:       o.Seed,
 			})
 			if err != nil {
@@ -218,7 +217,7 @@ func Fig15a(o Options) []Fig15aPoint {
 		cost := perRootCost(d, spec)
 		// Cold-process warm-up (see Fig15bc).
 		if warm, err := cluster.NewSimulation(d, factoryFor(d, spec), cluster.SimConfig{
-			NumWorkers: k, Pipeline: true, Strategy: engine.StrategyHA, Seed: o.Seed,
+			NumWorkers: k, Pipeline: true, Seed: o.Seed,
 		}); err == nil {
 			warm.Epoch()
 			warm.Epoch()
@@ -242,7 +241,6 @@ func Fig15a(o Options) []Fig15aPoint {
 			sim, err := cluster.NewSimulation(d, factoryFor(d, spec), cluster.SimConfig{
 				NumWorkers:   k,
 				Pipeline:     true,
-				Strategy:     engine.StrategyHA,
 				Partitioning: parts[i],
 				Seed:         o.Seed,
 			})
@@ -379,7 +377,6 @@ func Fig15bc(o Options) []Fig15bcPoint {
 				sim, err := cluster.NewSimulation(d, factoryFor(d, spec), cluster.SimConfig{
 					NumWorkers: k,
 					Pipeline:   pipeline,
-					Strategy:   engine.StrategyHA,
 					Seed:       o.Seed,
 				})
 				if err != nil {

@@ -148,7 +148,7 @@ func Verify(o Options) []Check {
 	} else {
 		for _, pipeline := range []bool{true, false} {
 			res, err := cluster.Train(cluster.Config{
-				NumWorkers: 4, Pipeline: pipeline, Strategy: engine.StrategyHA, Epochs: 1, Seed: o.Seed,
+				NumWorkers: 4, Pipeline: pipeline, Epochs: 1, Seed: o.Seed,
 			}, reddit, factory)
 			name := fmt.Sprintf("fig15/distributed-forward-exact/pipeline=%v", pipeline)
 			if err != nil {
@@ -159,7 +159,7 @@ func Verify(o Options) []Check {
 			add(name, diff < 1e-3, "distributed %v vs single %v", res.Losses[0], refLoss)
 		}
 		simRes, err := cluster.SimulateEpoch(reddit, factory, cluster.SimConfig{
-			NumWorkers: 4, Pipeline: true, Strategy: engine.StrategyHA, Seed: o.Seed,
+			NumWorkers: 4, Pipeline: true, Seed: o.Seed,
 		})
 		if err != nil {
 			add("fig15/simulator-forward-exact", false, "%v", err)
@@ -193,7 +193,7 @@ func modelsGCN(d *dataset.Dataset, hidden int, rng *tensor.RNG) *nau.Model {
 
 func simEpochTime(d *dataset.Dataset, spec baseline.Spec, k int, seed uint64) time.Duration {
 	sim, err := cluster.NewSimulation(d, factoryFor(d, spec), cluster.SimConfig{
-		NumWorkers: k, Pipeline: true, Strategy: engine.StrategyHA, Seed: seed,
+		NumWorkers: k, Pipeline: true, Seed: seed,
 	})
 	if err != nil {
 		return 0

@@ -28,7 +28,6 @@ func runChaosCluster(t *testing.T, transports []rpc.Transport) {
 	cfg := Config{
 		NumWorkers:  k,
 		Pipeline:    true,
-		Strategy:    engine.StrategyHA,
 		Epochs:      4,
 		Seed:        22,
 		RecvTimeout: 2 * time.Second,

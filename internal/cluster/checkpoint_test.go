@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/rpc"
@@ -18,7 +17,6 @@ func ckptBaseCfg(k int, mb *MiniBatchConfig) Config {
 	return Config{
 		NumWorkers:  k,
 		Pipeline:    true,
-		Strategy:    engine.StrategyHA,
 		Seed:        61,
 		RecvTimeout: 2 * time.Second,
 		MiniBatch:   mb,

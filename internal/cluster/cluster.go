@@ -30,17 +30,12 @@ type Config struct {
 	// (§5); when false, raw feature rows are exchanged in one batched
 	// message per peer and aggregation waits for all of them.
 	Pipeline bool
-	// Strategy selects the hybrid execution level (default HA).
-	Strategy engine.Strategy
 	// Partitioning assigns vertices to workers; nil selects Hash.
 	Partitioning *partition.Partitioning
 	// Epochs is the number of training epochs.
 	Epochs int
 	// Seed drives model init and neighbor selection.
 	Seed uint64
-	// RingChunk overrides the ring all-reduce segment size in float32
-	// words (0 selects collective.DefaultRingChunk).
-	RingChunk int
 	// RecvTimeout bounds how long any collective receive waits for peers
 	// (0 waits forever). With a bound, a dead or wedged peer surfaces as a
 	// typed *collective.TimeoutError naming the fence and the missing
@@ -111,15 +106,6 @@ type TelemetryConfig struct {
 	// cluster Chrome trace to — on success at run end, and on failure
 	// after folding in whatever flight dumps arrived ("" disables).
 	MergedTrace string
-	// ClockRounds overrides the RTT rounds per peer in the clock-offset
-	// handshake (0 selects the telemetry default of 4).
-	ClockRounds int
-	// FlightSpans bounds the span tail included in flight dumps (0
-	// selects the telemetry default of 256).
-	FlightSpans int
-	// DrainWait bounds how long rank 0 waits for survivors' flight dumps
-	// after a failure (0 selects the telemetry default of 250ms).
-	DrainWait time.Duration
 	// OnCollector, when non-nil, runs on rank 0 once the collector
 	// exists — the hook cmd/flexgraph-worker uses to mount
 	// /metrics/cluster and /trace/cluster on its debug mux.
@@ -376,7 +362,6 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 		k:    cfg.NumWorkers,
 		cfg:  cfg,
 		comm: collective.New(tr, breakdown,
-			collective.WithRingChunk(cfg.RingChunk),
 			collective.WithRecvTimeout(cfg.RecvTimeout),
 			collective.WithTracer(cfg.Tracer),
 			collective.WithMetrics(cfg.Metrics)),
@@ -387,7 +372,7 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 		model:     model,
 		params:    params,
 		opt:       nn.NewAdam(params, lr),
-		eng:       engine.New(cfg.Strategy),
+		eng:       engine.New(engine.StrategyHA),
 		rng:       tensor.NewRNG(cfg.Seed + 1000),
 		breakdown: breakdown,
 		plans:     make(map[*engine.Adjacency]*exchanged),
@@ -407,10 +392,7 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 			Registry:    cfg.Metrics,
 			Shared:      cfg.sharedObs,
 			FlightDir:   tc.FlightDir,
-			FlightSpans: tc.FlightSpans,
-			ClockRounds: tc.ClockRounds,
 			MergedTrace: tc.MergedTrace,
-			DrainWait:   tc.DrainWait,
 		})
 		if tc.OnCollector != nil && w.tele.Collector() != nil {
 			tc.OnCollector(w.tele.Collector())

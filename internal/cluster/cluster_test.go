@@ -36,7 +36,7 @@ func TestDistributedGCNMatchesSingleMachineFirstLoss(t *testing.T) {
 	}
 	for _, k := range []int{1, 2, 4} {
 		for _, pipeline := range []bool{false, true} {
-			res, err := Train(Config{NumWorkers: k, Pipeline: pipeline, Strategy: engine.StrategyHA, Epochs: 1, Seed: 7},
+			res, err := Train(Config{NumWorkers: k, Pipeline: pipeline, Epochs: 1, Seed: 7},
 				d, gcnFactory(d))
 			if err != nil {
 				t.Fatalf("k=%d pipeline=%v: %v", k, pipeline, err)
@@ -52,7 +52,7 @@ func TestPipelineOnOffSameLosses(t *testing.T) {
 	d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 2})
 	var ref []float32
 	for _, pipeline := range []bool{false, true} {
-		res, err := Train(Config{NumWorkers: 3, Pipeline: pipeline, Strategy: engine.StrategyHA, Epochs: 3, Seed: 3},
+		res, err := Train(Config{NumWorkers: 3, Pipeline: pipeline, Epochs: 3, Seed: 3},
 			d, gcnFactory(d))
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +71,7 @@ func TestPipelineOnOffSameLosses(t *testing.T) {
 
 func TestDistributedTrainingConverges(t *testing.T) {
 	d := dataset.RedditLike(dataset.Config{Scale: 0.03, Seed: 4})
-	res, err := Train(Config{NumWorkers: 4, Pipeline: true, Strategy: engine.StrategyHA, Epochs: 10, Seed: 5},
+	res, err := Train(Config{NumWorkers: 4, Pipeline: true, Epochs: 10, Seed: 5},
 		d, gcnFactory(d))
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestDistributedPinSage(t *testing.T) {
 	factory := func(rng *tensor.RNG) *nau.Model {
 		return models.NewPinSage(d.FeatureDim(), 8, d.NumClasses, cfg, rng)
 	}
-	res, err := Train(Config{NumWorkers: 3, Pipeline: true, Strategy: engine.StrategyHA, Epochs: 4, Seed: 8}, d, factory)
+	res, err := Train(Config{NumWorkers: 3, Pipeline: true, Epochs: 4, Seed: 8}, d, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestDistributedMAGNN(t *testing.T) {
 	factory := func(rng *tensor.RNG) *nau.Model {
 		return models.NewMAGNN(d.FeatureDim(), 8, d.NumClasses, d.Metapaths, models.MAGNNConfig{MaxInstances: 4}, rng)
 	}
-	res, err := Train(Config{NumWorkers: 4, Pipeline: true, Strategy: engine.StrategyHA, Epochs: 5, Seed: 10}, d, factory)
+	res, err := Train(Config{NumWorkers: 4, Pipeline: true, Epochs: 5, Seed: 10}, d, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPinSageSelectionIndependentOfWorkerCount(t *testing.T) {
 	}
 	var ref float32
 	for i, k := range []int{1, 2, 4} {
-		res, err := Train(Config{NumWorkers: k, Pipeline: true, Strategy: engine.StrategyHA, Epochs: 1, Seed: 12}, d, factory)
+		res, err := Train(Config{NumWorkers: k, Pipeline: true, Epochs: 1, Seed: 12}, d, factory)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestADBPartitioningWorks(t *testing.T) {
 		cost[v] = 1 + deg
 	}
 	p := partition.DefaultADB().Rebalance(g, partition.Hash(n, 3), cost)
-	res, err := Train(Config{NumWorkers: 3, Pipeline: true, Strategy: engine.StrategyHA, Epochs: 2, Seed: 14, Partitioning: p},
+	res, err := Train(Config{NumWorkers: 3, Pipeline: true, Epochs: 2, Seed: 14, Partitioning: p},
 		d, gcnFactory(d))
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestADBPartitioningWorks(t *testing.T) {
 
 func TestTrafficAccounting(t *testing.T) {
 	d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 15})
-	res, err := Train(Config{NumWorkers: 2, Pipeline: true, Strategy: engine.StrategyHA, Epochs: 1, Seed: 16},
+	res, err := Train(Config{NumWorkers: 2, Pipeline: true, Epochs: 1, Seed: 16},
 		d, gcnFactory(d))
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestMAGNNPipelineModesAgree(t *testing.T) {
 	}
 	var ref []float32
 	for _, pipeline := range []bool{true, false} {
-		res, err := Train(Config{NumWorkers: 3, Pipeline: pipeline, Strategy: engine.StrategyHA, Epochs: 2, Seed: 41}, d, factory)
+		res, err := Train(Config{NumWorkers: 3, Pipeline: pipeline, Epochs: 2, Seed: 41}, d, factory)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
@@ -25,7 +24,7 @@ func TestGradientBytesBoundedByTwicePayload(t *testing.T) {
 	// 5% headroom covers per-chunk frame headers.
 	ringBound := payload*2 + payload/20
 
-	res, err := Train(Config{NumWorkers: k, Pipeline: true, Strategy: engine.StrategyHA,
+	res, err := Train(Config{NumWorkers: k, Pipeline: true,
 		Epochs: epochs, Seed: 33}, d, gcnFactory(d))
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +43,7 @@ func TestGradientBytesBoundedByTwicePayload(t *testing.T) {
 func TestPerKindTrafficSplit(t *testing.T) {
 	d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 34})
 	for _, pipeline := range []bool{true, false} {
-		res, err := Train(Config{NumWorkers: 3, Pipeline: pipeline, Strategy: engine.StrategyHA,
+		res, err := Train(Config{NumWorkers: 3, Pipeline: pipeline,
 			Epochs: 2, Seed: 35}, d, gcnFactory(d))
 		if err != nil {
 			t.Fatal(err)

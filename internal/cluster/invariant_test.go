@@ -108,7 +108,7 @@ func TestClusterKeptAggregateMatchesRecompute(t *testing.T) {
 	for _, c := range invariantCases() {
 		for _, k := range []int{1, 2, 3} {
 			for _, pipeline := range []bool{true, false} {
-				cfg := Config{NumWorkers: k, Pipeline: pipeline, Strategy: engine.StrategyHA, Seed: 4}
+				cfg := Config{NumWorkers: k, Pipeline: pipeline, Seed: 4}
 				warm, cold := newRanks(t, cfg, c.d, c.factory), newRanks(t, cfg, c.d, c.factory)
 				for e := 1; e <= epochs; e++ {
 					cold.forget()
@@ -144,9 +144,9 @@ func TestClusterEpochBytesDropByLayerZeroShare(t *testing.T) {
 		for _, k := range []int{2, 3} {
 			for _, pipeline := range []bool{true, false} {
 				name := fmt.Sprintf("%s k=%d pipeline=%v", c.name, k, pipeline)
-				cfg := Config{NumWorkers: k, Pipeline: pipeline, Strategy: engine.StrategyHA, Seed: 4}
+				cfg := Config{NumWorkers: k, Pipeline: pipeline, Seed: 4}
 				r := newRanks(t, cfg, c.d, c.factory)
-				sim, err := NewSimulation(c.d, c.factory, SimConfig{NumWorkers: k, Pipeline: pipeline, Strategy: engine.StrategyHA, Seed: 4})
+				sim, err := NewSimulation(c.d, c.factory, SimConfig{NumWorkers: k, Pipeline: pipeline, Seed: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -348,7 +348,7 @@ func TestClusterSteadyStateEpochAllocs(t *testing.T) {
 	for _, scale := range []float64{0.3, 1.5} {
 		d := dataset.RedditLike(dataset.Config{Scale: scale, Seed: 1})
 		factory := func(rng *tensor.RNG) *nau.Model { return models.NewGCN(d.FeatureDim(), 64, d.NumClasses, rng) }
-		r := newRanks(t, Config{NumWorkers: 2, Pipeline: true, Strategy: engine.StrategyHA, Seed: 1}, d, factory)
+		r := newRanks(t, Config{NumWorkers: 2, Pipeline: true, Seed: 1}, d, factory)
 		for i := 0; i < 3; i++ {
 			r.epoch()
 		}

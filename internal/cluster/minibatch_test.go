@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/rpc"
 )
@@ -24,7 +23,7 @@ func TestClusterMiniBatchDepthInvariance(t *testing.T) {
 			{BatchSize: 32, PrefetchDepth: 2, SamplerWorkers: 3},
 			{BatchSize: 32, PrefetchDepth: 4, SamplerWorkers: 2},
 		} {
-			cfg := Config{NumWorkers: k, Pipeline: true, Strategy: engine.StrategyHA,
+			cfg := Config{NumWorkers: k, Pipeline: true,
 				Epochs: 3, Seed: 13, MiniBatch: &mb}
 			res, err := Train(cfg, d, gcnFactory(d))
 			if err != nil {
@@ -56,7 +55,7 @@ func TestClusterMiniBatchDepthInvariance(t *testing.T) {
 func TestSamplerSmoke(t *testing.T) {
 	d := dataset.RedditLike(dataset.Config{Scale: 0.05, Seed: 31})
 	reg := metrics.NewRegistry()
-	res, err := Train(Config{NumWorkers: 3, Pipeline: true, Strategy: engine.StrategyHA,
+	res, err := Train(Config{NumWorkers: 3, Pipeline: true,
 		Epochs: 3, Seed: 32, Metrics: reg,
 		MiniBatch: &MiniBatchConfig{BatchSize: 32, PrefetchDepth: 2, SamplerWorkers: 2}},
 		d, gcnFactory(d))
@@ -94,7 +93,7 @@ func TestSamplerSmoke(t *testing.T) {
 // TestClusterMiniBatchConverges checks the mini-batch path actually trains.
 func TestClusterMiniBatchConverges(t *testing.T) {
 	d := dataset.RedditLike(dataset.Config{Scale: 0.03, Seed: 12})
-	res, err := Train(Config{NumWorkers: 2, Pipeline: true, Strategy: engine.StrategyHA,
+	res, err := Train(Config{NumWorkers: 2, Pipeline: true,
 		Epochs: 8, Seed: 5, MiniBatch: &MiniBatchConfig{BatchSize: 32, PrefetchDepth: 2}},
 		d, gcnFactory(d))
 	if err != nil {
@@ -113,7 +112,7 @@ func TestClusterMiniBatchConverges(t *testing.T) {
 func TestClusterMiniBatchOverTCP(t *testing.T) {
 	d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 21})
 	factory := gcnFactory(d)
-	cfg := Config{NumWorkers: 2, Pipeline: true, Strategy: engine.StrategyHA,
+	cfg := Config{NumWorkers: 2, Pipeline: true,
 		Epochs: 3, Seed: 22,
 		MiniBatch: &MiniBatchConfig{BatchSize: 16, PrefetchDepth: 2, SamplerWorkers: 2}}
 

@@ -27,7 +27,6 @@ import (
 type SimConfig struct {
 	NumWorkers   int
 	Pipeline     bool
-	Strategy     engine.Strategy
 	Partitioning *partition.Partitioning // nil selects Hash
 	// BandwidthBytesPerSec models the NIC (default 3.25 GB/s, §7's
 	// testbed).
@@ -243,7 +242,7 @@ func NewSimulation(d *dataset.Dataset, factory ModelFactory, cfg SimConfig) (*Si
 	for v, part := range p.Assign {
 		s.ranks[part].roots = append(s.ranks[part].roots, graph.VertexID(v))
 	}
-	eng := engine.New(cfg.Strategy)
+	eng := engine.New(engine.StrategyHA)
 	for rank := range s.ranks {
 		r := &s.ranks[rank]
 		r.model = factory(tensor.NewRNG(cfg.Seed))

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/nau"
@@ -14,7 +13,7 @@ import (
 
 func TestSimulateEpochGCN(t *testing.T) {
 	d := dataset.RedditLike(dataset.Config{Scale: 0.05, Seed: 1})
-	res, err := SimulateEpoch(d, gcnFactory(d), SimConfig{NumWorkers: 4, Pipeline: true, Strategy: engine.StrategyHA, Seed: 2})
+	res, err := SimulateEpoch(d, gcnFactory(d), SimConfig{NumWorkers: 4, Pipeline: true, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +56,11 @@ func TestSimLossMatchesConcurrentCluster(t *testing.T) {
 	for _, c := range cases {
 		for _, k := range []int{2, 3} {
 			for _, pipeline := range []bool{true, false} {
-				conc, err := Train(Config{NumWorkers: k, Pipeline: pipeline, Strategy: engine.StrategyHA, Epochs: 1, Seed: 4}, c.d, c.factory)
+				conc, err := Train(Config{NumWorkers: k, Pipeline: pipeline, Epochs: 1, Seed: 4}, c.d, c.factory)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sim, err := SimulateEpoch(c.d, c.factory, SimConfig{NumWorkers: k, Pipeline: pipeline, Strategy: engine.StrategyHA, Seed: 4})
+				sim, err := SimulateEpoch(c.d, c.factory, SimConfig{NumWorkers: k, Pipeline: pipeline, Seed: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +101,7 @@ func TestSimMAGNNRuns(t *testing.T) {
 	factory := func(rng *tensor.RNG) *nau.Model {
 		return models.NewMAGNN(d.FeatureDim(), 8, d.NumClasses, d.Metapaths, models.MAGNNConfig{MaxInstances: 4}, rng)
 	}
-	sim, err := NewSimulation(d, factory, SimConfig{NumWorkers: 4, Pipeline: true, Strategy: engine.StrategyHA, Seed: 8})
+	sim, err := NewSimulation(d, factory, SimConfig{NumWorkers: 4, Pipeline: true, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/rpc"
 )
 
@@ -17,7 +16,7 @@ import (
 func TestRunWorkerOverTCP(t *testing.T) {
 	d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 21})
 	factory := gcnFactory(d)
-	cfg := Config{NumWorkers: 2, Pipeline: true, Strategy: engine.StrategyHA, Epochs: 3, Seed: 22}
+	cfg := Config{NumWorkers: 2, Pipeline: true, Epochs: 3, Seed: 22}
 
 	// Loopback reference.
 	ref, err := Train(cfg, d, factory)

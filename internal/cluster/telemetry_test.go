@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
@@ -61,7 +60,6 @@ func runTelemetryCluster(t *testing.T, transports []rpc.Transport, epochs int, t
 			cfg := Config{
 				NumWorkers:  k,
 				Pipeline:    true,
-				Strategy:    engine.StrategyHA,
 				Epochs:      epochs,
 				Seed:        34,
 				RecvTimeout: 5 * time.Second,
@@ -176,7 +174,6 @@ func TestTelemetryFlightOnCrash(t *testing.T) {
 		Every:       1,
 		FlightDir:   dir,
 		MergedTrace: merged,
-		DrainWait:   2 * time.Second,
 	})
 	if !errors.Is(errs[crashRank], rpc.ErrCrashed) {
 		t.Fatalf("victim: want ErrCrashed, got %v", errs[crashRank])

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -36,7 +35,7 @@ func runTraced(t *testing.T, k int) (*trace.Tracer, *metrics.Registry, *Result, 
 	reg := metrics.NewRegistry()
 	var lines []string
 	cfg := Config{
-		NumWorkers: k, Pipeline: true, Strategy: engine.StrategyHA,
+		NumWorkers: k, Pipeline: true,
 		Epochs: 2, Seed: 11,
 		Tracer: tr, Metrics: reg,
 		OnEpoch: func(epoch int, loss float32, balance *metrics.BalanceReport) {
@@ -140,7 +139,7 @@ func TestTraceSmoke(t *testing.T) {
 // local stage seconds.
 func TestBalanceReportGatherExact(t *testing.T) {
 	d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 41})
-	res, err := Train(Config{NumWorkers: 1, Strategy: engine.StrategyHA, Epochs: 1, Seed: 5}, d, gcnFactory(d))
+	res, err := Train(Config{NumWorkers: 1, Epochs: 1, Seed: 5}, d, gcnFactory(d))
 	if err != nil {
 		t.Fatal(err)
 	}

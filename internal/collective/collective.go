@@ -147,12 +147,6 @@ func New(tr rpc.Transport, bd *metrics.Breakdown, opts ...Option) *Comm {
 	return c
 }
 
-// Rank returns this worker's index.
-func (c *Comm) Rank() int { return c.tr.Rank() }
-
-// Size returns the cluster size k.
-func (c *Comm) Size() int { return c.tr.Size() }
-
 // classOf maps a wire kind to its traffic-accounting class.
 func classOf(k rpc.MsgKind) metrics.MsgClass {
 	switch k {

@@ -27,18 +27,15 @@ import (
 
 // Adjacency is a destination-major index for one aggregation level: edges
 // go from feature rows (sources) to output rows (destinations). Destination
-// d's incoming sources are SrcIdx[DstPtr[d]:DstPtr[d+1]].
-//
-// ImplicitSrc marks the identity mapping: the source of edge e is feature
-// row e, and SrcIdx is not stored at all. This is exactly the paper's
-// omitted-Dst2 case at the intermediate level, carried through to the
-// compute path.
+// d's incoming sources are SrcIdx[DstPtr[d]:DstPtr[d+1]]. (The intermediate
+// HDG level, whose sources are the identity — the paper's omitted-Dst2 case —
+// has no Adjacency at all: it runs on the HDG's own InstOffset, see
+// AggregateIntermediate.)
 type Adjacency struct {
-	NumDst      int
-	NumSrc      int
-	DstPtr      []int64
-	SrcIdx      []int32
-	ImplicitSrc bool
+	NumDst int
+	NumSrc int
+	DstPtr []int64
+	SrcIdx []int32
 
 	revOnce sync.Once
 	rev     *Adjacency
@@ -52,13 +49,8 @@ type Adjacency struct {
 // NumEdges returns the level's edge count.
 func (a *Adjacency) NumEdges() int64 { return a.DstPtr[a.NumDst] }
 
-// Src returns the source of edge e, resolving the implicit identity.
-func (a *Adjacency) Src(e int64) int32 {
-	if a.ImplicitSrc {
-		return int32(e)
-	}
-	return a.SrcIdx[e]
-}
+// Src returns the source of edge e.
+func (a *Adjacency) Src(e int64) int32 { return a.SrcIdx[e] }
 
 // EdgeLists materialises the per-edge (src, dst) index arrays — the COO
 // encoding used by the sparse (SA) execution path.
@@ -70,14 +62,7 @@ func (a *Adjacency) EdgeLists() (src, dst []int32) {
 			dst[e] = int32(d)
 		}
 	}
-	if !a.ImplicitSrc {
-		return a.SrcIdx, dst
-	}
-	src = make([]int32, m)
-	for e := range src {
-		src[e] = int32(e)
-	}
-	return src, dst
+	return a.SrcIdx, dst
 }
 
 // Reverse returns the source-major view (src -> list of dsts), building and
@@ -133,33 +118,6 @@ func FromGraphInEdges(g *graph.Graph) *Adjacency {
 	return &Adjacency{NumDst: n, NumSrc: n, DstPtr: ptr, SrcIdx: idx}
 }
 
-// FromGraphInEdgesSubset builds the 1-hop in-edge level for a subset of
-// destination vertices over a remapped source universe: destination row d is
-// dsts[d], and each global in-neighbor is translated through srcIndex (a
-// dense remap of the vertices the batch actually touches). In-neighbor order
-// is preserved exactly, so per-destination reductions are bit-identical to
-// the whole-graph FromGraphInEdges level — the property the online inference
-// path relies on to match Trainer.Predict. Panics if an in-neighbor is
-// missing from srcIndex: the caller builds the universe from the same walk.
-func FromGraphInEdgesSubset(g *graph.Graph, dsts []graph.VertexID, srcIndex map[graph.VertexID]int32, numSrc int) *Adjacency {
-	ptr := make([]int64, len(dsts)+1)
-	for i, v := range dsts {
-		ptr[i+1] = ptr[i] + int64(g.InDegree(v))
-	}
-	idx := make([]int32, ptr[len(dsts)])
-	for i, v := range dsts {
-		row := idx[ptr[i]:ptr[i+1]]
-		for j, u := range g.InNeighbors(v) {
-			local, ok := srcIndex[u]
-			if !ok {
-				panic(fmt.Sprintf("engine: FromGraphInEdgesSubset: in-neighbor %d of %d not in source universe", u, v))
-			}
-			row[j] = local
-		}
-	}
-	return &Adjacency{NumDst: len(dsts), NumSrc: numSrc, DstPtr: ptr, SrcIdx: idx}
-}
-
 // FromHDGBottom builds the bottom level of a hierarchical HDG: leaf
 // vertices -> neighbor instances. numFeatureRows is the size of the feature
 // universe leaf IDs index into (the graph's vertex count, or a local remap
@@ -208,19 +166,6 @@ func FromHDGFlat(h *hdg.HDG, numFeatureRows int) *Adjacency {
 		}
 	}
 	return &Adjacency{NumDst: nR, NumSrc: numFeatureRows, DstPtr: ptr, SrcIdx: idx}
-}
-
-// FromHDGIntermediate builds the in-between level: neighbor instances ->
-// (root, type) slots. Instances are consecutive per slot, so the source
-// array is the identity and is omitted — §4.1's storage optimisation
-// becomes a zero-copy view here.
-func FromHDGIntermediate(h *hdg.HDG) *Adjacency {
-	nSlots := h.NumRoots() * h.NumTypes()
-	ptr := make([]int64, nSlots+1)
-	for s := 0; s < nSlots; s++ {
-		ptr[s+1] = int64(h.InstOffset[s+1])
-	}
-	return &Adjacency{NumDst: nSlots, NumSrc: h.NumInstances(), DstPtr: ptr, ImplicitSrc: true}
 }
 
 func (a *Adjacency) validate(featRows int) {

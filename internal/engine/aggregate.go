@@ -46,7 +46,10 @@ type Engine struct {
 	Strategy Strategy
 }
 
-// New returns an engine with the given strategy. The zero value is SA.
+// New returns an engine with the given strategy. The zero Strategy is SA —
+// the slow ablation baseline, not the default: callers that mean "the
+// production strategy" write StrategyHA, as the trainer, the serve planner,
+// the cluster worker and the simulator do.
 func New(s Strategy) *Engine { return &Engine{Strategy: s} }
 
 // grainHist, when installed, observes the wall-clock duration of every
@@ -151,12 +154,7 @@ func (e *Engine) AggregateSchema(h *hdg.HDG, slotFeats *nn.Value, op tensor.Redu
 func ScatterAggregate(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp) *nn.Value {
 	adj.validate(feats.Data.Rows())
 	src, dst := adj.EdgeLists()
-	var messages *nn.Value
-	if adj.ImplicitSrc {
-		messages = feats // identity mapping: rows are already in edge order
-	} else {
-		messages = nn.Gather(feats, src)
-	}
+	messages := nn.Gather(feats, src)
 	switch op {
 	case tensor.ReduceSum:
 		return nn.ScatterAdd(messages, dst, adj.NumDst)
@@ -228,18 +226,11 @@ func fusedForwardSum(adj *Adjacency, feats *tensor.Tensor, mean, simd bool) *ten
 			clear(dst)
 			return
 		}
-		if adj.ImplicitSrc {
-			copy(dst, fd[lo*int64(dim)+int64(j0):lo*int64(dim)+int64(j1)])
-			for p := lo + 1; p < hi; p++ {
-				add(dst, fd[p*int64(dim)+int64(j0):p*int64(dim)+int64(j1)])
-			}
-		} else {
-			s := int(idx[lo]) * dim
-			copy(dst, fd[s+j0:s+j1])
-			for p := lo + 1; p < hi; p++ {
-				s = int(idx[p]) * dim
-				add(dst, fd[s+j0:s+j1])
-			}
+		s := int(idx[lo]) * dim
+		copy(dst, fd[s+j0:s+j1])
+		for p := lo + 1; p < hi; p++ {
+			s = int(idx[p]) * dim
+			add(dst, fd[s+j0:s+j1])
 		}
 		if mean {
 			tensor.ScaleUnrolled(dst, 1/float32(hi-lo))

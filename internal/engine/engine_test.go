@@ -150,24 +150,6 @@ func TestHDGBottomAdjacency(t *testing.T) {
 	}
 }
 
-func TestHDGIntermediateImplicitSrc(t *testing.T) {
-	h := magnnHDG(t)
-	adj := FromHDGIntermediate(h)
-	if !adj.ImplicitSrc || adj.SrcIdx != nil {
-		t.Fatal("intermediate level must use the implicit identity source (omitted Dst2)")
-	}
-	if adj.NumDst != 2 || adj.NumEdges() != 5 {
-		t.Fatalf("dims wrong: dst=%d edges=%d", adj.NumDst, adj.NumEdges())
-	}
-	src, dst := adj.EdgeLists()
-	if src[0] != 0 || src[4] != 4 {
-		t.Fatalf("identity src wrong: %v", src)
-	}
-	if dst[0] != 0 || dst[1] != 1 || dst[4] != 1 {
-		t.Fatalf("dst wrong: %v", dst)
-	}
-}
-
 func TestFlatAdjacency(t *testing.T) {
 	h := flatHDG(t)
 	adj := FromHDGFlat(h, 4)

@@ -95,32 +95,6 @@ func TestEdgeOutOfRangePanics(t *testing.T) {
 	NewBuilder(2).AddEdge(0, 2)
 }
 
-func TestBFSOrder(t *testing.T) {
-	g := samplePaperGraph()
-	order := g.BFSOrder(0, 0)
-	if len(order) != 9 {
-		t.Fatalf("BFS should reach all 9 vertices, got %d", len(order))
-	}
-	if order[0] != 0 {
-		t.Fatal("BFS must start at the seed")
-	}
-	// First hop must contain exactly A's neighbors.
-	hop1 := order[1:5]
-	seen := map[VertexID]bool{}
-	for _, v := range hop1 {
-		seen[v] = true
-	}
-	for _, v := range []VertexID{3, 4, 5, 7} {
-		if !seen[v] {
-			t.Fatalf("hop-1 missing %d: %v", v, order)
-		}
-	}
-	// Limit.
-	if got := g.BFSOrder(0, 3); len(got) != 3 {
-		t.Fatalf("limited BFS length = %d", len(got))
-	}
-}
-
 func TestRandomWalkStaysOnEdges(t *testing.T) {
 	g := samplePaperGraph()
 	rng := tensor.NewRNG(1)
@@ -261,29 +235,6 @@ func TestMetapathInstancesLimit(t *testing.T) {
 	mp := Metapath{Name: "MP1", Types: []uint8{0, 2, 1}}
 	if got := g.MetapathInstances(0, mp, 1); len(got) != 1 {
 		t.Fatalf("limit ignored: %d instances", len(got))
-	}
-}
-
-func TestParallelVertexMapVisitsAll(t *testing.T) {
-	g := samplePaperGraph()
-	visits := make([]int32, g.NumVertices())
-	g.ParallelVertexMap(func(v VertexID) { visits[v]++ })
-	for v, c := range visits {
-		if c != 1 {
-			t.Fatalf("vertex %d visited %d times", v, c)
-		}
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := samplePaperGraph()
-	hist := g.DegreeHistogram()
-	var total int64
-	for _, c := range hist {
-		total += c
-	}
-	if total != int64(g.NumVertices()) {
-		t.Fatalf("histogram total = %d", total)
 	}
 }
 

@@ -4,31 +4,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// BFSOrder returns vertices reachable from seed in breadth-first order,
-// following out-edges. The seed is included. Used by the ADB balancer to
-// grow locality-preserving migration candidates (§5).
-func (g *Graph) BFSOrder(seed VertexID, limit int) []VertexID {
-	if limit <= 0 {
-		limit = g.numVertices
-	}
-	visited := make(map[VertexID]bool, limit)
-	order := make([]VertexID, 0, limit)
-	queue := []VertexID{seed}
-	visited[seed] = true
-	for len(queue) > 0 && len(order) < limit {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, u := range g.OutNeighbors(v) {
-			if !visited[u] {
-				visited[u] = true
-				queue = append(queue, u)
-			}
-		}
-	}
-	return order
-}
-
 // RandomWalk performs one random walk of the given number of hops starting
 // at start, following out-edges uniformly. The returned path includes start
 // and stops early at sinks. This is the primitive PinSage's
@@ -183,17 +158,6 @@ next:
 	return dst, left
 }
 
-// ParallelVertexMap runs fn over every vertex using all cores; fn must be
-// safe for concurrent invocation on distinct vertices. This is the
-// vertex-centric parallel driver the graph engine offers to UDFs.
-func (g *Graph) ParallelVertexMap(fn func(v VertexID)) {
-	tensor.ParallelFor(g.numVertices, func(s, e int) {
-		for v := s; v < e; v++ {
-			fn(VertexID(v))
-		}
-	})
-}
-
 // Induce builds the subgraph induced on the given vertices (in order) and
 // returns it with the global-to-local remap. Vertex types are preserved.
 func (g *Graph) Induce(vertices []VertexID) (*Graph, map[VertexID]int32) {
@@ -217,27 +181,4 @@ func (g *Graph) Induce(vertices []VertexID) (*Graph, map[VertexID]int32) {
 		}
 	}
 	return b.Build(), remap
-}
-
-// DegreeHistogram returns counts of out-degrees bucketed as
-// [0, 1, 2-3, 4-7, 8-15, ...] (power-of-two buckets), used by dataset
-// sanity checks.
-func (g *Graph) DegreeHistogram() []int64 {
-	var hist []int64
-	bucketOf := func(d int) int {
-		b := 0
-		for d > 0 {
-			d >>= 1
-			b++
-		}
-		return b
-	}
-	for v := 0; v < g.numVertices; v++ {
-		b := bucketOf(g.OutDegree(VertexID(v)))
-		for len(hist) <= b {
-			hist = append(hist, 0)
-		}
-		hist[b]++
-	}
-	return hist
 }

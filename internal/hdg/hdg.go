@@ -23,7 +23,6 @@ package hdg
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -50,16 +49,6 @@ func (s *SchemaTree) NumTypes() int { return len(s.Types) }
 // model is DNFA or INFA and the schema tree degenerates to the root (the
 // paper's "we stipulate T = v when T has a single neighbor type").
 func (s *SchemaTree) IsFlat() bool { return len(s.Types) == 1 }
-
-// TypeIndex returns the index of the named type, or -1.
-func (s *SchemaTree) TypeIndex(name string) int {
-	for i, t := range s.Types {
-		if t == name {
-			return i
-		}
-	}
-	return -1
-}
 
 // Record is one "neighbor" produced by a NeighborSelection UDF: the paper's
 // (root, nei = [leaf_0..leaf_n], nei_type) tuple (§4.1).
@@ -297,23 +286,6 @@ func (h *HDG) Leaves(i int) []graph.VertexID {
 		return h.LeafIDs[i : i+1]
 	}
 	return h.LeafIDs[h.LeafOffset[i]:h.LeafOffset[i+1]]
-}
-
-// InstanceType returns the schema type of instance i, recovered from the
-// implicit (root, type) ordering by binary search over InstOffset.
-func (h *HDG) InstanceType(i int) int {
-	slot := sort.Search(len(h.InstOffset)-1, func(s int) bool {
-		return h.InstOffset[s+1] > int32(i)
-	})
-	return slot % h.NumTypes()
-}
-
-// InstanceRoot returns the root rank of instance i.
-func (h *HDG) InstanceRoot(i int) int {
-	slot := sort.Search(len(h.InstOffset)-1, func(s int) bool {
-		return h.InstOffset[s+1] > int32(i)
-	})
-	return slot / h.NumTypes()
 }
 
 // InstanceSlots materialises, for every instance, its destination slot

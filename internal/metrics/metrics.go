@@ -182,17 +182,6 @@ func (b *Breakdown) Get(s Stage) time.Duration {
 	return b.times[s]
 }
 
-// Total returns the sum over all stages.
-func (b *Breakdown) Total() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var t time.Duration
-	for _, d := range b.times {
-		t += d
-	}
-	return t
-}
-
 // NAUTotal returns the sum of the three NAU stages only, the denominator of
 // Table 4's percentages.
 func (b *Breakdown) NAUTotal() time.Duration {

@@ -506,16 +506,6 @@ func (h *Histogram) ObserveExemplarOnly(v int64, traceID uint64) {
 	}
 }
 
-// Merge folds another registry's current state into r (counters/buckets
-// add, gauges overwrite). The source is snapshotted first, so merging a
-// live registry is safe.
-func (r *Registry) Merge(o *Registry) {
-	if r == nil || o == nil {
-		return
-	}
-	r.MergeSnapshot(o.Snapshot())
-}
-
 // WriteJSON writes the registry as one JSON object (the /metrics?format=json
 // and expvar payload).
 func (r *Registry) WriteJSON(w io.Writer) error {

@@ -44,7 +44,7 @@ func TestMergeDisjointCounters(t *testing.T) {
 	b.Counter("shared.total").Add(7)
 	b.Gauge("epoch_loss.rank1").Set(0.25)
 
-	a.Merge(b)
+	a.MergeSnapshot(b.Snapshot())
 	if got := a.Counter("collective.ops.rank0").Load(); got != 3 {
 		t.Fatalf("rank0 counter = %d, want 3 (must survive merge untouched)", got)
 	}

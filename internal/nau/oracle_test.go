@@ -104,17 +104,6 @@ func oracleMetapathInstances(g *graph.Graph, root graph.VertexID, mp graph.Metap
 	return out
 }
 
-func oracleOneHopUDF() NeighborUDF {
-	return func(g *graph.Graph, _ *hdg.SchemaTree, v graph.VertexID, _ *tensor.RNG) []hdg.Record {
-		adj := g.OutNeighbors(v)
-		recs := make([]hdg.Record, len(adj))
-		for i, u := range adj {
-			recs[i] = hdg.Record{Root: v, Nei: []graph.VertexID{u}, Type: 0}
-		}
-		return recs
-	}
-}
-
 func oracleRandomWalkUDF(numWalks, hops, topK int) NeighborUDF {
 	return func(g *graph.Graph, _ *hdg.SchemaTree, v graph.VertexID, rng *tensor.RNG) []hdg.Record {
 		top := oracleTopKVisited(g, rng, v, numWalks, hops, topK)

@@ -68,7 +68,6 @@ func udfCases() []udfCase {
 		{"randomwalk/heap-scratch", flat, RandomWalkUDF(40, 4, 5), oracleRandomWalkUDF(40, 4, 5)},
 		{"metapath/bounded", three, MetapathUDF(paths, 3), oracleMetapathUDF(paths, 3)},
 		{"metapath/unbounded", three, MetapathUDF(paths, 0), oracleMetapathUDF(paths, 0)},
-		{"onehop", flat, OneHopUDF(), oracleOneHopUDF()},
 		{"anchorset", three, AnchorSetUDF(anchors), oracleAnchorSetUDF(anchors)},
 		{"hopfrontier", three, HopFrontierUDF(3), oracleHopFrontierUDF(3)},
 	}
@@ -315,7 +314,7 @@ func TestBuildSizesLeafIDsToTheRecords(t *testing.T) {
 func TestRejectedSelectionLeavesRNGAlone(t *testing.T) {
 	g := trickyGraph(50, 11)
 	rng := tensor.NewRNG(5)
-	if _, err := NeighborSelection(g, nil, OneHopUDF(), AllVertices(g), rng); err == nil {
+	if _, err := NeighborSelection(g, nil, RandomWalkUDF(1, 1, 1), AllVertices(g), rng); err == nil {
 		t.Fatal("nil schema accepted")
 	}
 	if _, err := NeighborSelection(g, hdg.NewSchemaTree("vertex"), nil, AllVertices(g), rng); err == nil {

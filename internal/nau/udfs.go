@@ -28,17 +28,6 @@ func singleLeafRecords(v graph.VertexID, leaves []graph.VertexID) []hdg.Record {
 	return recs
 }
 
-// OneHopUDF returns every out-neighbor of v as a flat single-vertex
-// neighbor — the paper's gnn_nbr. (DNFA models normally skip HDGs entirely
-// by returning a nil schema; this UDF exists for models that want explicit
-// flat HDGs over 1-hop neighborhoods.)
-func OneHopUDF() NeighborUDF {
-	return func(g *graph.Graph, _ *hdg.SchemaTree, v graph.VertexID, _ *tensor.RNG) []hdg.Record {
-		// Copied, so records never alias the graph's own adjacency array.
-		return singleLeafRecords(v, append([]graph.VertexID(nil), g.OutNeighbors(v)...))
-	}
-}
-
 // RandomWalkUDF returns the top-k most visited vertices over numWalks
 // random walks of the given hop count — the paper's pinsage_nbr.
 func RandomWalkUDF(numWalks, hops, topK int) NeighborUDF {

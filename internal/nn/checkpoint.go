@@ -541,12 +541,6 @@ func saveFileAtomic(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// SaveCheckpoint writes a weights-only v1 checkpoint to path atomically
-// and durably (temp file + fsync + rename + directory fsync).
-func SaveCheckpoint(path string, params []*Value) error {
-	return saveFileAtomic(path, func(w io.Writer) error { return SaveParams(w, params) })
-}
-
 // LoadCheckpoint reads model parameters from path (either format; v2 files
 // contribute only their parameter section).
 func LoadCheckpoint(path string, params []*Value) error {

@@ -17,14 +17,12 @@ func NewOp(data *tensor.Tensor, backward func(out *Value), parents ...*Value) *V
 	return newResult(data, backward, parents...)
 }
 
-// AccumGrad adds grad into v's gradient accumulator (a no-op for nodes that
-// do not require grad). For use by custom operations built with NewOp.
-func AccumGrad(v *Value, grad *tensor.Tensor) { v.accumGrad(grad) }
-
-// AccumGradOwned is AccumGrad for a gradient tensor the caller owns outright
-// and will not touch again. On first accumulation the tensor is adopted as
-// v's accumulator (no zero-fill, no add pass); otherwise it is added and its
-// buffer recycled. The tensor must not be a view.
+// AccumGradOwned adds grad — a tensor the caller owns outright and will not
+// touch again — into v's gradient accumulator (a no-op for nodes that do not
+// require grad). For use by custom operations built with NewOp. On first
+// accumulation the tensor is adopted as v's accumulator (no zero-fill, no add
+// pass); otherwise it is added and its buffer recycled. The tensor must not
+// be a view.
 func AccumGradOwned(v *Value, grad *tensor.Tensor) { v.accumGradOwned(grad) }
 
 // AttachScratch hands v a forward by-product that only v's backward closure

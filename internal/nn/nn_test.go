@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/tensor"
@@ -390,15 +391,26 @@ func TestSigmoidGradCheck(t *testing.T) {
 	checkGradsClose(t, "sigmoid", w.Grad, numericGrad(t, w.Data, loss), 2e-2)
 }
 
+// writeV1File writes a weights-only v1 checkpoint, the format LoadCheckpoint
+// must keep reading.
+func writeV1File(t *testing.T, path string, params []*Value) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SaveParams(&buf, params); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(23)
 	l1 := NewLinear(4, 3, true, rng)
 	l2 := NewLinear(3, 2, false, rng)
 	params := CollectParams(l1, l2)
 	path := t.TempDir() + "/model.fgck"
-	if err := SaveCheckpoint(path, params); err != nil {
-		t.Fatal(err)
-	}
+	writeV1File(t, path, params)
 	// Perturb, then restore.
 	saved := make([]*Value, len(params))
 	for i, p := range params {
@@ -417,9 +429,7 @@ func TestCheckpointShapeMismatch(t *testing.T) {
 	rng := tensor.NewRNG(24)
 	a := []*Value{Param(tensor.RandN(rng, 1, 2, 2))}
 	path := t.TempDir() + "/m.fgck"
-	if err := SaveCheckpoint(path, a); err != nil {
-		t.Fatal(err)
-	}
+	writeV1File(t, path, a)
 	wrongCount := []*Value{Param(tensor.New(2, 2)), Param(tensor.New(1, 1))}
 	if err := LoadCheckpoint(path, wrongCount); err == nil {
 		t.Fatal("parameter count mismatch must error")

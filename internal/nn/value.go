@@ -21,7 +21,6 @@ type Value struct {
 	requiresGrad bool
 	prev         []*Value
 	backward     func() // accumulates into prev nodes' Grad
-	label        string
 
 	// view marks an interior node whose Data shares its parent's buffer
 	// (Reshape); ReleaseGraph must not return that buffer a second time.
@@ -45,15 +44,6 @@ func Param(t *tensor.Tensor) *Value { return NewValue(t, true) }
 
 // RequiresGrad reports whether the node participates in backprop.
 func (v *Value) RequiresGrad() bool { return v.requiresGrad }
-
-// Shape returns the shape of the wrapped tensor.
-func (v *Value) Shape() []int { return v.Data.Shape() }
-
-// Label attaches a debug label and returns v.
-func (v *Value) Label(s string) *Value {
-	v.label = s
-	return v
-}
 
 // newResult builds an interior node whose gradient flows to prev. The node
 // requires grad iff any parent does; backward is dropped entirely otherwise

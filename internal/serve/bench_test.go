@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/models"
 	"repro/internal/tensor"
@@ -25,6 +26,9 @@ func coldServer(tb testing.TB, scale float64) (*Server, *dataset.Dataset) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(s.Close)
+	if s.ctx.Engine.Strategy != engine.StrategyHA {
+		tb.Fatalf("a nil Options.Engine selected %v, documented as HA", s.ctx.Engine.Strategy)
+	}
 	return s, d
 }
 

@@ -16,9 +16,6 @@ import (
 
 // ClientOptions configures NewClient.
 type ClientOptions struct {
-	// HTTPClient overrides the transport; nil builds a dedicated
-	// http.Client (its connection pool is released by Close).
-	HTTPClient *http.Client
 	// Timeout bounds one Query round trip when the caller's context
 	// carries no deadline (<= 0 selects DefaultClientTimeout).
 	Timeout time.Duration
@@ -37,7 +34,6 @@ const DefaultClientTimeout = 30 * time.Second
 type Client struct {
 	base    string
 	hc      *http.Client
-	ownHC   bool
 	timeout time.Duration
 	version atomic.Int64
 	closed  atomic.Bool
@@ -51,21 +47,14 @@ func NewClient(baseURL string, opts ClientOptions) *Client {
 	}
 	c := &Client{
 		base:    strings.TrimRight(baseURL, "/"),
-		hc:      opts.HTTPClient,
+		hc:      &http.Client{},
 		timeout: opts.Timeout,
-	}
-	if c.hc == nil {
-		c.hc = &http.Client{}
-		c.ownHC = true
 	}
 	if c.timeout <= 0 {
 		c.timeout = DefaultClientTimeout
 	}
 	return c
 }
-
-// Addr returns the replica base URL the client dials.
-func (c *Client) Addr() string { return c.base }
 
 // Query sends the vertices to the remote replica's /v1/predict and returns
 // its Reply. Errors the replica answered with come back typed; transport
@@ -142,13 +131,10 @@ func (c *Client) Ping(ctx context.Context) error {
 func (c *Client) ModelVersion() int64 { return c.version.Load() }
 
 // Close marks the client closed (subsequent calls fail with ErrClosed) and
-// releases its private connection pool. A shared ClientOptions.HTTPClient
-// is left untouched.
+// releases its connection pool.
 func (c *Client) Close() {
 	c.closed.Store(true)
-	if c.ownHC {
-		c.hc.CloseIdleConnections()
-	}
+	c.hc.CloseIdleConnections()
 }
 
 // decodeError reconstructs the typed error behind a non-200 reply from its

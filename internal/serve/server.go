@@ -54,8 +54,9 @@ const (
 	DefaultBatchSize = 64
 	// DefaultCacheCapacity is the embedding cache bound in rows.
 	DefaultCacheCapacity = 1 << 16
-	// DefaultQueueDepth is the pending-request channel capacity.
-	DefaultQueueDepth = 256
+	// queueDepth is the pending-request channel capacity. Beyond it, Query
+	// blocks — natural backpressure.
+	queueDepth = 256
 	// DefaultMaxQueryVertices bounds one request's vertex count.
 	DefaultMaxQueryVertices = 4096
 )
@@ -85,9 +86,6 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Tracer records per-request and per-batch spans; nil disables.
 	Tracer *trace.Tracer
-	// QueueDepth is the pending-request buffer (<= 0 selects
-	// DefaultQueueDepth). Beyond it, Query blocks — natural backpressure.
-	QueueDepth int
 	// MaxQueryVertices caps the vertex count of one Query; past it the
 	// request fails with a *QueryLimitError (HTTP 413) instead of
 	// monopolising micro-batches. 0 selects DefaultMaxQueryVertices; a
@@ -205,10 +203,6 @@ func New(opts Options) (*Server, error) {
 	if capacity == 0 {
 		capacity = DefaultCacheCapacity
 	}
-	queue := opts.QueueDepth
-	if queue <= 0 {
-		queue = DefaultQueueDepth
-	}
 	maxVerts := opts.MaxQueryVertices
 	if maxVerts == 0 {
 		maxVerts = DefaultMaxQueryVertices
@@ -229,7 +223,7 @@ func New(opts Options) (*Server, error) {
 		cache:     newEmbedCache(capacity, opts.Metrics),
 		reg:       opts.Metrics,
 		tracer:    opts.Tracer,
-		reqCh:     make(chan *request, queue),
+		reqCh:     make(chan *request, queueDepth),
 		stop:      make(chan struct{}),
 	}
 	s.version.Store(1)

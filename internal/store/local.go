@@ -28,9 +28,6 @@ type LocalConfig struct {
 	Schema *hdg.SchemaTree
 	// UDF is the neighbor-selection function run per root.
 	UDF nau.NeighborUDF
-	// Workers bounds the goroutines Sample fans selection across; <= 0
-	// selects the kernel parallelism (tensor.Parallelism).
-	Workers int
 }
 
 // Local implements GraphStore and FeatureStore in memory. It is the store a
@@ -64,9 +61,9 @@ func (l *Local) InEdges(ctx context.Context, dsts []graph.VertexID, visit func(n
 }
 
 // Sample runs the configured UDF over the roots, each root seeded from
-// (epochSeed, root) via VertexSeed, fanned across the configured worker
-// count. Records are concatenated in root order, so the result is
-// deterministic regardless of parallelism.
+// (epochSeed, root) via VertexSeed, fanned across the kernel parallelism.
+// Records are concatenated in root order, so the result is deterministic
+// regardless of parallelism.
 func (l *Local) Sample(ctx context.Context, roots []graph.VertexID, epochSeed uint64) ([]hdg.Record, error) {
 	if l.cfg.Schema == nil || l.cfg.UDF == nil {
 		return nil, &FetchError{Op: "sample", Verts: len(roots),
@@ -76,7 +73,7 @@ func (l *Local) Sample(ctx context.Context, roots []graph.VertexID, epochSeed ui
 		return nil, &FetchError{Op: "sample", Verts: len(roots), Err: err}
 	}
 	return nau.SelectRecords(l.cfg.Graph, l.cfg.Schema, l.cfg.UDF, roots,
-		func(_ int, v graph.VertexID) uint64 { return VertexSeed(epochSeed, v) }, l.cfg.Workers), nil
+		func(_ int, v graph.VertexID) uint64 { return VertexSeed(epochSeed, v) }, 0), nil
 }
 
 // KHopInduced expands the roots k out-hops (full neighborhoods, §7.1),

@@ -10,10 +10,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hdg"
-	"repro/internal/metrics"
 	"repro/internal/rpc"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 )
 
 // Store opcodes, carried in Message.Layer. KindSample carries the graph
@@ -51,13 +49,6 @@ type RemoteOptions struct {
 	// store is a dumb pipe and does not handshake metadata.
 	NumVertices int
 	Dim         int
-	// Breakdown counts per-kind request/reply bytes (sample and feature
-	// rows show up as their own TrafficTable lines); nil disables.
-	Breakdown *metrics.Breakdown
-	// Tracer records one CatSample span per remote call and stamps its
-	// span ID onto the request frame, so the server's handling span (and
-	// the merged cluster timeline) parents back to this fetch (nil = off).
-	Tracer *trace.Tracer
 }
 
 // Remote implements GraphStore and FeatureStore over an rpc.Transport
@@ -151,9 +142,6 @@ func (r *Remote) recvLoop() {
 			r.fail(err)
 			return
 		}
-		if r.opts.Breakdown != nil {
-			r.opts.Breakdown.CountRecv(classOfKind(m.Kind), m.NumBytes())
-		}
 		r.mu.Lock()
 		ch := r.pending[m.Epoch]
 		r.mu.Unlock()
@@ -161,13 +149,6 @@ func (r *Remote) recvLoop() {
 			ch <- m // cap 1; at most one reply per ID
 		}
 	}
-}
-
-func classOfKind(k rpc.MsgKind) metrics.MsgClass {
-	if k == rpc.KindFeatures {
-		return metrics.ClassFeatures
-	}
-	return metrics.ClassSample
 }
 
 // call sends one request and waits for its reply, holding a window slot for
@@ -199,12 +180,6 @@ func (r *Remote) call(ctx context.Context, opName string, verts int, m *rpc.Mess
 
 	m.From = int32(r.tr.Rank())
 	m.Epoch = id
-	span := r.opts.Tracer.Begin(int32(r.tr.Rank()), id, m.Layer, trace.CatSample, opName)
-	defer func() { span.End() }()
-	m.Trace = span.ID()
-	if r.opts.Breakdown != nil {
-		r.opts.Breakdown.CountSent(classOfKind(m.Kind), m.NumBytes())
-	}
 	if err := r.tr.Send(r.opts.Peer, m); err != nil {
 		return nil, fetchErr(err)
 	}
@@ -216,7 +191,6 @@ func (r *Remote) call(ctx context.Context, opName string, verts int, m *rpc.Mess
 		if reply.Layer < 0 {
 			return nil, fetchErr(fmt.Errorf("store: server rejected %s query", opName))
 		}
-		span.Link(reply.Trace)
 		return reply, nil
 	case <-ctx.Done():
 		return nil, fetchErr(ctx.Err())
@@ -337,11 +311,6 @@ type ServerOptions struct {
 	// 2) — with a pipelined client window, overlapping handlers hide the
 	// per-request compute behind the link latency of the next request.
 	Workers int
-	// Breakdown counts per-kind request/reply bytes; nil disables.
-	Breakdown *metrics.Breakdown
-	// Tracer records one CatSample span per handled query, parented to the
-	// requester's span via the frame's trace ID (nil = off).
-	Tracer *trace.Tracer
 }
 
 // Server answers Remote store queries over a transport, backed by a Local
@@ -387,9 +356,6 @@ func (s *Server) Serve() error {
 		if m.Kind != rpc.KindSample && m.Kind != rpc.KindFeatures {
 			continue
 		}
-		if s.opts.Breakdown != nil {
-			s.opts.Breakdown.CountRecv(classOfKind(m.Kind), m.NumBytes())
-		}
 		sem <- struct{}{}
 		s.wg.Add(1)
 		go func(m *rpc.Message) {
@@ -411,10 +377,7 @@ func (s *Server) Close() error {
 // *FetchError) like any other rejected query. Reply send errors are
 // dropped: the client is gone and its deadline will fire.
 func (s *Server) handle(m *rpc.Message) {
-	span := s.opts.Tracer.BeginChild(int32(s.tr.Rank()), m.Epoch, m.Layer,
-		trace.CatSample, "serve:"+opName(m.Layer), m.Trace)
-	defer span.End()
-	reply := &rpc.Message{Kind: m.Kind, From: int32(s.tr.Rank()), Epoch: m.Epoch, Layer: m.Layer, Trace: span.ID()}
+	reply := &rpc.Message{Kind: m.Kind, From: int32(s.tr.Rank()), Epoch: m.Epoch, Layer: m.Layer}
 	ctx := context.Background()
 	op := m.Layer
 	if !s.idsInGraph(m.IDs) {
@@ -475,9 +438,6 @@ func (s *Server) handle(m *rpc.Message) {
 	default:
 		reply.Layer = -m.Layer
 	}
-	if s.opts.Breakdown != nil {
-		s.opts.Breakdown.CountSent(classOfKind(reply.Kind), reply.NumBytes())
-	}
 	_ = s.tr.Send(int(m.From), reply)
 }
 
@@ -490,22 +450,6 @@ func (s *Server) idsInGraph(ids []int32) bool {
 		}
 	}
 	return true
-}
-
-// opName names a store opcode for span labels.
-func opName(op int32) string {
-	switch op {
-	case opSample:
-		return "sample"
-	case opInEdges:
-		return "in_edges"
-	case opKHop:
-		return "khop"
-	case opFeatures:
-		return "features"
-	default:
-		return fmt.Sprintf("op(%d)", op)
-	}
 }
 
 // encodeRecords flattens neighbor-selection records for the wire as

@@ -63,8 +63,8 @@ func (p *Plane) buildDump(cause error) FlightDump {
 		Metrics:   p.o.Registry.Snapshot(),
 	}
 	spans, _ := p.ownSpansSince(0)
-	if len(spans) > p.o.FlightSpans {
-		spans = spans[len(spans)-p.o.FlightSpans:]
+	if len(spans) > flightSpans {
+		spans = spans[len(spans)-flightSpans:]
 	}
 	d.Spans = spans
 	buf := make([]byte, 1<<20)
@@ -79,7 +79,7 @@ func (p *Plane) buildDump(cause error) FlightDump {
 // error path with the epoch error. When the error is a cluster-death
 // signal, every rank writes flight-<rank>.json locally; survivors
 // best-effort push their dump to rank 0, and rank 0 drains whatever
-// arrives within DrainWait, folds it into the merged timeline, and writes
+// arrives within drainWait, folds it into the merged timeline, and writes
 // the merged trace. All failures here are swallowed — the flight recorder
 // must never mask the error that fired it.
 func (p *Plane) OnFailure(cause error) {
@@ -100,7 +100,7 @@ func (p *Plane) OnFailure(cause error) {
 		return
 	}
 	p.col.AddFlight(d)
-	for _, m := range p.o.Comm.DrainKind(rpc.KindTelemetry, p.o.DrainWait) {
+	for _, m := range p.o.Comm.DrainKind(rpc.KindTelemetry, drainWait) {
 		if m.Dim != opFlight {
 			continue
 		}

@@ -53,13 +53,17 @@ const (
 	flightEpoch int32 = 1 << 30
 )
 
-func clockPhase(peer, round int) int32 { return int32(2 * (peer*maxClockRounds + round)) }
+func clockPhase(peer, round int) int32 { return int32(2 * (peer*clockRounds + round)) }
 
 const (
-	defaultClockRounds = 4
-	maxClockRounds     = 16
-	defaultFlightSpans = 256
-	defaultDrainWait   = 250 * time.Millisecond
+	// clockRounds is the number of RTT rounds per peer in the clock
+	// handshake; the minimum-RTT round's offset estimate wins.
+	clockRounds = 4
+	// flightSpans bounds the span tail included in a flight dump.
+	flightSpans = 256
+	// drainWait bounds how long rank 0 waits for survivors' flight dumps
+	// after a failure.
+	drainWait = 250 * time.Millisecond
 )
 
 // Options configures one rank's telemetry plane.
@@ -82,18 +86,9 @@ type Options struct {
 	// FlightDir receives flight-<rank>.json on failure ("" disables the
 	// flight recorder).
 	FlightDir string
-	// FlightSpans bounds the span tail included in a flight dump
-	// (default 256).
-	FlightSpans int
-	// ClockRounds is the number of RTT rounds per peer (default 4,
-	// max 16); the minimum-RTT round's offset estimate wins.
-	ClockRounds int
 	// MergedTrace, on rank 0, is the path the merged cluster timeline is
 	// written to when the run finishes or fails ("" disables).
 	MergedTrace string
-	// DrainWait bounds how long rank 0 waits for survivors' flight dumps
-	// after a failure (default 250ms).
-	DrainWait time.Duration
 }
 
 // Plane is one rank's half of the telemetry protocol. Methods are called
@@ -108,18 +103,6 @@ type Plane struct {
 
 // New builds the plane for one rank; rank 0 also hosts the collector.
 func New(o Options) *Plane {
-	if o.ClockRounds <= 0 {
-		o.ClockRounds = defaultClockRounds
-	}
-	if o.ClockRounds > maxClockRounds {
-		o.ClockRounds = maxClockRounds
-	}
-	if o.FlightSpans <= 0 {
-		o.FlightSpans = defaultFlightSpans
-	}
-	if o.DrainWait <= 0 {
-		o.DrainWait = defaultDrainWait
-	}
 	p := &Plane{o: o}
 	if o.Rank == 0 {
 		p.col = newCollector(o.K, o.Tracer, o.Registry)
@@ -195,10 +178,9 @@ func (p *Plane) SyncClocks(epoch int32) error {
 	if p == nil || p.o.K <= 1 || p.o.Shared || !p.o.Tracer.Enabled() {
 		return nil
 	}
-	rounds := p.o.ClockRounds
 	if p.o.Rank != 0 {
 		q := p.o.Rank
-		for r := 0; r < rounds; r++ {
+		for r := 0; r < clockRounds; r++ {
 			f := collective.Fence{Epoch: epoch, Phase: clockPhase(q, r)}
 			m, err := p.o.Comm.RecvFrom(0, f, rpc.KindTelemetry)
 			if err != nil {
@@ -222,7 +204,7 @@ func (p *Plane) SyncClocks(epoch int32) error {
 	for q := 1; q < p.o.K; q++ {
 		bestRTT := int64(1<<63 - 1)
 		var bestOffset int64
-		for r := 0; r < rounds; r++ {
+		for r := 0; r < clockRounds; r++ {
 			t0 := p.o.Tracer.Now()
 			ping, err := packJSON(opPing, wirePing{T0: t0})
 			if err != nil {

@@ -115,15 +115,6 @@ func (t *Tensor) Tanh() *Tensor {
 	return out
 }
 
-// Exp returns exp(t) elementwise.
-func (t *Tensor) Exp() *Tensor {
-	out := New(t.shape...)
-	for i, v := range t.data {
-		out.data[i] = float32(math.Exp(float64(v)))
-	}
-	return out
-}
-
 // SoftmaxRows applies a numerically stable softmax across each row of a
 // tensor viewed as [Rows, Cols].
 func (t *Tensor) SoftmaxRows() *Tensor {

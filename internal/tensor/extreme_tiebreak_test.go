@@ -195,41 +195,3 @@ func TestExtremeTieBreaking(t *testing.T) {
 		}
 	}
 }
-
-// TestScatterExtremeEmptyGroupsZero checks ScatterMax/Min on special-value
-// inputs: empty destination groups must come back zero, not the ±Inf the
-// fold starts from.
-func TestScatterExtremeEmptyGroupsZero(t *testing.T) {
-	const dim, numOut = 24, 9 // groups 3 and 7 left empty
-	rows := specialRows(50, dim, 11)
-	flat := make([]float32, 0, len(rows)*dim)
-	for _, r := range rows {
-		flat = append(flat, r...)
-	}
-	values := FromSlice(flat, len(rows), dim)
-	rng := NewRNG(13)
-	index := make([]int32, len(rows))
-	for i := range index {
-		for {
-			index[i] = int32(rng.Intn(numOut))
-			if index[i] != 3 && index[i] != 7 {
-				break
-			}
-		}
-	}
-
-	for _, maxOp := range []bool{true, false} {
-		scatter := ScatterMax
-		if !maxOp {
-			scatter = ScatterMin
-		}
-		rd := scatter(values, index, numOut).Data()
-		for _, empty := range []int{3, 7} {
-			for j := 0; j < dim; j++ {
-				if v := rd[empty*dim+j]; v != 0 {
-					t.Fatalf("max=%v: empty group %d col %d = %v, want 0", maxOp, empty, j, v)
-				}
-			}
-		}
-	}
-}

@@ -22,37 +22,12 @@ func (t *Tensor) Mean() float32 {
 	return t.Sum() / float32(len(t.data))
 }
 
-// Max returns the largest element.
-func (t *Tensor) Max() float32 {
-	m := float32(math.Inf(-1))
-	for _, v := range t.data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // SumRows reduces a [R, C] tensor to [1, C] by summing over rows.
 func (t *Tensor) SumRows() *Tensor {
 	c := t.Cols()
 	out := NewPooled(1, c)
 	for r := 0; r < t.Rows(); r++ {
 		AddUnrolled(out.data, t.data[r*c:(r+1)*c])
-	}
-	return out
-}
-
-// SumCols reduces a [R, C] tensor to [R, 1] by summing each row.
-func (t *Tensor) SumCols() *Tensor {
-	c := t.Cols()
-	out := New(t.Rows(), 1)
-	for r := 0; r < t.Rows(); r++ {
-		var s float32
-		for _, v := range t.data[r*c : (r+1)*c] {
-			s += v
-		}
-		out.data[r] = s
 	}
 	return out
 }

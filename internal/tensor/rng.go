@@ -49,12 +49,6 @@ func (r *RNG) NormFloat32() float32 {
 	return float32(math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2))
 }
 
-// Split derives an independent generator; the derived stream does not
-// overlap the parent's for practical sequence lengths.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xdeadbeefcafef00d)
-}
-
 // State returns the generator's current position in its stream, so a
 // checkpointed training run can resume drawing exactly where it left off.
 func (r *RNG) State() uint64 { return r.state }

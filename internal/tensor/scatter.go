@@ -24,27 +24,13 @@ func Gather(src *Tensor, index []int32) *Tensor {
 // values is added into output row index[i]. This is the scatter_add of the
 // paper's Fig. 8.
 func ScatterAdd(values *Tensor, index []int32, numOut int) *Tensor {
-	return scatter(values, index, numOut, ReduceSum)
+	return scatter(values, index, numOut, false)
 }
 
 // ScatterMean is ScatterAdd followed by dividing each output row by its
 // contribution count; rows with no contributions stay zero.
 func ScatterMean(values *Tensor, index []int32, numOut int) *Tensor {
-	return scatter(values, index, numOut, ReduceMean)
-}
-
-// ScatterMax reduces with elementwise max; rows with no contributions are
-// zero (not -Inf), matching pytorch_scatter's composite behaviour. The
-// reduction uses the builtin max semantics: a NaN contribution makes the
-// element NaN, and +0 orders above -0.
-func ScatterMax(values *Tensor, index []int32, numOut int) *Tensor {
-	return scatter(values, index, numOut, ReduceMax)
-}
-
-// ScatterMin reduces with elementwise min; rows with no contributions are
-// zero. NaN propagates and -0 orders below +0, as with the builtin min.
-func ScatterMin(values *Tensor, index []int32, numOut int) *Tensor {
-	return scatter(values, index, numOut, ReduceMin)
+	return scatter(values, index, numOut, true)
 }
 
 // scatterCountsChecked counts contributions per output row, panicking on an
@@ -61,7 +47,7 @@ func scatterCountsChecked(index []int32, numOut int) []int32 {
 	return counts
 }
 
-func scatter(values *Tensor, index []int32, numOut int, op ReduceOp) *Tensor {
+func scatter(values *Tensor, index []int32, numOut int, mean bool) *Tensor {
 	if values.Rows() != len(index) {
 		panic(fmt.Sprintf("tensor: scatter values rows %d != index length %d", values.Rows(), len(index)))
 	}
@@ -84,66 +70,23 @@ func scatter(values *Tensor, index []int32, numOut int, op ReduceOp) *Tensor {
 		prefix[d+1] = prefix[d] + int64(n)
 	}
 	ParallelForWeighted(numOut, prefix, c, func(lo, hi int) {
-		scatterPass(values, index, out, op, lo, hi)
-		for r := lo; r < hi; r++ {
-			drow := out.data[r*c : (r+1)*c]
-			if counts[r] == 0 {
-				// Empty groups produce zero rows for every operator.
-				for j := range drow {
-					drow[j] = 0
-				}
+		clear(out.data[lo*c : hi*c])
+		for i, dst := range index {
+			if int(dst) < lo || int(dst) >= hi {
 				continue
 			}
-			if op == ReduceMean {
-				ScaleUnrolled(drow, 1/float32(counts[r]))
+			AddUnrolled(out.data[int(dst)*c:(int(dst)+1)*c], values.data[i*c:(i+1)*c])
+		}
+		if !mean {
+			return
+		}
+		for r := lo; r < hi; r++ {
+			if counts[r] > 0 {
+				ScaleUnrolled(out.data[r*c:(r+1)*c], 1/float32(counts[r]))
 			}
 		}
 	})
 	return out
-}
-
-// scatterPass initialises and accumulates output rows [lo, hi). The
-// reduce-op dispatch is hoisted out of the edge loop so each pass runs a
-// single tight accumulate kernel. The ±Inf extreme identities are
-// transparent under builtin max/min (any value, including NaN, replaces
-// them), so no first-contribution special case is needed.
-func scatterPass(values *Tensor, index []int32, out *Tensor, op ReduceOp, lo, hi int) {
-	c := values.Cols()
-	init := float32(0)
-	switch op {
-	case ReduceMax:
-		init = float32(math.Inf(-1))
-	case ReduceMin:
-		init = float32(math.Inf(1))
-	}
-	rows := out.data[lo*c : hi*c]
-	for j := range rows {
-		rows[j] = init
-	}
-	vd := values.data
-	switch op {
-	case ReduceSum, ReduceMean:
-		for i, dst := range index {
-			if int(dst) < lo || int(dst) >= hi {
-				continue
-			}
-			AddUnrolled(out.data[int(dst)*c:(int(dst)+1)*c], vd[i*c:(i+1)*c])
-		}
-	case ReduceMax:
-		for i, dst := range index {
-			if int(dst) < lo || int(dst) >= hi {
-				continue
-			}
-			MaxUnrolled(out.data[int(dst)*c:(int(dst)+1)*c], vd[i*c:(i+1)*c])
-		}
-	case ReduceMin:
-		for i, dst := range index {
-			if int(dst) < lo || int(dst) >= hi {
-				continue
-			}
-			MinUnrolled(out.data[int(dst)*c:(int(dst)+1)*c], vd[i*c:(i+1)*c])
-		}
-	}
 }
 
 // ScatterSoftmax normalises values so that, within each group of rows

@@ -36,17 +36,6 @@ func TestScatterMean(t *testing.T) {
 	}
 }
 
-func TestScatterMaxMin(t *testing.T) {
-	vals := FromSlice([]float32{1, -5, 3, 2}, 4, 1)
-	idx := []int32{0, 0, 1, 1}
-	if got := ScatterMax(vals, idx, 3); !got.ApproxEqual(FromSlice([]float32{1, 3, 0}, 3, 1), 0) {
-		t.Fatalf("ScatterMax = %v", got)
-	}
-	if got := ScatterMin(vals, idx, 3); !got.ApproxEqual(FromSlice([]float32{-5, 2, 0}, 3, 1), 0) {
-		t.Fatalf("ScatterMin = %v", got)
-	}
-}
-
 func TestScatterIndexOutOfRangePanics(t *testing.T) {
 	defer expectPanic(t, "scatter index out of range")
 	ScatterAdd(Ones(2, 1), []int32{0, 5}, 2)

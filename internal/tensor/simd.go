@@ -7,17 +7,18 @@ import "math"
 // CPUs that have AVX2: AxpyUnrolled, AddUnrolled and ScaleUnrolled here, and
 // the row kernels of the dense products in matmul.go. Everywhere else — other
 // architectures, the purego build tag, an amd64 CPU without AVX2, and rows
-// shorter than one vector, which are not worth a call — the Go loops of
-// simd_ref.go and matmul.go run instead: the reference path. Both give the
-// same bits, because the vector path only ever does what the loops do, eight
-// output elements at a time: the elements of one call are independent, each
-// term is one rounded multiply then one rounded add (VMULPS + VADDPS, never a
-// fused multiply-add, whose single rounding differs), terms are taken in the
-// loops' order, and MXCSR is left alone, so denormals stay denormals. The bits
-// of a NaN result are the one thing not promised (an element that is NaN on
-// one path is NaN on the other): when both operands of an add or multiply are
-// NaN the hardware keeps the first one's payload, and the compiler orders the
-// scalar loops' operands as its register allocator likes.
+// shorter than one vector, which are not worth a call — the plain Go loops
+// below (*ScalarLoop) and the loops of matmul.go run instead: the reference
+// path. Both give the same bits, because the vector path only ever does what
+// the loops do, eight output elements at a time: the elements of one call are
+// independent, each term is one rounded multiply then one rounded add (VMULPS
+// + VADDPS, never a fused multiply-add, whose single rounding differs), terms
+// are taken in the loops' order, and MXCSR is left alone, so denormals stay
+// denormals. The bits of a NaN result are the one thing not promised (an
+// element that is NaN on one path is NaN on the other): when both operands of
+// an add or multiply are NaN the hardware keeps the first one's payload, and
+// the compiler orders the scalar loops' operands as its register allocator
+// likes.
 //
 // One vector width ships. A 128-bit build of the same kernels needs no CPU
 // probe but measured 31 % slower end to end (CHANGES.md, PR 24). AVX-512
@@ -30,8 +31,12 @@ import "math"
 // stay Go because nothing on the vector path calls them: the products keep
 // their sums in registers instead (matmul.go).
 //
-// The *ScalarLoop functions are the deliberately naive one-element loops the
-// ablation benchmarks compare against.
+// The *ScalarLoop functions are plain one-element loops. For the elementwise
+// add/axpy/scale kernels unrolling defines no rounding order, so one set of
+// them is the reference path, the oracle the parity tests and the fuzz target
+// hold the assembly to bit for bit, and the scalar side of the SIMD ablation
+// (FusedAggregateScalar). The max/min family keeps a hand-unrolled tier
+// beside its scalar loops.
 
 const (
 	// vecMin is the shortest row handed to the assembly: one 8-lane vector.
@@ -51,7 +56,7 @@ func AxpyUnrolled(dst, x []float32, a float32) {
 		axpyVec(&dst[0], &x[0], n, a)
 		return
 	}
-	axpyRef(dst, x, a)
+	AxpyScalarLoop(dst, x, a)
 }
 
 // Axpy4 folds four scaled rows into dst in one pass:
@@ -87,22 +92,20 @@ func AddUnrolled(dst, x []float32) {
 		addVec(&dst[0], &x[0], n)
 		return
 	}
-	addRef(dst, x)
+	AddScalarLoop(dst, x)
 }
 
-// AddScalarLoop is the deliberately naive counterpart of AddUnrolled, kept
-// for the SIMD-vs-scalar ablation bench.
+// AddScalarLoop is the plain loop behind AddUnrolled.
 func AddScalarLoop(dst, x []float32) {
 	if len(x) != len(dst) {
 		panic("tensor: add length mismatch")
 	}
 	for i := 0; i < len(dst); i++ {
-		dst[i] = dst[i] + x[i]
+		dst[i] += x[i]
 	}
 }
 
-// AxpyScalarLoop is the naive counterpart of AxpyUnrolled, for emulating
-// non-SIMD systems and the SIMD ablation bench.
+// AxpyScalarLoop is the plain loop behind AxpyUnrolled.
 func AxpyScalarLoop(dst, x []float32, a float32) {
 	if len(x) != len(dst) {
 		panic("tensor: axpy length mismatch")
@@ -354,12 +357,21 @@ func ScaleUnrolled(dst []float32, a float32) {
 		scaleVec(&dst[0], n, a)
 		return
 	}
-	scaleRef(dst, a)
+	scaleScalarLoop(dst, a)
 }
 
-// DotUnrolled returns the dot product of x and y with 4 parallel
-// accumulators, which both unrolls the loop and breaks the floating-point
-// dependency chain.
+// scaleScalarLoop is the plain loop behind ScaleUnrolled.
+func scaleScalarLoop(dst []float32, a float32) {
+	for i := range dst {
+		dst[i] *= a
+	}
+}
+
+// DotUnrolled returns the dot product of x and y as four partial sums, element
+// i into sum i mod 4 (the k mod 4 tail into the first), combined left to
+// right. Unlike the elementwise kernels above, the unrolling here *is* the
+// rounding order — a plain loop gives different bits — so it stays, and the
+// vector MatMulT reproduces it lane for lane.
 func DotUnrolled(x, y []float32) float32 {
 	n := len(x)
 	if len(y) != n {

@@ -5,10 +5,10 @@ package tensor
 // useVec selects the AVX2 kernels of simd_amd64.s; probed once.
 var useVec = cpuHasAVX2()
 
-// SetVectorKernels(false) routes every kernel through the reference loops of
-// simd_ref.go on a CPU that would run the assembly — the parity tests' way to
-// run one suite on both paths in one process, like SetBufferPooling. It
-// reports whether the vector path is now on.
+// SetVectorKernels(false) routes every kernel through the reference loops
+// (simd.go, matmul.go) on a CPU that would run the assembly — the parity
+// tests' way to run one suite on both paths in one process, like
+// SetBufferPooling. It reports whether the vector path is now on.
 func SetVectorKernels(on bool) bool {
 	useVec = on && cpuHasAVX2()
 	return useVec

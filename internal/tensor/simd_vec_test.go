@@ -1,7 +1,7 @@
 package tensor
 
 // The assembly kernels of simd_amd64.s against Go loops, bit for bit: the
-// streaming kernels against the reference loops of simd_ref.go that run in
+// streaming kernels against the plain loops of simd.go that run in
 // their place, the two product kernels against loops written here straight
 // from the contracts in their headers. Every NaN is treated alike (simd.go
 // says why); everything else, signed zeros and denormals included, must have
@@ -110,12 +110,12 @@ func TestVecStreamKernelsMatchReference(t *testing.T) {
 					ref(ww[off : off+n : off+n])
 					sameBitsModNaN(t, what+" "+name, ww, gw)
 				}
-				run("Add", func(d []float32) { AddUnrolled(d, x) }, func(d []float32) { addRef(d, x) })
-				run("Axpy", func(d []float32) { AxpyUnrolled(d, x, a) }, func(d []float32) { axpyRef(d, x, a) })
-				run("Scale", func(d []float32) { ScaleUnrolled(d, a) }, func(d []float32) { scaleRef(d, a) })
+				run("Add", func(d []float32) { AddUnrolled(d, x) }, func(d []float32) { AddScalarLoop(d, x) })
+				run("Axpy", func(d []float32) { AxpyUnrolled(d, x, a) }, func(d []float32) { AxpyScalarLoop(d, x, a) })
+				run("Scale", func(d []float32) { ScaleUnrolled(d, a) }, func(d []float32) { scaleScalarLoop(d, a) })
 				// dst aliasing x.
-				run("Add alias", func(d []float32) { AddUnrolled(d, d) }, func(d []float32) { addRef(d, d) })
-				run("Axpy alias", func(d []float32) { AxpyUnrolled(d, d, a) }, func(d []float32) { axpyRef(d, d, a) })
+				run("Add alias", func(d []float32) { AddUnrolled(d, d) }, func(d []float32) { AddScalarLoop(d, d) })
+				run("Axpy alias", func(d []float32) { AxpyUnrolled(d, d, a) }, func(d []float32) { AxpyScalarLoop(d, d, a) })
 			}
 		}
 	}
@@ -276,13 +276,13 @@ func FuzzVecKernelsMatchReference(f *testing.F) {
 			switch kernel {
 			case 0:
 				AddUnrolled(g, x)
-				addRef(w, x)
+				AddScalarLoop(w, x)
 			case 1:
 				AxpyUnrolled(g, x, a)
-				axpyRef(w, x, a)
+				AxpyScalarLoop(w, x, a)
 			case 2:
 				ScaleUnrolled(g, a)
-				scaleRef(w, a)
+				scaleScalarLoop(w, a)
 			}
 			sameBitsModNaN(t, "stream kernel", ww, gw)
 		case 3:

@@ -73,17 +73,11 @@ func DebugMux(t *Tracer, reg *metrics.Registry) *http.ServeMux {
 	return mux
 }
 
-// ServeDebug starts the debug server on addr (":0" picks a free port) and
-// returns the bound address and a shutdown func. The server runs until the
-// shutdown func is called; serving errors after shutdown are swallowed.
-func ServeDebug(addr string, t *Tracer, reg *metrics.Registry) (boundAddr string, shutdown func() error, err error) {
-	return ServeMux(addr, DebugMux(t, reg))
-}
-
-// ServeMux starts an HTTP server for an arbitrary handler — used by
-// processes that extend the debug mux with extra routes (the telemetry
-// collector mounts /metrics/cluster and /trace/cluster on rank 0) before
-// binding it. Same contract as ServeDebug.
+// ServeMux starts an HTTP server for handler on addr (":0" picks a free
+// port) and returns the bound address and a shutdown func — DebugMux's
+// handler, possibly extended with extra routes first (the telemetry collector
+// mounts /metrics/cluster and /trace/cluster on rank 0). The server runs until
+// the shutdown func is called; serving errors after shutdown are swallowed.
 func ServeMux(addr string, handler http.Handler) (boundAddr string, shutdown func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -22,7 +22,7 @@ func TestServeDebugShutdownNoGoroutineLeak(t *testing.T) {
 	tr.Begin(0, 0, 0, CatEpoch, "epoch").End()
 	reg := metrics.NewRegistry()
 	reg.Counter("x").Add(1)
-	addr, shutdown, err := ServeDebug("127.0.0.1:0", tr, reg)
+	addr, shutdown, err := ServeMux("127.0.0.1:0", DebugMux(tr, reg))
 	if err != nil {
 		t.Fatal(err)
 	}

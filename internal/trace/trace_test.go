@@ -207,7 +207,7 @@ func TestDebugEndpoints(t *testing.T) {
 	reg.Counter("test.count").Add(5)
 	reg.Histogram("test.lat_ns").Observe(1234)
 
-	addr, shutdown, err := ServeDebug("127.0.0.1:0", tr, reg)
+	addr, shutdown, err := ServeMux("127.0.0.1:0", DebugMux(tr, reg))
 	if err != nil {
 		t.Fatal(err)
 	}

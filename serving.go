@@ -4,7 +4,6 @@ import (
 	"repro/internal/nau"
 	"repro/internal/router"
 	"repro/internal/serve"
-	"repro/internal/trace"
 )
 
 // Online inference. An InferenceServer answers per-vertex queries over a
@@ -35,17 +34,13 @@ import (
 //	q = flexgraph.NewServeClient("10.0.0.7:8090", …)               // remote
 //	q, _ = flexgraph.NewRouter(flexgraph.RouterOptions{Replicas: …}) // fleet
 //
-// Migration notes (PR 10): (*InferenceServer).ListenAndServe's shutdown
-// func now drains in-flight requests (up to 5 s) instead of dropping them;
-// /v1/predict bodies are bounded (1 MiB, HTTP 413 past it) and queries are
-// capped at ServeOptions.MaxQueryVertices vertices (default 4096, typed
-// *QueryLimitError / HTTP 413; negative disables); /v1/healthz rejects
-// non-GET methods. Code that queried the HTTP surface with well-formed
-// requests is unaffected.
-//
-// Migration notes (PR 17): ServeOptions.FlushInterval and
-// DefaultServeFlushInterval are gone with the flush timer — delete the
-// field; no setting replaces it. ServeReply rows are private to each reply.
+// (*InferenceServer).ListenAndServe's shutdown func drains in-flight requests
+// (up to 5 s); /v1/predict bodies are bounded (1 MiB, HTTP 413 past it) and
+// queries are capped at ServeOptions.MaxQueryVertices vertices (default 4096,
+// HTTP 413; negative disables). The typed errors a Querier returns
+// (serve.ErrBadVertex, serve.ErrClosed, *serve.OverloadError,
+// *serve.QueryLimitError) are internal names; over HTTP they are the reply's
+// machine-readable code. ServeReply rows are private to each reply.
 type (
 	// InferenceServer is the online inference service.
 	InferenceServer = serve.Server
@@ -64,8 +59,6 @@ type (
 	ServeClient = serve.Client
 	// ServeClientOptions configures NewServeClient.
 	ServeClientOptions = serve.ClientOptions
-	// ServeHTTPOptions configures NewServeHandler.
-	ServeHTTPOptions = serve.HTTPOptions
 	// Router is the scale-out serving tier: consistent-hash fan-out over
 	// N replicas with health-checked ring eviction, admission control and
 	// hot-shard overflow replication. Satisfies Querier.
@@ -74,11 +67,6 @@ type (
 	RouterOptions = router.Options
 	// RouterReplica names one backend Querier of a Router.
 	RouterReplica = router.Replica
-	// OverloadError reports admission-control load shedding (HTTP 429).
-	OverloadError = serve.OverloadError
-	// QueryLimitError reports a query over the per-request vertex cap
-	// (HTTP 413).
-	QueryLimitError = serve.QueryLimitError
 )
 
 var (
@@ -90,24 +78,6 @@ var (
 	NewServeClient = serve.NewClient
 	// NewRouter starts a routing tier over a replica fleet.
 	NewRouter = router.New
-	// NewServeHandler builds the /v1/predict + /v1/healthz HTTP surface
-	// over any Querier — the handler the serving tiers share.
-	NewServeHandler = serve.NewHTTPHandler
-	// ListenAndServeHandler binds an address and serves any handler with
-	// the serving tier's graceful-drain shutdown contract.
-	ListenAndServeHandler = serve.ListenAndServe
-	// ErrServerClosed reports a query against a closed InferenceServer.
-	ErrServerClosed = serve.ErrClosed
-	// ErrBadVertex reports a query vertex outside the served graph.
-	ErrBadVertex = serve.ErrBadVertex
-)
-
-// TraceCatServe tags inference-serving spans ("request", "batch") on the
-// trace timeline; TraceCatRoute tags routing-tier spans ("route",
-// "shard:<replica>").
-const (
-	TraceCatServe = trace.CatServe
-	TraceCatRoute = trace.CatRoute
 )
 
 // Serving defaults, re-exported for flag declarations.
@@ -133,11 +103,9 @@ const (
 	DefaultRouterHotWindow = router.DefaultHotWindow
 )
 
-// TrainerOptions configures NewTrainerWith — the keyword-argument
-// replacement for NewTrainer's six positional parameters. Zero values pick
-// the trainer defaults (HA engine, Adam with lr 0.01, no tracer).
+// TrainerOptions configures NewTrainerWith. Zero values pick the trainer
+// defaults (HA engine, Adam with lr 0.01, no tracer).
 type TrainerOptions = nau.TrainerOptions
 
 // NewTrainerWith wires single-machine whole-graph training from options.
-// NewTrainer remains as a thin wrapper over it.
 var NewTrainerWith = nau.NewTrainerWith
