@@ -3,9 +3,9 @@ GO ?= go
 .PHONY: ci build test race chaos trace-smoke telemetry-smoke serve-smoke \
 	router-smoke sampler-smoke checkpoint-smoke vet fmt bench-comm \
 	bench-kernels-diff bench-smoke bench-sampler bench-e2e-smoke \
-	purego cross fuzz-smoke frozen loc
+	purego cross fuzz-smoke frozen hashes loc
 
-ci: frozen vet fmt race chaos trace-smoke telemetry-smoke serve-smoke router-smoke \
+ci: frozen hashes vet fmt race chaos trace-smoke telemetry-smoke serve-smoke router-smoke \
 	sampler-smoke checkpoint-smoke test purego cross fuzz-smoke bench-smoke \
 	bench-e2e-smoke
 
@@ -16,6 +16,29 @@ ci: frozen vet fmt race chaos trace-smoke telemetry-smoke serve-smoke router-smo
 BASE ?= HEAD
 frozen:
 	git diff --exit-code $(BASE) -- BENCHMARK.json benchmark/
+
+# The arithmetic-unchanged proof as a command: the loss_hash of seeds 1-3 of
+# the five training/cluster workloads, on the vector build (benchmark/run.sh)
+# and on a purego flexbench built under run.sh's environment and run from the
+# repo root, rewritten in testdata/loss_hashes.json's layout and diffed
+# against it. A change that means to move a hash edits that file in the same
+# commit. ~30 short runs, a few minutes.
+HASH_WORKLOADS = train_gcn_dense train_pinsage_skew train_magnn_hetero cluster_gcn_k2_tcp cluster_pinsage_k2_minibatch
+hashes:
+	GOCACHE=$(CURDIR)/.bench_build/gocache GOPATH=$(CURDIR)/.bench_build/gopath GOFLAGS=-mod=mod \
+		GOTOOLCHAIN=local GOWORK=off $(GO) build -C benchmark -tags purego -o $(CURDIR)/.bench_build/flexbench_purego .
+	@set -e; for run in "bash benchmark/run.sh" .bench_build/flexbench_purego; do \
+		echo "loss hashes: $$run"; \
+		{ echo "{"; sep=""; for w in $(HASH_WORKLOADS); do \
+			printf '%b  "%s": {' "$$sep" $$w; sep=',\n'; \
+			for s in 1 2 3; do \
+				h=$$($$run --workload $$w --seed $$s --seconds 2 --trace 0 2>/dev/null | \
+					sed -n 's/.*"loss_hash":"\([0-9a-f]*\)".*/\1/p'); \
+				printf '"%s": "%s"' $$s "$$h"; [ $$s = 3 ] || printf ', '; \
+			done; printf '}'; \
+		done; printf '\n}\n'; } > .bench_build/loss_hashes.got.json; \
+		diff -u testdata/loss_hashes.json .bench_build/loss_hashes.got.json; \
+	done
 
 # The two sizes the simplicity PRs are held to: non-test Go under internal/,
 # cmd/ and the root (assembly not counted), and the root package's exported

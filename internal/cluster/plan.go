@@ -350,11 +350,7 @@ func PartialAggregate(tasks []Task, feats *tensor.Tensor, data []float32) {
 	fd := feats.Data()
 	tensor.ParallelFor(len(tasks), func(s, e int) {
 		for i := s; i < e; i++ {
-			row := data[i*dim : (i+1)*dim]
-			clear(row)
-			for _, v := range tasks[i].Leaves {
-				tensor.AddUnrolled(row, fd[int(v)*dim:int(v+1)*dim])
-			}
+			tensor.SumRows(data[i*dim:(i+1)*dim], fd, dim, tasks[i].Leaves, true)
 		}
 	})
 }

@@ -212,33 +212,27 @@ func fusedForwardSum(adj *Adjacency, feats *tensor.Tensor, mean, simd bool) *ten
 	dim := feats.Cols()
 	out := tensor.NewUninit(adj.NumDst, dim)
 	od, fd := out.Data(), feats.Data()
-	add := tensor.AddUnrolled
+	sum := tensor.SumRows
 	if !simd {
-		add = tensor.AddScalarLoop
+		sum = tensor.SumRowsScalarLoop
 	}
-	idx := adj.SrcIdx
-	// Fold columns [j0, j1) of destination d in edge order, then scale them
-	// for the mean (elementwise, so a column split scales the same values).
+	// Fold columns [j0, j1) of destination d over its edge list in one call,
+	// then scale them for the mean (elementwise, so a column split scales the
+	// same values).
 	runDst(adj, dim, func(d, j0, j1 int) {
 		dst := od[d*dim+j0 : d*dim+j1]
 		lo, hi := adj.DstPtr[d], adj.DstPtr[d+1]
-		if lo == hi {
-			clear(dst)
-			return
-		}
-		s := int(idx[lo]) * dim
-		copy(dst, fd[s+j0:s+j1])
-		for p := lo + 1; p < hi; p++ {
-			s = int(idx[p]) * dim
-			add(dst, fd[s+j0:s+j1])
-		}
-		if mean {
+		sum(dst, fd[j0:], dim, adj.SrcIdx[lo:hi], false)
+		if mean && hi > lo {
 			tensor.ScaleUnrolled(dst, 1/float32(hi-lo))
 		}
 	}, nil)
 	return out
 }
 
+// fusedSumMean's backward pulls each source's gradient over the reverse
+// adjacency in one call per source (or hub column range), copy-first like the
+// forward; a mean weighs each destination's row by 1/deg.
 func fusedSumMean(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bool) *nn.Value {
 	mean := op == tensor.ReduceMean
 	data := fusedForwardSum(adj, feats.Data, mean, simd)
@@ -247,20 +241,9 @@ func fusedSumMean(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bool
 		dim := feats.Data.Cols()
 		grad := tensor.NewUninit(feats.Data.Shape()...)
 		gd, od := grad.Data(), out.Grad.Data()
-		add, axpy := tensor.AddUnrolled, tensor.AxpyUnrolled
+		sum, scaled := tensor.SumRows, tensor.SumRowsScaled
 		if !simd {
-			add, axpy = tensor.AddScalarLoop, tensor.AxpyScalarLoop
-		}
-		scaledCopy := func(dst, src []float32, a float32) {
-			copy(dst, src)
-			tensor.ScaleUnrolled(dst, a)
-		}
-		if !simd {
-			scaledCopy = func(dst, src []float32, a float32) {
-				for j := range dst {
-					dst[j] = src[j] * a
-				}
-			}
+			sum, scaled = tensor.SumRowsScalarLoop, tensor.SumRowsScaledScalarLoop
 		}
 		var degInv []float32
 		if mean {
@@ -272,29 +255,12 @@ func fusedSumMean(adj *Adjacency, feats *nn.Value, op tensor.ReduceOp, simd bool
 				}
 			}
 		}
-		// Accumulate gradient columns [j0, j1) of source v; the reverse
-		// adjacency lists v's destinations, walked in edge order.
 		runDst(rev, dim, func(v, j0, j1 int) {
-			dst := gd[v*dim+j0 : v*dim+j1]
-			lo, hi := rev.DstPtr[v], rev.DstPtr[v+1]
-			if lo == hi {
-				clear(dst) // source with no out-edges: zero gradient
-				return
-			}
-			d := int(rev.SrcIdx[lo])
+			dst, dsts := gd[v*dim+j0:v*dim+j1], rev.SrcIdx[rev.DstPtr[v]:rev.DstPtr[v+1]]
 			if mean {
-				scaledCopy(dst, od[d*dim+j0:d*dim+j1], degInv[d])
+				scaled(dst, od[j0:], dim, dsts, degInv, false)
 			} else {
-				copy(dst, od[d*dim+j0:d*dim+j1])
-			}
-			for p := lo + 1; p < hi; p++ {
-				d = int(rev.SrcIdx[p])
-				row := od[d*dim+j0 : d*dim+j1]
-				if mean {
-					axpy(dst, row, degInv[d])
-				} else {
-					add(dst, row)
-				}
+				sum(dst, od[j0:], dim, dsts, false)
 			}
 		}, nil)
 		if mean {

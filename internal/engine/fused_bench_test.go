@@ -93,5 +93,6 @@ func benchFusedTrainStep(b *testing.B, op tensor.ReduceOp) {
 	})
 }
 
-func BenchmarkFusedFwdBwdSum(b *testing.B) { benchFusedTrainStep(b, tensor.ReduceSum) }
-func BenchmarkFusedFwdBwdMax(b *testing.B) { benchFusedTrainStep(b, tensor.ReduceMax) }
+func BenchmarkFusedFwdBwdSum(b *testing.B)  { benchFusedTrainStep(b, tensor.ReduceSum) }
+func BenchmarkFusedFwdBwdMean(b *testing.B) { benchFusedTrainStep(b, tensor.ReduceMean) }
+func BenchmarkFusedFwdBwdMax(b *testing.B)  { benchFusedTrainStep(b, tensor.ReduceMax) }

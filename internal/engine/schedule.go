@@ -121,11 +121,10 @@ func runDst(adj *Adjacency, dim int, rowPass func(d, j0, j1 int), hubBody func(d
 			hubBody(d)
 			continue
 		}
-		grain := tensor.GrainForCost(int(adj.DstPtr[d+1] - adj.DstPtr[d]))
-		if grain < 8 {
-			grain = 8 // keep the unrolled kernels out of their scalar tails
-		}
-		tensor.ParallelForGrain(dim, grain, func(j0, j1 int) { rowPass(d, j0, j1) })
+		// Split whole 8-column vectors, so that only the last range ends in
+		// the kernels' masked tail.
+		grain := tensor.GrainForCost(8 * int(adj.DstPtr[d+1]-adj.DstPtr[d]))
+		tensor.ParallelForGrain((dim+7)/8, grain, func(b0, b1 int) { rowPass(d, 8*b0, min(8*b1, dim)) })
 	}
 }
 

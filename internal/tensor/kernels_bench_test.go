@@ -144,15 +144,24 @@ func BenchmarkKernelGather(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelRow times the row kernels the sparse passes call once per
-// edge, at the feature widths the end-to-end workloads run (16, 50, 64), on
-// one L1-resident pair of rows: an op is 1000 calls (so a short smoke run still
-// measures calls, not the timer), and what it costs is the call and the
-// arithmetic, not memory.
+// BenchmarkKernelRow times the row kernels the sparse passes call, at the
+// feature widths the end-to-end workloads run (16, 50, 64). Add, Axpy and
+// Scale run on one L1-resident pair of rows, an op being 1000 calls (so a
+// short smoke run still measures calls, not the timer): what they cost is the
+// call and the arithmetic, not memory. SumRows is what the fused sum/mean
+// passes call instead, once per destination: an op is 1000 destinations of
+// 48 random rows each out of an L2-sized [6000, w] matrix, so ns/op / 48 000
+// is the per-edge cost of the pull.
 func BenchmarkKernelRow(b *testing.B) {
 	rng := NewRNG(5)
+	const dests, deg, srcRows = 1000, 48, 6000
+	idx := make([]int32, dests*deg)
+	for i := range idx {
+		idx[i] = int32(rng.Intn(srcRows))
+	}
 	for _, w := range []int{16, 50, 64} {
 		dst, x := RandN(rng, 1, w).data, RandN(rng, 1, w).data
+		src := RandN(rng, 1, srcRows, w).data
 		for _, k := range []struct {
 			name string
 			call func()
@@ -169,5 +178,12 @@ func BenchmarkKernelRow(b *testing.B) {
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("SumRows/w%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for d := 0; d < dests; d++ {
+					SumRows(dst, src, w, idx[d*deg:(d+1)*deg], false)
+				}
+			}
+		})
 	}
 }

@@ -120,7 +120,7 @@ func TestSIMDKernelsMatchScalar(t *testing.T) {
 			d2[i] = d1[i]
 		}
 		AddUnrolled(d1, x)
-		AddScalarLoop(d2, x)
+		addScalarLoop(d2, x)
 		for i := range d1 {
 			if d1[i] != d2[i] {
 				t.Fatalf("n=%d AddUnrolled[%d]=%v scalar=%v", n, i, d1[i], d2[i])

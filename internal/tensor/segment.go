@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Segment kernels reduce rows that already sit grouped: segment s owns rows
@@ -20,6 +21,24 @@ import (
 // row. An output row therefore depends on neither the number of workers nor
 // where the segments were split, and agrees bit for bit with the scatter
 // composition it replaces (internal/engine/segment_oracle_test.go).
+
+// identityIdx backs identity: 0, 1, 2, …, grown by replacement and never
+// written once published.
+var identityIdx atomic.Pointer[[]int32]
+
+// identity returns the indices 0..n-1 — the index list SumRows and
+// SumRowsScaled take for n consecutive rows.
+func identity(n int) []int32 {
+	if p := identityIdx.Load(); p != nil && len(*p) >= n {
+		return (*p)[:n]
+	}
+	s := make([]int32, max(n, 1024))
+	for i := range s {
+		s[i] = int32(i)
+	}
+	identityIdx.Store(&s)
+	return s[:n]
+}
 
 // checkSegments validates off against the number of rows it partitions and
 // returns the segment count.
@@ -65,10 +84,7 @@ func SegmentReduce(values *Tensor, off []int32, op ReduceOp, arg []int32) *Tenso
 					}
 				}
 			case op == ReduceSum || op == ReduceMean:
-				clear(dst) // not copy-first: +0 + -0 is +0
-				for i := a; i < b; i++ {
-					AddUnrolled(dst, vd[i*c:(i+1)*c])
-				}
+				SumRows(dst, vd[a*c:], c, identity(b-a), true) // from +0: +0 + -0 is +0
 				if op == ReduceMean {
 					ScaleUnrolled(dst, 1/float32(b-a))
 				}
@@ -146,9 +162,9 @@ func SegmentSoftmaxWeighted(scores, inst *Tensor, off []int32) (out, att *Tensor
 	ParallelForWeighted(n, off, c, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			dst := out.data[s*c : (s+1)*c]
-			clear(dst)
 			a, b := int(off[s]), int(off[s+1])
 			if a == b {
+				clear(dst)
 				continue
 			}
 			m := float32(math.Inf(-1))
@@ -161,26 +177,15 @@ func SegmentSoftmaxWeighted(scores, inst *Tensor, off []int32) (out, att *Tensor
 				ad[i] = e
 				sum += e
 			}
-			for i := a; i < b; i++ {
-				if sum != 0 {
+			if sum != 0 {
+				for i := a; i < b; i++ {
 					ad[i] /= sum
 				}
-				axpyRounded(dst, fd[i*c:(i+1)*c], ad[i])
 			}
+			SumRowsScaled(dst, fd[a*c:], c, identity(b-a), ad[a:b], true)
 		}
 	})
 	return out, att
-}
-
-// axpyRounded is dst[j] += a*x[j] with the product rounded to float32 before
-// the add on every platform (AxpyUnrolled's spelling lets a compiler with
-// fused multiply-add skip that rounding): the value adding a stored a*x row
-// gives.
-func axpyRounded(dst, x []float32, a float32) {
-	x = x[:len(dst)]
-	for j := range dst {
-		dst[j] += float32(a * x[j])
-	}
 }
 
 // SegmentSoftmaxWeightedBackward returns the gradients of

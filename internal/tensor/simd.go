@@ -1,16 +1,20 @@
 package tensor
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // This file holds the feature-fusion kernels the paper runs on Intel AVX-512.
 // The arithmetic ones run as AVX2 Go-assembly kernels (simd_amd64.s) on amd64
-// CPUs that have AVX2: AxpyUnrolled, AddUnrolled and ScaleUnrolled here, and
-// the row kernels of the dense products in matmul.go. Everywhere else — other
-// architectures, the purego build tag, an amd64 CPU without AVX2, and rows
-// shorter than one vector, which are not worth a call — the plain Go loops
-// below (*ScalarLoop) and the loops of matmul.go run instead: the reference
-// path. Both give the same bits, because the vector path only ever does what
-// the loops do, eight output elements at a time: the elements of one call are
+// CPUs that have AVX2: AxpyUnrolled, AddUnrolled and ScaleUnrolled here, the
+// gather kernels SumRows and SumRowsScaled, and the row kernels of the dense
+// products in matmul.go. Everywhere else — other architectures, the purego
+// build tag, an amd64 CPU without AVX2, and streaming rows shorter than one
+// vector, which are not worth a call — the plain Go loops below (*ScalarLoop)
+// and the loops of matmul.go run instead: the reference path. Both give the
+// same bits, because the vector path only ever does what the loops do, eight
+// output elements at a time: the elements of one call are
 // independent, each term is one rounded multiply then one rounded add (VMULPS
 // + VADDPS, never a fused multiply-add, whose single rounding differs), terms
 // are taken in the loops' order, and MXCSR is left alone, so denormals stay
@@ -29,14 +33,21 @@ import "math"
 // either is NaN and treats -0 and +0 as equal, which is not the builtin max
 // the tie-breaking contract below is written against. Axpy4 and DotUnrolled
 // stay Go because nothing on the vector path calls them: the products keep
-// their sums in registers instead (matmul.go).
+// their sums in registers instead (matmul.go), and so do the gather kernels.
+//
+// The gather kernels SumRows/SumRowsScaled are the fused passes' one call per
+// destination (the streaming kernels are one call per edge, storing and
+// reloading dst each time): a destination's columns stay in registers across
+// its index list. Per column they add the same rows in the same order as a
+// copy plus one AddUnrolled (AxpyUnrolled) per row, so the order contract and
+// the bits are unchanged; what they add is a check of every index.
 //
 // The *ScalarLoop functions are plain one-element loops. For the elementwise
-// add/axpy/scale kernels unrolling defines no rounding order, so one set of
-// them is the reference path, the oracle the parity tests and the fuzz target
-// hold the assembly to bit for bit, and the scalar side of the SIMD ablation
-// (FusedAggregateScalar). The max/min family keeps a hand-unrolled tier
-// beside its scalar loops.
+// add/axpy/scale kernels and the gathers unrolling defines no rounding order,
+// so one set of them is the reference path, the oracle the parity tests and
+// the fuzz target hold the assembly to bit for bit, and the scalar side of the
+// SIMD ablation (FusedAggregateScalar). The max/min family keeps a
+// hand-unrolled tier beside its scalar loops.
 
 const (
 	// vecMin is the shortest row handed to the assembly: one 8-lane vector.
@@ -56,7 +67,7 @@ func AxpyUnrolled(dst, x []float32, a float32) {
 		axpyVec(&dst[0], &x[0], n, a)
 		return
 	}
-	AxpyScalarLoop(dst, x, a)
+	axpyScalarLoop(dst, x, a)
 }
 
 // Axpy4 folds four scaled rows into dst in one pass:
@@ -92,11 +103,11 @@ func AddUnrolled(dst, x []float32) {
 		addVec(&dst[0], &x[0], n)
 		return
 	}
-	AddScalarLoop(dst, x)
+	addScalarLoop(dst, x)
 }
 
-// AddScalarLoop is the plain loop behind AddUnrolled.
-func AddScalarLoop(dst, x []float32) {
+// addScalarLoop is the plain loop behind AddUnrolled.
+func addScalarLoop(dst, x []float32) {
 	if len(x) != len(dst) {
 		panic("tensor: add length mismatch")
 	}
@@ -105,13 +116,101 @@ func AddScalarLoop(dst, x []float32) {
 	}
 }
 
-// AxpyScalarLoop is the plain loop behind AxpyUnrolled.
-func AxpyScalarLoop(dst, x []float32, a float32) {
+// axpyScalarLoop is the plain loop behind AxpyUnrolled.
+func axpyScalarLoop(dst, x []float32, a float32) {
 	if len(x) != len(dst) {
 		panic("tensor: axpy length mismatch")
 	}
 	for i := 0; i < len(dst); i++ {
 		dst[i] += a * x[i]
+	}
+}
+
+// SumRows sets dst to the sum of the rows src[r*stride:][:len(dst)] for r in
+// idx, added in idx order: copy-first (row₀ + row₁ + …), or from +0 when
+// fromZero is set (the same bits, except that a lone -0 comes out +0, as
+// clear + AddUnrolled per row leaves it). An empty idx gives a zero row.
+// Every index is checked against src's rows first, so a bad one panics, as
+// slicing would, before anything is read or written. dst must not overlap src.
+func SumRows(dst, src []float32, stride int, idx []int32, fromZero bool) {
+	if !useVec || len(dst) == 0 || len(idx) == 0 {
+		SumRowsScalarLoop(dst, src, stride, idx, fromZero)
+		return
+	}
+	checkRows(idx, rowCount(src, stride, len(dst)))
+	sumRowsVec(&dst[0], &src[0], &idx[0], len(idx), len(dst), stride, fromZero)
+}
+
+// SumRowsScaled is SumRows with row r weighted by scale[r]: each term is one
+// rounded product, added as AxpyUnrolled adds it (copy-first: the first
+// product is stored as it is).
+func SumRowsScaled(dst, src []float32, stride int, idx []int32, scale []float32, fromZero bool) {
+	if !useVec || len(dst) == 0 || len(idx) == 0 {
+		SumRowsScaledScalarLoop(dst, src, stride, idx, scale, fromZero)
+		return
+	}
+	checkRows(idx, min(rowCount(src, stride, len(dst)), len(scale)))
+	sumRowsScaledVec(&dst[0], &src[0], &idx[0], &scale[0], len(idx), len(dst), stride, fromZero)
+}
+
+// SumRowsScalarLoop is the plain loop behind SumRows: its fallback, its
+// oracle, and the scalar side of the SIMD ablation.
+func SumRowsScalarLoop(dst, src []float32, stride int, idx []int32, fromZero bool) {
+	n := len(dst)
+	checkRows(idx, rowCount(src, stride, n))
+	if fromZero || len(idx) == 0 {
+		clear(dst)
+	} else {
+		copy(dst, src[int(idx[0])*stride:][:n])
+		idx = idx[1:]
+	}
+	for _, r := range idx {
+		row := src[int(r)*stride:][:n]
+		for j := range dst {
+			dst[j] += row[j]
+		}
+	}
+}
+
+// SumRowsScaledScalarLoop is the plain loop behind SumRowsScaled.
+func SumRowsScaledScalarLoop(dst, src []float32, stride int, idx []int32, scale []float32, fromZero bool) {
+	n := len(dst)
+	checkRows(idx, min(rowCount(src, stride, n), len(scale)))
+	if fromZero || len(idx) == 0 {
+		clear(dst)
+	} else {
+		row, a := src[int(idx[0])*stride:][:n], scale[idx[0]]
+		for j := range dst {
+			dst[j] = row[j] * a
+		}
+		idx = idx[1:]
+	}
+	for _, r := range idx {
+		row, a := src[int(r)*stride:][:n], scale[r]
+		for j := range dst {
+			dst[j] += float32(a * row[j])
+		}
+	}
+}
+
+// rowCount is how many whole rows src[r*stride:][:n] src holds (with stride
+// 0, every index names src[:n]).
+func rowCount(src []float32, stride, n int) int {
+	switch {
+	case len(src) < n:
+		return 0
+	case stride == 0:
+		return math.MaxInt
+	}
+	return (len(src)-n)/stride + 1
+}
+
+// checkRows panics unless every index is in [0, rows).
+func checkRows(idx []int32, rows int) {
+	for _, r := range idx {
+		if uint(r) >= uint(rows) {
+			panic(fmt.Sprintf("tensor: row index %d out of range [0:%d]", r, rows))
+		}
 	}
 }
 

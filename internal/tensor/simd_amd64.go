@@ -30,3 +30,9 @@ func matmulRowVec(dst, t, o, bias *float32, k, n, ts, os int, acc, relu bool)
 
 //go:noescape
 func matmulTRowVec(dst, x, ot *float32, k, n int)
+
+//go:noescape
+func sumRowsVec(dst, src *float32, idx *int32, m, n, stride int, zero bool)
+
+//go:noescape
+func sumRowsScaledVec(dst, src *float32, idx *int32, scale *float32, m, n, stride int, zero bool)

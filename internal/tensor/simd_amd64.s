@@ -463,3 +463,189 @@ combine:
 done:
 	VZEROUPPER
 	RET
+
+// The gather kernels: one call per destination. For j in [0, n)
+//
+//	dst[j] = row(idx[0])[j] + row(idx[1])[j] + ... + row(idx[m-1])[j]
+//
+// added left to right, row(r) being the n floats at src + r*stride. The sum
+// is copy-first (the first term is the row itself) or, with zero set, starts
+// at +0 — the same bits except that a lone -0 comes out +0. sumRowsScaledVec
+// weighs term p by scale[idx[p]]: a term is one rounded product, added with
+// one rounded add (copy-first: the first product is stored as it is). A block
+// of dst's columns stays in registers across the whole index list and is
+// stored once: 64 columns at a time, then 32, 16 and 8, then one masked block
+// of the 1..7 left over, as matmulRowVec does. Requires m >= 1; the Go
+// wrappers have checked every index.
+//
+// Registers: DI dst, SI src, DX idx, CX m, R11 n, R13 stride in bytes, BX
+// scale, R14 zero, AX the block's first column, R10 columns left, R12
+// &src[AX], R8 the next edge, R9 its row, Y8 a term, Y14 its weight, Y15 the
+// tail mask.
+
+// GATHER_ROW: R9 = the row of edge R8 at the block's columns; R8++.
+#define GATHER_ROW \
+	MOVLQSX (DX)(R8*4), R9; \
+	IMULQ   R13, R9;        \
+	ADDQ    R12, R9;        \
+	INCQ    R8
+
+// SCALED_ROW: GATHER_ROW, and Y14 = its weight.
+#define SCALED_ROW \
+	MOVLQSX      (DX)(R8*4), R9;  \
+	VBROADCASTSS (BX)(R9*4), Y14; \
+	IMULQ        R13, R9;         \
+	ADDQ         R12, R9;         \
+	INCQ         R8
+
+// The accumulators of a block, and what a step does to each.
+#define COLS64(OP) OP(0, Y0); OP(32, Y1); OP(64, Y2); OP(96, Y3); OP(128, Y4); OP(160, Y5); OP(192, Y6); OP(224, Y7)
+#define COLS32(OP) OP(0, Y0); OP(32, Y1); OP(64, Y2); OP(96, Y3)
+#define COLS16(OP) OP(0, Y0); OP(32, Y1)
+#define COLS8(OP) OP(0, Y0)
+
+#define G_ZERO(off, acc) VXORPS acc, acc, acc
+#define G_LOAD(off, acc) VMOVUPS off(R9), acc
+#define G_ADD(off, acc) VADDPS off(R9), acc, acc
+#define G_MUL(off, acc) VMULPS off(R9), Y14, acc
+#define G_MULADD(off, acc) VMULPS off(R9), Y14, Y8; VADDPS Y8, acc, acc
+#define G_STORE(off, acc) VMOVUPS acc, off(DI)(AX*4)
+#define G_LOADM(off, acc) VMASKMOVPS off(R9), Y15, acc
+#define G_ADDM(off, acc) VMASKMOVPS off(R9), Y15, Y8; VADDPS Y8, acc, acc
+#define G_MULM(off, acc) VMASKMOVPS off(R9), Y15, Y8; VMULPS Y8, Y14, acc
+#define G_MULADDM(off, acc) VMASKMOVPS off(R9), Y15, Y8; VMULPS Y8, Y14, Y8; VADDPS Y8, acc, acc
+#define G_STOREM(off, acc) VMASKMOVPS acc, Y15, off(DI)(AX*4)
+
+// BLOCK folds columns [AX, AX+width) of all m rows into the registers COLS
+// names and stores them: ROW steps to the next row, FIRST takes the first one
+// (copy-first) or, when R14 is set, the registers start at +0 and TERM takes
+// it like every later one. zl, ll and cl are its labels.
+#define BLOCK(COLS, ROW, FIRST, TERM, STORE, zl, ll, cl) \
+	LEAQ  (SI)(AX*4), R12; \
+	XORQ  R8, R8;          \
+	TESTQ R14, R14;        \
+	JNE   zl;              \
+	ROW;                   \
+	COLS(FIRST);           \
+	JMP   cl;              \
+zl:                        \
+	COLS(G_ZERO);          \
+ll:                        \
+	ROW;                   \
+	COLS(TERM);            \
+cl:                        \
+	CMPQ  R8, CX;          \
+	JLT   ll;              \
+	COLS(STORE)
+
+// TAIL_MASK: Y15 = the first R10 (1..7) lanes.
+#define TAIL_MASK \
+	LEAQ    tailmask<>+32(SB), R9; \
+	SHLQ    $2, R10;               \
+	NEGQ    R10;                   \
+	VMOVDQU (R9)(R10*1), Y15
+
+// func sumRowsVec(dst, src *float32, idx *int32, m, n, stride int, zero bool)
+TEXT ·sumRowsVec(SB), NOSPLIT, $0-49
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    idx+16(FP), DX
+	MOVQ    m+24(FP), CX
+	MOVQ    n+32(FP), R11
+	MOVQ    stride+40(FP), R13
+	MOVBQZX zero+48(FP), R14
+	SHLQ    $2, R13
+	XORQ    AX, AX
+
+next64:
+	MOVQ R11, R10
+	SUBQ AX, R10
+	CMPQ R10, $64
+	JLT  next32
+	BLOCK(COLS64, GATHER_ROW, G_LOAD, G_ADD, G_STORE, z64, l64, c64)
+	ADDQ $64, AX
+	JMP  next64
+
+next32:
+	CMPQ R10, $32
+	JLT  next16
+	BLOCK(COLS32, GATHER_ROW, G_LOAD, G_ADD, G_STORE, z32, l32, c32)
+	ADDQ $32, AX
+	SUBQ $32, R10
+
+next16:
+	CMPQ R10, $16
+	JLT  next8
+	BLOCK(COLS16, GATHER_ROW, G_LOAD, G_ADD, G_STORE, z16, l16, c16)
+	ADDQ $16, AX
+	SUBQ $16, R10
+
+next8:
+	CMPQ R10, $8
+	JLT  tail
+	BLOCK(COLS8, GATHER_ROW, G_LOAD, G_ADD, G_STORE, z8, l8, c8)
+	ADDQ $8, AX
+	SUBQ $8, R10
+
+tail:
+	TESTQ R10, R10
+	JEQ   done
+	TAIL_MASK
+	BLOCK(COLS8, GATHER_ROW, G_LOADM, G_ADDM, G_STOREM, zm, lm, cm)
+
+done:
+	VZEROUPPER
+	RET
+
+// func sumRowsScaledVec(dst, src *float32, idx *int32, scale *float32, m, n, stride int, zero bool)
+TEXT ·sumRowsScaledVec(SB), NOSPLIT, $0-57
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    idx+16(FP), DX
+	MOVQ    scale+24(FP), BX
+	MOVQ    m+32(FP), CX
+	MOVQ    n+40(FP), R11
+	MOVQ    stride+48(FP), R13
+	MOVBQZX zero+56(FP), R14
+	SHLQ    $2, R13
+	XORQ    AX, AX
+
+next64:
+	MOVQ R11, R10
+	SUBQ AX, R10
+	CMPQ R10, $64
+	JLT  next32
+	BLOCK(COLS64, SCALED_ROW, G_MUL, G_MULADD, G_STORE, z64, l64, c64)
+	ADDQ $64, AX
+	JMP  next64
+
+next32:
+	CMPQ R10, $32
+	JLT  next16
+	BLOCK(COLS32, SCALED_ROW, G_MUL, G_MULADD, G_STORE, z32, l32, c32)
+	ADDQ $32, AX
+	SUBQ $32, R10
+
+next16:
+	CMPQ R10, $16
+	JLT  next8
+	BLOCK(COLS16, SCALED_ROW, G_MUL, G_MULADD, G_STORE, z16, l16, c16)
+	ADDQ $16, AX
+	SUBQ $16, R10
+
+next8:
+	CMPQ R10, $8
+	JLT  tail
+	BLOCK(COLS8, SCALED_ROW, G_MUL, G_MULADD, G_STORE, z8, l8, c8)
+	ADDQ $8, AX
+	SUBQ $8, R10
+
+tail:
+	TESTQ R10, R10
+	JEQ   done
+	TAIL_MASK
+	BLOCK(COLS8, SCALED_ROW, G_MULM, G_MULADDM, G_STOREM, zm, lm, cm)
+
+done:
+	VZEROUPPER
+	RET

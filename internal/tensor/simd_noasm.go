@@ -18,3 +18,11 @@ func matmulRowVec(dst, t, o, bias *float32, k, n, ts, os int, acc, relu bool) {
 }
 
 func matmulTRowVec(dst, x, ot *float32, k, n int) { panic("tensor: no vector kernels") }
+
+func sumRowsVec(dst, src *float32, idx *int32, m, n, stride int, zero bool) {
+	panic("tensor: no vector kernels")
+}
+
+func sumRowsScaledVec(dst, src *float32, idx *int32, scale *float32, m, n, stride int, zero bool) {
+	panic("tensor: no vector kernels")
+}

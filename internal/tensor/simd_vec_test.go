@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -110,12 +111,121 @@ func TestVecStreamKernelsMatchReference(t *testing.T) {
 					ref(ww[off : off+n : off+n])
 					sameBitsModNaN(t, what+" "+name, ww, gw)
 				}
-				run("Add", func(d []float32) { AddUnrolled(d, x) }, func(d []float32) { AddScalarLoop(d, x) })
-				run("Axpy", func(d []float32) { AxpyUnrolled(d, x, a) }, func(d []float32) { AxpyScalarLoop(d, x, a) })
+				run("Add", func(d []float32) { AddUnrolled(d, x) }, func(d []float32) { addScalarLoop(d, x) })
+				run("Axpy", func(d []float32) { AxpyUnrolled(d, x, a) }, func(d []float32) { axpyScalarLoop(d, x, a) })
 				run("Scale", func(d []float32) { ScaleUnrolled(d, a) }, func(d []float32) { scaleScalarLoop(d, a) })
 				// dst aliasing x.
-				run("Add alias", func(d []float32) { AddUnrolled(d, d) }, func(d []float32) { AddScalarLoop(d, d) })
-				run("Axpy alias", func(d []float32) { AxpyUnrolled(d, d, a) }, func(d []float32) { AxpyScalarLoop(d, d, a) })
+				run("Add alias", func(d []float32) { AddUnrolled(d, d) }, func(d []float32) { addScalarLoop(d, d) })
+				run("Axpy alias", func(d []float32) { AxpyUnrolled(d, d, a) }, func(d []float32) { axpyScalarLoop(d, d, a) })
+			}
+		}
+	}
+}
+
+// TestVecSumRowsMatchReference holds the gather kernels to their plain loops:
+// every width 1…130 (each non-multiple of 8 ends in the masked block), a
+// column offset and a row pitch wider than the row as a hub's column split
+// passes them, one index, repeated indices, rows spiked with NaN, ±Inf, −0
+// and denormals or made of them entirely, weights of 0 and −0, both modes.
+func TestVecSumRowsMatchReference(t *testing.T) {
+	needVec(t)
+	rng := NewRNG(31)
+	negZero := float32(math.Copysign(0, -1))
+	const rows = 9
+	for n := 1; n <= 130; n++ {
+		j0, off := n%5, (n*3)%8
+		stride := n + j0 + n%3
+		_, src := vecOperand(rng, n%8, rows*stride, []int{0, 4}[n%2])
+		for j := range stride {
+			src[7*stride+j] = vecSpecials[j%len(vecSpecials)]
+			src[8*stride+j] = negZero
+		}
+		scale := make([]float32, rows)
+		for r := range scale {
+			scale[r] = rng.NormFloat32()
+		}
+		scale[1], scale[2] = 0, negZero
+		long := make([]int32, 40)
+		for p := range long {
+			long[p] = int32(rng.Intn(rows))
+		}
+		for _, idx := range [][]int32{{3}, {8}, {7}, {1, 1}, {0, 2, 4}, {5, 5, 7, 2, 8, 1, 0}, long} {
+			name := fmt.Sprintf("n=%d j0=%d stride=%d idx=%v", n, j0, stride, idx)
+			dw, _ := vecOperand(rng, off, n, 0)
+			run := func(what string, vec, ref func(dst []float32)) {
+				gw, ww := slices.Clone(dw), slices.Clone(dw)
+				vec(gw[off : off+n : off+n])
+				ref(ww[off : off+n : off+n])
+				sameBitsModNaN(t, what+" "+name, ww, gw)
+			}
+			for _, zero := range []bool{false, true} {
+				run(fmt.Sprintf("SumRows zero=%v", zero),
+					func(d []float32) { SumRows(d, src[j0:], stride, idx, zero) },
+					func(d []float32) { SumRowsScalarLoop(d, src[j0:], stride, idx, zero) })
+				run(fmt.Sprintf("SumRowsScaled zero=%v", zero),
+					func(d []float32) { SumRowsScaled(d, src[j0:], stride, idx, scale, zero) },
+					func(d []float32) { SumRowsScaledScalarLoop(d, src[j0:], stride, idx, scale, zero) })
+			}
+		}
+		// The lone −0 of row 8: copy-first keeps it, a sum from +0 does not.
+		for _, zero := range []bool{false, true} {
+			dst := make([]float32, n)
+			SumRows(dst, src[j0:], stride, []int32{8}, zero)
+			if got := math.Signbit(float64(dst[n-1])); got == zero {
+				t.Fatalf("n=%d zero=%v: lone -0 summed to %v", n, zero, dst[n-1])
+			}
+		}
+	}
+}
+
+// TestSumRowsRejectsBadIndex: an index outside src's rows (or, weighted,
+// outside scale) panics before anything is read or written — 1<<30 would
+// fault in the assembly if it were loaded — on whichever paths the build has.
+func TestSumRowsRejectsBadIndex(t *testing.T) {
+	defer SetVectorKernels(true)
+	const n, rows = 11, 4
+	src, scale := make([]float32, rows*n), make([]float32, rows)
+	for _, c := range []struct {
+		name  string
+		idx   []int32
+		scale []float32
+	}{
+		{"negative", []int32{0, -1}, scale},
+		{"min int32", []int32{math.MinInt32}, scale},
+		{"one past the last row", []int32{1, rows}, scale},
+		{"far", []int32{2, 1 << 30}, scale},
+		{"past the weights", []int32{0, rows - 1}, scale[:rows-1]},
+	} {
+		for _, vec := range []bool{false, true} {
+			if SetVectorKernels(vec) != vec {
+				continue
+			}
+			for _, k := range []struct {
+				name string
+				call func(dst []float32)
+			}{
+				{"SumRows", func(d []float32) { SumRows(d, src, n, c.idx, false) }},
+				{"SumRows zero", func(d []float32) { SumRows(d, src, n, c.idx, true) }},
+				{"SumRowsScaled", func(d []float32) { SumRowsScaled(d, src, n, c.idx, c.scale, false) }},
+				{"SumRowsScaled zero", func(d []float32) { SumRowsScaled(d, src, n, c.idx, c.scale, true) }},
+			} {
+				if !strings.HasPrefix(k.name, "SumRowsScaled") && len(c.scale) < rows {
+					continue
+				}
+				dst := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s vec=%v %s: no panic", k.name, vec, c.name)
+						}
+					}()
+					k.call(dst)
+				}()
+				for j, v := range dst {
+					if v != float32(j+1) {
+						t.Fatalf("%s vec=%v %s: dst written before the panic", k.name, vec, c.name)
+					}
+				}
 			}
 		}
 	}
@@ -231,8 +341,9 @@ func TestReferencePathSuites(t *testing.T) {
 // FuzzVecKernelsMatchReference feeds the kernels raw float32 bit patterns —
 // NaN payloads, denormals and infinities at the fuzzer's whim. Layout: byte 0
 // picks the kernel, byte 1 the alignment of dst, byte 2 the reduction length
-// and flags of the product kernels, bytes 3..6 the scalar; the rest, four
-// bytes a float, is split between the operands.
+// and flags of the product kernels (the index count, column offset and row
+// count of the gather kernels), bytes 3..6 the scalar; the rest, four bytes a
+// float, is split between the operands.
 func FuzzVecKernelsMatchReference(f *testing.F) {
 	seed := func(kernel, off, shape byte, a float32, vals ...float32) {
 		b := []byte{kernel, off, shape, 0, 0, 0, 0}
@@ -246,7 +357,7 @@ func FuzzVecKernelsMatchReference(f *testing.F) {
 	for i := range ramp {
 		ramp[i] = float32(i%13) - 6.5
 	}
-	for kernel := byte(0); kernel < 5; kernel++ {
+	for kernel := byte(0); kernel < 9; kernel++ {
 		seed(kernel, kernel, 3+16*kernel, 0.5, ramp...)
 		seed(kernel, 7, 0xf2, float32(math.Inf(-1)), append(slices.Clone(vecSpecials), ramp[:60]...)...)
 	}
@@ -255,7 +366,7 @@ func FuzzVecKernelsMatchReference(f *testing.F) {
 		if len(data) < 7 {
 			return
 		}
-		kernel, off, shape := data[0]%5, int(data[1]%8), data[2]
+		kernel, off, shape := data[0]%9, int(data[1]%8), data[2]
 		a := math.Float32frombits(binary.LittleEndian.Uint32(data[3:]))
 		vals := make([]float32, (len(data)-7)/4)
 		for i := range vals {
@@ -276,10 +387,10 @@ func FuzzVecKernelsMatchReference(f *testing.F) {
 			switch kernel {
 			case 0:
 				AddUnrolled(g, x)
-				AddScalarLoop(w, x)
+				addScalarLoop(w, x)
 			case 1:
 				AxpyUnrolled(g, x, a)
-				AxpyScalarLoop(w, x, a)
+				axpyScalarLoop(w, x, a)
 			case 2:
 				ScaleUnrolled(g, a)
 				scaleScalarLoop(w, a)
@@ -316,6 +427,30 @@ func FuzzVecKernelsMatchReference(f *testing.F) {
 			matmulTRowVec(&gw[off], &x[0], &ot[0], k, n)
 			matmulTRowRef(ww[off:], x, ot, k, n)
 			sameBitsModNaN(t, "matmulTRowVec", ww, gw)
+		case 5, 6, 7, 8:
+			// vals = idx[m] (bits mod rows) | scale[rows] | src[rows*stride],
+			// each row read from column j0 on
+			m, j0, rows := 1+int(shape&7), int(shape>>3&3), 1+int(shape>>5)
+			stride := (len(vals) - m - rows) / rows
+			n := stride - j0
+			if n < 1 {
+				return
+			}
+			idx := make([]int32, m)
+			for p := range idx {
+				idx[p] = int32(math.Float32bits(vals[p]) % uint32(rows))
+			}
+			scale, src := vals[m:m+rows], place(vals[m+rows:m+rows+rows*stride], 5)[5+j0:]
+			gw, ww := make([]float32, off+n+9), make([]float32, off+n+9)
+			g, w := gw[off:off+n:off+n], ww[off:off+n:off+n]
+			if zero := kernel%2 == 0; kernel >= 7 {
+				SumRowsScaled(g, src, stride, idx, scale, zero)
+				SumRowsScaledScalarLoop(w, src, stride, idx, scale, zero)
+			} else {
+				SumRows(g, src, stride, idx, zero)
+				SumRowsScalarLoop(w, src, stride, idx, zero)
+			}
+			sameBitsModNaN(t, "gather kernel", ww, gw)
 		}
 	})
 }
