@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: ci build test race chaos trace-smoke telemetry-smoke serve-smoke \
 	router-smoke sampler-smoke checkpoint-smoke vet fmt bench-comm \
 	bench-kernels-diff bench-smoke bench-sampler bench-e2e-smoke \
-	purego cross fuzz-smoke frozen hashes loc
+	purego cross fuzz-smoke frozen hashes gate loc
 
 ci: frozen hashes vet fmt race chaos trace-smoke telemetry-smoke serve-smoke router-smoke \
 	sampler-smoke checkpoint-smoke test purego cross fuzz-smoke bench-smoke \
@@ -39,6 +39,26 @@ hashes:
 		done; printf '\n}\n'; } > .bench_build/loss_hashes.got.json; \
 		diff -u testdata/loss_hashes.json .bench_build/loss_hashes.got.json; \
 	done
+
+# The gate a change must pass, as one command: frozen, hashes, then one
+# full pass of the benchmark (seed 1, 12 s per workload). Fails unless every
+# workload's last line reads correct:true with failed:0, and prints those
+# lines in the form CHANGES.md quotes them. ~20 minutes.
+GATE_WORKLOADS = 7
+gate: frozen hashes
+	@mkdir -p .bench_build; st=0; \
+	bash benchmark/run.sh --workload all --seed 1 --seconds 12 --trace 0 > .bench_build/gate.txt 2>&1 || st=$$?; \
+	n=0; bad=0; name=; \
+	while read -r line; do case "$$line" in \
+		"== "*) name=$${line#== }; name=$${name%% *};; \
+		'{"correct"'*) n=$$((n+1)); \
+			r=$$(echo "$$line" | sed -n 's/^{"correct":\([a-z]*\),"attempted":\([0-9]*\),"failed":\([0-9]*\).*"op_p50_ms":{"value":\([0-9]*\.\{0,1\}[0-9]\{0,3\}\).*/correct:\1, attempted:\2, failed:\3` (op_p50_ms \4)/p'); \
+			echo "\`$$name\` \`$$r"; \
+			case "$$r" in "correct:true, attempted:"*", failed:0\`"*) ;; *) bad=1;; esac;; \
+	esac; done < .bench_build/gate.txt; \
+	if [ $$st != 0 ] || [ $$n != $(GATE_WORKLOADS) ] || [ $$bad != 0 ]; then \
+		echo "gate: FAILED (exit $$st, $$n of $(GATE_WORKLOADS) workloads reported; log .bench_build/gate.txt)"; exit 1; fi; \
+	echo "gate: ok"
 
 # The two sizes the simplicity PRs are held to: non-test Go under internal/,
 # cmd/ and the root (assembly not counted), and the root package's exported
@@ -206,7 +226,7 @@ bench-kernels-diff:
 bench-smoke:
 	@{ $(GO) test -run xxx -bench 'Kernel' -benchtime 20x -benchmem ./internal/tensor/; \
 	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|AggregateIntermediate' -benchtime 20x -benchmem ./internal/engine/; \
-	   $(GO) test -run xxx -bench 'TrainStepMAGNN' -benchtime 20x -benchmem .; } \
+	   $(GO) test -run xxx -bench 'TrainStepMAGNN|TrainStepPinSage' -benchtime 20x -benchmem .; } \
 		> /tmp/bench_kernels_smoke.txt 2>&1 || { cat /tmp/bench_kernels_smoke.txt; exit 1; }
 	$(GO) run ./cmd/benchdiff -max-regress 4.0 -max-alloc-regress 0.05 -alloc-slack 2 \
 		-write-latest /tmp/bench_kernels_smoke.latest.json /tmp/bench_kernels_smoke.txt

@@ -6,6 +6,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/hdg"
+	"repro/internal/nau"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -81,11 +82,7 @@ func sequentialMetapathRecords(g *graph.Graph, paths []graph.Metapath, maxInst i
 
 // flatRecordsToHDG builds a flat HDG over all vertices from records.
 func flatRecordsToHDG(g *graph.Graph, recs []hdg.Record) (*hdg.HDG, error) {
-	roots := make([]graph.VertexID, g.NumVertices())
-	for i := range roots {
-		roots[i] = graph.VertexID(i)
-	}
-	return hdg.Build(hdg.NewSchemaTree("vertex"), roots, recs)
+	return hdg.Build(hdg.NewSchemaTree("vertex"), nau.AllVertices(g), recs)
 }
 
 // buildMAGNNHDG builds the hierarchical HDG over all vertices from metapath
@@ -95,11 +92,7 @@ func buildMAGNNHDG(d *dataset.Dataset, recs []hdg.Record) (*hdg.HDG, error) {
 	for i, mp := range d.Metapaths {
 		names[i] = mp.Name
 	}
-	roots := make([]graph.VertexID, d.Graph.NumVertices())
-	for i := range roots {
-		roots[i] = graph.VertexID(i)
-	}
-	return hdg.Build(hdg.NewSchemaTree(names...), roots, recs)
+	return hdg.Build(hdg.NewSchemaTree(names...), nau.AllVertices(d.Graph), recs)
 }
 
 // expandKHop returns the set of vertices within k out-hops of the seeds

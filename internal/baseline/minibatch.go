@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hdg"
+	"repro/internal/nau"
 	"repro/internal/nn"
 	"repro/internal/store"
 	"repro/internal/tensor"
@@ -197,19 +198,8 @@ func (m *MiniBatch) pinsage(d *dataset.Dataset, spec Spec) (float32, error) {
 		var recs []hdg.Record
 		if m.System == "Euler" {
 			// Euler's parallel graph sampling query engine (§7.1).
-			perRoot := make([][]hdg.Record, len(batch))
-			tensor.ParallelFor(len(batch), func(s, e int) {
-				for i := s; i < e; i++ {
-					wrng := tensor.NewRNG(seeds[index][i])
-					for _, u := range d.Graph.TopKVisited(wrng, batch[i], cfg.NumWalks, cfg.Hops, cfg.TopK) {
-						perRoot[i] = append(perRoot[i], hdg.Record{Root: batch[i], Nei: []graph.VertexID{u}, Type: 0})
-					}
-				}
-			})
-			for _, rs := range perRoot {
-				recs = append(recs, rs...)
-			}
-			return recs, nil
+			return nau.SelectRecords(d.Graph, nil, nau.RandomWalkUDF(cfg.NumWalks, cfg.Hops, cfg.TopK), batch,
+				func(i int, _ graph.VertexID) uint64 { return seeds[index][i] }, 0), nil
 		}
 		inBatch := make(map[graph.VertexID]bool, len(batch))
 		for _, v := range batch {

@@ -82,9 +82,10 @@ func fusedMiniBatchPinSage(m *MiniBatch, d *dataset.Dataset, spec Spec) (float32
 				seeds[i] = rng.Uint64()
 			}
 			tensor.ParallelFor(len(batch), func(s, e int) {
+				visits := make([]uint32, d.Graph.NumVertices())
 				for i := s; i < e; i++ {
 					wrng := tensor.NewRNG(seeds[i])
-					for _, u := range d.Graph.TopKVisited(wrng, batch[i], cfg.NumWalks, cfg.Hops, cfg.TopK) {
+					for _, u := range d.Graph.AppendTopKVisited(nil, wrng, batch[i], cfg.NumWalks, cfg.Hops, cfg.TopK, visits) {
 						perRoot[i] = append(perRoot[i], hdg.Record{Root: batch[i], Nei: []graph.VertexID{u}, Type: 0})
 					}
 				}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hdg"
+	"repro/internal/nau"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -79,7 +80,10 @@ func (p *PreExpand) Prepare(d *dataset.Dataset, spec Spec) error {
 		if st.magnnHDG != nil {
 			return nil
 		}
-		recs := parallelMetapathRecords(d.Graph, d.Metapaths, spec.MAGNN.MaxInstances)
+		// FlexGraph's own parallel NeighborSelection: the pre-computation is
+		// untimed, so using the fast path is fair.
+		recs := nau.SelectRecords(d.Graph, nil, nau.MetapathUDF(d.Metapaths, spec.MAGNN.MaxInstances),
+			nau.AllVertices(d.Graph), func(int, graph.VertexID) uint64 { return 0 }, 0)
 		h, err := buildMAGNNHDG(d, recs)
 		if err != nil {
 			return err
@@ -131,28 +135,6 @@ func precomputeImportance(g *graph.Graph, spec Spec, mult int) [][]weightedVerte
 		}
 	})
 	return out
-}
-
-// parallelMetapathRecords finds metapath instances with the parallel graph
-// engine (FlexGraph's own NeighborSelection machinery — the pre-computation
-// is untimed so using the fast path is fair).
-func parallelMetapathRecords(g *graph.Graph, paths []graph.Metapath, maxInst int) []hdg.Record {
-	n := g.NumVertices()
-	perRoot := make([][]hdg.Record, n)
-	tensor.ParallelFor(n, func(s, e int) {
-		for v := s; v < e; v++ {
-			for t, mp := range paths {
-				for _, inst := range g.MetapathInstances(graph.VertexID(v), mp, maxInst) {
-					perRoot[v] = append(perRoot[v], hdg.Record{Root: graph.VertexID(v), Nei: inst, Type: t})
-				}
-			}
-		}
-	})
-	var recs []hdg.Record
-	for _, rs := range perRoot {
-		recs = append(recs, rs...)
-	}
-	return recs
 }
 
 // Epoch runs the timed per-epoch computation on the expanded graph.

@@ -520,9 +520,8 @@ func needsSelection(m *nau.Model, have *hdg.HDG) bool {
 // from (seed, epoch, root), making the selection independent of partitioning
 // and worker count.
 func selectSeeded(m *nau.Model, g *graph.Graph, roots []graph.VertexID, seed uint64, epoch int) (*hdg.HDG, error) {
-	layer := m.Layers[0]
 	epochSeed := store.EpochSeed(seed, epoch)
-	return nau.NeighborSelectionSeeded(g, layer.Schema(), layer.NeighborUDF(), roots,
+	return nau.SelectHDG(g, m.Layers[0], roots,
 		func(_ int, v graph.VertexID) uint64 { return store.VertexSeed(epochSeed, v) }, 0)
 }
 

@@ -19,6 +19,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -70,25 +71,32 @@ func (a *Adjacency) EdgeLists() (src, dst []int32) {
 // it to route gradients without atomics.
 func (a *Adjacency) Reverse() *Adjacency {
 	a.revOnce.Do(func() {
-		ptr := make([]int64, a.NumSrc+1)
+		r := a.rev
+		if r == nil {
+			r = &Adjacency{}
+		}
 		m := a.NumEdges()
+		ptr := slices.Grow(r.DstPtr[:0], a.NumSrc+1)[:a.NumSrc+1]
+		clear(ptr)
 		for e := int64(0); e < m; e++ {
 			ptr[a.Src(e)+1]++
 		}
 		for i := 0; i < a.NumSrc; i++ {
 			ptr[i+1] += ptr[i]
 		}
-		idx := make([]int32, m)
-		next := make([]int64, a.NumSrc)
-		copy(next, ptr[:a.NumSrc])
+		// ptr[s] is source s's write cursor; afterwards it holds ptr[s+1].
+		idx := slices.Grow(r.SrcIdx[:0], int(m))[:m]
 		for d := 0; d < a.NumDst; d++ {
 			for e := a.DstPtr[d]; e < a.DstPtr[d+1]; e++ {
 				s := a.Src(e)
-				idx[next[s]] = int32(d)
-				next[s]++
+				idx[ptr[s]] = int32(d)
+				ptr[s]++
 			}
 		}
-		a.rev = &Adjacency{NumDst: a.NumSrc, NumSrc: a.NumDst, DstPtr: ptr, SrcIdx: idx}
+		copy(ptr[1:], ptr[:a.NumSrc])
+		ptr[0] = 0
+		*r = Adjacency{NumDst: a.NumSrc, NumSrc: a.NumDst, DstPtr: ptr, SrcIdx: idx, plan: r.plan}
+		a.rev = r
 	})
 	return a.rev
 }
@@ -141,31 +149,27 @@ func FromHDGBottom(h *hdg.HDG, numFeatureRows int) *Adjacency {
 // FromHDGFlat builds the single level of a flat HDG (INFA models like
 // PinSage): leaf vertices -> roots.
 func FromHDGFlat(h *hdg.HDG, numFeatureRows int) *Adjacency {
+	return FlatInto(nil, h, numFeatureRows)
+}
+
+// FlatInto is FromHDGFlat into the storage of a, which nothing may read any
+// more (nil allocates); its reverse view and bucket plans are rebuilt in
+// theirs on next use. Root r's sources are instances InstOffset[r*T:(r+1)*T].
+func FlatInto(a *Adjacency, h *hdg.HDG, numFeatureRows int) *Adjacency {
 	if !h.IsFlat() {
 		panic("engine: FromHDGFlat on a hierarchical HDG")
 	}
+	if a == nil {
+		a = &Adjacency{}
+	}
 	nR, T := h.NumRoots(), h.NumTypes()
-	ptr := make([]int64, nR+1)
-	for r := 0; r < nR; r++ {
-		total := int64(0)
-		for t := 0; t < T; t++ {
-			lo, hi := h.Instances(r, t)
-			total += int64(hi - lo)
-		}
-		ptr[r+1] = ptr[r] + total
+	ptr := slices.Grow(a.DstPtr[:0], nR+1)
+	for r := 0; r <= nR; r++ {
+		ptr = append(ptr, int64(h.InstOffset[r*T]))
 	}
-	idx := make([]int32, ptr[nR])
-	pos := int64(0)
-	for r := 0; r < nR; r++ {
-		for t := 0; t < T; t++ {
-			lo, hi := h.Instances(r, t)
-			for i := lo; i < hi; i++ {
-				idx[pos] = h.Leaves(int(i))[0]
-				pos++
-			}
-		}
-	}
-	return &Adjacency{NumDst: nR, NumSrc: numFeatureRows, DstPtr: ptr, SrcIdx: idx}
+	idx := append(a.SrcIdx[:0], h.LeafIDs[:h.NumInstances()]...)
+	*a = Adjacency{NumDst: nR, NumSrc: numFeatureRows, DstPtr: ptr, SrcIdx: idx, rev: a.rev, plan: a.plan}
+	return a
 }
 
 func (a *Adjacency) validate(featRows int) {

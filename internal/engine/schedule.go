@@ -43,10 +43,15 @@ type bucketPlan struct {
 	hubs      []int32 // ascending destination ids, deg >= hubMinDeg
 }
 
-// buckets returns the adjacency's bucket plan, building it on first use.
+// buckets returns the adjacency's bucket plan, building it on first use (in
+// the storage of the plan FlatInto left, if any).
 func (a *Adjacency) buckets() *bucketPlan {
 	a.planOnce.Do(func() {
-		p := &bucketPlan{}
+		p := a.plan
+		if p == nil {
+			p = &bucketPlan{}
+		}
+		*p = bucketPlan{leaf: p.leaf[:0], mid: p.mid[:0], midPrefix: p.midPrefix[:0], hubs: p.hubs[:0]}
 		for d := 0; d < a.NumDst; d++ {
 			deg := a.DstPtr[d+1] - a.DstPtr[d]
 			switch {
@@ -59,9 +64,9 @@ func (a *Adjacency) buckets() *bucketPlan {
 				p.mid = append(p.mid, int32(d))
 			}
 		}
-		p.midPrefix = make([]int64, len(p.mid)+1)
+		p.midPrefix = append(p.midPrefix, 0)
 		for k, d := range p.mid {
-			p.midPrefix[k+1] = p.midPrefix[k] + (a.DstPtr[d+1] - a.DstPtr[d])
+			p.midPrefix = append(p.midPrefix, p.midPrefix[k]+(a.DstPtr[d+1]-a.DstPtr[d]))
 		}
 		a.plan = p
 	})

@@ -123,10 +123,10 @@ func TestRandomWalkStopsAtSink(t *testing.T) {
 
 func TestTopKVisited(t *testing.T) {
 	g := samplePaperGraph()
-	rng := tensor.NewRNG(3)
-	top := g.TopKVisited(rng, 0, 50, 3, 2)
+	visits := make([]uint32, g.NumVertices())
+	top := g.AppendTopKVisited(nil, tensor.NewRNG(3), 0, 50, 3, 2, visits)
 	if len(top) != 2 {
-		t.Fatalf("TopKVisited returned %d", len(top))
+		t.Fatalf("AppendTopKVisited returned %d", len(top))
 	}
 	for _, v := range top {
 		if v == 0 {
@@ -137,9 +137,9 @@ func TestTopKVisited(t *testing.T) {
 	// (both 2 hops away through 2 distinct paths each... C via D and B->? )
 	// With enough walks the high-traffic indirect vertices dominate; just
 	// check determinism here.
-	top2 := g.TopKVisited(tensor.NewRNG(3), 0, 50, 3, 2)
+	top2 := g.AppendTopKVisited(nil, tensor.NewRNG(3), 0, 50, 3, 2, visits)
 	if top[0] != top2[0] || top[1] != top2[1] {
-		t.Fatal("TopKVisited must be deterministic for a fixed seed")
+		t.Fatal("AppendTopKVisited must be deterministic for a fixed seed")
 	}
 }
 
@@ -149,6 +149,7 @@ func TestTopKVisited(t *testing.T) {
 // the (count desc, id asc) order.
 func TestTopKVisitedMatchesCountingWalks(t *testing.T) {
 	g := samplePaperGraph()
+	visits := make([]uint32, g.NumVertices())
 	for _, c := range []struct{ walks, hops, k int }{{10, 3, 10}, {50, 3, 2}, {40, 4, 3}, {3, 2, 50}, {5, 3, 0}} {
 		for start := VertexID(0); int(start) < g.NumVertices(); start++ {
 			rng := tensor.NewRNG(uint64(start) + 1)
@@ -171,24 +172,26 @@ func TestTopKVisitedMatchesCountingWalks(t *testing.T) {
 				return int(a - b)
 			})
 			want = want[:min(c.k, len(want))]
-			got := g.TopKVisited(tensor.NewRNG(uint64(start)+1), start, c.walks, c.hops, c.k)
+			got := g.AppendTopKVisited(nil, tensor.NewRNG(uint64(start)+1), start, c.walks, c.hops, c.k, visits)
 			if !slices.Equal(got, want) {
-				t.Fatalf("%+v from %d: TopKVisited = %v, want %v", c, start, got, want)
+				t.Fatalf("%+v from %d: AppendTopKVisited = %v, want %v", c, start, got, want)
 			}
 		}
 	}
 }
 
 // TestAppendKernelsDoNotAllocate is the point of the Append* kernels: with
-// room in dst, a PinSage-sized walk budget and a metapath search touch the
-// heap not at all.
+// room in dst (for the walk kernel: its numWalks*hops visits) and a visit
+// table, a PinSage-sized walk budget and a metapath search touch the heap
+// not at all.
 func TestAppendKernelsDoNotAllocate(t *testing.T) {
 	g := samplePaperGraph()
 	rng := tensor.NewRNG(5)
 	dst := make([]VertexID, 0, 64)
+	visits := make([]uint32, g.NumVertices())
 	mp2 := Metapath{Name: "MP2", Types: []uint8{0, 1, 0}}
 	if n := testing.AllocsPerRun(100, func() {
-		dst = g.AppendTopKVisited(dst[:0], rng, 0, 10, 3, 10)
+		dst = g.AppendTopKVisited(dst[:0], rng, 0, 10, 3, 10, visits)
 	}); n != 0 {
 		t.Fatalf("AppendTopKVisited allocated %v times per call", n)
 	}
@@ -196,6 +199,39 @@ func TestAppendKernelsDoNotAllocate(t *testing.T) {
 		dst = g.AppendMetapathInstances(dst[:0], 0, mp2, 0)
 	}); n != 0 || len(dst) != 12 {
 		t.Fatalf("AppendMetapathInstances: %v allocations, %d vertices (want 0, 12)", n, len(dst))
+	}
+}
+
+// TestVisitTableIsZeroOnReturn: AppendTopKVisited counts in the caller's
+// table and must hand it back all zero — whatever the walks met: sinks that
+// end a walk early, self-loops, walks that return to start (not counted,
+// so never marked), budgets whose visits repeat, and k = 0. A second call
+// on the same table must give what a fresh table gives.
+func TestVisitTableIsZeroOnReturn(t *testing.T) {
+	b := NewBuilder(6)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 0) // back to start
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 2) // self-loop
+	b.AddEdge(2, 3)
+	b.AddEdge(0, 4)
+	b.AddEdge(4, 5) // 5 is a sink
+	b.AddEdge(3, 0)
+	g := b.Build()
+	visits := make([]uint32, g.NumVertices())
+	for _, c := range []struct{ walks, hops, k int }{{10, 3, 10}, {40, 4, 2}, {5, 6, 0}, {1, 1, 1}} {
+		for start := VertexID(0); int(start) < g.NumVertices(); start++ {
+			got := g.AppendTopKVisited(nil, tensor.NewRNG(uint64(start)), start, c.walks, c.hops, c.k, visits)
+			for v, n := range visits {
+				if n != 0 {
+					t.Fatalf("%+v from %d: visits[%d] = %d on return", c, start, v, n)
+				}
+			}
+			want := g.AppendTopKVisited(nil, tensor.NewRNG(uint64(start)), start, c.walks, c.hops, c.k, make([]uint32, g.NumVertices()))
+			if !slices.Equal(got, want) {
+				t.Fatalf("%+v from %d: reused table gave %v, fresh table %v", c, start, got, want)
+			}
+		}
 	}
 }
 

@@ -23,66 +23,62 @@ func (g *Graph) RandomWalk(rng *tensor.RNG, start VertexID, hops int) []VertexID
 	return path
 }
 
-// TopKVisited runs numWalks random walks of hops steps from start and
-// returns the k most frequently visited vertices other than start itself,
-// most-visited first — PinSage's importance-based neighborhood (§2.2).
-// Ties break by smaller vertex ID for determinism.
-func (g *Graph) TopKVisited(rng *tensor.RNG, start VertexID, numWalks, hops, k int) []VertexID {
-	return g.AppendTopKVisited(nil, rng, start, numWalks, hops, k)
-}
-
-// walkScratch is how many distinct vertices AppendTopKVisited counts on its
-// own stack frame; PinSage's 10 walks of 3 hops visit at most 30. A larger
-// walk budget spills to the heap through append.
-const walkScratch = 64
-
-// AppendTopKVisited appends TopKVisited's result to dst without allocating:
-// it walks in place (the same RNG draws, in the same order, as numWalks
-// RandomWalk calls) and counts visits in a short list on its stack instead
-// of a map. The list is searched linearly, which beats hashing up to a few
-// hundred distinct vertices per root and is quadratic beyond.
-func (g *Graph) AppendTopKVisited(dst []VertexID, rng *tensor.RNG, start VertexID, numWalks, hops, k int) []VertexID {
-	// One entry per distinct visited vertex: visit count in the high half,
-	// complemented ID in the low half, so a larger entry ranks earlier in
-	// exactly the (count desc, id asc) order.
-	var buf [walkScratch]uint64
-	seen := buf[:0]
+// AppendTopKVisited runs numWalks random walks of hops steps from start and
+// appends to dst the k most frequently visited vertices other than start
+// itself, most-visited first — PinSage's importance-based neighborhood
+// (§2.2). Ties break by smaller vertex ID for determinism. It walks first —
+// the same RNG draws, in the same order, as numWalks RandomWalk calls —
+// recording every visit other than start past dst's end, then counts those
+// visits in visits: a per-vertex table the caller owns, all zero on entry
+// and all zero again on return (the call clears exactly the entries it
+// touched). With room in dst for numWalks*hops visits it allocates nothing.
+func (g *Graph) AppendTopKVisited(dst []VertexID, rng *tensor.RNG, start VertexID, numWalks, hops, k int, visits []uint32) []VertexID {
+	base := len(dst)
 	for w := 0; w < numWalks; w++ {
 		cur := start
-	hop:
 		for i := 0; i < hops; i++ {
 			adj := g.OutNeighbors(cur)
 			if len(adj) == 0 {
 				break
 			}
 			cur = adj[rng.Intn(len(adj))]
-			if cur == start {
-				continue
-			}
-			id := ^uint32(cur)
-			for j, e := range seen {
-				if uint32(e) == id {
-					seen[j] = e + 1<<32
-					continue hop
-				}
-			}
-			seen = append(seen, 1<<32|uint64(id))
-		}
-	}
-	// Partial selection sort: k passes, each moving the largest remaining
-	// entry to the front.
-	for i := 0; i < len(seen) && i < k; i++ {
-		best, at := seen[i], i
-		for j := i + 1; j < len(seen); j++ {
-			if e := seen[j]; e > best {
-				best, at = e, j
+			if cur != start {
+				dst = append(dst, cur)
 			}
 		}
-		seen[at] = seen[i]
-		seen[i] = best
-		dst = append(dst, VertexID(^uint32(best)))
 	}
-	return dst
+	// Count; seen, compacted in place over the visits, lists each vertex once.
+	seen := dst[base:base]
+	for _, v := range dst[base:] {
+		if visits[v] == 0 {
+			seen = append(seen, v)
+		}
+		visits[v]++
+	}
+	// One key per distinct vertex, count<<32 | ^id, whose integer order is
+	// exactly (count desc, id asc); reading a count clears it. The keys live
+	// on the stack up to 32 distinct vertices (PinSage's 10 walks of 3 hops
+	// visit at most 30) and spill to the heap through append beyond.
+	var buf [32]uint64
+	keys := buf[:0]
+	for _, v := range seen {
+		keys = append(keys, uint64(visits[v])<<32|uint64(^uint32(v)))
+		visits[v] = 0
+	}
+	// Partial selection sort: k passes, each taking the largest remaining
+	// key to the front; the result overwrites the distinct list.
+	n := min(max(k, 0), len(keys))
+	for i := 0; i < n; i++ {
+		at, best := i, keys[i]
+		for j := i + 1; j < len(keys); j++ {
+			if e := keys[j]; e > best {
+				at, best = j, e
+			}
+		}
+		keys[at] = keys[i]
+		seen[i] = VertexID(^uint32(best))
+	}
+	return dst[:base+n]
 }
 
 // Metapath is an ordered sequence of vertex types; a metapath instance

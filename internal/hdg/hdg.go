@@ -110,6 +110,14 @@ func Build(schema *SchemaTree, roots []graph.VertexID, records []Record) (*HDG, 
 	return h, nil
 }
 
+// New returns the HDG over roots made of storage arrays a selection driver
+// wrote (and checked) itself; a nil leafOffset means every instance is one
+// leaf (flat). The HDG takes the slices over.
+func New(schema *SchemaTree, roots []graph.VertexID, instOffset, leafOffset []int32, leafIDs []graph.VertexID) *HDG {
+	return &HDG{Schema: schema, Roots: roots, flat: leafOffset == nil,
+		InstOffset: instOffset, LeafOffset: leafOffset, LeafIDs: leafIDs}
+}
+
 // checkRoots rejects duplicate roots.
 func checkRoots(roots []graph.VertexID) error {
 	sorted := slices.Clone(roots)

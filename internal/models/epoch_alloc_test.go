@@ -4,9 +4,11 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/hdg"
 	"repro/internal/nau"
 	"repro/internal/tensor"
 )
@@ -81,6 +83,101 @@ func TestSteadyStateEpochAllocatesOParams(t *testing.T) {
 			t.Fatalf("%s V=%d: steady-state epoch allocates %.0f objects / %d bytes, budget %.0f / %d",
 				c.model, v, objects, bytes, c.maxObjects, maxBytes)
 		}
+	}
+}
+
+func pinsageTrainer(scale float64) *nau.Trainer {
+	d := dataset.TwitterLike(dataset.Config{Scale: scale, Seed: 1, FeatureDim: 16})
+	m := NewPinSage(d.FeatureDim(), 16, d.NumClasses, DefaultPinSageConfig(), tensor.NewRNG(3))
+	return nau.NewTrainerWith(m, nau.TrainerOptions{
+		Graph: d.Graph, Features: d.Features, Labels: d.Labels, TrainMask: d.TrainMask, Seed: 1,
+	})
+}
+
+// TestSteadyStatePinSageEpochAllocatesOParams is the INFA twin of
+// TestSteadyStateEpochAllocatesOParams: a PinSage epoch re-runs neighbor
+// selection over every vertex, and once warm that costs nothing
+// proportional to the vertex count either — the walks run in the trainer's
+// arenas, the HDG is written over the one two epochs old, and the flat
+// level's adjacency, reverse view and bucket plans are refilled in place.
+// One budget at TwitterLike ×0.25 and ×1 (3 000 and 12 000 vertices).
+func TestSteadyStatePinSageEpochAllocatesOParams(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const maxObjects, maxBytes = 300, 64 << 10
+	for _, scale := range []float64{0.25, 1} {
+		tr := pinsageTrainer(scale)
+		epoch := func() {
+			if _, err := tr.Epoch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			epoch()
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			epoch()
+		}
+		runtime.ReadMemStats(&after)
+		objects := float64(after.Mallocs-before.Mallocs) / runs
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		v := tr.Graph.NumVertices()
+		t.Logf("PinSage V=%d: %.0f objects, %d bytes per epoch", v, objects, bytes)
+		if objects > maxObjects || bytes > maxBytes {
+			t.Fatalf("PinSage V=%d: steady-state epoch allocates %.0f objects / %d bytes, budget %d / %d",
+				v, objects, bytes, maxObjects, maxBytes)
+		}
+	}
+}
+
+// TestHDGHandedOutIsNotRecycled: the trainer writes each epoch's HDG over
+// the storage of the one two epochs old — but never over an HDG it handed
+// out through HDG(), and never into a Predict result. Both must read the
+// same, bit for bit, after three more epochs; and the epochs themselves must
+// equal a twin trainer's that nobody asked for its HDG.
+func TestHDGHandedOutIsNotRecycled(t *testing.T) {
+	snapshot := func(h *hdg.HDG) [][]int32 {
+		return [][]int32{slices.Clone(h.Roots), slices.Clone(h.InstOffset), slices.Clone(h.LeafOffset), slices.Clone(h.LeafIDs)}
+	}
+	tr, twin := pinsageTrainer(0.25), pinsageTrainer(0.25)
+	var h *hdg.HDG
+	var want [][]int32
+	var logits *tensor.Tensor
+	var wantLogits []float32
+	for e := 1; e <= 6; e++ {
+		l, err := tr.Epoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lt, err := twin.Epoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float32bits(l) != math.Float32bits(lt) {
+			t.Fatalf("epoch %d: loss %v, twin %v", e, l, lt)
+		}
+		if e == 3 { // both HDG buffers are in use by now
+			h = tr.HDG()
+			want = snapshot(h)
+			if logits, err = tr.Predict(); err != nil {
+				t.Fatal(err)
+			}
+			wantLogits = slices.Clone(logits.Data())
+		}
+	}
+	for i, a := range snapshot(h) {
+		if !slices.Equal(a, want[i]) {
+			t.Fatalf("HDG array %d changed after it was handed out", i)
+		}
+	}
+	if !slices.Equal(logits.Data(), wantLogits) {
+		t.Fatal("Predict's logits changed under later epochs")
 	}
 }
 

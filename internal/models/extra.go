@@ -58,10 +58,11 @@ func SampleAnchorSets(g *graph.Graph, k, size int, rng *tensor.RNG) [][]graph.Ve
 // Schema returns one leaf per anchor-set.
 func (l *PGNNLayer) Schema() *hdg.SchemaTree { return l.schema }
 
-// NeighborUDF emits one record per anchor-set for every vertex.
-func (l *PGNNLayer) NeighborUDF() nau.NeighborUDF {
-	return nau.AnchorSetUDF(l.anchors)
-}
+// Selector emits one instance per anchor-set for every vertex.
+func (l *PGNNLayer) Selector() nau.Selector { return nau.AnchorSetSelector(l.anchors) }
+
+// NeighborUDF is the Selector as a UDF.
+func (l *PGNNLayer) NeighborUDF() nau.NeighborUDF { return l.Selector().UDF() }
 
 // Aggregation means over each anchor-set then across anchor-sets (every
 // (root, type) slot holds exactly one instance); three Fig. 6 levels.
@@ -90,7 +91,7 @@ func NewPGNN(g *graph.Graph, in, hidden, classes, k, setSize int, rng *tensor.RN
 	}
 }
 
-var _ nau.Layer = (*PGNNLayer)(nil)
+var _ nau.AppendingLayer = (*PGNNLayer)(nil)
 
 // JKNetLayer implements JK-Net in NAU: the i-th "neighbor" of v contains
 // all vertices at shortest-path distance exactly i, so the schema tree has
@@ -120,11 +121,12 @@ func NewJKNetLayer(in, out, hops int, act bool, rng *tensor.RNG) *JKNetLayer {
 // Schema returns one leaf per hop distance.
 func (l *JKNetLayer) Schema() *hdg.SchemaTree { return l.schema }
 
-// NeighborUDF runs a bounded BFS from each vertex and emits one record per
+// Selector runs a bounded BFS from each vertex and emits one instance per
 // non-empty hop frontier.
-func (l *JKNetLayer) NeighborUDF() nau.NeighborUDF {
-	return nau.HopFrontierUDF(l.hops)
-}
+func (l *JKNetLayer) Selector() nau.Selector { return nau.HopFrontierSelector(l.hops) }
+
+// NeighborUDF is the Selector as a UDF.
+func (l *JKNetLayer) NeighborUDF() nau.NeighborUDF { return l.Selector().UDF() }
 
 // Aggregation means within each hop, then max-pools across hops — JK-Net's
 // jumping-knowledge max combiner (three Fig. 6 levels; each (root, hop)
@@ -153,4 +155,4 @@ func NewJKNet(in, hidden, classes, hops int, rng *tensor.RNG) *nau.Model {
 	}
 }
 
-var _ nau.Layer = (*JKNetLayer)(nil)
+var _ nau.AppendingLayer = (*JKNetLayer)(nil)

@@ -54,11 +54,14 @@ func NewMAGNNLayer(in, out int, act bool, paths []graph.Metapath, cfg MAGNNConfi
 // Schema returns the metapath-type schema tree (Fig. 3c).
 func (l *MAGNNLayer) Schema() *hdg.SchemaTree { return l.schema }
 
-// NeighborUDF implements the paper's Fig. 5 magnn_nbr: search paths
-// matching each metapath and emit one record per instance.
-func (l *MAGNNLayer) NeighborUDF() nau.NeighborUDF {
-	return nau.MetapathUDF(l.paths, l.cfg.MaxInstances)
+// Selector implements the paper's Fig. 5 magnn_nbr: search paths matching
+// each metapath and emit one instance per match.
+func (l *MAGNNLayer) Selector() nau.Selector {
+	return nau.MetapathSelector(l.paths, l.cfg.MaxInstances)
 }
+
+// NeighborUDF is the Selector as a UDF.
+func (l *MAGNNLayer) NeighborUDF() nau.NeighborUDF { return l.Selector().UDF() }
 
 // Aggregation performs the 3-step hierarchical aggregation via the Fig. 6
 // driver: mean within instances, attention across instances of a type,
@@ -96,4 +99,4 @@ func NewMAGNN(in, hidden, classes int, paths []graph.Metapath, cfg MAGNNConfig, 
 	}
 }
 
-var _ nau.Layer = (*MAGNNLayer)(nil)
+var _ nau.AppendingLayer = (*MAGNNLayer)(nil)

@@ -46,11 +46,14 @@ func NewPinSageLayer(in, out int, act bool, cfg PinSageConfig, rng *tensor.RNG) 
 // flat (Fig. 3b).
 func (l *PinSageLayer) Schema() *hdg.SchemaTree { return l.schema }
 
-// NeighborUDF implements the paper's Fig. 5 pinsage_nbr: run random walks
+// Selector implements the paper's Fig. 5 pinsage_nbr: run random walks
 // from v and keep the top-k visited vertices as flat neighbors.
-func (l *PinSageLayer) NeighborUDF() nau.NeighborUDF {
-	return nau.RandomWalkUDF(l.cfg.NumWalks, l.cfg.Hops, l.cfg.TopK)
+func (l *PinSageLayer) Selector() nau.Selector {
+	return nau.RandomWalkSelector(l.cfg.NumWalks, l.cfg.Hops, l.cfg.TopK)
 }
+
+// NeighborUDF is the Selector as a UDF.
+func (l *PinSageLayer) NeighborUDF() nau.NeighborUDF { return l.Selector().UDF() }
 
 // Aggregation sums the features of the selected indirect neighbors over the
 // flat HDG level (one Fig. 6 level).
@@ -80,4 +83,4 @@ func NewPinSage(in, hidden, classes int, cfg PinSageConfig, rng *tensor.RNG) *na
 	}
 }
 
-var _ nau.Layer = (*PinSageLayer)(nil)
+var _ nau.AppendingLayer = (*PinSageLayer)(nil)

@@ -19,7 +19,7 @@ package nau
 
 import (
 	"errors"
-	"sync"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -90,6 +90,9 @@ type Context struct {
 	graphAdj  *engine.Adjacency
 	bottomAdj *engine.Adjacency
 	flatAdj   *engine.Adjacency
+	// spareFlat, when non-nil, is an adjacency nothing reads any more, whose
+	// storage the next FlatAdjacency refills (the trainer hands it back).
+	spareFlat *engine.Adjacency
 
 	// input is the leaf Input handed the driver; kept is the bottom
 	// aggregate computed from it, which no step after the first recomputes.
@@ -208,7 +211,7 @@ func (c *Context) BottomAdjacency() *engine.Adjacency {
 // FlatAdjacency returns the flat HDG's leaf->root adjacency, cached.
 func (c *Context) FlatAdjacency() *engine.Adjacency {
 	if c.flatAdj == nil {
-		c.flatAdj = engine.FromHDGFlat(c.HDG, c.NumFeatureRows)
+		c.flatAdj, c.spareFlat = engine.FlatInto(c.spareFlat, c.HDG, c.NumFeatureRows), nil
 	}
 	return c.flatAdj
 }
@@ -231,26 +234,22 @@ func (c *Context) InvalidateHDG(h *hdg.HDG) {
 // NeighborSelection runs the UDF for every root in parallel and builds the
 // HDGs (the paper's Fig. 4 first stage). Each root gets its own RNG stream
 // split from rng, so results are deterministic for a fixed seed and
-// independent of how the roots are spread over workers.
-func NeighborSelection(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, rng *tensor.RNG) (*hdg.HDG, error) {
-	return neighborSelectionSplit(g, schema, udf, roots, rng, 0)
-}
-
-// neighborSelectionSplit is NeighborSelection with the fan-out bounded to
-// `workers` goroutines (the trainer's SamplerWorkers). A rejected call
+// independent of how the roots are spread over workers. A rejected call
 // leaves rng where it was.
-func neighborSelectionSplit(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, rng *tensor.RNG, workers int) (*hdg.HDG, error) {
+func NeighborSelection(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, rng *tensor.RNG) (*hdg.HDG, error) {
 	if schema == nil || udf == nil {
 		return nil, errNoSchemaOrUDF
 	}
-	return NeighborSelectionSeeded(g, schema, udf, roots, splitSeeds(rng, len(roots)), workers)
+	return NeighborSelectionSeeded(g, schema, udf, roots, splitSeeds(new([]uint64), rng, len(roots)), 0)
 }
 
 var errNoSchemaOrUDF = errors.New("nau: NeighborSelection requires a schema and a UDF")
 
 // NeighborSelectionSeeded is NeighborSelection with the per-root RNG seed
 // chosen by the caller instead of split from a shared stream, and the
-// fan-out bounded to `workers` goroutines (see SelectRecords for both).
+// fan-out bounded to `workers` goroutines (see SelectRecords for both): the
+// record sink followed by hdg.Build. SelectHDG is the same for a layer, and
+// skips the records when the layer has a Selector.
 // Seeding each root from its vertex ID makes a vertex's records — and
 // everything cached from them — independent of which batch, partition or
 // prefetch slot it arrived in.
@@ -261,60 +260,34 @@ func NeighborSelectionSeeded(g *graph.Graph, schema *hdg.SchemaTree, udf Neighbo
 	return hdg.Build(schema, roots, SelectRecords(g, schema, udf, roots, seedFor, workers))
 }
 
-// splitSeeds draws one seed per root from rng, in root order, and returns
-// them as a SelectRecords seed function.
-func splitSeeds(rng *tensor.RNG, n int) func(i int, _ graph.VertexID) uint64 {
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = rng.Uint64()
+// splitSeeds draws one seed per root from rng, in root order, into *buf
+// (reusing its storage) and returns them as a SelectRecords seed function —
+// the one per-root seed formula of whole-graph selection.
+func splitSeeds(buf *[]uint64, rng *tensor.RNG, n int) func(i int, _ graph.VertexID) uint64 {
+	seeds := slices.Grow((*buf)[:0], n)
+	for range n {
+		seeds = append(seeds, rng.Uint64())
 	}
+	*buf = seeds
 	return func(i int, _ graph.VertexID) uint64 { return seeds[i] }
 }
 
-// SelectRecords is the one driver that fans a neighbor UDF over roots: the
-// trainer, the cluster workers and the serving planner reach it through
-// NeighborSelectionSeeded, the store's Sample query calls it directly.
-// Root i runs with an RNG seeded seedFor(i, roots[i]), and the records come
-// back concatenated in root order, so the result is bitwise independent of
-// the fan-out; workers only bounds how many goroutines selection may take.
-// <= 0 selects what tensor.ParallelFor would: the kernel parallelism, at
-// most one goroutine per tensor.DefaultGrain roots. Each worker walks one
-// contiguous chunk of roots — adjacent in the CSR — with one RNG it reseeds
-// per root.
+// SelectRecords is the record sink of the one selection driver (fanOut):
+// NeighborSelectionSeeded builds an HDG from its output, the store's Sample
+// query and the serving planner call it directly. Root i runs udf on an RNG
+// seeded seedFor(i, roots[i]), and the records come back concatenated in
+// root order, so the result is bitwise independent of the fan-out; workers
+// only bounds how many goroutines selection may take (see fanOut).
 func SelectRecords(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64, workers int) []hdg.Record {
-	n := len(roots)
-	if workers <= 0 {
-		workers = min(tensor.Parallelism(), (n+tensor.DefaultGrain-1)/tensor.DefaultGrain)
-	}
-	workers = max(1, min(workers, n))
-	perRoot := make([][]hdg.Record, n)
-	chunk := (n + workers - 1) / workers
-	run := func(s, e int) {
+	perRoot := make([][]hdg.Record, len(roots))
+	fanOut(len(roots), workers, func(_, s, e int) {
 		rng := tensor.NewRNG(0)
 		for i := s; i < e; i++ {
 			rng.SetState(seedFor(i, roots[i]))
 			perRoot[i] = udf(g, schema, roots[i], rng)
 		}
-	}
-	var wg sync.WaitGroup
-	for s := chunk; s < n; s += chunk {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			run(s, min(s+chunk, n))
-		}(s)
-	}
-	run(0, min(chunk, n))
-	wg.Wait()
-	total := 0
-	for _, rs := range perRoot {
-		total += len(rs)
-	}
-	records := make([]hdg.Record, 0, total)
-	for _, rs := range perRoot {
-		records = append(records, rs...)
-	}
-	return records
+	})
+	return slices.Concat(perRoot...)
 }
 
 // AllVertices returns the full root set [0, n) for whole-graph training.

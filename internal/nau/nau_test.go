@@ -475,11 +475,11 @@ func TestFig5UDFLibrary(t *testing.T) {
 		t.Fatalf("hop frontiers = %+v", recs)
 	}
 
-	// AnchorSetUDF: one record per anchor set regardless of v.
+	// AnchorSetSelector: one record per anchor set regardless of v.
 	anchors := [][]graph.VertexID{{1, 2}, {3}}
-	recs = AnchorSetUDF(anchors)(g, nil, 5, rng)
+	recs = AnchorSetSelector(anchors).UDF()(g, nil, 5, rng)
 	if len(recs) != 2 || len(recs[0].Nei) != 2 || recs[1].Type != 1 {
-		t.Fatalf("AnchorSetUDF = %+v", recs)
+		t.Fatalf("AnchorSetSelector = %+v", recs)
 	}
 
 	// MetapathUDF on a typed triangle.

@@ -11,10 +11,11 @@ import (
 // This file is the parity oracle for the selection path: a frozen copy of
 // the map-based walk kernels, the per-record-allocating UDFs, the
 // sequential driver and the counting-sort Build, exactly as they stood
-// before the scratch kernels replaced them. Nothing here may be "fixed" or
-// sped up — the tests in select_test.go require the live path to reproduce
-// its output bit for bit. It reaches the graph only through OutNeighbors
-// and Type, so it shares no code with what it checks.
+// before the scratch kernels replaced them — and of the stack-list walk
+// kernel as it stood before the visit table replaced it. Nothing here may be
+// "fixed" or sped up — the tests in select_test.go require the live path to
+// reproduce its output bit for bit. It reaches the graph only through
+// OutNeighbors and Type, so it shares no code with what it checks.
 
 func oracleRandomWalk(g *graph.Graph, rng *tensor.RNG, start graph.VertexID, hops int) []graph.VertexID {
 	path := make([]graph.VertexID, 1, hops+1)
@@ -66,6 +67,48 @@ func oracleTopKVisited(g *graph.Graph, rng *tensor.RNG, start graph.VertexID, nu
 		out[i] = e.v
 	}
 	return out
+}
+
+// listTopKVisited is the walk kernel the visit table replaced, frozen: it
+// counts each visit as it happens, in a list of (count, ^id) entries on its
+// stack searched linearly, then selects the top k the same way.
+func listTopKVisited(dst []graph.VertexID, g *graph.Graph, rng *tensor.RNG, start graph.VertexID, numWalks, hops, k int) []graph.VertexID {
+	var buf [64]uint64
+	seen := buf[:0]
+	for w := 0; w < numWalks; w++ {
+		cur := start
+	hop:
+		for i := 0; i < hops; i++ {
+			adj := g.OutNeighbors(cur)
+			if len(adj) == 0 {
+				break
+			}
+			cur = adj[rng.Intn(len(adj))]
+			if cur == start {
+				continue
+			}
+			id := ^uint32(cur)
+			for j, e := range seen {
+				if uint32(e) == id {
+					seen[j] = e + 1<<32
+					continue hop
+				}
+			}
+			seen = append(seen, 1<<32|uint64(id))
+		}
+	}
+	for i := 0; i < len(seen) && i < k; i++ {
+		best, at := seen[i], i
+		for j := i + 1; j < len(seen); j++ {
+			if e := seen[j]; e > best {
+				best, at = e, j
+			}
+		}
+		seen[at] = seen[i]
+		seen[i] = best
+		dst = append(dst, graph.VertexID(^uint32(best)))
+	}
+	return dst
 }
 
 func oracleMetapathInstances(g *graph.Graph, root graph.VertexID, mp graph.Metapath, maxInstances int) [][]graph.VertexID {

@@ -1,0 +1,5 @@
+//go:build race
+
+package nau
+
+const raceEnabled = true

@@ -66,6 +66,16 @@ type Trainer struct {
 	hdgUsed   bool // one training epoch has consumed cachedHDG
 	ctx       *Context
 	epoch     int
+
+	// Selection state kept across epochs: the workers' arenas, the root and
+	// seed buffers, and the last two HDGs (hdgs[1] is cachedHDG) with the
+	// flat levels the context built over them. A new HDG is written over
+	// hdgs[0], two selections old; HDG() forgets what it hands out.
+	arenas []*arena
+	roots  []graph.VertexID
+	seeds  []uint64
+	hdgs   [2]*hdg.HDG
+	flats  [2]*engine.Adjacency
 }
 
 // TrainerOptions configures NewTrainerWith. Graph, Features and Labels are
@@ -194,23 +204,36 @@ func (t *Trainer) ensureHDG() error {
 	var err error
 	defer t.Tracer.Begin(0, int32(t.epoch), 0, trace.CatStage, "select").End()
 	t.Breakdown.Time(metrics.StageNeighborSelection, func() {
-		layer := t.Model.Layers[0]
-		h, err = neighborSelectionSplit(t.Graph, layer.Schema(), layer.NeighborUDF(),
-			AllVertices(t.Graph), t.RNG, t.SamplerWorkers)
+		if len(t.roots) != t.Graph.NumVertices() {
+			t.roots = AllVertices(t.Graph)
+		}
+		h, err = selectLayer(t.Graph, t.Model.Layers[0], t.roots,
+			splitSeeds(&t.seeds, t.RNG, len(t.roots)), t.SamplerWorkers, &t.arenas, t.hdgs[0])
 	})
 	if err != nil {
 		return fmt.Errorf("nau: neighbor selection: %w", err)
 	}
-	t.cachedHDG = h
+	// The HDG replaced here, and the flat level the context built over it,
+	// stay intact until the next selection writes over them.
 	if t.ctx != nil {
+		t.flats[1] = t.ctx.flatAdj
 		t.ctx.InvalidateHDG(h)
+		t.ctx.spareFlat = t.flats[0]
 	}
+	t.hdgs, t.flats = [2]*hdg.HDG{t.hdgs[1], h}, [2]*engine.Adjacency{t.flats[1], nil}
+	t.cachedHDG = h
 	return nil
 }
 
 // HDG exposes the cached HDGs (nil for DNFA models), e.g. for the Table-5
-// memory accounting.
-func (t *Trainer) HDG() *hdg.HDG { return t.cachedHDG }
+// memory accounting. An HDG handed out here is never recycled: the trainer
+// will not write a later epoch's HDG over it.
+func (t *Trainer) HDG() *hdg.HDG {
+	if t.hdgs[1] == t.cachedHDG {
+		t.hdgs[1] = nil
+	}
+	return t.cachedHDG
+}
 
 func (t *Trainer) context(train bool) *Context {
 	if t.ctx == nil {

@@ -36,7 +36,7 @@ const minParallelCost = 1 << 14
 
 // DefaultGrain preserves the historical "n < 64 runs inline" threshold for
 // callers that provide no cost hint. Exported for fan-outs that size their
-// own worker count (nau.SelectRecords) but want the same threshold.
+// own worker count (nau's selection driver) but want the same threshold.
 const DefaultGrain = 64
 
 var (

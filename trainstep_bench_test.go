@@ -1,11 +1,14 @@
 package flexgraph
 
 // End-to-end training-step benchmarks: one GCN epoch on a small
-// Reddit-shaped dataset, and BenchmarkTrainStepMAGNN, the INHA counterpart at
+// Reddit-shaped dataset, BenchmarkTrainStepMAGNN, the INHA counterpart at
 // the train_magnn_hetero workload's shape (IMDB x 0.7, hidden 64, 20
-// instances per metapath): the epoch the upper HDG levels dominate.
-// allocs/op is the headline number — steady-state epochs recycle their
-// aggregation outputs and gradient buffers instead of churning the GC.
+// instances per metapath): the epoch the upper HDG levels dominate, and
+// BenchmarkTrainStepPinSage, the INFA one at the train_pinsage_skew shape
+// (Twitter x 1, features 16, hidden 16): the epoch whose neighbor selection
+// re-runs over every vertex. allocs/op is the headline number — steady-state
+// epochs recycle their aggregation outputs, gradient buffers and (PinSage)
+// HDG storage instead of churning the GC.
 //
 //	go test -run xxx -bench TrainStep -benchmem .
 //
@@ -52,6 +55,14 @@ func BenchmarkTrainStepMAGNN(b *testing.B) {
 	d := dataset.IMDBLike(dataset.Config{Scale: 0.7, Seed: 1})
 	model := models.NewMAGNN(d.FeatureDim(), 64, d.NumClasses, d.Metapaths,
 		models.MAGNNConfig{MaxInstances: 20}, tensor.NewRNG(3))
+	tr := nau.NewTrainerWith(model,
+		nau.TrainerOptions{Graph: d.Graph, Features: d.Features, Labels: d.Labels, TrainMask: d.TrainMask, Seed: 1})
+	benchEpochs(b, tr, 3)
+}
+
+func BenchmarkTrainStepPinSage(b *testing.B) {
+	d := dataset.TwitterLike(dataset.Config{Scale: 1, FeatureDim: 16, Seed: 1})
+	model := models.NewPinSage(d.FeatureDim(), 16, d.NumClasses, models.DefaultPinSageConfig(), tensor.NewRNG(3))
 	tr := nau.NewTrainerWith(model,
 		nau.TrainerOptions{Graph: d.Graph, Features: d.Features, Labels: d.Labels, TrainMask: d.TrainMask, Seed: 1})
 	benchEpochs(b, tr, 3)
