@@ -221,8 +221,8 @@ bench-kernels-diff:
 # off a cliff, in seconds instead of minutes. Kernel rows check against
 # BENCH_kernels.json, the NeighborSelection, ServeBatch and Expand rows
 # against BENCH_sampler.json (Expand is microseconds an iteration, so it gets
-# 2000 of them); both also gate allocs/op at +5%, which repeats exactly on
-# any host.
+# 2000 of them; a SamplerEpoch iteration is a whole epoch, so 5); both also
+# gate allocs/op at +5%, which repeats exactly on any host.
 bench-smoke:
 	@{ $(GO) test -run xxx -bench 'Kernel' -benchtime 20x -benchmem ./internal/tensor/; \
 	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|AggregateIntermediate' -benchtime 20x -benchmem ./internal/engine/; \
@@ -232,7 +232,8 @@ bench-smoke:
 		-write-latest /tmp/bench_kernels_smoke.latest.json /tmp/bench_kernels_smoke.txt
 	@{ $(GO) test -run xxx -bench 'NeighborSelection' -benchtime 5x -benchmem ./internal/nau/; \
 	   $(GO) test -run xxx -bench 'ServeBatch' -benchtime 5x -benchmem ./internal/serve/; \
-	   $(GO) test -run xxx -bench 'Expand' -benchtime 2000x -benchmem ./internal/store/; } \
+	   $(GO) test -run xxx -bench 'Expand' -benchtime 2000x -benchmem ./internal/store/; \
+	   $(GO) test -run xxx -bench 'SamplerEpoch' -benchtime 5x -benchmem ./internal/store/; } \
 		> /tmp/bench_sampler_smoke.txt 2>&1 || { cat /tmp/bench_sampler_smoke.txt; exit 1; }
 	$(GO) run ./cmd/benchdiff -baseline BENCH_sampler.json -max-regress 4.0 -max-alloc-regress 0.05 \
 		-write-latest /tmp/bench_sampler_smoke.latest.json /tmp/bench_sampler_smoke.txt
@@ -245,7 +246,8 @@ bench-e2e-smoke:
 
 # Input-side benchmarks: NeighborSelection end to end (driver, kernels, UDF,
 # hdg.Build), the serve batch (plan + execute) with the store.Expand under
-# it, and the prefetch overlap over the simulated-latency store link.
+# it, one rank's mini-batch sampler epoch, and the prefetch overlap over the
+# simulated-latency store link.
 # Writes a machine-readable snapshot to BENCH_sampler.latest.json. The gate
 # that means something is allocs/op (+5%): single runs on a shared host swing
 # 1.3-2x in wall time, so ns/op only gets the same loose 4x cliff check as
@@ -253,7 +255,7 @@ bench-e2e-smoke:
 bench-sampler:
 	@{ $(GO) test -run xxx -bench 'NeighborSelection' -benchmem ./internal/nau/; \
 	   $(GO) test -run xxx -bench 'ServeBatch' -benchmem ./internal/serve/; \
-	   $(GO) test -run xxx -bench 'Expand' -benchmem ./internal/store/; \
+	   $(GO) test -run xxx -bench 'Expand|SamplerEpoch' -benchmem ./internal/store/; \
 	   $(GO) test -run xxx -bench 'PrefetchOverlap' -benchtime 5x -benchmem ./internal/store/; } \
 		| tee /tmp/bench_sampler.txt
 	$(GO) run ./cmd/benchdiff -baseline BENCH_sampler.json -max-regress 4.0 -max-alloc-regress 0.05 \

@@ -454,6 +454,7 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 			Metrics: cfg.Metrics,
 			Rank:    int32(rank),
 		})
+		w.mbCtx = &nau.Context{Graph: d.Graph, Engine: w.eng, RNG: w.rng, Train: true}
 	}
 	if cfg.Resume != "" {
 		// Restore the full training state before any collective runs: the

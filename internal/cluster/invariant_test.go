@@ -336,41 +336,22 @@ func TestCombineRejectsMalformedPayload(t *testing.T) {
 // per exchange, the balance report) and nothing proportional to the
 // partition: the layer payloads are rebuilt in the duties' buffers, received
 // into recycled messages, folded into the local sum's own buffer, and every
-// other [rows, dim] buffer comes from the tensor pool. The bound is the same
-// at 1200 and at 6000 vertices. Measured on one P with the collector off
-// ~265 objects / ~54 KB (the bytes are the gradient all-reduce's frames, so
-// O(params)); sync.Pool adds 2…4 objects after a collection, and the budget
-// leaves room for that.
+// other [rows, dim] buffer comes from the tensor pool. The gradient
+// all-reduce's ring chunks are received into recycled messages too (a pool of
+// their own, so they never take a layer payload's section). The bound is the
+// same at 1200 and at 6000 vertices. Measured on one P with the collector off
+// ~259 objects / ~10 KB at both sizes; sync.Pool adds 2…4 objects after a
+// collection, and the budget leaves room for that.
 func TestClusterSteadyStateEpochAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const maxObjects, maxBytes = 400, 96 << 10
+	const maxObjects, maxBytes = 400, 32 << 10
 	for _, scale := range []float64{0.3, 1.5} {
 		d := dataset.RedditLike(dataset.Config{Scale: scale, Seed: 1})
 		factory := func(rng *tensor.RNG) *nau.Model { return models.NewGCN(d.FeatureDim(), 64, d.NumClasses, rng) }
 		r := newRanks(t, Config{NumWorkers: 2, Pipeline: true, Seed: 1}, d, factory)
-		for i := 0; i < 3; i++ {
-			r.epoch()
-		}
-		// Per-epoch counts, and their median: two ranks run concurrently, so
-		// an epoch in which they happen to want one more buffer at the same
-		// moment than any epoch before it allocates that buffer once (it is
-		// pooled from then on) — a high-water event, not the steady state.
-		const runs = 7
-		objectRuns, byteRuns := make([]float64, runs), make([]float64, runs)
-		for i := range objectRuns {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			r.epoch()
-			runtime.ReadMemStats(&after)
-			objectRuns[i] = float64(after.Mallocs - before.Mallocs)
-			byteRuns[i] = float64(after.TotalAlloc - before.TotalAlloc)
-		}
-		slices.Sort(objectRuns)
-		slices.Sort(byteRuns)
-		objects, bytes := objectRuns[runs/2], byteRuns[runs/2]
-		t.Logf("V=%d: %.0f objects, %.0f bytes per epoch (median of %d; max %.0f / %.0f)",
-			d.Graph.NumVertices(), objects, bytes, runs, objectRuns[runs-1], byteRuns[runs-1])
+		objects, bytes := steadyEpochAllocs(r)
+		t.Logf("V=%d: %.0f objects, %.0f bytes per epoch", d.Graph.NumVertices(), objects, bytes)
 		if raceEnabled {
 			continue // sync.Pool drops a quarter of its Puts under the race detector
 		}
@@ -378,5 +359,70 @@ func TestClusterSteadyStateEpochAllocs(t *testing.T) {
 			t.Fatalf("V=%d: steady-state cluster epoch allocates %.0f objects / %.0f bytes, budget %d / %d",
 				d.Graph.NumVertices(), objects, bytes, maxObjects, maxBytes)
 		}
+	}
+}
+
+// steadyEpochAllocs warms r up for three epochs, then returns the median
+// objects and bytes one epoch allocates over seven. Two ranks run
+// concurrently, so an epoch in which they happen to want one more buffer at
+// the same moment than any epoch before it allocates that buffer once (it is
+// pooled from then on) — a high-water event, not the steady state.
+func steadyEpochAllocs(r *ranks) (objects, bytes float64) {
+	for i := 0; i < 3; i++ {
+		r.epoch()
+	}
+	const runs = 7
+	objectRuns, byteRuns := make([]float64, runs), make([]float64, runs)
+	for i := range objectRuns {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.epoch()
+		runtime.ReadMemStats(&after)
+		objectRuns[i] = float64(after.Mallocs - before.Mallocs)
+		byteRuns[i] = float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	slices.Sort(objectRuns)
+	slices.Sort(byteRuns)
+	return objectRuns[runs/2], byteRuns[runs/2]
+}
+
+// TestClusterMiniBatchSteadyStateEpochAllocs is the mini-batch twin of
+// TestClusterSteadyStateEpochAllocs: warm k = 2 loopback PinSage epochs over
+// the prefetching sampler (TwitterLike x0.2, 2400 vertices, depth 2). What an
+// epoch allocates must follow its distinct selections and the parameters, not
+// batches × frontier: the sampler asks the store once per vertex and epoch
+// (the records the UDF makes for it are the bulk of the bytes), the trainer
+// hands every batch back, and the next batch is rebuilt in its plans, rows,
+// feature buffer and flat levels. Halving the batch size doubles the batches
+// and frontiers but not the distinct selections, so the bytes barely move.
+// Measured on one P with the collector off: batch 64 ~4.08 MB / ~13.9 k
+// objects, batch 128 ~3.88 MB / ~11.0 k objects per epoch (before the memo
+// and the recycling: 27.5 MB and 19.8 MB — bytes in proportion to the
+// batches). The objects still grow with the batches: each has its own tape.
+func TestClusterMiniBatchSteadyStateEpochAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const maxBytes, maxGrowth = 6 << 20, 1.15
+	d, err := dataset.ByName("twitter", dataset.Config{Scale: 0.2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := func(rng *tensor.RNG) *nau.Model {
+		return models.NewPinSage(d.FeatureDim(), 16, d.NumClasses, models.DefaultPinSageConfig(), rng)
+	}
+	var perBatchSize []float64
+	for _, bs := range []int{64, 128} {
+		r := newRanks(t, Config{NumWorkers: 2, Pipeline: true, Seed: 1,
+			MiniBatch: &MiniBatchConfig{BatchSize: bs, PrefetchDepth: 2, SamplerWorkers: 1}}, d, factory)
+		objects, bytes := steadyEpochAllocs(r)
+		t.Logf("batch %d: %.0f objects, %.0f bytes per epoch", bs, objects, bytes)
+		if !raceEnabled && bytes > maxBytes {
+			t.Fatalf("batch %d: steady-state mini-batch epoch allocates %.0f bytes, budget %d", bs, bytes, maxBytes)
+		}
+		perBatchSize = append(perBatchSize, bytes)
+	}
+	if g := perBatchSize[0] / perBatchSize[1]; !raceEnabled && g > maxGrowth {
+		t.Fatalf("halving the batch size multiplies the epoch's bytes by %.2f (budget %.2f): "+
+			"they follow the batches, not the distinct selections", g, maxGrowth)
 	}
 }

@@ -44,7 +44,7 @@ func (w *worker) miniBatchEpoch() (float32, error) {
 				return 0, err
 			}
 			probe := nau.Probe{Timer: w.breakdown, Tracer: w.tracer, Rank: int32(w.rank), Epoch: w.epoch}
-			logits, err := store.ForwardWith(probe, w.model, w.eng, w.g, bt, w.rng, true)
+			logits, err := store.ForwardWith(w.mbCtx, probe, w.model, bt)
 			if err != nil {
 				return 0, err
 			}
@@ -65,6 +65,9 @@ func (w *worker) miniBatchEpoch() (float32, error) {
 				nn.ReleaseGraph(lossV)
 			})
 			lossVal = lossV.Data.At(0, 0)
+			// The tape is gone, so nothing reads the batch any more: the
+			// sampler rebuilds a later batch in its storage.
+			st.Release(bt)
 		} else {
 			// Padding round: zero gradients, zero weight.
 			w.opt.ZeroGrad()

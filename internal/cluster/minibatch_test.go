@@ -7,36 +7,46 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
+	"repro/internal/models"
+	"repro/internal/nau"
 	"repro/internal/rpc"
+	"repro/internal/tensor"
 )
 
 // TestClusterMiniBatchDepthInvariance checks the heart of the data-plane
 // refactor: prefetch depth and sampler worker count change only *when*
 // batches are materialised, never what they contain, so the global losses
-// must be bit-identical at every setting, for every cluster size.
+// must be bit-identical at every setting, for every cluster size. GCN runs
+// the in-edge expansion; PinSage runs the HDG path — the epoch's selection
+// memo shared by the sampler workers, and batches rebuilt in released ones.
 func TestClusterMiniBatchDepthInvariance(t *testing.T) {
 	d := dataset.RedditLike(dataset.Config{Scale: 0.03, Seed: 11})
-	for _, k := range []int{1, 2, 3} {
-		var ref []float32
-		for _, mb := range []MiniBatchConfig{
-			{BatchSize: 32, PrefetchDepth: 0},
-			{BatchSize: 32, PrefetchDepth: 2, SamplerWorkers: 3},
-			{BatchSize: 32, PrefetchDepth: 4, SamplerWorkers: 2},
-		} {
-			cfg := Config{NumWorkers: k, Pipeline: true,
-				Epochs: 3, Seed: 13, MiniBatch: &mb}
-			res, err := Train(cfg, d, gcnFactory(d))
-			if err != nil {
-				t.Fatalf("k=%d depth=%d: %v", k, mb.PrefetchDepth, err)
-			}
-			if ref == nil {
-				ref = res.Losses
-				continue
-			}
-			for epoch := range ref {
-				if res.Losses[epoch] != ref[epoch] {
-					t.Fatalf("k=%d depth=%d workers=%d epoch %d: loss %v != depth-0 loss %v",
-						k, mb.PrefetchDepth, mb.SamplerWorkers, epoch, res.Losses[epoch], ref[epoch])
+	pinsage := func(rng *tensor.RNG) *nau.Model {
+		return models.NewPinSage(d.FeatureDim(), 8, d.NumClasses, models.PinSageConfig{NumWalks: 4, Hops: 2, TopK: 3}, rng)
+	}
+	for name, factory := range map[string]ModelFactory{"gcn": gcnFactory(d), "pinsage": pinsage} {
+		for _, k := range []int{1, 2, 3} {
+			var ref []float32
+			for _, mb := range []MiniBatchConfig{
+				{BatchSize: 32, PrefetchDepth: 0},
+				{BatchSize: 32, PrefetchDepth: 2, SamplerWorkers: 3},
+				{BatchSize: 32, PrefetchDepth: 4, SamplerWorkers: 2},
+			} {
+				cfg := Config{NumWorkers: k, Pipeline: true,
+					Epochs: 3, Seed: 13, MiniBatch: &mb}
+				res, err := Train(cfg, d, factory)
+				if err != nil {
+					t.Fatalf("%s k=%d depth=%d: %v", name, k, mb.PrefetchDepth, err)
+				}
+				if ref == nil {
+					ref = res.Losses
+					continue
+				}
+				for epoch := range ref {
+					if res.Losses[epoch] != ref[epoch] {
+						t.Fatalf("%s k=%d depth=%d workers=%d epoch %d: loss %v != depth-0 loss %v",
+							name, k, mb.PrefetchDepth, mb.SamplerWorkers, epoch, res.Losses[epoch], ref[epoch])
+					}
 				}
 			}
 		}

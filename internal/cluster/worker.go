@@ -80,11 +80,13 @@ type worker struct {
 	plans map[*engine.Adjacency]*exchanged
 
 	// Mini-batch mode (Config.MiniBatch != nil): the prefetching data
-	// plane over this worker's partition, the per-round batch size and
-	// the cluster-wide round count (largest partition's schedule length).
+	// plane over this worker's partition, the per-round batch size, the
+	// cluster-wide round count (largest partition's schedule length) and
+	// the context every batch's layers run in.
 	sampler  *store.Sampler
 	mbBatch  int
 	mbRounds int
+	mbCtx    *nau.Context
 }
 
 // exchanged is what a plan exchange over one bottom-level adjacency leaves

@@ -93,6 +93,7 @@ func (c *Comm) AllReduce(f Fence, data []float32, kind rpc.MsgKind) error {
 			}
 			span.Link(m.Trace)
 			tensor.AddUnrolled(seg, m.Data)
+			m.Release()
 		}
 		tag := reduceTag(f.Phase, ci)
 		if rank == last {
@@ -119,6 +120,7 @@ func (c *Comm) AllReduce(f Fence, data []float32, kind rpc.MsgKind) error {
 		}
 		span.Link(m.Trace)
 		copy(seg, m.Data)
+		m.Release()
 		if next != last {
 			if err := c.send(next, Fence{f.Epoch, distributeTag(f.Phase, ci)}, &rpc.Message{Kind: kind, Data: seg, Dim: 1, Trace: spanID}); err != nil {
 				return err

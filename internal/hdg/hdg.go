@@ -96,11 +96,23 @@ type HDG struct {
 // verified record by record, never assumed: the first record out of place
 // sends the whole input through the counting sort instead.
 func Build(schema *SchemaTree, roots []graph.VertexID, records []Record) (*HDG, error) {
+	return BuildInto(nil, schema, roots, records)
+}
+
+// BuildInto is Build into the storage arrays of reuse, an HDG nothing reads
+// any more (nil allocates): a caller rebuilding one HDG per batch keeps its
+// arrays at their high-water size. Neither roots nor the records' leaves may
+// alias reuse's arrays. Only the in-order pass reuses them; the counting sort
+// allocates its own.
+func BuildInto(reuse *HDG, schema *SchemaTree, roots []graph.VertexID, records []Record) (*HDG, error) {
 	if err := checkRoots(roots); err != nil {
 		return nil, err
 	}
-	h := &HDG{Schema: schema, Roots: slices.Clone(roots)}
-	ok, err := h.buildInOrder(records)
+	if reuse == nil {
+		reuse = &HDG{}
+	}
+	h := &HDG{Schema: schema, Roots: append(reuse.Roots[:0], roots...)}
+	ok, err := h.buildInOrder(reuse, records)
 	if !ok && err == nil {
 		err = h.buildSorted(records)
 	}
@@ -142,15 +154,16 @@ func checkRecord(rec *Record, numTypes int) error {
 	return nil
 }
 
-// buildInOrder fills the storage arrays in a single pass, provided records
-// are already ordered by (root rank, type). It reports false, leaving h's
-// arrays for buildSorted to overwrite, at the first record that is not.
-func (h *HDG) buildInOrder(records []Record) (bool, error) {
+// buildInOrder fills the storage arrays, in reuse's, in a single pass,
+// provided records are already ordered by (root rank, type). It reports
+// false, leaving h's arrays for buildSorted to overwrite, at the first record
+// that is not.
+func (h *HDG) buildInOrder(reuse *HDG, records []Record) (bool, error) {
 	T := h.Schema.NumTypes()
-	instOffset := make([]int32, len(h.Roots)*T+1)
-	leafIDs := make([]graph.VertexID, 0, len(records)) // exact while flat
-	var leafOffset []int32                             // nil while flat
-	rank, slot := 0, 0                                 // instOffset[:slot+1] is final
+	instOffset := append(slices.Grow(reuse.InstOffset[:0], len(h.Roots)*T+1), 0)[:len(h.Roots)*T+1]
+	leafIDs := slices.Grow(reuse.LeafIDs[:0], len(records)) // exact while flat
+	var leafOffset []int32                                  // nil while flat
+	rank, slot := 0, 0                                      // instOffset[:slot+1] is final
 	for i := range records {
 		rec := &records[i]
 		if rank == len(h.Roots) || rec.Root != h.Roots[rank] {
@@ -173,9 +186,9 @@ func (h *HDG) buildInOrder(records []Record) (bool, error) {
 			instOffset[slot+1] = int32(i)
 		}
 		if len(rec.Nei) > 1 && leafOffset == nil {
-			leafOffset = make([]int32, i+1, len(records)+1)
-			for j := range leafOffset {
-				leafOffset[j] = int32(j)
+			leafOffset = slices.Grow(reuse.LeafOffset[:0], len(records)+1)
+			for j := range i + 1 {
+				leafOffset = append(leafOffset, int32(j))
 			}
 			// Hierarchical from here on: size LeafIDs exactly, from the
 			// leaves of the records still to come.
@@ -183,7 +196,7 @@ func (h *HDG) buildInOrder(records []Record) (bool, error) {
 			for j := i; j < len(records); j++ {
 				rest += len(records[j].Nei)
 			}
-			leafIDs = append(make([]graph.VertexID, 0, i+rest), leafIDs...)
+			leafIDs = slices.Grow(leafIDs, rest)
 		}
 		leafIDs = append(leafIDs, rec.Nei...)
 		if leafOffset != nil {
@@ -335,32 +348,6 @@ func (h *HDG) Hierarchicalize() {
 		h.LeafOffset[i+1] = int32(i + 1)
 	}
 	h.flat = false
-}
-
-// RemapLeaves returns a shallow copy of h whose leaf IDs are rewritten
-// through f. The instance structure (InstOffset, LeafOffset, Roots, schema)
-// is shared with h; only LeafIDs is re-materialised, preserving order so
-// aggregation results stay bit-identical under the remap. The online
-// inference path uses this to re-index a query batch's sub-HDG leaves into
-// the batch's compact feature universe. f returning ok=false aborts with an
-// error naming the unmapped vertex.
-func (h *HDG) RemapLeaves(f func(graph.VertexID) (graph.VertexID, bool)) (*HDG, error) {
-	out := &HDG{
-		Schema:     h.Schema,
-		Roots:      h.Roots,
-		flat:       h.flat,
-		InstOffset: h.InstOffset,
-		LeafOffset: h.LeafOffset,
-		LeafIDs:    make([]graph.VertexID, len(h.LeafIDs)),
-	}
-	for i, v := range h.LeafIDs {
-		m, ok := f(v)
-		if !ok {
-			return nil, fmt.Errorf("hdg: RemapLeaves: no mapping for leaf vertex %d", v)
-		}
-		out.LeafIDs[i] = m
-	}
-	return out, nil
 }
 
 // NumBytes returns the memory footprint of the compact storage (Table 5's

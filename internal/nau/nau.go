@@ -216,6 +216,11 @@ func (c *Context) FlatAdjacency() *engine.Adjacency {
 	return c.flatAdj
 }
 
+// RecycleFlat hands the context spare, a flat adjacency nothing reads any
+// more (FlatAdjacency's result for an earlier HDG), whose storage the next
+// FlatAdjacency refills. Call it after InvalidateHDG.
+func (c *Context) RecycleFlat(spare *engine.Adjacency) { c.spareFlat = spare }
+
 // SetGraphAdjacency overrides the 1-hop adjacency; the distributed runtime
 // installs each worker's local-root view here.
 func (c *Context) SetGraphAdjacency(adj *engine.Adjacency) {

@@ -209,32 +209,60 @@ func section[T int32 | float32](s []T, n int) []T {
 }
 
 // bulkMessages recycles the messages transports decode feature and partial
-// frames into — the [rows, dim] payloads of every layer's exchange, whose
-// sections are the only large allocation on the receive path. A consumer
-// that has folded such a message hands it back with Release; one that does
-// not (the data plane's gathers, tests) leaves it to the GC as before. Other
-// kinds never draw from the pool, so a small frame cannot walk away with a
-// large message's sections.
-var bulkMessages = sync.Pool{New: func() any { return new(Message) }}
+// frames into — the [rows, dim] payloads of every layer's exchange — and
+// gradMessages those of gradient frames, the all-reduce's ring chunks: the
+// sections of both are the only large allocations on the receive path. The
+// two are kept apart so a ring chunk cannot take a layer payload's section
+// and leave the next payload to allocate its own. A consumer that has folded
+// such a message hands it back with Release; one that does not (the data
+// plane's gathers, the broadcast all-reduce, tests) leaves it to the GC as
+// before. Other kinds never draw from a pool, so a small frame cannot walk
+// away with a large message's sections.
+var (
+	bulkMessages = sync.Pool{New: newMessage}
+	gradMessages = sync.Pool{New: newMessage}
+)
 
-// decodeFrame is the transports' Decode: feature and partial frames land in
-// a recycled message, everything else in a fresh one.
+func newMessage() any { return new(Message) }
+
+// messagePool returns the pool frames of kind k are decoded into, nil for a
+// kind decoded into a fresh message.
+func messagePool(k MsgKind) *sync.Pool {
+	switch k {
+	case KindFeatures, KindPartials:
+		return &bulkMessages
+	case KindGrads:
+		return &gradMessages
+	}
+	return nil
+}
+
+// decodeFrame is the transports' Decode: feature, partial and gradient
+// frames land in a recycled message, everything else in a fresh one.
 func decodeFrame(buf []byte) (*Message, error) {
-	if len(buf) == 0 || (MsgKind(buf[0]) != KindFeatures && MsgKind(buf[0]) != KindPartials) {
+	var pool *sync.Pool
+	if len(buf) > 0 {
+		pool = messagePool(MsgKind(buf[0]))
+	}
+	if pool == nil {
 		return Decode(buf)
 	}
-	m := bulkMessages.Get().(*Message)
+	m := pool.Get().(*Message)
 	if err := DecodeInto(m, buf); err != nil {
-		bulkMessages.Put(m)
+		pool.Put(m)
 		return nil, err
 	}
 	return m, nil
 }
 
-// Release hands a received feature or partial message back to the transports
-// for reuse. The caller must be the message's only holder and must not touch
-// it, or any of its sections, afterwards.
-func (m *Message) Release() { bulkMessages.Put(m) }
+// Release hands a received feature, partial or gradient message back to the
+// transports for reuse. The caller must be the message's only holder and must
+// not touch it, or any of its sections, afterwards.
+func (m *Message) Release() {
+	if pool := messagePool(m.Kind); pool != nil {
+		pool.Put(m)
+	}
+}
 
 // PackBytes packs an arbitrary byte payload into an []int32 section (4
 // bytes per word, little-endian, zero-padded). KindTelemetry uses it to

@@ -14,11 +14,18 @@ import (
 // sub-level (c is reused across layers and batches; everything cached from
 // the previous plan is dropped) and runs the layer there. x holds the
 // previous layer's activations of In; the result has one row per Out vertex.
+// The flat level a flat sub-HDG aggregates through stays with the plan, and
+// the plan's next Run — after Expand rebuilt it — refills its storage.
 func (p *LayerPlan) Run(c *nau.Context, probe nau.Probe, l int, layer nau.Layer, x *nn.Value, cancel func() error) (*nn.Value, error) {
 	c.InvalidateHDG(p.Sub)
+	c.RecycleFlat(p.flat)
 	c.SetGraphAdjacency(p.Adj)
 	c.NumFeatureRows = len(p.In)
-	return c.RunLayer(probe, l, layer, x, len(p.Out), cancel)
+	out, err := c.RunLayer(probe, l, layer, x, len(p.Out), cancel)
+	if err == nil && p.Sub != nil && p.Sub.IsFlat() {
+		p.flat = c.FlatAdjacency() // built by the aggregation: a lookup
+	}
+	return out, err
 }
 
 // Forward runs a NAU model over a layered batch with autograd intact: layer
@@ -29,21 +36,22 @@ func (p *LayerPlan) Run(c *nau.Context, probe nau.Probe, l int, layer nau.Layer,
 // the prefix of layer l-1's outputs), no inter-layer gather is needed
 // beyond the identity-prefix self gather the layer step already does.
 func Forward(model *nau.Model, eng *engine.Engine, g *graph.Graph, b *Batch, rng *tensor.RNG, train bool) (*nn.Value, error) {
-	return ForwardWith(nau.Probe{}, model, eng, g, b, rng, train)
+	return ForwardWith(&nau.Context{Graph: g, Engine: eng, RNG: rng, Train: train}, nau.Probe{}, model, b)
 }
 
-// ForwardWith is Forward reporting each layer's stage time and spans to
+// ForwardWith is Forward on the caller's context c (Graph, Engine, RNG and
+// Train set; reused batch after batch, since Run drops whatever c cached
+// from the previous plan), reporting each layer's stage time and spans to
 // probe.
-func ForwardWith(probe nau.Probe, model *nau.Model, eng *engine.Engine, g *graph.Graph, b *Batch, rng *tensor.RNG, train bool) (*nn.Value, error) {
+func ForwardWith(c *nau.Context, probe nau.Probe, model *nau.Model, b *Batch) (*nn.Value, error) {
 	if len(b.Plans) != len(model.Layers) {
 		return nil, fmt.Errorf("store: batch has %d layer plans, model has %d layers",
 			len(b.Plans), len(model.Layers))
 	}
-	ctx := &nau.Context{Graph: g, Engine: eng, RNG: rng, Train: train}
 	x := nn.Constant(b.Feats)
 	for l, layer := range model.Layers {
 		var err error
-		if x, err = b.Plans[l].Run(ctx, probe, l, layer, x, nil); err != nil {
+		if x, err = b.Plans[l].Run(c, probe, l, layer, x, nil); err != nil {
 			return nil, err
 		}
 	}

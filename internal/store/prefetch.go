@@ -35,7 +35,9 @@ type SamplerOptions struct {
 	// Select overrides GraphStore.Sample for HDG extraction. It receives
 	// the epoch, the batch index and the layer frontier; batches may be
 	// materialised out of order, so Select must be concurrency-safe and
-	// must not derive randomness from call order.
+	// must not derive randomness from call order. Unlike Sample, it is
+	// called for every frontier: its records may depend on the batch, so
+	// the sampler's per-epoch selection memo does not apply to them.
 	Select func(epoch, index int, frontier []graph.VertexID) ([]hdg.Record, error)
 	// Seed is the run seed; each epoch's selection seed is
 	// EpochSeed(Seed, epoch).
@@ -73,6 +75,9 @@ type LayerPlan struct {
 	Adj *engine.Adjacency
 	// Sub is the leaf-remapped sub-HDG for HDG layers (nil for DNFA).
 	Sub *hdg.HDG
+	// flat is the flat level Run last aggregated Sub through; its storage
+	// is the next Run's.
+	flat *engine.Adjacency
 }
 
 // Batch is one fully materialised training batch: the dependency structure
@@ -110,13 +115,61 @@ type Batch struct {
 // Sampler materialises training batches through a GraphStore and a
 // FeatureStore, optionally prefetching ahead of the trainer. The same
 // Sampler serves any number of sequential epochs.
+//
+// What an epoch needs besides its batches — a selection memo per stream, a
+// universe and buffers per worker — is kept on free lists and reused by the
+// next epoch, and so are the batches a trainer hands back (Stream.Release).
 type Sampler struct {
 	gs   GraphStore
 	fs   FeatureStore
 	opts SamplerOptions
 
+	memos     freeList[memo]
+	scratches freeList[scratch]
+	batches   freeList[Batch]
+
 	waitHist   *metrics.Histogram
 	depthGauge *metrics.Gauge
+}
+
+// freeList keeps objects nothing reads any more for reuse.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+// get returns a kept object, or nil when there is none.
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.items) == 0 {
+		return nil
+	}
+	x := f.items[len(f.items)-1]
+	f.items = f.items[:len(f.items)-1]
+	return x
+}
+
+func (f *freeList[T]) put(x *T) {
+	f.mu.Lock()
+	f.items = append(f.items, x)
+	f.mu.Unlock()
+}
+
+// scratch is one sampler worker's reusable state: its universe and the
+// memo's per-call buffers.
+type scratch struct {
+	u      *Universe
+	misses []graph.VertexID
+	counts []int32
+	recs   []hdg.Record
+}
+
+func (s *Sampler) getScratch() *scratch {
+	if sc := s.scratches.get(); sc != nil {
+		return sc
+	}
+	return &scratch{u: NewUniverse(s.gs.NumVertices())}
 }
 
 // NewSampler builds a sampler over the given stores.
@@ -147,13 +200,17 @@ type Stream struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// memo holds the epoch's selections (nil when no layer selects
+	// through Sample, and once the stream is closed).
+	memo *memo
+
 	// Pipelined mode.
 	out chan result
 	wg  sync.WaitGroup
 
 	// Synchronous mode (Depth <= 0).
 	sync      bool
-	u         *Universe
+	sc        *scratch
 	epoch     int
 	epochSeed uint64
 	batches   [][]graph.VertexID
@@ -177,8 +234,14 @@ func (s *Sampler) Epoch(ctx context.Context, epoch int, batches [][]graph.Vertex
 		epochSeed: EpochSeed(s.opts.Seed, epoch),
 		batches:   batches,
 	}
+	// Only HDG layers selected through Sample consult the memo.
+	if s.opts.Hops <= 0 && s.opts.Schema != nil && s.opts.Select == nil {
+		if st.memo = s.memos.get(); st.memo == nil {
+			st.memo = newMemo(s.gs.NumVertices())
+		}
+	}
 	if s.opts.Depth <= 0 {
-		st.sync, st.u = true, NewUniverse(s.gs.NumVertices())
+		st.sync, st.sc = true, s.getScratch()
 		return st
 	}
 
@@ -217,9 +280,10 @@ func (s *Sampler) Epoch(ctx context.Context, epoch int, batches [][]graph.Vertex
 		st.wg.Add(1)
 		go func() {
 			defer st.wg.Done()
-			u := NewUniverse(s.gs.NumVertices()) // this worker's own
+			sc := s.getScratch() // this worker's own
+			defer s.scratches.put(sc)
 			for i := range jobs {
-				b, err := s.materialize(ictx, u, epoch, st.epochSeed, i, batches[i])
+				b, err := st.materialize(sc, i)
 				slots[i] <- result{b, err} // cap 1: never blocks
 				if err != nil {
 					return
@@ -268,7 +332,7 @@ func (st *Stream) Next() (*Batch, error) {
 			st.err = io.EOF
 			return nil, io.EOF
 		}
-		b, err := st.s.materialize(st.ctx, st.u, st.epoch, st.epochSeed, st.next, st.batches[st.next])
+		b, err := st.materialize(st.sc, st.next)
 		if err != nil {
 			st.fail(err)
 			return nil, err
@@ -317,6 +381,20 @@ func (st *Stream) fail(err error) {
 	st.cancel()
 }
 
+// Release hands back a batch the caller is done with: a later batch of this
+// sampler rebuilds its plans and root rows in place and takes its feature
+// buffer, so nothing may read b, or anything taken from it,
+// afterwards. Releasing is optional — a batch never released is garbage like
+// any other — and a nil b is ignored.
+func (st *Stream) Release(b *Batch) {
+	if b == nil {
+		return
+	}
+	tensor.Recycle(b.Feats)
+	b.Feats = nil
+	st.s.batches.put(b)
+}
+
 // Close cancels outstanding materialisations and waits for every pipeline
 // goroutine to drain. It never blocks on the trainer: workers park results
 // in per-batch slots and exit on cancellation.
@@ -327,31 +405,45 @@ func (st *Stream) Close() {
 		for range st.out {
 		}
 		st.wg.Wait()
+	} else if st.sc != nil {
+		st.s.scratches.put(st.sc)
+		st.sc = nil
+	}
+	if st.memo != nil {
+		// No worker is left to read it.
+		st.memo.reset()
+		st.s.memos.put(st.memo)
+		st.memo = nil
 	}
 	if st.err == nil {
 		st.err = context.Canceled
 	}
 }
 
-// materialize builds one self-contained batch: dependency structure first
+// materialize builds batch idx of the stream's schedule, self-contained, in
+// a released batch's storage when there is one: dependency structure first
 // (CatSample "sample" span), then the feature/label gather over the batch
-// universe (CatSample "gather" span). u is the calling goroutine's scratch
-// index.
-func (s *Sampler) materialize(ctx context.Context, u *Universe, epoch int, epochSeed uint64, idx int, roots []graph.VertexID) (*Batch, error) {
-	b := &Batch{Epoch: epoch, Index: idx, Roots: roots}
-	span := s.opts.Tracer.Begin(s.opts.Rank, int32(epoch), int32(idx), trace.CatSample, "sample")
+// universe (CatSample "gather" span). sc is the calling goroutine's scratch.
+func (st *Stream) materialize(sc *scratch, idx int) (*Batch, error) {
+	s, ctx := st.s, st.ctx
+	b := s.batches.get()
+	if b == nil {
+		b = new(Batch)
+	}
+	b.Epoch, b.Index, b.Roots = st.epoch, idx, st.batches[idx]
+	span := s.opts.Tracer.Begin(s.opts.Rank, int32(st.epoch), int32(idx), trace.CatSample, "sample")
 	var err error
 	if s.opts.Hops > 0 {
 		err = s.extractKHop(ctx, b)
 	} else {
-		err = s.extractLayered(ctx, u, epoch, epochSeed, idx, b)
+		err = st.extractLayered(sc, b)
 	}
 	span.End()
 	if err != nil {
 		return nil, err
 	}
 
-	gspan := s.opts.Tracer.Begin(s.opts.Rank, int32(epoch), int32(idx), trace.CatSample, "gather")
+	gspan := s.opts.Tracer.Begin(s.opts.Rank, int32(st.epoch), int32(idx), trace.CatSample, "gather")
 	fs, err := s.fs.Gather(ctx, b.In)
 	gspan.End()
 	if err != nil {
@@ -381,30 +473,34 @@ func (s *Sampler) extractKHop(ctx context.Context, b *Batch) error {
 }
 
 // extractLayered builds per-layer plans top-down from the roots: layer l's
-// input universe is layer l-1's output frontier.
-func (s *Sampler) extractLayered(ctx context.Context, u *Universe, epoch int, epochSeed uint64, idx int, b *Batch) error {
+// input universe is layer l-1's output frontier. A recycled batch's plans
+// are rebuilt in place.
+func (st *Stream) extractLayered(sc *scratch, b *Batch) error {
+	s, idx := st.s, b.Index
 	L := s.opts.Layers
 	if L <= 0 {
 		L = 1
 	}
 	sel := func(frontier []graph.VertexID) ([]hdg.Record, error) {
 		if s.opts.Select != nil {
-			return s.opts.Select(epoch, idx, frontier)
+			return s.opts.Select(st.epoch, idx, frontier)
 		}
-		return s.gs.Sample(ctx, frontier, epochSeed)
+		return st.memo.sample(st.ctx, s.gs, st.epochSeed, frontier, sc)
 	}
-	b.Plans = make([]LayerPlan, L)
+	if len(b.Plans) != L {
+		b.Plans = make([]LayerPlan, L)
+	}
 	frontier := b.Roots
 	for l := L - 1; l >= 0; l-- {
-		if err := Expand(ctx, s.gs, s.opts.Schema, u, frontier, sel, &b.Plans[l]); err != nil {
+		if err := Expand(st.ctx, s.gs, s.opts.Schema, sc.u, frontier, sel, &b.Plans[l]); err != nil {
 			return err
 		}
 		frontier = b.Plans[l].In
 	}
 	b.In = b.Plans[0].In
-	b.RootRows = make([]int32, len(b.Roots))
-	for i := range b.RootRows {
-		b.RootRows[i] = int32(i) // roots are the prefix of every layer's In
+	b.RootRows = b.RootRows[:0]
+	for i := range b.Roots {
+		b.RootRows = append(b.RootRows, int32(i)) // roots are the prefix of every layer's In
 	}
 	if L == 1 {
 		b.Adj = b.Plans[0].Adj
@@ -423,9 +519,10 @@ func (s *Sampler) extractLayered(ctx context.Context, u *Universe, epoch int, ep
 // bit-identical to whole-graph execution.
 //
 // u is the caller's scratch index (reset here). Whatever p held is dead after
-// the call — its In and adjacency arrays are rebuilt in place, so expanding
-// batch after batch into the same plan stops allocating; a zero p gets
-// storage of its own.
+// the call — its In, adjacency and sub-HDG arrays are rebuilt in place, so
+// expanding batch after batch into the same plan stops allocating; a zero p
+// gets storage of its own. The records sel returns are copied, so they may
+// alias storage sel reuses on its next call.
 func Expand(ctx context.Context, gs GraphStore, schema *hdg.SchemaTree, u *Universe, out []graph.VertexID,
 	sel func(frontier []graph.VertexID) ([]hdg.Record, error), p *LayerPlan) error {
 	err := u.Reset(p.In, out)
@@ -442,7 +539,7 @@ func Expand(ctx context.Context, gs GraphStore, schema *hdg.SchemaTree, u *Unive
 		if err != nil {
 			return err
 		}
-		h, err := hdg.Build(schema, out, recs)
+		h, err := hdg.BuildInto(p.Sub, schema, out, recs)
 		if err != nil {
 			return err
 		}
@@ -451,10 +548,10 @@ func Expand(ctx context.Context, gs GraphStore, schema *hdg.SchemaTree, u *Unive
 			// driver; force that shape even for degenerate batches.
 			h.Hierarchicalize()
 		}
-		p.Adj = nil
-		if p.Sub, err = u.SubHDG(h); err != nil {
+		if err := u.SubHDG(h); err != nil {
 			return err
 		}
+		p.Adj, p.Sub = nil, h
 	}
 	p.In = u.Vertices()
 	p.Out = p.In[:len(out):len(out)]

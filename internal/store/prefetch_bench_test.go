@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/hdg"
+	"repro/internal/nau"
 	"repro/internal/rpc"
 )
 
@@ -139,10 +140,10 @@ func BenchmarkPrefetchOverlap(b *testing.B) {
 
 // BenchmarkExpand times store.Expand alone — the frontier expansion the
 // sampler and the serve planner share — over 64-vertex frontiers of
-// TwitterLike x0.25. inedges is the DNFA expansion as the serve executor
-// drives it (one universe and one plan, rebuilt in place); subhdg is the HDG
-// expansion as a sampler worker drives it (its own universe, a fresh plan per
-// batch, because the batch outlives the call).
+// TwitterLike x0.25, with sel calling Sample directly. inedges is the DNFA
+// expansion as the serve executor drives it (one universe and one plan,
+// rebuilt in place); subhdg is the HDG expansion as a sampler worker drives
+// it (its own universe, and the plan of a released batch rebuilt in place).
 func BenchmarkExpand(b *testing.B) {
 	d, err := dataset.ByName("twitter", dataset.Config{Scale: 0.25, Seed: 1})
 	if err != nil {
@@ -156,15 +157,11 @@ func BenchmarkExpand(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		schema *hdg.SchemaTree
-		reuse  bool
-	}{{"inedges", nil, true}, {"subhdg", schema, false}} {
+	}{{"inedges", nil}, {"subhdg", schema}} {
 		b.Run(c.name, func(b *testing.B) {
 			u := NewUniverse(n)
 			var p LayerPlan
 			expand := func(i int) {
-				if !c.reuse {
-					p = LayerPlan{}
-				}
 				if err := Expand(context.Background(), l, c.schema, u, frontiers[i%len(frontiers)], sel, &p); err != nil {
 					b.Fatal(err)
 				}
@@ -179,4 +176,48 @@ func BenchmarkExpand(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSamplerEpoch times one rank's sampler epoch at the
+// cluster_pinsage_k2_minibatch shape: TwitterLike x0.2 (2400 vertices), the
+// first 1200 of them as roots in batches of 128, two PinSage layers (10 walks
+// x 3 hops, top 10), synchronous (Depth 0), every batch released after use as
+// the cluster worker releases it. The epoch's selection memo asks the store
+// once per distinct vertex; the released batches, the memo and the worker's
+// universe are reused by the next epoch, so what an epoch allocates is the
+// store's records for its distinct selections.
+func BenchmarkSamplerEpoch(b *testing.B) {
+	d, err := dataset.ByName("twitter", dataset.Config{Scale: 0.2, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	schema := hdg.NewSchemaTree("vertex")
+	l := NewLocal(LocalConfig{
+		Graph: d.Graph, Features: d.Features, Labels: d.Labels, TrainMask: d.TrainMask,
+		Schema: schema, UDF: nau.RandomWalkUDF(10, 3, 10),
+	})
+	batches := batchesOf(d, 1200, 128)
+	b.Run("pinsage", func(b *testing.B) {
+		s := NewSampler(l, l, SamplerOptions{Layers: 2, Schema: schema, Seed: 1})
+		epoch := func(e int) {
+			st := s.Epoch(context.Background(), e, batches)
+			defer st.Close()
+			for {
+				bt, err := st.Next()
+				if errors.Is(err, io.EOF) {
+					return
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				st.Release(bt)
+			}
+		}
+		epoch(0) // grow the reused storage to its steady state
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			epoch(i + 1)
+		}
+	})
 }

@@ -39,7 +39,12 @@ type GraphStore interface {
 	// Sample runs the store's configured neighbor UDF over the roots with
 	// per-vertex seeds derived from (epochSeed, root), so a vertex's
 	// records do not depend on which batch it arrived in — the property
-	// that makes prefetch order unable to change training results.
+	// that makes prefetch order unable to change training results. The
+	// Sampler leans on it harder: it asks once per vertex and epoch and
+	// reuses the records in every frontier that reaches the vertex, so they
+	// must be a pure function of (epochSeed, vertex). Records come back
+	// grouped by root, roots in request order (what nau.SelectRecords
+	// emits); the caller owns them.
 	Sample(ctx context.Context, roots []graph.VertexID, epochSeed uint64) ([]hdg.Record, error)
 	// KHopInduced returns the sorted k-hop out-expansion of the roots and
 	// the in-edge adjacency of the subgraph induced on it — the

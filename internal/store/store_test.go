@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hdg"
+	"repro/internal/nau"
 	"repro/internal/rpc"
 	"repro/internal/tensor"
 )
@@ -139,7 +140,8 @@ func TestUniverseOrdering(t *testing.T) {
 // TestUniverseReuseMatchesFresh: a universe reused across 1000 random
 // frontiers (its generation counter wrapping on the way, its buffers and
 // adjacency arrays recycled) yields exactly the In, Adj and SubHDG of a
-// universe made fresh for each.
+// universe made fresh for each, and SubHDG gives the new leaves the rows of
+// LeafVertexSet's sorted order.
 func TestUniverseReuseMatchesFresh(t *testing.T) {
 	d, l := testLocal(t, 1)
 	n := d.Graph.NumVertices()
@@ -179,16 +181,29 @@ func TestUniverseReuseMatchesFresh(t *testing.T) {
 			for _, v := range frontier {
 				recs = append(recs, hdg.Record{Root: v, Nei: d.Graph.InNeighbors(v)})
 			}
-			h, err := hdg.Build(schema, frontier, recs)
+			want, err := hdg.Build(schema, frontier, recs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.SubHDG(h)
+			got, err := hdg.Build(schema, frontier, recs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := reused.SubHDG(h)
-			if err != nil {
+			// The rows LeafVertexSet's sorted order gives: the frontier,
+			// then every other leaf ascending.
+			rows := slices.Clone(frontier)
+			for _, v := range want.LeafVertexSet() {
+				if !slices.Contains(frontier, v) {
+					rows = append(rows, v)
+				}
+			}
+			if err := fresh.SubHDG(want); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(fresh.Vertices(), rows) {
+				t.Fatalf("trial %d: sub-HDG rows %v, want %v", trial, fresh.Vertices(), rows)
+			}
+			if err := reused.SubHDG(got); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got.LeafIDs, want.LeafIDs) {
@@ -430,6 +445,88 @@ func TestSamplerDepthAndWorkerInvariance(t *testing.T) {
 			}
 			requireSameBatches(t, ref, got)
 			_ = mi
+		}
+	}
+}
+
+// TestSamplerMemoMatchesDirectSample is the selection memo's oracle: every
+// plan of every batch the memoised sampler delivers — In, Out and the
+// sub-HDG's arrays — equals store.Expand over the same frontiers with sel
+// calling Sample directly, at Depth 0 and at Depth 2 with three workers
+// sharing the memo, over a Local store (one-leaf random-walk instances and
+// two-leaf instances) and a Remote one. Three epochs run on one sampler, so
+// each epoch's memo is the previous one reset: a selection that leaked
+// across the boundary would match the wrong epoch's reference. Every batch
+// is released after the check, so later batches are rebuilt in recycled
+// storage.
+func TestSamplerMemoMatchesDirectSample(t *testing.T) {
+	d, l := testLocal(t, 17)
+	walks := NewLocal(LocalConfig{
+		Graph: d.Graph, Features: d.Features, Labels: d.Labels, TrainMask: d.TrainMask,
+		Schema: hdg.NewSchemaTree("vertex"), UDF: nau.RandomWalkUDF(4, 2, 3),
+	})
+	ctx := context.Background()
+	schema := hdg.NewSchemaTree("vertex")
+	batches := batchesOf(d, 96, 16)
+	const layers, seed = 2, 19
+	for name, gs := range map[string]GraphStore{
+		"local-walks": walks,
+		"local-pairs": l,
+		"remote":      remotePair(t, l, RemoteOptions{Window: 4}),
+	} {
+		for _, cfg := range []struct{ depth, workers int }{{0, 1}, {2, 3}} {
+			s := NewSampler(gs, l, SamplerOptions{Layers: layers, Schema: schema, Seed: seed,
+				Depth: cfg.depth, Workers: cfg.workers})
+			var firstEpoch [][]graph.VertexID // each batch's layer-0 In in epoch 0
+			for epoch := 0; epoch < 3; epoch++ {
+				direct := func(f []graph.VertexID) ([]hdg.Record, error) {
+					return gs.Sample(ctx, f, EpochSeed(seed, epoch))
+				}
+				moved := false
+				st := s.Epoch(ctx, epoch, batches)
+				for i := 0; ; i++ {
+					b, err := st.Next()
+					if errors.Is(err, io.EOF) {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					u := NewUniverse(d.Graph.NumVertices())
+					want := make([]LayerPlan, layers)
+					frontier := batches[i]
+					for li := layers - 1; li >= 0; li-- {
+						if err := Expand(ctx, gs, schema, u, frontier, direct, &want[li]); err != nil {
+							t.Fatal(err)
+						}
+						frontier = want[li].In
+					}
+					for li := range want {
+						w, g := want[li], b.Plans[li]
+						if !slices.Equal(w.In, g.In) || !slices.Equal(w.Out, g.Out) ||
+							!slices.Equal(w.Sub.Roots, g.Sub.Roots) || w.Sub.IsFlat() != g.Sub.IsFlat() ||
+							!slices.Equal(w.Sub.InstOffset, g.Sub.InstOffset) ||
+							!slices.Equal(w.Sub.LeafOffset, g.Sub.LeafOffset) ||
+							!slices.Equal(w.Sub.LeafIDs, g.Sub.LeafIDs) {
+							t.Fatalf("%s depth %d epoch %d batch %d layer %d: memoised plan differs from direct Sample",
+								name, cfg.depth, epoch, i, li)
+						}
+					}
+					if !slices.Equal(b.In, want[0].In) || len(b.Labels) != len(b.In) || b.Feats.Rows() != len(b.In) {
+						t.Fatalf("%s depth %d epoch %d batch %d: universe or gathered rows differ", name, cfg.depth, epoch, i)
+					}
+					if epoch == 0 {
+						firstEpoch = append(firstEpoch, slices.Clone(want[0].In))
+					} else {
+						moved = moved || !slices.Equal(firstEpoch[i], want[0].In)
+					}
+					st.Release(b)
+				}
+				st.Close()
+				if epoch > 0 && !moved {
+					t.Fatalf("%s: epoch %d selects what epoch 0 did: the check cannot tell epochs apart", name, epoch)
+				}
+			}
 		}
 	}
 }

@@ -25,6 +25,8 @@ type Universe struct {
 	in    []graph.VertexID
 	slots []slot
 	gen   uint32
+	// fresh is SubHDG's scratch: the leaves new to the universe.
+	fresh []graph.VertexID
 }
 
 type slot struct {
@@ -105,21 +107,33 @@ func (u *Universe) InEdgeAdjacency(ctx context.Context, gs GraphStore, dsts []gr
 	return adj, nil
 }
 
-// SubHDG appends h's leaf vertices to the universe (in LeafVertexSet's
-// sorted order, keeping leaf processing deterministic) and returns h with
-// its leaves remapped to universe rows. Instance structure and per-instance
-// leaf order are untouched — hdg.RemapLeaves only rewrites IDs — so
-// aggregation over the sub-HDG reduces in exactly the whole-graph order.
-func (u *Universe) SubHDG(h *hdg.HDG) (*hdg.HDG, error) {
-	for _, v := range h.LeafVertexSet() {
-		u.Add(v)
+// SubHDG appends h's leaf vertices that are not in the universe yet, in
+// ascending ID order (the rows LeafVertexSet's sorted order gives, keeping
+// leaf processing deterministic), and rewrites h's leaves in place to their
+// universe rows. Only the new leaves are sorted: a leaf already present — a
+// frontier vertex, or one an earlier leaf added — keeps its row. Instance
+// structure and per-instance leaf order are untouched, so aggregation over
+// the sub-HDG reduces in exactly the whole-graph order. After an error the
+// universe must be Reset.
+func (u *Universe) SubHDG(h *hdg.HDG) error {
+	fresh := u.fresh[:0]
+	for _, v := range h.LeafIDs {
+		if uint(v) >= uint(len(u.slots)) {
+			return fmt.Errorf("store: leaf vertex %d not in [0,%d)", v, len(u.slots))
+		}
+		if s := &u.slots[v]; s.gen != u.gen {
+			*s = slot{gen: u.gen} // marked; its row is assigned below
+			fresh = append(fresh, v)
+		}
 	}
-	sub, err := h.RemapLeaves(func(v graph.VertexID) (graph.VertexID, bool) {
-		row := u.Add(v) // a lookup: every leaf has its row by now
-		return row, row >= 0
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: remap leaves: %w", err)
+	slices.Sort(fresh)
+	for _, v := range fresh {
+		u.slots[v].row = int32(len(u.in))
+		u.in = append(u.in, v)
 	}
-	return sub, nil
+	u.fresh = fresh
+	for i, v := range h.LeafIDs {
+		h.LeafIDs[i] = u.slots[v].row
+	}
+	return nil
 }
