@@ -9,10 +9,15 @@ import (
 
 // resumeTrainer builds a fresh deterministic trainer; calling it twice with
 // the same arguments simulates two independent processes starting from the
-// same seed.
-func resumeTrainer(cache CachePolicy, newOpt func([]*nn.Value) nn.Optimizer) *Trainer {
+// same seed. walk gives the first layer PinSage's selection over a graph
+// whose walks differ between epochs.
+func resumeTrainer(cache CachePolicy, newOpt func([]*nn.Value) nn.Optimizer, walk bool) *Trainer {
 	g := ringGraph(32)
 	rng := tensor.NewRNG(50)
+	var first Layer = newDummyLayer(4, 8, true, rng)
+	if walk {
+		g, first = trickyGraph(32, 5), newWalkLayer(4, 8, true, rng)
+	}
 	feats := tensor.RandN(rng, 1, 32, 4)
 	labels := make([]int32, 32)
 	for i := range labels {
@@ -21,7 +26,7 @@ func resumeTrainer(cache CachePolicy, newOpt func([]*nn.Value) nn.Optimizer) *Tr
 	}
 	m := &Model{
 		Name:   "dummy",
-		Layers: []Layer{newDummyLayer(4, 8, true, rng), newDummyLayer(8, 2, false, rng)},
+		Layers: []Layer{first, newDummyLayer(8, 2, false, rng)},
 		Cache:  cache,
 	}
 	return NewTrainerWith(m, TrainerOptions{
@@ -34,7 +39,9 @@ func resumeTrainer(cache CachePolicy, newOpt func([]*nn.Value) nn.Optimizer) *Tr
 // file + N−k more epochs must produce bit-identical per-epoch losses and
 // final parameters. Covered for both optimizers and both cache policies
 // (CachePerEpoch re-consumes the trainer RNG stream every epoch, so it
-// exercises the RNGS section; CacheForever exercises the plain path).
+// exercises the RNGS section; CacheForever exercises the plain path), and
+// for PinSage's selection, whose next HDG each epoch selects ahead: the
+// restored trainer has none and selects its first one itself.
 func TestTrainerResumeParity(t *testing.T) {
 	const split, total = 3, 6
 	adam := func(p []*nn.Value) nn.Optimizer { return nn.NewAdam(p, 0.02) }
@@ -43,16 +50,18 @@ func TestTrainerResumeParity(t *testing.T) {
 		name   string
 		cache  CachePolicy
 		newOpt func([]*nn.Value) nn.Optimizer
+		walk   bool
 	}{
-		{"adam/per-epoch", CachePerEpoch, adam},
-		{"adam/forever", CacheForever, adam},
-		{"sgd/per-epoch", CachePerEpoch, sgd},
-		{"sgd/forever", CacheForever, sgd},
+		{"adam/per-epoch", CachePerEpoch, adam, false},
+		{"adam/forever", CacheForever, adam, false},
+		{"sgd/per-epoch", CachePerEpoch, sgd, false},
+		{"sgd/forever", CacheForever, sgd, false},
+		{"adam/pinsage", CachePerEpoch, adam, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Reference: uninterrupted run.
-			ref := resumeTrainer(tc.cache, tc.newOpt)
+			ref := resumeTrainer(tc.cache, tc.newOpt, tc.walk)
 			var refLosses []float32
 			for e := 0; e < total; e++ {
 				loss, err := ref.Epoch()
@@ -65,7 +74,7 @@ func TestTrainerResumeParity(t *testing.T) {
 			// Interrupted run: k epochs, checkpoint, then a fresh trainer
 			// (fresh process) restores and finishes.
 			path := t.TempDir() + "/resume.fgck"
-			first := resumeTrainer(tc.cache, tc.newOpt)
+			first := resumeTrainer(tc.cache, tc.newOpt, tc.walk)
 			for e := 0; e < split; e++ {
 				loss, err := first.Epoch()
 				if err != nil {
@@ -79,7 +88,7 @@ func TestTrainerResumeParity(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			second := resumeTrainer(tc.cache, tc.newOpt)
+			second := resumeTrainer(tc.cache, tc.newOpt, tc.walk)
 			if err := second.LoadCheckpoint(path); err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +115,7 @@ func TestTrainerResumeParity(t *testing.T) {
 // whose model has different shapes must fail with a typed error, not corrupt
 // the weights.
 func TestTrainerResumeRejectsWrongModel(t *testing.T) {
-	tr := resumeTrainer(CacheForever, nil)
+	tr := resumeTrainer(CacheForever, nil, false)
 	if _, err := tr.Epoch(); err != nil {
 		t.Fatal(err)
 	}

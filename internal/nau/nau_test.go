@@ -192,49 +192,6 @@ func dummyTrainer(t *testing.T, cache CachePolicy) *Trainer {
 	return NewTrainerWith(m, TrainerOptions{Graph: g, Features: feats, Labels: labels, Seed: 51})
 }
 
-// TestSamplerWorkersBitwiseInvariant pins the TrainerOptions.SamplerWorkers
-// contract: bounding neighbor selection's fan-out never changes the records
-// (seeds are pre-split per root), so training losses are bit-identical at
-// every setting.
-func TestSamplerWorkersBitwiseInvariant(t *testing.T) {
-	run := func(workers int) []float32 {
-		g := ringGraph(32)
-		rng := tensor.NewRNG(50)
-		feats := tensor.RandN(rng, 1, 32, 4)
-		labels := make([]int32, 32)
-		for i := range labels {
-			labels[i] = int32(i / 16)
-			feats.Set(feats.At(i, int(labels[i]))+2, i, int(labels[i]))
-		}
-		m := &Model{
-			Name:   "dummy",
-			Layers: []Layer{newDummyLayer(4, 8, true, rng), newDummyLayer(8, 2, false, rng)},
-			Cache:  CachePerEpoch,
-		}
-		tr := NewTrainerWith(m, TrainerOptions{
-			Graph: g, Features: feats, Labels: labels, Seed: 51, SamplerWorkers: workers,
-		})
-		var losses []float32
-		for e := 0; e < 3; e++ {
-			loss, err := tr.Epoch()
-			if err != nil {
-				t.Fatal(err)
-			}
-			losses = append(losses, loss)
-		}
-		return losses
-	}
-	ref := run(0)
-	for _, workers := range []int{1, 3} {
-		got := run(workers)
-		for e := range ref {
-			if got[e] != ref[e] {
-				t.Fatalf("workers=%d epoch %d: loss %v != unbounded loss %v", workers, e, got[e], ref[e])
-			}
-		}
-	}
-}
-
 func TestTrainerEpochAndEvaluate(t *testing.T) {
 	tr := dummyTrainer(t, CacheForever)
 	if tr.Engine.Strategy != engine.StrategyHA {

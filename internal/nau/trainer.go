@@ -3,6 +3,8 @@ package nau
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -58,9 +60,6 @@ type Trainer struct {
 	// Tracer records NAU stage spans (select/aggregate/update/backward)
 	// with rank 0; nil leaves tracing off at ~1 ns per site.
 	Tracer *trace.Tracer
-	// SamplerWorkers bounds NeighborSelection's fan-out (<= 0 selects the
-	// kernel parallelism); results are bitwise identical at any setting.
-	SamplerWorkers int
 
 	cachedHDG *hdg.HDG
 	hdgUsed   bool // one training epoch has consumed cachedHDG
@@ -76,6 +75,22 @@ type Trainer struct {
 	seeds  []uint64
 	hdgs   [2]*hdg.HDG
 	flats  [2]*engine.Adjacency
+
+	// ahead is the next epoch's HDG, selected while this one trains (see
+	// selectAhead); aheadDone is what Epoch waits on before it returns.
+	ahead     aheadSelection
+	aheadDone sync.WaitGroup
+}
+
+// aheadSelection is an HDG selected during one Epoch for the next, with what
+// it was selected from: ensureHDG adopts it only while these still describe
+// the trainer.
+type aheadSelection struct {
+	h        *hdg.HDG // nil if selection failed: ensureHDG reselects and reports it
+	graph    *graph.Graph
+	layer    Layer
+	roots    int
+	from, to uint64 // the RNG state its seeds were drawn from, and the one after them
 }
 
 // TrainerOptions configures NewTrainerWith. Graph, Features and Labels are
@@ -107,12 +122,6 @@ type TrainerOptions struct {
 	NewOptimizer func(params []*nn.Value) nn.Optimizer
 	// Tracer records NAU stage spans; nil leaves tracing off.
 	Tracer *trace.Tracer
-	// SamplerWorkers bounds the goroutines NeighborSelection fans the
-	// per-root UDF across; <= 0 selects the kernel parallelism. Results
-	// are bitwise identical at every setting — the bound only limits how
-	// much CPU selection takes from concurrent work (e.g. a training step
-	// it is prefetching ahead of).
-	SamplerWorkers int
 }
 
 // NewTrainerWith wires up a trainer from options.
@@ -132,17 +141,16 @@ func NewTrainerWith(m *Model, o TrainerOptions) *Trainer {
 		opt = nn.NewAdam(m.Parameters(), lr)
 	}
 	return &Trainer{
-		Model:          m,
-		Graph:          o.Graph,
-		Feats:          o.Features,
-		Labels:         o.Labels,
-		Mask:           o.TrainMask,
-		Engine:         eng,
-		Opt:            opt,
-		RNG:            tensor.NewRNG(o.Seed),
-		Breakdown:      &metrics.Breakdown{},
-		Tracer:         o.Tracer,
-		SamplerWorkers: o.SamplerWorkers,
+		Model:     m,
+		Graph:     o.Graph,
+		Feats:     o.Features,
+		Labels:    o.Labels,
+		Mask:      o.TrainMask,
+		Engine:    eng,
+		Opt:       opt,
+		RNG:       tensor.NewRNG(o.Seed),
+		Breakdown: &metrics.Breakdown{},
+		Tracer:    o.Tracer,
 	}
 }
 
@@ -200,18 +208,20 @@ func (t *Trainer) ensureHDG() error {
 		// here, so evaluation never rebuilds).
 		return nil
 	}
-	var h *hdg.HDG
-	var err error
-	defer t.Tracer.Begin(0, int32(t.epoch), 0, trace.CatStage, "select").End()
-	t.Breakdown.Time(metrics.StageNeighborSelection, func() {
-		if len(t.roots) != t.Graph.NumVertices() {
-			t.roots = AllVertices(t.Graph)
+	if len(t.roots) != t.Graph.NumVertices() {
+		t.roots = AllVertices(t.Graph)
+	}
+	h := t.adoptAhead()
+	if h == nil {
+		var err error
+		defer t.Tracer.Begin(0, int32(t.epoch), 0, trace.CatStage, "select").End()
+		t.Breakdown.Time(metrics.StageNeighborSelection, func() {
+			h, err = selectLayer(t.Graph, t.Model.Layers[0], t.roots,
+				splitSeeds(&t.seeds, t.RNG, len(t.roots)), 0, &t.arenas, t.hdgs[0])
+		})
+		if err != nil {
+			return fmt.Errorf("nau: neighbor selection: %w", err)
 		}
-		h, err = selectLayer(t.Graph, t.Model.Layers[0], t.roots,
-			splitSeeds(&t.seeds, t.RNG, len(t.roots)), t.SamplerWorkers, &t.arenas, t.hdgs[0])
-	})
-	if err != nil {
-		return fmt.Errorf("nau: neighbor selection: %w", err)
 	}
 	// The HDG replaced here, and the flat level the context built over it,
 	// stay intact until the next selection writes over them.
@@ -223,6 +233,58 @@ func (t *Trainer) ensureHDG() error {
 	t.hdgs, t.flats = [2]*hdg.HDG{t.hdgs[1], h}, [2]*engine.Adjacency{t.flats[1], nil}
 	t.cachedHDG = h
 	return nil
+}
+
+// selectAhead starts the next epoch's selection in the background, for Epoch
+// to call once its forward has consumed this epoch's HDG; Epoch waits for it
+// before returning, so nothing runs beside the trainer between calls. It
+// draws the seeds the next ensureHDG would draw, from a copy of the RNG, into
+// the trainer's arenas and over hdgs[0] — the HDG two selections old, which
+// nothing reads any more. Selection reads the graph and the seeds, never the
+// parameters the backward pass is writing. It fans out over all Ps but one,
+// which is left to training. Only a first layer of pointer type is selected
+// ahead: adoptAhead compares it, and a pointer compares without panicking.
+func (t *Trainer) selectAhead() {
+	if !t.Model.NeedsHDG() || t.Model.Cache != CachePerEpoch || len(t.roots) != t.Graph.NumVertices() ||
+		reflect.TypeOf(t.Model.Layers[0]).Kind() != reflect.Pointer {
+		return
+	}
+	layer := t.Model.Layers[0]
+	a := &t.ahead
+	*a = aheadSelection{graph: t.Graph, layer: layer, roots: len(t.roots), from: t.RNG.State()}
+	epoch := int32(t.epoch + 1)
+	t.aheadDone.Add(1)
+	go func() {
+		defer t.aheadDone.Done()
+		defer t.Tracer.Begin(0, epoch, 0, trace.CatStage, "select").End()
+		var rng tensor.RNG
+		rng.SetState(a.from)
+		t.Breakdown.Time(metrics.StageNeighborSelection, func() {
+			a.h, _ = selectLayer(a.graph, layer, t.roots,
+				splitSeeds(&t.seeds, &rng, a.roots), max(1, tensor.Parallelism()-1), &t.arenas, t.hdgs[0])
+		})
+		a.to = rng.State()
+	}()
+}
+
+// adoptAhead returns the HDG the last Epoch selected ahead if it is the one
+// selection would build now — its seeds drawn from the RNG's current state,
+// over the same graph, roots and first layer — and moves the RNG past those
+// seeds. Otherwise (the RNG moved since — an Evaluate through a layer that
+// draws from ctx.RNG, a LoadCheckpoint — or the graph or the model changed) it
+// drops it and returns nil, and selection runs here as if there had been none.
+func (t *Trainer) adoptAhead() *hdg.HDG {
+	a := t.ahead
+	t.ahead = aheadSelection{}
+	if a.h == nil {
+		return nil
+	}
+	if a.from != t.RNG.State() || a.graph != t.Graph || a.roots != len(t.roots) || a.layer != t.Model.Layers[0] {
+		t.hdgs[0] = a.h // hdgs[0]'s storage, grown to fit
+		return nil
+	}
+	t.RNG.SetState(a.to)
+	return a.h
 }
 
 // HDG exposes the cached HDGs (nil for DNFA models), e.g. for the Table-5
@@ -279,7 +341,9 @@ func (t *Trainer) ForwardContext(cctx context.Context, train bool) (*nn.Value, e
 }
 
 // Epoch runs one full training epoch (neighbor selection per cache policy,
-// forward, loss, backward, optimizer step) and returns the training loss.
+// forward, loss, backward, optimizer step) and returns the training loss. On
+// a CachePerEpoch model it also selects the next epoch's HDG beside the
+// backward pass (selectAhead), and returns only once that has finished.
 func (t *Trainer) Epoch() (float32, error) {
 	t.epoch++
 	if t.Model.Cache == CachePerEpoch && t.hdgUsed {
@@ -290,6 +354,8 @@ func (t *Trainer) Epoch() (float32, error) {
 		return 0, err
 	}
 	t.hdgUsed = true
+	t.selectAhead()
+	defer t.aheadDone.Wait()
 	loss := nn.CrossEntropy(logits, t.Labels, t.Mask)
 	bspan := t.Tracer.Begin(0, int32(t.epoch), 0, trace.CatStage, "backward")
 	defer bspan.End()
