@@ -173,11 +173,12 @@ cross:
 	GOARCH=arm64 $(GO) build ./...
 
 # A few seconds of native fuzzing per target on top of the committed seed
-# corpora (internal/{tensor,rpc}/testdata/fuzz), which plain `go test` already
-# runs.
+# corpora (internal/{tensor,rpc,nn}/testdata/fuzz), which plain `go test`
+# already runs.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzVecKernelsMatchReference -fuzztime 5s ./internal/tensor/
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 5s ./internal/rpc/
+	$(GO) test -run xxx -fuzz FuzzLoadState -fuzztime 5s ./internal/nn/
 
 # vet's asmdecl pass checks internal/tensor/simd_amd64.s against its Go
 # declarations.

@@ -158,9 +158,13 @@ func Verify(o Options) []Check {
 			diff := math.Abs(float64(res.Losses[0] - refLoss))
 			add(name, diff < 1e-3, "distributed %v vs single %v", res.Losses[0], refLoss)
 		}
-		simRes, err := cluster.SimulateEpoch(reddit, factory, cluster.SimConfig{
+		var simRes *cluster.SimResult
+		sim, err := cluster.NewSimulation(reddit, factory, cluster.SimConfig{
 			NumWorkers: 4, Pipeline: true, Seed: o.Seed,
 		})
+		if err == nil {
+			simRes, err = sim.Epoch()
+		}
 		if err != nil {
 			add("fig15/simulator-forward-exact", false, "%v", err)
 		} else {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,7 +11,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/hdg"
 	"repro/internal/metrics"
 	"repro/internal/nau"
 	"repro/internal/nn"
@@ -329,12 +329,9 @@ func firstEpochError(errs []error) rankedError {
 // newWorker builds one worker over the given transport. Exposed via
 // RunWorker for multi-process TCP deployments.
 func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, tr rpc.Transport) (*worker, error) {
-	p := cfg.Partitioning
-	if p == nil {
-		p = partition.Hash(d.Graph.NumVertices(), cfg.NumWorkers)
-	}
-	if p.K != cfg.NumWorkers {
-		return nil, fmt.Errorf("cluster: partitioning has %d parts, want %d", p.K, cfg.NumWorkers)
+	p, err := partitionFor(d, cfg.Partitioning, cfg.NumWorkers)
+	if err != nil {
+		return nil, err
 	}
 	var roots []graph.VertexID
 	for v, part := range p.Assign {
@@ -398,13 +395,7 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 			tc.OnCollector(w.tele.Collector())
 		}
 	}
-	w.ctx = &nau.Context{
-		Graph:          d.Graph,
-		Engine:         w.eng,
-		NumFeatureRows: d.Graph.NumVertices(),
-		Bottom:         w,
-	}
-	w.ctx.SetGraphAdjacency(localGraphAdjacency(d.Graph, roots))
+	w.ctx = newRankContext(d.Graph, w.eng, roots, w)
 	// The gradient all-reduce's payload: the flattened gradients, then the
 	// loss and the masked count, then k ranks' per-stage seconds.
 	w.gradBuf = make([]float32, nn.NumParams(params)+2+w.k*metrics.StageCount)
@@ -423,14 +414,8 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 		for _, part := range p.Assign {
 			counts[part]++
 		}
-		maxPart := 0
-		for _, c := range counts {
-			if c > maxPart {
-				maxPart = c
-			}
-		}
 		w.mbBatch = bs
-		w.mbRounds = (maxPart + bs - 1) / bs
+		w.mbRounds = (slices.Max(counts) + bs - 1) / bs
 		// The data plane: an in-memory store over the worker's dataset view
 		// plus a prefetching sampler. Layer 0's schema/UDF drive neighbor
 		// selection (all layers of the evaluated models share them); a nil
@@ -474,56 +459,20 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 	return w, nil
 }
 
-// localGraphAdjacency builds the 1-hop in-edge adjacency whose destination
-// rows are the worker's roots (in root order) and whose sources are global
-// vertex IDs.
-func localGraphAdjacency(g *graph.Graph, roots []graph.VertexID) *engine.Adjacency {
-	ptr := make([]int64, len(roots)+1)
-	for i, v := range roots {
-		ptr[i+1] = ptr[i] + int64(g.InDegree(v))
-	}
-	idx := make([]int32, ptr[len(roots)])
-	for i, v := range roots {
-		copy(idx[ptr[i]:ptr[i+1]], g.InNeighbors(v))
-	}
-	return &engine.Adjacency{NumDst: len(roots), NumSrc: g.NumVertices(), DstPtr: ptr, SrcIdx: idx}
-}
-
-// ensureHDG runs NeighborSelection for the worker's local roots when the
-// model's cache policy calls for it.
+// ensureHDG runs NeighborSelection for the worker's roots as the model's
+// cache policy asks: once (CacheForever), every epoch, or never (DNFA).
 func (w *worker) ensureHDG() error {
-	if !needsSelection(w.model, w.localHDG) {
+	m := w.model
+	if !m.NeedsHDG() || (w.ctx.HDG != nil && m.Cache == nau.CacheForever) {
 		return nil
 	}
 	span := w.tracer.Begin(int32(w.rank), w.epoch, 0, trace.CatStage, "select")
 	start := time.Now()
-	h, err := selectSeeded(w.model, w.g, w.roots, w.cfg.Seed, int(w.epoch))
+	err := w.sel.Select(w.ctx, w.g, m.Layers[0], w.roots, store.VertexSeeds(store.EpochSeed(w.cfg.Seed, int(w.epoch))))
 	w.breakdown.Add(metrics.StageNeighborSelection, time.Since(start))
 	span.End()
-	if err != nil {
-		return err
-	}
-	w.localHDG = h
-	w.ctx.InvalidateHDG(h)
-	// HDGs changed: the old adjacency plans are stale.
-	w.plans = make(map[*engine.Adjacency]*exchanged)
-	return nil
-}
-
-// needsSelection applies the model's HDG cache policy at an epoch boundary:
-// DNFA models never select, CacheForever models select once, CachePerEpoch
-// models every epoch.
-func needsSelection(m *nau.Model, have *hdg.HDG) bool {
-	return m.NeedsHDG() && (have == nil || m.Cache != nau.CacheForever)
-}
-
-// selectSeeded builds the epoch's HDG of roots with each root's RNG seeded
-// from (seed, epoch, root), making the selection independent of partitioning
-// and worker count.
-func selectSeeded(m *nau.Model, g *graph.Graph, roots []graph.VertexID, seed uint64, epoch int) (*hdg.HDG, error) {
-	epochSeed := store.EpochSeed(seed, epoch)
-	return nau.SelectHDG(g, m.Layers[0], roots,
-		func(_ int, v graph.VertexID) uint64 { return store.VertexSeed(epochSeed, v) }, 0)
+	clear(w.plans) // the new level may be a recycled adjacency: every plan is stale
+	return err
 }
 
 // runEpoch executes one synchronous training epoch: the shared prologue

@@ -321,7 +321,7 @@ func TestUnsupportedReduceOpIsAnError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "supports sum and mean") {
 		t.Fatalf("max through the distributed hook: err = %v, want the unsupported-op error", err)
 	}
-	if _, err := SimulateEpoch(d, factory, SimConfig{NumWorkers: 2, Pipeline: true, Seed: 51}); err == nil {
+	if _, err := simulateEpoch(d, factory, SimConfig{NumWorkers: 2, Pipeline: true, Seed: 51}); err == nil {
 		t.Fatal("max through the simulated hook must be an error")
 	}
 }

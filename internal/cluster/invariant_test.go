@@ -72,7 +72,7 @@ func (r *ranks) epoch() float32 {
 func (r *ranks) forget() {
 	for _, w := range r.workers {
 		w.ctx.SetGraphAdjacency(w.ctx.GraphAdjacency())
-		w.ctx.InvalidateHDG(w.localHDG)
+		w.ctx.InvalidateHDG(w.ctx.HDG)
 	}
 }
 
@@ -384,6 +384,77 @@ func steadyEpochAllocs(r *ranks) (objects, bytes float64) {
 	slices.Sort(objectRuns)
 	slices.Sort(byteRuns)
 	return objectRuns[runs/2], byteRuns[runs/2]
+}
+
+// pinsageCase is whole-graph PinSage over TwitterLike, the cluster's
+// per-epoch selection.
+func pinsageCase(t *testing.T, scale float64) (*dataset.Dataset, ModelFactory) {
+	t.Helper()
+	d, err := dataset.ByName("twitter", dataset.Config{Scale: scale, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, func(rng *tensor.RNG) *nau.Model {
+		return models.NewPinSage(d.FeatureDim(), 16, d.NumClasses, models.DefaultPinSageConfig(), rng)
+	}
+}
+
+// TestClusterPinSageEpochAllocs reports what a warm k = 2 whole-graph PinSage
+// epoch allocates. Selection runs in each rank's nau.Selection and allocates
+// nothing that grows with the graph; the plan exchange over the new level
+// still builds a plan and duties, O(edges), every epoch, so nothing is gated.
+func TestClusterPinSageEpochAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, scale := range []float64{0.1, 0.4} {
+		d, factory := pinsageCase(t, scale)
+		r := newRanks(t, Config{NumWorkers: 2, Pipeline: true, Seed: 1}, d, factory)
+		objects, bytes := steadyEpochAllocs(r)
+		t.Logf("V=%d: %.0f objects, %.0f bytes per epoch", d.Graph.NumVertices(), objects, bytes)
+	}
+}
+
+// TestClusterReselectionDropsStalePlans: a CachePerEpoch model's flat level is
+// refilled in the storage of the one two selections old, so the same
+// *engine.Adjacency comes back holding another level, and a plan cached under
+// it would fold the wrong rows. k = 2 whole-graph PinSage ranks, and a
+// simulation of them, must train to the same losses, bit for bit, as twins
+// whose selection state is dropped before every epoch, which never recycle a
+// level.
+func TestClusterReselectionDropsStalePlans(t *testing.T) {
+	d, factory := pinsageCase(t, 0.05)
+	cfg := Config{NumWorkers: 2, Pipeline: true, Seed: 5}
+	warm, cold := newRanks(t, cfg, d, factory), newRanks(t, cfg, d, factory)
+	newSim := func() *Simulation {
+		s, err := NewSimulation(d, factory, SimConfig{NumWorkers: 2, Pipeline: true, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	warmSim, coldSim := newSim(), newSim()
+	for e := 1; e <= 5; e++ {
+		for _, w := range cold.workers {
+			w.sel = nau.Selection{}
+		}
+		for rank := range coldSim.ranks {
+			coldSim.ranks[rank].sel = nau.Selection{}
+		}
+		if got, want := warm.epoch(), cold.epoch(); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("epoch %d: loss %v on recycled levels, %v on fresh ones", e, got, want)
+		}
+		got, err := warmSim.Epoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := coldSim.Epoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float32bits(got.Loss) != math.Float32bits(want.Loss) {
+			t.Fatalf("epoch %d: simulated loss %v on recycled levels, %v on fresh ones", e, got.Loss, want.Loss)
+		}
+	}
 }
 
 // TestClusterMiniBatchSteadyStateEpochAllocs is the mini-batch twin of

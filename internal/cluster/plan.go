@@ -132,7 +132,7 @@ func newRankPlan(adj *engine.Adjacency, owner, localRank []int32, self, k int, p
 // from it, flattened as [dst, nLeaves, leaves...]*, with the receive
 // preference in Dim (1 for partials, 0 for raw rows).
 func (p *rankPlan) request(q int) *rpc.Message {
-	m := &rpc.Message{Kind: rpc.KindPlan}
+	m := &rpc.Message{Kind: rpc.KindPlan, From: int32(p.self)}
 	for _, t := range p.wants[q] {
 		m.IDs = append(m.IDs, t.Dst, int32(len(t.Leaves)))
 		m.IDs = append(m.IDs, t.Leaves...)
@@ -171,6 +171,37 @@ func decodeTasks(ids []int32) ([]Task, error) {
 		i += n
 	}
 	return out, nil
+}
+
+// exchanged is what a plan exchange over one bottom-level adjacency leaves
+// behind: the rank's own plan and the duties it accepted. A worker holds the
+// duties it owes each peer; the simulator, which plays every rank, holds the
+// duties each peer owes this plan's rank.
+type exchanged struct {
+	plan   *rankPlan
+	duties []*duty
+}
+
+// newExchanged is the rank-local half of one plan exchange over adj: rank's
+// plan, and duties[q] for each request reqs[q] trade hands back for it,
+// accepted by the rank acceptor(q) names. A worker trades over the wire and
+// accepts its peers' requests; the simulator has each peer accept rank's.
+func newExchanged(adj *engine.Adjacency, owner, localRank []int32, rank, k int, pipeline bool,
+	trade func(p *rankPlan) ([]*rpc.Message, error), acceptor func(q int) (rows []int32, self int)) (*exchanged, error) {
+	x := &exchanged{plan: newRankPlan(adj, owner, localRank, rank, k, pipeline), duties: make([]*duty, k)}
+	reqs, err := trade(x.plan)
+	if err != nil {
+		return nil, err
+	}
+	for q, req := range reqs {
+		if req != nil {
+			rows, self := acceptor(q)
+			if x.duties[q], err = newDuty(req, rows, self, pipeline); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return x, nil
 }
 
 // duty is what a rank owes one peer at every aggregation over the adjacency

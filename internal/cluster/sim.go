@@ -1,18 +1,17 @@
 package cluster
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/hdg"
 	"repro/internal/metrics"
 	"repro/internal/nau"
 	"repro/internal/nn"
 	"repro/internal/partition"
 	"repro/internal/rpc"
+	"repro/internal/store"
 	"repro/internal/tensor"
 )
 
@@ -56,11 +55,6 @@ type SimWorker struct {
 	Backward      time.Duration
 	CommIn        time.Duration // modeled receive time
 	BytesIn       int64
-	MessagesIn    int64
-	// PartialModeCalls / RawModeCalls count which payload the pipelined
-	// path chose per aggregation (§5's "when possible" decision).
-	PartialModeCalls int
-	RawModeCalls     int
 }
 
 // AggStage returns the modeled aggregation-stage time for this worker under
@@ -101,38 +95,26 @@ type SimResult struct {
 	Loss float32
 }
 
-// simBottom is rank's bottom-aggregation hook during simulation: the
-// worker's AggregateBottom with the Exchange replaced by building every
+// AggregateBottom is the rank's bottom-aggregation hook during simulation:
+// the worker's AggregateBottom with the Exchange replaced by building every
 // peer's payload in place, from the owner's previous-layer rows and on the
 // owner's clock.
-type simBottom struct {
-	s    *Simulation
-	rank int
-}
-
-func (b *simBottom) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tensor.ReduceOp) (*nn.Value, error) {
+func (r *simRank) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tensor.ReduceOp) (*nn.Value, error) {
 	if err := checkSplittable(op); err != nil {
 		return nil, err
 	}
-	s, w := b.s, &b.s.stats[b.rank]
+	s, w := r.s, &r.s.stats[r.rank]
 	// Every phase in here is attributed below; booking the whole call as
 	// sync keeps it out of the layer step's remainder, which is RestAgg.
-	defer func(start time.Time) {
-		s.ranks[b.rank].timer.Add(metrics.StageSync, time.Since(start))
-	}(time.Now())
-	x, err := s.exchangePlan(adj, b.rank)
+	defer func(start time.Time) { r.timer.Add(metrics.StageSync, time.Since(start)) }(time.Now())
+	x, err := s.exchangePlan(adj, r.rank)
 	if err != nil {
 		return nil, err
-	}
-	if x.plan.usePartials {
-		w.PartialModeCalls++
-	} else if s.cfg.Pipeline {
-		w.RawModeCalls++
 	}
 	var msgs []*rpc.Message
 	var bytes int64
 	for q := range s.ranks {
-		if q == b.rank {
+		if q == r.rank {
 			continue
 		}
 		start := time.Now()
@@ -149,67 +131,54 @@ func (b *simBottom) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op t
 	out, err := x.plan.combine(localSum, msgs, op)
 	w.Combine += time.Since(start)
 	w.BytesIn += bytes
-	w.MessagesIn += int64(len(msgs))
 	w.CommIn += time.Duration((float64(bytes)/s.cfg.BandwidthBytesPerSec + float64(len(msgs))*s.cfg.LatencySec) * 1e9)
 	return out, err
 }
 
-// exchangePlan is the plan exchange without a wire: rank's requests are
-// accepted by each peer in place.
+// exchangePlan is the plan exchange without a wire: each peer accepts rank's
+// request to it in place.
 func (s *Simulation) exchangePlan(adj *engine.Adjacency, rank int) (*exchanged, error) {
 	if x, ok := s.plans[adj]; ok {
 		return x, nil
 	}
-	x := &exchanged{
-		plan:   newRankPlan(adj, s.owner, s.ranks[rank].localRank, rank, len(s.ranks), s.cfg.Pipeline),
-		duties: make([]*duty, len(s.ranks)),
-	}
-	for q := range s.ranks {
-		if q == rank {
-			continue
+	x, err := newExchanged(adj, s.owner, s.ranks[rank].localRank, rank, len(s.ranks), s.cfg.Pipeline, func(p *rankPlan) ([]*rpc.Message, error) {
+		reqs := make([]*rpc.Message, len(s.ranks))
+		for q := range reqs {
+			if q != rank {
+				reqs[q] = p.request(q)
+			}
 		}
-		req := x.plan.request(q)
-		req.From = int32(rank)
-		var err error
-		if x.duties[q], err = newDuty(req, s.ranks[q].localRank, q, s.cfg.Pipeline); err != nil {
-			return nil, err
-		}
+		return reqs, nil
+	}, func(q int) ([]int32, int) { return s.ranks[q].localRank, q })
+	if err == nil {
+		s.plans[adj] = x
 	}
-	s.plans[adj] = x
-	return x, nil
-}
-
-// SimulateEpoch runs one simulated distributed training epoch and returns
-// per-worker measured compute plus modeled communication.
-func SimulateEpoch(d *dataset.Dataset, factory ModelFactory, cfg SimConfig) (*SimResult, error) {
-	sim, err := NewSimulation(d, factory, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Epoch()
+	return x, err
 }
 
 // Simulation holds reusable state for multi-epoch simulated runs.
 type Simulation struct {
 	cfg   SimConfig
-	d     *dataset.Dataset
 	owner []int32
 	ranks []simRank
 	// plans caches the plan exchange per bottom adjacency (adjacencies are
-	// per rank, so one map serves all ranks).
+	// per rank, so one map serves all ranks) until the next selection.
 	plans map[*engine.Adjacency]*exchanged
 	stats []SimWorker
 	epoch int
 }
 
-// simRank is one simulated worker: a model replica over its partition.
+// simRank is one simulated worker: a model replica over its partition, and
+// its context's bottom-aggregation hook.
 type simRank struct {
+	s         *Simulation
+	rank      int
 	model     *nau.Model
 	ctx       *nau.Context
+	sel       nau.Selection
 	roots     []graph.VertexID
 	localRank []int32
 	part      partitionData
-	hdg       *hdg.HDG
 	// timer receives the layer step's stage times: the aggregation
 	// remainder (RestAgg) and Update.
 	timer *metrics.Breakdown
@@ -222,19 +191,12 @@ type simRank struct {
 // replicas.
 func NewSimulation(d *dataset.Dataset, factory ModelFactory, cfg SimConfig) (*Simulation, error) {
 	cfg.defaults()
-	if cfg.NumWorkers <= 0 {
-		return nil, fmt.Errorf("cluster: NumWorkers must be positive")
-	}
-	p := cfg.Partitioning
-	if p == nil {
-		p = partition.Hash(d.Graph.NumVertices(), cfg.NumWorkers)
-	}
-	if p.K != cfg.NumWorkers {
-		return nil, fmt.Errorf("cluster: partitioning has %d parts, want %d", p.K, cfg.NumWorkers)
+	p, err := partitionFor(d, cfg.Partitioning, cfg.NumWorkers)
+	if err != nil {
+		return nil, err
 	}
 	s := &Simulation{
 		cfg:   cfg,
-		d:     d,
 		owner: p.Assign,
 		ranks: make([]simRank, cfg.NumWorkers),
 		plans: map[*engine.Adjacency]*exchanged{},
@@ -245,18 +207,13 @@ func NewSimulation(d *dataset.Dataset, factory ModelFactory, cfg SimConfig) (*Si
 	eng := engine.New(engine.StrategyHA)
 	for rank := range s.ranks {
 		r := &s.ranks[rank]
+		r.s, r.rank = s, rank
 		r.model = factory(tensor.NewRNG(cfg.Seed))
 		r.part = newPartitionData(d, r.roots)
 		r.localRank = buildLocalRank(d.Graph.NumVertices(), r.roots)
 		r.timer = &metrics.Breakdown{}
-		r.ctx = &nau.Context{
-			Graph:          d.Graph,
-			Engine:         eng,
-			NumFeatureRows: d.Graph.NumVertices(),
-			RNG:            tensor.NewRNG(cfg.Seed + uint64(rank)),
-			Bottom:         &simBottom{s: s, rank: rank},
-		}
-		r.ctx.SetGraphAdjacency(localGraphAdjacency(d.Graph, r.roots))
+		r.ctx = newRankContext(d.Graph, eng, r.roots, r)
+		r.ctx.RNG = tensor.NewRNG(cfg.Seed + uint64(rank))
 	}
 	return s, nil
 }
@@ -267,25 +224,21 @@ func NewSimulation(d *dataset.Dataset, factory ModelFactory, cfg SimConfig) (*Si
 // neither the compute nor the modeled bytes of the first layer's bottom
 // level (nau.Context.Input).
 func (s *Simulation) Epoch() (*SimResult, error) {
-	d := s.d
 	s.stats = make([]SimWorker, len(s.ranks))
 	h := make([]*nn.Value, len(s.ranks))
 	for rank := range s.ranks {
 		r := &s.ranks[rank]
 		r.timer.Reset()
 		h[rank] = r.ctx.Input(r.model, r.part.features)
-		if !needsSelection(r.model, r.hdg) {
-			continue
+		if m := r.model; m.NeedsHDG() && (r.ctx.HDG == nil || m.Cache != nau.CacheForever) {
+			start := time.Now()
+			err := r.sel.Select(r.ctx, r.ctx.Graph, m.Layers[0], r.roots, store.VertexSeeds(store.EpochSeed(s.cfg.Seed, s.epoch)))
+			s.stats[rank].Selection = time.Since(start)
+			clear(s.plans) // as the worker's: a recycled level makes every plan stale
+			if err != nil {
+				return nil, err
+			}
 		}
-		start := time.Now()
-		hd, err := selectSeeded(r.model, d.Graph, r.roots, s.cfg.Seed, s.epoch)
-		s.stats[rank].Selection = time.Since(start)
-		if err != nil {
-			return nil, err
-		}
-		r.hdg = hd
-		r.ctx.InvalidateHDG(hd)
-		s.plans = map[*engine.Adjacency]*exchanged{}
 	}
 
 	for li := range s.ranks[0].model.Layers {

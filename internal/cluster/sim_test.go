@@ -11,9 +11,18 @@ import (
 	"repro/internal/tensor"
 )
 
+// simulateEpoch runs the first epoch of a new simulation.
+func simulateEpoch(d *dataset.Dataset, factory ModelFactory, cfg SimConfig) (*SimResult, error) {
+	sim, err := NewSimulation(d, factory, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sim.Epoch()
+}
+
 func TestSimulateEpochGCN(t *testing.T) {
 	d := dataset.RedditLike(dataset.Config{Scale: 0.05, Seed: 1})
-	res, err := SimulateEpoch(d, gcnFactory(d), SimConfig{NumWorkers: 4, Pipeline: true, Seed: 2})
+	res, err := simulateEpoch(d, gcnFactory(d), SimConfig{NumWorkers: 4, Pipeline: true, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +69,7 @@ func TestSimLossMatchesConcurrentCluster(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sim, err := SimulateEpoch(c.d, c.factory, SimConfig{NumWorkers: k, Pipeline: pipeline, Seed: 4})
+				sim, err := simulateEpoch(c.d, c.factory, SimConfig{NumWorkers: k, Pipeline: pipeline, Seed: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,11 +91,11 @@ func TestSimLossMatchesConcurrentCluster(t *testing.T) {
 
 func TestSimPipelineVsRawSameLoss(t *testing.T) {
 	d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 5})
-	a, err := SimulateEpoch(d, gcnFactory(d), SimConfig{NumWorkers: 4, Pipeline: true, Seed: 6})
+	a, err := simulateEpoch(d, gcnFactory(d), SimConfig{NumWorkers: 4, Pipeline: true, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateEpoch(d, gcnFactory(d), SimConfig{NumWorkers: 4, Pipeline: false, Seed: 6})
+	b, err := simulateEpoch(d, gcnFactory(d), SimConfig{NumWorkers: 4, Pipeline: false, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +155,7 @@ func TestSimMultiEpochPinSageReselects(t *testing.T) {
 
 func TestSimBadConfig(t *testing.T) {
 	d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 11})
-	if _, err := SimulateEpoch(d, gcnFactory(d), SimConfig{NumWorkers: 0}); err == nil {
+	if _, err := simulateEpoch(d, gcnFactory(d), SimConfig{NumWorkers: 0}); err == nil {
 		t.Fatal("zero workers must error")
 	}
 }

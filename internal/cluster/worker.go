@@ -8,10 +8,10 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/hdg"
 	"repro/internal/metrics"
 	"repro/internal/nau"
 	"repro/internal/nn"
+	"repro/internal/partition"
 	"repro/internal/rpc"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -52,7 +52,7 @@ type worker struct {
 	rng     *tensor.RNG
 
 	ctx       *nau.Context
-	localHDG  *hdg.HDG
+	sel       nau.Selection
 	breakdown *metrics.Breakdown
 
 	// tracer records rank-tagged epoch and stage spans (nil = off).
@@ -76,7 +76,8 @@ type worker struct {
 	epoch    int32
 	aggCalls int32 // aggregation call counter within the epoch (layer tag)
 
-	// plans caches the exchanged communication plan per adjacency.
+	// plans caches the exchanged communication plan per adjacency until the
+	// next selection, which may refill an adjacency with another level.
 	plans map[*engine.Adjacency]*exchanged
 
 	// Mini-batch mode (Config.MiniBatch != nil): the prefetching data
@@ -87,15 +88,6 @@ type worker struct {
 	mbBatch  int
 	mbRounds int
 	mbCtx    *nau.Context
-}
-
-// exchanged is what a plan exchange over one bottom-level adjacency leaves
-// behind: the rank's own plan and the duties it accepted. A worker holds the
-// duties it owes each peer; the simulator, which plays every rank, holds the
-// duties each peer owes this plan's rank.
-type exchanged struct {
-	plan   *rankPlan
-	duties []*duty
 }
 
 // partitionData is the rows of a dataset that belong to one rank's roots, in
@@ -127,6 +119,43 @@ func newPartitionData(d *dataset.Dataset, roots []graph.VertexID) partitionData 
 	return p
 }
 
+// partitionFor checks p, or Hash when p is nil, against k ranks.
+func partitionFor(d *dataset.Dataset, p *partition.Partitioning, k int) (*partition.Partitioning, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("cluster: NumWorkers must be positive")
+	}
+	if p == nil {
+		p = partition.Hash(d.Graph.NumVertices(), k)
+	}
+	if p.K != k {
+		return nil, fmt.Errorf("cluster: partitioning has %d parts, want %d", p.K, k)
+	}
+	return p, nil
+}
+
+// newRankContext is the whole-graph layer context of the rank holding roots:
+// the rank's local-root 1-hop view, bottom as the bottom-level hook.
+func newRankContext(g *graph.Graph, eng *engine.Engine, roots []graph.VertexID, bottom nau.BottomAggregator) *nau.Context {
+	c := &nau.Context{Graph: g, Engine: eng, NumFeatureRows: g.NumVertices(), Bottom: bottom}
+	c.SetGraphAdjacency(localGraphAdjacency(g, roots))
+	return c
+}
+
+// localGraphAdjacency builds the 1-hop in-edge adjacency whose destination
+// rows are the worker's roots (in root order) and whose sources are global
+// vertex IDs.
+func localGraphAdjacency(g *graph.Graph, roots []graph.VertexID) *engine.Adjacency {
+	ptr := make([]int64, len(roots)+1)
+	for i, v := range roots {
+		ptr[i+1] = ptr[i] + int64(g.InDegree(v))
+	}
+	idx := make([]int32, ptr[len(roots)])
+	for i, v := range roots {
+		copy(idx[ptr[i]:ptr[i+1]], g.InNeighbors(v))
+	}
+	return &engine.Adjacency{NumDst: len(roots), NumSrc: g.NumVertices(), DstPtr: ptr, SrcIdx: idx}
+}
+
 // buildLocalRank inverts a root list into a global-size rank array.
 func buildLocalRank(n int, roots []graph.VertexID) []int32 {
 	out := make([]int32, n)
@@ -147,21 +176,18 @@ func (w *worker) ensurePlan(adj *engine.Adjacency) (*exchanged, error) {
 	if x, ok := w.plans[adj]; ok {
 		return x, nil
 	}
-	x := &exchanged{
-		plan:   newRankPlan(adj, w.owner, w.localRank, w.rank, w.k, w.cfg.Pipeline),
-		duties: make([]*duty, w.k),
-	}
-	msgs, err := w.comm.Exchange(collective.Fence{Epoch: w.epoch, Phase: w.aggCalls}, rpc.KindPlan, x.plan.request, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range msgs {
-		if x.duties[m.From], err = newDuty(m, w.localRank, w.rank, w.cfg.Pipeline); err != nil {
-			return nil, err
+	x, err := newExchanged(adj, w.owner, w.localRank, w.rank, w.k, w.cfg.Pipeline, func(p *rankPlan) ([]*rpc.Message, error) {
+		msgs, err := w.comm.Exchange(collective.Fence{Epoch: w.epoch, Phase: w.aggCalls}, rpc.KindPlan, p.request, nil)
+		reqs := make([]*rpc.Message, w.k)
+		for _, m := range msgs {
+			reqs[m.From] = m
 		}
+		return reqs, err
+	}, func(int) ([]int32, int) { return w.localRank, w.rank })
+	if err == nil {
+		w.plans[adj] = x
 	}
-	w.plans[adj] = x
-	return x, nil
+	return x, err
 }
 
 // AggregateBottom implements nau.BottomAggregator: the distributed bottom

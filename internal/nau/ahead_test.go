@@ -52,11 +52,11 @@ func aheadTrainer(first func(in, out int, act bool, rng *tensor.RNG) Layer) *Tra
 }
 
 // requireReplayedHDG fails unless the HDG tr trained its last epoch on stores
-// exactly SelectHDG's arrays over seeds replayed from the RNG state from: one
+// exactly selectLayer's arrays over seeds replayed from the RNG state from: one
 // draw per root, in root order — the synchronous path's seeds.
 func requireReplayedHDG(t *testing.T, tr *Trainer, from uint64) {
 	t.Helper()
-	want, err := SelectHDG(tr.Graph, tr.Model.Layers[0], tr.roots, splitSeeds(new([]uint64), tensor.NewRNG(from), len(tr.roots)), 1)
+	want, err := selectLayer(tr.Graph, tr.Model.Layers[0], tr.roots, splitSeeds(new([]uint64), tensor.NewRNG(from), len(tr.roots)), 1, new([]*arena), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestEpochAheadSelectionMatchesSynchronous(t *testing.T) {
 				saved, losses = t.TempDir()+"/ck.fgck", nil
 				tr := aheadTrainer(c.first)
 				for e := 1; e <= epochs; e++ {
-					pending, from, goroutines := tr.ahead.h, tr.RNG.State(), runtime.NumGoroutine()
+					pending, from, goroutines := tr.sel.ahead.h, tr.RNG.State(), runtime.NumGoroutine()
 					loss, err := tr.Epoch()
 					if err != nil {
 						t.Fatal(err)
@@ -169,7 +169,7 @@ func TestEpochAheadSelectionMatchesSynchronous(t *testing.T) {
 					if tr.RNG.State() != rng.State() {
 						t.Fatalf("epoch %d left the RNG elsewhere than the synchronous path", e)
 					}
-					if tr.ahead.h == nil {
+					if tr.sel.ahead.h == nil {
 						t.Fatalf("epoch %d selected nothing ahead", e)
 					}
 					wantAdopted := e > 1 && (c.dropped == nil || !c.dropped(e))

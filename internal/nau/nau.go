@@ -91,7 +91,7 @@ type Context struct {
 	bottomAdj *engine.Adjacency
 	flatAdj   *engine.Adjacency
 	// spareFlat, when non-nil, is an adjacency nothing reads any more, whose
-	// storage the next FlatAdjacency refills (the trainer hands it back).
+	// storage the next FlatAdjacency refills (a Selection hands it back).
 	spareFlat *engine.Adjacency
 
 	// input is the leaf Input handed the driver; kept is the bottom
@@ -245,20 +245,15 @@ func NeighborSelection(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, 
 	if schema == nil || udf == nil {
 		return nil, errNoSchemaOrUDF
 	}
-	return NeighborSelectionSeeded(g, schema, udf, roots, splitSeeds(new([]uint64), rng, len(roots)), 0)
+	return neighborSelectionSeeded(g, schema, udf, roots, splitSeeds(new([]uint64), rng, len(roots)), 0)
 }
 
 var errNoSchemaOrUDF = errors.New("nau: NeighborSelection requires a schema and a UDF")
 
-// NeighborSelectionSeeded is NeighborSelection with the per-root RNG seed
-// chosen by the caller instead of split from a shared stream, and the
-// fan-out bounded to `workers` goroutines (see SelectRecords for both): the
-// record sink followed by hdg.Build. SelectHDG is the same for a layer, and
-// skips the records when the layer has a Selector.
-// Seeding each root from its vertex ID makes a vertex's records — and
-// everything cached from them — independent of which batch, partition or
-// prefetch slot it arrived in.
-func NeighborSelectionSeeded(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64, workers int) (*hdg.HDG, error) {
+// neighborSelectionSeeded is NeighborSelection with the caller's per-root
+// seeds and fan-out bound (see SelectRecords for both): the record sink
+// followed by hdg.Build.
+func neighborSelectionSeeded(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64, workers int) (*hdg.HDG, error) {
 	if schema == nil || udf == nil {
 		return nil, errNoSchemaOrUDF
 	}
@@ -278,8 +273,9 @@ func splitSeeds(buf *[]uint64, rng *tensor.RNG, n int) func(i int, _ graph.Verte
 }
 
 // SelectRecords is the record sink of the one selection driver (fanOut):
-// NeighborSelectionSeeded builds an HDG from its output, the store's Sample
-// query and the serving planner call it directly. Root i runs udf on an RNG
+// neighborSelectionSeeded builds an HDG from its output, and the store's
+// Sample query — through which the sampler and the serving planner select —
+// calls it directly. Root i runs udf on an RNG
 // seeded seedFor(i, roots[i]), and the records come back concatenated in
 // root order, so the result is bitwise independent of the fan-out; workers
 // only bounds how many goroutines selection may take (see fanOut).

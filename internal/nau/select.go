@@ -6,9 +6,12 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hdg"
+	"repro/internal/metrics"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // arena is one selection worker's storage: the instances of a contiguous
@@ -176,20 +179,100 @@ func stitch(schema *hdg.SchemaTree, roots []graph.VertexID, as []*arena, reuse *
 	return hdg.New(schema, rs, instOffset, leafOffset, leafIDs), nil
 }
 
-// selectLayer is SelectHDG on the caller's arenas, over reuse's storage.
+// selectLayer builds the HDG of roots with layer's neighbor selection, root i
+// seeded seedFor(i, roots[i]) and the fan-out bounded by workers: through the
+// appending sink, on the caller's arenas and over reuse's storage, when layer
+// is an AppendingLayer; otherwise through its NeighborUDF's records and
+// hdg.Build — the same HDG either way.
 func selectLayer(g *graph.Graph, layer Layer, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64,
 	workers int, arenas *[]*arena, reuse *hdg.HDG) (*hdg.HDG, error) {
 	if al, ok := layer.(AppendingLayer); ok {
 		return selectHDG(g, layer.Schema(), al.Selector(), roots, seedFor, workers, arenas, reuse)
 	}
-	return NeighborSelectionSeeded(g, layer.Schema(), layer.NeighborUDF(), roots, seedFor, workers)
+	return neighborSelectionSeeded(g, layer.Schema(), layer.NeighborUDF(), roots, seedFor, workers)
 }
 
-// SelectHDG builds the HDG of roots with layer's neighbor selection, root i
-// seeded seedFor(i, roots[i]) and the fan-out bounded by workers: through
-// the appending sink when layer is an AppendingLayer, otherwise through its
-// NeighborUDF's records and hdg.Build — the same HDG either way.
-func SelectHDG(g *graph.Graph, layer Layer, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64, workers int) (*hdg.HDG, error) {
-	var arenas []*arena
-	return selectLayer(g, layer, roots, seedFor, workers, &arenas, nil)
+// Selection is the NeighborSelection state one holder — the Trainer, a cluster
+// worker, a simulated rank — keeps for its context, so that a warm selection
+// allocates nothing that grows with the graph: the workers' arenas, the seed
+// buffer of stream-seeded selection, and the last two HDGs with the flat
+// levels the context built over them. A new HDG is written over the one two
+// selections old, never over the one a forward pass or a Predict result may
+// still hold. The zero value is ready to use.
+type Selection struct {
+	arenas []*arena
+	seeds  []uint64
+	hdgs   [2]*hdg.HDG // hdgs[1] is the context's
+	flats  [2]*engine.Adjacency
+
+	// ahead is the next HDG, selected in the background until aheadDone.
+	ahead     aheadSelection
+	aheadDone sync.WaitGroup
+}
+
+// aheadSelection is an HDG selected for the holder's next selection, with what
+// it was selected from: adoptAhead installs it only while these still hold.
+type aheadSelection struct {
+	h     *hdg.HDG // nil if selection failed: the holder reselects and reports it
+	graph *graph.Graph
+	layer Layer
+	roots int
+}
+
+// Select builds the HDG of roots over g with layer's neighbor selection, root
+// i seeded seedFor(i, roots[i]), writes it over the HDG two selections back
+// and points ctx at it. On an error ctx keeps the HDG it had.
+func (s *Selection) Select(ctx *Context, g *graph.Graph, layer Layer, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64) error {
+	h, err := selectLayer(g, layer, roots, seedFor, 0, &s.arenas, s.hdgs[0])
+	if err != nil {
+		return err
+	}
+	s.install(ctx, h)
+	return nil
+}
+
+// install points ctx at h, written over hdgs[0], and rotates: the HDG ctx read
+// until now and its flat level stay intact until the next selection, and the
+// flat level over the HDG h replaced goes back to ctx to be refilled.
+func (s *Selection) install(ctx *Context, h *hdg.HDG) {
+	s.flats[1] = ctx.flatAdj
+	ctx.InvalidateHDG(h)
+	ctx.spareFlat = s.flats[0]
+	s.hdgs, s.flats = [2]*hdg.HDG{s.hdgs[1], h}, [2]*engine.Adjacency{s.flats[1], nil}
+}
+
+// selectAhead starts the holder's next selection in the background — Select's
+// work, over all Ps but the one left to the foreground — timed and traced to
+// p. Selection reads the graph and the seeds, never parameters. The holder
+// waits for aheadDone before it touches s or the seeds again, and selects next
+// through adoptAhead. layer must be comparable.
+func (s *Selection) selectAhead(p Probe, g *graph.Graph, layer Layer, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64) {
+	a := &s.ahead
+	*a = aheadSelection{graph: g, layer: layer, roots: len(roots)}
+	s.aheadDone.Add(1)
+	go func() {
+		defer s.aheadDone.Done()
+		defer p.Tracer.Begin(p.Rank, p.Epoch, 0, trace.CatStage, "select").End()
+		p.Timer.Time(metrics.StageNeighborSelection, func() {
+			a.h, _ = selectLayer(g, layer, roots, seedFor, max(1, tensor.Parallelism()-1), &s.arenas, s.hdgs[0])
+		})
+	}()
+}
+
+// adoptAhead installs the HDG selected ahead, as Select installs its own, if
+// it was selected over g, layer and a root list of length roots, and seeded
+// reports that its seeds are the ones the holder would draw now. Otherwise it
+// drops it, keeping its storage for the next selection, and reports false.
+func (s *Selection) adoptAhead(ctx *Context, g *graph.Graph, layer Layer, roots int, seeded bool) bool {
+	a := s.ahead
+	s.ahead = aheadSelection{}
+	if a.h == nil {
+		return false
+	}
+	if !seeded || a.graph != g || a.roots != roots || a.layer != layer {
+		s.hdgs[0] = a.h // hdgs[0]'s storage, grown to fit
+		return false
+	}
+	s.install(ctx, a.h)
+	return true
 }

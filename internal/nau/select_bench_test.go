@@ -62,7 +62,7 @@ func BenchmarkNeighborSelection(b *testing.B) {
 		var seeds []uint64
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			h, err := NeighborSelectionSeeded(twitter.Graph, cases[0].schema, udf, roots, splitSeeds(&seeds, rng, len(roots)), 2)
+			h, err := neighborSelectionSeeded(twitter.Graph, cases[0].schema, udf, roots, splitSeeds(&seeds, rng, len(roots)), 2)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package nau
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -128,7 +129,7 @@ func TestSelectionMatchesFrozenOracle(t *testing.T) {
 				}
 				for _, workers := range []int{1, 2, 3, 7} {
 					t.Run(fmt.Sprintf("seed%d/%s/%s/workers%d", seed, shape, c.name, workers), func(t *testing.T) {
-						h, err := NeighborSelectionSeeded(g, c.schema, c.udf, roots, seedFor, workers)
+						h, err := neighborSelectionSeeded(g, c.schema, c.udf, roots, seedFor, workers)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -239,7 +240,7 @@ func TestBuildKeepsArbitraryOrderSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := NeighborSelectionSeeded(g, three, misattributing, roots, seedFor, 3)
+		h, err := neighborSelectionSeeded(g, three, misattributing, roots, seedFor, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", shape, err)
 		}
@@ -355,7 +356,7 @@ func TestNeighborSelectionAllocationBudget(t *testing.T) {
 	seedFor := func(_ int, v graph.VertexID) uint64 { return uint64(v) }
 	for _, workers := range []int{1, 4} {
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := NeighborSelectionSeeded(g, schema, udf, roots, seedFor, workers); err != nil {
+			if _, err := neighborSelectionSeeded(g, schema, udf, roots, seedFor, workers); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -385,6 +386,58 @@ func TestNeighborSelectionAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestSelectionSteadyStateAllocs: once a Selection has rotated through both
+// of its HDGs, a Select — and the flat level its context refills over the new
+// HDG — allocates a handful of objects (the fan-out's goroutines, the HDG
+// header, the seed closure) and no bytes that grow with the graph: the
+// arenas, both HDGs' arrays and both flat levels are written over in place.
+// The same budget holds at 2 000 and at 8 000 vertices; each vertex's walks
+// differ from one selection to the next, so every call writes new contents.
+func TestSelectionSteadyStateAllocs(t *testing.T) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(2)
+	const maxObjects, maxBytes = 24, 2 << 10
+	layer := newWalkLayer(4, 8, true, tensor.NewRNG(1))
+	for _, n := range []int{2000, 8000} {
+		g := trickyGraph(n, 14)
+		roots := AllVertices(g)
+		ctx := &Context{Graph: g, NumFeatureRows: n}
+		var s Selection
+		var epoch uint64
+		selectOnce := func() {
+			epoch++
+			seed := epoch * 0x9e3779b97f4a7c15
+			if err := s.Select(ctx, g, layer, roots, func(_ int, v graph.VertexID) uint64 { return seed ^ uint64(v) }); err != nil {
+				t.Fatal(err)
+			}
+			if ctx.FlatAdjacency().NumDst != n {
+				t.Fatal("the context does not read the new HDG")
+			}
+		}
+		for range 4 {
+			selectOnce()
+		}
+		const runs = 9
+		objects, bytes := make([]float64, runs), make([]float64, runs)
+		for i := range runs {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			selectOnce()
+			runtime.ReadMemStats(&after)
+			objects[i], bytes[i] = float64(after.Mallocs-before.Mallocs), float64(after.TotalAlloc-before.TotalAlloc)
+		}
+		// The median: a selection that visits more leaves than any before it
+		// grows an array once, as a warm-up would have.
+		slices.Sort(objects)
+		slices.Sort(bytes)
+		o, b := objects[runs/2], bytes[runs/2]
+		t.Logf("V=%d: %.0f objects, %.0f bytes per Select", n, o, b)
+		if o > maxObjects || b > maxBytes {
+			t.Fatalf("V=%d: a warm Select allocates %.0f objects / %.0f bytes, budget %d / %d", n, o, b, maxObjects, maxBytes)
+		}
+	}
+}
+
 // TestBuildSizesLeafIDsToTheRecords keeps Build from reserving leaf storage
 // by extrapolating one instance's length: HopFrontier instances vary in
 // length and the first multi-leaf one belongs to the hub (vertex 0), so any
@@ -393,7 +446,7 @@ func TestNeighborSelectionAllocationBudget(t *testing.T) {
 func TestBuildSizesLeafIDsToTheRecords(t *testing.T) {
 	g := trickyGraph(2000, 10)
 	seedFor := func(_ int, v graph.VertexID) uint64 { return uint64(v) }
-	h, err := NeighborSelectionSeeded(g, hdg.NewSchemaTree("a", "b", "c"), HopFrontierUDF(1), AllVertices(g), seedFor, 1)
+	h, err := neighborSelectionSeeded(g, hdg.NewSchemaTree("a", "b", "c"), HopFrontierUDF(1), AllVertices(g), seedFor, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -66,31 +65,13 @@ type Trainer struct {
 	ctx       *Context
 	epoch     int
 
-	// Selection state kept across epochs: the workers' arenas, the root and
-	// seed buffers, and the last two HDGs (hdgs[1] is cachedHDG) with the
-	// flat levels the context built over them. A new HDG is written over
-	// hdgs[0], two selections old; HDG() forgets what it hands out.
-	arenas []*arena
-	roots  []graph.VertexID
-	seeds  []uint64
-	hdgs   [2]*hdg.HDG
-	flats  [2]*engine.Adjacency
-
-	// ahead is the next epoch's HDG, selected while this one trains (see
-	// selectAhead); aheadDone is what Epoch waits on before it returns.
-	ahead     aheadSelection
-	aheadDone sync.WaitGroup
-}
-
-// aheadSelection is an HDG selected during one Epoch for the next, with what
-// it was selected from: ensureHDG adopts it only while these still describe
-// the trainer.
-type aheadSelection struct {
-	h        *hdg.HDG // nil if selection failed: ensureHDG reselects and reports it
-	graph    *graph.Graph
-	layer    Layer
-	roots    int
-	from, to uint64 // the RNG state its seeds were drawn from, and the one after them
+	// sel is the selection state kept across epochs (cachedHDG is its
+	// context's HDG), over the root list roots, seeded from RNG one root at a
+	// time in root order; the seeds of the HDG selected ahead were drawn from
+	// the RNG state aheadFrom and left it at aheadTo.
+	sel                Selection
+	roots              []graph.VertexID
+	aheadFrom, aheadTo uint64
 }
 
 // TrainerOptions configures NewTrainerWith. Graph, Features and Labels are
@@ -197,118 +178,69 @@ func (t *Trainer) LoadCheckpoint(path string) error {
 	return nil
 }
 
-// ensureHDG runs NeighborSelection according to the model's cache policy.
+// ensureHDG makes the trainer's context on first use and runs
+// NeighborSelection into it according to the model's cache policy.
 func (t *Trainer) ensureHDG() error {
-	if !t.Model.NeedsHDG() {
-		return nil
+	if t.ctx == nil {
+		t.ctx = &Context{Graph: t.Graph, Engine: t.Engine, NumFeatureRows: t.Graph.NumVertices()}
 	}
-	if t.cachedHDG != nil {
-		// A cached HDG is always valid until Epoch invalidates it (the
-		// CachePerEpoch policy drops it at the next epoch boundary, not
-		// here, so evaluation never rebuilds).
+	// A cached HDG is always valid until Epoch invalidates it (the
+	// CachePerEpoch policy drops it at the next epoch boundary, not here, so
+	// evaluation never rebuilds).
+	if !t.Model.NeedsHDG() || t.cachedHDG != nil {
 		return nil
 	}
 	if len(t.roots) != t.Graph.NumVertices() {
 		t.roots = AllVertices(t.Graph)
 	}
-	h := t.adoptAhead()
-	if h == nil {
+	ctx, layer := t.ctx, t.Model.Layers[0]
+	// The HDG selected ahead is this one while the RNG is where its seeds were
+	// drawn from; an Evaluate through a layer that draws from ctx.RNG, or a
+	// LoadCheckpoint, drops it, and selection runs here as if there were none.
+	if t.sel.adoptAhead(ctx, t.Graph, layer, len(t.roots), t.aheadFrom == t.RNG.State()) {
+		t.RNG.SetState(t.aheadTo)
+	} else {
 		var err error
 		defer t.Tracer.Begin(0, int32(t.epoch), 0, trace.CatStage, "select").End()
 		t.Breakdown.Time(metrics.StageNeighborSelection, func() {
-			h, err = selectLayer(t.Graph, t.Model.Layers[0], t.roots,
-				splitSeeds(&t.seeds, t.RNG, len(t.roots)), 0, &t.arenas, t.hdgs[0])
+			err = t.sel.Select(ctx, t.Graph, layer, t.roots, splitSeeds(&t.sel.seeds, t.RNG, len(t.roots)))
 		})
 		if err != nil {
 			return fmt.Errorf("nau: neighbor selection: %w", err)
 		}
 	}
-	// The HDG replaced here, and the flat level the context built over it,
-	// stay intact until the next selection writes over them.
-	if t.ctx != nil {
-		t.flats[1] = t.ctx.flatAdj
-		t.ctx.InvalidateHDG(h)
-		t.ctx.spareFlat = t.flats[0]
-	}
-	t.hdgs, t.flats = [2]*hdg.HDG{t.hdgs[1], h}, [2]*engine.Adjacency{t.flats[1], nil}
-	t.cachedHDG = h
+	t.cachedHDG = ctx.HDG
 	return nil
 }
 
 // selectAhead starts the next epoch's selection in the background, for Epoch
-// to call once its forward has consumed this epoch's HDG; Epoch waits for it
-// before returning, so nothing runs beside the trainer between calls. It
-// draws the seeds the next ensureHDG would draw, from a copy of the RNG, into
-// the trainer's arenas and over hdgs[0] — the HDG two selections old, which
-// nothing reads any more. Selection reads the graph and the seeds, never the
-// parameters the backward pass is writing. It fans out over all Ps but one,
-// which is left to training. Only a first layer of pointer type is selected
-// ahead: adoptAhead compares it, and a pointer compares without panicking.
+// to call once its forward has consumed this epoch's HDG; Epoch joins it
+// before returning, so nothing runs beside the trainer between calls. The
+// seeds are the ones the next ensureHDG would draw, drawn here from a copy of
+// the RNG. Only a first layer of pointer type is selected ahead: adoptAhead
+// compares it, and a pointer compares without panicking.
 func (t *Trainer) selectAhead() {
 	if !t.Model.NeedsHDG() || t.Model.Cache != CachePerEpoch || len(t.roots) != t.Graph.NumVertices() ||
 		reflect.TypeOf(t.Model.Layers[0]).Kind() != reflect.Pointer {
 		return
 	}
-	layer := t.Model.Layers[0]
-	a := &t.ahead
-	*a = aheadSelection{graph: t.Graph, layer: layer, roots: len(t.roots), from: t.RNG.State()}
-	epoch := int32(t.epoch + 1)
-	t.aheadDone.Add(1)
-	go func() {
-		defer t.aheadDone.Done()
-		defer t.Tracer.Begin(0, epoch, 0, trace.CatStage, "select").End()
-		var rng tensor.RNG
-		rng.SetState(a.from)
-		t.Breakdown.Time(metrics.StageNeighborSelection, func() {
-			a.h, _ = selectLayer(a.graph, layer, t.roots,
-				splitSeeds(&t.seeds, &rng, a.roots), max(1, tensor.Parallelism()-1), &t.arenas, t.hdgs[0])
-		})
-		a.to = rng.State()
-	}()
-}
-
-// adoptAhead returns the HDG the last Epoch selected ahead if it is the one
-// selection would build now — its seeds drawn from the RNG's current state,
-// over the same graph, roots and first layer — and moves the RNG past those
-// seeds. Otherwise (the RNG moved since — an Evaluate through a layer that
-// draws from ctx.RNG, a LoadCheckpoint — or the graph or the model changed) it
-// drops it and returns nil, and selection runs here as if there had been none.
-func (t *Trainer) adoptAhead() *hdg.HDG {
-	a := t.ahead
-	t.ahead = aheadSelection{}
-	if a.h == nil {
-		return nil
-	}
-	if a.from != t.RNG.State() || a.graph != t.Graph || a.roots != len(t.roots) || a.layer != t.Model.Layers[0] {
-		t.hdgs[0] = a.h // hdgs[0]'s storage, grown to fit
-		return nil
-	}
-	t.RNG.SetState(a.to)
-	return a.h
+	var rng tensor.RNG
+	t.aheadFrom = t.RNG.State()
+	rng.SetState(t.aheadFrom)
+	seedFor := splitSeeds(&t.sel.seeds, &rng, len(t.roots))
+	t.aheadTo = rng.State()
+	t.sel.selectAhead(Probe{Timer: t.Breakdown, Tracer: t.Tracer, Epoch: int32(t.epoch + 1)},
+		t.Graph, t.Model.Layers[0], t.roots, seedFor)
 }
 
 // HDG exposes the cached HDGs (nil for DNFA models), e.g. for the Table-5
 // memory accounting. An HDG handed out here is never recycled: the trainer
 // will not write a later epoch's HDG over it.
 func (t *Trainer) HDG() *hdg.HDG {
-	if t.hdgs[1] == t.cachedHDG {
-		t.hdgs[1] = nil
+	if t.sel.hdgs[1] == t.cachedHDG {
+		t.sel.hdgs[1] = nil
 	}
 	return t.cachedHDG
-}
-
-func (t *Trainer) context(train bool) *Context {
-	if t.ctx == nil {
-		t.ctx = &Context{
-			Graph:          t.Graph,
-			Engine:         t.Engine,
-			NumFeatureRows: t.Graph.NumVertices(),
-		}
-	}
-	t.ctx.HDG = t.cachedHDG
-	t.ctx.RNG = t.RNG
-	t.ctx.Train = train
-	return t.ctx
 }
 
 // Forward runs the model over the whole graph and returns the final-layer
@@ -328,7 +260,8 @@ func (t *Trainer) ForwardContext(cctx context.Context, train bool) (*nn.Value, e
 	if err := t.ensureHDG(); err != nil {
 		return nil, err
 	}
-	ctx := t.context(train)
+	ctx := t.ctx
+	ctx.RNG, ctx.Train = t.RNG, train
 	probe := Probe{Timer: t.Breakdown, Tracer: t.Tracer, Epoch: int32(t.epoch)}
 	feats := ctx.Input(t.Model, t.Feats)
 	for li, layer := range t.Model.Layers {
@@ -355,7 +288,7 @@ func (t *Trainer) Epoch() (float32, error) {
 	}
 	t.hdgUsed = true
 	t.selectAhead()
-	defer t.aheadDone.Wait()
+	defer t.sel.aheadDone.Wait()
 	loss := nn.CrossEntropy(logits, t.Labels, t.Mask)
 	bspan := t.Tracer.Begin(0, int32(t.epoch), 0, trace.CatStage, "backward")
 	defer bspan.End()

@@ -131,13 +131,30 @@ func writeTensor(w io.Writer, t *tensor.Tensor) error {
 	return nil
 }
 
-// readTensor reads a dims | shape | data record into a fresh tensor.
-func readTensor(r io.Reader) (*tensor.Tensor, error) {
+// section is one v2 section's payload, read no further than its extent.
+type section struct {
+	*bufio.Reader
+	rest *io.LimitedReader
+}
+
+func newSection(r io.Reader, size uint64) *section {
+	rest := &io.LimitedReader{R: r, N: int64(size)}
+	return &section{bufio.NewReader(rest), rest}
+}
+
+// left is how many bytes of the section's declared extent are still unread.
+func (s *section) left() int64 { return s.rest.N + int64(s.Buffered()) }
+
+// readTensor reads a dims | shape | data record into a fresh tensor. A shape
+// whose element count overflows, or whose data cannot fit in what is left of
+// the section, is a *FormatError; the data is read in chunks, so allocation
+// follows the bytes actually read, not the shape's claim.
+func readTensor(r *section) (*tensor.Tensor, error) {
 	dims, err := readU32(r)
 	if err != nil {
 		return nil, err
 	}
-	if dims > 8 {
+	if dims == 0 || dims > 8 {
 		return nil, &FormatError{Reason: fmt.Sprintf("tensor with %d dims", dims)}
 	}
 	shape := make([]int, dims)
@@ -148,18 +165,23 @@ func readTensor(r io.Reader) (*tensor.Tensor, error) {
 			return nil, err
 		}
 		shape[i] = int(d)
+		if d != 0 && n > math.MaxInt/int(d) {
+			return nil, &FormatError{Reason: fmt.Sprintf("tensor shape %v overflows", shape[:i+1])}
+		}
 		n *= int(d)
 	}
-	t := tensor.New(shape...)
-	data := t.Data()
-	for i := 0; i < n; i++ {
+	if int64(n) > r.left()/4 {
+		return nil, &FormatError{Reason: fmt.Sprintf("tensor of shape %v in %d bytes", shape, r.left())}
+	}
+	data := make([]float32, 0, min(n, 1<<16))
+	for len(data) < n {
 		bits, err := readU32(r)
 		if err != nil {
 			return nil, err
 		}
-		data[i] = math.Float32frombits(bits)
+		data = append(data, math.Float32frombits(bits))
 	}
-	return t, nil
+	return tensor.FromSlice(data, shape...), nil
 }
 
 // writeParamsBody emits the shared parameter body (v1 body ≡ PRMS payload).
@@ -177,7 +199,7 @@ func writeParamsBody(w io.Writer, params []*Value) error {
 
 // readParamsBody restores the shared parameter body into params, enforcing
 // count and shape agreement with typed errors.
-func readParamsBody(r io.Reader, params []*Value) error {
+func readParamsBody(r *section, params []*Value) error {
 	count, err := readU32(r)
 	if err != nil {
 		return err
@@ -187,35 +209,15 @@ func readParamsBody(r io.Reader, params []*Value) error {
 			Want: fmt.Sprintf("%d", len(params)), Got: fmt.Sprintf("%d", count)}
 	}
 	for i, p := range params {
-		dims, err := readU32(r)
+		t, err := readTensor(r)
 		if err != nil {
 			return err
 		}
-		want := p.Data.Shape()
-		if int(dims) != len(want) {
-			return &MismatchError{What: fmt.Sprintf("parameter %d rank", i),
-				Want: fmt.Sprintf("%d", len(want)), Got: fmt.Sprintf("%d", dims)}
+		if want := p.Data.Shape(); !shapeEqual(t.Shape(), want) {
+			return &MismatchError{What: fmt.Sprintf("parameter %d shape", i),
+				Want: fmt.Sprint(want), Got: fmt.Sprint(t.Shape())}
 		}
-		n := 1
-		for j := 0; j < int(dims); j++ {
-			d, err := readU32(r)
-			if err != nil {
-				return err
-			}
-			if int(d) != want[j] {
-				return &MismatchError{What: fmt.Sprintf("parameter %d dim %d", i, j),
-					Want: fmt.Sprintf("%d", want[j]), Got: fmt.Sprintf("%d", d)}
-			}
-			n *= int(d)
-		}
-		data := p.Data.Data()
-		for j := 0; j < n; j++ {
-			bits, err := readU32(r)
-			if err != nil {
-				return err
-			}
-			data[j] = math.Float32frombits(bits)
-		}
+		copy(p.Data.Data(), t.Data())
 	}
 	return nil
 }
@@ -255,7 +257,7 @@ func writeOptBody(w io.Writer, st *OptState) error {
 }
 
 // readOptBody parses an OPTS payload back into an optimizer snapshot.
-func readOptBody(r io.Reader) (*OptState, error) {
+func readOptBody(r *section) (*OptState, error) {
 	kindLen, err := readU32(r)
 	if err != nil {
 		return nil, err
@@ -283,6 +285,10 @@ func readOptBody(r io.Reader) (*OptState, error) {
 	nMoments, err := readU32(r)
 	if err != nil {
 		return nil, err
+	}
+	// A moment pair is two records of at least one dimension: 16 bytes.
+	if int64(nMoments) > r.left()/16 {
+		return nil, &FormatError{Reason: fmt.Sprintf("%d moment pairs in %d bytes", nMoments, r.left())}
 	}
 	for i := 0; i < int(nMoments); i++ {
 		m, err := readTensor(r)
@@ -419,10 +425,11 @@ func loadCheckpoint(r io.Reader, st *TrainState, paramsOnly bool) error {
 	}
 	switch version {
 	case checkpointVersionV1:
-		if err := readParamsBody(br, st.Params); err != nil {
+		body := newSection(br, math.MaxInt64)
+		if err := readParamsBody(body, st.Params); err != nil {
 			return err
 		}
-		return rejectTrailing(br)
+		return rejectTrailing(body.Reader)
 	case checkpointVersionV2:
 		// fall through below
 	default:
@@ -448,7 +455,7 @@ func loadCheckpoint(r io.Reader, st *TrainState, paramsOnly bool) error {
 		}
 		// Bound the section to its declared extent so a short body is a
 		// loud truncation error and a long one surfaces as trailing bytes.
-		body := bufio.NewReader(io.LimitReader(br, int64(size)))
+		body := newSection(br, size)
 		switch string(tag) {
 		case sectionParams:
 			sawParams = true
@@ -492,9 +499,13 @@ func loadCheckpoint(r io.Reader, st *TrainState, paramsOnly bool) error {
 			return &FormatError{Reason: fmt.Sprintf("unknown section %q", tag)}
 		}
 		// Drain whatever the section reader did not consume (skipped
-		// sections, or forward-compatible padding within a known one).
+		// sections, or forward-compatible padding within a known one); a
+		// file that ends inside the section is truncated.
 		if _, err := io.Copy(io.Discard, body); err != nil {
 			return &FormatError{Reason: fmt.Sprintf("draining section %q: %v", tag, err)}
+		}
+		if body.rest.N > 0 {
+			return &FormatError{Reason: fmt.Sprintf("section %q truncated %d bytes short", tag, body.rest.N)}
 		}
 	}
 	if !sawParams {

@@ -108,11 +108,14 @@ type Options struct {
 	Tracer *trace.Tracer
 }
 
-// replicaState is one backend plus its health bookkeeping.
+// replicaState is one backend plus its health bookkeeping. health is
+// 2·evictions, plus 1 while the replica is on the ring: a success revives the
+// replica only if health shows no eviction since its query was dispatched
+// (markHealthy), so a reply a dying replica sent cannot put it back.
 type replicaState struct {
 	name     string
 	q        serve.Querier
-	healthy  atomic.Bool
+	health   atomic.Uint64
 	failures atomic.Int32
 
 	requests *metrics.Counter
@@ -210,7 +213,7 @@ func New(opts Options) (*Router, error) {
 			errs:     r.reg.Counter(fmt.Sprintf("router_replica_%d_errors_total", i)),
 			hgauge:   r.reg.Gauge(fmt.Sprintf("router_replica_%d_healthy", i)),
 		}
-		st.healthy.Store(true)
+		st.health.Store(1)
 		st.hgauge.Set(1)
 		r.reps = append(r.reps, st)
 	}
@@ -234,7 +237,7 @@ func (r *Router) Close() {
 func (r *Router) ModelVersion() int64 {
 	min := int64(math.MaxInt64)
 	for _, st := range r.reps {
-		if !st.healthy.Load() {
+		if !st.healthy() {
 			continue
 		}
 		if v := st.q.ModelVersion(); v < min {
@@ -251,7 +254,7 @@ func (r *Router) ModelVersion() int64 {
 func (r *Router) HealthyReplicas() int {
 	n := 0
 	for _, st := range r.reps {
-		if st.healthy.Load() {
+		if st.healthy() {
 			n++
 		}
 	}
@@ -262,7 +265,7 @@ func (r *Router) HealthyReplicas() int {
 func (r *Router) aliveMask() []bool {
 	alive := make([]bool, len(r.reps))
 	for i, st := range r.reps {
-		alive[i] = st.healthy.Load()
+		alive[i] = st.healthy()
 	}
 	return alive
 }
@@ -406,10 +409,11 @@ func (r *Router) queryShard(ctx context.Context, primary int, verts []graph.Vert
 		st := r.reps[rep]
 		st.requests.Inc()
 		sp := r.tracer.BeginChild(0, 0, int32(len(verts)), trace.CatRoute, "shard:"+st.name, parent)
+		seen := st.health.Load()
 		reply, err := st.q.Query(ctx, verts)
 		sp.End()
 		if err == nil {
-			r.markHealthy(st)
+			r.markHealthy(st, seen)
 			return reply, nil
 		}
 		st.errs.Inc()
@@ -451,7 +455,7 @@ func retryable(err error) bool {
 func (r *Router) nextReplica(v graph.VertexID, tried []bool) int {
 	order := r.ring.successors(v, len(r.reps), nil)
 	for _, rep := range order {
-		if !tried[rep] && r.reps[rep].healthy.Load() {
+		if !tried[rep] && r.reps[rep].healthy() {
 			return rep
 		}
 	}
@@ -463,21 +467,29 @@ func (r *Router) nextReplica(v graph.VertexID, tried []bool) int {
 	return -1
 }
 
+// healthy reports whether st is on the ring.
+func (st *replicaState) healthy() bool { return st.health.Load()&1 == 1 }
+
 // markFailure counts one failure against st, evicting it from the ring at
 // the threshold.
 func (r *Router) markFailure(st *replicaState) {
-	if st.failures.Add(1) >= r.failThresh && st.healthy.CompareAndSwap(true, false) {
+	if h := st.health.Load(); st.failures.Add(1) >= r.failThresh && h&1 == 1 && st.health.CompareAndSwap(h, h+1) {
 		st.hgauge.Set(0)
 		r.reg.Counter("router_evictions_total").Inc()
 		r.reg.Gauge("router_replicas_healthy").Set(float64(r.HealthyReplicas()))
 	}
 }
 
-// markHealthy clears st's failure count, restoring it to the ring if it
-// was evicted.
-func (r *Router) markHealthy(st *replicaState) {
+// markHealthy records the success of a query or probe dispatched to st when
+// its health read seen: it clears st's failure count and restores st to the
+// ring — unless st was evicted since, which the success is older than.
+func (r *Router) markHealthy(st *replicaState, seen uint64) {
+	h := st.health.Load()
+	if h>>1 != seen>>1 {
+		return
+	}
 	st.failures.Store(0)
-	if st.healthy.CompareAndSwap(false, true) {
+	if h&1 == 0 && st.health.CompareAndSwap(h, h+1) {
 		st.hgauge.Set(1)
 		r.reg.Counter("router_revivals_total").Inc()
 		r.reg.Gauge("router_replicas_healthy").Set(float64(r.HealthyReplicas()))
@@ -497,11 +509,11 @@ func (r *Router) healthLoop() {
 			return
 		case <-ticker.C:
 			for _, st := range r.reps {
-				if st.healthy.Load() {
+				if st.healthy() {
 					continue
 				}
-				if r.probe(st) == nil {
-					r.markHealthy(st)
+				if seen := st.health.Load(); r.probe(st) == nil {
+					r.markHealthy(st, seen)
 				}
 			}
 		}

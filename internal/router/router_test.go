@@ -139,6 +139,59 @@ func (f *fakeRep) callCount(v graph.VertexID) int {
 	return f.calls[v]
 }
 
+// dyingRep is a replica that dies while a query it accepted is in flight: its
+// first query waits for release and then succeeds, and every later query or
+// probe fails with serve.ErrClosed.
+type dyingRep struct {
+	calls            atomic.Int32
+	entered, release chan struct{}
+}
+
+func (d *dyingRep) Query(_ context.Context, vertices []graph.VertexID) (*serve.Reply, error) {
+	if d.calls.Add(1) > 1 || len(vertices) == 0 {
+		return nil, serve.ErrClosed
+	}
+	close(d.entered)
+	<-d.release
+	results := make([]serve.Result, len(vertices))
+	for i, v := range vertices {
+		results[i] = serve.Result{Vertex: v, Logits: []float32{float32(v)}}
+	}
+	return &serve.Reply{ModelVersion: 1, Results: results}, nil
+}
+
+func (d *dyingRep) ModelVersion() int64 { return 1 }
+func (d *dyingRep) Close()              {}
+
+// TestRouterLateSuccessDoesNotRevive: a query dispatched to a replica before
+// its eviction can succeed after it — the replica finishes the batch it was
+// running as it dies. That success is older than the failure that evicted
+// the replica, and must not put a dead replica back on the ring.
+func TestRouterLateSuccessDoesNotRevive(t *testing.T) {
+	rep := &dyingRep{entered: make(chan struct{}), release: make(chan struct{})}
+	rt, reg := newTestRouter(t, Options{Replicas: fleet(rep), FailureThreshold: 1, HealthEvery: time.Hour})
+	early := make(chan error, 1)
+	go func() {
+		_, err := rt.Query(context.Background(), []graph.VertexID{1})
+		early <- err
+	}()
+	<-rep.entered
+	if _, err := rt.Query(context.Background(), []graph.VertexID{2}); err == nil {
+		t.Fatal("the dead replica answered")
+	}
+	if rt.HealthyReplicas() != 0 {
+		t.Fatalf("healthy replicas = %d after the failure, want 0", rt.HealthyReplicas())
+	}
+	close(rep.release)
+	if err := <-early; err != nil {
+		t.Fatalf("the query dispatched before the eviction: %v", err)
+	}
+	if rt.HealthyReplicas() != 0 || reg.Counter("router_revivals_total").Load() != 0 {
+		t.Fatalf("a success dispatched before the eviction revived the replica (healthy %d, revivals %d)",
+			rt.HealthyReplicas(), reg.Counter("router_revivals_total").Load())
+	}
+}
+
 func fleet(reps ...serve.Querier) []Replica {
 	out := make([]Replica, len(reps))
 	for i, q := range reps {

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"runtime"
@@ -156,4 +157,29 @@ func TestCloseFailsQueuedRequests(t *testing.T) {
 		t.Fatalf("%d batches ran after Close", got)
 	}
 	waitFor(t, "the executor and the callers to exit", func() bool { return runtime.NumGoroutine() <= base+2 })
+}
+
+// TestClosedServerFailsLiveness: the liveness probe — an empty Query, and
+// /v1/healthz over it — fails once the server is closed, so a health checker
+// cannot take a server that is shutting down for a live one.
+func TestClosedServerFailsLiveness(t *testing.T) {
+	tr, d := trainedGCN(t, 0.03)
+	s, _ := newServer(t, tr, d, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL, ClientOptions{})
+	defer c.Close()
+	if _, err := s.Query(context.Background(), nil); err != nil {
+		t.Fatalf("open server, empty query: %v", err)
+	}
+	if err := c.Ping(context.Background()); err != nil {
+		t.Fatalf("open server, healthz: %v", err)
+	}
+	s.Close()
+	if _, err := s.Query(context.Background(), nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed server, empty query: err = %v, want ErrClosed", err)
+	}
+	if err := c.Ping(context.Background()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed server, healthz: err = %v, want ErrClosed", err)
+	}
 }

@@ -102,9 +102,15 @@ func NewHTTPHandler(q Querier, opts HTTPOptions) http.Handler {
 			writeJSON(w, http.StatusMethodNotAllowed, errorReply{Error: "GET required", Code: "method"})
 			return
 		}
+		// The Querier's liveness probe: a closed server answers 503.
+		probe, err := q.Query(r.Context(), nil)
+		if err != nil {
+			writeQueryError(w, err)
+			return
+		}
 		body := map[string]any{
 			"status":        "ok",
-			"model_version": q.ModelVersion(),
+			"model_version": probe.ModelVersion,
 		}
 		if c, ok := q.(interface{ CacheLen() int }); ok {
 			body["cache_rows"] = c.CacheLen()

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/hdg"
-	"repro/internal/nau"
 	"repro/internal/store"
 )
 
@@ -39,20 +37,10 @@ func (s *Server) planBatch(roots []graph.VertexID, version int64) error {
 			frontier = nil // fully cached: nothing below this layer runs
 			continue
 		}
-		if err := store.Expand(context.Background(), s.topo, s.schema, s.universe, s.miss, s.selectRecords, &p.LayerPlan); err != nil {
+		if err := store.Expand(context.Background(), s.topo, s.model.Layers[0].Schema(), s.universe, s.miss, s.sample, &p.LayerPlan); err != nil {
 			return fmt.Errorf("serve: expand layer %d: %w", l, err)
 		}
 		frontier = p.In
 	}
 	return nil
-}
-
-// selectRecords runs the model's own NeighborSelection over a frontier,
-// seeding each root from its vertex ID so the records (and therefore the
-// cached activations built from them) are batch-composition independent.
-func (s *Server) selectRecords(frontier []graph.VertexID) ([]hdg.Record, error) {
-	return nau.SelectRecords(s.graph, s.schema, s.udf, frontier,
-		func(_ int, v graph.VertexID) uint64 {
-			return s.seed ^ (0x9e3779b97f4a7c15 * (uint64(v) + 1))
-		}, 0), nil
 }

@@ -17,7 +17,9 @@ import (
 //
 // Query answers per-vertex queries in input order. An empty vertex slice is
 // a cheap liveness probe: it returns the current model version without
-// touching the execution path. ModelVersion reports the serving model's
+// touching the execution path, and fails once the Querier is closed (a
+// closed Server with ErrClosed, which /v1/healthz answers with 503).
+// ModelVersion reports the serving model's
 // version (a Client reports the last version it observed; a Router the
 // minimum across healthy replicas). Close releases the Querier's own
 // resources; it does not propagate to injected dependencies.

@@ -214,6 +214,52 @@ func TestServePinSageDeterministic(t *testing.T) {
 	}
 }
 
+// TestServePinSageMatchesSamplerEpochZero: serving selects through the
+// store's Sample at epoch 0 of its seed, so served PinSage logits — cold, then
+// from the cache — equal bit for bit store.Forward over one all-roots batch
+// of a mini-batch sampler in its epoch 0 under the same seed.
+func TestServePinSageMatchesSamplerEpochZero(t *testing.T) {
+	const seed = 7
+	d := dataset.RedditLike(dataset.Config{Scale: 0.05, Seed: 3})
+	model := models.NewPinSage(d.FeatureDim(), 8, d.NumClasses,
+		models.PinSageConfig{NumWalks: 3, Hops: 2, TopK: 3}, tensor.NewRNG(3))
+	tr := nau.NewTrainerWith(model, nau.TrainerOptions{
+		Graph: d.Graph, Features: d.Features, Labels: d.Labels,
+		TrainMask: d.TrainMask, Seed: 3,
+	})
+	if _, err := tr.Epoch(); err != nil {
+		t.Fatal(err)
+	}
+	s, reg := newServer(t, tr, d, Options{Seed: seed})
+
+	layer0 := model.Layers[0]
+	local := store.NewLocal(store.LocalConfig{Graph: d.Graph, Features: d.Features,
+		Schema: layer0.Schema(), UDF: layer0.NeighborUDF()})
+	sampler := store.NewSampler(local, local, store.SamplerOptions{Layers: len(model.Layers), Schema: layer0.Schema(), Seed: seed})
+	st := sampler.Epoch(context.Background(), 0, [][]graph.VertexID{nau.AllVertices(d.Graph)})
+	defer st.Close()
+	b, err := st.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := store.Forward(model, tr.Engine, d.Graph, b, tensor.NewRNG(0), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	verts := []graph.VertexID{2, 4, 8, 16, 99}
+	for round := 0; round < 2; round++ { // cold, then from the cache
+		reply, err := s.Query(context.Background(), verts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, reply, want.Data)
+	}
+	if reg.Counter("serve_cache_hits_total").Load() < int64(len(verts)) {
+		t.Fatal("the second query was not answered from the cache")
+	}
+}
+
 // TestServeCacheInvalidation: an UpdateModel bumps the version, and the next
 // query recomputes against the new weights rather than reusing stale rows.
 func TestServeCacheInvalidation(t *testing.T) {

@@ -17,9 +17,9 @@
 // bit-identical to a whole-graph Trainer.Predict on the same vertices: the
 // sub-levels preserve whole-graph neighbor order, reductions are
 // per-destination sequential, and the dense kernels are row-independent.
-// Random-walk models (PinSage) serve deterministically per vertex (seeds
-// derive from the vertex ID), but their sampled neighborhoods need not match
-// a particular training epoch's HDG.
+// Random-walk models (PinSage) serve the neighborhoods a mini-batch sampler
+// with the same seed draws in its epoch 0 (store.VertexSeed), not those of a
+// particular Trainer epoch.
 package serve
 
 import (
@@ -79,8 +79,8 @@ type Options struct {
 	// CacheCapacity bounds the embedding cache in rows; 0 selects
 	// DefaultCacheCapacity and a negative value disables caching.
 	CacheCapacity int
-	// Seed is the base seed for per-vertex neighbor-selection streams of
-	// sampling models (PinSage).
+	// Seed seeds sampling models' (PinSage's) neighbor selection as a
+	// mini-batch sampler with this seed selects in its epoch 0.
 	Seed uint64
 	// Metrics receives the serve_* counters and histograms; nil disables.
 	Metrics *metrics.Registry
@@ -127,14 +127,11 @@ type request struct {
 // Server is the online inference service. Create with New, query with Query
 // (or over HTTP via Handler/Mux), and stop with Close.
 type Server struct {
-	model  *nau.Model
-	graph  *graph.Graph
-	feats  *tensor.Tensor
-	schema *hdg.SchemaTree
-	udf    nau.NeighborUDF
-	seed   uint64
-	// topo answers the planner's in-edge queries.
-	topo store.GraphStore
+	model *nau.Model
+	feats *tensor.Tensor
+	// topo answers the planner's in-edge queries, sample its selections.
+	topo   store.GraphStore
+	sample func(frontier []graph.VertexID) ([]hdg.Record, error)
 
 	batchSize int
 	maxVerts  int
@@ -207,14 +204,11 @@ func New(opts Options) (*Server, error) {
 	if maxVerts == 0 {
 		maxVerts = DefaultMaxQueryVertices
 	}
+	layer0 := opts.Model.Layers[0]
 	s := &Server{
 		model:     opts.Model,
-		graph:     opts.Graph,
 		feats:     opts.Features,
-		schema:    opts.Model.Layers[0].Schema(),
-		udf:       opts.Model.Layers[0].NeighborUDF(),
-		seed:      opts.Seed,
-		topo:      store.NewLocal(store.LocalConfig{Graph: opts.Graph}),
+		topo:      store.NewLocal(store.LocalConfig{Graph: opts.Graph, Schema: layer0.Schema(), UDF: layer0.NeighborUDF()}),
 		ctx:       &nau.Context{Graph: opts.Graph, Engine: eng},
 		universe:  store.NewUniverse(opts.Graph.NumVertices()),
 		plans:     make([]layerPlan, len(opts.Model.Layers)),
@@ -225,6 +219,10 @@ func New(opts Options) (*Server, error) {
 		tracer:    opts.Tracer,
 		reqCh:     make(chan *request, queueDepth),
 		stop:      make(chan struct{}),
+	}
+	epochSeed := store.EpochSeed(opts.Seed, 0)
+	s.sample = func(frontier []graph.VertexID) ([]hdg.Record, error) {
+		return s.topo.Sample(context.Background(), frontier, epochSeed)
 	}
 	s.version.Store(1)
 	s.reg.Gauge("serve_model_version").Set(1)
@@ -285,14 +283,11 @@ func (s *Server) Query(ctx context.Context, vertices []graph.VertexID) (*Reply, 
 	defer span.End()
 	s.reg.Counter("serve_requests_total").Inc()
 	s.reg.Counter("serve_request_vertices_total").Add(int64(len(vertices)))
-	if len(vertices) == 0 {
-		return &Reply{ModelVersion: s.version.Load()}, nil
-	}
 	if s.maxVerts > 0 && len(vertices) > s.maxVerts {
 		s.reg.Counter("serve_errors_total").Inc()
 		return nil, &QueryLimitError{Count: len(vertices), Limit: s.maxVerts}
 	}
-	n := s.graph.NumVertices()
+	n := s.topo.NumVertices()
 	for _, v := range vertices {
 		if int(v) < 0 || int(v) >= n {
 			s.reg.Counter("serve_errors_total").Inc()
@@ -303,6 +298,10 @@ func (s *Server) Query(ctx context.Context, vertices []graph.VertexID) (*Reply, 
 	if s.closed {
 		s.closeMu.RUnlock()
 		return nil, ErrClosed
+	}
+	if len(vertices) == 0 { // the liveness probe, which a closed server fails
+		s.closeMu.RUnlock()
+		return &Reply{ModelVersion: s.version.Load()}, nil
 	}
 	r := &request{
 		ctx:      ctx,

@@ -72,8 +72,7 @@ func (l *Local) Sample(ctx context.Context, roots []graph.VertexID, epochSeed ui
 	if err := ctx.Err(); err != nil {
 		return nil, &FetchError{Op: "sample", Verts: len(roots), Err: err}
 	}
-	return nau.SelectRecords(l.cfg.Graph, l.cfg.Schema, l.cfg.UDF, roots,
-		func(_ int, v graph.VertexID) uint64 { return VertexSeed(epochSeed, v) }, 0), nil
+	return nau.SelectRecords(l.cfg.Graph, l.cfg.Schema, l.cfg.UDF, roots, VertexSeeds(epochSeed), 0), nil
 }
 
 // KHopInduced expands the roots k out-hops (full neighborhoods, §7.1),

@@ -117,3 +117,10 @@ func EpochSeed(seed uint64, epoch int) uint64 {
 func VertexSeed(epochSeed uint64, v graph.VertexID) uint64 {
 	return epochSeed ^ (uint64(v)+1)*0xbf58476d1ce4e5b9
 }
+
+// VertexSeeds is VertexSeed as a selection's per-root seed function: the one
+// formula the sampler, serving and the cluster's whole-graph ranks select by,
+// so a vertex's neighborhood depends neither on its batch nor on its rank.
+func VertexSeeds(epochSeed uint64) func(int, graph.VertexID) uint64 {
+	return func(_ int, v graph.VertexID) uint64 { return VertexSeed(epochSeed, v) }
+}
