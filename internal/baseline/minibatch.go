@@ -179,27 +179,19 @@ func (m *MiniBatch) pinsage(d *dataset.Dataset, spec Spec) (float32, error) {
 
 	batches := m.batches(d.Graph.NumVertices())
 
-	// Euler's walk seeds come from the executor's shared RNG. The fused
-	// loop drew them per batch in schedule order; prefetch materialises
-	// batches out of order, so draw the whole schedule up front — the same
-	// values in the same order, now batch-composition independent.
-	var seeds [][]uint64
+	// Euler's walks are seeded from one draw of the executor's shared RNG,
+	// per vertex (nau.VertexSeed): prefetch materialises batches out of
+	// order, and a vertex's walks must not depend on when its batch ran.
+	var epochSeed uint64
 	if m.System == "Euler" {
-		seeds = make([][]uint64, len(batches))
-		for bi, batch := range batches {
-			seeds[bi] = make([]uint64, len(batch))
-			for i := range seeds[bi] {
-				seeds[bi][i] = rng.Uint64()
-			}
-		}
+		epochSeed = rng.Uint64()
 	}
 
-	sel := func(_, index int, batch []graph.VertexID) ([]hdg.Record, error) {
+	sel := func(_, _ int, batch []graph.VertexID) ([]hdg.Record, error) {
 		var recs []hdg.Record
 		if m.System == "Euler" {
 			// Euler's parallel graph sampling query engine (§7.1).
-			return nau.SelectRecords(d.Graph, nil, nau.RandomWalkUDF(cfg.NumWalks, cfg.Hops, cfg.TopK), batch,
-				func(i int, _ graph.VertexID) uint64 { return seeds[index][i] }, 0), nil
+			return nau.SelectRecords(d.Graph, nil, nau.RandomWalkUDF(cfg.NumWalks, cfg.Hops, cfg.TopK), batch, epochSeed, 0), nil
 		}
 		inBatch := make(map[graph.VertexID]bool, len(batch))
 		for _, v := range batch {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hdg"
+	"repro/internal/nau"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -72,19 +73,20 @@ func fusedMiniBatchPinSage(m *MiniBatch, d *dataset.Dataset, spec Spec) (float32
 		distDGLRecs = all
 	}
 
+	var epochSeed uint64
+	if m.System == "Euler" {
+		epochSeed = rng.Uint64()
+	}
+
 	var lastLoss float32
 	for _, batch := range m.batches(d.Graph.NumVertices()) {
 		var recs []hdg.Record
 		if m.System == "Euler" {
 			perRoot := make([][]hdg.Record, len(batch))
-			seeds := make([]uint64, len(batch))
-			for i := range seeds {
-				seeds[i] = rng.Uint64()
-			}
 			tensor.ParallelFor(len(batch), func(s, e int) {
 				visits := make([]uint32, d.Graph.NumVertices())
 				for i := s; i < e; i++ {
-					wrng := tensor.NewRNG(seeds[i])
+					wrng := tensor.NewRNG(nau.VertexSeed(epochSeed, batch[i]))
 					for _, u := range d.Graph.AppendTopKVisited(nil, wrng, batch[i], cfg.NumWalks, cfg.Hops, cfg.TopK, visits) {
 						perRoot[i] = append(perRoot[i], hdg.Record{Root: batch[i], Nei: []graph.VertexID{u}, Type: 0})
 					}

@@ -83,7 +83,7 @@ func (p *PreExpand) Prepare(d *dataset.Dataset, spec Spec) error {
 		// FlexGraph's own parallel NeighborSelection: the pre-computation is
 		// untimed, so using the fast path is fair.
 		recs := nau.SelectRecords(d.Graph, nil, nau.MetapathUDF(d.Metapaths, spec.MAGNN.MaxInstances),
-			nau.AllVertices(d.Graph), func(int, graph.VertexID) uint64 { return 0 }, 0)
+			nau.AllVertices(d.Graph), 0, 0)
 		h, err := buildMAGNNHDG(d, recs)
 		if err != nil {
 			return err

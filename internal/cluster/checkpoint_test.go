@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
+	"repro/internal/nau"
 	"repro/internal/nn"
 	"repro/internal/rpc"
 	"repro/internal/tensor"
@@ -39,22 +40,25 @@ func requireLossesEqual(t *testing.T, got, want []float32, what string) {
 // in-process loopback runtime: N epochs uninterrupted vs k epochs + fenced
 // checkpoint + a fresh cluster resumed from the file running N−k more must
 // produce bit-identical per-epoch losses, in whole-graph and mini-batch
-// modes.
+// modes, and for a PinSage cached forever, whose resumed ranks must rebuild
+// the HDG the uninterrupted run selected at epoch 0.
 func TestClusterResumeParity(t *testing.T) {
 	const k, split, total = 3, 3, 5
 	for _, tc := range []struct {
-		name string
-		mb   *MiniBatchConfig
+		name    string
+		mb      *MiniBatchConfig
+		factory func(*dataset.Dataset) ModelFactory
 	}{
-		{"whole-graph", nil},
-		{"mini-batch", &MiniBatchConfig{BatchSize: 32, PrefetchDepth: 2, SamplerWorkers: 2}},
+		{"whole-graph", nil, gcnFactory},
+		{"mini-batch", &MiniBatchConfig{BatchSize: 32, PrefetchDepth: 2, SamplerWorkers: 2}, gcnFactory},
+		{"whole-graph/pinsage-forever", nil, func(d *dataset.Dataset) ModelFactory { return pinsageFactory(d, nau.CacheForever) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 41})
 
 			refCfg := ckptBaseCfg(k, tc.mb)
 			refCfg.Epochs = total
-			ref, err := Train(refCfg, d, gcnFactory(d))
+			ref, err := Train(refCfg, d, tc.factory(d))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +67,7 @@ func TestClusterResumeParity(t *testing.T) {
 			firstCfg := ckptBaseCfg(k, tc.mb)
 			firstCfg.Epochs = split
 			firstCfg.Checkpoint = &CheckpointConfig{Path: path, Every: split}
-			first, err := Train(firstCfg, d, gcnFactory(d))
+			first, err := Train(firstCfg, d, tc.factory(d))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +76,7 @@ func TestClusterResumeParity(t *testing.T) {
 			secondCfg := ckptBaseCfg(k, tc.mb)
 			secondCfg.Epochs = total - split
 			secondCfg.Resume = path
-			second, err := Train(secondCfg, d, gcnFactory(d))
+			second, err := Train(secondCfg, d, tc.factory(d))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -468,7 +468,7 @@ func (w *worker) ensureHDG() error {
 	}
 	span := w.tracer.Begin(int32(w.rank), w.epoch, 0, trace.CatStage, "select")
 	start := time.Now()
-	err := w.sel.Select(w.ctx, w.g, m.Layers[0], w.roots, store.VertexSeeds(store.EpochSeed(w.cfg.Seed, int(w.epoch))))
+	err := w.sel.Select(w.ctx, w.g, m.Layers[0], w.roots, m.SelectionSeed(w.cfg.Seed, int(w.epoch)))
 	w.breakdown.Add(metrics.StageNeighborSelection, time.Since(start))
 	span.End()
 	clear(w.plans) // the new level may be a recycled adjacency: every plan is stale

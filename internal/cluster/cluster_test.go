@@ -22,6 +22,15 @@ func gcnFactory(d *dataset.Dataset) ModelFactory {
 	}
 }
 
+// pinsageFactory builds a small PinSage under the given cache policy.
+func pinsageFactory(d *dataset.Dataset, cache nau.CachePolicy) ModelFactory {
+	return func(rng *tensor.RNG) *nau.Model {
+		m := models.NewPinSage(d.FeatureDim(), 8, d.NumClasses, models.PinSageConfig{NumWalks: 3, Hops: 2, TopK: 3}, rng)
+		m.Cache = cache
+		return m
+	}
+}
+
 func TestDistributedGCNMatchesSingleMachineFirstLoss(t *testing.T) {
 	// The first-epoch forward pass is exact in the distributed runtime
 	// (features fully synchronised), so the epoch-1 loss must match
@@ -330,7 +339,8 @@ func TestUnsupportedReduceOpIsAnError(t *testing.T) {
 // cross-driver parity chain (internal/serve's bit-identical tests hold the
 // store.Forward and serving legs against the same Trainer.Predict): a k=1
 // worker's forward pass — the partition that is the whole graph, behind the
-// distributed hook — produces Trainer.Predict's logits bit for bit.
+// distributed hook — produces Trainer.Predict's logits bit for bit, PinSage's
+// included: both select epoch 0 by the one seed formula.
 func TestSingleRankForwardIsTrainerPredict(t *testing.T) {
 	reddit := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 52})
 	imdb := dataset.IMDBLike(dataset.Config{Scale: 0.04, Seed: 53})
@@ -343,6 +353,7 @@ func TestSingleRankForwardIsTrainerPredict(t *testing.T) {
 		{"MAGNN", imdb, func(rng *tensor.RNG) *nau.Model {
 			return models.NewMAGNN(imdb.FeatureDim(), 8, imdb.NumClasses, imdb.Metapaths, models.MAGNNConfig{MaxInstances: 4}, rng)
 		}},
+		{"PinSage", reddit, pinsageFactory(reddit, nau.CachePerEpoch)},
 	}
 	for _, c := range cases {
 		tr := nau.NewTrainerWith(c.factory(tensor.NewRNG(54)), nau.TrainerOptions{
@@ -366,6 +377,29 @@ func TestSingleRankForwardIsTrainerPredict(t *testing.T) {
 		}
 		if !slices.Equal(got.Data.Data(), want.Data()) {
 			t.Errorf("%s: k=1 worker forward differs from Trainer.Predict", c.name)
+		}
+	}
+}
+
+// TestTrainerHDGsAreSingleRankHDGs: the Trainer seeds selection like a k = 1
+// rank — root v of epoch e by VertexSeed(EpochSeed(seed, e), v) — so a
+// PinSage Trainer and a k = 1 worker hold the same HDG arrays epoch by epoch,
+// whether the Trainer selected its HDG ahead or not.
+func TestTrainerHDGsAreSingleRankHDGs(t *testing.T) {
+	d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 55})
+	factory := pinsageFactory(d, nau.CachePerEpoch)
+	tr := nau.NewTrainerWith(factory(tensor.NewRNG(56)), nau.TrainerOptions{
+		Graph: d.Graph, Features: d.Features, Labels: d.Labels, TrainMask: d.TrainMask, Seed: 56})
+	r := newRanks(t, Config{NumWorkers: 1, Pipeline: true, Seed: 56}, d, factory)
+	for e := range 4 {
+		if _, err := tr.Epoch(); err != nil {
+			t.Fatal(err)
+		}
+		r.epoch()
+		got, want := r.workers[0].ctx.HDG, tr.HDG()
+		if !slices.Equal(got.Roots, want.Roots) || !slices.Equal(got.InstOffset, want.InstOffset) ||
+			!slices.Equal(got.LeafOffset, want.LeafOffset) || !slices.Equal(got.LeafIDs, want.LeafIDs) {
+			t.Fatalf("epoch %d: the k = 1 worker's HDG differs from the Trainer's", e)
 		}
 	}
 }

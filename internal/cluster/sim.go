@@ -11,7 +11,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/partition"
 	"repro/internal/rpc"
-	"repro/internal/store"
 	"repro/internal/tensor"
 )
 
@@ -232,7 +231,7 @@ func (s *Simulation) Epoch() (*SimResult, error) {
 		h[rank] = r.ctx.Input(r.model, r.part.features)
 		if m := r.model; m.NeedsHDG() && (r.ctx.HDG == nil || m.Cache != nau.CacheForever) {
 			start := time.Now()
-			err := r.sel.Select(r.ctx, r.ctx.Graph, m.Layers[0], r.roots, store.VertexSeeds(store.EpochSeed(s.cfg.Seed, s.epoch)))
+			err := r.sel.Select(r.ctx, r.ctx.Graph, m.Layers[0], r.roots, m.SelectionSeed(s.cfg.Seed, s.epoch))
 			s.stats[rank].Selection = time.Since(start)
 			clear(s.plans) // as the worker's: a recycled level makes every plan stale
 			if err != nil {

@@ -132,9 +132,9 @@ func (c *Comm) AllReduce(f Fence, data []float32, kind rpc.MsgKind) error {
 
 // AllReduceBroadcast is the pre-refactor gradient synchronisation: every
 // worker ships its full payload to every peer — (k−1)·|payload| bytes per
-// worker — and sums the k contributions in rank order. It is kept as the
-// equivalence reference for the ring algorithm (both sum in rank order, so
-// results are bit-identical) and as a debugging fallback.
+// worker — and sums the k contributions in rank order. It is a test
+// reference: no production path calls it; the collective tests hold the ring
+// algorithm to it (both sum in rank order, so results are bit-identical).
 func (c *Comm) AllReduceBroadcast(f Fence, data []float32, kind rpc.MsgKind) error {
 	k, rank := c.tr.Size(), c.tr.Rank()
 	if k == 1 || len(data) == 0 {

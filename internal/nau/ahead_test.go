@@ -52,11 +52,11 @@ func aheadTrainer(first func(in, out int, act bool, rng *tensor.RNG) Layer) *Tra
 }
 
 // requireReplayedHDG fails unless the HDG tr trained its last epoch on stores
-// exactly selectLayer's arrays over seeds replayed from the RNG state from: one
-// draw per root, in root order — the synchronous path's seeds.
-func requireReplayedHDG(t *testing.T, tr *Trainer, from uint64) {
+// exactly selectLayer's arrays at EpochSeed(51, epoch) — the synchronous
+// path's selection of that epoch.
+func requireReplayedHDG(t *testing.T, tr *Trainer, epoch int) {
 	t.Helper()
-	want, err := selectLayer(tr.Graph, tr.Model.Layers[0], tr.roots, splitSeeds(new([]uint64), tensor.NewRNG(from), len(tr.roots)), 1, new([]*arena), nil)
+	want, err := selectLayer(tr.Graph, tr.Model.Layers[0], tr.roots, EpochSeed(51, epoch), 1, new([]*arena), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func requireReplayedHDG(t *testing.T, tr *Trainer, from uint64) {
 	if !slices.Equal(got.Roots, want.Roots) || !slices.Equal(got.InstOffset, want.InstOffset) ||
 		!slices.Equal(got.LeafOffset, want.LeafOffset) || (got.LeafOffset == nil) != (want.LeafOffset == nil) ||
 		!slices.Equal(got.LeafIDs, want.LeafIDs) {
-		t.Fatal("the epoch's HDG differs from a synchronous selection over the replayed seeds")
+		t.Fatalf("epoch %d's HDG differs from a synchronous selection at its seed", epoch)
 	}
 }
 
@@ -81,16 +81,16 @@ func requireGoroutinesSettle(t *testing.T, n int) {
 	}
 }
 
-// TestEpochAheadSelectionMatchesSynchronous: each epoch of a CachePerEpoch
-// model trains on the HDG a synchronous selection would build from the RNG
-// state the epoch starts at, whether it was selected ahead during the last
-// epoch or here, and leaves the RNG n draws (plus what the layers drew)
-// further on. The ahead HDG is adopted when nothing drew from the RNG after
-// the forward it followed — Evaluate, Predict and HDG() between epochs of a
-// model that draws nothing, or a layer drawing during the training forward
-// itself — and dropped otherwise: an Evaluate through a layer that draws, a
-// LoadCheckpoint, a swapped graph. No goroutine outlives an Epoch call. Kernel
-// parallelism 1 and 3 fan the ahead selection out over one and two workers.
+// TestEpochAheadSelectionMatchesSynchronous: each epoch e of a CachePerEpoch
+// model trains on the HDG a synchronous selection at EpochSeed(seed, e)
+// builds, whether it was selected ahead during the last epoch or here, and
+// selection leaves the RNG where the layers' own draws put it. The ahead HDG
+// is adopted whenever it was selected at the seed and over the graph of the
+// epoch that runs — Evaluate, Predict and HDG() between epochs, a layer that
+// draws from ctx.RNG in training and in Evaluate alike — and dropped after a
+// LoadCheckpoint to an earlier epoch or a swapped graph. No goroutine outlives
+// an Epoch call. Kernel parallelism 1 and 3 fan the ahead selection out over
+// one and two workers.
 func TestEpochAheadSelectionMatchesSynchronous(t *testing.T) {
 	defer tensor.SetParallelism(tensor.Parallelism())
 	dummy := func(in, out int, act bool, rng *tensor.RNG) Layer { return newDummyLayer(in, out, act, rng) }
@@ -109,9 +109,9 @@ func TestEpochAheadSelectionMatchesSynchronous(t *testing.T) {
 	cases := []struct {
 		name    string
 		first   func(in, out int, act bool, rng *tensor.RNG) Layer
-		draws   int                                        // RNG draws per forward
-		between func(t *testing.T, tr *Trainer, epoch int) // after each epoch
-		dropped func(epoch int) bool                       // epochs that reselect
+		draws   int                                    // RNG draws per forward
+		between func(t *testing.T, tr *Trainer, i int) // after the i-th Epoch call
+		dropped func(i int) bool                       // Epoch calls that reselect
 	}{
 		{name: "dummy", first: dummy},
 		{name: "pinsage", first: walk},
@@ -125,25 +125,24 @@ func TestEpochAheadSelectionMatchesSynchronous(t *testing.T) {
 			}
 		}},
 		{name: "drawing", first: drawing, draws: 1},
-		{name: "drawing/evaluate", first: drawing, draws: 1, between: evaluate,
-			dropped: func(int) bool { return true }},
-		{name: "pinsage/load-checkpoint", first: walk, between: func(t *testing.T, tr *Trainer, epoch int) {
-			switch epoch {
-			case 2:
+		{name: "drawing/evaluate", first: drawing, draws: 1, between: evaluate},
+		{name: "pinsage/load-checkpoint", first: walk, between: func(t *testing.T, tr *Trainer, i int) {
+			switch i {
+			case 1:
 				if err := tr.SaveCheckpoint(saved); err != nil {
 					t.Fatal(err)
 				}
-			case 4:
+			case 3:
 				if err := tr.LoadCheckpoint(saved); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}, dropped: func(epoch int) bool { return epoch == 5 }},
-		{name: "pinsage/swapped-graph", first: walk, between: func(_ *testing.T, tr *Trainer, epoch int) {
-			if epoch == 3 {
+		}, dropped: func(i int) bool { return i == 4 }},
+		{name: "pinsage/swapped-graph", first: walk, between: func(_ *testing.T, tr *Trainer, i int) {
+			if i == 2 {
 				tr.Graph = trickyGraph(tr.Graph.NumVertices(), 8)
 			}
-		}, dropped: func(epoch int) bool { return epoch == 4 }},
+		}, dropped: func(i int) bool { return i == 3 }},
 	}
 	for _, p := range []int{1, 3} {
 		tensor.SetParallelism(p)
@@ -151,40 +150,41 @@ func TestEpochAheadSelectionMatchesSynchronous(t *testing.T) {
 			t.Run(fmt.Sprintf("p%d/%s", p, c.name), func(t *testing.T) {
 				saved, losses = t.TempDir()+"/ck.fgck", nil
 				tr := aheadTrainer(c.first)
-				for e := 1; e <= epochs; e++ {
-					pending, from, goroutines := tr.sel.ahead.h, tr.RNG.State(), runtime.NumGoroutine()
+				for i := range epochs {
+					epoch, pending, from, goroutines := tr.CompletedEpochs(), tr.sel.ahead.h, tr.RNG.State(), runtime.NumGoroutine()
 					loss, err := tr.Epoch()
 					if err != nil {
 						t.Fatal(err)
 					}
 					losses = append(losses, loss)
-					if e > 2 {
+					if i > 1 {
 						requireGoroutinesSettle(t, goroutines)
 					}
-					requireReplayedHDG(t, tr, from)
+					requireReplayedHDG(t, tr, epoch)
 					rng := tensor.NewRNG(from)
-					for range len(tr.roots) + c.draws {
+					for range c.draws {
 						rng.Uint64()
 					}
 					if tr.RNG.State() != rng.State() {
-						t.Fatalf("epoch %d left the RNG elsewhere than the synchronous path", e)
+						t.Fatalf("epoch %d left the RNG elsewhere than its layers' draws", epoch)
 					}
 					if tr.sel.ahead.h == nil {
-						t.Fatalf("epoch %d selected nothing ahead", e)
+						t.Fatalf("epoch %d selected nothing ahead", epoch)
 					}
-					wantAdopted := e > 1 && (c.dropped == nil || !c.dropped(e))
+					wantAdopted := i > 0 && (c.dropped == nil || !c.dropped(i))
 					if adopted := pending != nil && tr.cachedHDG == pending; adopted != wantAdopted {
-						t.Fatalf("epoch %d: adopted the ahead HDG = %v, want %v", e, adopted, wantAdopted)
+						t.Fatalf("Epoch call %d (epoch %d): adopted the ahead HDG = %v, want %v", i, epoch, adopted, wantAdopted)
 					}
 					if c.between != nil {
-						c.between(t, tr, e)
+						c.between(t, tr, i)
 					}
 				}
 				if c.name == "pinsage/load-checkpoint" {
-					// Epochs 5 and 6 resumed from the state after epoch 2.
-					for e := 5; e <= epochs; e++ {
-						if math.Float32bits(losses[e-1]) != math.Float32bits(losses[e-3]) {
-							t.Fatalf("epoch %d after the reload: loss %v, epoch %d's %v", e, losses[e-1], e-2, losses[e-3])
+					// Calls 4 and 5 resumed from the state after epoch 1: they
+					// train epochs 2 and 3 again.
+					for i := 4; i < epochs; i++ {
+						if math.Float32bits(losses[i]) != math.Float32bits(losses[i-2]) {
+							t.Fatalf("Epoch call %d after the reload: loss %v, call %d's %v", i, losses[i], i-2, losses[i-2])
 						}
 					}
 				}

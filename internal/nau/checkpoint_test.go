@@ -10,7 +10,7 @@ import (
 // resumeTrainer builds a fresh deterministic trainer; calling it twice with
 // the same arguments simulates two independent processes starting from the
 // same seed. walk gives the first layer PinSage's selection over a graph
-// whose walks differ between epochs.
+// whose walks differ between epochs; a nil newOpt keeps the default Adam.
 func resumeTrainer(cache CachePolicy, newOpt func([]*nn.Value) nn.Optimizer, walk bool) *Trainer {
 	g := ringGraph(32)
 	rng := tensor.NewRNG(50)
@@ -29,19 +29,21 @@ func resumeTrainer(cache CachePolicy, newOpt func([]*nn.Value) nn.Optimizer, wal
 		Layers: []Layer{first, newDummyLayer(8, 2, false, rng)},
 		Cache:  cache,
 	}
-	return NewTrainerWith(m, TrainerOptions{
-		Graph: g, Features: feats, Labels: labels, Seed: 51, NewOptimizer: newOpt,
-	})
+	tr := NewTrainerWith(m, TrainerOptions{Graph: g, Features: feats, Labels: labels, Seed: 51})
+	if newOpt != nil {
+		tr.Opt = newOpt(m.Parameters())
+	}
+	return tr
 }
 
 // TestTrainerResumeParity is the single-machine resume guarantee: N epochs
 // uninterrupted vs k epochs + checkpoint + a FRESH trainer restored from the
 // file + N−k more epochs must produce bit-identical per-epoch losses and
-// final parameters. Covered for both optimizers and both cache policies
-// (CachePerEpoch re-consumes the trainer RNG stream every epoch, so it
-// exercises the RNGS section; CacheForever exercises the plain path), and
-// for PinSage's selection, whose next HDG each epoch selects ahead: the
-// restored trainer has none and selects its first one itself.
+// final parameters. Covered for both optimizers and both cache policies, and
+// for PinSage's selection: per epoch, whose next HDG each epoch selects ahead
+// (the restored trainer has none and selects its first one itself), and
+// cached forever, whose restored trainer must rebuild the HDG the
+// uninterrupted run selected at epoch 0, not one of the restored epoch.
 func TestTrainerResumeParity(t *testing.T) {
 	const split, total = 3, 6
 	adam := func(p []*nn.Value) nn.Optimizer { return nn.NewAdam(p, 0.02) }
@@ -57,6 +59,7 @@ func TestTrainerResumeParity(t *testing.T) {
 		{"sgd/per-epoch", CachePerEpoch, sgd, false},
 		{"sgd/forever", CacheForever, sgd, false},
 		{"adam/pinsage", CachePerEpoch, adam, true},
+		{"adam/pinsage-forever", CacheForever, adam, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -236,55 +236,61 @@ func (c *Context) InvalidateHDG(h *hdg.HDG) {
 	c.kept = keptBottom{}
 }
 
+// EpochSeed derives an epoch's selection seed from the run seed. With
+// VertexSeed it is the one seed formula of neighbor selection: every driver —
+// the Trainer, a cluster rank, the simulator, the mini-batch sampler and the
+// serving planner — seeds root v of epoch e with
+// VertexSeed(EpochSeed(seed, e), v) (Model.SelectionSeed adds the cache
+// policy), so a vertex's neighborhood depends on neither its batch nor its
+// rank nor the driver.
+func EpochSeed(seed uint64, epoch int) uint64 {
+	return seed ^ (uint64(epoch+1) * 0x9e3779b97f4a7c15)
+}
+
+// VertexSeed derives a root's private RNG seed from the epoch seed and its
+// vertex ID: the records a vertex selects are a pure function of (epochSeed,
+// vertex), no matter which batch, worker or prefetch slot ran the selection.
+func VertexSeed(epochSeed uint64, v graph.VertexID) uint64 {
+	return epochSeed ^ (uint64(v)+1)*0xbf58476d1ce4e5b9
+}
+
 // NeighborSelection runs the UDF for every root in parallel and builds the
-// HDGs (the paper's Fig. 4 first stage). Each root gets its own RNG stream
-// split from rng, so results are deterministic for a fixed seed and
-// independent of how the roots are spread over workers. A rejected call
-// leaves rng where it was.
+// HDGs (the paper's Fig. 4 first stage). It draws one epoch seed from rng and
+// seeds each root by VertexSeed, so results are deterministic for a fixed
+// seed and independent of how the roots are spread over workers. A rejected
+// call leaves rng where it was.
 func NeighborSelection(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, rng *tensor.RNG) (*hdg.HDG, error) {
 	if schema == nil || udf == nil {
 		return nil, errNoSchemaOrUDF
 	}
-	return neighborSelectionSeeded(g, schema, udf, roots, splitSeeds(new([]uint64), rng, len(roots)), 0)
+	return neighborSelectionSeeded(g, schema, udf, roots, rng.Uint64(), 0)
 }
 
 var errNoSchemaOrUDF = errors.New("nau: NeighborSelection requires a schema and a UDF")
 
-// neighborSelectionSeeded is NeighborSelection with the caller's per-root
-// seeds and fan-out bound (see SelectRecords for both): the record sink
-// followed by hdg.Build.
-func neighborSelectionSeeded(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64, workers int) (*hdg.HDG, error) {
+// neighborSelectionSeeded is NeighborSelection with the caller's epoch seed
+// and fan-out bound (see SelectRecords for both): the record sink followed by
+// hdg.Build.
+func neighborSelectionSeeded(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, epochSeed uint64, workers int) (*hdg.HDG, error) {
 	if schema == nil || udf == nil {
 		return nil, errNoSchemaOrUDF
 	}
-	return hdg.Build(schema, roots, SelectRecords(g, schema, udf, roots, seedFor, workers))
-}
-
-// splitSeeds draws one seed per root from rng, in root order, into *buf
-// (reusing its storage) and returns them as a SelectRecords seed function —
-// the one per-root seed formula of whole-graph selection.
-func splitSeeds(buf *[]uint64, rng *tensor.RNG, n int) func(i int, _ graph.VertexID) uint64 {
-	seeds := slices.Grow((*buf)[:0], n)
-	for range n {
-		seeds = append(seeds, rng.Uint64())
-	}
-	*buf = seeds
-	return func(i int, _ graph.VertexID) uint64 { return seeds[i] }
+	return hdg.Build(schema, roots, SelectRecords(g, schema, udf, roots, epochSeed, workers))
 }
 
 // SelectRecords is the record sink of the one selection driver (fanOut):
 // neighborSelectionSeeded builds an HDG from its output, and the store's
 // Sample query — through which the sampler and the serving planner select —
-// calls it directly. Root i runs udf on an RNG
-// seeded seedFor(i, roots[i]), and the records come back concatenated in
-// root order, so the result is bitwise independent of the fan-out; workers
-// only bounds how many goroutines selection may take (see fanOut).
-func SelectRecords(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64, workers int) []hdg.Record {
+// calls it directly. Root v runs udf on an RNG seeded VertexSeed(epochSeed,
+// v), and the records come back concatenated in root order, so the result is
+// bitwise independent of the fan-out; workers only bounds how many goroutines
+// selection may take (see fanOut).
+func SelectRecords(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots []graph.VertexID, epochSeed uint64, workers int) []hdg.Record {
 	perRoot := make([][]hdg.Record, len(roots))
 	fanOut(len(roots), workers, func(_, s, e int) {
 		rng := tensor.NewRNG(0)
 		for i := s; i < e; i++ {
-			rng.SetState(seedFor(i, roots[i]))
+			rng.SetState(VertexSeed(epochSeed, roots[i]))
 			perRoot[i] = udf(g, schema, roots[i], rng)
 		}
 	})

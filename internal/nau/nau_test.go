@@ -43,8 +43,8 @@ func TestNeighborSelectionBuildsHDG(t *testing.T) {
 func TestNeighborSelectionDeterministicUnderParallelism(t *testing.T) {
 	g := ringGraph(100)
 	schema := hdg.NewSchemaTree("vertex")
-	// UDF consumes randomness; per-root seed pre-splitting must make the
-	// result independent of scheduling.
+	// UDF consumes randomness; per-vertex seeds must make the result
+	// independent of scheduling.
 	udf := func(g *graph.Graph, _ *hdg.SchemaTree, v graph.VertexID, rng *tensor.RNG) []hdg.Record {
 		u := g.OutNeighbors(v)[rng.Intn(len(g.OutNeighbors(v)))]
 		return []hdg.Record{{Root: v, Nei: []graph.VertexID{u}, Type: 0}}

@@ -215,6 +215,11 @@ func oracleSelect(g *graph.Graph, schema *hdg.SchemaTree, udf NeighborUDF, roots
 	return records
 }
 
+// vertexSeeds is VertexSeed at epochSeed as an oracleSelect seed function.
+func vertexSeeds(epochSeed uint64) func(int, graph.VertexID) uint64 {
+	return func(_ int, v graph.VertexID) uint64 { return VertexSeed(epochSeed, v) }
+}
+
 // oracleHDG holds the storage arrays of the old hdg.Build.
 type oracleHDG struct {
 	flat       bool

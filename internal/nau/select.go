@@ -101,13 +101,13 @@ func fanOut(n, workers int, run func(w, s, e int)) int {
 }
 
 // selectHDG is the HDG sink: each worker runs sel over its chunk of roots
-// into its own arena, root i on an RNG seeded seedFor(i, roots[i]), and
+// into its own arena, root v on an RNG seeded VertexSeed(epochSeed, v), and
 // stitch joins them — bitwise what hdg.Build makes of SelectRecords over
 // sel.UDF(), at any fan-out. arenas grows to the fan-out and keeps its
 // storage for the next call; reuse, when non-nil, is an HDG nothing reads
 // any more, whose arrays the result takes over.
 func selectHDG(g *graph.Graph, schema *hdg.SchemaTree, sel Selector, roots []graph.VertexID,
-	seedFor func(i int, v graph.VertexID) uint64, workers int, arenas *[]*arena, reuse *hdg.HDG) (*hdg.HDG, error) {
+	epochSeed uint64, workers int, arenas *[]*arena, reuse *hdg.HDG) (*hdg.HDG, error) {
 	if schema == nil || sel.run == nil {
 		return nil, errNoSchemaOrUDF
 	}
@@ -134,7 +134,7 @@ func selectHDG(g *graph.Graph, schema *hdg.SchemaTree, sel Selector, roots []gra
 		a := as[w]
 		a.reset(T)
 		for i := s; i < e; i++ {
-			a.rng.SetState(seedFor(i, roots[i]))
+			a.rng.SetState(VertexSeed(epochSeed, roots[i]))
 			a.begin()
 			sel.run(g, roots[i], &a.rng, a)
 		}
@@ -179,29 +179,27 @@ func stitch(schema *hdg.SchemaTree, roots []graph.VertexID, as []*arena, reuse *
 	return hdg.New(schema, rs, instOffset, leafOffset, leafIDs), nil
 }
 
-// selectLayer builds the HDG of roots with layer's neighbor selection, root i
-// seeded seedFor(i, roots[i]) and the fan-out bounded by workers: through the
-// appending sink, on the caller's arenas and over reuse's storage, when layer
-// is an AppendingLayer; otherwise through its NeighborUDF's records and
+// selectLayer builds the HDG of roots with layer's neighbor selection, root v
+// seeded VertexSeed(epochSeed, v) and the fan-out bounded by workers: through
+// the appending sink, on the caller's arenas and over reuse's storage, when
+// layer is an AppendingLayer; otherwise through its NeighborUDF's records and
 // hdg.Build — the same HDG either way.
-func selectLayer(g *graph.Graph, layer Layer, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64,
+func selectLayer(g *graph.Graph, layer Layer, roots []graph.VertexID, epochSeed uint64,
 	workers int, arenas *[]*arena, reuse *hdg.HDG) (*hdg.HDG, error) {
 	if al, ok := layer.(AppendingLayer); ok {
-		return selectHDG(g, layer.Schema(), al.Selector(), roots, seedFor, workers, arenas, reuse)
+		return selectHDG(g, layer.Schema(), al.Selector(), roots, epochSeed, workers, arenas, reuse)
 	}
-	return neighborSelectionSeeded(g, layer.Schema(), layer.NeighborUDF(), roots, seedFor, workers)
+	return neighborSelectionSeeded(g, layer.Schema(), layer.NeighborUDF(), roots, epochSeed, workers)
 }
 
 // Selection is the NeighborSelection state one holder — the Trainer, a cluster
 // worker, a simulated rank — keeps for its context, so that a warm selection
-// allocates nothing that grows with the graph: the workers' arenas, the seed
-// buffer of stream-seeded selection, and the last two HDGs with the flat
-// levels the context built over them. A new HDG is written over the one two
-// selections old, never over the one a forward pass or a Predict result may
-// still hold. The zero value is ready to use.
+// allocates nothing that grows with the graph: the workers' arenas and the
+// last two HDGs with the flat levels the context built over them. A new HDG is
+// written over the one two selections old, never over the one a forward pass
+// or a Predict result may still hold. The zero value is ready to use.
 type Selection struct {
 	arenas []*arena
-	seeds  []uint64
 	hdgs   [2]*hdg.HDG // hdgs[1] is the context's
 	flats  [2]*engine.Adjacency
 
@@ -213,17 +211,18 @@ type Selection struct {
 // aheadSelection is an HDG selected for the holder's next selection, with what
 // it was selected from: adoptAhead installs it only while these still hold.
 type aheadSelection struct {
-	h     *hdg.HDG // nil if selection failed: the holder reselects and reports it
-	graph *graph.Graph
-	layer Layer
-	roots int
+	h         *hdg.HDG // nil if selection failed: the holder reselects and reports it
+	epochSeed uint64
+	graph     *graph.Graph
+	layer     Layer
+	roots     int
 }
 
 // Select builds the HDG of roots over g with layer's neighbor selection, root
-// i seeded seedFor(i, roots[i]), writes it over the HDG two selections back
-// and points ctx at it. On an error ctx keeps the HDG it had.
-func (s *Selection) Select(ctx *Context, g *graph.Graph, layer Layer, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64) error {
-	h, err := selectLayer(g, layer, roots, seedFor, 0, &s.arenas, s.hdgs[0])
+// v seeded VertexSeed(epochSeed, v), writes it over the HDG two selections
+// back and points ctx at it. On an error ctx keeps the HDG it had.
+func (s *Selection) Select(ctx *Context, g *graph.Graph, layer Layer, roots []graph.VertexID, epochSeed uint64) error {
+	h, err := selectLayer(g, layer, roots, epochSeed, 0, &s.arenas, s.hdgs[0])
 	if err != nil {
 		return err
 	}
@@ -243,33 +242,33 @@ func (s *Selection) install(ctx *Context, h *hdg.HDG) {
 
 // selectAhead starts the holder's next selection in the background — Select's
 // work, over all Ps but the one left to the foreground — timed and traced to
-// p. Selection reads the graph and the seeds, never parameters. The holder
-// waits for aheadDone before it touches s or the seeds again, and selects next
+// p. Selection reads the graph and the roots, never parameters. The holder
+// waits for aheadDone before it touches s or the roots again, and selects next
 // through adoptAhead. layer must be comparable.
-func (s *Selection) selectAhead(p Probe, g *graph.Graph, layer Layer, roots []graph.VertexID, seedFor func(i int, v graph.VertexID) uint64) {
+func (s *Selection) selectAhead(p Probe, g *graph.Graph, layer Layer, roots []graph.VertexID, epochSeed uint64) {
 	a := &s.ahead
-	*a = aheadSelection{graph: g, layer: layer, roots: len(roots)}
+	*a = aheadSelection{epochSeed: epochSeed, graph: g, layer: layer, roots: len(roots)}
 	s.aheadDone.Add(1)
 	go func() {
 		defer s.aheadDone.Done()
 		defer p.Tracer.Begin(p.Rank, p.Epoch, 0, trace.CatStage, "select").End()
 		p.Timer.Time(metrics.StageNeighborSelection, func() {
-			a.h, _ = selectLayer(g, layer, roots, seedFor, max(1, tensor.Parallelism()-1), &s.arenas, s.hdgs[0])
+			a.h, _ = selectLayer(g, layer, roots, epochSeed, max(1, tensor.Parallelism()-1), &s.arenas, s.hdgs[0])
 		})
 	}()
 }
 
 // adoptAhead installs the HDG selected ahead, as Select installs its own, if
-// it was selected over g, layer and a root list of length roots, and seeded
-// reports that its seeds are the ones the holder would draw now. Otherwise it
-// drops it, keeping its storage for the next selection, and reports false.
-func (s *Selection) adoptAhead(ctx *Context, g *graph.Graph, layer Layer, roots int, seeded bool) bool {
+// it was selected at epochSeed over g, layer and a root list of length roots.
+// Otherwise it drops it, keeping its storage for the next selection, and
+// reports false.
+func (s *Selection) adoptAhead(ctx *Context, epochSeed uint64, g *graph.Graph, layer Layer, roots int) bool {
 	a := s.ahead
 	s.ahead = aheadSelection{}
 	if a.h == nil {
 		return false
 	}
-	if !seeded || a.graph != g || a.roots != roots || a.layer != layer {
+	if a.epochSeed != epochSeed || a.graph != g || a.roots != roots || a.layer != layer {
 		s.hdgs[0] = a.h // hdgs[0]'s storage, grown to fit
 		return false
 	}

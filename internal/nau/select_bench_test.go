@@ -16,7 +16,7 @@ var selectSink *hdg.HDG
 // shapes that re-run it: PinSage's random-walk top-k over a power-law graph
 // (every epoch) and MAGNN's metapath instances over a heterogeneous one
 // (once). The arenas are kept across iterations, as the trainer keeps them;
-// every iteration splits fresh seeds and builds a fresh HDG. The
+// every iteration draws a fresh epoch seed and builds a fresh HDG. The
 // pinsage-records row runs PinSage through the record sink instead — the
 // UDF adapter on pooled arenas, SelectRecords and hdg.Build — as the store's
 // Sample, the serve planner and NeighborSelection do. Rows are recorded in
@@ -39,9 +39,8 @@ func BenchmarkNeighborSelection(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers%d", c.name, workers), func(b *testing.B) {
 				rng := tensor.NewRNG(1)
 				var arenas []*arena
-				var seeds []uint64
 				run := func() {
-					h, err := selectHDG(c.d.Graph, c.schema, c.sel, roots, splitSeeds(&seeds, rng, len(roots)), workers, &arenas, nil)
+					h, err := selectHDG(c.d.Graph, c.schema, c.sel, roots, rng.Uint64(), workers, &arenas, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -59,10 +58,9 @@ func BenchmarkNeighborSelection(b *testing.B) {
 	b.Run("pinsage-records/workers2", func(b *testing.B) {
 		roots, udf := AllVertices(twitter.Graph), cases[0].sel.UDF()
 		rng := tensor.NewRNG(1)
-		var seeds []uint64
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			h, err := neighborSelectionSeeded(twitter.Graph, cases[0].schema, udf, roots, splitSeeds(&seeds, rng, len(roots)), 2)
+			h, err := neighborSelectionSeeded(twitter.Graph, cases[0].schema, udf, roots, rng.Uint64(), 2)
 			if err != nil {
 				b.Fatal(err)
 			}

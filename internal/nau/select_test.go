@@ -129,7 +129,7 @@ func TestSelectionMatchesFrozenOracle(t *testing.T) {
 				}
 				for _, workers := range []int{1, 2, 3, 7} {
 					t.Run(fmt.Sprintf("seed%d/%s/%s/workers%d", seed, shape, c.name, workers), func(t *testing.T) {
-						h, err := neighborSelectionSeeded(g, c.schema, c.udf, roots, seedFor, workers)
+						h, err := neighborSelectionSeeded(g, c.schema, c.udf, roots, seed, workers)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -137,7 +137,7 @@ func TestSelectionMatchesFrozenOracle(t *testing.T) {
 						var arenas []*arena
 						var reuse *hdg.HDG
 						for range 2 {
-							if reuse, err = selectHDG(g, c.schema, c.sel, roots, seedFor, workers, &arenas, reuse); err != nil {
+							if reuse, err = selectHDG(g, c.schema, c.sel, roots, seed, workers, &arenas, reuse); err != nil {
 								t.Fatal(err)
 							}
 							requireSameHDG(t, reuse, want)
@@ -176,24 +176,24 @@ func TestWalkKernelMatchesListKernel(t *testing.T) {
 // the schema — and leaves its arenas fit for the next call.
 func TestAppendingSinkChecks(t *testing.T) {
 	g := trickyGraph(200, 13)
-	seedFor := func(_ int, v graph.VertexID) uint64 { return uint64(v) }
+	const es = 13
 	var arenas []*arena
 	flat := hdg.NewSchemaTree("vertex")
-	if _, err := selectHDG(g, flat, RandomWalkSelector(10, 3, 10), []graph.VertexID{1, 2, 2, 3}, seedFor, 2, &arenas, nil); err == nil ||
+	if _, err := selectHDG(g, flat, RandomWalkSelector(10, 3, 10), []graph.VertexID{1, 2, 2, 3}, es, 2, &arenas, nil); err == nil ||
 		err.Error() != "hdg: duplicate root 2" {
 		t.Fatalf("duplicate root: %v", err)
 	}
-	if _, err := selectHDG(g, flat, HopFrontierSelector(3), AllVertices(g), seedFor, 2, &arenas, nil); err == nil ||
+	if _, err := selectHDG(g, flat, HopFrontierSelector(3), AllVertices(g), es, 2, &arenas, nil); err == nil ||
 		err.Error() != "hdg: record type 1 out of range [0,1)" {
 		t.Fatalf("type out of range: %v", err)
 	}
 	c := udfCases()[0]
 	roots := AllVertices(g)
-	want, err := oracleBuild(c.schema, roots, oracleSelect(g, c.schema, c.oracle, roots, seedFor))
+	want, err := oracleBuild(c.schema, roots, oracleSelect(g, c.schema, c.oracle, roots, vertexSeeds(es)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := selectHDG(g, c.schema, c.sel, roots, seedFor, 2, &arenas, nil)
+	h, err := selectHDG(g, c.schema, c.sel, roots, es, 2, &arenas, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestAppendingSinkChecks(t *testing.T) {
 }
 
 // TestNeighborSelectionMatchesOracleStream covers the 5-argument entry
-// point: seeds pre-split from one stream, kernel-parallelism fan-out.
+// point: one epoch seed drawn from the stream, kernel-parallelism fan-out.
 func TestNeighborSelectionMatchesOracleStream(t *testing.T) {
 	g := trickyGraph(600, 4)
 	roots := AllVertices(g)
@@ -210,7 +210,7 @@ func TestNeighborSelectionMatchesOracleStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := oracleBuild(c.schema, roots, oracleSelect(g, c.schema, c.oracle, roots, splitSeeds(new([]uint64), tensor.NewRNG(77), len(roots))))
+	want, err := oracleBuild(c.schema, roots, oracleSelect(g, c.schema, c.oracle, roots, vertexSeeds(tensor.NewRNG(77).Uint64())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +234,13 @@ func TestBuildKeepsArbitraryOrderSemantics(t *testing.T) {
 			{Root: other, Nei: []graph.VertexID{other}, Type: 0},
 		}
 	}
-	seedFor := func(_ int, v graph.VertexID) uint64 { return uint64(v) }
+	const es = 5
 	for shape, roots := range map[string][]graph.VertexID{"all": AllVertices(g), "reversed": reversed(AllVertices(g))} {
-		want, err := oracleBuild(three, roots, oracleSelect(g, three, misattributing, roots, seedFor))
+		want, err := oracleBuild(three, roots, oracleSelect(g, three, misattributing, roots, vertexSeeds(es)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := neighborSelectionSeeded(g, three, misattributing, roots, seedFor, 3)
+		h, err := neighborSelectionSeeded(g, three, misattributing, roots, es, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", shape, err)
 		}
@@ -249,7 +249,7 @@ func TestBuildKeepsArbitraryOrderSemantics(t *testing.T) {
 
 	roots := rootShapes(g, 5)["shuffled-subset"]
 	c := udfCases()[3]
-	inOrder := SelectRecords(g, c.schema, c.udf, roots, seedFor, 2)
+	inOrder := SelectRecords(g, c.schema, c.udf, roots, es, 2)
 	shuffled := slices.Clone(inOrder)
 	for i, j := range tensor.NewRNG(6).Perm(len(shuffled)) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
@@ -353,10 +353,10 @@ func TestNeighborSelectionAllocationBudget(t *testing.T) {
 	roots := AllVertices(g)
 	schema, sel := hdg.NewSchemaTree("vertex"), RandomWalkSelector(10, 3, 10)
 	udf := sel.UDF()
-	seedFor := func(_ int, v graph.VertexID) uint64 { return uint64(v) }
+	const es = 9
 	for _, workers := range []int{1, 4} {
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := neighborSelectionSeeded(g, schema, udf, roots, seedFor, workers); err != nil {
+			if _, err := neighborSelectionSeeded(g, schema, udf, roots, es, workers); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -364,7 +364,7 @@ func TestNeighborSelectionAllocationBudget(t *testing.T) {
 			t.Fatalf("record sink, workers=%d: %.0f allocations for %d roots, budget %.0f", workers, allocs, len(roots), budget)
 		}
 		var arenas []*arena
-		h, err := selectHDG(g, schema, sel, roots, seedFor, workers, &arenas, nil)
+		h, err := selectHDG(g, schema, sel, roots, es, workers, &arenas, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +374,7 @@ func TestNeighborSelectionAllocationBudget(t *testing.T) {
 				if reuse {
 					into = h
 				}
-				if h, err = selectHDG(g, schema, sel, roots, seedFor, workers, &arenas, into); err != nil {
+				if h, err = selectHDG(g, schema, sel, roots, es, workers, &arenas, into); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -389,10 +389,10 @@ func TestNeighborSelectionAllocationBudget(t *testing.T) {
 // TestSelectionSteadyStateAllocs: once a Selection has rotated through both
 // of its HDGs, a Select — and the flat level its context refills over the new
 // HDG — allocates a handful of objects (the fan-out's goroutines, the HDG
-// header, the seed closure) and no bytes that grow with the graph: the
-// arenas, both HDGs' arrays and both flat levels are written over in place.
-// The same budget holds at 2 000 and at 8 000 vertices; each vertex's walks
-// differ from one selection to the next, so every call writes new contents.
+// header) and no bytes that grow with the graph: the arenas, both HDGs'
+// arrays and both flat levels are written over in place. The same budget
+// holds at 2 000 and at 8 000 vertices; each vertex's walks differ from one
+// selection to the next, so every call writes new contents.
 func TestSelectionSteadyStateAllocs(t *testing.T) {
 	defer tensor.SetParallelism(tensor.Parallelism())
 	tensor.SetParallelism(2)
@@ -403,11 +403,10 @@ func TestSelectionSteadyStateAllocs(t *testing.T) {
 		roots := AllVertices(g)
 		ctx := &Context{Graph: g, NumFeatureRows: n}
 		var s Selection
-		var epoch uint64
+		var epoch int
 		selectOnce := func() {
 			epoch++
-			seed := epoch * 0x9e3779b97f4a7c15
-			if err := s.Select(ctx, g, layer, roots, func(_ int, v graph.VertexID) uint64 { return seed ^ uint64(v) }); err != nil {
+			if err := s.Select(ctx, g, layer, roots, EpochSeed(1, epoch)); err != nil {
 				t.Fatal(err)
 			}
 			if ctx.FlatAdjacency().NumDst != n {
@@ -445,8 +444,7 @@ func TestSelectionSteadyStateAllocs(t *testing.T) {
 // would hold that backing for the whole run.
 func TestBuildSizesLeafIDsToTheRecords(t *testing.T) {
 	g := trickyGraph(2000, 10)
-	seedFor := func(_ int, v graph.VertexID) uint64 { return uint64(v) }
-	h, err := neighborSelectionSeeded(g, hdg.NewSchemaTree("a", "b", "c"), HopFrontierUDF(1), AllVertices(g), seedFor, 1)
+	h, err := neighborSelectionSeeded(g, hdg.NewSchemaTree("a", "b", "c"), HopFrontierUDF(1), AllVertices(g), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +457,7 @@ func TestBuildSizesLeafIDsToTheRecords(t *testing.T) {
 }
 
 // TestRejectedSelectionLeavesRNGAlone: a call without a schema or a UDF
-// fails before any per-root seed is drawn from the caller's stream.
+// fails before its epoch seed is drawn from the caller's stream.
 func TestRejectedSelectionLeavesRNGAlone(t *testing.T) {
 	g := trickyGraph(50, 11)
 	rng := tensor.NewRNG(5)

@@ -39,6 +39,18 @@ func (m *Model) NeedsHDG() bool {
 	return len(m.Layers) > 0 && m.Layers[0].Schema() != nil
 }
 
+// SelectionSeed returns the epoch seed at which every driver of a run seeded
+// seed selects the model's HDG for epoch (numbered from 0):
+// EpochSeed(seed, epoch), except that a CacheForever model always selects at
+// epoch 0 — a resumed run too, so it rebuilds the HDG the uninterrupted run
+// kept.
+func (m *Model) SelectionSeed(seed uint64, epoch int) uint64 {
+	if m.Cache == CacheForever {
+		epoch = 0
+	}
+	return EpochSeed(seed, epoch)
+}
+
 // Trainer runs whole-graph single-machine training of a NAU model, timing
 // the three NAU stages for the Table-4 breakdown.
 type Trainer struct {
@@ -52,7 +64,9 @@ type Trainer struct {
 	Mask   []bool
 	Engine *engine.Engine
 	Opt    nn.Optimizer
-	RNG    *tensor.RNG
+	// RNG is the stream layers that draw (dropout) read as ctx.RNG; it is
+	// checkpointed, and neighbor selection never touches it.
+	RNG *tensor.RNG
 
 	// Breakdown accumulates stage timings across epochs.
 	Breakdown *metrics.Breakdown
@@ -63,15 +77,13 @@ type Trainer struct {
 	cachedHDG *hdg.HDG
 	hdgUsed   bool // one training epoch has consumed cachedHDG
 	ctx       *Context
-	epoch     int
+	epoch     int    // the epoch the next Epoch trains, numbered from 0
+	seed      uint64 // TrainerOptions.Seed
 
 	// sel is the selection state kept across epochs (cachedHDG is its
-	// context's HDG), over the root list roots, seeded from RNG one root at a
-	// time in root order; the seeds of the HDG selected ahead were drawn from
-	// the RNG state aheadFrom and left it at aheadTo.
-	sel                Selection
-	roots              []graph.VertexID
-	aheadFrom, aheadTo uint64
+	// context's HDG), over the root list roots.
+	sel   Selection
+	roots []graph.VertexID
 }
 
 // TrainerOptions configures NewTrainerWith. Graph, Features and Labels are
@@ -89,18 +101,16 @@ type TrainerOptions struct {
 	// TrainMask selects the vertices contributing to the loss; nil trains
 	// on every vertex.
 	TrainMask []bool
-	// Seed seeds the trainer's deterministic RNG (neighbor selection,
-	// dropout). The zero seed is valid and deterministic like any other.
+	// Seed seeds neighbor selection — root v of epoch e (numbered from 0) by
+	// VertexSeed(Model.SelectionSeed(Seed, e), v), as a cluster rank, the
+	// sampler and serving do — and the RNG stream layers draw from (dropout).
+	// The zero seed is valid and deterministic like any other.
 	Seed uint64
 	// Engine overrides the execution engine; nil selects a fresh engine
 	// with the HA (full hybrid aggregation) strategy.
 	Engine *engine.Engine
 	// LearningRate overrides the default Adam learning rate of 0.01.
-	// Ignored when NewOptimizer is set.
 	LearningRate float32
-	// NewOptimizer, when non-nil, builds the optimizer from the model's
-	// parameters (e.g. nn.NewSGD); nil selects Adam.
-	NewOptimizer func(params []*nn.Value) nn.Optimizer
 	// Tracer records NAU stage spans; nil leaves tracing off.
 	Tracer *trace.Tracer
 }
@@ -111,15 +121,9 @@ func NewTrainerWith(m *Model, o TrainerOptions) *Trainer {
 	if eng == nil {
 		eng = engine.New(engine.StrategyHA)
 	}
-	var opt nn.Optimizer
-	if o.NewOptimizer != nil {
-		opt = o.NewOptimizer(m.Parameters())
-	} else {
-		lr := o.LearningRate
-		if lr == 0 {
-			lr = 0.01
-		}
-		opt = nn.NewAdam(m.Parameters(), lr)
+	lr := o.LearningRate
+	if lr == 0 {
+		lr = 0.01
 	}
 	return &Trainer{
 		Model:     m,
@@ -128,16 +132,17 @@ func NewTrainerWith(m *Model, o TrainerOptions) *Trainer {
 		Labels:    o.Labels,
 		Mask:      o.TrainMask,
 		Engine:    eng,
-		Opt:       opt,
+		Opt:       nn.NewAdam(m.Parameters(), lr),
 		RNG:       tensor.NewRNG(o.Seed),
 		Breakdown: &metrics.Breakdown{},
 		Tracer:    o.Tracer,
+		seed:      o.Seed,
 	}
 }
 
-// CompletedEpochs reports how many training epochs the trainer has run.
-// A resumed trainer continues numbering (and per-epoch HDG cache drops)
-// from here.
+// CompletedEpochs reports how many training epochs the trainer has run —
+// the number of the epoch the next Epoch trains. A resumed trainer continues
+// numbering (and selecting) from here.
 func (t *Trainer) CompletedEpochs() int { return t.epoch }
 
 // SaveCheckpoint writes the trainer's complete training state — model
@@ -158,9 +163,9 @@ func (t *Trainer) SaveCheckpoint(path string) error {
 // LoadCheckpoint restores training state from path. v2 checkpoints restore
 // parameters, optimizer state, the epoch counter and the RNG stream; legacy
 // v1 checkpoints restore weights only (the optimizer, epoch counter and RNG
-// keep their current values). Any cached HDG is dropped: it was selected
-// under the pre-restore RNG stream, and CacheForever models rebuild an
-// identical one only when their selection UDF is deterministic.
+// keep their current values). Any cached HDG is dropped, and the next
+// selection is the restored epoch's (Model.SelectionSeed), the one the
+// uninterrupted run selected — given a trainer built with the run's Seed.
 func (t *Trainer) LoadCheckpoint(path string) error {
 	st := &nn.TrainState{Params: t.Model.Parameters(), Opt: t.Opt}
 	if err := nn.LoadStateFile(path, st); err != nil {
@@ -193,17 +198,15 @@ func (t *Trainer) ensureHDG() error {
 	if len(t.roots) != t.Graph.NumVertices() {
 		t.roots = AllVertices(t.Graph)
 	}
-	ctx, layer := t.ctx, t.Model.Layers[0]
-	// The HDG selected ahead is this one while the RNG is where its seeds were
-	// drawn from; an Evaluate through a layer that draws from ctx.RNG, or a
-	// LoadCheckpoint, drops it, and selection runs here as if there were none.
-	if t.sel.adoptAhead(ctx, t.Graph, layer, len(t.roots), t.aheadFrom == t.RNG.State()) {
-		t.RNG.SetState(t.aheadTo)
-	} else {
+	ctx, layer, epochSeed := t.ctx, t.Model.Layers[0], t.Model.SelectionSeed(t.seed, t.epoch)
+	// The HDG selected ahead is this one if it was selected at this epoch's
+	// seed over this graph: a LoadCheckpoint to another epoch or a swapped
+	// graph drops it, and selection runs here as if there were none.
+	if !t.sel.adoptAhead(ctx, epochSeed, t.Graph, layer, len(t.roots)) {
 		var err error
 		defer t.Tracer.Begin(0, int32(t.epoch), 0, trace.CatStage, "select").End()
 		t.Breakdown.Time(metrics.StageNeighborSelection, func() {
-			err = t.sel.Select(ctx, t.Graph, layer, t.roots, splitSeeds(&t.sel.seeds, t.RNG, len(t.roots)))
+			err = t.sel.Select(ctx, t.Graph, layer, t.roots, epochSeed)
 		})
 		if err != nil {
 			return fmt.Errorf("nau: neighbor selection: %w", err)
@@ -215,22 +218,17 @@ func (t *Trainer) ensureHDG() error {
 
 // selectAhead starts the next epoch's selection in the background, for Epoch
 // to call once its forward has consumed this epoch's HDG; Epoch joins it
-// before returning, so nothing runs beside the trainer between calls. The
-// seeds are the ones the next ensureHDG would draw, drawn here from a copy of
-// the RNG. Only a first layer of pointer type is selected ahead: adoptAhead
-// compares it, and a pointer compares without panicking.
+// before returning, so nothing runs beside the trainer between calls. Only a
+// first layer of pointer type is selected ahead: adoptAhead compares it, and
+// a pointer compares without panicking.
 func (t *Trainer) selectAhead() {
 	if !t.Model.NeedsHDG() || t.Model.Cache != CachePerEpoch || len(t.roots) != t.Graph.NumVertices() ||
 		reflect.TypeOf(t.Model.Layers[0]).Kind() != reflect.Pointer {
 		return
 	}
-	var rng tensor.RNG
-	t.aheadFrom = t.RNG.State()
-	rng.SetState(t.aheadFrom)
-	seedFor := splitSeeds(&t.sel.seeds, &rng, len(t.roots))
-	t.aheadTo = rng.State()
-	t.sel.selectAhead(Probe{Timer: t.Breakdown, Tracer: t.Tracer, Epoch: int32(t.epoch + 1)},
-		t.Graph, t.Model.Layers[0], t.roots, seedFor)
+	next := t.epoch + 1
+	t.sel.selectAhead(Probe{Timer: t.Breakdown, Tracer: t.Tracer, Epoch: int32(next)},
+		t.Graph, t.Model.Layers[0], t.roots, t.Model.SelectionSeed(t.seed, next))
 }
 
 // HDG exposes the cached HDGs (nil for DNFA models), e.g. for the Table-5
@@ -273,12 +271,11 @@ func (t *Trainer) ForwardContext(cctx context.Context, train bool) (*nn.Value, e
 	return feats, nil
 }
 
-// Epoch runs one full training epoch (neighbor selection per cache policy,
+// Epoch trains epoch CompletedEpochs() (neighbor selection per cache policy,
 // forward, loss, backward, optimizer step) and returns the training loss. On
 // a CachePerEpoch model it also selects the next epoch's HDG beside the
 // backward pass (selectAhead), and returns only once that has finished.
 func (t *Trainer) Epoch() (float32, error) {
-	t.epoch++
 	if t.Model.Cache == CachePerEpoch && t.hdgUsed {
 		t.cachedHDG = nil // force re-selection for the new epoch
 	}
@@ -301,6 +298,7 @@ func (t *Trainer) Epoch() (float32, error) {
 		// build graphs nobody releases, so they never see a recycled buffer.
 		nn.ReleaseGraph(loss)
 	})
+	t.epoch++
 	return loss.Data.At(0, 0), nil
 }
 
@@ -323,8 +321,8 @@ func (t *Trainer) PredictContext(ctx context.Context) (*tensor.Tensor, error) {
 // Evaluate returns masked accuracy of the current parameters. A nil mask
 // evaluates all vertices.
 func (t *Trainer) Evaluate(mask []bool) (float64, error) {
-	// Evaluation must not consume the training RNG stream or drop the HDG
-	// cache; reuse whatever HDGs exist (building if needed).
+	// Evaluation must not drop the HDG cache; reuse whatever HDGs exist
+	// (building if needed).
 	logits, err := t.Forward(false)
 	if err != nil {
 		return 0, err

@@ -33,7 +33,7 @@ import (
 //	"OPTS" — optimizer kind string + hyperparameters + Adam step counter
 //	         and both moment tensors (empty moments for SGD).
 //	"EPOC" — uint64 count of completed epochs.
-//	"RNGS" — uint64 RNG stream state (dropout / neighbor selection).
+//	"RNGS" — uint64 RNG stream state (the layers' draws, e.g. dropout).
 //
 // A resumed run therefore continues with the same optimizer trajectory,
 // epoch numbering (and hence per-epoch sampling seeds) and RNG stream as

@@ -50,7 +50,9 @@ type StatefulOptimizer interface {
 	StateLoad(*OptState) error
 }
 
-// SGD is plain stochastic gradient descent with optional L2 weight decay.
+// SGD is plain stochastic gradient descent with optional L2 weight decay. It
+// is a test reference: every trainer builds Adam, and the optimizer,
+// checkpoint and resume tests run SGD as a second, stateless optimizer kind.
 type SGD struct {
 	Params      []*Value
 	LR          float32

@@ -132,7 +132,9 @@ func HDGCostFeatures(h *hdg.HDG, featureDim int) [][]float64 {
 
 // InducedGraph connects every root of h to its leaf vertices — the data
 // dependencies that matter for synchronisation, since only roots and leaves
-// are ever replicated across partitions (§5, Fig. 11b).
+// are ever replicated across partitions (§5, Fig. 11b). It is a test
+// reference: the partition tests build Fig. 11b's dependency graph with it,
+// and no production path calls it.
 func InducedGraph(h *hdg.HDG, numVertices int) *graph.Graph {
 	b := graph.NewBuilder(numVertices)
 	for r, root := range h.Roots {

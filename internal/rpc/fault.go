@@ -51,7 +51,9 @@ type FaultTransport struct {
 	crashed bool
 }
 
-// NewFaultTransport wraps inner with the given fault schedule.
+// NewFaultTransport wraps inner with the given fault schedule. It is a test
+// reference: the chaos, crash-restart and store tests inject faults through
+// it, and no production path builds one.
 func NewFaultTransport(inner Transport, cfg FaultConfig) *FaultTransport {
 	return &FaultTransport{inner: inner, cfg: cfg, rng: cfg.Seed}
 }

@@ -173,20 +173,28 @@ func TestServeBitIdenticalHierarchical(t *testing.T) {
 	}
 }
 
-// TestServePinSageDeterministic: sampling models serve deterministically —
-// per-vertex seeds make a vertex's neighborhood independent of batch
-// composition and cache state.
-func TestServePinSageDeterministic(t *testing.T) {
+// trainedPinSage returns a small PinSage trained one epoch by a trainer
+// seeded seed, with the trainer and the dataset.
+func trainedPinSage(t *testing.T, seed uint64) (*nau.Trainer, *dataset.Dataset) {
+	t.Helper()
 	d := dataset.RedditLike(dataset.Config{Scale: 0.05, Seed: 3})
 	model := models.NewPinSage(d.FeatureDim(), 8, d.NumClasses,
 		models.PinSageConfig{NumWalks: 3, Hops: 2, TopK: 3}, tensor.NewRNG(3))
 	tr := nau.NewTrainerWith(model, nau.TrainerOptions{
 		Graph: d.Graph, Features: d.Features, Labels: d.Labels,
-		TrainMask: d.TrainMask, Seed: 3,
+		TrainMask: d.TrainMask, Seed: seed,
 	})
 	if _, err := tr.Epoch(); err != nil {
 		t.Fatal(err)
 	}
+	return tr, d
+}
+
+// TestServePinSageDeterministic: sampling models serve deterministically —
+// per-vertex seeds make a vertex's neighborhood independent of batch
+// composition and cache state.
+func TestServePinSageDeterministic(t *testing.T) {
+	tr, d := trainedPinSage(t, 3)
 	s, _ := newServer(t, tr, d, Options{Seed: 7})
 
 	first, err := s.Query(context.Background(), []graph.VertexID{2, 4, 8})
@@ -220,16 +228,8 @@ func TestServePinSageDeterministic(t *testing.T) {
 // of a mini-batch sampler in its epoch 0 under the same seed.
 func TestServePinSageMatchesSamplerEpochZero(t *testing.T) {
 	const seed = 7
-	d := dataset.RedditLike(dataset.Config{Scale: 0.05, Seed: 3})
-	model := models.NewPinSage(d.FeatureDim(), 8, d.NumClasses,
-		models.PinSageConfig{NumWalks: 3, Hops: 2, TopK: 3}, tensor.NewRNG(3))
-	tr := nau.NewTrainerWith(model, nau.TrainerOptions{
-		Graph: d.Graph, Features: d.Features, Labels: d.Labels,
-		TrainMask: d.TrainMask, Seed: 3,
-	})
-	if _, err := tr.Epoch(); err != nil {
-		t.Fatal(err)
-	}
+	tr, d := trainedPinSage(t, 3)
+	model := tr.Model
 	s, reg := newServer(t, tr, d, Options{Seed: seed})
 
 	layer0 := model.Layers[0]
@@ -254,6 +254,32 @@ func TestServePinSageMatchesSamplerEpochZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertBitIdentical(t, reply, want.Data)
+	}
+	if reg.Counter("serve_cache_hits_total").Load() < int64(len(verts)) {
+		t.Fatal("the second query was not answered from the cache")
+	}
+}
+
+// TestServePinSageBitIdenticalToPredict: the Trainer selects epoch e by
+// VertexSeed(EpochSeed(seed, e), v), as serving does at e = 0, so after one
+// epoch — while Predict still reads epoch 0's HDG — a server with the
+// trainer's seed answers Predict's PinSage logits bit for bit, cold and from
+// the cache.
+func TestServePinSageBitIdenticalToPredict(t *testing.T) {
+	const seed = 7
+	tr, d := trainedPinSage(t, seed)
+	s, reg := newServer(t, tr, d, Options{Seed: seed})
+	whole, err := tr.Predict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verts := []graph.VertexID{2, 4, 8, 16, 99}
+	for round := 0; round < 2; round++ { // cold, then from the cache
+		reply, err := s.Query(context.Background(), verts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, reply, whole)
 	}
 	if reg.Counter("serve_cache_hits_total").Load() < int64(len(verts)) {
 		t.Fatal("the second query was not answered from the cache")

@@ -12,14 +12,13 @@
 // lower-layer neighborhood expansion entirely, PinSage-style. Updating the
 // model bumps the version, which invalidates every cached row at once.
 //
-// Serving is deterministic and — for models whose neighbor selection is
-// deterministic (GCN and the other DNFA models, MAGNN, P-GNN, JK-Net) —
-// bit-identical to a whole-graph Trainer.Predict on the same vertices: the
-// sub-levels preserve whole-graph neighbor order, reductions are
-// per-destination sequential, and the dense kernels are row-independent.
-// Random-walk models (PinSage) serve the neighborhoods a mini-batch sampler
-// with the same seed draws in its epoch 0 (store.VertexSeed), not those of a
-// particular Trainer epoch.
+// Serving is deterministic and bit-identical to a whole-graph Trainer.Predict
+// on the same vertices: the sub-levels preserve whole-graph neighbor order,
+// reductions are per-destination sequential, and the dense kernels are
+// row-independent. Random-walk models (PinSage) select as every driver does,
+// root v by nau.VertexSeed(nau.EpochSeed(Seed, 0), v): they serve what
+// Predict answers over the HDG of epoch 0 of a Trainer with the same seed,
+// which is also what a mini-batch sampler draws in its epoch 0.
 package serve
 
 import (
@@ -80,7 +79,7 @@ type Options struct {
 	// DefaultCacheCapacity and a negative value disables caching.
 	CacheCapacity int
 	// Seed seeds sampling models' (PinSage's) neighbor selection as a
-	// mini-batch sampler with this seed selects in its epoch 0.
+	// Trainer or a mini-batch sampler with this seed selects in its epoch 0.
 	Seed uint64
 	// Metrics receives the serve_* counters and histograms; nil disables.
 	Metrics *metrics.Registry
@@ -220,7 +219,7 @@ func New(opts Options) (*Server, error) {
 		reqCh:     make(chan *request, queueDepth),
 		stop:      make(chan struct{}),
 	}
-	epochSeed := store.EpochSeed(opts.Seed, 0)
+	epochSeed := nau.EpochSeed(opts.Seed, 0)
 	s.sample = func(frontier []graph.VertexID) ([]hdg.Record, error) {
 		return s.topo.Sample(context.Background(), frontier, epochSeed)
 	}

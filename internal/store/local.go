@@ -61,7 +61,7 @@ func (l *Local) InEdges(ctx context.Context, dsts []graph.VertexID, visit func(n
 }
 
 // Sample runs the configured UDF over the roots, each root seeded from
-// (epochSeed, root) via VertexSeed, fanned across the kernel parallelism.
+// (epochSeed, root) via nau.VertexSeed, fanned across the kernel parallelism.
 // Records are concatenated in root order, so the result is deterministic
 // regardless of parallelism.
 func (l *Local) Sample(ctx context.Context, roots []graph.VertexID, epochSeed uint64) ([]hdg.Record, error) {
@@ -72,7 +72,7 @@ func (l *Local) Sample(ctx context.Context, roots []graph.VertexID, epochSeed ui
 	if err := ctx.Err(); err != nil {
 		return nil, &FetchError{Op: "sample", Verts: len(roots), Err: err}
 	}
-	return nau.SelectRecords(l.cfg.Graph, l.cfg.Schema, l.cfg.UDF, roots, VertexSeeds(epochSeed), 0), nil
+	return nau.SelectRecords(l.cfg.Graph, l.cfg.Schema, l.cfg.UDF, roots, epochSeed, 0), nil
 }
 
 // KHopInduced expands the roots k out-hops (full neighborhoods, §7.1),

@@ -11,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hdg"
 	"repro/internal/metrics"
+	"repro/internal/nau"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 )
@@ -40,7 +41,7 @@ type SamplerOptions struct {
 	// the sampler's per-epoch selection memo does not apply to them.
 	Select func(epoch, index int, frontier []graph.VertexID) ([]hdg.Record, error)
 	// Seed is the run seed; each epoch's selection seed is
-	// EpochSeed(Seed, epoch).
+	// nau.EpochSeed(Seed, epoch).
 	Seed uint64
 	// Depth is the prefetch depth: how many materialised batches may queue
 	// ready ahead of the trainer. <= 0 disables prefetch entirely — Next
@@ -231,7 +232,7 @@ func (s *Sampler) Epoch(ctx context.Context, epoch int, batches [][]graph.Vertex
 		ctx:       ictx,
 		cancel:    cancel,
 		epoch:     epoch,
-		epochSeed: EpochSeed(s.opts.Seed, epoch),
+		epochSeed: nau.EpochSeed(s.opts.Seed, epoch),
 		batches:   batches,
 	}
 	// Only HDG layers selected through Sample consult the memo.

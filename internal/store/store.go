@@ -21,6 +21,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hdg"
+	"repro/internal/nau"
 	"repro/internal/tensor"
 )
 
@@ -102,25 +103,6 @@ func (e *FetchError) Error() string {
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *FetchError) Unwrap() error { return e.Err }
 
-// EpochSeed derives the per-epoch selection seed from the run seed — the
-// same derivation the whole-graph cluster path uses, so mini-batch and
-// whole-graph selection agree for a given (seed, epoch).
-func EpochSeed(seed uint64, epoch int) uint64 {
-	return seed ^ (uint64(epoch+1) * 0x9e3779b97f4a7c15)
-}
-
-// VertexSeed derives a root's private RNG seed from the epoch seed and its
-// vertex ID. Seeding per vertex rather than from a shared stream is what
-// makes sampled neighborhoods batch-composition independent: the records a
-// vertex selects are a pure function of (epochSeed, vertex), no matter
-// which batch, worker or prefetch slot ran the selection.
-func VertexSeed(epochSeed uint64, v graph.VertexID) uint64 {
-	return epochSeed ^ (uint64(v)+1)*0xbf58476d1ce4e5b9
-}
-
-// VertexSeeds is VertexSeed as a selection's per-root seed function: the one
-// formula the sampler, serving and the cluster's whole-graph ranks select by,
-// so a vertex's neighborhood depends neither on its batch nor on its rank.
-func VertexSeeds(epochSeed uint64) func(int, graph.VertexID) uint64 {
-	return func(_ int, v graph.VertexID) uint64 { return VertexSeed(epochSeed, v) }
-}
+// VertexSeed forwards to nau.VertexSeed, where the seed formula lives. It
+// stays only because benchmark/probes.go, which is frozen, calls it.
+func VertexSeed(epochSeed uint64, v graph.VertexID) uint64 { return nau.VertexSeed(epochSeed, v) }

@@ -285,7 +285,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		}
 	}
 
-	es := EpochSeed(7, 0)
+	es := nau.EpochSeed(7, 0)
 	lRecs, err := l.Sample(ctx, roots, es)
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +342,7 @@ func TestServerRejectsOutOfRangeVertexIDs(t *testing.T) {
 		"in_edges": func(ids []graph.VertexID) error {
 			return r.InEdges(ctx, ids, func([]graph.VertexID) {})
 		},
-		"sample":   func(ids []graph.VertexID) error { _, err := r.Sample(ctx, ids, EpochSeed(7, 0)); return err },
+		"sample":   func(ids []graph.VertexID) error { _, err := r.Sample(ctx, ids, nau.EpochSeed(7, 0)); return err },
 		"khop":     func(ids []graph.VertexID) error { _, err := r.KHopInduced(ctx, ids, 2); return err },
 		"features": func(ids []graph.VertexID) error { _, err := r.Gather(ctx, ids); return err },
 	}
@@ -480,7 +480,7 @@ func TestSamplerMemoMatchesDirectSample(t *testing.T) {
 			var firstEpoch [][]graph.VertexID // each batch's layer-0 In in epoch 0
 			for epoch := 0; epoch < 3; epoch++ {
 				direct := func(f []graph.VertexID) ([]hdg.Record, error) {
-					return gs.Sample(ctx, f, EpochSeed(seed, epoch))
+					return gs.Sample(ctx, f, nau.EpochSeed(seed, epoch))
 				}
 				moved := false
 				st := s.Epoch(ctx, epoch, batches)

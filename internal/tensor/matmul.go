@@ -328,7 +328,9 @@ const transposeTile = 32
 
 // Transpose2D returns the transpose of a 2-D tensor as a new tensor. Row
 // ranges transpose in parallel and each range is walked in square tiles so
-// the strided writes stay within a cache-resident window.
+// the strided writes stay within a cache-resident window. It is a test
+// reference: the dense products never transpose, and the tensor tests check
+// TMatMul and MatMulT against MatMul over it.
 func (t *Tensor) Transpose2D() *Tensor {
 	if t.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: Transpose2D on shape %v", t.shape))
