@@ -154,8 +154,8 @@ router-smoke:
 # Data-plane end-to-end smoke: a multi-rank loopback mini-batch run with
 # prefetch depth 2 must train, populate the sample_wait_ns histogram, and
 # spend far less time blocked on the sampler than the epochs took (prefetch
-# overlaps training); plus the store-level overlap guard on a
-# simulated-latency link (depth 2 must beat depth 0 by a wide margin).
+# overlaps training); plus the store-level overlap guard over a feature
+# store that sleeps per gather (depth 2 must beat depth 0 by a wide margin).
 sampler-smoke:
 	$(GO) test -count=1 -run 'SamplerSmoke|PrefetchOverlapBeatsSync' \
 		./internal/cluster/... ./internal/store/...
@@ -247,8 +247,7 @@ bench-e2e-smoke:
 
 # Input-side benchmarks: NeighborSelection end to end (driver, kernels, UDF,
 # hdg.Build), the serve batch (plan + execute) with the store.Expand under
-# it, one rank's mini-batch sampler epoch, and the prefetch overlap over the
-# simulated-latency store link.
+# it, and one rank's mini-batch sampler epoch.
 # Writes a machine-readable snapshot to BENCH_sampler.latest.json. The gate
 # that means something is allocs/op (+5%): single runs on a shared host swing
 # 1.3-2x in wall time, so ns/op only gets the same loose 4x cliff check as
@@ -256,8 +255,7 @@ bench-e2e-smoke:
 bench-sampler:
 	@{ $(GO) test -run xxx -bench 'NeighborSelection' -benchmem ./internal/nau/; \
 	   $(GO) test -run xxx -bench 'ServeBatch' -benchmem ./internal/serve/; \
-	   $(GO) test -run xxx -bench 'Expand|SamplerEpoch' -benchmem ./internal/store/; \
-	   $(GO) test -run xxx -bench 'PrefetchOverlap' -benchtime 5x -benchmem ./internal/store/; } \
+	   $(GO) test -run xxx -bench 'Expand|SamplerEpoch' -benchmem ./internal/store/; } \
 		| tee /tmp/bench_sampler.txt
 	$(GO) run ./cmd/benchdiff -baseline BENCH_sampler.json -max-regress 4.0 -max-alloc-regress 0.05 \
 		-write-latest BENCH_sampler.latest.json /tmp/bench_sampler.txt

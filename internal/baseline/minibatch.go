@@ -24,12 +24,9 @@ import (
 // approaches the whole graph per batch, which is the "tremendous
 // computation and memory overhead" of §7.1.
 //
-// Batches are materialised through the store data plane (a store.Sampler
-// over an in-memory store.Local), so the sampling/gather side of the
-// executor can prefetch ahead of training. With PrefetchDepth 0 the sampler
-// is fully synchronous and the executor behaves exactly like the historical
-// fused implementation; deeper settings change only when batches are built,
-// never what they contain.
+// Batches are materialised through the store data plane (a synchronous
+// store.Sampler over an in-memory store.Local), and the executor behaves
+// exactly like the historical fused implementation.
 //
 // The two systems differ where the paper says they differ:
 //   - Euler's sampling engine runs walks in parallel (fast PinSage) but its
@@ -42,13 +39,6 @@ type MiniBatch struct {
 	System string
 	// BatchSize overrides the system default when positive.
 	BatchSize int
-	// PrefetchDepth is the store sampler's prefetch depth: how many
-	// materialised batches may queue ahead of training. 0 (the default)
-	// runs sampling synchronously inside the training loop.
-	PrefetchDepth int
-	// SamplerWorkers is the number of concurrent sampler workers when
-	// PrefetchDepth > 0 (<= 0 selects 1).
-	SamplerWorkers int
 }
 
 // NewEuler returns the Euler-flavoured mini-batch executor.
@@ -100,8 +90,6 @@ func (m *MiniBatch) sampler(d *dataset.Dataset, opts store.SamplerOptions) *stor
 	local := store.NewLocal(store.LocalConfig{
 		Graph: d.Graph, Features: d.Features, Labels: d.Labels, TrainMask: d.TrainMask,
 	})
-	opts.Depth = m.PrefetchDepth
-	opts.Workers = m.SamplerWorkers
 	return store.NewSampler(local, local, opts)
 }
 

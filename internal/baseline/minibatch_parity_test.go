@@ -14,8 +14,8 @@ import (
 
 // fusedMiniBatchGCN is a frozen copy of the pre-store mini-batch GCN
 // executor (expansion, conversion and training fused in one loop). The
-// store-based executor must reproduce it bit for bit at every prefetch
-// depth — this copy exists only as that reference.
+// store-based executor must reproduce it bit for bit — this copy exists only
+// as that reference.
 func fusedMiniBatchGCN(m *MiniBatch, d *dataset.Dataset, spec Spec) (float32, error) {
 	in, classes := specDims(d)
 	rng := tensor.NewRNG(spec.Seed)
@@ -167,19 +167,14 @@ func TestMiniBatchMatchesFusedExecutorBitExact(t *testing.T) {
 				t.Fatalf("%s/%s fused: %v", base.System, kind, err)
 			}
 
-			for _, cfg := range []struct{ depth, workers int }{{0, 0}, {2, 3}} {
-				m := sys()
-				m.BatchSize = 64
-				m.PrefetchDepth = cfg.depth
-				m.SamplerWorkers = cfg.workers
-				got, err := m.Epoch(d, spec)
-				if err != nil {
-					t.Fatalf("%s/%s depth=%d: %v", m.System, kind, cfg.depth, err)
-				}
-				if got != want {
-					t.Fatalf("%s/%s depth=%d: loss %v, fused executor %v",
-						m.System, kind, cfg.depth, got, want)
-				}
+			m := sys()
+			m.BatchSize = 64
+			got, err := m.Epoch(d, spec)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", m.System, kind, err)
+			}
+			if got != want {
+				t.Fatalf("%s/%s: loss %v, fused executor %v", m.System, kind, got, want)
 			}
 		}
 	}

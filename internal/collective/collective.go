@@ -162,8 +162,6 @@ func classOf(k rpc.MsgKind) metrics.MsgClass {
 		return metrics.ClassPlan
 	case rpc.KindAbort:
 		return metrics.ClassAbort
-	case rpc.KindSample:
-		return metrics.ClassSample
 	case rpc.KindTelemetry:
 		return metrics.ClassTelemetry
 	default:

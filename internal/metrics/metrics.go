@@ -63,7 +63,6 @@ const (
 	ClassBarrier
 	ClassPlan
 	ClassAbort
-	ClassSample
 	ClassTelemetry
 	NumMsgClasses
 )
@@ -83,8 +82,6 @@ func (c MsgClass) String() string {
 		return "plan"
 	case ClassAbort:
 		return "abort"
-	case ClassSample:
-		return "sample"
 	case ClassTelemetry:
 		return "telemetry"
 	default:

@@ -35,13 +35,6 @@ const (
 	// collectives that will never complete. Epoch/Layer identify the fence
 	// the sender failed at.
 	KindAbort
-	// KindSample carries data-plane graph queries and their replies between
-	// a store client and a store server: neighbor-selection records, 1-hop
-	// in-edge lists and induced k-hop subgraphs. The Layer field holds the
-	// store opcode and Epoch carries the pipelined request ID, so several
-	// requests can be outstanding on one link at once. Feature-row gathers
-	// on the same link reuse KindFeatures with the same ID convention.
-	KindSample
 	// KindTelemetry carries the telemetry plane's control-plane traffic:
 	// clock-sync ping/pong, epoch-fenced span/metrics snapshots pushed to the
 	// rank-0 collector, and flight-recorder dumps from survivors of a crash.
@@ -72,8 +65,6 @@ func (k MsgKind) String() string {
 		return "plan"
 	case KindAbort:
 		return "abort"
-	case KindSample:
-		return "sample"
 	case KindTelemetry:
 		return "telemetry"
 	default:

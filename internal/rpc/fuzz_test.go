@@ -3,6 +3,10 @@ package rpc
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -10,7 +14,8 @@ import (
 // header-only frame per Kind, and the malformed frames the hand-written tests
 // reject. testdata/fuzz/FuzzDecode holds the same frames as committed bytes,
 // which plain `go test` replays — so a change to the wire format shows up as a
-// committed frame that no longer decodes or re-encodes to itself.
+// committed frame that no longer decodes or re-encodes to itself, and
+// TestFuzzCorpusIsTheSeedFrames holds the two sets to each other.
 func fuzzSeedFrames() [][]byte {
 	var frames [][]byte
 	for kind := KindFeatures; kind < numKinds; kind++ {
@@ -37,6 +42,49 @@ func fuzzSeedFrames() [][]byte {
 		corrupt(21+3, 0xff),           // ~2^32 counts claimed
 		corrupt(25+3, 0x7f),           // ~2^31 floats claimed
 	)
+}
+
+// TestFuzzCorpusIsTheSeedFrames pins testdata/fuzz/FuzzDecode to the
+// encoder: unquoted, the committed files are exactly the frames
+// fuzzSeedFrames builds — every file a seed and every seed a file.
+// FuzzDecode alone cannot tell: a renumbered kind leaves stale files that
+// still decode and re-encode (or fail) consistently, they just no longer
+// hold the frames their names promise.
+func TestFuzzCorpusIsTheSeedFrames(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecode")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := make(map[string]bool)
+	for _, f := range fuzzSeedFrames() {
+		seeds[string(f)] = true
+	}
+	committed := make(map[string]bool)
+	for _, f := range files {
+		raw, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+			!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+			t.Fatalf("%s: not a corpus file holding one []byte", f.Name())
+		}
+		frame, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name(), err)
+		}
+		if !seeds[frame] {
+			t.Errorf("%s holds no frame fuzzSeedFrames builds: regenerate the corpus", f.Name())
+		}
+		committed[frame] = true
+	}
+	for i, f := range fuzzSeedFrames() {
+		if !committed[string(f)] {
+			t.Errorf("seed frame %d (%d bytes) has no committed file", i, len(f))
+		}
+	}
 }
 
 // FuzzDecode holds the wire decoder to its contract on arbitrary bytes: the

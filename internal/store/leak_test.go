@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"repro/internal/rpc"
 )
 
 // waitGoroutines polls until the process goroutine count drops back to the
@@ -27,31 +25,6 @@ func waitGoroutines(t *testing.T, base int) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-// TestRemoteCloseReleasesRecvLoop pins the store data plane's teardown: the
-// Remote's receive loop and the Server's worker pool must all exit once
-// both ends close, even after real traffic.
-func TestRemoteCloseReleasesRecvLoop(t *testing.T) {
-	d, l := testLocal(t, 31)
-	base := runtime.NumGoroutine()
-
-	netw := rpc.NewLoopbackNetwork(2)
-	srv := NewServer(l, netw.Transport(1), ServerOptions{Workers: 4})
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Serve() }()
-	r := NewRemote(netw.Transport(0), RemoteOptions{
-		Peer: 1, Window: 4, NumVertices: l.NumVertices(), Dim: l.FeatureDim(),
-	})
-	if _, err := r.Gather(context.Background(), firstRoots(d, 16)); err != nil {
-		t.Fatal(err)
-	}
-
-	r.Close()
-	srv.Close()
-	<-done
-	netw.Close()
-	waitGoroutines(t, base)
 }
 
 // TestPrefetchCancelReleasesWorkers checks that cancelling a prefetching

@@ -30,9 +30,9 @@ type LocalConfig struct {
 	UDF nau.NeighborUDF
 }
 
-// Local implements GraphStore and FeatureStore in memory. It is the store a
-// worker uses for graph and feature shards it holds itself, and the backend
-// a Server exposes to remote ranks.
+// Local implements GraphStore and FeatureStore in memory. It is the store
+// the cluster's mini-batch workers, the mini-batch baselines and the serve
+// planner read.
 type Local struct {
 	cfg LocalConfig
 }

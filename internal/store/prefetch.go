@@ -50,8 +50,8 @@ type SamplerOptions struct {
 	Depth int
 	// Workers is the number of concurrent sampler workers materialising
 	// batches (<= 0 selects 1). Sampler and trainer concurrency are
-	// independent: more workers keep a high-latency feature link busy
-	// without touching the trainer's kernel parallelism.
+	// independent: more workers build batches side by side without
+	// touching the trainer's kernel parallelism.
 	Workers int
 	// Tracer records CatSample spans per batch (nil = off).
 	Tracer *trace.Tracer

@@ -11,39 +11,12 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hdg"
 	"repro/internal/nau"
-	"repro/internal/rpc"
 )
-
-// latencyRemote wires a Remote client to a Server over loopback, with every
-// client request held for `delay` before hitting the wire (FaultTransport
-// with DelayProb 1) — a deterministic simulated-latency link. Cleanup is
-// registered on tb.
-func latencyRemote(tb testing.TB, l *Local, opts RemoteOptions, delay time.Duration) *Remote {
-	tb.Helper()
-	netw := rpc.NewLoopbackNetwork(2)
-	srv := NewServer(l, netw.Transport(1), ServerOptions{})
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Serve() }()
-	opts.Peer = 1
-	opts.NumVertices = l.NumVertices()
-	opts.Dim = l.FeatureDim()
-	tr := rpc.NewFaultTransport(netw.Transport(0), rpc.FaultConfig{
-		Seed: 1, DelayProb: 1, Delay: delay,
-	})
-	r := NewRemote(tr, opts)
-	tb.Cleanup(func() {
-		r.Close()
-		srv.Close()
-		<-done
-		netw.Close()
-	})
-	return r
-}
 
 // streamEpoch consumes one epoch through the sampler, simulating `train` of
 // forward/backward compute per batch, and returns the wall-clock time.
-func streamEpoch(tb testing.TB, s *Sampler, batches [][]graph.VertexID, train time.Duration) time.Duration {
-	tb.Helper()
+func streamEpoch(t *testing.T, s *Sampler, batches [][]graph.VertexID, train time.Duration) time.Duration {
+	t.Helper()
 	start := time.Now()
 	st := s.Epoch(context.Background(), 0, batches)
 	defer st.Close()
@@ -53,88 +26,40 @@ func streamEpoch(tb testing.TB, s *Sampler, batches [][]graph.VertexID, train ti
 			break
 		}
 		if err != nil {
-			tb.Fatal(err)
+			t.Fatal(err)
 		}
 		time.Sleep(train)
 	}
 	return time.Since(start)
 }
 
-func overlapFixture(tb testing.TB, delay time.Duration, depth, workers int) (*Sampler, [][]graph.VertexID) {
-	tb.Helper()
-	d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 7})
-	l := NewLocal(LocalConfig{
-		Graph: d.Graph, Features: d.Features, Labels: d.Labels, TrainMask: d.TrainMask,
-		Schema: hdg.NewSchemaTree("vertex"), UDF: testUDF,
-	})
-	r := latencyRemote(tb, l, RemoteOptions{}, delay)
-	s := NewSampler(r, r, SamplerOptions{
-		Layers: 1, Schema: hdg.NewSchemaTree("vertex"), Seed: 3,
-		Depth: depth, Workers: workers,
-	})
-	n := d.Graph.NumVertices()
-	bs := (n + 7) / 8 // 8 batches
-	var batches [][]graph.VertexID
-	for s := 0; s < n; s += bs {
-		e := s + bs
-		if e > n {
-			e = n
-		}
-		b := make([]graph.VertexID, e-s)
-		for i := range b {
-			b[i] = graph.VertexID(s + i)
-		}
-		batches = append(batches, b)
-	}
-	return s, batches
-}
-
-// TestPrefetchOverlapBeatsSyncOnSlowLink is the overlap guard: on a
-// simulated-latency store link, prefetch depth 2 with 2 sampler workers must
-// stream an epoch materially faster than the synchronous depth-0 reference,
-// because batch materialisation (two RPC round trips per batch) overlaps the
-// simulated training compute and the other worker's RPCs. The margin is
+// TestPrefetchOverlapBeatsSyncOnSlowStore is the overlap guard: over a
+// feature store whose every gather takes 4 ms, prefetch depth 2 with 2
+// sampler workers must stream an epoch materially faster than the
+// synchronous depth-0 reference, because each batch's gather overlaps the
+// simulated training compute and the other worker's gather. The margin is
 // deliberately loose so scheduler noise cannot flake it.
-func TestPrefetchOverlapBeatsSyncOnSlowLink(t *testing.T) {
+func TestPrefetchOverlapBeatsSyncOnSlowStore(t *testing.T) {
 	const delay = 4 * time.Millisecond
 	const train = 4 * time.Millisecond
+	d, l := testLocal(t, 7)
+	slow := &slowStores{Local: l, delay: delay}
+	n := d.Graph.NumVertices()
+	batches := batchesOf(d, n, (n+7)/8) // about 8 batches
+	epoch := func(depth, workers int) time.Duration {
+		s := NewSampler(l, slow, SamplerOptions{
+			Layers: 1, Schema: hdg.NewSchemaTree("vertex"), Seed: 3,
+			Depth: depth, Workers: workers,
+		})
+		return streamEpoch(t, s, batches, train)
+	}
 
-	sync, syncBatches := overlapFixture(t, delay, 0, 0)
-	syncWall := streamEpoch(t, sync, syncBatches, train)
-
-	pre, preBatches := overlapFixture(t, delay, 2, 2)
-	preWall := streamEpoch(t, pre, preBatches, train)
-
+	syncWall := epoch(0, 0)
+	preWall := epoch(2, 2)
 	t.Logf("sync epoch %v, prefetch epoch %v", syncWall, preWall)
 	if float64(preWall) > 0.8*float64(syncWall) {
 		t.Fatalf("prefetch did not overlap: depth-2 epoch %v vs depth-0 epoch %v (want < 80%%)",
 			preWall, syncWall)
-	}
-}
-
-// BenchmarkPrefetchOverlap measures one epoch of batch streaming over the
-// simulated-latency link (4 ms per request, 4 ms simulated training compute
-// per batch, 8 batches) at increasing prefetch depths. Recorded numbers live
-// in BENCH_sampler.json; regenerate with `make bench-sampler`.
-func BenchmarkPrefetchOverlap(b *testing.B) {
-	const delay = 4 * time.Millisecond
-	const train = 4 * time.Millisecond
-	for _, cfg := range []struct {
-		name           string
-		depth, workers int
-	}{
-		{"depth0", 0, 0},
-		{"depth1_workers1", 1, 1},
-		{"depth2_workers2", 2, 2},
-		{"depth4_workers4", 4, 4},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			s, batches := overlapFixture(b, delay, cfg.depth, cfg.workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				streamEpoch(b, s, batches, train)
-			}
-		})
 	}
 }
 

@@ -7,11 +7,9 @@
 // the paper compares against also split (GraphLearn, distributed PyG):
 // GraphStore answers topology and neighbor-selection queries, FeatureStore
 // serves vertex feature/label slices. Local implements both in memory over
-// the CSR graph; Remote speaks rpc.KindSample/KindFeatures to a Server on
-// another rank with a pipelined request window. The Sampler on top
-// materialises self-contained training batches through either, overlapping
-// the next batch's selection and gather with the current batch's
-// forward/backward.
+// the CSR graph. The Sampler on top materialises self-contained training
+// batches through them, overlapping the next batch's selection and gather
+// with the current batch's forward/backward.
 package store
 
 import (
@@ -26,8 +24,7 @@ import (
 )
 
 // GraphStore answers topology and neighbor-selection queries. All methods
-// are safe for concurrent use; implementations over a transport bound each
-// call by their receive deadline and surface failures as *FetchError.
+// are safe for concurrent use and surface failures as *FetchError.
 type GraphStore interface {
 	// NumVertices returns the vertex count of the stored graph.
 	NumVertices() int
@@ -84,9 +81,8 @@ type FeatureSlice struct {
 
 // FetchError is the typed failure of a store operation: which query failed
 // and why. The prefetch pipeline propagates it to the trainer unwrapped, so
-// errors.As(*store.FetchError) — and errors.Is against the transport's root
-// cause, e.g. rpc.ErrCrashed or rpc.ErrRecvTimeout — both work from the
-// training loop.
+// errors.As(*store.FetchError) — and errors.Is against its cause, e.g.
+// context.Canceled — both work from the training loop.
 type FetchError struct {
 	// Op names the query: "sample", "in_edges", "khop", "features".
 	Op string

@@ -3,9 +3,11 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -15,7 +17,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hdg"
 	"repro/internal/nau"
-	"repro/internal/rpc"
 	"repro/internal/tensor"
 )
 
@@ -46,27 +47,6 @@ func testLocal(t *testing.T, seed uint64) (*dataset.Dataset, *Local) {
 		Schema: hdg.NewSchemaTree("vertex"), UDF: testUDF,
 	})
 	return d, l
-}
-
-// remotePair wires a Remote client to a Server over a loopback network and
-// returns a cleanup-registered pair.
-func remotePair(t *testing.T, l *Local, opts RemoteOptions) *Remote {
-	t.Helper()
-	netw := rpc.NewLoopbackNetwork(2)
-	srv := NewServer(l, netw.Transport(1), ServerOptions{})
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Serve() }()
-	opts.Peer = 1
-	opts.NumVertices = l.NumVertices()
-	opts.Dim = l.FeatureDim()
-	r := NewRemote(netw.Transport(0), opts)
-	t.Cleanup(func() {
-		r.Close()
-		srv.Close()
-		<-done
-		netw.Close()
-	})
-	return r
 }
 
 func firstRoots(d *dataset.Dataset, n int) []graph.VertexID {
@@ -126,7 +106,7 @@ func TestUniverseOrdering(t *testing.T) {
 	}
 
 	// A neighbor or a seed outside the graph is an error, not a panic: the
-	// lists may come from a remote store.
+	// lists come from whatever GraphStore the caller passed.
 	gs.nbrs[3] = []graph.VertexID{99}
 	var fe *FetchError
 	if _, err := u.InEdgeAdjacency(context.Background(), gs, []graph.VertexID{3}, nil); !errors.As(err, &fe) {
@@ -225,141 +205,6 @@ func TestUniverseReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-func TestRecordsCodecRoundTrip(t *testing.T) {
-	recs := []hdg.Record{
-		{Root: 3, Type: 1, Nei: []graph.VertexID{7, 9, 7}},
-		{Root: 4, Type: 0, Nei: nil},
-		{Root: 5, Type: 2, Nei: []graph.VertexID{1}},
-	}
-	got, err := decodeRecords(encodeRecords(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("got %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i].Root != recs[i].Root || got[i].Type != recs[i].Type ||
-			len(got[i].Nei) != len(recs[i].Nei) {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, got[i], recs[i])
-		}
-		for j := range recs[i].Nei {
-			if got[i].Nei[j] != recs[i].Nei[j] {
-				t.Fatalf("record %d leaf %d mismatch", i, j)
-			}
-		}
-	}
-	if _, err := decodeRecords([]int32{1, 0}); err == nil {
-		t.Fatal("truncated header must error")
-	}
-	if _, err := decodeRecords([]int32{1, 0, 5, 2}); err == nil {
-		t.Fatal("overlong leaf count must error")
-	}
-}
-
-func TestRemoteMatchesLocal(t *testing.T) {
-	d, l := testLocal(t, 1)
-	r := remotePair(t, l, RemoteOptions{})
-	ctx := context.Background()
-	roots := firstRoots(d, 24)
-
-	collect := func(gs GraphStore) (lists [][]graph.VertexID) {
-		t.Helper()
-		err := gs.InEdges(ctx, roots, func(nbrs []graph.VertexID) {
-			lists = append(lists, slices.Clone(nbrs))
-		})
-		if err != nil || len(lists) != len(roots) {
-			t.Fatalf("in-edges: %d lists for %d roots, err %v", len(lists), len(roots), err)
-		}
-		return lists
-	}
-	lNbrs, rNbrs := collect(l), collect(r)
-	for i := range roots {
-		if len(lNbrs[i]) != len(rNbrs[i]) {
-			t.Fatalf("in-edges %d: %d vs %d neighbors", i, len(lNbrs[i]), len(rNbrs[i]))
-		}
-		for j := range lNbrs[i] {
-			if lNbrs[i][j] != rNbrs[i][j] {
-				t.Fatalf("in-edges %d neighbor %d differs", i, j)
-			}
-		}
-	}
-
-	es := nau.EpochSeed(7, 0)
-	lRecs, err := l.Sample(ctx, roots, es)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rRecs, err := r.Sample(ctx, roots, es)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lRecs, rRecs) {
-		t.Fatal("remote sample differs from local")
-	}
-
-	lSub, err := l.KHopInduced(ctx, roots[:8], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rSub, err := r.KHopInduced(ctx, roots[:8], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lSub.Vertices, rSub.Vertices) {
-		t.Fatal("khop vertex sets differ")
-	}
-	if !reflect.DeepEqual(lSub.Adj.DstPtr, rSub.Adj.DstPtr) ||
-		!reflect.DeepEqual(lSub.Adj.SrcIdx, rSub.Adj.SrcIdx) ||
-		lSub.Adj.NumDst != rSub.Adj.NumDst || lSub.Adj.NumSrc != rSub.Adj.NumSrc {
-		t.Fatal("khop adjacencies differ")
-	}
-
-	lFS, err := l.Gather(ctx, roots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rFS, err := r.Gather(ctx, roots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lFS.Feats.Data(), rFS.Feats.Data()) ||
-		!reflect.DeepEqual(lFS.Labels, rFS.Labels) ||
-		!reflect.DeepEqual(lFS.Mask, rFS.Mask) {
-		t.Fatal("remote gather differs from local")
-	}
-}
-
-// A vertex ID that names no vertex arrives off the wire like any other: the
-// server must reject the query with the error reply (the client's typed
-// *FetchError) instead of indexing the graph with it, for every op, and go
-// on serving.
-func TestServerRejectsOutOfRangeVertexIDs(t *testing.T) {
-	d, l := testLocal(t, 1)
-	r := remotePair(t, l, RemoteOptions{})
-	ctx := context.Background()
-	ops := map[string]func(ids []graph.VertexID) error{
-		"in_edges": func(ids []graph.VertexID) error {
-			return r.InEdges(ctx, ids, func([]graph.VertexID) {})
-		},
-		"sample":   func(ids []graph.VertexID) error { _, err := r.Sample(ctx, ids, nau.EpochSeed(7, 0)); return err },
-		"khop":     func(ids []graph.VertexID) error { _, err := r.KHopInduced(ctx, ids, 2); return err },
-		"features": func(ids []graph.VertexID) error { _, err := r.Gather(ctx, ids); return err },
-	}
-	n := graph.VertexID(d.Graph.NumVertices())
-	for name, op := range ops {
-		for _, bad := range []graph.VertexID{-1, n, 1 << 30} {
-			var fe *FetchError
-			if err := op([]graph.VertexID{0, bad}); !errors.As(err, &fe) || fe.Op != name {
-				t.Fatalf("%s with vertex %d: err %v, want *FetchError", name, bad, err)
-			}
-		}
-		if err := op([]graph.VertexID{0, n - 1}); err != nil {
-			t.Fatalf("%s after a rejected query: %v", name, err)
-		}
-	}
-}
-
 // collect drains one epoch's stream into a slice.
 func collect(t *testing.T, st *Stream) []*Batch {
 	t.Helper()
@@ -431,10 +276,17 @@ func TestSamplerDepthAndWorkerInvariance(t *testing.T) {
 		{Layers: 2, Seed: 11}, // layered DNFA
 		{Layers: 1, Schema: hdg.NewSchemaTree("vertex"), Seed: 11}, // flat sample
 		{Hops: 2, Seed: 11}, // §7.1 k-hop
+		// The Euler baseline's hook: walks seeded per batch, so the records
+		// depend on which batch a frontier belongs to and no memo applies.
+		{Layers: 2, Schema: hdg.NewSchemaTree("vertex"), Seed: 11,
+			Select: func(epoch, index int, frontier []graph.VertexID) ([]hdg.Record, error) {
+				es := nau.EpochSeed(11, epoch) + uint64(index)
+				return nau.SelectRecords(d.Graph, nil, nau.RandomWalkUDF(4, 2, 3), frontier, es, 0), nil
+			}},
 	}
-	for mi, base := range modes {
+	for _, base := range modes {
 		var ref []*Batch
-		for _, cfg := range []struct{ depth, workers int }{{0, 1}, {1, 2}, {3, 4}} {
+		for _, cfg := range []struct{ depth, workers int }{{0, 1}, {1, 2}, {2, 3}, {3, 4}} {
 			o := base
 			o.Depth, o.Workers = cfg.depth, cfg.workers
 			s := NewSampler(l, l, o)
@@ -444,7 +296,6 @@ func TestSamplerDepthAndWorkerInvariance(t *testing.T) {
 				continue
 			}
 			requireSameBatches(t, ref, got)
-			_ = mi
 		}
 	}
 }
@@ -453,8 +304,8 @@ func TestSamplerDepthAndWorkerInvariance(t *testing.T) {
 // plan of every batch the memoised sampler delivers — In, Out and the
 // sub-HDG's arrays — equals store.Expand over the same frontiers with sel
 // calling Sample directly, at Depth 0 and at Depth 2 with three workers
-// sharing the memo, over a Local store (one-leaf random-walk instances and
-// two-leaf instances) and a Remote one. Three epochs run on one sampler, so
+// sharing the memo, over two Local stores (one-leaf random-walk instances
+// and two-leaf instances). Three epochs run on one sampler, so
 // each epoch's memo is the previous one reset: a selection that leaked
 // across the boundary would match the wrong epoch's reference. Every batch
 // is released after the check, so later batches are rebuilt in recycled
@@ -472,7 +323,6 @@ func TestSamplerMemoMatchesDirectSample(t *testing.T) {
 	for name, gs := range map[string]GraphStore{
 		"local-walks": walks,
 		"local-pairs": l,
-		"remote":      remotePair(t, l, RemoteOptions{Window: 4}),
 	} {
 		for _, cfg := range []struct{ depth, workers int }{{0, 1}, {2, 3}} {
 			s := NewSampler(gs, l, SamplerOptions{Layers: layers, Schema: schema, Seed: seed,
@@ -531,15 +381,237 @@ func TestSamplerMemoMatchesDirectSample(t *testing.T) {
 	}
 }
 
-func TestSamplerOverRemoteMatchesLocal(t *testing.T) {
-	d, l := testLocal(t, 5)
-	r := remotePair(t, l, RemoteOptions{Window: 4})
-	batches := batchesOf(d, 64, 16)
-	opts := SamplerOptions{Layers: 1, Schema: hdg.NewSchemaTree("vertex"), Seed: 13, Depth: 2, Workers: 3}
+// TestLocalAnswersFromTheGraph holds each Local query to an oracle computed
+// from the dataset directly, and to its failure contract: a cancelled
+// context is a *FetchError naming the query, with the cancellation as its
+// cause.
+func TestLocalAnswersFromTheGraph(t *testing.T) {
+	d, l := testLocal(t, 1)
+	g := d.Graph
+	roots := []graph.VertexID{0, 7, 3, 7, 25}
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	requireCancelled := func(t *testing.T, op string, err error) {
+		t.Helper()
+		var fe *FetchError
+		if !errors.As(err, &fe) || fe.Op != op || fe.Verts != len(roots) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled %s: err %v, want *FetchError{Op: %q, Verts: %d} caused by context.Canceled",
+				op, err, op, len(roots))
+		}
+	}
 
-	want := collect(t, NewSampler(l, l, opts).Epoch(context.Background(), 2, batches))
-	got := collect(t, NewSampler(r, r, opts).Epoch(context.Background(), 2, batches))
-	requireSameBatches(t, want, got)
+	t.Run("in_edges", func(t *testing.T) {
+		i := 0
+		err := l.InEdges(ctx, roots, func(nbrs []graph.VertexID) {
+			if i >= len(roots) || !slices.Equal(nbrs, g.InNeighbors(roots[i])) {
+				t.Fatalf("visit %d: %v is not root %d's in-neighbor list", i, nbrs, roots[i])
+			}
+			i++
+		})
+		if err != nil || i != len(roots) {
+			t.Fatalf("%d visits for %d roots, err %v", i, len(roots), err)
+		}
+		requireCancelled(t, "in_edges", l.InEdges(cancelled, roots, func([]graph.VertexID) {}))
+	})
+
+	t.Run("sample", func(t *testing.T) {
+		es := nau.EpochSeed(7, 2)
+		got, err := l.Sample(ctx, roots, es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := nau.SelectRecords(g, hdg.NewSchemaTree("vertex"), testUDF, roots, es, 0); !reflect.DeepEqual(got, want) {
+			t.Fatal("Sample differs from SelectRecords at the same epoch seed")
+		}
+		_, err = l.Sample(cancelled, roots, es)
+		requireCancelled(t, "sample", err)
+		dnfa := NewLocal(LocalConfig{Graph: g, Features: d.Features})
+		var fe *FetchError
+		if _, err := dnfa.Sample(ctx, roots, es); !errors.As(err, &fe) || fe.Op != "sample" {
+			t.Fatalf("Sample without a schema: err %v, want *FetchError", err)
+		}
+	})
+
+	t.Run("khop", func(t *testing.T) {
+		const hops = 2
+		sub, err := l.KHopInduced(ctx, roots, hops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Oracle: the vertices within hops out-hops of a root, ascending,
+		// and each one's in-neighbors inside that set in whole-graph order.
+		dist := map[graph.VertexID]int{}
+		frontier := []graph.VertexID{}
+		for _, r := range roots {
+			if _, ok := dist[r]; !ok {
+				dist[r] = 0
+				frontier = append(frontier, r)
+			}
+		}
+		for h := 1; h <= hops; h++ {
+			var next []graph.VertexID
+			for _, v := range frontier {
+				for _, u := range g.OutNeighbors(v) {
+					if _, ok := dist[u]; !ok {
+						dist[u] = h
+						next = append(next, u)
+					}
+				}
+			}
+			frontier = next
+		}
+		var verts []graph.VertexID
+		for v := range dist {
+			verts = append(verts, v)
+		}
+		slices.Sort(verts)
+		if !slices.Equal(sub.Vertices, verts) {
+			t.Fatalf("%d vertices, want the %d within %d hops", len(sub.Vertices), len(verts), hops)
+		}
+		row := map[graph.VertexID]int32{}
+		for i, v := range verts {
+			row[v] = int32(i)
+		}
+		ptr, idx := []int64{0}, []int32{}
+		for _, v := range verts {
+			for _, u := range g.InNeighbors(v) {
+				if r, ok := row[u]; ok {
+					idx = append(idx, r)
+				}
+			}
+			ptr = append(ptr, int64(len(idx)))
+		}
+		a := sub.Adj
+		if a.NumDst != len(verts) || a.NumSrc != len(verts) || !slices.Equal(a.DstPtr, ptr) || !slices.Equal(a.SrcIdx, idx) {
+			t.Fatal("induced adjacency differs from the in-edges inside the expansion")
+		}
+		_, err = l.KHopInduced(cancelled, roots, hops)
+		requireCancelled(t, "khop", err)
+	})
+
+	t.Run("features", func(t *testing.T) {
+		fs, err := l.Gather(ctx, roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fs.Feats.Rows() != len(roots) || fs.Feats.Cols() != l.FeatureDim() {
+			t.Fatalf("gathered %dx%d, want %dx%d", fs.Feats.Rows(), fs.Feats.Cols(), len(roots), l.FeatureDim())
+		}
+		for i, v := range roots {
+			if !slices.Equal(fs.Feats.Row(i), d.Features.Row(int(v))) ||
+				fs.Labels[i] != d.Labels[v] || fs.Mask[i] != d.TrainMask[v] {
+				t.Fatalf("row %d is not vertex %d's", i, v)
+			}
+		}
+		// No labels or mask configured: zeros and false, one per row.
+		bare, err := NewLocal(LocalConfig{Graph: g, Features: d.Features}).Gather(ctx, roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bare.Labels) != len(roots) || len(bare.Mask) != len(roots) ||
+			slices.ContainsFunc(bare.Labels, func(c int32) bool { return c != 0 }) || slices.Contains(bare.Mask, true) {
+			t.Fatalf("bare gather: labels %v mask %v, want zeros and false", bare.Labels, bare.Mask)
+		}
+		_, err = l.Gather(cancelled, roots)
+		requireCancelled(t, "features", err)
+	})
+}
+
+// errStoreDown is the cause failingStores reports.
+var errStoreDown = errors.New("store down")
+
+// failingStores wraps a Local and fails one query kind — op, named as in
+// FetchError — whenever the query starts at vertex at. Every query the
+// sampler makes for a one-layer batch starts at the batch's first root, so
+// exactly the batch beginning with at fails, whichever worker builds it.
+type failingStores struct {
+	*Local
+	op string
+	at graph.VertexID
+}
+
+func (f *failingStores) fails(op string, verts []graph.VertexID) error {
+	if op == f.op && len(verts) > 0 && verts[0] == f.at {
+		return &FetchError{Op: op, Verts: len(verts), Err: errStoreDown}
+	}
+	return nil
+}
+
+func (f *failingStores) InEdges(ctx context.Context, dsts []graph.VertexID, visit func([]graph.VertexID)) error {
+	if err := f.fails("in_edges", dsts); err != nil {
+		return err
+	}
+	return f.Local.InEdges(ctx, dsts, visit)
+}
+
+func (f *failingStores) Sample(ctx context.Context, roots []graph.VertexID, epochSeed uint64) ([]hdg.Record, error) {
+	if err := f.fails("sample", roots); err != nil {
+		return nil, err
+	}
+	return f.Local.Sample(ctx, roots, epochSeed)
+}
+
+func (f *failingStores) KHopInduced(ctx context.Context, roots []graph.VertexID, hops int) (*Subgraph, error) {
+	if err := f.fails("khop", roots); err != nil {
+		return nil, err
+	}
+	return f.Local.KHopInduced(ctx, roots, hops)
+}
+
+func (f *failingStores) Gather(ctx context.Context, verts []graph.VertexID) (*FeatureSlice, error) {
+	if err := f.fails("features", verts); err != nil {
+		return nil, err
+	}
+	return f.Local.Gather(ctx, verts)
+}
+
+// TestSamplerSurfacesStoreFailure: a store query that fails while a batch
+// is materialised reaches the trainer as the store's own *FetchError, cause
+// intact, at that batch's place in the schedule — the batches before it
+// arrive, no later one does, the stream never reports a clean io.EOF, and
+// Close leaves no sampler goroutine behind. Each query kind fails in the
+// extraction mode that issues it, synchronously and with prefetch workers.
+func TestSamplerSurfacesStoreFailure(t *testing.T) {
+	d, l := testLocal(t, 33)
+	batches := batchesOf(d, 64, 8)
+	const failAt = 5
+	modes := map[string]SamplerOptions{
+		"in_edges": {Layers: 1, Seed: 3},
+		"sample":   {Layers: 1, Schema: hdg.NewSchemaTree("vertex"), Seed: 3},
+		"khop":     {Hops: 2, Seed: 3},
+		"features": {Layers: 1, Seed: 3},
+	}
+	for _, op := range []string{"in_edges", "sample", "khop", "features"} {
+		for _, cfg := range []struct{ depth, workers int }{{0, 1}, {2, 3}} {
+			t.Run(fmt.Sprintf("%s-depth%d", op, cfg.depth), func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				f := &failingStores{Local: l, op: op, at: batches[failAt][0]}
+				o := modes[op]
+				o.Depth, o.Workers = cfg.depth, cfg.workers
+				st := NewSampler(f, f, o).Epoch(context.Background(), 0, batches)
+				for i := 0; i < failAt; i++ {
+					b, err := st.Next()
+					if err != nil {
+						t.Fatalf("batch %d before the failing one: %v", i, err)
+					}
+					if b.Index != i {
+						t.Fatalf("got batch %d, want %d", b.Index, i)
+					}
+				}
+				_, err := st.Next()
+				fe, ok := err.(*FetchError)
+				if !ok || fe.Op != op || !errors.Is(err, errStoreDown) {
+					t.Fatalf("batch %d: err %T %v, want the store's *FetchError{Op: %q}", failAt, err, err, op)
+				}
+				if _, again := st.Next(); again != err {
+					t.Fatalf("Next after the failure: %v, want the same error", again)
+				}
+				st.Close()
+				waitGoroutines(t, base)
+			})
+		}
+	}
 }
 
 func TestSamplerKHopRootRows(t *testing.T) {
@@ -619,85 +691,5 @@ closed:
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung after cancel")
-	}
-}
-
-func TestFaultTransportCrashDuringFeatureGather(t *testing.T) {
-	d, l := testLocal(t, 33)
-	netw := rpc.NewLoopbackNetwork(2)
-	defer netw.Close()
-	srv := NewServer(l, netw.Transport(1), ServerOptions{})
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Serve() }()
-	defer func() { srv.Close(); <-done }()
-
-	// Crash the client transport on its first outgoing feature gather
-	// (Layer = opFeatures); graph queries (lower opcodes) pass through.
-	ft := rpc.NewFaultTransport(netw.Transport(0), rpc.FaultConfig{
-		CrashAtFence: true, CrashEpoch: 0, CrashPhase: opFeatures,
-	})
-	r := NewRemote(ft, RemoteOptions{
-		Peer: 1, NumVertices: l.NumVertices(), Dim: l.FeatureDim(),
-		RecvDeadline: 5 * time.Second,
-	})
-	defer r.Close()
-
-	s := NewSampler(r, r, SamplerOptions{Layers: 1, Seed: 3, Depth: 2, Workers: 2})
-	st := s.Epoch(context.Background(), 0, batchesOf(d, 32, 8))
-	defer st.Close()
-
-	start := time.Now()
-	var err error
-	for {
-		if _, err = st.Next(); err != nil {
-			break
-		}
-	}
-	if errors.Is(err, io.EOF) {
-		t.Fatal("stream completed despite crash")
-	}
-	var fe *FetchError
-	if !errors.As(err, &fe) {
-		t.Fatalf("want *FetchError, got %T: %v", err, err)
-	}
-	if !errors.Is(err, rpc.ErrCrashed) {
-		t.Fatalf("want rpc.ErrCrashed cause, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("crash took %v to surface, want well under the recv deadline", elapsed)
-	}
-}
-
-func TestRemoteFailsFastOnServerDeath(t *testing.T) {
-	d, l := testLocal(t, 41)
-	netw := rpc.NewLoopbackNetwork(2)
-	defer netw.Close()
-	srv := NewServer(l, netw.Transport(1), ServerOptions{})
-	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.Serve() }()
-
-	r := NewRemote(netw.Transport(0), RemoteOptions{
-		Peer: 1, NumVertices: l.NumVertices(), Dim: l.FeatureDim(),
-		RecvDeadline: 30 * time.Second,
-	})
-	defer r.Close()
-
-	// Kill the server and drop the link: the client observes the dead
-	// network and every call must fail well before the 30s deadline.
-	srv.Close()
-	netw.Close()
-	<-done
-
-	start := time.Now()
-	_, err := r.Gather(context.Background(), firstRoots(d, 4))
-	if err == nil {
-		t.Fatal("gather against a dead server must fail")
-	}
-	var fe *FetchError
-	if !errors.As(err, &fe) {
-		t.Fatalf("want *FetchError, got %T: %v", err, err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("dead-server failure took %v", elapsed)
 	}
 }
