@@ -7,7 +7,8 @@
 //     random walks simulated through whole-graph propagation stages (§2.3);
 //   - Euler / DistDGL: mini-batch training with k-hop neighborhood
 //     expansion per batch (§7.1, §8), Euler with a parallel sampling engine
-//     and DistDGL with DGL's walk implementation;
+//     and DistDGL with DGL's walk implementation — the executor expands its
+//     own batches and reads their rows from an in-memory store.Local;
 //   - Pre+DGL (§7.2): pre-materialised expanded graphs plus GAS operations.
 //
 // Because the algorithms — not the engineering of the original codebases —

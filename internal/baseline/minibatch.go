@@ -2,8 +2,6 @@ package baseline
 
 import (
 	"context"
-	"errors"
-	"io"
 	"sort"
 
 	"repro/internal/dataset"
@@ -24,9 +22,11 @@ import (
 // approaches the whole graph per batch, which is the "tremendous
 // computation and memory overhead" of §7.1.
 //
-// Batches are materialised through the store data plane (a synchronous
-// store.Sampler over an in-memory store.Local), and the executor behaves
-// exactly like the historical fused implementation.
+// Each executor expands its own batches and reads their rows through an
+// in-memory store.Local: GCN expands the batch 2 out-hops (expandKHop),
+// induces the subgraph on the expansion and gathers its rows; PinSage runs
+// one store.Expand of the batch through its system's walk selector. Either
+// way it behaves exactly like the historical fused implementation.
 //
 // The two systems differ where the paper says they differ:
 //   - Euler's sampling engine runs walks in parallel (fast PinSage) but its
@@ -85,12 +85,11 @@ func (m *MiniBatch) batches(n int) [][]graph.VertexID {
 	return out
 }
 
-// sampler builds the data-plane pipeline for one epoch over the dataset.
-func (m *MiniBatch) sampler(d *dataset.Dataset, opts store.SamplerOptions) *store.Sampler {
-	local := store.NewLocal(store.LocalConfig{
+// rows returns the in-memory store the executors gather batch rows from.
+func rows(d *dataset.Dataset) *store.Local {
+	return store.NewLocal(store.LocalConfig{
 		Graph: d.Graph, Features: d.Features, Labels: d.Labels, TrainMask: d.TrainMask,
 	})
-	return store.NewSampler(local, local, opts)
 }
 
 func (m *MiniBatch) gcn(d *dataset.Dataset, spec Spec) (float32, error) {
@@ -104,45 +103,38 @@ func (m *MiniBatch) gcn(d *dataset.Dataset, spec Spec) (float32, error) {
 	if m.System == "Euler" {
 		dupFactor = 3
 	}
-
-	// Full 2-hop neighborhood expansion (2 GNN layers), materialised by the
-	// store sampler.
-	st := m.sampler(d, store.SamplerOptions{Hops: 2}).
-		Epoch(context.Background(), 0, m.batches(d.Graph.NumVertices()))
-	defer st.Close()
+	local := rows(d)
 
 	var lastLoss float32
-	for {
-		b, err := st.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
+	for _, batch := range m.batches(d.Graph.NumVertices()) {
+		// Full 2-hop neighborhood expansion (2 GNN layers), checked against
+		// the budget before paying for the subgraph conversion.
+		expanded := expandKHop(d.Graph, batch, 2)
+		need := int64(len(expanded))*int64(in)*4 +
+			expansionEdgeEstimate(d.Graph, expanded)*int64(in+spec.Hidden)*4*dupFactor
+		if err := checkBudget(need, spec.MemBudget); err != nil {
 			return 0, err
 		}
-		// The budget is checked against the expansion estimate, as the
-		// fused executor did before paying for the subgraph conversion.
-		need := int64(len(b.In))*int64(in)*4 +
-			expansionEdgeEstimate(d.Graph, b.In)*int64(in+spec.Hidden)*4*dupFactor
-		if err := checkBudget(need, spec.MemBudget); err != nil {
+		sub, remap := d.Graph.Induce(expanded)
+		adj := engine.FromGraphInEdges(sub)
+		fs, err := local.Gather(context.Background(), expanded)
+		if err != nil {
 			return 0, err
 		}
 
 		// Only batch targets contribute to the loss; the rest of the
 		// expansion is dependency closure.
-		mask := make([]bool, len(b.In))
-		for i := range b.Roots {
-			if b.Mask[b.RootRows[i]] {
-				mask[b.RootRows[i]] = true
-			}
+		mask := make([]bool, len(expanded))
+		for _, v := range batch {
+			mask[remap[v]] = fs.Mask[remap[v]]
 		}
 
-		h0 := nn.Constant(b.Feats)
-		a1 := engine.ScatterAggregate(b.Adj, h0, tensor.ReduceSum)
+		h0 := nn.Constant(fs.Feats)
+		a1 := engine.ScatterAggregate(adj, h0, tensor.ReduceSum)
 		h1 := nn.ReLU(net.l1.Forward(nn.Add(h0, a1)))
-		a2 := engine.ScatterAggregate(b.Adj, h1, tensor.ReduceSum)
+		a2 := engine.ScatterAggregate(adj, h1, tensor.ReduceSum)
 		logits := net.l2.Forward(nn.Add(h1, a2))
-		lastLoss = net.step(logits, b.Labels, mask)
+		lastLoss = net.step(logits, fs.Labels, mask)
 	}
 	return lastLoss, nil
 }
@@ -165,17 +157,15 @@ func (m *MiniBatch) pinsage(d *dataset.Dataset, spec Spec) (float32, error) {
 		distDGLRecs = all
 	}
 
-	batches := m.batches(d.Graph.NumVertices())
-
 	// Euler's walks are seeded from one draw of the executor's shared RNG,
-	// per vertex (nau.VertexSeed): prefetch materialises batches out of
-	// order, and a vertex's walks must not depend on when its batch ran.
+	// per vertex (nau.VertexSeed), so a vertex's walks do not depend on the
+	// batch it arrived in.
 	var epochSeed uint64
 	if m.System == "Euler" {
 		epochSeed = rng.Uint64()
 	}
 
-	sel := func(_, _ int, batch []graph.VertexID) ([]hdg.Record, error) {
+	sel := func(batch []graph.VertexID) ([]hdg.Record, error) {
 		var recs []hdg.Record
 		if m.System == "Euler" {
 			// Euler's parallel graph sampling query engine (§7.1).
@@ -193,36 +183,39 @@ func (m *MiniBatch) pinsage(d *dataset.Dataset, spec Spec) (float32, error) {
 		return recs, nil
 	}
 
-	st := m.sampler(d, store.SamplerOptions{
-		Layers: 1, Schema: hdg.NewSchemaTree("vertex"), Select: sel,
-	}).Epoch(context.Background(), 0, batches)
-	defer st.Close()
+	ctx := context.Background()
+	local := rows(d)
+	schema := hdg.NewSchemaTree("vertex")
+	u := store.NewUniverse(d.Graph.NumVertices())
+	// One plan, rebuilt in place batch after batch: nothing reads a batch's
+	// plan once its step is done.
+	var p store.LayerPlan
 
 	var lastLoss float32
-	for {
-		b, err := st.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
+	for _, batch := range m.batches(d.Graph.NumVertices()) {
+		if err := store.Expand(ctx, local, schema, u, batch, sel, &p); err != nil {
 			return 0, err
 		}
 		// The flat root->leaves adjacency over the batch universe: leaf
 		// indices are universe rows, per-instance leaf order unchanged, so
 		// aggregation reduces in exactly the fused executor's order.
-		adj := engine.FromHDGFlat(b.Sub, len(b.In))
+		adj := engine.FromHDGFlat(p.Sub, len(p.In))
 		need := adj.NumEdges() * int64(in+spec.Hidden) * 4
 		if err := checkBudget(need, spec.MemBudget); err != nil {
 			return 0, err
 		}
+		fs, err := local.Gather(ctx, p.In)
+		if err != nil {
+			return 0, err
+		}
 
-		nb := len(b.Roots)
+		nb := len(batch)
 		rootRows := make([]int32, nb)
 		for i := range rootRows {
 			rootRows[i] = int32(i) // roots are the universe prefix
 		}
 
-		h0 := nn.Constant(b.Feats)
+		h0 := nn.Constant(fs.Feats)
 		self0 := nn.Gather(h0, rootRows)
 		a1 := engine.ScatterAggregate(adj, h0, tensor.ReduceSum)
 		h1 := nn.ReLU(net.l1.Forward(nn.Concat(self0, a1)))
@@ -237,22 +230,22 @@ func (m *MiniBatch) pinsage(d *dataset.Dataset, spec Spec) (float32, error) {
 		// LeafVertexSet order — so gradient accumulation for the shared
 		// layer-1 weights sums rows in the identical sequence. (Universe
 		// row order differs: batch roots occupy the prefix.)
-		rows := b.Sub.LeafVertexSet()
-		leafRows := make([]int32, len(rows))
-		for i, r := range rows {
+		leaves := p.Sub.LeafVertexSet()
+		leafRows := make([]int32, len(leaves))
+		for i, r := range leaves {
 			leafRows[i] = int32(r)
 		}
-		sort.Slice(leafRows, func(i, j int) bool { return b.In[leafRows[i]] < b.In[leafRows[j]] })
+		sort.Slice(leafRows, func(i, j int) bool { return p.In[leafRows[i]] < p.In[leafRows[j]] })
 		// Layer-1 hidden states for leaves (their own neighborhoods are
 		// approximated by self features — the sampling depth cut-off).
 		selfLeaf := nn.Gather(h0, leafRows)
 		hLeaf := nn.ReLU(net.l1.Forward(nn.Concat(selfLeaf, selfLeaf)))
 		// Scatter leaf hidden states into a universe-width buffer so the
 		// flat adjacency (indexed by universe rows) can aggregate them.
-		full := nn.ScatterAdd(hLeaf, leafRows, len(b.In))
+		full := nn.ScatterAdd(hLeaf, leafRows, len(p.In))
 		a2 := engine.ScatterAggregate(adj, full, tensor.ReduceSum)
 		logits := net.l2.Forward(nn.Concat(h1, a2))
-		lastLoss = net.step(logits, b.Labels[:nb], b.Mask[:nb])
+		lastLoss = net.step(logits, fs.Labels[:nb], fs.Mask[:nb])
 	}
 	return lastLoss, nil
 }

@@ -147,25 +147,29 @@ type ModelFactory func(rng *tensor.RNG) *nau.Model
 type Result struct {
 	// Losses holds the global training loss per epoch.
 	Losses []float32
-	// EpochTimes holds wall-clock time per epoch.
+	// EpochTimes holds rank 0's wall-clock time per epoch, its checkpoint
+	// and telemetry fences included. Ranks run their epochs on their own,
+	// meeting only in collectives, so another rank's epochs start and end
+	// at other times.
 	EpochTimes []time.Duration
 	// PerWorker holds each worker's stage breakdown.
 	PerWorker []*metrics.Breakdown
 	// Merged aggregates all workers' breakdowns.
 	Merged *metrics.Breakdown
-	// Balance holds the per-epoch workload-balance reports assembled inside
-	// the gradient-sync fence (per-rank stage seconds, max/mean skew, CV).
+	// Balance holds rank 0's per-epoch workload-balance reports, assembled
+	// inside the gradient-sync fence (per-rank stage seconds, max/mean skew,
+	// CV).
 	Balance []*metrics.BalanceReport
 }
 
 // Train runs cfg.Epochs of data-parallel training over an in-process
-// loopback cluster and returns the per-epoch global losses.
+// loopback cluster and returns the per-epoch global losses: it builds all k
+// workers, then runs each one's per-rank program — the one RunWorker runs —
+// on its own goroutine. A failed run reports its root cause: the first
+// non-abort error in rank order.
 func Train(cfg Config, d *dataset.Dataset, factory ModelFactory) (*Result, error) {
 	if cfg.NumWorkers <= 0 {
 		return nil, fmt.Errorf("cluster: NumWorkers must be positive")
-	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 1
 	}
 	netw := rpc.NewLoopbackNetwork(cfg.NumWorkers)
 	defer netw.Close()
@@ -175,7 +179,7 @@ func Train(cfg Config, d *dataset.Dataset, factory ModelFactory) (*Result, error
 	// directly.
 	cfg.sharedObs = true
 	workers := make([]*worker, cfg.NumWorkers)
-	for rank := 0; rank < cfg.NumWorkers; rank++ {
+	for rank := range workers {
 		w, err := newWorker(rank, cfg, d, factory, netw.Transport(rank))
 		if err != nil {
 			return nil, err
@@ -183,56 +187,31 @@ func Train(cfg Config, d *dataset.Dataset, factory ModelFactory) (*Result, error
 		workers[rank] = w
 	}
 
+	errs := make([]error, cfg.NumWorkers)
+	var wg sync.WaitGroup
+	for rank, w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[rank] = w.run()
+		}()
+	}
+	wg.Wait()
+	if err := firstEpochError(errs); err != nil {
+		return nil, err
+	}
+
+	w0 := workers[0]
 	res := &Result{
-		PerWorker: make([]*metrics.Breakdown, cfg.NumWorkers),
-		Merged:    &metrics.Breakdown{},
+		Losses:     w0.losses,
+		EpochTimes: w0.epochTimes,
+		Balance:    w0.balances,
+		PerWorker:  make([]*metrics.Breakdown, cfg.NumWorkers),
+		Merged:     &metrics.Breakdown{},
 	}
 	for rank, w := range workers {
 		res.PerWorker[rank] = w.breakdown
-	}
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		start := time.Now()
-		losses := make([]float32, cfg.NumWorkers)
-		errs := make([]error, cfg.NumWorkers)
-		var wg sync.WaitGroup
-		for rank, w := range workers {
-			wg.Add(1)
-			go func(rank int, w *worker) {
-				defer wg.Done()
-				losses[rank], errs[rank] = w.runEpoch()
-				if errs[rank] != nil {
-					// Fail fast: tell every peer this epoch is dead so
-					// survivors blocked in collectives return a typed
-					// *AbortError instead of deadlocking in wg.Wait.
-					w.abortPeers(errs[rank])
-				}
-			}(rank, w)
-		}
-		wg.Wait()
-		if err := firstEpochError(errs); err.err != nil {
-			// Flight recorder: every failed worker dumps what it saw. Rank 0
-			// goes last so the survivors' pushed dumps are already in its
-			// inbox when it drains and writes the merged timeline.
-			for rank := cfg.NumWorkers - 1; rank >= 0; rank-- {
-				if errs[rank] != nil {
-					workers[rank].tele.OnFailure(errs[rank])
-				}
-			}
-			// Report the worker's own epoch counter: with Resume it is
-			// offset from the loop index by the checkpoint's epoch.
-			return nil, fmt.Errorf("cluster: worker %d epoch %d: %w",
-				err.rank, workers[err.rank].epoch, err.err)
-		}
-		res.Losses = append(res.Losses, losses[0])
-		res.EpochTimes = append(res.EpochTimes, time.Since(start))
-		res.Balance = append(res.Balance, workers[0].lastBalance)
-	}
-	for _, w := range workers {
 		res.Merged.Merge(w.breakdown)
-	}
-	if err := workers[0].tele.Finish(); err != nil {
-		return nil, fmt.Errorf("cluster: merged trace write: %w", err)
 	}
 	return res, nil
 }
@@ -248,45 +227,56 @@ func Train(cfg Config, d *dataset.Dataset, factory ModelFactory) (*Result, error
 // worker broadcasts an abort to its peers and closes the transport, so every
 // survivor returns a typed *collective.AbortError instead of hanging.
 func RunWorker(cfg Config, d *dataset.Dataset, factory ModelFactory, tr rpc.Transport) ([]float32, *metrics.Breakdown, error) {
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 1
-	}
 	w, err := newWorker(tr.Rank(), cfg, d, factory, tr)
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := w.run(); err != nil {
+		return nil, nil, err
+	}
+	return w.losses, w.breakdown, nil
+}
+
+// run is one rank's whole program, the same for RunWorker and every rank of
+// Train: the startup barrier, cfg.Epochs epochs (at least one) recording
+// each epoch's global loss, wall-clock time and balance report, and the
+// merged-trace write. On failure it tears the rank down — abort broadcast,
+// flight recorder, transport close — and returns the error.
+func (w *worker) run() error {
 	// Fence the mesh before the first epoch: every worker must be connected
 	// and ready before the first plan exchange, and a broken link surfaces
 	// here as a barrier error rather than a mid-epoch hang. The fence epoch
 	// is the (possibly resumed) starting epoch so a restarted cluster's
 	// barrier never collides with checkpoint fences it ran before crashing.
 	if err := w.comm.Barrier(collective.Fence{Epoch: w.epoch, Phase: 0}); err != nil {
-		w.abortPeers(err)
-		w.tele.OnFailure(err)
-		tr.Close()
-		return nil, nil, fmt.Errorf("cluster: worker %d startup barrier: %w", tr.Rank(), err)
+		return w.fail(fmt.Errorf("cluster: worker %d startup barrier: %w", w.rank, err))
 	}
-	losses := make([]float32, 0, cfg.Epochs)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for range max(w.cfg.Epochs, 1) {
+		start := time.Now()
 		loss, err := w.runEpoch()
 		if err != nil {
-			// Tear the network down: broadcast the abort first (so peers
-			// blocked in collectives fail fast), then let the flight
-			// recorder dump local state — survivors push their dumps to
-			// rank 0, which drains briefly and writes the merged timeline —
-			// and only then close the transport, so dumps still have a
-			// link to travel on.
-			w.abortPeers(err)
-			w.tele.OnFailure(err)
-			tr.Close()
-			return nil, nil, fmt.Errorf("cluster: worker %d epoch %d: %w", tr.Rank(), w.epoch, err)
+			return w.fail(fmt.Errorf("cluster: worker %d epoch %d: %w", w.rank, w.epoch, err))
 		}
-		losses = append(losses, loss)
+		w.losses = append(w.losses, loss)
+		w.epochTimes = append(w.epochTimes, time.Since(start))
+		w.balances = append(w.balances, w.lastBalance)
 	}
 	if err := w.tele.Finish(); err != nil {
-		return nil, nil, fmt.Errorf("cluster: worker %d merged trace write: %w", tr.Rank(), err)
+		return fmt.Errorf("cluster: worker %d merged trace write: %w", w.rank, err)
 	}
-	return losses, w.breakdown, nil
+	return nil
+}
+
+// fail tears the rank down after err: it broadcasts the abort first (so
+// peers blocked in collectives fail fast), then lets the flight recorder
+// dump local state — survivors push their dumps to rank 0, which drains
+// briefly and writes the merged timeline — and only then closes the
+// transport, so dumps still have a link to travel on. It returns err.
+func (w *worker) fail(err error) error {
+	w.abortPeers(err)
+	w.tele.OnFailure(err)
+	w.tr.Close()
+	return err
 }
 
 // abortPeers broadcasts a fail-fast abort for the worker's current fence,
@@ -300,27 +290,21 @@ func (w *worker) abortPeers(cause error) {
 	w.comm.Abort(collective.Fence{Epoch: w.epoch, Phase: w.aggCalls})
 }
 
-// rankedError pairs an epoch error with the rank that produced it.
-type rankedError struct {
-	rank int
-	err  error
-}
-
-// firstEpochError picks the error to report for a failed epoch: the first
+// firstEpochError picks the error to report for a failed run: the first
 // non-abort error in rank order (the root cause), falling back to the first
 // abort if that is all there is.
-func firstEpochError(errs []error) rankedError {
-	first := rankedError{rank: -1}
-	for rank, err := range errs {
+func firstEpochError(errs []error) error {
+	var first error
+	for _, err := range errs {
 		if err == nil {
 			continue
 		}
-		if first.err == nil {
-			first = rankedError{rank: rank, err: err}
+		if first == nil {
+			first = err
 		}
 		var ae *collective.AbortError
 		if !errors.As(err, &ae) {
-			return rankedError{rank: rank, err: err}
+			return err
 		}
 	}
 	return first
@@ -358,6 +342,7 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 		rank: rank,
 		k:    cfg.NumWorkers,
 		cfg:  cfg,
+		tr:   tr,
 		comm: collective.New(tr, breakdown,
 			collective.WithRecvTimeout(cfg.RecvTimeout),
 			collective.WithTracer(cfg.Tracer),

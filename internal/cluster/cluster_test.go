@@ -1,13 +1,17 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/nau"
 	"repro/internal/nn"
@@ -400,6 +404,64 @@ func TestTrainerHDGsAreSingleRankHDGs(t *testing.T) {
 		if !slices.Equal(got.Roots, want.Roots) || !slices.Equal(got.InstOffset, want.InstOffset) ||
 			!slices.Equal(got.LeafOffset, want.LeafOffset) || !slices.Equal(got.LeafIDs, want.LeafIDs) {
 			t.Fatalf("epoch %d: the k = 1 worker's HDG differs from the Trainer's", e)
+		}
+	}
+}
+
+// TestTrainIsRunWorkerOnLoopback: Train is k RunWorkers on a fresh loopback
+// mesh. Rank 0's losses are equal bit for bit, and every rank sends and
+// receives the same bytes in every message class, the startup barrier's
+// included — for whole-graph GCN and mini-batch PinSage at k = 2 and 3.
+func TestTrainIsRunWorkerOnLoopback(t *testing.T) {
+	d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 57})
+	modes := []struct {
+		name    string
+		mb      *MiniBatchConfig
+		factory ModelFactory
+	}{
+		{"whole-graph", nil, gcnFactory(d)},
+		{"mini-batch", &MiniBatchConfig{BatchSize: 48, PrefetchDepth: 2, SamplerWorkers: 2}, pinsageFactory(d, nau.CachePerEpoch)},
+	}
+	for _, mode := range modes {
+		for _, k := range []int{2, 3} {
+			t.Run(fmt.Sprintf("%s/k=%d", mode.name, k), func(t *testing.T) {
+				cfg := Config{NumWorkers: k, Pipeline: true, Epochs: 3, Seed: 58,
+					RecvTimeout: 30 * time.Second, MiniBatch: mode.mb}
+				res, err := Train(cfg, d, mode.factory)
+				if err != nil {
+					t.Fatal(err)
+				}
+				transports := loopbackTransports(t, k)
+				losses := make([][]float32, k)
+				bds := make([]*metrics.Breakdown, k)
+				errs := make([]error, k)
+				var wg sync.WaitGroup
+				for rank := range k {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						losses[rank], bds[rank], errs[rank] = RunWorker(cfg, d, mode.factory, transports[rank])
+					}()
+				}
+				wg.Wait()
+				for rank := range k {
+					if errs[rank] != nil {
+						t.Fatalf("RunWorker rank %d: %v", rank, errs[rank])
+					}
+					if !slices.EqualFunc(losses[rank], res.Losses, func(a, b float32) bool {
+						return math.Float32bits(a) == math.Float32bits(b)
+					}) {
+						t.Fatalf("rank %d: RunWorker losses %v, Train %v", rank, losses[rank], res.Losses)
+					}
+					for c := metrics.MsgClass(0); c < metrics.NumMsgClasses; c++ {
+						got, want := bds[rank], res.PerWorker[rank]
+						if got.SentBytes(c) != want.SentBytes(c) || got.RecvBytes(c) != want.RecvBytes(c) {
+							t.Errorf("rank %d %v: RunWorker sent/received %d/%d bytes, Train %d/%d",
+								rank, c, got.SentBytes(c), got.RecvBytes(c), want.SentBytes(c), want.RecvBytes(c))
+						}
+					}
+				}
+			})
 		}
 	}
 }

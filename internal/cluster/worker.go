@@ -33,6 +33,7 @@ type worker struct {
 	rank int
 	k    int
 	cfg  Config
+	tr   rpc.Transport
 	comm *collective.Comm
 
 	g         *graph.Graph
@@ -72,6 +73,11 @@ type worker struct {
 	// lastBalance is the most recent epoch's workload-balance report (the
 	// Fig. 14-style per-rank stage table), assembled after gradient sync.
 	lastBalance *metrics.BalanceReport
+	// losses, epochTimes and balances record every epoch run has finished:
+	// its global loss, its wall-clock time and its balance report.
+	losses     []float32
+	epochTimes []time.Duration
+	balances   []*metrics.BalanceReport
 
 	epoch    int32
 	aggCalls int32 // aggregation call counter within the epoch (layer tag)

@@ -257,19 +257,24 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return 0
 	}
 	total := h.count.Load()
+	var buckets [histBuckets]int64
+	for i := range buckets {
+		buckets[i] = h.buckets[i].Load()
+	}
+	return quantile(buckets[:], total, q)
+}
+
+// quantile is Quantile over bucket counts holding total observations — a
+// live histogram's or a snapshot's.
+func quantile(buckets []int64, total int64, q float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
+	q = min(max(q, 0), 1)
 	target := q * float64(total)
 	var cum float64
-	for i := 0; i < histBuckets; i++ {
-		n := float64(h.buckets[i].Load())
+	for i, c := range buckets {
+		n := float64(c)
 		if n == 0 {
 			continue
 		}
@@ -284,8 +289,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum += n
 	}
 	// Racing observations moved the total; fall back to the top bucket.
-	for i := histBuckets - 1; i > 0; i-- {
-		if h.buckets[i].Load() > 0 {
+	for i := len(buckets) - 1; i > 0; i-- {
+		if buckets[i] > 0 {
 			_, hi := BucketBounds(i)
 			return float64(hi)
 		}
@@ -304,82 +309,55 @@ func (h *Histogram) bucketCount(i int) int64 {
 // ---------------------------------------------------------------------------
 // Export
 
-// histSnapshot is the JSON shape of one histogram.
-type histSnapshot struct {
-	Count    int64   `json:"count"`
-	Sum      int64   `json:"sum"`
-	Mean     float64 `json:"mean"`
-	P50      float64 `json:"p50"`
-	P90      float64 `json:"p90"`
-	P99      float64 `json:"p99"`
-	MaxEst   float64 `json:"max_est"`
-	ExVal    int64   `json:"exemplar_value,omitempty"`
-	ExTrace  uint64  `json:"exemplar_trace,omitempty"`
-	exemplar bool
+// histView is the WriteJSON/WriteText shape of one histogram: its counts
+// and the quantiles derived from its buckets.
+type histView struct {
+	Count   int64   `json:"count"`
+	Sum     int64   `json:"sum"`
+	Mean    float64 `json:"mean"`
+	P50     float64 `json:"p50"`
+	P90     float64 `json:"p90"`
+	P99     float64 `json:"p99"`
+	MaxEst  float64 `json:"max_est"`
+	ExVal   int64   `json:"exemplar_value,omitempty"`
+	ExTrace uint64  `json:"exemplar_trace,omitempty"`
 }
 
-func (h *Histogram) snapshot() histSnapshot {
-	s := histSnapshot{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.5),
-		P90:   h.Quantile(0.9),
-		P99:   h.Quantile(0.99),
+func (hs HistogramSnapshot) view() histView {
+	v := histView{
+		Count:   hs.Count,
+		Sum:     hs.Sum,
+		P50:     quantile(hs.Buckets, hs.Count, 0.5),
+		P90:     quantile(hs.Buckets, hs.Count, 0.9),
+		P99:     quantile(hs.Buckets, hs.Count, 0.99),
+		ExVal:   hs.ExVal,
+		ExTrace: hs.ExTrace,
 	}
-	for i := histBuckets - 1; i > 0; i-- {
-		if h.bucketCount(i) > 0 {
-			_, hi := BucketBounds(i)
-			s.MaxEst = float64(hi)
-			break
-		}
+	if hs.Count != 0 {
+		v.Mean = float64(hs.Sum) / float64(hs.Count)
 	}
-	if v, tr := h.Exemplar(); tr != 0 {
-		s.ExVal, s.ExTrace, s.exemplar = v, tr, true
+	// Buckets end at the top non-empty one.
+	if top := len(hs.Buckets) - 1; top > 0 {
+		_, hi := BucketBounds(top)
+		v.MaxEst = float64(hi)
 	}
-	return s
+	return v
 }
 
-// registrySnapshot is the JSON shape of a whole registry.
-type registrySnapshot struct {
-	Counters   map[string]int64        `json:"counters"`
-	Gauges     map[string]float64      `json:"gauges"`
-	Histograms map[string]histSnapshot `json:"histograms"`
+// registryView is the WriteJSON/WriteText shape of a whole registry.
+type registryView struct {
+	Counters   map[string]int64    `json:"counters"`
+	Gauges     map[string]float64  `json:"gauges"`
+	Histograms map[string]histView `json:"histograms"`
 }
 
-func (r *Registry) snapshot() registrySnapshot {
-	s := registrySnapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]histSnapshot{},
+func (r *Registry) view() registryView {
+	s := r.Snapshot()
+	v := registryView{Counters: s.Counters, Gauges: s.Gauges, Histograms: make(map[string]histView, len(s.Histograms))}
+	for k, hs := range s.Histograms {
+		v.Histograms[k] = hs.view()
 	}
-	if r == nil {
-		return s
-	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-	for k, v := range counters {
-		s.Counters[k] = v.Load()
-	}
-	for k, v := range gauges {
-		s.Gauges[k] = v.Load()
-	}
-	for k, v := range hists {
-		s.Histograms[k] = v.snapshot()
-	}
-	return s
+	return v
 }
 
 // ---------------------------------------------------------------------------
@@ -509,13 +487,13 @@ func (h *Histogram) ObserveExemplarOnly(v int64, traceID uint64) {
 // WriteJSON writes the registry as one JSON object (the /metrics?format=json
 // and expvar payload).
 func (r *Registry) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(r.snapshot())
+	return json.NewEncoder(w).Encode(r.view())
 }
 
 // WriteText writes the registry in a sorted, line-oriented text form — the
 // default /metrics payload, greppable and diffable.
 func (r *Registry) WriteText(w io.Writer) error {
-	s := r.snapshot()
+	s := r.view()
 	names := make([]string, 0, len(s.Counters))
 	for k := range s.Counters {
 		names = append(names, k)
@@ -544,7 +522,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for _, k := range names {
 		h := s.Histograms[k]
 		ex := ""
-		if h.exemplar {
+		if h.ExTrace != 0 {
 			ex = fmt.Sprintf(" ex=%d@%#x", h.ExVal, h.ExTrace)
 		}
 		if _, err := fmt.Fprintf(w, "hist    %-44s count=%d mean=%.0f p50=%.0f p90=%.0f p99=%.0f max~%.0f%s\n",

@@ -3,9 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hdg"
 	"repro/internal/nau"
@@ -73,44 +71,6 @@ func (l *Local) Sample(ctx context.Context, roots []graph.VertexID, epochSeed ui
 		return nil, &FetchError{Op: "sample", Verts: len(roots), Err: err}
 	}
 	return nau.SelectRecords(l.cfg.Graph, l.cfg.Schema, l.cfg.UDF, roots, epochSeed, 0), nil
-}
-
-// KHopInduced expands the roots k out-hops (full neighborhoods, §7.1),
-// sorts the expansion, and induces the subgraph on it — the exact
-// vertex-set and edge ordering of graph.Induce, so executors rebuilt on the
-// store reproduce the fused mini-batch conversion bit for bit.
-func (l *Local) KHopInduced(ctx context.Context, roots []graph.VertexID, hops int) (*Subgraph, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, &FetchError{Op: "khop", Verts: len(roots), Err: err}
-	}
-	g := l.cfg.Graph
-	visited := make(map[graph.VertexID]bool, len(roots)*4)
-	frontier := make([]graph.VertexID, 0, len(roots))
-	for _, s := range roots {
-		if !visited[s] {
-			visited[s] = true
-			frontier = append(frontier, s)
-		}
-	}
-	for hop := 0; hop < hops; hop++ {
-		var next []graph.VertexID
-		for _, v := range frontier {
-			for _, u := range g.OutNeighbors(v) {
-				if !visited[u] {
-					visited[u] = true
-					next = append(next, u)
-				}
-			}
-		}
-		frontier = next
-	}
-	verts := make([]graph.VertexID, 0, len(visited))
-	for v := range visited {
-		verts = append(verts, v)
-	}
-	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
-	sub, _ := g.Induce(verts)
-	return &Subgraph{Vertices: verts, Adj: engine.FromGraphInEdges(sub)}, nil
 }
 
 // Gather copies the requested feature rows, labels and mask bits.

@@ -3,7 +3,6 @@ package store
 import (
 	"context"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -18,28 +17,17 @@ import (
 
 // SamplerOptions configures a Sampler.
 type SamplerOptions struct {
-	// Layers selects layered extraction: one plan per model layer, built
-	// top-down from the batch roots exactly like the serve planner (layer
-	// l's input universe is layer l-1's output frontier), so a batch
+	// Layers is the number of layer plans per batch: one per model layer,
+	// built top-down from the batch roots exactly like the serve planner
+	// (layer l's input universe is layer l-1's output frontier), so a batch
 	// carries the full k-hop dependency closure of its roots. <= 0 selects
-	// one layer. Ignored when Hops > 0.
+	// one layer.
 	Layers int
 	// Schema selects the extraction per layer: nil runs DNFA 1-hop in-edge
-	// expansion; non-nil runs neighbor selection (GraphStore.Sample or the
-	// Select hook) and builds a leaf-remapped sub-HDG. A multi-type schema
-	// is Hierarchicalize'd, matching whole-graph execution.
+	// expansion; non-nil runs neighbor selection (GraphStore.Sample) and
+	// builds a leaf-remapped sub-HDG. A multi-type schema is
+	// Hierarchicalize'd, matching whole-graph execution.
 	Schema *hdg.SchemaTree
-	// Hops > 0 selects the §7.1 full-neighborhood mode instead of layered
-	// plans: expand the roots `Hops` out-hops, sort, and induce — the
-	// Euler/DistDGL emulation the baseline executor uses.
-	Hops int
-	// Select overrides GraphStore.Sample for HDG extraction. It receives
-	// the epoch, the batch index and the layer frontier; batches may be
-	// materialised out of order, so Select must be concurrency-safe and
-	// must not derive randomness from call order. Unlike Sample, it is
-	// called for every frontier: its records may depend on the batch, so
-	// the sampler's per-epoch selection memo does not apply to them.
-	Select func(epoch, index int, frontier []graph.VertexID) ([]hdg.Record, error)
 	// Seed is the run seed; each epoch's selection seed is
 	// nau.EpochSeed(Seed, epoch).
 	Seed uint64
@@ -92,21 +80,12 @@ type Batch struct {
 	Index int
 	// Roots are the batch's target vertices.
 	Roots []graph.VertexID
-	// Plans holds the per-layer extraction in layered mode (nil in k-hop
-	// mode).
+	// Plans holds the per-layer extraction, one plan per model layer.
 	Plans []LayerPlan
-	// In is the batch's overall feature universe: Plans[0].In in layered
-	// mode, the sorted k-hop expansion in k-hop mode. Feats/Labels/Mask
-	// hold one row per In vertex.
+	// In is the batch's overall feature universe, Plans[0].In: the roots
+	// first, so Feats/Labels/Mask, which hold one row per In vertex, start
+	// with the roots' rows.
 	In []graph.VertexID
-	// RootRows maps each root to its row in In (the identity prefix in
-	// layered mode; positions within the sorted expansion in k-hop mode).
-	RootRows []int32
-	// Adj/Sub are the single-level dependency structure for k-hop and
-	// single-layer batches (aliases of Plans[0] in layered mode with one
-	// layer).
-	Adj *engine.Adjacency
-	Sub *hdg.HDG
 	// Feats, Labels and Mask are the gathered rows of In.
 	Feats  *tensor.Tensor
 	Labels []int32
@@ -201,8 +180,8 @@ type Stream struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// memo holds the epoch's selections (nil when no layer selects
-	// through Sample, and once the stream is closed).
+	// memo holds the epoch's selections (nil for DNFA layers, and once the
+	// stream is closed).
 	memo *memo
 
 	// Pipelined mode.
@@ -235,8 +214,8 @@ func (s *Sampler) Epoch(ctx context.Context, epoch int, batches [][]graph.Vertex
 		epochSeed: nau.EpochSeed(s.opts.Seed, epoch),
 		batches:   batches,
 	}
-	// Only HDG layers selected through Sample consult the memo.
-	if s.opts.Hops <= 0 && s.opts.Schema != nil && s.opts.Select == nil {
+	// Only HDG layers consult the memo.
+	if s.opts.Schema != nil {
 		if st.memo = s.memos.get(); st.memo == nil {
 			st.memo = newMemo(s.gs.NumVertices())
 		}
@@ -383,10 +362,10 @@ func (st *Stream) fail(err error) {
 }
 
 // Release hands back a batch the caller is done with: a later batch of this
-// sampler rebuilds its plans and root rows in place and takes its feature
-// buffer, so nothing may read b, or anything taken from it,
-// afterwards. Releasing is optional — a batch never released is garbage like
-// any other — and a nil b is ignored.
+// sampler rebuilds its plans in place and takes its feature buffer, so
+// nothing may read b, or anything taken from it, afterwards. Releasing is
+// optional — a batch never released is garbage like any other — and a nil b
+// is ignored.
 func (st *Stream) Release(b *Batch) {
 	if b == nil {
 		return
@@ -433,12 +412,7 @@ func (st *Stream) materialize(sc *scratch, idx int) (*Batch, error) {
 	}
 	b.Epoch, b.Index, b.Roots = st.epoch, idx, st.batches[idx]
 	span := s.opts.Tracer.Begin(s.opts.Rank, int32(st.epoch), int32(idx), trace.CatSample, "sample")
-	var err error
-	if s.opts.Hops > 0 {
-		err = s.extractKHop(ctx, b)
-	} else {
-		err = st.extractLayered(sc, b)
-	}
+	err := st.extract(sc, b)
 	span.End()
 	if err != nil {
 		return nil, err
@@ -456,36 +430,16 @@ func (st *Stream) materialize(sc *scratch, idx int) (*Batch, error) {
 	return b, nil
 }
 
-// extractKHop materialises the §7.1 full-neighborhood structure: sorted
-// k-hop expansion plus induced in-edge adjacency.
-func (s *Sampler) extractKHop(ctx context.Context, b *Batch) error {
-	sub, err := s.gs.KHopInduced(ctx, b.Roots, s.opts.Hops)
-	if err != nil {
-		return err
-	}
-	b.In = sub.Vertices
-	b.Adj = sub.Adj
-	b.RootRows = make([]int32, len(b.Roots))
-	for i, v := range b.Roots {
-		// The expansion is sorted and contains every root.
-		b.RootRows[i] = int32(sort.Search(len(b.In), func(j int) bool { return b.In[j] >= v }))
-	}
-	return nil
-}
-
-// extractLayered builds per-layer plans top-down from the roots: layer l's
-// input universe is layer l-1's output frontier. A recycled batch's plans
-// are rebuilt in place.
-func (st *Stream) extractLayered(sc *scratch, b *Batch) error {
-	s, idx := st.s, b.Index
+// extract builds per-layer plans top-down from the roots: layer l's input
+// universe is layer l-1's output frontier. A recycled batch's plans are
+// rebuilt in place.
+func (st *Stream) extract(sc *scratch, b *Batch) error {
+	s := st.s
 	L := s.opts.Layers
 	if L <= 0 {
 		L = 1
 	}
 	sel := func(frontier []graph.VertexID) ([]hdg.Record, error) {
-		if s.opts.Select != nil {
-			return s.opts.Select(st.epoch, idx, frontier)
-		}
 		return st.memo.sample(st.ctx, s.gs, st.epochSeed, frontier, sc)
 	}
 	if len(b.Plans) != L {
@@ -499,14 +453,6 @@ func (st *Stream) extractLayered(sc *scratch, b *Batch) error {
 		frontier = b.Plans[l].In
 	}
 	b.In = b.Plans[0].In
-	b.RootRows = b.RootRows[:0]
-	for i := range b.Roots {
-		b.RootRows = append(b.RootRows, int32(i)) // roots are the prefix of every layer's In
-	}
-	if L == 1 {
-		b.Adj = b.Plans[0].Adj
-		b.Sub = b.Plans[0].Sub
-	}
 	return nil
 }
 

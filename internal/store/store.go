@@ -9,14 +9,17 @@
 // serves vertex feature/label slices. Local implements both in memory over
 // the CSR graph. The Sampler on top materialises self-contained training
 // batches through them, overlapping the next batch's selection and gather
-// with the current batch's forward/backward.
+// with the current batch's forward/backward. It has one extraction: one
+// LayerPlan per model layer, built top-down by Expand, the frontier
+// expansion the serve planner calls too. (The §7.1 full-neighbourhood
+// conversion is a baseline's strategy, not a data-plane mode:
+// internal/baseline's Euler/DistDGL executor expands its own batches.)
 package store
 
 import (
 	"context"
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/hdg"
 	"repro/internal/nau"
@@ -44,10 +47,6 @@ type GraphStore interface {
 	// grouped by root, roots in request order (what nau.SelectRecords
 	// emits); the caller owns them.
 	Sample(ctx context.Context, roots []graph.VertexID, epochSeed uint64) ([]hdg.Record, error)
-	// KHopInduced returns the sorted k-hop out-expansion of the roots and
-	// the in-edge adjacency of the subgraph induced on it — the
-	// full-neighborhood mini-batch conversion of §7.1 (Euler/DistDGL).
-	KHopInduced(ctx context.Context, roots []graph.VertexID, hops int) (*Subgraph, error)
 	// Close releases the store's resources.
 	Close() error
 }
@@ -63,14 +62,6 @@ type FeatureStore interface {
 	Close() error
 }
 
-// Subgraph is an induced-subgraph query result: the compact vertex universe
-// (sorted ascending by global ID) and the in-edge adjacency over it, with
-// source indices remapped into the universe.
-type Subgraph struct {
-	Vertices []graph.VertexID
-	Adj      *engine.Adjacency
-}
-
 // FeatureSlice is a feature-gather result: one row per requested vertex, in
 // request order.
 type FeatureSlice struct {
@@ -84,7 +75,7 @@ type FeatureSlice struct {
 // errors.As(*store.FetchError) — and errors.Is against its cause, e.g.
 // context.Canceled — both work from the training loop.
 type FetchError struct {
-	// Op names the query: "sample", "in_edges", "khop", "features".
+	// Op names the query: "sample", "in_edges", "features".
 	Op string
 	// Verts is the request size (number of vertices queried).
 	Verts int

@@ -242,8 +242,7 @@ func requireSameBatches(t *testing.T, want, got []*Batch) {
 	}
 	for i := range want {
 		w, g := want[i], got[i]
-		if w.Index != g.Index || !reflect.DeepEqual(w.In, g.In) ||
-			!reflect.DeepEqual(w.RootRows, g.RootRows) {
+		if w.Index != g.Index || !reflect.DeepEqual(w.In, g.In) {
 			t.Fatalf("batch %d universe differs", i)
 		}
 		if !reflect.DeepEqual(w.Feats.Data(), g.Feats.Data()) ||
@@ -275,14 +274,6 @@ func TestSamplerDepthAndWorkerInvariance(t *testing.T) {
 	modes := []SamplerOptions{
 		{Layers: 2, Seed: 11}, // layered DNFA
 		{Layers: 1, Schema: hdg.NewSchemaTree("vertex"), Seed: 11}, // flat sample
-		{Hops: 2, Seed: 11}, // §7.1 k-hop
-		// The Euler baseline's hook: walks seeded per batch, so the records
-		// depend on which batch a frontier belongs to and no memo applies.
-		{Layers: 2, Schema: hdg.NewSchemaTree("vertex"), Seed: 11,
-			Select: func(epoch, index int, frontier []graph.VertexID) ([]hdg.Record, error) {
-				es := nau.EpochSeed(11, epoch) + uint64(index)
-				return nau.SelectRecords(d.Graph, nil, nau.RandomWalkUDF(4, 2, 3), frontier, es, 0), nil
-			}},
 	}
 	for _, base := range modes {
 		var ref []*Batch
@@ -433,63 +424,6 @@ func TestLocalAnswersFromTheGraph(t *testing.T) {
 		}
 	})
 
-	t.Run("khop", func(t *testing.T) {
-		const hops = 2
-		sub, err := l.KHopInduced(ctx, roots, hops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Oracle: the vertices within hops out-hops of a root, ascending,
-		// and each one's in-neighbors inside that set in whole-graph order.
-		dist := map[graph.VertexID]int{}
-		frontier := []graph.VertexID{}
-		for _, r := range roots {
-			if _, ok := dist[r]; !ok {
-				dist[r] = 0
-				frontier = append(frontier, r)
-			}
-		}
-		for h := 1; h <= hops; h++ {
-			var next []graph.VertexID
-			for _, v := range frontier {
-				for _, u := range g.OutNeighbors(v) {
-					if _, ok := dist[u]; !ok {
-						dist[u] = h
-						next = append(next, u)
-					}
-				}
-			}
-			frontier = next
-		}
-		var verts []graph.VertexID
-		for v := range dist {
-			verts = append(verts, v)
-		}
-		slices.Sort(verts)
-		if !slices.Equal(sub.Vertices, verts) {
-			t.Fatalf("%d vertices, want the %d within %d hops", len(sub.Vertices), len(verts), hops)
-		}
-		row := map[graph.VertexID]int32{}
-		for i, v := range verts {
-			row[v] = int32(i)
-		}
-		ptr, idx := []int64{0}, []int32{}
-		for _, v := range verts {
-			for _, u := range g.InNeighbors(v) {
-				if r, ok := row[u]; ok {
-					idx = append(idx, r)
-				}
-			}
-			ptr = append(ptr, int64(len(idx)))
-		}
-		a := sub.Adj
-		if a.NumDst != len(verts) || a.NumSrc != len(verts) || !slices.Equal(a.DstPtr, ptr) || !slices.Equal(a.SrcIdx, idx) {
-			t.Fatal("induced adjacency differs from the in-edges inside the expansion")
-		}
-		_, err = l.KHopInduced(cancelled, roots, hops)
-		requireCancelled(t, "khop", err)
-	})
-
 	t.Run("features", func(t *testing.T) {
 		fs, err := l.Gather(ctx, roots)
 		if err != nil {
@@ -552,13 +486,6 @@ func (f *failingStores) Sample(ctx context.Context, roots []graph.VertexID, epoc
 	return f.Local.Sample(ctx, roots, epochSeed)
 }
 
-func (f *failingStores) KHopInduced(ctx context.Context, roots []graph.VertexID, hops int) (*Subgraph, error) {
-	if err := f.fails("khop", roots); err != nil {
-		return nil, err
-	}
-	return f.Local.KHopInduced(ctx, roots, hops)
-}
-
 func (f *failingStores) Gather(ctx context.Context, verts []graph.VertexID) (*FeatureSlice, error) {
 	if err := f.fails("features", verts); err != nil {
 		return nil, err
@@ -579,10 +506,9 @@ func TestSamplerSurfacesStoreFailure(t *testing.T) {
 	modes := map[string]SamplerOptions{
 		"in_edges": {Layers: 1, Seed: 3},
 		"sample":   {Layers: 1, Schema: hdg.NewSchemaTree("vertex"), Seed: 3},
-		"khop":     {Hops: 2, Seed: 3},
 		"features": {Layers: 1, Seed: 3},
 	}
-	for _, op := range []string{"in_edges", "sample", "khop", "features"} {
+	for _, op := range []string{"in_edges", "sample", "features"} {
 		for _, cfg := range []struct{ depth, workers int }{{0, 1}, {2, 3}} {
 			t.Run(fmt.Sprintf("%s-depth%d", op, cfg.depth), func(t *testing.T) {
 				base := runtime.NumGoroutine()
@@ -612,24 +538,6 @@ func TestSamplerSurfacesStoreFailure(t *testing.T) {
 			})
 		}
 	}
-}
-
-func TestSamplerKHopRootRows(t *testing.T) {
-	d, l := testLocal(t, 9)
-	roots := []graph.VertexID{30, 2, 17}
-	s := NewSampler(l, l, SamplerOptions{Hops: 2, Seed: 1})
-	st := s.Epoch(context.Background(), 0, [][]graph.VertexID{roots})
-	defer st.Close()
-	b, err := st.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range roots {
-		if b.In[b.RootRows[i]] != v {
-			t.Fatalf("root %d: row %d holds %d, want %d", i, b.RootRows[i], b.In[b.RootRows[i]], v)
-		}
-	}
-	_ = d
 }
 
 // slowStores wraps a Local with a per-gather delay so prefetch tests can

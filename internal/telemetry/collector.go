@@ -96,43 +96,40 @@ func (c *Collector) Offsets() map[int32]int64 {
 	return out
 }
 
-// addSnapshot ingests one rank's epoch push: spans are skew-corrected onto
-// rank 0's timeline and deduped; the metrics snapshot replaces the rank's
-// previous one (snapshots are cumulative, so latest wins).
+// addSnapshot ingests one rank's epoch push.
 func (c *Collector) addSnapshot(s wireSnapshot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	off := c.offsets[s.Rank]
-	for _, sp := range s.Spans {
-		sp.Start += off
-		c.spans[keyOf(sp)] = sp
-	}
-	if s.Metrics.Counters != nil || s.Metrics.Gauges != nil || s.Metrics.Histograms != nil {
-		c.peerMetrics[s.Rank] = s.Metrics
-	}
-	c.peerDropped[s.Rank] = s.Dropped
+	c.ingest(s.Rank, s.Spans, s.Metrics, s.Dropped)
 }
 
-// AddFlight folds a survivor's flight dump into the cluster view: its span
-// tail joins the merged timeline (skew-corrected) and its metrics snapshot
-// replaces the rank's last push. Used both by the live drain after a
+// AddFlight folds a survivor's flight dump into the cluster view like an
+// epoch push, and keeps the dump. Used both by the live drain after a
 // failure and by cmd/flexgraph-trace for post-hoc files.
 func (c *Collector) AddFlight(d FlightDump) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	off := c.offsets[d.Rank]
-	for _, sp := range d.Spans {
+	defer c.mu.Unlock()
+	c.ingest(d.Rank, d.Spans, d.Metrics, d.Dropped)
+	c.flights[d.Rank] = d
+}
+
+// ingest folds what one rank reported into the cluster view: its spans are
+// skew-corrected onto rank 0's timeline and deduped, a non-empty metrics
+// snapshot replaces the rank's previous one (snapshots are cumulative, so
+// latest wins), and so does its dropped-span count. c.mu must be held.
+func (c *Collector) ingest(rank int32, spans []trace.Span, m metrics.RegistrySnapshot, dropped uint64) {
+	off := c.offsets[rank]
+	for _, sp := range spans {
 		sp.Start += off
 		c.spans[keyOf(sp)] = sp
 	}
-	if d.Metrics.Counters != nil || d.Metrics.Gauges != nil || d.Metrics.Histograms != nil {
-		c.peerMetrics[d.Rank] = d.Metrics
+	if m.Counters != nil || m.Gauges != nil || m.Histograms != nil {
+		c.peerMetrics[rank] = m
 	}
-	c.peerDropped[d.Rank] = d.Dropped
-	c.flights[d.Rank] = d
-	c.mu.Unlock()
+	c.peerDropped[rank] = dropped
 }
 
 // Flights returns the flight dumps received so far, in rank order.

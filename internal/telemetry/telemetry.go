@@ -157,9 +157,10 @@ func unpackJSON(m *rpc.Message, v any) error {
 	if m == nil || len(m.Counts) != 1 {
 		return fmt.Errorf("telemetry: malformed frame (no length)")
 	}
-	b := rpc.UnpackBytes(m.IDs, int(m.Counts[0]))
+	n := m.Counts[0]
+	b := rpc.UnpackBytes(m.IDs, int(n))
 	if b == nil {
-		return fmt.Errorf("telemetry: frame shorter than declared payload (%d bytes)", m.Counts)
+		return fmt.Errorf("telemetry: declared payload length %d does not fit the frame's %d bytes", n, 4*len(m.IDs))
 	}
 	if err := json.Unmarshal(b, v); err != nil {
 		return fmt.Errorf("telemetry: decode op %d: %w", m.Dim, err)

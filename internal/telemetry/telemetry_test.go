@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"path/filepath"
 	"sync"
@@ -54,6 +55,29 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 	if err := unpackJSON(&rpc.Message{Kind: rpc.KindTelemetry, Counts: []int32{99}, IDs: []int32{1}}, &out); err == nil {
 		t.Fatal("declared length beyond payload must error")
+	}
+}
+
+// TestUnpackJSONNamesTheLengths: a frame whose declared payload length does
+// not fit its IDs section — longer than the section, or negative — fails
+// with an error naming the declared length and the frame's byte capacity.
+func TestUnpackJSONNamesTheLengths(t *testing.T) {
+	for _, c := range []struct {
+		declared int32
+		words    []int32
+	}{
+		{99, []int32{1}},
+		{5, []int32{1}},
+		{1, nil},
+		{-1, []int32{1, 2}},
+		{math.MinInt32, nil},
+	} {
+		var out wirePing
+		err := unpackJSON(&rpc.Message{Kind: rpc.KindTelemetry, Counts: []int32{c.declared}, IDs: c.words}, &out)
+		want := fmt.Sprintf("telemetry: declared payload length %d does not fit the frame's %d bytes", c.declared, 4*len(c.words))
+		if err == nil || err.Error() != want {
+			t.Errorf("declared %d over %d words: err %v, want %q", c.declared, len(c.words), err, want)
+		}
 	}
 }
 
