@@ -200,13 +200,15 @@ fmt:
 # the host's CPU state. The dense rows (MatMul/TMatMul/MatMulT at the workloads' shapes)
 # run at kernel parallelism 1 and 2 inside the benchmark (/p1, /p2); the upper
 # HDG level rows (SegSoftmaxWeighted, AggregateIntermediate) and the MAGNN
-# train step run at the train_magnn_hetero shape. The GCN train step and the
+# train step run at the train_magnn_hetero shape; the GCN train step and the
+# nn rows (the loss, Linear's backward) at the train_gcn_dense shape. The
 # trace Span/Record benches ride along into the snapshot ungated (no baseline
 # row names them). A perf claim is made with alternated parent/change pairs,
 # not with this target.
 bench-kernels-diff:
 	@{ $(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/tensor/; \
 	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|AggregateIntermediate' -benchmem ./internal/engine/; \
+	   $(GO) test -run xxx -bench 'CrossEntropy|LinearBackward' -benchmem ./internal/nn/; \
 	   $(GO) test -run xxx -bench 'TrainStep' -benchmem .; \
 	   $(GO) test -run xxx -bench 'Span|Record' -benchmem ./internal/trace/; } \
 		| tee /tmp/bench_kernels_diff.txt
@@ -227,7 +229,8 @@ bench-kernels-diff:
 bench-smoke:
 	@{ $(GO) test -run xxx -bench 'Kernel' -benchtime 20x -benchmem ./internal/tensor/; \
 	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|AggregateIntermediate' -benchtime 20x -benchmem ./internal/engine/; \
-	   $(GO) test -run xxx -bench 'TrainStepMAGNN|TrainStepPinSage' -benchtime 20x -benchmem .; } \
+	   $(GO) test -run xxx -bench 'CrossEntropy|LinearBackward' -benchtime 20x -benchmem ./internal/nn/; \
+	   $(GO) test -run xxx -bench 'TrainStep' -benchtime 20x -benchmem .; } \
 		> /tmp/bench_kernels_smoke.txt 2>&1 || { cat /tmp/bench_kernels_smoke.txt; exit 1; }
 	$(GO) run ./cmd/benchdiff -max-regress 4.0 -max-alloc-regress 0.05 -alloc-slack 2 \
 		-write-latest /tmp/bench_kernels_smoke.latest.json /tmp/bench_kernels_smoke.txt

@@ -189,9 +189,13 @@ func Read(r io.Reader) (*Dataset, error) {
 	edges := br.u64()
 	for e := uint64(0); e < edges && br.err == nil; e++ {
 		src, dst := br.u32(), br.u32()
-		if br.err == nil {
-			b.AddEdge(graph.VertexID(src), graph.VertexID(dst))
+		if br.err != nil {
+			break
 		}
+		if uint64(src) >= uint64(n) || uint64(dst) >= uint64(n) {
+			return nil, fmt.Errorf("dataset: edge %d (%d -> %d) names a vertex outside [0, %d)", e, src, dst, n)
+		}
+		b.AddEdge(graph.VertexID(src), graph.VertexID(dst))
 	}
 	feats := tensor.New(n, featDim)
 	fd := feats.Data()
@@ -219,6 +223,12 @@ func Read(r io.Reader) (*Dataset, error) {
 	}
 	if br.err != nil {
 		return nil, br.err
+	}
+	// The loss indexes a row by its label, inside pool workers: check here.
+	for v, l := range labels {
+		if l < 0 || int(l) >= classes {
+			return nil, fmt.Errorf("dataset: vertex %d has label %d outside [0, %d)", v, l, classes)
+		}
 	}
 	return &Dataset{
 		Name:       name,

@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -105,5 +107,30 @@ func TestReadRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := Read(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated dataset must be rejected")
+	}
+	// Out-of-range values are errors naming what is wrong, not panics: an
+	// edge endpoint >= n, and a label outside [0, classes).
+	n := d.Graph.NumVertices()
+	edge0 := 4 + 4 + 4 + len(d.Name) + 4*4 + 8 // magic, version, name, four counts, edge count
+	if d.Graph.NumTypes() > 1 {
+		edge0 += n // one type byte per vertex
+	}
+	labels := edge0 + 8*int(d.Graph.NumEdges()) + 4*n*d.FeatureDim()
+	for _, c := range []struct {
+		what string
+		off  int
+		v    uint32
+		want string
+	}{
+		{"edge endpoint", edge0 + 4, uint32(n), "edge 0"},
+		{"label", labels + 4*3, uint32(d.NumClasses), "vertex 3"},
+		{"negative label", labels + 4*5, ^uint32(0), "vertex 5"},
+	} {
+		bad := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint32(bad[c.off:], c.v)
+		_, err := Read(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s out of range: err %v, want one naming %q", c.what, err, c.want)
+		}
 	}
 }

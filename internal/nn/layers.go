@@ -70,25 +70,47 @@ func (l *Linear) Apply(x *Value, relu bool) *Value {
 // maskAndColumnSum is the in-place half of Linear's backward pass. With relu
 // set, each element of g is multiplied by the ReLU mask of y (1 where y > 0,
 // else 0 — a multiply, so a non-finite gradient under a closed gate stays
-// NaN exactly as in the unfused Mul). With db non-nil, the rows of the
-// masked g are added into db top to bottom, the order SumRows uses.
+// NaN exactly as in the unfused Mul). Open gates multiply by 1, which leaves
+// the bits as they were (a NaN stays a NaN; no path promises its payload,
+// tensor/simd.go): a branch on the gate mispredicts on half the elements of a
+// ReLU layer and cost more than the multiplies. Rows are independent, so the
+// mask is split across workers by rows. With db non-nil, the rows of the
+// masked g are then added into db top to bottom, the order SumRows uses. That
+// sum is split by column blocks, never by rows: each worker adds every row, in
+// order, into its own columns of db, where a row split would reassociate it.
 func maskAndColumnSum(g, y *tensor.Tensor, relu bool, db *tensor.Tensor) {
-	c := g.Cols()
+	rows, c := g.Rows(), g.Cols()
 	gd, yd := g.Data(), y.Data()
-	for r := 0; r < g.Rows(); r++ {
-		row := gd[r*c : (r+1)*c]
-		if relu {
-			for j, v := range yd[r*c : (r+1)*c] {
-				if !(v > 0) {
-					row[j] *= 0
-				}
+	if relu {
+		tensor.ParallelForGrain(rows, tensor.GrainForCost(c), func(s, e int) {
+			for i, v := range yd[s*c : e*c] {
+				gd[s*c+i] *= reluGate(v)
 			}
-		}
-		if db != nil {
-			tensor.AddUnrolled(db.Data(), row)
-		}
+		})
 	}
+	if db == nil {
+		return
+	}
+	dd := db.Data()
+	blocks := (c + columnBlock - 1) / columnBlock
+	tensor.ParallelForGrain(blocks, tensor.GrainForCost(rows*columnBlock), func(bs, be int) {
+		j0, j1 := bs*columnBlock, min(be*columnBlock, c)
+		for r := 0; r < rows; r++ {
+			tensor.AddUnrolled(dd[j0:j1], gd[r*c+j0:r*c+j1])
+		}
+	})
 }
+
+// reluGate is 1 where v > 0 and 0 elsewhere (NaN included), without a
+// branch: v's bits minus one fall below +Inf's exactly when v is in (0, +Inf].
+func reluGate(v float32) float32 {
+	open := uint32((uint64(math.Float32bits(v)-1) - 0x7f800000) >> 63)
+	return math.Float32frombits(open * 0x3f800000)
+}
+
+// columnBlock is the width, in columns, of the blocks a column-split sum hands
+// to workers: one 8-lane vector, so only the last block ends in a tail.
+const columnBlock = 8
 
 // Parameters returns the trainable parameters.
 func (l *Linear) Parameters() []*Value {

@@ -12,7 +12,10 @@ import (
 //
 // Forward and backward are fused: the gradient of the loss w.r.t. logits is
 // (softmax - onehot)/m for included rows, which avoids materialising the
-// log-softmax graph.
+// log-softmax graph. The softmax and the gradient rows are split across the
+// worker pool, row by row; the loss sum stays serial, in row order. Only the
+// included rows of the softmax are computed, and only this node's backward
+// reads them.
 func CrossEntropy(logits *Value, labels []int32, mask []bool) *Value {
 	n := logits.Data.Rows()
 	if len(labels) != n {
@@ -21,7 +24,7 @@ func CrossEntropy(logits *Value, labels []int32, mask []bool) *Value {
 	if mask != nil && len(mask) != n {
 		panic("nn: CrossEntropy mask length mismatch")
 	}
-	probs := logits.Data.SoftmaxRows()
+	probs := logits.Data.SoftmaxRows(mask)
 	m := 0
 	var loss float64
 	for r := 0; r < n; r++ {
@@ -29,7 +32,7 @@ func CrossEntropy(logits *Value, labels []int32, mask []bool) *Value {
 			continue
 		}
 		m++
-		p := probs.At(r, int(labels[r]))
+		p := probs.At(r, int(labels[r])) // panics here, not in a worker, on a bad label
 		if p < 1e-12 {
 			p = 1e-12
 		}
@@ -41,19 +44,23 @@ func CrossEntropy(logits *Value, labels []int32, mask []bool) *Value {
 	data := tensor.FromSlice([]float32{float32(loss / float64(m))}, 1, 1)
 	out := newResult(data, func(out *Value) {
 		seed := out.Grad.Data()[0]
-		g := tensor.NewPooled(logits.Data.Shape()...) // excluded rows stay zero
+		g := tensor.NewUninit(logits.Data.Shape()...) // every row written below
 		c := g.Cols()
 		gd, pd := g.Data(), probs.Data()
 		inv := seed / float32(m)
-		for r := 0; r < n; r++ {
-			if mask != nil && !mask[r] {
-				continue
+		tensor.ParallelForGrain(n, tensor.GrainForCost(c), func(s, e int) {
+			for r := s; r < e; r++ {
+				row := gd[r*c : (r+1)*c]
+				if mask != nil && !mask[r] {
+					clear(row) // excluded rows get no gradient
+					continue
+				}
+				for j, p := range pd[r*c : (r+1)*c] {
+					row[j] = p * inv
+				}
+				row[labels[r]] -= inv
 			}
-			for j := 0; j < c; j++ {
-				gd[r*c+j] = pd[r*c+j] * inv
-			}
-			gd[r*c+int(labels[r])] -= inv
-		}
+		})
 		logits.accumGradOwned(g)
 	}, logits)
 	out.scratch = probs

@@ -66,13 +66,15 @@ func newResult(data *tensor.Tensor, backward func(out *Value), prev ...*Value) *
 // not require grad ignore the call. Accumulators come from the pooled
 // free list: interior-node accumulators are recycled at the end of every
 // backward pass, so steady-state training reuses the same buffers instead
-// of churning the GC.
+// of churning the GC. The first accumulation is g.FromZero(): the bits of a
+// zero-filled accumulator plus g, in one pass.
 func (v *Value) accumGrad(g *tensor.Tensor) {
 	if !v.requiresGrad {
 		return
 	}
 	if v.Grad == nil {
-		v.Grad = tensor.NewPooled(v.Data.Shape()...)
+		v.Grad = g.FromZero()
+		return
 	}
 	v.Grad.AddInPlace(g)
 }

@@ -5,18 +5,37 @@ import (
 	"math"
 )
 
-// Add returns t + o elementwise. Shapes must match, except that o may be a
-// row vector [1, C] broadcast across t's rows.
+// streamGrain is the grain, in elements, of the streaming passes below (Add,
+// AddInPlace, FromZero): a chunk streams at least 512 KB, which takes longer
+// than waking a parked worker. The per-layer tensors of a serving batch
+// (benchmark serve_direct_uniform: up to 1 024 rows of 64) stay inline; the
+// whole-graph tensors of a training epoch split.
+const streamGrain = 1 << 16
+
+// Add returns t + o elementwise, in a pooled tensor. Shapes must match,
+// except that o may be a row vector [1, C] broadcast across t's rows.
+// Same-shape operands take one copy-and-add pass per chunk of elements:
+// every element is t[i] + o[i], one rounded add, however the range is split.
 func (t *Tensor) Add(o *Tensor) *Tensor {
-	out := t.Clone()
-	out.AddInPlace(o)
+	if !t.SameShape(o) {
+		out := t.Clone()
+		out.AddInPlace(o)
+		return out
+	}
+	out := NewUninit(t.shape...) // every element written below
+	ParallelForGrain(len(out.data), streamGrain, func(s, e int) {
+		copy(out.data[s:e], t.data[s:e])
+		AddUnrolled(out.data[s:e], o.data[s:e])
+	})
 	return out
 }
 
 // AddInPlace adds o into t, with row-vector broadcasting as in Add.
 func (t *Tensor) AddInPlace(o *Tensor) {
 	if t.SameShape(o) {
-		AddUnrolled(t.data, o.data)
+		ParallelForGrain(len(t.data), streamGrain, func(s, e int) {
+			AddUnrolled(t.data[s:e], o.data[s:e])
+		})
 		return
 	}
 	if o.Dims() == 2 && o.Dim(0) == 1 && o.Dim(1) == t.Cols() {
@@ -27,6 +46,19 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 		return
 	}
 	panic(fmt.Sprintf("tensor: Add shape mismatch %v vs %v", t.shape, o.shape))
+}
+
+// FromZero returns +0 + t elementwise, in a pooled tensor: what a
+// zero-filled accumulator holds after AddInPlace(t), without the separate
+// zero-fill pass. Its bits are t's except that -0 comes out +0, so Clone is
+// not a substitute.
+func (t *Tensor) FromZero() *Tensor {
+	out := NewUninit(t.shape...) // every element written below
+	ParallelForGrain(len(out.data), streamGrain, func(s, e int) {
+		clear(out.data[s:e])
+		AddUnrolled(out.data[s:e], t.data[s:e])
+	})
+	return out
 }
 
 // Sub returns t - o elementwise.
@@ -116,15 +148,20 @@ func (t *Tensor) Tanh() *Tensor {
 }
 
 // SoftmaxRows applies a numerically stable softmax across each row of a
-// tensor viewed as [Rows, Cols].
-func (t *Tensor) SoftmaxRows() *Tensor {
-	out := NewUninit(t.shape...) // softmaxInto writes every element
+// tensor viewed as [Rows, Cols], into a pooled tensor. A non-nil mask (one
+// entry per row) restricts it to the rows where the mask is true: the other
+// rows of the result are left unwritten, so their contents are unspecified.
+// Rows are independent, so splitting them across workers changes no bits.
+func (t *Tensor) SoftmaxRows(mask []bool) *Tensor {
+	out := NewUninit(t.shape...) // softmaxInto writes every element it is given
 	c := t.Cols()
-	for r := 0; r < t.Rows(); r++ {
-		src := t.data[r*c : (r+1)*c]
-		dst := out.data[r*c : (r+1)*c]
-		softmaxInto(dst, src)
-	}
+	ParallelForGrain(t.Rows(), GrainForCost(c*transcendentalCost), func(s, e int) {
+		for r := s; r < e; r++ {
+			if mask == nil || mask[r] {
+				softmaxInto(out.data[r*c:(r+1)*c], t.data[r*c:(r+1)*c])
+			}
+		}
+	})
 	return out
 }
 

@@ -93,11 +93,16 @@ func poolWorker(ch chan poolTask) {
 	}
 }
 
+// waitGroups recycles dispatch's WaitGroups, one of which would otherwise
+// escape to the heap with every parallel call. A WaitGroup may be reused once
+// Wait has returned.
+var waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+
 // dispatch fans chunks w = 0..workers-1 (bounds gives each chunk's [start,
 // end)) out to the pool, running chunk 0 on the calling goroutine. workers
 // must be >= 2.
 func dispatch(workers int, bounds func(w int) (start, end int), body func(start, end int)) {
-	var wg sync.WaitGroup
+	wg := waitGroups.Get().(*sync.WaitGroup)
 	ensureWorkers(workers - 1)
 	for w := 1; w < workers; w++ {
 		s, e := bounds(w)
@@ -106,7 +111,7 @@ func dispatch(workers int, bounds func(w int) (start, end int), body func(start,
 		}
 		wg.Add(1)
 		select {
-		case taskCh <- poolTask{body, s, e, &wg}:
+		case taskCh <- poolTask{body, s, e, wg}:
 		default:
 			// No parked worker: run the chunk here rather than queue it.
 			body(s, e)
@@ -117,6 +122,7 @@ func dispatch(workers int, bounds func(w int) (start, end int), body func(start,
 		body(s, e)
 	}
 	wg.Wait()
+	waitGroups.Put(wg) // not deferred: after a panic the group may still count
 }
 
 // ParallelFor splits [0, n) into roughly equal chunks and runs body on each

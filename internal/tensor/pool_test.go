@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -118,6 +119,37 @@ func TestNestedParallelForNoDeadlock(t *testing.T) {
 		if got := total.Load(); got != int64(outer)*int64(inner) {
 			t.Fatalf("nested cover = %d, want %d", got, int64(outer)*int64(inner))
 		}
+	})
+}
+
+// Calls from several goroutines at once each wait for exactly their own
+// chunks, though their WaitGroups come from one pool: a call that returned
+// early would find part of its range unvisited.
+func TestConcurrentParallelForWaitsForOwnChunks(t *testing.T) {
+	withParallelism(4, func() {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				const n = 4096
+				for round := 0; round < 200; round++ {
+					hits := make([]int32, n)
+					ParallelForGrain(n, 64, func(s, e int) {
+						for i := s; i < e; i++ {
+							hits[i]++
+						}
+					})
+					for i, h := range hits {
+						if h != 1 {
+							t.Errorf("round %d: index %d visited %d times", round, i, h)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	})
 }
 

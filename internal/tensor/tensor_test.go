@@ -129,7 +129,7 @@ func TestReLUAndMask(t *testing.T) {
 
 func TestSoftmaxRows(t *testing.T) {
 	x := FromSlice([]float32{1, 1, 1, 1000, 1000, 1000}, 2, 3)
-	s := x.SoftmaxRows()
+	s := x.SoftmaxRows(nil)
 	for r := 0; r < 2; r++ {
 		var sum float32
 		for c := 0; c < 3; c++ {
@@ -291,7 +291,7 @@ func TestSoftmaxRowsPropertyQuick(t *testing.T) {
 		rng := NewRNG(seed)
 		r, c := 1+rng.Intn(6), 1+rng.Intn(6)
 		x := RandN(rng, 5, r, c)
-		s := x.SoftmaxRows()
+		s := x.SoftmaxRows(nil)
 		for i := 0; i < r; i++ {
 			var sum float64
 			for j := 0; j < c; j++ {

@@ -1,7 +1,9 @@
 package flexgraph
 
-// End-to-end training-step benchmarks: one GCN epoch on a small
-// Reddit-shaped dataset, BenchmarkTrainStepMAGNN, the INHA counterpart at
+// End-to-end training-step benchmarks, each at its workload's shape:
+// BenchmarkTrainStepGCN, one DNFA epoch at the train_gcn_dense shape (Reddit
+// x 1.5, hidden 64): fused bottom aggregation, the dense products and the
+// elementwise loops between them, BenchmarkTrainStepMAGNN, the INHA one at
 // the train_magnn_hetero workload's shape (IMDB x 0.7, hidden 64, 20
 // instances per metapath): the epoch the upper HDG levels dominate, and
 // BenchmarkTrainStepPinSage, the INFA one at the train_pinsage_skew shape
@@ -44,8 +46,8 @@ func benchEpochs(b *testing.B, tr *nau.Trainer, warmup int) {
 }
 
 func BenchmarkTrainStepGCN(b *testing.B) {
-	d := dataset.RedditLike(dataset.Config{Scale: 0.3, Seed: 1})
-	model := models.NewGCN(d.FeatureDim(), 16, d.NumClasses, tensor.NewRNG(3))
+	d := dataset.RedditLike(dataset.Config{Scale: 1.5, Seed: 1})
+	model := models.NewGCN(d.FeatureDim(), 64, d.NumClasses, tensor.NewRNG(3))
 	tr := nau.NewTrainerWith(model,
 		nau.TrainerOptions{Graph: d.Graph, Features: d.Features, Labels: d.Labels, TrainMask: d.TrainMask, Seed: 1})
 	benchEpochs(b, tr, 1)
