@@ -9,8 +9,6 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/dataset"
-	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/nau"
 	"repro/internal/nn"
@@ -248,14 +246,14 @@ func (w *worker) run() error {
 	// here as a barrier error rather than a mid-epoch hang. The fence epoch
 	// is the (possibly resumed) starting epoch so a restarted cluster's
 	// barrier never collides with checkpoint fences it ran before crashing.
-	if err := w.comm.Barrier(collective.Fence{Epoch: w.epoch, Phase: 0}); err != nil {
+	if err := w.comm.Barrier(collective.Fence{Epoch: w.epoch(), Phase: 0}); err != nil {
 		return w.fail(fmt.Errorf("cluster: worker %d startup barrier: %w", w.rank, err))
 	}
 	for range max(w.cfg.Epochs, 1) {
 		start := time.Now()
 		loss, err := w.runEpoch()
 		if err != nil {
-			return w.fail(fmt.Errorf("cluster: worker %d epoch %d: %w", w.rank, w.epoch, err))
+			return w.fail(fmt.Errorf("cluster: worker %d epoch %d: %w", w.rank, w.prog.Epoch, err))
 		}
 		w.losses = append(w.losses, loss)
 		w.epochTimes = append(w.epochTimes, time.Since(start))
@@ -287,7 +285,7 @@ func (w *worker) abortPeers(cause error) {
 	if errors.As(cause, &ae) {
 		return
 	}
-	w.comm.Abort(collective.Fence{Epoch: w.epoch, Phase: w.aggCalls})
+	w.comm.Abort(collective.Fence{Epoch: w.epoch(), Phase: w.aggCalls})
 }
 
 // firstEpochError picks the error to report for a failed run: the first
@@ -317,19 +315,6 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 	if err != nil {
 		return nil, err
 	}
-	var roots []graph.VertexID
-	for v, part := range p.Assign {
-		if int(part) == rank {
-			roots = append(roots, graph.VertexID(v))
-		}
-	}
-	rng := tensor.NewRNG(cfg.Seed)
-	model := factory(rng)
-	params := model.Parameters()
-	lr := cfg.LearningRate
-	if lr == 0 {
-		lr = 0.01
-	}
 	breakdown := &metrics.Breakdown{}
 	// Observability plumbing: the transport reports send latency and dial
 	// retries to the registry when it knows how; the collective plane tags
@@ -339,25 +324,13 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 		ms.SetMetrics(cfg.Metrics)
 	}
 	w := &worker{
-		rank: rank,
-		k:    cfg.NumWorkers,
-		cfg:  cfg,
-		tr:   tr,
+		cfg: cfg,
+		tr:  tr,
 		comm: collective.New(tr, breakdown,
 			collective.WithRecvTimeout(cfg.RecvTimeout),
 			collective.WithTracer(cfg.Tracer),
 			collective.WithMetrics(cfg.Metrics)),
-		g:         d.Graph,
-		owner:     p.Assign,
-		roots:     roots,
-		localRank: buildLocalRank(d.Graph.NumVertices(), roots),
-		model:     model,
-		params:    params,
-		opt:       nn.NewAdam(params, lr),
-		eng:       engine.New(engine.StrategyHA),
-		rng:       tensor.NewRNG(cfg.Seed + 1000),
 		breakdown: breakdown,
-		plans:     make(map[*engine.Adjacency]*exchanged),
 		tracer:    cfg.Tracer,
 		// Per-epoch cluster instruments (set on rank 0 only); nil-safe
 		// no-ops when no registry is configured.
@@ -365,6 +338,10 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 		epochGauge: cfg.Metrics.Gauge("cluster.epoch_seconds"),
 		epochsCtr:  cfg.Metrics.Counter("cluster.epochs"),
 	}
+	w.rankState = newRankState(d, p, rank, factory, cfg.Seed, cfg.LearningRate, w,
+		nau.Probe{Timer: breakdown, Tracer: cfg.Tracer, Rank: int32(rank)})
+	model := w.prog.Model
+	w.params = model.Parameters()
 	if tc := cfg.Telemetry; tc != nil {
 		w.tele = telemetry.New(telemetry.Options{
 			Rank:        rank,
@@ -380,12 +357,11 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 			tc.OnCollector(w.tele.Collector())
 		}
 	}
-	w.ctx = newRankContext(d.Graph, w.eng, roots, w)
 	// The gradient all-reduce's payload: the flattened gradients, then the
 	// loss and the masked count, then k ranks' per-stage seconds.
-	w.gradBuf = make([]float32, nn.NumParams(params)+2+w.k*metrics.StageCount)
+	w.gradBuf = make([]float32, nn.NumParams(w.params)+2+w.k*metrics.StageCount)
 	if mb := cfg.MiniBatch; mb == nil {
-		w.part = newPartitionData(d, roots)
+		setRows(w.prog, d)
 	} else {
 		bs := mb.BatchSize
 		if bs <= 0 {
@@ -424,7 +400,7 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 			Metrics: cfg.Metrics,
 			Rank:    int32(rank),
 		})
-		w.mbCtx = &nau.Context{Graph: d.Graph, Engine: w.eng, RNG: w.rng, Train: true}
+		w.mbCtx = &nau.Context{Graph: d.Graph, Engine: w.prog.Ctx.Engine, RNG: w.prog.Ctx.RNG, Train: true}
 	}
 	if cfg.Resume != "" {
 		// Restore the full training state before any collective runs: the
@@ -432,50 +408,42 @@ func newWorker(rank int, cfg Config, d *dataset.Dataset, factory ModelFactory, t
 		// the mini-batch round fences, so every rank must agree on it from
 		// the first message. Every rank reads the same snapshot — replicas
 		// were bit-identical when it was written, so they are again now.
-		st := &nn.TrainState{Params: params, Opt: w.opt}
+		st := &nn.TrainState{Params: w.params, Opt: w.prog.Opt}
 		if err := nn.LoadStateFile(cfg.Resume, st); err != nil {
 			return nil, fmt.Errorf("cluster: worker %d resume %s: %w", rank, cfg.Resume, err)
 		}
-		w.epoch = int32(st.Epoch)
+		w.prog.Epoch = st.Epoch
 		if st.HasRNG {
-			w.rng.SetState(st.RNG)
+			w.prog.Ctx.RNG.SetState(st.RNG)
 		}
 	}
 	return w, nil
 }
 
-// ensureHDG runs NeighborSelection for the worker's roots as the model's
-// cache policy asks: once (CacheForever), every epoch, or never (DNFA).
-func (w *worker) ensureHDG() error {
-	m := w.model
-	if !m.NeedsHDG() || (w.ctx.HDG != nil && m.Cache == nau.CacheForever) {
-		return nil
-	}
-	span := w.tracer.Begin(int32(w.rank), w.epoch, 0, trace.CatStage, "select")
-	start := time.Now()
-	err := w.sel.Select(w.ctx, w.g, m.Layers[0], w.roots, m.SelectionSeed(w.cfg.Seed, int(w.epoch)))
-	w.breakdown.Add(metrics.StageNeighborSelection, time.Since(start))
-	span.End()
-	clear(w.plans) // the new level may be a recycled adjacency: every plan is stale
-	return err
-}
-
 // runEpoch executes one synchronous training epoch: the shared prologue
-// (stage snapshot, epoch span), the whole-graph or mini-batch epoch body,
-// and the shared epilogue (rank-0 instruments, epoch counter).
+// (stage snapshot, epoch span), the epoch itself — the rank's program with
+// the gradient all-reduce between its backward and its step, or the
+// mini-batch rounds — and the shared epilogue (rank-0 instruments,
+// checkpoint and telemetry fences).
 func (w *worker) runEpoch() (float32, error) {
 	w.aggCalls = 0
-	epochStart := time.Now()
+	epoch, epochStart := w.prog.Epoch, time.Now()
 	// Snapshot the cumulative stage breakdown so syncGradients can ship
 	// this epoch's per-stage deltas inside the gradient fence.
 	w.stageMark = w.breakdown.StageTimes()
-	defer w.tracer.Begin(int32(w.rank), w.epoch, 0, trace.CatEpoch, "epoch").End()
+	defer w.tracer.Begin(int32(w.rank), int32(epoch), 0, trace.CatEpoch, "epoch").End()
 
-	run := w.wholeGraphEpoch
-	if w.cfg.MiniBatch != nil {
-		run = w.miniBatchEpoch
+	var globalLoss float32
+	var err error
+	if w.cfg.MiniBatch == nil {
+		// Feature sync happens inside the forward's layers, as fenced
+		// Exchanges behind the context's bottom-level hook (the worker).
+		globalLoss, err = w.prog.Run(func(loss float32, masked int) (float32, error) {
+			return w.syncGradients(loss, masked, 0)
+		})
+	} else {
+		globalLoss, err = w.miniBatchEpoch()
 	}
-	globalLoss, err := run()
 	if err != nil {
 		return 0, err
 	}
@@ -484,10 +452,9 @@ func (w *worker) runEpoch() (float32, error) {
 		w.epochGauge.Set(time.Since(epochStart).Seconds())
 		w.epochsCtr.Inc()
 		if w.cfg.OnEpoch != nil {
-			w.cfg.OnEpoch(int(w.epoch), globalLoss, w.lastBalance)
+			w.cfg.OnEpoch(epoch, globalLoss, w.lastBalance)
 		}
 	}
-	w.epoch++
 	if err := w.maybeCheckpoint(); err != nil {
 		return 0, err
 	}
@@ -510,10 +477,10 @@ func (w *worker) maybeTelemetry() error {
 	if every <= 0 {
 		every = 1
 	}
-	if int(w.epoch)%every != 0 {
+	if w.prog.Epoch%every != 0 {
 		return nil
 	}
-	return w.tele.PushEpoch(w.epoch)
+	return w.tele.PushEpoch(w.epoch())
 }
 
 // maybeCheckpoint persists the training state at a checkpoint boundary.
@@ -532,78 +499,26 @@ func (w *worker) maybeCheckpoint() error {
 	if every <= 0 {
 		every = 1
 	}
-	if int(w.epoch)%every != 0 {
+	if w.prog.Epoch%every != 0 {
 		return nil
 	}
-	if err := w.comm.Barrier(collective.Fence{Epoch: w.epoch, Phase: 0}); err != nil {
-		return fmt.Errorf("cluster: checkpoint fence at epoch %d: %w", w.epoch, err)
+	if err := w.comm.Barrier(collective.Fence{Epoch: w.epoch(), Phase: 0}); err != nil {
+		return fmt.Errorf("cluster: checkpoint fence at epoch %d: %w", w.prog.Epoch, err)
 	}
 	if w.rank != 0 {
 		return nil
 	}
 	st := &nn.TrainState{
 		Params: w.params,
-		Opt:    w.opt,
-		Epoch:  int(w.epoch),
-		RNG:    w.rng.State(),
+		Opt:    w.prog.Opt,
+		Epoch:  w.prog.Epoch,
+		RNG:    w.prog.Ctx.RNG.State(),
 		HasRNG: true,
 	}
 	if err := nn.SaveStateFile(ck.Path, st); err != nil {
-		return fmt.Errorf("cluster: checkpoint write at epoch %d: %w", w.epoch, err)
+		return fmt.Errorf("cluster: checkpoint write at epoch %d: %w", w.prog.Epoch, err)
 	}
 	return nil
-}
-
-// wholeGraphEpoch runs the paper's full-graph epoch: neighbor selection,
-// the layer-by-layer forward pass (feature sync happens inside
-// AggregateBottom as fenced Exchanges), local loss and backward, the
-// gradient all-reduce, and an optimizer step identical on every worker.
-func (w *worker) wholeGraphEpoch() (float32, error) {
-	if err := w.ensureHDG(); err != nil {
-		return 0, err
-	}
-	w.ctx.RNG = w.rng
-	w.ctx.Train = true
-
-	hLocal, err := w.forward()
-	if err != nil {
-		return 0, err
-	}
-	lossV := nn.CrossEntropy(hLocal, w.part.labels, w.part.mask)
-	bspan := w.tracer.Begin(int32(w.rank), w.epoch, 0, trace.CatStage, "backward")
-	w.breakdown.Time(metrics.StageBackward, func() {
-		w.opt.ZeroGrad()
-		lossV.Backward()
-	})
-	bspan.End()
-	globalLoss, err := w.syncGradients(lossV.Data.At(0, 0), w.part.masked, 0)
-	if err != nil {
-		return 0, err
-	}
-	w.breakdown.Time(metrics.StageBackward, func() {
-		w.opt.Step()
-		nn.ReleaseGraph(lossV)
-	})
-	return globalLoss, nil
-}
-
-// forward runs the model's layers over this worker's partition. Every
-// tensor stays local-width: the Aggregation stage receives this worker's
-// rows, and remote contributions arrive through the BottomAggregator hook's
-// collective exchanges — for the first layer's bottom level in the worker's
-// first epoch only: its input is the partition's immutable rows, so the
-// context keeps the aggregate and later epochs neither reduce nor exchange
-// it (nau.Context.Input).
-func (w *worker) forward() (*nn.Value, error) {
-	probe := nau.Probe{Timer: w.breakdown, Tracer: w.tracer, Rank: int32(w.rank), Epoch: w.epoch}
-	h := w.ctx.Input(w.model, w.part.features)
-	for li, layer := range w.model.Layers {
-		var err error
-		if h, err = w.ctx.RunLayer(probe, li, layer, h, h.Data.Rows(), nil); err != nil {
-			return nil, err
-		}
-	}
-	return h, nil
 }
 
 // syncGradients all-reduces the flattened parameter gradients (plus the
@@ -624,7 +539,7 @@ func (w *worker) forward() (*nn.Value, error) {
 // The ring all-reduce ships at most 2·|payload| bytes per worker regardless
 // of k.
 func (w *worker) syncGradients(loss float32, localCount int, phase int32) (float32, error) {
-	span := w.tracer.Begin(int32(w.rank), w.epoch, 0, trace.CatStage, "gradsync")
+	span := w.tracer.Begin(int32(w.rank), w.epoch(), 0, trace.CatStage, "gradsync")
 	defer span.End()
 	syncStart := time.Now()
 	defer func() { w.breakdown.Add(metrics.StageSync, time.Since(syncStart)) }()
@@ -656,12 +571,12 @@ func (w *worker) syncGradients(loss float32, localCount int, phase int32) (float
 		payload[stageBase+w.rank*metrics.StageCount+s] = float32((stageNow[s] - w.stageMark[s]).Seconds())
 	}
 
-	if err := w.comm.AllReduce(collective.Fence{Epoch: w.epoch, Phase: phase}, payload, rpc.KindGrads); err != nil {
+	if err := w.comm.AllReduce(collective.Fence{Epoch: w.epoch(), Phase: phase}, payload, rpc.KindGrads); err != nil {
 		return 0, fmt.Errorf("cluster: gradient all-reduce: %w", err)
 	}
 
 	// Assemble the balance report from the gathered stage-seconds tail.
-	rep := metrics.NewBalanceReport(int(w.epoch), w.k)
+	rep := metrics.NewBalanceReport(w.prog.Epoch, w.k)
 	for q := 0; q < w.k; q++ {
 		for s := 0; s < metrics.StageCount; s++ {
 			rep.Set(metrics.Stage(s), q, float64(payload[stageBase+q*metrics.StageCount+s]))

@@ -35,27 +35,109 @@ func pinsageFactory(d *dataset.Dataset, cache nau.CachePolicy) ModelFactory {
 	}
 }
 
+// magnnFactory builds a small MAGNN over d's metapaths.
+func magnnFactory(d *dataset.Dataset) ModelFactory {
+	return func(rng *tensor.RNG) *nau.Model {
+		return models.NewMAGNN(d.FeatureDim(), 8, d.NumClasses, d.Metapaths, models.MAGNNConfig{MaxInstances: 4}, rng)
+	}
+}
+
 func TestDistributedGCNMatchesSingleMachineFirstLoss(t *testing.T) {
 	// The first-epoch forward pass is exact in the distributed runtime
 	// (features fully synchronised), so the epoch-1 loss must match
-	// whole-graph single-machine training bit-for-bit up to float
-	// accumulation order.
+	// whole-graph single-machine training up to float accumulation order.
+	// At this fixture GCN's masked rows all sit at CrossEntropy's clamp, so
+	// any forward that saturates would pass; PinSage and MAGNN do not.
 	d := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 1})
-	single := nau.NewTrainerWith(models.NewGCN(d.FeatureDim(), 8, d.NumClasses, tensor.NewRNG(7)),
-		nau.TrainerOptions{Graph: d.Graph, Features: d.Features, Labels: d.Labels, TrainMask: d.TrainMask, Seed: 7})
-	wantLoss, err := single.Epoch()
-	if err != nil {
-		t.Fatal(err)
+	imdb := dataset.IMDBLike(dataset.Config{Scale: 0.04, Seed: 7})
+	cases := []struct {
+		name    string
+		d       *dataset.Dataset
+		factory ModelFactory
+	}{
+		{"GCN", d, gcnFactory(d)},
+		{"PinSage", d, pinsageFactory(d, nau.CachePerEpoch)},
+		{"MAGNN", imdb, magnnFactory(imdb)},
 	}
-	for _, k := range []int{1, 2, 4} {
-		for _, pipeline := range []bool{false, true} {
-			res, err := Train(Config{NumWorkers: k, Pipeline: pipeline, Epochs: 1, Seed: 7},
-				d, gcnFactory(d))
-			if err != nil {
-				t.Fatalf("k=%d pipeline=%v: %v", k, pipeline, err)
+	for _, c := range cases {
+		single := nau.NewTrainerWith(c.factory(tensor.NewRNG(7)), nau.TrainerOptions{
+			Graph: c.d.Graph, Features: c.d.Features, Labels: c.d.Labels, TrainMask: c.d.TrainMask, Seed: 7})
+		wantLoss, err := single.Epoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 2, 4} {
+			for _, pipeline := range []bool{false, true} {
+				res, err := Train(Config{NumWorkers: k, Pipeline: pipeline, Epochs: 1, Seed: 7}, c.d, c.factory)
+				if err != nil {
+					t.Fatalf("%s k=%d pipeline=%v: %v", c.name, k, pipeline, err)
+				}
+				if !withinRel(res.Losses[0], wantLoss, 1e-6) {
+					t.Fatalf("%s k=%d pipeline=%v: loss %v, single-machine %v", c.name, k, pipeline, res.Losses[0], wantLoss)
+				}
 			}
-			if diff := math.Abs(float64(res.Losses[0] - wantLoss)); diff > 1e-3 {
-				t.Fatalf("k=%d pipeline=%v: loss %v, single-machine %v", k, pipeline, res.Losses[0], wantLoss)
+		}
+	}
+}
+
+// withinRel reports whether got is want to within tol relative.
+func withinRel(got, want float32, tol float64) bool {
+	return math.Abs(float64(got-want)) <= tol*math.Abs(float64(want))
+}
+
+// TestDistributedMatchesTrainerPerEpoch is the k-rank ≡ single-machine
+// oracle, epoch by epoch. One rank is the Trainer: the same program over the
+// same rows, its gradient only rescaled by the all-reduce, so every epoch
+// agrees to 1e-6. Two and three ranks agree at epoch 0 and part after it:
+// the runtime's backward does not send gradients back across partitions
+// (EXPERIMENTS.md residual deviation 2), so from the second layer down no
+// gradient reaches a row a peer computed. The exact distributed backward
+// (ROADMAP item 1 (ii)) turns the second half into equality at every epoch.
+func TestDistributedMatchesTrainerPerEpoch(t *testing.T) {
+	reddit := dataset.RedditLike(dataset.Config{Scale: 0.02, Seed: 1})
+	dense := dataset.RedditLike(dataset.Config{Scale: 0.03, Seed: 4})
+	cases := []struct {
+		name    string
+		d       *dataset.Dataset
+		factory ModelFactory
+		seed    uint64
+		epochs  int
+	}{
+		{"PinSage", reddit, pinsageFactory(reddit, nau.CachePerEpoch), 7, 6},
+		{"GCN", dense, gcnFactory(dense), 5, 10},
+	}
+	for _, c := range cases {
+		tr := nau.NewTrainerWith(c.factory(tensor.NewRNG(c.seed)), nau.TrainerOptions{
+			Graph: c.d.Graph, Features: c.d.Features, Labels: c.d.Labels, TrainMask: c.d.TrainMask, Seed: c.seed})
+		var want []float32
+		for range c.epochs {
+			loss, err := tr.Epoch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, loss)
+		}
+		// A loss at CrossEntropy's clamp (-ln 1e-12) is one every saturated
+		// forward agrees on: the run must leave it.
+		if want[len(want)-1] > 27 {
+			t.Fatalf("%s: single-machine losses %v never leave CrossEntropy's clamp", c.name, want)
+		}
+		for _, k := range []int{1, 2, 3} {
+			res, err := Train(Config{NumWorkers: k, Pipeline: true, Epochs: c.epochs, Seed: c.seed}, c.d, c.factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s k=%d: %v, single-machine %v", c.name, k, res.Losses, want)
+			drift := 0.0
+			for e, got := range res.Losses {
+				if (k == 1 || e == 0) && !withinRel(got, want[e], 1e-6) {
+					t.Fatalf("%s k=%d epoch %d: loss %v, single-machine %v", c.name, k, e, got, want[e])
+				}
+				drift = max(drift, math.Abs(float64(got-want[e]))/float64(want[e]))
+			}
+			if k > 1 && drift < 1e-3 {
+				t.Fatalf("%s k=%d: every epoch within %.1e of the single machine — the distributed backward is "+
+					"exact now: make this test require equality and delete EXPERIMENTS deviation 2", c.name, k, drift)
 			}
 		}
 	}
@@ -371,10 +453,10 @@ func TestSingleRankForwardIsTrainerPredict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.ensureHDG(); err != nil {
+		if err := w.prog.Select(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := w.forward()
+		got, err := w.prog.Forward(false, nil)
 		netw.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -400,7 +482,7 @@ func TestTrainerHDGsAreSingleRankHDGs(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.epoch()
-		got, want := r.workers[0].ctx.HDG, tr.HDG()
+		got, want := r.workers[0].prog.Ctx.HDG, tr.HDG()
 		if !slices.Equal(got.Roots, want.Roots) || !slices.Equal(got.InstOffset, want.InstOffset) ||
 			!slices.Equal(got.LeafOffset, want.LeafOffset) || !slices.Equal(got.LeafIDs, want.LeafIDs) {
 			t.Fatalf("epoch %d: the k = 1 worker's HDG differs from the Trainer's", e)

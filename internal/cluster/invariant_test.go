@@ -71,8 +71,8 @@ func (r *ranks) epoch() float32 {
 // itself is rebuilt, so its plan is exchanged again too).
 func (r *ranks) forget() {
 	for _, w := range r.workers {
-		w.ctx.SetGraphAdjacency(w.ctx.GraphAdjacency())
-		w.ctx.InvalidateHDG(w.ctx.HDG)
+		w.prog.Ctx.SetGraphAdjacency(w.prog.Ctx.GraphAdjacency())
+		w.prog.Ctx.InvalidateHDG(w.prog.Ctx.HDG)
 	}
 }
 
@@ -435,10 +435,10 @@ func TestClusterReselectionDropsStalePlans(t *testing.T) {
 	warmSim, coldSim := newSim(), newSim()
 	for e := 1; e <= 5; e++ {
 		for _, w := range cold.workers {
-			w.sel = nau.Selection{}
+			w.prog.Sel = nau.Selection{}
 		}
 		for rank := range coldSim.ranks {
-			coldSim.ranks[rank].sel = nau.Selection{}
+			coldSim.ranks[rank].prog.Sel = nau.Selection{}
 		}
 		if got, want := warm.epoch(), cold.epoch(); math.Float32bits(got) != math.Float32bits(want) {
 			t.Fatalf("epoch %d: loss %v on recycled levels, %v on fresh ones", e, got, want)

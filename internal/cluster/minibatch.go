@@ -25,8 +25,8 @@ import (
 // PrefetchDepth > 0 the next rounds' sampling and feature gathering overlap
 // this round's forward/backward.
 func (w *worker) miniBatchEpoch() (float32, error) {
-	batches := chunkRoots(w.roots, w.mbBatch)
-	st := w.sampler.Epoch(context.Background(), int(w.epoch), batches)
+	batches := chunkRoots(w.prog.Roots, w.mbBatch)
+	st := w.sampler.Epoch(context.Background(), w.prog.Epoch, batches)
 	defer st.Close()
 
 	var globalLoss float32
@@ -43,8 +43,8 @@ func (w *worker) miniBatchEpoch() (float32, error) {
 			if err != nil {
 				return 0, err
 			}
-			probe := nau.Probe{Timer: w.breakdown, Tracer: w.tracer, Rank: int32(w.rank), Epoch: w.epoch}
-			logits, err := store.ForwardWith(w.mbCtx, probe, w.model, bt)
+			probe := nau.Probe{Timer: w.breakdown, Tracer: w.tracer, Rank: int32(w.rank), Epoch: w.epoch()}
+			logits, err := store.ForwardWith(w.mbCtx, probe, w.prog.Model, bt)
 			if err != nil {
 				return 0, err
 			}
@@ -58,7 +58,7 @@ func (w *worker) miniBatchEpoch() (float32, error) {
 				}
 			}
 			w.breakdown.Time(metrics.StageBackward, func() {
-				w.opt.ZeroGrad()
+				w.prog.Opt.ZeroGrad()
 				lossV.Backward()
 				// Parameter gradients are leaves; the batch's activations
 				// are done once they exist.
@@ -70,17 +70,18 @@ func (w *worker) miniBatchEpoch() (float32, error) {
 			st.Release(bt)
 		} else {
 			// Padding round: zero gradients, zero weight.
-			w.opt.ZeroGrad()
+			w.prog.Opt.ZeroGrad()
 		}
 		g, err := w.syncGradients(lossVal, masked, int32(r))
 		if err != nil {
 			return 0, err
 		}
 		w.breakdown.Time(metrics.StageBackward, func() {
-			w.opt.Step()
+			w.prog.Opt.Step()
 		})
 		globalLoss = g
 	}
+	w.prog.Epoch++ // as the program's Step ends a whole-graph epoch
 	return globalLoss, nil
 }
 

@@ -182,13 +182,23 @@ type exchanged struct {
 	duties []*duty
 }
 
-// newExchanged is the rank-local half of one plan exchange over adj: rank's
-// plan, and duties[q] for each request reqs[q] trade hands back for it,
+// exchangePlan is the rank-local half of the plan exchange over adj: the
+// rank's plan, and duties[q] for each request reqs[q] trade hands back for it,
 // accepted by the rank acceptor(q) names. A worker trades over the wire and
-// accepts its peers' requests; the simulator has each peer accept rank's.
-func newExchanged(adj *engine.Adjacency, owner, localRank []int32, rank, k int, pipeline bool,
+// accepts its peers' requests; the simulator has each peer accept the rank's.
+// The result is cached per adjacency while the context's HDG stays the one it
+// was exchanged under: a new HDG, selected or adopted, may come with a
+// recycled adjacency holding another level, so it makes every plan stale.
+func (r *rankState) exchangePlan(adj *engine.Adjacency, pipeline bool,
 	trade func(p *rankPlan) ([]*rpc.Message, error), acceptor func(q int) (rows []int32, self int)) (*exchanged, error) {
-	x := &exchanged{plan: newRankPlan(adj, owner, localRank, rank, k, pipeline), duties: make([]*duty, k)}
+	if h := r.prog.Ctx.HDG; h != r.plansHDG {
+		clear(r.plans)
+		r.plansHDG = h
+	}
+	if x, ok := r.plans[adj]; ok {
+		return x, nil
+	}
+	x := &exchanged{plan: newRankPlan(adj, r.owner, r.localRank, r.rank, r.k, pipeline), duties: make([]*duty, r.k)}
 	reqs, err := trade(x.plan)
 	if err != nil {
 		return nil, err
@@ -201,6 +211,7 @@ func newExchanged(adj *engine.Adjacency, owner, localRank []int32, rank, k int, 
 			}
 		}
 	}
+	r.plans[adj] = x
 	return x, nil
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/nau"
 	"repro/internal/nn"
@@ -106,7 +105,17 @@ func (r *simRank) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op ten
 	// Every phase in here is attributed below; booking the whole call as
 	// sync keeps it out of the layer step's remainder, which is RestAgg.
 	defer func(start time.Time) { r.timer.Add(metrics.StageSync, time.Since(start)) }(time.Now())
-	x, err := s.exchangePlan(adj, r.rank)
+	// The plan exchange without a wire: each peer accepts r's request to it
+	// in place.
+	x, err := r.exchangePlan(adj, s.cfg.Pipeline, func(p *rankPlan) ([]*rpc.Message, error) {
+		reqs := make([]*rpc.Message, len(s.ranks))
+		for q := range reqs {
+			if q != r.rank {
+				reqs[q] = p.request(q)
+			}
+		}
+		return reqs, nil
+	}, func(q int) ([]int32, int) { return s.ranks[q].localRank, q })
 	if err != nil {
 		return nil, err
 	}
@@ -134,52 +143,20 @@ func (r *simRank) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op ten
 	return out, err
 }
 
-// exchangePlan is the plan exchange without a wire: each peer accepts rank's
-// request to it in place.
-func (s *Simulation) exchangePlan(adj *engine.Adjacency, rank int) (*exchanged, error) {
-	if x, ok := s.plans[adj]; ok {
-		return x, nil
-	}
-	x, err := newExchanged(adj, s.owner, s.ranks[rank].localRank, rank, len(s.ranks), s.cfg.Pipeline, func(p *rankPlan) ([]*rpc.Message, error) {
-		reqs := make([]*rpc.Message, len(s.ranks))
-		for q := range reqs {
-			if q != rank {
-				reqs[q] = p.request(q)
-			}
-		}
-		return reqs, nil
-	}, func(q int) ([]int32, int) { return s.ranks[q].localRank, q })
-	if err == nil {
-		s.plans[adj] = x
-	}
-	return x, err
-}
-
 // Simulation holds reusable state for multi-epoch simulated runs.
 type Simulation struct {
 	cfg   SimConfig
-	owner []int32
 	ranks []simRank
-	// plans caches the plan exchange per bottom adjacency (adjacencies are
-	// per rank, so one map serves all ranks) until the next selection.
-	plans map[*engine.Adjacency]*exchanged
 	stats []SimWorker
-	epoch int
 }
 
-// simRank is one simulated worker: a model replica over its partition, and
-// its context's bottom-aggregation hook.
+// simRank is one simulated worker: the rank's program over its partition,
+// whose context's bottom-level hook it is.
 type simRank struct {
-	s         *Simulation
-	rank      int
-	model     *nau.Model
-	ctx       *nau.Context
-	sel       nau.Selection
-	roots     []graph.VertexID
-	localRank []int32
-	part      partitionData
-	// timer receives the layer step's stage times: the aggregation
-	// remainder (RestAgg) and Update.
+	rankState
+	s *Simulation
+	// timer receives the program's stage times: selection, the aggregation
+	// remainder (RestAgg), Update and Backward.
 	timer *metrics.Breakdown
 	// prev is the rank's previous-layer rows during a layer phase, where
 	// its peers' hooks read them.
@@ -194,53 +171,35 @@ func NewSimulation(d *dataset.Dataset, factory ModelFactory, cfg SimConfig) (*Si
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulation{
-		cfg:   cfg,
-		owner: p.Assign,
-		ranks: make([]simRank, cfg.NumWorkers),
-		plans: map[*engine.Adjacency]*exchanged{},
-	}
-	for v, part := range p.Assign {
-		s.ranks[part].roots = append(s.ranks[part].roots, graph.VertexID(v))
-	}
-	eng := engine.New(engine.StrategyHA)
+	s := &Simulation{cfg: cfg, ranks: make([]simRank, cfg.NumWorkers)}
 	for rank := range s.ranks {
 		r := &s.ranks[rank]
-		r.s, r.rank = s, rank
-		r.model = factory(tensor.NewRNG(cfg.Seed))
-		r.part = newPartitionData(d, r.roots)
-		r.localRank = buildLocalRank(d.Graph.NumVertices(), r.roots)
-		r.timer = &metrics.Breakdown{}
-		r.ctx = newRankContext(d.Graph, eng, r.roots, r)
-		r.ctx.RNG = tensor.NewRNG(cfg.Seed + uint64(rank))
+		r.s, r.timer = s, &metrics.Breakdown{}
+		r.rankState = newRankState(d, p, rank, factory, cfg.Seed, 0, r, nau.Probe{Timer: r.timer})
+		setRows(r.prog, d)
 	}
 	return s, nil
 }
 
-// Epoch runs one simulated epoch: the worker's epoch, one rank at a time
-// within each phase. Like a worker's, a simulation's first epoch is the cold
-// one: from the second on, a model whose dependency structure is static pays
-// neither the compute nor the modeled bytes of the first layer's bottom
-// level (nau.Context.Input).
+// Epoch runs one simulated epoch: each rank's program, one rank at a time
+// within each phase — select and input, every layer, loss and backward — and
+// no step. Like a worker's, a simulation's first epoch is the cold one: from
+// the second on, a model whose dependency structure is static pays neither
+// the compute nor the modeled bytes of the first layer's bottom level
+// (nau.Context.Input).
 func (s *Simulation) Epoch() (*SimResult, error) {
 	s.stats = make([]SimWorker, len(s.ranks))
 	h := make([]*nn.Value, len(s.ranks))
 	for rank := range s.ranks {
 		r := &s.ranks[rank]
 		r.timer.Reset()
-		h[rank] = r.ctx.Input(r.model, r.part.features)
-		if m := r.model; m.NeedsHDG() && (r.ctx.HDG == nil || m.Cache != nau.CacheForever) {
-			start := time.Now()
-			err := r.sel.Select(r.ctx, r.ctx.Graph, m.Layers[0], r.roots, m.SelectionSeed(s.cfg.Seed, s.epoch))
-			s.stats[rank].Selection = time.Since(start)
-			clear(s.plans) // as the worker's: a recycled level makes every plan stale
-			if err != nil {
-				return nil, err
-			}
+		if err := r.prog.Select(); err != nil {
+			return nil, err
 		}
+		h[rank] = r.prog.Input()
 	}
 
-	for li := range s.ranks[0].model.Layers {
+	for li := range s.ranks[0].prog.Model.Layers {
 		// Publish the previous-layer local tensors before any rank runs the
 		// layer: a rank's hook builds its peers' payloads from them.
 		for rank := range s.ranks {
@@ -248,10 +207,8 @@ func (s *Simulation) Epoch() (*SimResult, error) {
 		}
 		next := make([]*nn.Value, len(s.ranks))
 		for rank := range s.ranks {
-			r := &s.ranks[rank]
 			var err error
-			next[rank], err = r.ctx.RunLayer(nau.Probe{Timer: r.timer}, li, r.model.Layers[li], h[rank], h[rank].Data.Rows(), nil)
-			if err != nil {
+			if next[rank], err = s.ranks[rank].prog.Layer(li, h[rank], nil); err != nil {
 				return nil, err
 			}
 		}
@@ -259,24 +216,21 @@ func (s *Simulation) Epoch() (*SimResult, error) {
 	}
 
 	// Loss and backward per worker (each with its own replica and a
-	// local-only gradient graph).
+	// local-only gradient graph); the simulator never steps, so it advances
+	// each program's epoch itself.
 	var lossSum float64
 	var maskSum int
 	for rank := range s.ranks {
 		r, w := &s.ranks[rank], &s.stats[rank]
-		loss, masked := nn.CrossEntropy(h[rank], r.part.labels, r.part.mask), r.part.masked
-		start := time.Now()
-		for _, p := range r.model.Parameters() {
-			p.ZeroGrad()
-		}
-		loss.Backward()
-		w.Backward = time.Since(start)
+		loss := r.prog.Backward(h[rank])
+		r.prog.Epoch++
+		w.Selection = r.timer.Get(metrics.StageNeighborSelection)
 		w.RestAgg = r.timer.Get(metrics.StageAggregation)
 		w.Update = r.timer.Get(metrics.StageUpdate)
-		lossSum += float64(loss.Data.At(0, 0)) * float64(masked)
-		maskSum += masked
+		w.Backward = r.timer.Get(metrics.StageBackward)
+		lossSum += float64(loss.Data.At(0, 0)) * float64(r.prog.Masked)
+		maskSum += r.prog.Masked
 	}
-	s.epoch++
 
 	res := &SimResult{PerWorker: s.stats, Loss: float32(lossSum / float64(max(maskSum, 1)))}
 	for i := range res.PerWorker {

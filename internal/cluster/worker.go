@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/hdg"
 	"repro/internal/metrics"
 	"repro/internal/nau"
 	"repro/internal/nn"
@@ -30,30 +31,16 @@ import (
 // exchange, feature synchronisation and gradient sync are expressed as
 // fenced collective calls rather than hand-rolled send/recv matching.
 type worker struct {
-	rank int
-	k    int
+	// rankState is the rank's program over its partition, with the worker
+	// itself as the context's bottom-level hook.
+	rankState
 	cfg  Config
 	tr   rpc.Transport
 	comm *collective.Comm
 
-	g         *graph.Graph
-	owner     []int32
-	roots     []graph.VertexID
-	localRank []int32 // global vertex -> local root rank, -1 if not owned
-	// part is the rank's share of the dataset, gathered once: the whole-graph
-	// epoch's input rows, labels and loss mask never change.
-	part partitionData
-
-	model  *nau.Model
 	params []*nn.Value
 	// gradBuf is the gradient all-reduce's payload, reused by every sync.
-	gradBuf []float32
-	opt     nn.Optimizer
-	eng     *engine.Engine
-	rng     *tensor.RNG
-
-	ctx       *nau.Context
-	sel       nau.Selection
+	gradBuf   []float32
 	breakdown *metrics.Breakdown
 
 	// tracer records rank-tagged epoch and stage spans (nil = off).
@@ -79,12 +66,7 @@ type worker struct {
 	epochTimes []time.Duration
 	balances   []*metrics.BalanceReport
 
-	epoch    int32
 	aggCalls int32 // aggregation call counter within the epoch (layer tag)
-
-	// plans caches the exchanged communication plan per adjacency until the
-	// next selection, which may refill an adjacency with another level.
-	plans map[*engine.Adjacency]*exchanged
 
 	// Mini-batch mode (Config.MiniBatch != nil): the prefetching data
 	// plane over this worker's partition, the per-round batch size, the
@@ -96,33 +78,63 @@ type worker struct {
 	mbCtx    *nau.Context
 }
 
-// partitionData is the rows of a dataset that belong to one rank's roots, in
-// root order: what a whole-graph epoch reads of it, built once per rank.
-type partitionData struct {
-	// features is the epoch's input ([#roots, dim], exact row copies) — the
-	// tensor the rank hands nau.Context.Input, so it is never written again.
-	features *tensor.Tensor
-	labels   []int32
-	mask     []bool
-	// masked is the number of roots under the mask: the rank's share of the
-	// loss-weighting denominator.
-	masked int
+// epoch is the epoch the worker is in, as its fences and spans name it.
+func (w *worker) epoch() int32 { return int32(w.prog.Epoch) }
+
+// rankState is one rank of a whole-graph run as the runtime and the simulator
+// both hold it: its program over the roots the partitioning gives it, the
+// partitioning, and the plans it exchanged (exchangePlan).
+type rankState struct {
+	prog      *nau.Program
+	rank, k   int
+	owner     []int32 // global vertex -> rank
+	localRank []int32 // global vertex -> local root rank, -1 if not owned
+	plans     map[*engine.Adjacency]*exchanged
+	plansHDG  *hdg.HDG // the context's HDG plans were exchanged under
 }
 
-func newPartitionData(d *dataset.Dataset, roots []graph.VertexID) partitionData {
-	p := partitionData{
-		features: tensor.Gather(d.Features, roots),
-		labels:   make([]int32, len(roots)),
-		mask:     make([]bool, len(roots)),
-	}
-	for i, v := range roots {
-		p.labels[i] = d.Labels[v]
-		p.mask[i] = d.TrainMask[v]
-		if p.mask[i] {
-			p.masked++
+// newRankState builds rank's share of a run over d partitioned by p: its
+// roots, a model replica from factory on an RNG seeded seed (so every rank
+// starts equal), the layers' RNG stream seeded seed+1000, an Adam at lr (0
+// selects 0.01), and a context over the rank's local-root 1-hop view with
+// bottom as its bottom-level hook, reporting to probe. The rows are not
+// gathered here (setRows): a mini-batch worker never reads them.
+func newRankState(d *dataset.Dataset, p *partition.Partitioning, rank int, factory ModelFactory, seed uint64, lr float32,
+	bottom nau.BottomAggregator, probe nau.Probe) rankState {
+	var roots []graph.VertexID
+	for v, part := range p.Assign {
+		if int(part) == rank {
+			roots = append(roots, graph.VertexID(v))
 		}
 	}
-	return p
+	if lr == 0 {
+		lr = 0.01
+	}
+	model := factory(tensor.NewRNG(seed))
+	ctx := &nau.Context{Graph: d.Graph, Engine: engine.New(engine.StrategyHA), RNG: tensor.NewRNG(seed + 1000),
+		NumFeatureRows: d.Graph.NumVertices(), Bottom: bottom}
+	ctx.SetGraphAdjacency(localGraphAdjacency(d.Graph, roots))
+	return rankState{
+		prog: &nau.Program{Model: model, Ctx: ctx, Roots: roots, Opt: nn.NewAdam(model.Parameters(), lr),
+			Seed: seed, Probe: probe},
+		rank: rank, k: p.K, owner: p.Assign,
+		localRank: buildLocalRank(d.Graph.NumVertices(), roots),
+		plans:     make(map[*engine.Adjacency]*exchanged),
+	}
+}
+
+// setRows gives p the rows of d that belong to its roots, in root order: the
+// features (exact row copies, the tensor Context.Input is handed, so never
+// written again), the labels, the loss mask and its count.
+func setRows(p *nau.Program, d *dataset.Dataset) {
+	p.Feats = tensor.Gather(d.Features, p.Roots)
+	p.Labels, p.Mask = make([]int32, len(p.Roots)), make([]bool, len(p.Roots))
+	for i, v := range p.Roots {
+		p.Labels[i], p.Mask[i] = d.Labels[v], d.TrainMask[v]
+		if p.Mask[i] {
+			p.Masked++
+		}
+	}
 }
 
 // partitionFor checks p, or Hash when p is nil, against k ranks.
@@ -137,14 +149,6 @@ func partitionFor(d *dataset.Dataset, p *partition.Partitioning, k int) (*partit
 		return nil, fmt.Errorf("cluster: partitioning has %d parts, want %d", p.K, k)
 	}
 	return p, nil
-}
-
-// newRankContext is the whole-graph layer context of the rank holding roots:
-// the rank's local-root 1-hop view, bottom as the bottom-level hook.
-func newRankContext(g *graph.Graph, eng *engine.Engine, roots []graph.VertexID, bottom nau.BottomAggregator) *nau.Context {
-	c := &nau.Context{Graph: g, Engine: eng, NumFeatureRows: g.NumVertices(), Bottom: bottom}
-	c.SetGraphAdjacency(localGraphAdjacency(g, roots))
-	return c
 }
 
 // localGraphAdjacency builds the 1-hop in-edge adjacency whose destination
@@ -175,25 +179,18 @@ func buildLocalRank(n int, roots []graph.VertexID) []int32 {
 }
 
 // ensurePlan exchanges the communication plan for adj with all peers
-// (cached per adjacency; PinSage re-exchanges each epoch because its HDGs
-// change). The exchange is a dedicated KindPlan collective, fenced on
-// (epoch, aggregation call).
+// (exchangePlan: cached per adjacency until the next selection). The
+// exchange is a dedicated KindPlan collective, fenced on (epoch,
+// aggregation call).
 func (w *worker) ensurePlan(adj *engine.Adjacency) (*exchanged, error) {
-	if x, ok := w.plans[adj]; ok {
-		return x, nil
-	}
-	x, err := newExchanged(adj, w.owner, w.localRank, w.rank, w.k, w.cfg.Pipeline, func(p *rankPlan) ([]*rpc.Message, error) {
-		msgs, err := w.comm.Exchange(collective.Fence{Epoch: w.epoch, Phase: w.aggCalls}, rpc.KindPlan, p.request, nil)
+	return w.exchangePlan(adj, w.cfg.Pipeline, func(p *rankPlan) ([]*rpc.Message, error) {
+		msgs, err := w.comm.Exchange(collective.Fence{Epoch: w.epoch(), Phase: w.aggCalls}, rpc.KindPlan, p.request, nil)
 		reqs := make([]*rpc.Message, w.k)
 		for _, m := range msgs {
 			reqs[m.From] = m
 		}
 		return reqs, err
 	}, func(int) ([]int32, int) { return w.localRank, w.rank })
-	if err == nil {
-		w.plans[adj] = x
-	}
-	return x, err
 }
 
 // AggregateBottom implements nau.BottomAggregator: the distributed bottom
@@ -229,7 +226,7 @@ func (w *worker) AggregateBottom(adj *engine.Adjacency, feats *nn.Value, op tens
 	}
 	syncStart := time.Now()
 	msgs, err := w.comm.Exchange(
-		collective.Fence{Epoch: w.epoch, Phase: layer},
+		collective.Fence{Epoch: w.epoch(), Phase: layer},
 		x.plan.recvKind(),
 		func(q int) *rpc.Message { return x.duties[q].payload(feats.Data) },
 		overlap)

@@ -56,11 +56,11 @@ func aheadTrainer(first func(in, out int, act bool, rng *tensor.RNG) Layer) *Tra
 // path's selection of that epoch.
 func requireReplayedHDG(t *testing.T, tr *Trainer, epoch int) {
 	t.Helper()
-	want, err := selectLayer(tr.Graph, tr.Model.Layers[0], tr.roots, EpochSeed(51, epoch), 1, new([]*arena), nil)
+	want, err := selectLayer(tr.Graph, tr.Model.Layers[0], tr.prog.Roots, EpochSeed(51, epoch), 1, new([]*arena), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := tr.cachedHDG
+	got := tr.prog.Ctx.HDG
 	if !slices.Equal(got.Roots, want.Roots) || !slices.Equal(got.InstOffset, want.InstOffset) ||
 		!slices.Equal(got.LeafOffset, want.LeafOffset) || (got.LeafOffset == nil) != (want.LeafOffset == nil) ||
 		!slices.Equal(got.LeafIDs, want.LeafIDs) {
@@ -151,7 +151,7 @@ func TestEpochAheadSelectionMatchesSynchronous(t *testing.T) {
 				saved, losses = t.TempDir()+"/ck.fgck", nil
 				tr := aheadTrainer(c.first)
 				for i := range epochs {
-					epoch, pending, from, goroutines := tr.CompletedEpochs(), tr.sel.ahead.h, tr.RNG.State(), runtime.NumGoroutine()
+					epoch, pending, from, goroutines := tr.CompletedEpochs(), tr.prog.Sel.ahead.h, tr.RNG.State(), runtime.NumGoroutine()
 					loss, err := tr.Epoch()
 					if err != nil {
 						t.Fatal(err)
@@ -168,11 +168,11 @@ func TestEpochAheadSelectionMatchesSynchronous(t *testing.T) {
 					if tr.RNG.State() != rng.State() {
 						t.Fatalf("epoch %d left the RNG elsewhere than its layers' draws", epoch)
 					}
-					if tr.sel.ahead.h == nil {
+					if tr.prog.Sel.ahead.h == nil {
 						t.Fatalf("epoch %d selected nothing ahead", epoch)
 					}
 					wantAdopted := i > 0 && (c.dropped == nil || !c.dropped(i))
-					if adopted := pending != nil && tr.cachedHDG == pending; adopted != wantAdopted {
+					if adopted := pending != nil && tr.prog.Ctx.HDG == pending; adopted != wantAdopted {
 						t.Fatalf("Epoch call %d (epoch %d): adopted the ahead HDG = %v, want %v", i, epoch, adopted, wantAdopted)
 					}
 					if c.between != nil {

@@ -1,6 +1,7 @@
 package nau
 
 import (
+	"os"
 	"testing"
 
 	"repro/internal/nn"
@@ -145,4 +146,38 @@ func TestTrainerResumeRejectsWrongModel(t *testing.T) {
 	if got := wrong.CompletedEpochs(); got != 0 {
 		t.Fatalf("failed resume advanced the epoch counter to %d", got)
 	}
+}
+
+// TestTrainerV1CheckpointKeepsEpoch: a legacy v1 file restores weights only,
+// so a trainer that loads one keeps its epoch counter, and its next epoch
+// selects at that epoch's seed, not epoch 0's.
+func TestTrainerV1CheckpointKeepsEpoch(t *testing.T) {
+	const epochs = 3
+	tr := resumeTrainer(CachePerEpoch, nil, true)
+	for range epochs {
+		if _, err := tr.Epoch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := t.TempDir() + "/v1.fgck"
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.SaveParams(f, tr.Model.Parameters()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.LoadCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.CompletedEpochs(); got != epochs {
+		t.Fatalf("CompletedEpochs after a v1 load: %d, want %d", got, epochs)
+	}
+	if _, err := tr.Epoch(); err != nil {
+		t.Fatal(err)
+	}
+	requireReplayedHDG(t, tr, epochs)
 }

@@ -195,8 +195,8 @@ func TestTrainerKeptAggregateMatchesRecompute(t *testing.T) {
 			t.Fatalf("epoch %d: loss %v with the kept aggregate, %v recomputed", e+1, a, b)
 		}
 		if e == 0 {
-			leaf = kept.ctx.kept.out
-		} else if kept.ctx.kept.out != leaf || leaf == nil {
+			leaf = kept.prog.Ctx.kept.out
+		} else if kept.prog.Ctx.kept.out != leaf || leaf == nil {
 			t.Fatalf("epoch %d: the trainer refilled (or never kept) its bottom aggregate", e+1)
 		}
 		if e == 2 {
@@ -227,7 +227,7 @@ func TestTrainerKeptAggregateMatchesRecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if perEpoch.ctx.input != nil || perEpoch.ctx.kept.out != nil {
+	if perEpoch.prog.Ctx.input != nil || perEpoch.prog.Ctx.kept.out != nil {
 		t.Fatal("a trainer that re-selects its HDGs every epoch retained an aggregate")
 	}
 }

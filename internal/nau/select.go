@@ -192,8 +192,7 @@ func selectLayer(g *graph.Graph, layer Layer, roots []graph.VertexID, epochSeed 
 	return neighborSelectionSeeded(g, layer.Schema(), layer.NeighborUDF(), roots, epochSeed, workers)
 }
 
-// Selection is the NeighborSelection state one holder — the Trainer, a cluster
-// worker, a simulated rank — keeps for its context, so that a warm selection
+// Selection is the NeighborSelection state a Program keeps for its context, so that a warm selection
 // allocates nothing that grows with the graph: the workers' arenas and the
 // last two HDGs with the flat levels the context built over them. A new HDG is
 // written over the one two selections old, never over the one a forward pass
@@ -215,7 +214,7 @@ type aheadSelection struct {
 	epochSeed uint64
 	graph     *graph.Graph
 	layer     Layer
-	roots     int
+	roots     []graph.VertexID
 }
 
 // Select builds the HDG of roots over g with layer's neighbor selection, root
@@ -247,7 +246,7 @@ func (s *Selection) install(ctx *Context, h *hdg.HDG) {
 // through adoptAhead. layer must be comparable.
 func (s *Selection) selectAhead(p Probe, g *graph.Graph, layer Layer, roots []graph.VertexID, epochSeed uint64) {
 	a := &s.ahead
-	*a = aheadSelection{epochSeed: epochSeed, graph: g, layer: layer, roots: len(roots)}
+	*a = aheadSelection{epochSeed: epochSeed, graph: g, layer: layer, roots: roots}
 	s.aheadDone.Add(1)
 	go func() {
 		defer s.aheadDone.Done()
@@ -259,16 +258,15 @@ func (s *Selection) selectAhead(p Probe, g *graph.Graph, layer Layer, roots []gr
 }
 
 // adoptAhead installs the HDG selected ahead, as Select installs its own, if
-// it was selected at epochSeed over g, layer and a root list of length roots.
-// Otherwise it drops it, keeping its storage for the next selection, and
-// reports false.
-func (s *Selection) adoptAhead(ctx *Context, epochSeed uint64, g *graph.Graph, layer Layer, roots int) bool {
+// it was selected at epochSeed over g, layer and roots. Otherwise it drops
+// it, keeping its storage for the next selection, and reports false.
+func (s *Selection) adoptAhead(ctx *Context, epochSeed uint64, g *graph.Graph, layer Layer, roots []graph.VertexID) bool {
 	a := s.ahead
 	s.ahead = aheadSelection{}
 	if a.h == nil {
 		return false
 	}
-	if a.epochSeed != epochSeed || a.graph != g || a.roots != roots || a.layer != layer {
+	if a.epochSeed != epochSeed || a.graph != g || a.layer != layer || !slices.Equal(a.roots, roots) {
 		s.hdgs[0] = a.h // hdgs[0]'s storage, grown to fit
 		return false
 	}

@@ -2,8 +2,6 @@ package nau
 
 import (
 	"context"
-	"fmt"
-	"reflect"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -51,8 +49,9 @@ func (m *Model) SelectionSeed(seed uint64, epoch int) uint64 {
 	return EpochSeed(seed, epoch)
 }
 
-// Trainer runs whole-graph single-machine training of a NAU model, timing
-// the three NAU stages for the Table-4 breakdown.
+// Trainer runs whole-graph single-machine training of a NAU model — a
+// Program over every vertex, run straight through — timing the three NAU
+// stages for the Table-4 breakdown.
 type Trainer struct {
 	Model *Model
 	Graph *graph.Graph
@@ -74,16 +73,9 @@ type Trainer struct {
 	// with rank 0; nil leaves tracing off at ~1 ns per site.
 	Tracer *trace.Tracer
 
-	cachedHDG *hdg.HDG
-	hdgUsed   bool // one training epoch has consumed cachedHDG
-	ctx       *Context
-	epoch     int    // the epoch the next Epoch trains, numbered from 0
-	seed      uint64 // TrainerOptions.Seed
-
-	// sel is the selection state kept across epochs (cachedHDG is its
-	// context's HDG), over the root list roots.
-	sel   Selection
-	roots []graph.VertexID
+	// prog is the trainer's program; program() copies the fields above into
+	// it before every use, so a caller may replace any of them between calls.
+	prog Program
 }
 
 // TrainerOptions configures NewTrainerWith. Graph, Features and Labels are
@@ -136,14 +128,31 @@ func NewTrainerWith(m *Model, o TrainerOptions) *Trainer {
 		RNG:       tensor.NewRNG(o.Seed),
 		Breakdown: &metrics.Breakdown{},
 		Tracer:    o.Tracer,
-		seed:      o.Seed,
+		prog:      Program{Seed: o.Seed, Ahead: true},
 	}
+}
+
+// program returns the trainer's program over every vertex of Graph, with the
+// trainer's current fields in it.
+func (t *Trainer) program() *Program {
+	p := &t.prog
+	if p.Ctx == nil {
+		p.Ctx = &Context{}
+	}
+	n := t.Graph.NumVertices()
+	p.Ctx.Graph, p.Ctx.Engine, p.Ctx.RNG, p.Ctx.NumFeatureRows = t.Graph, t.Engine, t.RNG, n
+	if len(p.Roots) != n {
+		p.Roots = AllVertices(t.Graph)
+	}
+	p.Model, p.Feats, p.Labels, p.Mask, p.Opt = t.Model, t.Feats, t.Labels, t.Mask, t.Opt
+	p.Probe = Probe{Timer: t.Breakdown, Tracer: t.Tracer}
+	return p
 }
 
 // CompletedEpochs reports how many training epochs the trainer has run —
 // the number of the epoch the next Epoch trains. A resumed trainer continues
 // numbering (and selecting) from here.
-func (t *Trainer) CompletedEpochs() int { return t.epoch }
+func (t *Trainer) CompletedEpochs() int { return t.prog.Epoch }
 
 // SaveCheckpoint writes the trainer's complete training state — model
 // parameters, the optimizer's kind/hyperparameters/state, the epoch
@@ -154,7 +163,7 @@ func (t *Trainer) SaveCheckpoint(path string) error {
 	return nn.SaveStateFile(path, &nn.TrainState{
 		Params: t.Model.Parameters(),
 		Opt:    t.Opt,
-		Epoch:  t.epoch,
+		Epoch:  t.prog.Epoch,
 		RNG:    t.RNG.State(),
 		HasRNG: true,
 	})
@@ -167,78 +176,32 @@ func (t *Trainer) SaveCheckpoint(path string) error {
 // selection is the restored epoch's (Model.SelectionSeed), the one the
 // uninterrupted run selected — given a trainer built with the run's Seed.
 func (t *Trainer) LoadCheckpoint(path string) error {
-	st := &nn.TrainState{Params: t.Model.Parameters(), Opt: t.Opt}
+	st := &nn.TrainState{Params: t.Model.Parameters(), Opt: t.Opt, Epoch: t.prog.Epoch}
 	if err := nn.LoadStateFile(path, st); err != nil {
 		return err
 	}
-	t.epoch = st.Epoch
+	t.prog.Epoch = st.Epoch
 	if st.HasRNG {
 		t.RNG.SetState(st.RNG)
 	}
-	t.cachedHDG = nil
-	t.hdgUsed = false
-	if t.ctx != nil {
-		t.ctx.InvalidateHDG(nil)
+	if t.prog.Ctx != nil {
+		t.prog.Ctx.InvalidateHDG(nil)
 	}
 	return nil
-}
-
-// ensureHDG makes the trainer's context on first use and runs
-// NeighborSelection into it according to the model's cache policy.
-func (t *Trainer) ensureHDG() error {
-	if t.ctx == nil {
-		t.ctx = &Context{Graph: t.Graph, Engine: t.Engine, NumFeatureRows: t.Graph.NumVertices()}
-	}
-	// A cached HDG is always valid until Epoch invalidates it (the
-	// CachePerEpoch policy drops it at the next epoch boundary, not here, so
-	// evaluation never rebuilds).
-	if !t.Model.NeedsHDG() || t.cachedHDG != nil {
-		return nil
-	}
-	if len(t.roots) != t.Graph.NumVertices() {
-		t.roots = AllVertices(t.Graph)
-	}
-	ctx, layer, epochSeed := t.ctx, t.Model.Layers[0], t.Model.SelectionSeed(t.seed, t.epoch)
-	// The HDG selected ahead is this one if it was selected at this epoch's
-	// seed over this graph: a LoadCheckpoint to another epoch or a swapped
-	// graph drops it, and selection runs here as if there were none.
-	if !t.sel.adoptAhead(ctx, epochSeed, t.Graph, layer, len(t.roots)) {
-		var err error
-		defer t.Tracer.Begin(0, int32(t.epoch), 0, trace.CatStage, "select").End()
-		t.Breakdown.Time(metrics.StageNeighborSelection, func() {
-			err = t.sel.Select(ctx, t.Graph, layer, t.roots, epochSeed)
-		})
-		if err != nil {
-			return fmt.Errorf("nau: neighbor selection: %w", err)
-		}
-	}
-	t.cachedHDG = ctx.HDG
-	return nil
-}
-
-// selectAhead starts the next epoch's selection in the background, for Epoch
-// to call once its forward has consumed this epoch's HDG; Epoch joins it
-// before returning, so nothing runs beside the trainer between calls. Only a
-// first layer of pointer type is selected ahead: adoptAhead compares it, and
-// a pointer compares without panicking.
-func (t *Trainer) selectAhead() {
-	if !t.Model.NeedsHDG() || t.Model.Cache != CachePerEpoch || len(t.roots) != t.Graph.NumVertices() ||
-		reflect.TypeOf(t.Model.Layers[0]).Kind() != reflect.Pointer {
-		return
-	}
-	next := t.epoch + 1
-	t.sel.selectAhead(Probe{Timer: t.Breakdown, Tracer: t.Tracer, Epoch: int32(next)},
-		t.Graph, t.Model.Layers[0], t.roots, t.Model.SelectionSeed(t.seed, next))
 }
 
 // HDG exposes the cached HDGs (nil for DNFA models), e.g. for the Table-5
 // memory accounting. An HDG handed out here is never recycled: the trainer
 // will not write a later epoch's HDG over it.
 func (t *Trainer) HDG() *hdg.HDG {
-	if t.sel.hdgs[1] == t.cachedHDG {
-		t.sel.hdgs[1] = nil
+	if t.prog.Ctx == nil {
+		return nil
 	}
-	return t.cachedHDG
+	h := t.prog.Ctx.HDG
+	if t.prog.Sel.hdgs[1] == h {
+		t.prog.Sel.hdgs[1] = nil
+	}
+	return h
 }
 
 // Forward runs the model over the whole graph and returns the final-layer
@@ -255,52 +218,23 @@ func (t *Trainer) ForwardContext(cctx context.Context, train bool) (*nn.Value, e
 	if err := cctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := t.ensureHDG(); err != nil {
-		return nil, err
-	}
-	ctx := t.ctx
-	ctx.RNG, ctx.Train = t.RNG, train
-	probe := Probe{Timer: t.Breakdown, Tracer: t.Tracer, Epoch: int32(t.epoch)}
-	feats := ctx.Input(t.Model, t.Feats)
-	for li, layer := range t.Model.Layers {
-		var err error
-		if feats, err = ctx.RunLayer(probe, li, layer, feats, feats.Data.Rows(), cctx.Err); err != nil {
+	p := t.program()
+	// The HDG an epoch trained on stays until the next epoch selects: a
+	// forward between epochs selects only if there is none yet.
+	if p.Ctx.HDG == nil {
+		if err := p.Select(); err != nil {
 			return nil, err
 		}
 	}
-	return feats, nil
+	return p.Forward(train, cctx.Err)
 }
 
 // Epoch trains epoch CompletedEpochs() (neighbor selection per cache policy,
 // forward, loss, backward, optimizer step) and returns the training loss. On
 // a CachePerEpoch model it also selects the next epoch's HDG beside the
-// backward pass (selectAhead), and returns only once that has finished.
-func (t *Trainer) Epoch() (float32, error) {
-	if t.Model.Cache == CachePerEpoch && t.hdgUsed {
-		t.cachedHDG = nil // force re-selection for the new epoch
-	}
-	logits, err := t.Forward(true)
-	if err != nil {
-		return 0, err
-	}
-	t.hdgUsed = true
-	t.selectAhead()
-	defer t.sel.aheadDone.Wait()
-	loss := nn.CrossEntropy(logits, t.Labels, t.Mask)
-	bspan := t.Tracer.Begin(0, int32(t.epoch), 0, trace.CatStage, "backward")
-	defer bspan.End()
-	t.Breakdown.Time(metrics.StageBackward, func() {
-		t.Opt.ZeroGrad()
-		loss.Backward()
-		t.Opt.Step()
-		// The step is over: every forward buffer of this epoch's graph goes
-		// back to the pool for the next epoch to draw. Predict and Evaluate
-		// build graphs nobody releases, so they never see a recycled buffer.
-		nn.ReleaseGraph(loss)
-	})
-	t.epoch++
-	return loss.Data.At(0, 0), nil
-}
+// backward pass (Program.SelectAhead), and returns only once that has
+// finished.
+func (t *Trainer) Epoch() (float32, error) { return t.program().Run(nil) }
 
 // Predict runs inference and returns the final-layer logits for every
 // vertex, for downstream tasks (vertex classification, link scoring, ...).

@@ -401,7 +401,8 @@ func (c *countingBuffer) Write(p []byte) (int, error) {
 // LoadState reads a checkpoint from r, restoring parameters in place,
 // restoring st.Opt's state when the file carries an optimizer section, and
 // filling st.Epoch / st.RNG / st.HasRNG. v1 files load read-only as
-// weights-only snapshots: Epoch stays 0 and the optimizer is untouched.
+// weights-only snapshots: st.Epoch keeps the value the caller put there and
+// the optimizer is untouched.
 // Kind and shape disagreements are typed *MismatchError; structural damage
 // (bad magic, truncation, trailing bytes) is a typed *FormatError.
 func LoadState(r io.Reader, st *TrainState) error {
