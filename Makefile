@@ -173,12 +173,13 @@ cross:
 	GOARCH=arm64 $(GO) build ./...
 
 # A few seconds of native fuzzing per target on top of the committed seed
-# corpora (internal/{tensor,rpc,nn}/testdata/fuzz), which plain `go test`
+# corpora (internal/{tensor,rpc,nn,telemetry}/testdata/fuzz), which plain `go test`
 # already runs.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzVecKernelsMatchReference -fuzztime 5s ./internal/tensor/
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 5s ./internal/rpc/
 	$(GO) test -run xxx -fuzz FuzzLoadState -fuzztime 5s ./internal/nn/
+	$(GO) test -run xxx -fuzz FuzzTelemetryIngest -fuzztime 5s ./internal/telemetry/
 
 # vet's asmdecl pass checks internal/tensor/simd_amd64.s against its Go
 # declarations.
@@ -199,7 +200,7 @@ fmt:
 # 4x cliff check, because single runs here swing 1.3-2x in wall time with
 # the host's CPU state. The dense rows (MatMul/TMatMul/MatMulT at the workloads' shapes)
 # run at kernel parallelism 1 and 2 inside the benchmark (/p1, /p2); the upper
-# HDG level rows (SegSoftmaxWeighted, AggregateIntermediate) and the MAGNN
+# HDG level rows (SegSoftmaxWeighted, SegAttention, AggregateIntermediate) and the MAGNN
 # train step run at the train_magnn_hetero shape; the GCN train step and the
 # nn rows (the loss, Linear's backward) at the train_gcn_dense shape. The
 # trace Span/Record benches ride along into the snapshot ungated (no baseline
@@ -207,7 +208,7 @@ fmt:
 # not with this target.
 bench-kernels-diff:
 	@{ $(GO) test -run xxx -bench 'Kernel' -benchmem ./internal/tensor/; \
-	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|AggregateIntermediate' -benchmem ./internal/engine/; \
+	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|SegAttention|AggregateIntermediate' -benchmem ./internal/engine/; \
 	   $(GO) test -run xxx -bench 'CrossEntropy|LinearBackward' -benchmem ./internal/nn/; \
 	   $(GO) test -run xxx -bench 'TrainStep' -benchmem .; \
 	   $(GO) test -run xxx -bench 'Span|Record' -benchmem ./internal/trace/; } \
@@ -228,7 +229,7 @@ bench-kernels-diff:
 # gate allocs/op at +5%, which repeats exactly on any host.
 bench-smoke:
 	@{ $(GO) test -run xxx -bench 'Kernel' -benchtime 20x -benchmem ./internal/tensor/; \
-	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|AggregateIntermediate' -benchtime 20x -benchmem ./internal/engine/; \
+	   $(GO) test -run xxx -bench 'Fused|SegSoftmaxWeighted|SegAttention|AggregateIntermediate' -benchtime 20x -benchmem ./internal/engine/; \
 	   $(GO) test -run xxx -bench 'CrossEntropy|LinearBackward' -benchtime 20x -benchmem ./internal/nn/; \
 	   $(GO) test -run xxx -bench 'TrainStep' -benchtime 20x -benchmem .; } \
 		> /tmp/bench_kernels_smoke.txt 2>&1 || { cat /tmp/bench_kernels_smoke.txt; exit 1; }

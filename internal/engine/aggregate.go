@@ -95,11 +95,35 @@ func (e *Engine) AggregateIntermediate(h *hdg.HDG, instFeats *nn.Value, op tenso
 	}, instFeats)
 }
 
-// SoftmaxWeighted applies softmax attention over the instances of each
-// (root, type) slot and returns the attention-weighted slot sums — MAGNN's
-// intermediate aggregation (Fig. 7's scatter_softmax step) as one autograd
-// node over h.InstOffset: neither the weighted instances nor their gradient
-// are materialised, and each parent's gradient is formed only if it is read.
+// Attention is MAGNN's intermediate aggregation as one autograd node over
+// h.InstOffset: each instance is scored tanh(inst_i · a) by the [dim, 1]
+// scorer a (LevelUDF.Attention), the scores are softmax-normalised within
+// each (root, type) slot, and the slot row is the attention-weighted sum of
+// its instances — the values and gradients of
+// SoftmaxWeighted(h, nn.Tanh(nn.MatMul(inst, a)), inst), bit for bit, with
+// the scores scored a block of slots at a time next to the weighted sums
+// that read the same rows, and each instance's gradient row written once.
+// Each parent's gradient is formed only if it is read.
+func (e *Engine) Attention(h *hdg.HDG, instFeats, a *nn.Value) *nn.Value {
+	off := h.InstOffset
+	data, saved := tensor.SegmentAttention(instFeats.Data, a.Data, off)
+	out := nn.NewOp(data, func(out *nn.Value) {
+		dInst, dA := tensor.SegmentAttentionBackward(out.Grad, saved, instFeats.Data, a.Data, off,
+			instFeats.RequiresGrad(), a.RequiresGrad())
+		if dInst != nil {
+			nn.AccumGradOwned(instFeats, dInst)
+		}
+		if dA != nil {
+			nn.AccumGradOwned(a, dA)
+		}
+	}, instFeats, a)
+	nn.AttachScratch(out, saved)
+	return out
+}
+
+// SoftmaxWeighted is Attention with the [instances, 1] scores computed
+// outside: softmax attention over the instances of each (root, type) slot,
+// returning the attention-weighted slot sums, on the same per-slot kernel.
 func (e *Engine) SoftmaxWeighted(h *hdg.HDG, scores, instFeats *nn.Value) *nn.Value {
 	off := h.InstOffset
 	data, att := tensor.SegmentSoftmaxWeighted(scores.Data, instFeats.Data, off)

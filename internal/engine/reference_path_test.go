@@ -20,5 +20,6 @@ func TestReferencePathSuites(t *testing.T) {
 	t.Run("StrategiesAgreeUnderAllKernelConfigs", TestStrategiesAgreeUnderAllKernelConfigs)
 	t.Run("FusedMultiEdgeGradients", TestFusedMultiEdgeGradients)
 	t.Run("SegmentSoftmaxWeightedMatchesScatterComposition", TestSegmentSoftmaxWeightedMatchesScatterComposition)
+	t.Run("SegmentAttentionMatchesComposition", TestSegmentAttentionMatchesComposition)
 	t.Run("SegmentReduceMatchesScatter", TestSegmentReduceMatchesScatter)
 }

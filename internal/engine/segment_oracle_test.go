@@ -26,6 +26,12 @@ func oracleSoftmaxWeighted(h *hdg.HDG, scores, inst *nn.Value) *nn.Value {
 	return nn.ScatterAdd(nn.MulBroadcast(att, inst), slots, n)
 }
 
+// oracleAttention is the three-node graph Engine.Attention fuses: the scorer
+// tanh(inst @ a) as generic nodes, then the scatter composition above.
+func oracleAttention(h *hdg.HDG, inst, a *nn.Value) *nn.Value {
+	return oracleSoftmaxWeighted(h, nn.Tanh(nn.MatMul(inst, a)), inst)
+}
+
 func oracleIntermediate(h *hdg.HDG, inst *nn.Value, op tensor.ReduceOp) *nn.Value {
 	slots, n := h.InstanceSlots(), h.NumRoots()*h.NumTypes()
 	switch op {
@@ -152,6 +158,62 @@ func TestSegmentSoftmaxWeightedMatchesScatterComposition(t *testing.T) {
 	})
 }
 
+// TestSegmentAttentionMatchesComposition holds the fused attention node —
+// forward, dInst and dA — to oracleAttention at parallelism {1, 2, 4} × buffer
+// pooling on/off × every strategy × every combination of which parent
+// requires a gradient. Special instance rows (a coarse grid with NaN, ±Inf
+// and −0) saturate the tanh into exact score ties and carry NaN scores; a
+// special scorer adds −0 and non-finite weights. The node sits under a Scale
+// by −1 and the seed has exact zeros, so dOut carries −0: in a one-instance
+// slot dZ is +0, and dInst = (−0·1) + (+0 + +0·a_j) is +0 only because of the
+// composition's +0.
+func TestSegmentAttentionMatchesComposition(t *testing.T) {
+	defer tensor.SetBufferPooling(true)
+	rng := tensor.NewRNG(45)
+	const types, dim = 3, 19 // odd width: the unrolled kernels run their tails
+	h := slotHDG(t, types, ragged(rng, 400*types))
+	n := h.NumInstances()
+	seed := tensor.RandN(rng, 1, h.NumRoots()*types, dim)
+	for i := range seed.Data() {
+		if rng.Intn(4) == 0 {
+			seed.Data()[i] = 0
+		}
+	}
+	inputs := []struct {
+		name    string
+		inst, a *tensor.Tensor
+	}{
+		{"finite", tensor.RandN(rng, 1, n, dim), tensor.RandN(rng, 0.3, dim, 1)},
+		{"special inst", specialFeats(rng, n, dim), tensor.RandN(rng, 0.3, dim, 1)},
+		{"special both", specialFeats(rng, n, dim), specialFeats(rng, dim, 1)},
+	}
+	grads := [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}}
+	run := func(f func(inst, a *nn.Value) *nn.Value, in int, g [2]bool) (out, dInst, dA *tensor.Tensor) {
+		inst := nn.NewValue(inputs[in].inst.Clone(), g[0])
+		a := nn.NewValue(inputs[in].a.Clone(), g[1])
+		v := nn.Scale(f(inst, a), -1)
+		if v.RequiresGrad() {
+			v.BackwardWith(seed)
+		}
+		return v.Data, inst.Grad, a.Grad
+	}
+	for _, pooling := range []bool{true, false} {
+		tensor.SetBufferPooling(pooling)
+		sweepParallelism(t, func(cfg string, e *Engine) {
+			for in := range inputs {
+				for _, g := range grads {
+					what := fmt.Sprintf("[pooling=%v %s %s grads=%v]", pooling, cfg, inputs[in].name, g)
+					wantOut, wantDI, wantDA := run(func(i, a *nn.Value) *nn.Value { return oracleAttention(h, i, a) }, in, g)
+					gotOut, gotDI, gotDA := run(func(i, a *nn.Value) *nn.Value { return e.Attention(h, i, a) }, in, g)
+					sameBits(t, what+" forward", wantOut, gotOut)
+					sameBits(t, what+" dInst", wantDI, gotDI)
+					sameBits(t, what+" dA", wantDA, gotDA)
+				}
+			}
+		})
+	}
+}
+
 func TestSegmentReduceMatchesScatter(t *testing.T) {
 	rng := tensor.NewRNG(81)
 	const types, dim = 2, 21
@@ -191,6 +253,7 @@ func TestSegmentLevelOnEmptyHDG(t *testing.T) {
 	scores := nn.Param(tensor.New(0, 1))
 	for _, v := range []*nn.Value{
 		e.SoftmaxWeighted(h, scores, inst),
+		e.Attention(h, inst, nn.Param(tensor.New(4, 1))),
 		e.AggregateIntermediate(h, inst, tensor.ReduceMean),
 		e.AggregateIntermediate(h, inst, tensor.ReduceMax),
 	} {
@@ -214,20 +277,25 @@ func imdbShapeHDG(tb testing.TB) *hdg.HDG {
 	return slotHDG(tb, types, counts)
 }
 
-func benchIntermediate(b *testing.B, tracked bool, level func(e *Engine, h *hdg.HDG, scores, inst *nn.Value) *nn.Value) {
+// benchIntermediate times one intermediate level at the train_magnn_hetero
+// shape: level gets the [instances, 1] scores, the instances and a [64, 1]
+// scorer, all leaves that require a gradient when tracked.
+func benchIntermediate(b *testing.B, tracked bool, level func(e *Engine, h *hdg.HDG, scores, inst, a *nn.Value) *nn.Value) {
 	h := imdbShapeHDG(b)
 	rng := tensor.NewRNG(1)
 	instData := tensor.RandN(rng, 1, h.NumInstances(), 64)
 	scoreData := tensor.RandN(rng, 1, h.NumInstances(), 1)
+	aData := tensor.RandN(rng, 0.1, 64, 1)
 	seed := tensor.RandN(rng, 1, h.NumRoots()*h.NumTypes(), 64)
 	e := New(StrategyHA)
 	step := func() {
-		inst, scores := nn.NewValue(instData, tracked), nn.NewValue(scoreData, tracked)
-		out := level(e, h, scores, inst)
+		inst, scores, a := nn.NewValue(instData, tracked), nn.NewValue(scoreData, tracked), nn.NewValue(aData, tracked)
+		out := level(e, h, scores, inst, a)
 		if tracked {
 			out.BackwardWith(seed)
-			tensor.Recycle(inst.Grad)
-			tensor.Recycle(scores.Grad)
+			for _, leaf := range []*nn.Value{inst, scores, a} {
+				tensor.Recycle(leaf.Grad)
+			}
 		}
 		nn.ReleaseGraph(out)
 		tensor.Recycle(out.Data)
@@ -241,8 +309,18 @@ func benchIntermediate(b *testing.B, tracked bool, level func(e *Engine, h *hdg.
 }
 
 func BenchmarkSegSoftmaxWeighted(b *testing.B) {
-	level := func(e *Engine, h *hdg.HDG, scores, inst *nn.Value) *nn.Value {
+	level := func(e *Engine, h *hdg.HDG, scores, inst, _ *nn.Value) *nn.Value {
 		return e.SoftmaxWeighted(h, scores, inst)
+	}
+	b.Run("fwd", func(b *testing.B) { benchIntermediate(b, false, level) })
+	b.Run("fwdbwd", func(b *testing.B) { benchIntermediate(b, true, level) })
+}
+
+// BenchmarkSegAttention is MAGNN's whole attention level, scorer included:
+// the node nau.Context.Aggregate runs.
+func BenchmarkSegAttention(b *testing.B) {
+	level := func(e *Engine, h *hdg.HDG, _, inst, a *nn.Value) *nn.Value {
+		return e.Attention(h, inst, a)
 	}
 	b.Run("fwd", func(b *testing.B) { benchIntermediate(b, false, level) })
 	b.Run("fwdbwd", func(b *testing.B) { benchIntermediate(b, true, level) })
@@ -250,7 +328,7 @@ func BenchmarkSegSoftmaxWeighted(b *testing.B) {
 
 func BenchmarkAggregateIntermediate(b *testing.B) {
 	for _, op := range []tensor.ReduceOp{tensor.ReduceMean, tensor.ReduceMax} {
-		level := func(e *Engine, h *hdg.HDG, _, inst *nn.Value) *nn.Value {
+		level := func(e *Engine, h *hdg.HDG, _, inst, _ *nn.Value) *nn.Value {
 			return e.AggregateIntermediate(h, inst, op)
 		}
 		b.Run(op.String()+"/fwd", func(b *testing.B) { benchIntermediate(b, false, level) })

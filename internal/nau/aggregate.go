@@ -9,8 +9,9 @@ import (
 
 // LevelUDF is the user-defined aggregation function for one HDG level (the
 // paper's aggr_udf_i in Fig. 6). Op selects the built-in reduction; setting
-// Attention replaces the reduction with a scatter-softmax-weighted
-// combination scored by feats @ Attention (MAGNN's intermediate step).
+// Attention replaces the reduction with a softmax-weighted combination of a
+// slot's instances scored by tanh(feats @ Attention) (MAGNN's intermediate
+// step, Engine.Attention).
 type LevelUDF struct {
 	Op        tensor.ReduceOp
 	Attention *nn.Value // optional [dim, 1] scorer, intermediate level only
@@ -62,8 +63,7 @@ func (c *Context) Aggregate(feats *nn.Value, udfs ...LevelUDF) *nn.Value {
 	inst := c.AggregateBottom(c.BottomAdjacency(), feats, udfs[0].Op)
 	var slots *nn.Value
 	if udfs[1].Attention != nil {
-		scores := nn.Tanh(nn.MatMul(inst, udfs[1].Attention))
-		slots = c.Engine.SoftmaxWeighted(c.HDG, scores, inst)
+		slots = c.Engine.Attention(c.HDG, inst, udfs[1].Attention)
 	} else {
 		slots = c.Engine.AggregateIntermediate(c.HDG, inst, udfs[1].Op)
 	}

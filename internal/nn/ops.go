@@ -340,10 +340,9 @@ func ReduceMiddle(a *Value, op tensor.ReduceOp) *Value {
 		tensor.ParallelForGrain(n, tensor.GrainForCost(g*d), func(is, ie int) {
 			for i := is; i < ie; i++ {
 				for j := 0; j < g; j++ {
-					base := (i*g + j) * d
-					for k := 0; k < d; k++ {
-						gd[base+k] = od[i*d+k] * scale
-					}
+					row := gd[(i*g+j)*d : (i*g+j+1)*d]
+					copy(row, od[i*d:(i+1)*d])
+					tensor.ScaleUnrolled(row, scale) // od·scale, elementwise
 				}
 			}
 		})

@@ -8,7 +8,9 @@ package nn
 // at parallelism 3: 6 000 rows of 16 softmax columns and gradient rows (grains
 // of 32 and 1 024 rows), 4 096 rows of 40 masked columns (409) and five
 // 8-column blocks of them (1), 3 200 x 64 added elements (2^16). The
-// benchmarks time the two nn ones at the train_gcn_dense shape.
+// benchmarks time the two nn ones at the train_gcn_dense shape. The schema
+// level's ReduceMiddle backward (sum, mean) is held the same way: 300 roots
+// of 6 groups x 37 columns, grains of 73 roots.
 
 import (
 	"fmt"
@@ -261,6 +263,52 @@ func TestFirstAccumulationIsZeroPlusGradient(t *testing.T) {
 
 // BenchmarkCrossEntropy times the loss forward and backward at the
 // train_gcn_dense shape: 6 000 x 16 logits, 70 % of rows in the mask.
+// TestReduceMiddleBackwardMatchesSerialLoop: every group row of the input
+// gradient is the root's dOut row times the scale (1, or 1/groups for a
+// mean), element for element, with −0, NaN, ±Inf and denormals in dOut.
+func TestReduceMiddleBackwardMatchesSerialLoop(t *testing.T) {
+	const n, g, d = 300, 6, 37
+	rng := tensor.NewRNG(45)
+	x := tensor.RandN(rng, 1, n, g, d)
+	dOut := tensor.RandN(rng, 1, n, d)
+	specials := []float32{float32(math.Copysign(0, -1)), float32(math.NaN()),
+		float32(math.Inf(1)), float32(math.Inf(-1)), 1e-40, -3e-39, math.SmallestNonzeroFloat32}
+	for i, v := range dOut.Data() {
+		if rng.Intn(9) == 0 {
+			v = specials[rng.Intn(len(specials))]
+		}
+		dOut.Data()[i] = v
+	}
+	// The root's gradient is BackwardWith's zeroed accumulator plus the seed,
+	// so a −0 in the seed arrives as +0; a Scale by −1 between the root and
+	// ReduceMiddle turns those into −0, so ReduceMiddle reads
+	// od = (+0 + seed)·−1.
+	od := make([]float32, n*d)
+	var zero float32
+	for i, v := range dOut.Data() {
+		od[i] = (zero + v) * -1
+	}
+	for _, op := range []tensor.ReduceOp{tensor.ReduceSum, tensor.ReduceMean} {
+		scale := float32(1)
+		if op == tensor.ReduceMean {
+			scale = 1 / float32(g)
+		}
+		want := make([]float32, n*g*d)
+		for i := 0; i < n; i++ {
+			for j := 0; j < g; j++ {
+				for k := 0; k < d; k++ {
+					want[(i*g+j)*d+k] = od[i*d+k] * scale
+				}
+			}
+		}
+		forParallelism(t, func(t *testing.T) {
+			a := Param(x.Clone())
+			Scale(ReduceMiddle(a, op), -1).BackwardWith(dOut)
+			sameFloats(t, op.String(), want, a.Grad.Data())
+		})
+	}
+}
+
 func BenchmarkCrossEntropy(b *testing.B) {
 	const n, c = 6000, 16
 	rng := tensor.NewRNG(1)

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/metrics"
+	"repro/internal/rpc"
 	"repro/internal/trace"
 )
 
@@ -94,6 +95,48 @@ func (c *Collector) Offsets() map[int32]int64 {
 		out[r] = o
 	}
 	return out
+}
+
+// RankMismatchError is a peer's snapshot push or flight dump whose payload
+// names another rank than the frame's sender: ingesting it would file the
+// sender's spans and metrics under the wrong rank, or overwrite that rank's.
+type RankMismatchError struct {
+	Op   int32 // opSnapshot or opFlight
+	From int32 // the frame's sender
+	Rank int32 // the rank the payload claims
+}
+
+func (e *RankMismatchError) Error() string {
+	return fmt.Sprintf("telemetry: op %d frame from rank %d claims rank %d", e.Op, e.From, e.Rank)
+}
+
+// receive decodes a peer's frame of the expected op — a snapshot push or a
+// flight dump — checks the rank it names against the frame's sender, and
+// folds it into the cluster view. A frame it rejects changes nothing.
+func (c *Collector) receive(m *rpc.Message, op int32) error {
+	if m.Dim != op {
+		return fmt.Errorf("telemetry: op %d frame where op %d was expected", m.Dim, op)
+	}
+	if op == opFlight {
+		var d FlightDump
+		if err := unpackJSON(m, &d); err != nil {
+			return err
+		}
+		if d.Rank != m.From {
+			return &RankMismatchError{Op: op, From: m.From, Rank: d.Rank}
+		}
+		c.AddFlight(d)
+		return nil
+	}
+	var s wireSnapshot
+	if err := unpackJSON(m, &s); err != nil {
+		return err
+	}
+	if s.Rank != m.From {
+		return &RankMismatchError{Op: op, From: m.From, Rank: s.Rank}
+	}
+	c.addSnapshot(s)
+	return nil
 }
 
 // addSnapshot ingests one rank's epoch push.

@@ -101,13 +101,7 @@ func (p *Plane) OnFailure(cause error) {
 	}
 	p.col.AddFlight(d)
 	for _, m := range p.o.Comm.DrainKind(rpc.KindTelemetry, drainWait) {
-		if m.Dim != opFlight {
-			continue
-		}
-		var fd FlightDump
-		if err := unpackJSON(m, &fd); err == nil {
-			p.col.AddFlight(fd)
-		}
+		_ = p.col.receive(m, opFlight) // a malformed or misattributed dump is dropped
 	}
 	if p.o.MergedTrace != "" {
 		_ = p.col.WriteMergedTrace(p.o.MergedTrace)

@@ -269,11 +269,9 @@ func (p *Plane) PushEpoch(epoch int32) error {
 		return nil
 	}
 	for _, m := range msgs {
-		var s wireSnapshot
-		if err := unpackJSON(m, &s); err != nil {
+		if err := p.col.receive(m, opSnapshot); err != nil {
 			return err
 		}
-		p.col.addSnapshot(s)
 	}
 	return nil
 }

@@ -124,9 +124,24 @@ func clampNegative(dst []float32) {
 // dotRows writes dst[i] = Σ_p rows[i][p]·x[p] for the len(dst) rows of width
 // len(x) packed in rows, each sum starting at +0 and taking p in ascending
 // order through a single accumulator — MatMul's order for a one-column right
-// operand. One such sum is a chain of dependent adds, so four rows run
-// abreast, sharing each load of x.
+// operand. The vector kernel takes the rows eight at a time, one row per
+// lane, and dotRowsScalarLoop the rest.
 func dotRows(dst, rows, x []float32) {
+	k := len(x)
+	if len(rows) != len(dst)*k {
+		panic("tensor: dotRows length mismatch")
+	}
+	if m := len(dst) &^ 7; useVec && m > 0 && k > 0 {
+		dotRowsVec(&dst[0], &rows[0], &x[0], m, k)
+		dst, rows = dst[m:], rows[m*k:]
+	}
+	dotRowsScalarLoop(dst, rows, x)
+}
+
+// dotRowsScalarLoop is the loop behind dotRows: its fallback and its oracle.
+// One such sum is a chain of dependent adds, so four rows run abreast,
+// sharing each load of x.
+func dotRowsScalarLoop(dst, rows, x []float32) {
 	k := len(x)
 	if len(rows) != len(dst)*k {
 		panic("tensor: dotRows length mismatch")

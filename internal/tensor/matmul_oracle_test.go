@@ -122,8 +122,8 @@ func TestDenseProductsMatchOracle(t *testing.T) {
 
 // TestRankOneProductsMatchOracle: a [dim, 1] scorer over tall inputs — the
 // shapes matmul.go dispatches to vector kernels (MatMul n = 1, TMatMul n = 1,
-// MatMulT k = 1). Row counts straddle dotRows' four-row blocks and the worker
-// split, include no rows at all, and the operands carry exact zeros (whose
+// MatMulT k = 1). Row counts straddle dotRows' eight-row vector groups, the
+// scalar loop's four-row blocks and the worker split, include no rows at all, and the operands carry exact zeros (whose
 // -0 products the +0 start must absorb) and non-finite values.
 func TestRankOneProductsMatchOracle(t *testing.T) {
 	defer SetParallelism(0)
@@ -132,7 +132,7 @@ func TestRankOneProductsMatchOracle(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
 		SetParallelism(par)
 		rng := NewRNG(uint64(40 + par))
-		for _, rows := range []int{0, 1, 3, 4, 5, 4099} {
+		for _, rows := range []int{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 4099} {
 			for _, dim := range []int{1, 3, 4, 7, 64} {
 				for _, spiked := range []bool{false, true} {
 					name := fmt.Sprintf("par%d %dx%dx1 spiked=%v", par, rows, dim, spiked)

@@ -145,11 +145,27 @@ func SegmentReduceBackward(dOut *Tensor, off []int32, op ReduceOp, arg []int32) 
 	return grad
 }
 
-// SegmentSoftmaxWeighted is MAGNN's intermediate level in one walk: within
-// each segment the [rows, 1] scores are softmax-normalised (max-shifted, as
-// ScatterSoftmax does; a zero sum leaves the exponentials undivided) into
-// att, and out[s] = Σ att[i]·inst[i] over the segment's rows. The [rows, dim]
-// tensor of weighted instances is never formed. att is returned for the
+// SegmentAttention is MAGNN's intermediate level as one computation: each
+// instance row is scored y[i] = tanh(inst[i]·a) by the [dim, 1] scorer a,
+// the scores are softmax-normalised within each segment into att, and
+// out[s] = Σ att[i]·inst[i] over the segment's rows — the values of
+// SegmentSoftmaxWeighted(tanh(inst @ a), inst, off), with neither the scores
+// nor the weighted instances formed as separate passes over inst. saved is
+// [2, rows]: att, then y, for SegmentAttentionBackward.
+func SegmentAttention(inst, a *Tensor, off []int32) (out, saved *Tensor) {
+	rows, c := inst.Rows(), inst.Cols()
+	if a.Dims() != 2 || a.Dim(0) != c || a.Dim(1) != 1 {
+		panic(fmt.Sprintf("tensor: segment attention scorer %v for %d columns", a.shape, c))
+	}
+	n := checkSegments(off, rows)
+	out, saved = NewUninit(n, c), NewUninit(2, rows)
+	segmentSoftmaxWeighted(out.data, saved.data[:rows], saved.data[rows:], inst.data, a.data, c, off)
+	return out, saved
+}
+
+// SegmentSoftmaxWeighted is SegmentAttention with the [rows, 1] scores
+// given: within each segment they are softmax-normalised into att, and
+// out[s] = Σ att[i]·inst[i] over the segment's rows. att is returned for the
 // backward pass.
 func SegmentSoftmaxWeighted(scores, inst *Tensor, off []int32) (out, att *Tensor) {
 	rows, c := inst.Rows(), inst.Cols()
@@ -158,44 +174,78 @@ func SegmentSoftmaxWeighted(scores, inst *Tensor, off []int32) (out, att *Tensor
 		panic(fmt.Sprintf("tensor: segment softmax scores %v for %d instances", scores.shape, rows))
 	}
 	out, att = NewUninit(n, c), NewUninit(rows, 1)
-	sd, ad, fd := scores.data, att.data, inst.data
-	ParallelForWeighted(n, off, c, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			dst := out.data[s*c : (s+1)*c]
-			a, b := int(off[s]), int(off[s+1])
-			if a == b {
-				clear(dst)
-				continue
-			}
-			m := float32(math.Inf(-1))
-			for _, v := range sd[a:b] {
-				m = max(m, v)
-			}
-			var sum float32
-			for i := a; i < b; i++ {
-				e := float32(math.Exp(float64(sd[i] - m)))
-				ad[i] = e
-				sum += e
-			}
-			if sum != 0 {
-				for i := a; i < b; i++ {
-					ad[i] /= sum
+	segmentSoftmaxWeighted(out.data, att.data, scores.data, inst.data, nil, c, off)
+	return out, att
+}
+
+// attentionBlockFloats bounds the instance floats SegmentAttention scores in
+// one block (64 KiB): the block's rows are read by the scorer and read again
+// by the weighted sums while they are still in cache.
+const attentionBlockFloats = 1 << 14
+
+// segmentSoftmaxWeighted is the one per-slot forward walk. Per slot: the max
+// of the scores, exp(score − max) and their sum from +0 in row order, each
+// divided by the sum unless it is zero (att; max-shifted as ScatterSoftmax
+// does), then out[s] = SumRowsScaled of the slot's rows by att from +0. With
+// a scorer (a != nil) the scores y are first computed, a block of whole
+// slots at a time, as tanh of one p-ascending dot per row (dotRows, MatMul's
+// order for one column); otherwise y holds them already.
+func segmentSoftmaxWeighted(out, att, y, fd, a []float32, c int, off []int32) {
+	n, cost := len(off)-1, c
+	if a != nil {
+		cost = 2 * c
+	}
+	ParallelForWeighted(n, off, cost, func(lo, hi int) {
+		for s0 := lo; s0 < hi; {
+			s1 := hi
+			if a != nil {
+				s1 = s0 + 1
+				for s1 < hi && int(off[s1+1]-off[s0])*c <= attentionBlockFloats {
+					s1++
+				}
+				r0, r1 := int(off[s0]), int(off[s1])
+				ys := y[r0:r1]
+				dotRows(ys, fd[r0*c:r1*c], a)
+				for i, z := range ys {
+					ys[i] = float32(math.Tanh(float64(z)))
 				}
 			}
-			SumRowsScaled(dst, fd[a*c:], c, identity(b-a), ad[a:b], true)
+			for s := s0; s < s1; s++ {
+				dst := out[s*c : (s+1)*c]
+				r0, r1 := int(off[s]), int(off[s+1])
+				if r0 == r1 {
+					clear(dst)
+					continue
+				}
+				m := float32(math.Inf(-1))
+				for _, v := range y[r0:r1] {
+					m = max(m, v)
+				}
+				var sum float32
+				for i := r0; i < r1; i++ {
+					e := float32(math.Exp(float64(y[i] - m)))
+					att[i] = e
+					sum += e
+				}
+				if sum != 0 {
+					for i := r0; i < r1; i++ {
+						att[i] /= sum
+					}
+				}
+				SumRowsScaled(dst, fd[r0*c:], c, identity(r1-r0), att[r0:r1], true)
+			}
+			s0 = s1
 		}
 	})
-	return out, att
 }
 
 // SegmentSoftmaxWeightedBackward returns the gradients of
 // SegmentSoftmaxWeighted's inputs given dOut [len(off)-1, dim] and the att it
-// returned, each only when asked for (nil otherwise). With g the segment's
-// dOut row, dAtt[i] = g·inst[i] (one p-ascending sum, dotRows),
-// inner = Σ att[i]·dAtt[i] over the segment from +0 in row order,
-// dScores[i] = att[i]·(dAtt[i] − inner) and dInst[i] = att[i]·g.
+// returned, each only when asked for (nil otherwise): dScores[i] =
+// att[i]·(dAtt[i] − inner) and dInst[i] = att[i]·g, with the terms
+// segmentSoftmaxWeightedBackward defines.
 func SegmentSoftmaxWeightedBackward(dOut, att, inst *Tensor, off []int32, needScores, needInst bool) (dScores, dInst *Tensor) {
-	n, rows, c := len(off)-1, inst.Rows(), inst.Cols()
+	rows, c := inst.Rows(), inst.Cols()
 	var dsd, did []float32
 	if needScores {
 		dScores = NewUninit(rows, 1)
@@ -205,32 +255,79 @@ func SegmentSoftmaxWeightedBackward(dOut, att, inst *Tensor, off []int32, needSc
 		dInst = NewUninit(rows, c)
 		did = dInst.data
 	}
-	od, ad, fd := dOut.data, att.data, inst.data
+	segmentSoftmaxWeightedBackward(dsd, did, dOut.data, att.data, nil, inst.data, nil, c, off)
+	return dScores, dInst
+}
+
+// SegmentAttentionBackward returns the gradients of SegmentAttention's
+// inputs given dOut [len(off)-1, dim] and the saved [2, rows] it returned,
+// each only when asked for (nil otherwise). With dZ[i] = dScores[i]·(1 −
+// y[i]·y[i]) — tanh's derivative applied to SegmentSoftmaxWeighted's score
+// gradient — dInst[i] = (+0 + dZ[i]·a) + att[i]·g, the bits of the scorer's
+// outer product added to the weighted sum's term (two-term addition
+// commutes), and dA = instᵀ @ dZ (TMatMul: p ascending over every instance,
+// which is why it is a pass of its own).
+func SegmentAttentionBackward(dOut, saved, inst, a *Tensor, off []int32, needInst, needA bool) (dInst, dA *Tensor) {
+	rows, c := inst.Rows(), inst.Cols()
+	dZ := NewUninit(rows, 1)
+	var did []float32
+	if needInst {
+		dInst = NewUninit(rows, c)
+		did = dInst.data
+	}
+	sd := saved.data
+	segmentSoftmaxWeightedBackward(dZ.data, did, dOut.data, sd[:rows], sd[rows:], inst.data, a.data, c, off)
+	if needA {
+		dA = inst.TMatMul(dZ)
+	}
+	Recycle(dZ)
+	return dInst, dA
+}
+
+// segmentSoftmaxWeightedBackward is the one per-slot backward walk. With g
+// the slot's dOut row: dAtt[i] = g·inst[i] (one p-ascending sum), inner =
+// Σ att[i]·dAtt[i] from +0 in row order, and dS[i] = att[i]·(dAtt[i] −
+// inner), into ds when it is not nil; with a scorer (y and a not nil) ds
+// receives dS[i]·(1 − y[i]·y[i]) instead. did, when not nil, receives each
+// instance's row once: att[i]·g, or with a scorer (+0 + ds[i]·a) + att[i]·g.
+// The dot runs on the Go loop: a slot holds a handful of rows, each against
+// its own g, and the vector kernel takes eight rows per x.
+func segmentSoftmaxWeightedBackward(ds, did, od, att, y, fd, a []float32, c int, off []int32) {
+	n := len(off) - 1
 	ParallelForWeighted(n, off, 2*c, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			a, b := int(off[s]), int(off[s+1])
+			r0, r1 := int(off[s]), int(off[s+1])
 			g := od[s*c : (s+1)*c]
-			if did != nil {
-				for i := a; i < b; i++ {
-					row, w := did[i*c:(i+1)*c], ad[i]
-					for j, gv := range g {
-						row[j] = gv * w
+			if ds != nil && r0 < r1 {
+				d := ds[r0:r1]
+				dotRowsScalarLoop(d, fd[r0*c:r1*c], g)
+				var inner float32
+				for i, v := range d {
+					inner += att[r0+i] * v
+				}
+				for i, v := range d {
+					d[i] = att[r0+i] * (v - inner)
+				}
+				if y != nil {
+					for i, v := range d {
+						d[i] = v * (1 - y[r0+i]*y[r0+i])
 					}
 				}
 			}
-			if dsd == nil || a == b {
+			if did == nil {
 				continue
 			}
-			dAtt := dsd[a:b]
-			dotRows(dAtt, fd[a*c:b*c], g)
-			var inner float32
-			for i, d := range dAtt {
-				inner += ad[a+i] * d
-			}
-			for i, d := range dAtt {
-				dAtt[i] = ad[a+i] * (d - inner)
+			for i := r0; i < r1; i++ {
+				row, w := did[i*c:(i+1)*c], att[i]
+				if a == nil {
+					copy(row, g)
+					ScaleUnrolled(row, w)
+					continue
+				}
+				clear(row)
+				AxpyUnrolled(row, a, ds[i])
+				AxpyUnrolled(row, g, w)
 			}
 		}
 	})
-	return dScores, dInst
 }

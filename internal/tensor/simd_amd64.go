@@ -36,3 +36,6 @@ func sumRowsVec(dst, src *float32, idx *int32, m, n, stride int, zero bool)
 
 //go:noescape
 func sumRowsScaledVec(dst, src *float32, idx *int32, scale *float32, m, n, stride int, zero bool)
+
+//go:noescape
+func dotRowsVec(dst, rows, x *float32, m, k int)

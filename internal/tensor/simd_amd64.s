@@ -649,3 +649,147 @@ tail:
 done:
 	VZEROUPPER
 	RET
+
+// dst[i] = the sum, from +0 in ascending p, of rows[i][p]*x[p] for the m rows
+// of width k packed in rows — dotRows' order with one row per lane. Rows go
+// eight at a time: each 8×8 tile of the group (eight rows, eight columns) is
+// loaded a row per register and transposed in registers (unpack, shuffle,
+// 128-bit permute), so register q holds column p+q of all eight rows, and
+// then folded into the one accumulator column by column, a rounded multiply
+// by the broadcast x[p+q] then a rounded add. The k%8 last columns are a
+// masked tile whose first k%8 transposed columns are folded. Requires m a
+// multiple of 8 and k >= 1.
+
+// DOT_TRANSPOSE turns Y0..Y7 (rows a..h, columns 0..7) into the columns
+// 0..7 in Y10, Y11, Y12, Y13, Y0, Y1, Y2, Y3. The unpacks pair rows (Y8 =
+// a0 b0 a1 b1 | a4 b4 a5 b5), the shuffles make quads (Y2 = a0 b0 c0 d0 |
+// a4 b4 c4 d4, Y6 = e0 f0 g0 h0 | e4 f4 g4 h4), and the permutes join the
+// 128-bit halves (0x20 the low ones: column 0; 0x31 the high ones: column 4).
+#define DOT_TRANSPOSE                  \
+	VUNPCKLPS  Y1, Y0, Y8;         \
+	VUNPCKHPS  Y1, Y0, Y9;         \
+	VUNPCKLPS  Y3, Y2, Y10;        \
+	VUNPCKHPS  Y3, Y2, Y11;        \
+	VUNPCKLPS  Y5, Y4, Y12;        \
+	VUNPCKHPS  Y5, Y4, Y13;        \
+	VUNPCKLPS  Y7, Y6, Y0;         \
+	VUNPCKHPS  Y7, Y6, Y1;         \
+	VSHUFPS    $0x44, Y10, Y8, Y2; \
+	VSHUFPS    $0xEE, Y10, Y8, Y3; \
+	VSHUFPS    $0x44, Y11, Y9, Y4; \
+	VSHUFPS    $0xEE, Y11, Y9, Y5; \
+	VSHUFPS    $0x44, Y0, Y12, Y6; \
+	VSHUFPS    $0xEE, Y0, Y12, Y7; \
+	VSHUFPS    $0x44, Y1, Y13, Y8; \
+	VSHUFPS    $0xEE, Y1, Y13, Y9; \
+	VPERM2F128 $0x20, Y6, Y2, Y10; \
+	VPERM2F128 $0x20, Y7, Y3, Y11; \
+	VPERM2F128 $0x20, Y8, Y4, Y12; \
+	VPERM2F128 $0x20, Y9, Y5, Y13; \
+	VPERM2F128 $0x31, Y6, Y2, Y0;  \
+	VPERM2F128 $0x31, Y7, Y3, Y1;  \
+	VPERM2F128 $0x31, Y8, Y4, Y2;  \
+	VPERM2F128 $0x31, Y9, Y5, Y3
+
+// DOT_TERM folds column col (x[p+q] at xoff(R10)) into the accumulator Y15.
+#define DOT_TERM(xoff, col) \
+	VBROADCASTSS xoff(R10), Y14; \
+	VMULPS       Y14, col, col;  \
+	VADDPS       col, Y15, Y15
+
+// func dotRowsVec(dst, rows, x *float32, m, k int)
+TEXT ·dotRowsVec(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ rows+8(FP), SI
+	MOVQ x+16(FP), DX
+	MOVQ m+24(FP), CX
+	MOVQ k+32(FP), R11
+	LEAQ (R11*4), R12      // bytes per row
+	LEAQ (R12)(R12*2), R13 // three rows
+	MOVQ R11, BX
+	ANDQ $7, BX            // columns in the masked tile
+	SHRQ $3, R11           // whole tiles
+	SHRQ $3, CX            // groups of eight rows
+	LEAQ tailmask<>+32(SB), AX
+	MOVQ BX, R14
+	SHLQ $2, R14
+	SUBQ R14, AX           // the mask of BX lanes
+
+group:
+	TESTQ  CX, CX
+	JEQ    done
+	VXORPS Y15, Y15, Y15
+	MOVQ   SI, R8             // rows a..d
+	LEAQ   (SI)(R12*4), R9    // rows e..h
+	MOVQ   DX, R10
+	MOVQ   R11, R14
+	TESTQ  R14, R14
+	JEQ    tail
+
+tile:
+	VMOVUPS (R8), Y0
+	VMOVUPS (R8)(R12*1), Y1
+	VMOVUPS (R8)(R12*2), Y2
+	VMOVUPS (R8)(R13*1), Y3
+	VMOVUPS (R9), Y4
+	VMOVUPS (R9)(R12*1), Y5
+	VMOVUPS (R9)(R12*2), Y6
+	VMOVUPS (R9)(R13*1), Y7
+	DOT_TRANSPOSE
+	DOT_TERM(0, Y10)
+	DOT_TERM(4, Y11)
+	DOT_TERM(8, Y12)
+	DOT_TERM(12, Y13)
+	DOT_TERM(16, Y0)
+	DOT_TERM(20, Y1)
+	DOT_TERM(24, Y2)
+	DOT_TERM(28, Y3)
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	DECQ R14
+	JNZ  tile
+
+tail:
+	TESTQ      BX, BX
+	JEQ        store
+	VMOVDQU    (AX), Y14
+	VMASKMOVPS (R8), Y14, Y0
+	VMASKMOVPS (R8)(R12*1), Y14, Y1
+	VMASKMOVPS (R8)(R12*2), Y14, Y2
+	VMASKMOVPS (R8)(R13*1), Y14, Y3
+	VMASKMOVPS (R9), Y14, Y4
+	VMASKMOVPS (R9)(R12*1), Y14, Y5
+	VMASKMOVPS (R9)(R12*2), Y14, Y6
+	VMASKMOVPS (R9)(R13*1), Y14, Y7
+	DOT_TRANSPOSE
+	DOT_TERM(0, Y10)
+	CMPQ       BX, $2
+	JLT        store
+	DOT_TERM(4, Y11)
+	CMPQ       BX, $3
+	JLT        store
+	DOT_TERM(8, Y12)
+	CMPQ       BX, $4
+	JLT        store
+	DOT_TERM(12, Y13)
+	CMPQ       BX, $5
+	JLT        store
+	DOT_TERM(16, Y0)
+	CMPQ       BX, $6
+	JLT        store
+	DOT_TERM(20, Y1)
+	CMPQ       BX, $7
+	JLT        store
+	DOT_TERM(24, Y2)
+
+store:
+	VMOVUPS Y15, (DI)
+	ADDQ    $32, DI
+	LEAQ    (SI)(R12*8), SI
+	DECQ    CX
+	JMP     group
+
+done:
+	VZEROUPPER
+	RET

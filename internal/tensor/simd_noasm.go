@@ -26,3 +26,5 @@ func sumRowsVec(dst, src *float32, idx *int32, m, n, stride int, zero bool) {
 func sumRowsScaledVec(dst, src *float32, idx *int32, scale *float32, m, n, stride int, zero bool) {
 	panic("tensor: no vector kernels")
 }
+
+func dotRowsVec(dst, rows, x *float32, m, k int) { panic("tensor: no vector kernels") }

@@ -274,6 +274,22 @@ func TestVecProductKernelsMatchReference(t *testing.T) {
 			sameBitsModNaN(t, "matmulTRowVec "+name, ww, gw)
 		}
 	}
+	// dotRows: whole groups of eight rows on dotRowsVec, the rest on the
+	// loop, at row counts 0…40 and widths that end in every masked tile
+	// length (k < 8 is all masked tile).
+	for m := 0; m <= 40; m++ {
+		for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 64} {
+			off, spike := (m+k)%8, []int{0, 0, 30}[(m+k)%3]
+			name := fmt.Sprintf("dotRows m=%d k=%d off=%d spike=%d", m, k, off, spike)
+			dw, _ := vecOperand(rng, off, m, 0)
+			_, rows := vecOperand(rng, (off+3)%8, m*k, spike)
+			_, x := vecOperand(rng, (off+5)%8, k, spike)
+			gw, ww := slices.Clone(dw), slices.Clone(dw)
+			dotRows(gw[off:off+m:off+m], rows, x)
+			dotRowsScalarLoop(ww[off:off+m:off+m], rows, x)
+			sameBitsModNaN(t, name, ww, gw)
+		}
+	}
 }
 
 // TestDenseProductsVecMatchesReferencePath runs the three products on both
@@ -342,8 +358,8 @@ func TestReferencePathSuites(t *testing.T) {
 // NaN payloads, denormals and infinities at the fuzzer's whim. Layout: byte 0
 // picks the kernel, byte 1 the alignment of dst, byte 2 the reduction length
 // and flags of the product kernels (the index count, column offset and row
-// count of the gather kernels), bytes 3..6 the scalar; the rest, four bytes a
-// float, is split between the operands.
+// count of the gather kernels, the row width of dotRows), bytes 3..6 the
+// scalar; the rest, four bytes a float, is split between the operands.
 func FuzzVecKernelsMatchReference(f *testing.F) {
 	seed := func(kernel, off, shape byte, a float32, vals ...float32) {
 		b := []byte{kernel, off, shape, 0, 0, 0, 0}
@@ -357,16 +373,19 @@ func FuzzVecKernelsMatchReference(f *testing.F) {
 	for i := range ramp {
 		ramp[i] = float32(i%13) - 6.5
 	}
-	for kernel := byte(0); kernel < 9; kernel++ {
+	for kernel := byte(0); kernel < 10; kernel++ {
 		seed(kernel, kernel, 3+16*kernel, 0.5, ramp...)
 		seed(kernel, 7, 0xf2, float32(math.Inf(-1)), append(slices.Clone(vecSpecials), ramp[:60]...)...)
 	}
+	// dotRows with enough rows for the vector groups: k = 12 and k = 7.
+	seed(9, 3, 11, 0, ramp...)
+	seed(9, 5, 6, 0, append(slices.Clone(vecSpecials), ramp...)...)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		needVec(t)
 		if len(data) < 7 {
 			return
 		}
-		kernel, off, shape := data[0]%9, int(data[1]%8), data[2]
+		kernel, off, shape := data[0]%10, int(data[1]%8), data[2]
 		a := math.Float32frombits(binary.LittleEndian.Uint32(data[3:]))
 		vals := make([]float32, (len(data)-7)/4)
 		for i := range vals {
@@ -451,6 +470,18 @@ func FuzzVecKernelsMatchReference(f *testing.F) {
 				SumRowsScalarLoop(w, src, stride, idx, zero)
 			}
 			sameBitsModNaN(t, "gather kernel", ww, gw)
+		case 9:
+			// vals = x[k] | rows[m*k]
+			k := 1 + int(shape&63)
+			if len(vals) < k {
+				return
+			}
+			m := (len(vals) - k) / k
+			x, rows := vals[:k], place(vals[k:k+m*k], 3)[3:][:m*k]
+			gw, ww := place(make([]float32, m), off), place(make([]float32, m), off)
+			dotRows(gw[off:off+m:off+m], rows, x)
+			dotRowsScalarLoop(ww[off:off+m:off+m], rows, x)
+			sameBitsModNaN(t, "dotRows", ww, gw)
 		}
 	})
 }
