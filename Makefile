@@ -173,13 +173,14 @@ cross:
 	GOARCH=arm64 $(GO) build ./...
 
 # A few seconds of native fuzzing per target on top of the committed seed
-# corpora (internal/{tensor,rpc,nn,telemetry}/testdata/fuzz), which plain `go test`
-# already runs.
+# corpora (internal/{tensor,rpc,nn,telemetry,serve}/testdata/fuzz), which plain
+# `go test` already runs.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzVecKernelsMatchReference -fuzztime 5s ./internal/tensor/
 	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 5s ./internal/rpc/
 	$(GO) test -run xxx -fuzz FuzzLoadState -fuzztime 5s ./internal/nn/
 	$(GO) test -run xxx -fuzz FuzzTelemetryIngest -fuzztime 5s ./internal/telemetry/
+	$(GO) test -run xxx -fuzz FuzzShardReply -fuzztime 5s ./internal/serve/
 
 # vet's asmdecl pass checks internal/tensor/simd_amd64.s against its Go
 # declarations.

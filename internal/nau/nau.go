@@ -102,9 +102,6 @@ type Context struct {
 	// err is the first failure the Bottom hook reported during the layer
 	// being run; RunLayer returns and clears it after Aggregation.
 	err error
-	// self is the identity index 0..n-1 behind the batch callers' self
-	// gather, grown on demand and never rewritten (autograd keeps prefixes).
-	self []int32
 }
 
 // keptBottom is one bottom-level aggregate of the context's declared input:

@@ -95,7 +95,7 @@ func (p *Program) Input() *nn.Value { return p.Ctx.Input(p.Model, p.Feats) }
 // Layer runs layer l over x, one row per root (Context.RunLayer). cancel,
 // when non-nil, is consulted at the layer boundary.
 func (p *Program) Layer(l int, x *nn.Value, cancel func() error) (*nn.Value, error) {
-	return p.Ctx.RunLayer(p.probe(), l, p.Model.Layers[l], x, x.Data.Rows(), cancel)
+	return p.Ctx.RunLayer(p.probe(), l, p.Model.Layers[l], x, nil, cancel)
 }
 
 // Forward is Input, then every Layer: the logits of the rows, in training

@@ -22,15 +22,17 @@ type Probe struct {
 // are called. x holds one row per vertex of the layer's input universe, and
 // c describes that universe's dependency structure (the whole graph, one
 // partition behind the Bottom hook, or a sampled batch's sub-level the
-// caller pointed c at). The result has one row per vertex of the first
-// numOut input rows: the layer's output frontier, which batch callers order
-// first. Whole-graph callers pass numOut = rows and pay no self gather.
+// caller pointed c at). self lists the input rows of the layer's output
+// frontier, one per output row, in order — the Update stage's self features:
+// the identity prefix of a batch universe, or the frontier's own rows when a
+// batch reads the resident feature matrix. Whole-graph callers pass nil
+// (every row is its own output) and pay no self gather.
 //
 // StageAggregation gets the Aggregation call's time minus whatever the
 // Bottom hook itself booked as sync or aggregation while it ran (nothing on
 // one machine). A hook failure is returned after Aggregation; cancel, when
 // non-nil, is consulted at the layer boundary after Update.
-func (c *Context) RunLayer(p Probe, l int, layer Layer, x *nn.Value, numOut int, cancel func() error) (*nn.Value, error) {
+func (c *Context) RunLayer(p Probe, l int, layer Layer, x *nn.Value, self []int32, cancel func() error) (*nn.Value, error) {
 	span := p.Tracer.Begin(p.Rank, p.Epoch, int32(l), trace.CatStage, "aggregate")
 	before := p.Timer.StageTimes()
 	start := time.Now()
@@ -48,16 +50,13 @@ func (c *Context) RunLayer(p Probe, l int, layer Layer, x *nn.Value, numOut int,
 		return nil, err
 	}
 
-	self := x
-	if numOut < x.Data.Rows() {
-		for i := len(c.self); i < numOut; i++ {
-			c.self = append(c.self, int32(i))
-		}
-		self = nn.Gather(x, c.self[:numOut])
+	feats := x
+	if self != nil {
+		feats = nn.Gather(x, self)
 	}
 	span = p.Tracer.Begin(p.Rank, p.Epoch, int32(l), trace.CatStage, "update")
 	start = time.Now()
-	out := layer.Update(c, self, nbr)
+	out := layer.Update(c, feats, nbr)
 	p.Timer.Add(metrics.StageUpdate, time.Since(start))
 	span.End()
 	if cancel != nil {

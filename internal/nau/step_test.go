@@ -31,19 +31,27 @@ func TestRunLayerSelfGatherOnlyForBatches(t *testing.T) {
 	g := ringGraph(6)
 	ctx := &Context{Graph: g, Engine: engine.New(engine.StrategyHA), NumFeatureRows: 6}
 	x := nn.Constant(tensor.Ones(6, 2))
-	out, err := ctx.RunLayer(Probe{}, 0, &stepLayer{}, x, 6, nil)
+	out, err := ctx.RunLayer(Probe{}, 0, &stepLayer{}, x, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != x {
 		t.Fatal("a whole-graph step must hand Update its input rows, not a gathered copy")
 	}
-	out, err = ctx.RunLayer(Probe{}, 0, &stepLayer{}, x, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out == x || out.Data.Rows() != 4 {
-		t.Fatalf("a batch step must gather the %d-row output prefix, got %d rows", 4, out.Data.Rows())
+	x = nn.Constant(tensor.FromSlice([]float32{0, 1, 2, 3, 4, 5}, 6, 1))
+	for _, self := range [][]int32{{0, 1, 2, 3}, {4, 1}} { // a universe prefix, resident rows
+		out, err = ctx.RunLayer(Probe{}, 0, &stepLayer{}, x, self, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out == x || out.Data.Rows() != len(self) {
+			t.Fatalf("a batch step must gather its %d self rows, got %d rows", len(self), out.Data.Rows())
+		}
+		for i, r := range self {
+			if out.Data.Row(i)[0] != float32(r) {
+				t.Fatalf("self rows %v: output row %d reads %v, want input row %d", self, i, out.Data.Row(i), r)
+			}
+		}
 	}
 }
 
@@ -54,7 +62,7 @@ func TestRunLayerReturnsHookError(t *testing.T) {
 	ctx := &Context{Graph: g, Engine: engine.New(engine.StrategyHA), NumFeatureRows: 6, Bottom: hook}
 	x := nn.Constant(tensor.Ones(6, 2))
 	layer := &stepLayer{}
-	if _, err := ctx.RunLayer(Probe{}, 0, layer, x, 6, nil); !errors.Is(err, boom) {
+	if _, err := ctx.RunLayer(Probe{}, 0, layer, x, nil, nil); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the hook's", err)
 	}
 	if layer.nbrRows != 6 {
@@ -65,7 +73,7 @@ func TestRunLayerReturnsHookError(t *testing.T) {
 	}
 	// The error belongs to the layer that hit it: the next step starts clean.
 	hook.err = nil
-	if _, err := ctx.RunLayer(Probe{}, 1, layer, x, 6, nil); err != nil {
+	if _, err := ctx.RunLayer(Probe{}, 1, layer, x, nil, nil); err != nil {
 		t.Fatalf("step after a failed one: %v", err)
 	}
 }
@@ -90,7 +98,7 @@ func TestRunLayerSubtractsWhatTheHookBooked(t *testing.T) {
 		Bottom: &bookingAggregator{timer: timer}}
 	x := nn.Constant(tensor.Ones(6, 2))
 	start := time.Now()
-	if _, err := ctx.RunLayer(Probe{Timer: timer}, 0, &stepLayer{}, x, 6, nil); err != nil {
+	if _, err := ctx.RunLayer(Probe{Timer: timer}, 0, &stepLayer{}, x, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	wall := time.Since(start)

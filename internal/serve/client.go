@@ -85,11 +85,65 @@ func (c *Client) Query(ctx context.Context, vertices []graph.VertexID) (*Reply, 
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeError(c.base, resp)
 	}
-	var reply Reply
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return nil, fmt.Errorf("serve: client %s: decode reply: %w", c.base, err)
+	reply, err := readReply(resp.Body, maxReplyBytes(len(vertices)), vertices)
+	if err != nil {
+		return nil, &ReplyError{Replica: c.base, Err: err}
 	}
 	c.version.Store(reply.ModelVersion)
+	return reply, nil
+}
+
+// ReplyError reports a 200 answer from a replica that is not a reply to the
+// query sent: a body past its size bound, malformed JSON, or results that do
+// not name the asked vertices in order, one each, with logits of one width
+// and Class their argmax. The router treats it like any replica failure and
+// asks the next replica.
+type ReplyError struct {
+	// Replica is the replica's base URL.
+	Replica string
+	// Err says what is wrong with the reply.
+	Err error
+}
+
+func (e *ReplyError) Error() string {
+	return fmt.Sprintf("serve: client %s: bad reply: %v", e.Replica, e.Err)
+}
+
+// Unwrap exposes the cause (a JSON syntax error, say) to errors.Is/As.
+func (e *ReplyError) Unwrap() error { return e.Err }
+
+// maxReplyBytes bounds the /v1/predict reply to a query of n vertices: the
+// envelope plus 64 KiB of JSON per vertex, room for thousands of logits each.
+func maxReplyBytes(n int) int64 { return 1<<16 + int64(n)<<16 }
+
+// readReply decodes a /v1/predict reply of at most limit bytes and checks it
+// answers vertices: one result per asked vertex, in the order asked, all
+// logits one width, each Class the argmax of its logits.
+func readReply(body io.Reader, limit int64, vertices []graph.VertexID) (*Reply, error) {
+	raw, err := io.ReadAll(io.LimitReader(body, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(raw)) > limit {
+		return nil, fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	var reply Reply
+	if err := json.Unmarshal(raw, &reply); err != nil {
+		return nil, err
+	}
+	if len(reply.Results) != len(vertices) {
+		return nil, fmt.Errorf("%d results for %d vertices", len(reply.Results), len(vertices))
+	}
+	for i, r := range reply.Results {
+		switch {
+		case r.Vertex != vertices[i]:
+			return nil, fmt.Errorf("result %d is vertex %d, asked %d", i, r.Vertex, vertices[i])
+		case len(r.Logits) != len(reply.Results[0].Logits):
+			return nil, fmt.Errorf("result %d has %d logits, result 0 %d", i, len(r.Logits), len(reply.Results[0].Logits))
+		case r.Class != argmax(r.Logits):
+			return nil, fmt.Errorf("result %d has class %d, its logits' argmax is %d", i, r.Class, argmax(r.Logits))
+		}
+	}
 	return &reply, nil
 }
 

@@ -12,11 +12,12 @@ import (
 // path's context plumbing); rows for freshly computed vertices are inserted
 // into the cache under version.
 //
-// The pass is forward-only and holds one layer at a time: a layer's input is
-// a pooled tensor assembled from the layer below, and once its output rows
-// are copied on (into the cache and the next layer's input) its whole
-// autograd graph goes back to the buffer pool, so a batch in steady state
-// allocates no activation storage at all.
+// The pass is forward-only and holds one layer at a time. The first layer
+// reads the resident feature matrix in place (its plan indexes vertex IDs);
+// every layer above reads a pooled tensor assembled from the layer below, and
+// once a layer's output rows are copied on (into the cache and the next
+// layer's input) its whole autograd graph goes back to the buffer pool, so a
+// batch in steady state allocates no activation storage at all.
 func (s *Server) computeBatch(version int64, cancel func() error) (*tensor.Tensor, error) {
 	probe := nau.Probe{Tracer: s.tracer, Epoch: int32(version)}
 	var x *tensor.Tensor // activations of the current layer's In, one row each
@@ -28,11 +29,12 @@ func (s *Server) computeBatch(version int64, cancel func() error) (*tensor.Tenso
 		var out *nn.Value
 		var width int
 		if len(p.Out) > 0 {
+			in := x
 			if l == 0 {
-				x = tensor.Gather(s.feats, p.In) // exact row copies, pooled
+				in = s.feats // a leaf: never written, never pooled
 			}
 			var err error
-			out, err = p.Run(s.ctx, probe, l, s.model.Layers[l], nn.Constant(x), cancel)
+			out, err = p.Run(s.ctx, probe, l, s.model.Layers[l], nn.Constant(in), cancel)
 			if err != nil {
 				return nil, err // x and the half-built graph are left to the GC
 			}
@@ -58,7 +60,7 @@ func (s *Server) computeBatch(version int64, cancel func() error) (*tensor.Tenso
 			// loss), so hang the output under a data-less root: the walk then
 			// returns every buffer the layer drew, views excepted.
 			nn.ReleaseGraph(nn.NewOp(nil, nil, out))
-			tensor.Recycle(x)
+			tensor.Recycle(x) // nil below layer 1
 		}
 		x = next
 	}

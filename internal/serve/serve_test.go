@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -724,4 +725,68 @@ func TestReplyRowsAreNotShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, cached, whole)
+}
+
+// TestResidentFeaturesNeverWrittenOrPooled: the first layer reads
+// Options.Features in place, so nothing a batch does may write into the
+// matrix or hand its storage to the buffer pool (tensor.Recycle, directly or
+// through nn.ReleaseGraph, would leave it unreadable). Three servers share one
+// matrix, as the routed benchmark's replicas do, and answer a few hundred
+// cold batches concurrently — under `make race` the detector sees any write
+// — for each model shape: DNFA (GCN), flat HDG (PinSage) and hierarchical HDG
+// (MAGNN). Afterwards the matrix is bitwise what it was.
+func TestResidentFeaturesNeverWrittenOrPooled(t *testing.T) {
+	reddit := dataset.RedditLike(dataset.Config{Scale: 0.05, Seed: 3})
+	imdb := dataset.IMDBLike(dataset.Config{Scale: 0.05, Seed: 2})
+	for _, c := range []struct {
+		name  string
+		d     *dataset.Dataset
+		model func(d *dataset.Dataset) *nau.Model
+	}{
+		{"gcn", reddit, func(d *dataset.Dataset) *nau.Model {
+			return models.NewGCN(d.FeatureDim(), 8, d.NumClasses, tensor.NewRNG(1))
+		}},
+		{"pinsage", reddit, func(d *dataset.Dataset) *nau.Model {
+			return models.NewPinSage(d.FeatureDim(), 8, d.NumClasses,
+				models.PinSageConfig{NumWalks: 3, Hops: 2, TopK: 3}, tensor.NewRNG(3))
+		}},
+		{"magnn", imdb, func(d *dataset.Dataset) *nau.Model {
+			return models.NewMAGNN(d.FeatureDim(), 8, d.NumClasses, d.Metapaths,
+				models.MAGNNConfig{MaxInstances: 6}, tensor.NewRNG(2))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			feats := c.d.Features
+			before := feats.Clone()
+			const replicas, batches = 3, 100
+			var wg sync.WaitGroup
+			for r := 0; r < replicas; r++ {
+				s, err := New(Options{Model: c.model(c.d), Graph: c.d.Graph, Features: feats, CacheCapacity: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				qs := uniformQueries(c.d.Graph.NumVertices(), 4, batches)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, q := range qs {
+						if _, err := s.Query(context.Background(), q); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if feats.Data() == nil || feats.Rows() != before.Rows() || feats.Cols() != before.Cols() {
+				t.Fatal("the resident feature matrix went back to the buffer pool")
+			}
+			for i, x := range feats.Data() {
+				if math.Float32bits(x) != math.Float32bits(before.Data()[i]) {
+					t.Fatalf("feature element %d changed: %v, was %v", i, x, before.Data()[i])
+				}
+			}
+		})
+	}
 }

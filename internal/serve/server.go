@@ -4,8 +4,9 @@
 // finds the requests that queued behind it and runs them together), extracts
 // each batch's k-hop sub-HDG with the same NeighborSelection machinery
 // training uses (§4.1 — the NAU stage already takes an explicit root set),
-// runs the hybrid engine forward-only over the batch's compact feature
-// universe, and answers with per-vertex logits.
+// runs the hybrid engine forward-only — the first layer straight off the
+// resident feature matrix, the layers above over the batch's compact
+// activation universe — and answers with per-vertex logits.
 //
 // A versioned per-layer embedding cache (vertex -> hidden activation) sits
 // between batches: hot vertices resolve at the top layer and skip their
@@ -156,8 +157,8 @@ type Server struct {
 	// pass never reads weights mid-mutation. It also guards the executor's
 	// working memory below, rebuilt in place batch after batch: ctx is the
 	// layer context pointed at each plan in turn, universe the vertex -> row
-	// index (root union, then each layer's expansion), plans one plan per
-	// model layer, miss the frontier being expanded.
+	// index (root union, then each expansion above the first layer), plans
+	// one plan per model layer, miss the frontier being expanded.
 	execMu   sync.Mutex
 	ctx      *nau.Context
 	universe *store.Universe

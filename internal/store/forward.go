@@ -13,15 +13,26 @@ import (
 // Run executes layer l of a model over this plan: it points c at the plan's
 // sub-level (c is reused across layers and batches; everything cached from
 // the previous plan is dropped) and runs the layer there. x holds the
-// previous layer's activations of In; the result has one row per Out vertex.
+// previous layer's activations of In — for a resident plan, the feature
+// matrix itself, which is only read; the result has one row per Out vertex.
 // The flat level a flat sub-HDG aggregates through stays with the plan, and
 // the plan's next Run — after Expand rebuilt it — refills its storage.
 func (p *LayerPlan) Run(c *nau.Context, probe nau.Probe, l int, layer nau.Layer, x *nn.Value, cancel func() error) (*nn.Value, error) {
 	c.InvalidateHDG(p.Sub)
 	c.RecycleFlat(p.flat)
 	c.SetGraphAdjacency(p.Adj)
-	c.NumFeatureRows = len(p.In)
-	out, err := c.RunLayer(probe, l, layer, x, len(p.Out), cancel)
+	c.NumFeatureRows = p.rows
+	var self []int32 // Out is all of In: no self gather
+	switch {
+	case p.rows != len(p.In): // resident: Out's own rows of the matrix
+		self = p.Out
+	case len(p.Out) < len(p.In):
+		for i := len(p.ident); i < len(p.Out); i++ {
+			p.ident = append(p.ident, int32(i))
+		}
+		self = p.ident[:len(p.Out)]
+	}
+	out, err := c.RunLayer(probe, l, layer, x, self, cancel)
 	if err == nil && p.Sub != nil && p.Sub.IsFlat() {
 		p.flat = c.FlatAdjacency() // built by the aggregation: a lookup
 	}

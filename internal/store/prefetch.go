@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -51,19 +52,29 @@ type SamplerOptions struct {
 }
 
 // LayerPlan is one model layer's share of a materialised batch: compute the
-// layer outputs of Out (the prefix of In) from the previous layer's
-// activations of In, through Adj (DNFA) or Sub (HDG models).
+// layer outputs of Out from the previous layer's activations of In, through
+// Adj (DNFA) or Sub (HDG models). A resident plan (Expand with a nil
+// Universe) has no In: it reads the whole feature matrix in place, one row
+// per vertex of the graph.
 type LayerPlan struct {
 	// Out lists the vertices whose layer output the plan computes; it is
-	// the identity prefix of In.
+	// the identity prefix of In, or the frontier itself in a resident plan.
 	Out []graph.VertexID
 	// In is the layer's input universe: Out first, then dependencies in
-	// deterministic first-add order.
+	// deterministic first-add order. Empty in a resident plan.
 	In []graph.VertexID
-	// Adj is the 1-hop sub-level over In for DNFA layers (nil for HDG).
+	// Adj is the 1-hop sub-level over In for DNFA layers (nil for HDG); its
+	// sources are vertex IDs in a resident plan.
 	Adj *engine.Adjacency
-	// Sub is the leaf-remapped sub-HDG for HDG layers (nil for DNFA).
+	// Sub is the leaf-remapped sub-HDG for HDG layers (nil for DNFA); its
+	// leaves stay vertex IDs in a resident plan.
 	Sub *hdg.HDG
+	// rows is the number of input rows Adj and Sub index: len(In), or the
+	// graph's vertex count in a resident plan.
+	rows int
+	// ident is 0, 1, 2, … behind a universe plan's self rows, grown on
+	// demand and never rewritten (autograd keeps prefixes).
+	ident []int32
 	// flat is the flat level Run last aggregated Sub through; its storage
 	// is the next Run's.
 	flat *engine.Adjacency
@@ -460,10 +471,16 @@ func (st *Stream) extract(sc *scratch, b *Batch) error {
 // the one frontier expansion mini-batch training and serving share (the k-hop
 // sub-HDG extraction of §4.1, one hop at a time). A nil schema takes each
 // frontier vertex's 1-hop in-edges from gs; otherwise sel supplies the
-// frontier's neighbor records, which become a leaf-remapped sub-HDG. The
-// universe puts the frontier first (the Update stage's self rows), then each
-// destination's sources in whole-graph order, which is what keeps a batch
-// bit-identical to whole-graph execution.
+// frontier's neighbor records, which become a sub-HDG. The universe puts the
+// frontier first (the Update stage's self rows), then each destination's
+// sources in whole-graph order, which is what keeps a batch bit-identical to
+// whole-graph execution.
+//
+// A nil u makes the plan resident: for a bottom layer whose input is the
+// feature matrix itself, sources and leaves stay vertex IDs — the rows of
+// that matrix, in the same whole-graph order — and no universe, remap or row
+// copy is built; Out is the frontier and In is empty. Either way a neighbor
+// or leaf outside the graph is a *FetchError.
 //
 // u is the caller's scratch index (reset here). Whatever p held is dead after
 // the call — its In, adjacency and sub-HDG arrays are rebuilt in place, so
@@ -472,12 +489,22 @@ func (st *Stream) extract(sc *scratch, b *Batch) error {
 // alias storage sel reuses on its next call.
 func Expand(ctx context.Context, gs GraphStore, schema *hdg.SchemaTree, u *Universe, out []graph.VertexID,
 	sel func(frontier []graph.VertexID) ([]hdg.Record, error), p *LayerPlan) error {
-	err := u.Reset(p.In, out)
-	if err != nil {
-		return err
+	var n int // a resident plan's row count
+	if u != nil {
+		if err := u.Reset(p.In, out); err != nil {
+			return err
+		}
+	} else {
+		n = gs.NumVertices()
+		for _, v := range out {
+			if uint(v) >= uint(n) {
+				return fmt.Errorf("store: frontier vertex %d not in [0,%d)", v, n)
+			}
+		}
 	}
 	if schema == nil {
 		p.Sub = nil
+		var err error
 		if p.Adj, err = u.InEdgeAdjacency(ctx, gs, out, p.Adj); err != nil {
 			return err
 		}
@@ -495,12 +522,23 @@ func Expand(ctx context.Context, gs GraphStore, schema *hdg.SchemaTree, u *Unive
 			// driver; force that shape even for degenerate batches.
 			h.Hierarchicalize()
 		}
-		if err := u.SubHDG(h); err != nil {
+		if u != nil {
+			err = u.SubHDG(h)
+		} else {
+			err = checkLeaves(h, n)
+		}
+		if err != nil {
 			return err
 		}
 		p.Adj, p.Sub = nil, h
 	}
+	if u == nil {
+		p.Out = append(p.In[:0], out...)
+		p.In, p.rows = p.Out[:0], n
+		return nil
+	}
 	p.In = u.Vertices()
 	p.Out = p.In[:len(out):len(out)]
+	p.rows = len(p.In)
 	return nil
 }

@@ -66,9 +66,11 @@ func TestPrefetchOverlapBeatsSyncOnSlowStore(t *testing.T) {
 // BenchmarkExpand times store.Expand alone — the frontier expansion the
 // sampler and the serve planner share — over 64-vertex frontiers of
 // TwitterLike x0.25, with sel calling Sample directly. inedges is the DNFA
-// expansion as the serve executor drives it (one universe and one plan,
-// rebuilt in place); subhdg is the HDG expansion as a sampler worker drives
-// it (its own universe, and the plan of a released batch rebuilt in place).
+// expansion as the serve executor drives it above the first layer (one
+// universe and one plan, rebuilt in place); subhdg is the HDG expansion as a
+// sampler worker drives it (its own universe, and the plan of a released
+// batch rebuilt in place); resident is the DNFA expansion of the serve
+// executor's first layer (no universe: sources stay vertex IDs).
 func BenchmarkExpand(b *testing.B) {
 	d, err := dataset.ByName("twitter", dataset.Config{Scale: 0.25, Seed: 1})
 	if err != nil {
@@ -80,11 +82,15 @@ func BenchmarkExpand(b *testing.B) {
 	frontiers := batchesOf(d, n, 64)
 	sel := func(f []graph.VertexID) ([]hdg.Record, error) { return l.Sample(context.Background(), f, 7) }
 	for _, c := range []struct {
-		name   string
-		schema *hdg.SchemaTree
-	}{{"inedges", nil}, {"subhdg", schema}} {
+		name     string
+		schema   *hdg.SchemaTree
+		resident bool
+	}{{"inedges", nil, false}, {"subhdg", schema, false}, {"resident", nil, true}} {
 		b.Run(c.name, func(b *testing.B) {
 			u := NewUniverse(n)
+			if c.resident {
+				u = nil
+			}
 			var p LayerPlan
 			expand := func(i int) {
 				if err := Expand(context.Background(), l, c.schema, u, frontiers[i%len(frontiers)], sel, &p); err != nil {

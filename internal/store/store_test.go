@@ -205,6 +205,136 @@ func TestUniverseReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestExpandResident: with a nil Universe, Expand builds the plan a bottom
+// layer reads the resident feature matrix through. A DNFA plan's sources are
+// the store's in-lists appended verbatim over every vertex of the graph; an
+// HDG plan's leaves are the records' vertex IDs in record order, for
+// one-leaf (flat) and two-leaf (hierarchical) instances alike. Either way Out
+// is the frontier, In is empty, and the plan reads the same vertex at every
+// position as a universe plan over the same frontier reads through its rows.
+// One resident plan is rebuilt in place throughout.
+func TestExpandResident(t *testing.T) {
+	d, pairs := testLocal(t, 1)
+	walks := NewLocal(LocalConfig{Graph: d.Graph, Schema: hdg.NewSchemaTree("vertex"), UDF: nau.RandomWalkUDF(4, 2, 3)})
+	n := d.Graph.NumVertices()
+	ctx := context.Background()
+	schema := hdg.NewSchemaTree("vertex")
+	rng := tensor.NewRNG(11)
+	u := NewUniverse(n)
+	var res, univ LayerPlan
+	for trial := 0; trial < 200; trial++ {
+		var frontier []graph.VertexID
+		for _, v := range rng.Perm(n)[:1+rng.Intn(24)] {
+			frontier = append(frontier, graph.VertexID(v))
+		}
+		if err := Expand(ctx, pairs, nil, nil, frontier, nil, &res); err != nil {
+			t.Fatal(err)
+		}
+		var lists []graph.VertexID
+		ptr := []int64{0}
+		if err := pairs.InEdges(ctx, frontier, func(nbrs []graph.VertexID) {
+			lists = append(lists, nbrs...)
+			ptr = append(ptr, int64(len(lists)))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Out, frontier) || len(res.In) != 0 || res.Sub != nil {
+			t.Fatalf("trial %d: resident DNFA plan Out %v In %v, want the frontier and no universe", trial, res.Out, res.In)
+		}
+		if a := res.Adj; a.NumSrc != n || a.NumDst != len(frontier) ||
+			!slices.Equal(a.SrcIdx, lists) || !slices.Equal(a.DstPtr, ptr) {
+			t.Fatalf("trial %d: resident adjacency (dst %d, src %d) is not the store's lists over %d vertices",
+				trial, a.NumDst, a.NumSrc, n)
+		}
+		if err := Expand(ctx, pairs, nil, u, frontier, nil, &univ); err != nil {
+			t.Fatal(err)
+		}
+		for e, row := range univ.Adj.SrcIdx {
+			if univ.In[row] != res.Adj.SrcIdx[e] {
+				t.Fatalf("trial %d edge %d: universe plan reads %d, resident plan %d", trial, e, univ.In[row], res.Adj.SrcIdx[e])
+			}
+		}
+
+		for _, gs := range []*Local{walks, pairs} {
+			sel := func(f []graph.VertexID) ([]hdg.Record, error) { return gs.Sample(ctx, f, 5) }
+			recs, err := sel(frontier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var leaves []graph.VertexID
+			for _, r := range recs {
+				leaves = append(leaves, r.Nei...)
+			}
+			if err := Expand(ctx, gs, schema, nil, frontier, sel, &res); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Out, frontier) || len(res.In) != 0 || res.Adj != nil {
+				t.Fatalf("trial %d: resident HDG plan Out %v In %v, want the frontier and no universe", trial, res.Out, res.In)
+			}
+			if !slices.Equal(res.Sub.LeafIDs, leaves) {
+				t.Fatalf("trial %d: resident leaves %v, want the records' %v", trial, res.Sub.LeafIDs, leaves)
+			}
+			if err := Expand(ctx, gs, schema, u, frontier, sel, &univ); err != nil {
+				t.Fatal(err)
+			}
+			for i, row := range univ.Sub.LeafIDs {
+				if univ.In[row] != leaves[i] {
+					t.Fatalf("trial %d leaf %d: universe plan reads %d, resident plan %d", trial, i, univ.In[row], leaves[i])
+				}
+			}
+		}
+	}
+}
+
+// rangeStub is a GraphStore whose every in-list and record names vertex
+// bad next to a valid one.
+type rangeStub struct {
+	*Local
+	bad graph.VertexID
+}
+
+func (s rangeStub) InEdges(_ context.Context, dsts []graph.VertexID, visit func([]graph.VertexID)) error {
+	for range dsts {
+		visit([]graph.VertexID{1, s.bad})
+	}
+	return nil
+}
+
+func (s rangeStub) Sample(_ context.Context, roots []graph.VertexID, _ uint64) ([]hdg.Record, error) {
+	recs := make([]hdg.Record, len(roots))
+	for i, v := range roots {
+		recs[i] = hdg.Record{Root: v, Nei: []graph.VertexID{1, s.bad}}
+	}
+	return recs, nil
+}
+
+// TestExpandRefusesVerticesOutsideTheGraph: a neighbor or leaf the store
+// names outside the graph comes back from Expand as a *FetchError naming the
+// query — resident or not — and never reaches the engine's row checks.
+func TestExpandRefusesVerticesOutsideTheGraph(t *testing.T) {
+	d, l := testLocal(t, 1)
+	n := d.Graph.NumVertices()
+	ctx := context.Background()
+	schema := hdg.NewSchemaTree("vertex")
+	for _, bad := range []graph.VertexID{graph.VertexID(n), -1} {
+		gs := rangeStub{Local: l, bad: bad}
+		sel := func(f []graph.VertexID) ([]hdg.Record, error) { return gs.Sample(ctx, f, 0) }
+		for _, u := range []*Universe{nil, NewUniverse(n)} {
+			for _, c := range []struct {
+				schema *hdg.SchemaTree
+				op     string
+			}{{nil, "in_edges"}, {schema, "sample"}} {
+				var p LayerPlan
+				err := Expand(ctx, gs, c.schema, u, []graph.VertexID{0, 2}, sel, &p)
+				var fe *FetchError
+				if !errors.As(err, &fe) || fe.Op != c.op {
+					t.Fatalf("vertex %d, resident %v, %s: err %v, want a *FetchError{Op: %q}", bad, u == nil, c.op, err, c.op)
+				}
+			}
+		}
+	}
+}
+
 // collect drains one epoch's stream into a slice.
 func collect(t *testing.T, st *Stream) []*Batch {
 	t.Helper()

@@ -78,21 +78,38 @@ func (u *Universe) Vertices() []graph.VertexID { return u.in }
 // the universe and returns the sub-level adjacency over it: one destination
 // row per dst (in order), sources remapped to universe rows with whole-graph
 // neighbor order preserved — the property that keeps batched aggregation
-// bit-equal to the whole-graph level. DstPtr and SrcIdx are filled in one
-// pass over the store's lists, into the arrays of reuse when it is non-nil
-// (an earlier batch's adjacency that nothing reads any more).
+// bit-equal to the whole-graph level. A nil universe is Expand's resident
+// mode: the sources stay whole-graph vertex IDs, rows of the feature matrix
+// itself, and the store's lists are appended verbatim. DstPtr and SrcIdx are
+// filled in one pass over the store's lists, into the arrays of reuse when it
+// is non-nil (an earlier batch's adjacency that nothing reads any more).
 func (u *Universe) InEdgeAdjacency(ctx context.Context, gs GraphStore, dsts []graph.VertexID, reuse *engine.Adjacency) (*engine.Adjacency, error) {
 	adj := &engine.Adjacency{NumDst: len(dsts)}
 	if reuse != nil {
 		adj.DstPtr, adj.SrcIdx = reuse.DstPtr[:0], reuse.SrcIdx[:0]
 	}
 	adj.DstPtr = append(adj.DstPtr, 0)
+	var n int // the vertex count sources are checked against
+	if u != nil {
+		n = len(u.slots)
+	} else {
+		n = gs.NumVertices()
+	}
 	bad := false
 	err := gs.InEdges(ctx, dsts, func(nbrs []graph.VertexID) {
-		for _, v := range nbrs {
-			row := u.Add(v)
-			bad = bad || row < 0
-			adj.SrcIdx = append(adj.SrcIdx, row)
+		if u == nil {
+			var hi uint32 // the largest source; a negative one wraps high
+			for _, v := range nbrs {
+				hi = max(hi, uint32(v))
+			}
+			bad = bad || len(nbrs) > 0 && hi >= uint32(n)
+			adj.SrcIdx = append(adj.SrcIdx, nbrs...)
+		} else {
+			for _, v := range nbrs {
+				row := u.Add(v)
+				bad = bad || row < 0
+				adj.SrcIdx = append(adj.SrcIdx, row)
+			}
 		}
 		adj.DstPtr = append(adj.DstPtr, int64(len(adj.SrcIdx)))
 	})
@@ -101,9 +118,12 @@ func (u *Universe) InEdgeAdjacency(ctx context.Context, gs GraphStore, dsts []gr
 	}
 	if bad || len(adj.DstPtr) != len(dsts)+1 {
 		return nil, &FetchError{Op: "in_edges", Verts: len(dsts),
-			Err: fmt.Errorf("store: neighbor lists do not fit %d destinations over %d vertices", len(dsts), len(u.slots))}
+			Err: fmt.Errorf("store: neighbor lists do not fit %d destinations over %d vertices", len(dsts), n)}
 	}
-	adj.NumSrc = len(u.in)
+	adj.NumSrc = n
+	if u != nil {
+		adj.NumSrc = len(u.in)
+	}
 	return adj, nil
 }
 
@@ -113,14 +133,14 @@ func (u *Universe) InEdgeAdjacency(ctx context.Context, gs GraphStore, dsts []gr
 // universe rows. Only the new leaves are sorted: a leaf already present — a
 // frontier vertex, or one an earlier leaf added — keeps its row. Instance
 // structure and per-instance leaf order are untouched, so aggregation over
-// the sub-HDG reduces in exactly the whole-graph order. After an error the
-// universe must be Reset.
+// the sub-HDG reduces in exactly the whole-graph order. A leaf outside the
+// graph is a *FetchError, and the universe must then be Reset.
 func (u *Universe) SubHDG(h *hdg.HDG) error {
+	if err := checkLeaves(h, len(u.slots)); err != nil {
+		return err
+	}
 	fresh := u.fresh[:0]
 	for _, v := range h.LeafIDs {
-		if uint(v) >= uint(len(u.slots)) {
-			return fmt.Errorf("store: leaf vertex %d not in [0,%d)", v, len(u.slots))
-		}
 		if s := &u.slots[v]; s.gen != u.gen {
 			*s = slot{gen: u.gen} // marked; its row is assigned below
 			fresh = append(fresh, v)
@@ -134,6 +154,18 @@ func (u *Universe) SubHDG(h *hdg.HDG) error {
 	u.fresh = fresh
 	for i, v := range h.LeafIDs {
 		h.LeafIDs[i] = u.slots[v].row
+	}
+	return nil
+}
+
+// checkLeaves reports h's first leaf outside [0, n) — a vertex no feature
+// row belongs to — as the failure of the selection that produced it.
+func checkLeaves(h *hdg.HDG, n int) error {
+	for _, v := range h.LeafIDs {
+		if uint(v) >= uint(n) {
+			return &FetchError{Op: "sample", Verts: h.NumRoots(),
+				Err: fmt.Errorf("store: leaf vertex %d not in [0,%d)", v, n)}
+		}
 	}
 	return nil
 }
