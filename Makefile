@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: ci build test race chaos trace-smoke telemetry-smoke serve-smoke \
 	router-smoke sampler-smoke checkpoint-smoke vet fmt bench-comm \
 	bench-kernels-diff bench-smoke bench-sampler bench-e2e-smoke \
-	purego cross fuzz-smoke frozen hashes gate loc
+	purego cross fuzz-smoke frozen hashes gate loc pairs
 
 ci: frozen hashes vet fmt race chaos trace-smoke telemetry-smoke serve-smoke router-smoke \
 	sampler-smoke checkpoint-smoke test purego cross fuzz-smoke bench-smoke \
@@ -59,6 +59,21 @@ gate: frozen hashes
 	if [ $$st != 0 ] || [ $$n != $(GATE_WORKLOADS) ] || [ $$bad != 0 ]; then \
 		echo "gate: FAILED (exit $$st, $$n of $(GATE_WORKLOADS) workloads reported; log .bench_build/gate.txt)"; exit 1; fi; \
 	echo "gate: ok"
+
+# A paired end-to-end claim against BASE, as one command: the benchmark built
+# from a git clone of BASE (under .bench_build/pairs) and from the working
+# tree, run on every seed with the order alternated per seed; per workload it
+# prints scaled and raw op_p50_ms medians, throughput, setup, wins n/N, the
+# parent's quartile distance, both yardstick placements (mod 64) and the
+# sentence CHANGES.md quotes. CONTROL=1 adds a parent padded to the change's
+# yardstick placement (cmd/benchpairs says how). Every run's last line is kept
+# in .bench_build/pairs/runs.jsonl. Ten pairs of one workload at 12 s: ~8 min.
+WORKLOADS ?= cluster_gcn_k2_tcp
+SEEDS ?= 21-26,31-34
+PAIRS_SECONDS ?= 12
+pairs:
+	$(GO) run ./cmd/benchpairs -base $(BASE) -workloads '$(WORKLOADS)' -seeds '$(SEEDS)' \
+		-seconds $(PAIRS_SECONDS) $(if $(CONTROL),-control)
 
 # The two sizes the simplicity PRs are held to: non-test Go under internal/,
 # cmd/ and the root (assembly not counted), and the root package's exported

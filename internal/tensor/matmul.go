@@ -29,14 +29,21 @@ import "fmt"
 // output columns. No term is skipped for a zero factor on either path: 0·Inf
 // and 0·NaN are NaN, as in the naive triple loop.
 //
-// Rank-1 shapes — a [dim, 1] scorer applied to every row, and the two
-// products of its backward pass — are dispatched on shape to loops over whole
-// vectors that form the same terms in the same order: MatMul with n = 1 is one
-// p-ascending dot per row (dotRows), TMatMul with n = 1 one Axpy4 of four
-// whole t rows per four p, MatMulT with k = 1 the outer product +0 + t[i]·o[j]
-// (DotUnrolled's first partial sum; the other three stay +0). The general
-// loops would reach the same values through length-1 Axpy4 and dot2Unrolled
-// calls, one per output element per four terms.
+// Narrow shapes are dispatched on shape to kernels that form the same terms
+// in the same order with the long side as the lanes. MatMul into 2…7 columns
+// (the output layer of a 5-class model) runs rows as lanes on the vector path:
+// W's columns packed once, each worker's whole groups of eight rows through
+// dotRows one column at a time, the epilogue applied while the columns are
+// interleaved into output rows, and the rows past the last group (all of a
+// call with fewer than eight) through matmulRowVec's masked block
+// (matmulNarrowVec). The rank-1 shapes — a [dim, 1] scorer applied to every
+// row, and the two products of its backward pass — are loops over whole
+// vectors: MatMul with n = 1 is one p-ascending dot per row (dotRows),
+// TMatMul with n = 1 one Axpy4 of four whole t rows per four p, MatMulT with
+// k = 1 the outer product +0 + t[i]·o[j] (DotUnrolled's first partial sum;
+// the other three stay +0). The general loops would reach the same values
+// through short Axpy4 and dot2Unrolled calls, one per output element per four
+// terms.
 
 // MatMul returns t @ o for 2-D tensors [m,k] x [k,n] -> [m,n].
 func (t *Tensor) MatMul(o *Tensor) *Tensor { return t.MatMulBias(o, nil, false) }
@@ -57,6 +64,10 @@ func (t *Tensor) MatMulBias(o, bias *Tensor, relu bool) *Tensor {
 	var bd []float32
 	if bias != nil {
 		bd = bias.data
+	}
+	if useVec && n >= 2 && n < vecMin && m >= vecMin {
+		t.matmulNarrowVec(out, o, bd, relu)
+		return out
 	}
 	ParallelForGrain(m, GrainForCost(k*n), func(rs, re int) {
 		if n == 1 {
@@ -81,13 +92,56 @@ func (t *Tensor) MatMulBias(o, bias *Tensor, relu bool) *Tensor {
 	return out
 }
 
+// matmulNarrowVec writes out = t @ o with MatMulBias's epilogue for an o of
+// 2…7 columns, rows as lanes: o's columns are packed once into cols, and
+// each worker runs its whole groups of eight rows through dotRows one column
+// at a time into sums, [n][m], then interleaves the columns into output rows
+// with bias added and the ReLU clamp applied as matmulRow applies them. Every
+// output is still one p-ascending chain from +0, then +bias, then the clamp,
+// so its bits are matmulRow's; a worker's rows past its last group of eight
+// run matmulRow.
+func (t *Tensor) matmulNarrowVec(out, o *Tensor, bias []float32, relu bool) {
+	m, k, n := t.Dim(0), t.Dim(1), o.Dim(1)
+	buf := GetBufUninit(n * (k + m))
+	cols, sums := buf[:n*k], buf[n*k:]
+	for p, row := 0, o.data; p < k; p++ {
+		for j, v := range row[p*n : (p+1)*n] {
+			cols[j*k+p] = v
+		}
+	}
+	ParallelForGrain(m, GrainForCost(k*n), func(rs, re int) {
+		g := rs + (re-rs)&^7 // end of the whole groups of eight
+		for j := 0; j < n; j++ {
+			dotRows(sums[j*m+rs:j*m+g], t.data[rs*k:g*k], cols[j*k:(j+1)*k])
+		}
+		for i := rs; i < g; i++ {
+			dst := out.data[i*n : (i+1)*n]
+			for j := range dst {
+				v := sums[j*m+i]
+				if bias != nil {
+					v += bias[j]
+				}
+				if relu && v < 0 {
+					v = 0
+				}
+				dst[j] = v
+			}
+		}
+		for i := g; i < re; i++ {
+			matmulRow(out.data[i*n:(i+1)*n], t.data[i*k:(i+1)*k], o.data, bias, relu)
+		}
+	})
+	PutBuf(buf)
+}
+
 // matmulRow writes one output row of MatMulBias: dst = x @ o, plus bias when
 // it is not nil, clamped at zero when relu — o being the [len(x), len(dst)]
 // right operand. The vector kernel keeps the row's sums in registers for all
-// of k; the loop below is what it reproduces.
+// of k (any width from 2; a narrower row is one masked block);
+// matmulRowScalarLoop is what it reproduces.
 func matmulRow(dst, x, o, bias []float32, relu bool) {
 	k, n := len(x), len(dst)
-	if useVec && n >= vecMin && k > 0 {
+	if useVec && n >= 2 && k > 0 {
 		var b *float32
 		if bias != nil {
 			b = &bias[0]
@@ -95,6 +149,13 @@ func matmulRow(dst, x, o, bias []float32, relu bool) {
 		matmulRowVec(&dst[0], &x[0], &o[0], b, k, n, 1, n, false, relu)
 		return
 	}
+	matmulRowScalarLoop(dst, x, o, bias, relu)
+}
+
+// matmulRowScalarLoop is the loop behind matmulRow: its fallback and its
+// oracle. p goes in blocks of four through Axpy4.
+func matmulRowScalarLoop(dst, x, o, bias []float32, relu bool) {
+	k, n := len(x), len(dst)
 	clear(dst)
 	p := 0
 	for ; p+4 <= k; p += 4 {
@@ -315,26 +376,52 @@ const tmatmulChunk = 64
 // gradients carry the denormals (DESIGN.md "Dense path"): a denormal that is
 // broadcast slows the m/8 multiplies of its own term, one that sits in a
 // vector slows that vector's multiply for every output row.
+//
+// With n ≥ 8 workers own disjoint ranges of acc's rows (o's columns), so each
+// call sweeps a t row's whole m floats in 32- and 16-wide blocks — split over
+// m, a worker's share of a 50-feature row is a 16-wide block plus a masked
+// 9-wide one. The [n, m] → [m, n] interleave is then its own pass split over
+// the output's rows: done inside the n split, two workers would write into
+// the same output cache lines. Narrower outputs keep the split over m.
 func (t *Tensor) tmatmulVec(o *Tensor) *Tensor {
 	k, m, n := t.Dim(0), t.Dim(1), o.Dim(1)
 	out := NewUninit(m, n) // every element written below
 	acc := GetBufUninit(n * m)
-	// Workers own disjoint ranges of output rows (columns of t).
-	ParallelForGrain(m, max(GrainForCost(k*n), 2*vecMin), func(rs, re int) {
-		for p0 := 0; p0 < k; p0 += tmatmulChunk {
-			kc := min(tmatmulChunk, k-p0)
-			for j := 0; j < n; j++ {
-				matmulRowVec(&acc[j*m+rs], &o.data[p0*n+j], &t.data[p0*m+rs], nil, kc, re-rs, n, m, p0 > 0, false)
+	if n >= vecMin {
+		ParallelForGrain(n, GrainForCost(k*m), func(js, je int) {
+			for p0 := 0; p0 < k; p0 += tmatmulChunk {
+				kc := min(tmatmulChunk, k-p0)
+				for j := js; j < je; j++ {
+					matmulRowVec(&acc[j*m], &o.data[p0*n+j], &t.data[p0*m], nil, kc, m, n, m, p0 > 0, false)
+				}
 			}
-		}
-		for i := rs; i < re; i++ {
-			for j := 0; j < n; j++ {
-				out.data[i*n+j] = acc[j*m+i]
+		})
+		ParallelForGrain(m, GrainForCost(n), func(rs, re int) {
+			transposeRows(out.data, acc, rs, re, m, n)
+		})
+	} else {
+		// Workers own disjoint ranges of output rows (columns of t).
+		ParallelForGrain(m, max(GrainForCost(k*n), 2*vecMin), func(rs, re int) {
+			for p0 := 0; p0 < k; p0 += tmatmulChunk {
+				kc := min(tmatmulChunk, k-p0)
+				for j := 0; j < n; j++ {
+					matmulRowVec(&acc[j*m+rs], &o.data[p0*n+j], &t.data[p0*m+rs], nil, kc, re-rs, n, m, p0 > 0, false)
+				}
 			}
-		}
-	})
+			transposeRows(out.data, acc, rs, re, m, n)
+		})
+	}
 	PutBuf(acc)
 	return out
+}
+
+// transposeRows writes rows [rs, re) of the [m, n] out from the [n, m] acc.
+func transposeRows(out, acc []float32, rs, re, m, n int) {
+	for i := rs; i < re; i++ {
+		for j := 0; j < n; j++ {
+			out[i*n+j] = acc[j*m+i]
+		}
+	}
 }
 
 // transposeTile is the square tile edge for Transpose2D; 32x32 float32 tiles

@@ -118,6 +118,54 @@ func TestDenseProductsMatchOracle(t *testing.T) {
 			}
 		}
 	}
+	narrowGrid(t, []string{"MatMul", "MatMulBias"}, func(x, w, b *Tensor) []*Tensor {
+		sum, n := oracleMatMul(x, w), w.Dim(1)
+		fused := sum.Clone()
+		for i, v := range fused.data {
+			if v += b.data[i%n]; v < 0 {
+				v = 0
+			}
+			fused.data[i] = v
+		}
+		return []*Tensor{sum, fused}
+	}, func(x, w, b *Tensor) []*Tensor {
+		return []*Tensor{x.MatMul(w), x.MatMulBias(w, b, true)}
+	})
+}
+
+// narrowGrid holds MatMulBias into 2…7 columns — matmulNarrowVec's groups of
+// eight rows, the masked remainder and whole calls under eight rows — to
+// reference results: per shape, want is computed once at parallelism 1 and
+// got at parallelism 1, 2, 3 and 8, and the i-th results are compared under
+// labels[i]. Every operand, the bias included, carries ±0, ±Inf, NaN and
+// denormal spikes.
+func narrowGrid(t *testing.T, labels []string, want, got func(x, w, b *Tensor) []*Tensor) {
+	defer SetParallelism(0)
+	rng := NewRNG(70)
+	spiked := func(x *Tensor) *Tensor {
+		for i := range x.data {
+			if rng.Intn(24) == 0 {
+				x.data[i] = vecSpecials[rng.Intn(len(vecSpecials))]
+			}
+		}
+		return x
+	}
+	for n := 2; n <= 7; n++ {
+		for _, m := range []int{1, 4, 7, 8, 9, 15, 17, 6000} {
+			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 64} {
+				x := spiked(sparsify(rng, RandN(rng, 1, m, k)))
+				w, b := spiked(RandN(rng, 1, k, n)), spiked(RandN(rng, 1, 1, n))
+				SetParallelism(1)
+				ref := want(x, w, b)
+				for _, par := range []int{1, 2, 3, 8} {
+					SetParallelism(par)
+					for i, g := range got(x, w, b) {
+						bitsEqualModNaN(t, fmt.Sprintf("%s par%d %dx%dx%d", labels[i], par, m, k, n), ref[i], g)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestRankOneProductsMatchOracle: a [dim, 1] scorer over tall inputs — the
@@ -171,6 +219,20 @@ func TestDenseProductsParallelGrain(t *testing.T) {
 		bitsEqual(t, "TMatMul", oracleTMatMul(a, g), a.TMatMul(g))
 		bitsEqual(t, "MatMulT", oracleMatMulT(g, w), g.MatMulT(w))
 	}
+	// TMatMul on both sides of tmatmulVec's split: over m below eight
+	// output columns, over n (then the interleave over m) from eight. At
+	// 300 columns of t the interleave itself splits at n = 64.
+	for _, n := range []int{7, 8, 9, 64} {
+		for _, m := range []int{9, 50, 100, 300} {
+			x := sparsify(rng, RandN(rng, 1, 700, m))
+			dOut := sparsify(rng, RandN(rng, 1, 700, n))
+			want := oracleTMatMul(x, dOut)
+			for _, par := range []int{1, 2, 3, 8} {
+				SetParallelism(par)
+				bitsEqual(t, fmt.Sprintf("TMatMul par%d 700x%dx%d", par, m, n), want, x.TMatMul(dOut))
+			}
+		}
+	}
 }
 
 // TestMatMulRowSubsetInvariance: the product of a subset of rows equals the
@@ -188,6 +250,22 @@ func TestMatMulRowSubsetInvariance(t *testing.T) {
 	bitsEqual(t, "MatMulBias rows", Gather(full, rows), part)
 	v := RandN(rng, 1, 11, 37)
 	bitsEqual(t, "MatMulT rows", Gather(x.MatMulT(v), rows), sub.MatMulT(v))
+
+	// Five columns: a row's bits must not depend on whether it lands in a
+	// group of eight on dotRows, in a worker's masked remainder, or in a
+	// call of three rows (a serving batch's top layer) — at any split.
+	defer SetParallelism(0)
+	w5, b5 := RandN(rng, 1, 37, 5), RandN(rng, 1, 1, 5)
+	SetParallelism(1)
+	ref := x.MatMulBias(w5, b5, true)
+	for _, par := range []int{1, 2, 3} {
+		SetParallelism(par)
+		bitsEqual(t, fmt.Sprintf("MatMulBias n=5 par%d", par), ref, x.MatMulBias(w5, b5, true))
+		for _, rows := range [][]int32{rows, rows[:3], rows[5:], {130, 129, 128, 127, 126, 125, 124, 123, 122, 121, 120}} {
+			bitsEqual(t, fmt.Sprintf("MatMulBias n=5 par%d %d rows", par, len(rows)),
+				Gather(ref, rows), Gather(x, rows).MatMulBias(w5, b5, true))
+		}
+	}
 }
 
 // TestMatMulBiasMatchesComposition pins the fused epilogue to the three
@@ -203,6 +281,12 @@ func TestMatMulBiasMatchesComposition(t *testing.T) {
 		bitsEqual(t, "relu", sum.ReLU(), x.MatMulBias(w, nil, true))
 		bitsEqual(t, "bias+relu", sum.Add(b).ReLU(), x.MatMulBias(w, b, true))
 	}
+	narrowGrid(t, []string{"bias", "relu", "bias+relu"}, func(x, w, b *Tensor) []*Tensor {
+		sum := x.MatMul(w)
+		return []*Tensor{sum.Add(b), sum.ReLU(), sum.Add(b).ReLU()}
+	}, func(x, w, b *Tensor) []*Tensor {
+		return []*Tensor{x.MatMulBias(w, b, false), x.MatMulBias(w, nil, true), x.MatMulBias(w, b, true)}
+	})
 }
 
 // TestDenseProductsPropagateNonFinite: a zero factor no longer masks a

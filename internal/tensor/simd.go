@@ -50,7 +50,8 @@ import (
 // hand-unrolled tier beside its scalar loops.
 
 const (
-	// vecMin is the shortest row handed to the assembly: one 8-lane vector.
+	// vecMin is the shortest streaming row handed to the assembly: one
+	// 8-lane vector (matmulRow hands it rows from 2 floats: one masked block).
 	vecMin = 8
 	// matmulTMin is the narrowest output row matmulTRowVec takes: one
 	// column block.

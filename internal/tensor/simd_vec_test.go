@@ -294,7 +294,9 @@ func TestVecProductKernelsMatchReference(t *testing.T) {
 
 // TestDenseProductsVecMatchesReferencePath runs the three products on both
 // paths at the shapes the oracle grid leaves out: odd lane counts on every
-// side, reductions longer than a tmatmulVec chunk, special values.
+// side (MatMulBias into 2…7 columns is rows as lanes, TMatMul from 8 output
+// columns splits over them), reductions longer than a tmatmulVec chunk,
+// special values.
 func TestDenseProductsVecMatchesReferencePath(t *testing.T) {
 	needVec(t)
 	defer SetParallelism(0)
@@ -314,11 +316,11 @@ func TestDenseProductsVecMatchesReferencePath(t *testing.T) {
 		SetVectorKernels(false)
 		return vec, f()
 	}
-	for _, par := range []int{1, 2, 8} {
+	for _, par := range []int{1, 2, 3, 8} {
 		SetParallelism(par)
 		for _, rows := range []int{1, 63, 64, 65, 130} {
 			for _, in := range []int{8, 9, 15, 16, 17, 31, 33, 40, 50, 67} {
-				for _, out := range []int{1, 2, 5, 8, 16, 19, 35} {
+				for _, out := range []int{1, 2, 5, 7, 8, 9, 16, 19, 35} {
 					spike := []int{0, 200}[(rows+in+out)%2]
 					name := fmt.Sprintf("par%d %dx%dx%d spike=%d", par, rows, in, out, spike)
 					x := spiked(sparsify(rng, RandN(rng, 1, rows, in)), spike)
@@ -358,8 +360,9 @@ func TestReferencePathSuites(t *testing.T) {
 // NaN payloads, denormals and infinities at the fuzzer's whim. Layout: byte 0
 // picks the kernel, byte 1 the alignment of dst, byte 2 the reduction length
 // and flags of the product kernels (the index count, column offset and row
-// count of the gather kernels, the row width of dotRows), bytes 3..6 the
-// scalar; the rest, four bytes a float, is split between the operands.
+// count of the gather kernels, the row width of dotRows, the shape of a
+// narrow MatMulBias), bytes 3..6 the scalar; the rest, four bytes a float, is
+// split between the operands.
 func FuzzVecKernelsMatchReference(f *testing.F) {
 	seed := func(kernel, off, shape byte, a float32, vals ...float32) {
 		b := []byte{kernel, off, shape, 0, 0, 0, 0}
@@ -373,19 +376,23 @@ func FuzzVecKernelsMatchReference(f *testing.F) {
 	for i := range ramp {
 		ramp[i] = float32(i%13) - 6.5
 	}
-	for kernel := byte(0); kernel < 10; kernel++ {
+	for kernel := byte(0); kernel < 11; kernel++ {
 		seed(kernel, kernel, 3+16*kernel, 0.5, ramp...)
 		seed(kernel, 7, 0xf2, float32(math.Inf(-1)), append(slices.Clone(vecSpecials), ramp[:60]...)...)
 	}
 	// dotRows with enough rows for the vector groups: k = 12 and k = 7.
 	seed(9, 3, 11, 0, ramp...)
 	seed(9, 5, 6, 0, append(slices.Clone(vecSpecials), ramp...)...)
+	// A narrow MatMulBias with a group of eight rows and a remainder: n = 5,
+	// k = 4, bias and ReLU; and n = 2, k = 9 with neither.
+	seed(10, 0x18, 3*6+3, 0, append(slices.Clone(vecSpecials), ramp...)...)
+	seed(10, 2, 8*6, 0, ramp...)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		needVec(t)
 		if len(data) < 7 {
 			return
 		}
-		kernel, off, shape := data[0]%10, int(data[1]%8), data[2]
+		kernel, off, shape := data[0]%11, int(data[1]%8), data[2]
 		a := math.Float32frombits(binary.LittleEndian.Uint32(data[3:]))
 		vals := make([]float32, (len(data)-7)/4)
 		for i := range vals {
@@ -482,6 +489,29 @@ func FuzzVecKernelsMatchReference(f *testing.F) {
 			dotRows(gw[off:off+m:off+m], rows, x)
 			dotRowsScalarLoop(ww[off:off+m:off+m], rows, x)
 			sameBitsModNaN(t, "dotRows", ww, gw)
+		case 10:
+			// MatMulBias into n = 2…7 columns against the Axpy4 loop, row by
+			// row: vals = bias[n] | w[k*n] | x[m*k]; byte 1's bits 3 and 4
+			// turn the bias and the ReLU on.
+			n, k := 2+int(shape%6), 1+int(shape/6%16)
+			if len(vals) < n+k*n+k {
+				return
+			}
+			m := (len(vals) - n - k*n) / k
+			hasBias, relu := data[1]&8 != 0, data[1]&16 != 0
+			bias, w := FromSlice(vals[:n], 1, n), FromSlice(vals[n:n+k*n], k, n)
+			x := FromSlice(vals[n+k*n:n+k*n+m*k], m, k)
+			var bd []float32
+			if !hasBias {
+				bias = nil
+			} else {
+				bd = bias.data
+			}
+			got, want := x.MatMulBias(w, bias, relu), make([]float32, m*n)
+			for i := 0; i < m; i++ {
+				matmulRowScalarLoop(want[i*n:(i+1)*n], x.data[i*k:(i+1)*k], w.data, bd, relu)
+			}
+			sameBitsModNaN(t, "narrow MatMulBias", want, got.data)
 		}
 	})
 }
