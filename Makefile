@@ -62,18 +62,21 @@ gate: frozen hashes
 
 # A paired end-to-end claim against BASE, as one command: the benchmark built
 # from a git clone of BASE (under .bench_build/pairs) and from the working
-# tree, run on every seed with the order alternated per seed; per workload it
-# prints scaled and raw op_p50_ms medians, throughput, setup, wins n/N, the
-# parent's quartile distance, both yardstick placements (mod 64) and the
-# sentence CHANGES.md quotes. CONTROL=1 adds a parent padded to the change's
-# yardstick placement (cmd/benchpairs says how). Every run's last line is kept
-# in .bench_build/pairs/runs.jsonl. Ten pairs of one workload at 12 s: ~8 min.
-WORKLOADS ?= cluster_gcn_k2_tcp
-SEEDS ?= 21-26,31-34
-PAIRS_SECONDS ?= 12
+# tree, run for the benchmark's 12 s on every seed with the order alternated
+# per seed; per workload and end-to-end metric it prints scaled and raw
+# medians, wins n/N in the metric's better direction, the parent's quartile
+# distance and whether the gap beyond it is a gain or a regression, whether
+# loss_hash agrees per seed, both yardstick placements (mod 64) and the
+# sentences CHANGES.md quotes. BASE, WORKLOADS and SEEDS are required (no
+# default: a claim names seeds it has not spent yet). CONTROL=1 adds a parent
+# padded to the change's yardstick placement (cmd/benchpairs says how). Every
+# run's last line is kept in .bench_build/pairs/runs.jsonl. Ten pairs of one
+# workload: ~8 min.
 pairs:
-	$(GO) run ./cmd/benchpairs -base $(BASE) -workloads '$(WORKLOADS)' -seeds '$(SEEDS)' \
-		-seconds $(PAIRS_SECONDS) $(if $(CONTROL),-control)
+	$(if $(filter command line environment,$(origin BASE)),,$(error pairs: BASE=<commit> is required))
+	$(if $(WORKLOADS),,$(error pairs: WORKLOADS='w1 w2' is required))
+	$(if $(SEEDS),,$(error pairs: SEEDS=<seed list, e.g. 1-5,9> is required))
+	$(GO) run ./cmd/benchpairs -base $(BASE) -workloads '$(WORKLOADS)' -seeds '$(SEEDS)' $(if $(CONTROL),-control)
 
 # The two sizes the simplicity PRs are held to: non-test Go under internal/,
 # cmd/ and the root (assembly not counted), and the root package's exported

@@ -1,14 +1,19 @@
 // Command benchpairs makes a paired end-to-end claim against a base commit:
 // it builds the benchmark of BENCHMARK.json twice — from a git clone of the
-// base commit and from the working tree — runs both on every seed with the
-// order alternated per seed, and prints per workload the medians, the wins
-// and the spread a claim quotes, with each binary's yardstick placement.
+// base commit and from the working tree — runs both for the benchmark's 12 s
+// on every seed with the order alternated per seed, and prints per workload
+// and per end-to-end metric (op_p50_ms, throughput_per_s, setup_s) the
+// medians, the wins counted in the metric's better direction and the base's
+// quartile distance a claim quotes, whether the seeds' loss_hash agree
+// across the binaries, and each binary's yardstick placement.
 //
 //	make pairs BASE=<commit> WORKLOADS='cluster_gcn_k2_tcp' SEEDS='21-26,31-34'
 //	go run ./cmd/benchpairs -base <commit> -workloads w1,w2 -seeds 21-26,31-34
 //
-// Every run's last (JSON) line is kept in <out>/runs.jsonl with its side,
-// workload and seed. The benchmark divides raw times by a host-slowdown
+// The base, the workloads and the seeds have no default: a claim names its
+// seeds, and seeds already spent on sizing a change must not be reused by
+// accident. Builds and every run's last (JSON) line, with its side, workload
+// and seed, go under .bench_build/pairs (runs.jsonl). The benchmark divides raw times by a host-slowdown
 // reading taken by main.(*yardstick).once.func1, and that loop runs ~7 %
 // slower when the linker places the function at ≡ 32 (mod 64) than at ≡ 0, so
 // the report prints both placements and the raw medians beside the scaled
@@ -52,22 +57,45 @@ type run struct {
 	RawP50   float64 `json:"raw_op_p50_ms"`
 	RawThru  float64 `json:"raw_throughput_per_s"`
 	RawSetup float64 `json:"raw_setup_s"`
+	LossHash string  `json:"loss_hash,omitempty"` // training and cluster workloads only
 	Correct  bool    `json:"correct"`
 	Failed   int     `json:"failed"`
 	Last     string  `json:"last_line"`
 }
 
+// metric is one end-to-end metric of the benchmark (benchmark/spec.go's
+// endToEnd) with its raw reading from the detail line.
+type metric struct {
+	name, unit, format string
+	higher             bool // better when higher
+	scaled, raw        func(run) float64
+}
+
+var metrics = []metric{
+	{"op_p50_ms", "ms", "%.3f", false, func(r run) float64 { return r.P50 }, func(r run) float64 { return r.RawP50 }},
+	{"throughput_per_s", "/s", "%.0f", true, func(r run) float64 { return r.Thru }, func(r run) float64 { return r.RawThru }},
+	{"setup_s", "s", "%.3f", false, func(r run) float64 { return r.Setup }, func(r run) float64 { return r.RawSetup }},
+}
+
+// fmtv formats v the way m's values are quoted.
+func (m metric) fmtv(v float64) string { return fmt.Sprintf(m.format, v) }
+
+// runLength is BENCHMARK.json's run_seconds: a claim is made at the length
+// the benchmark runs, on both sides.
+const runLength = 12
+
+// pairsDir holds the clones, the binaries, their build cache and runs.jsonl.
+const pairsDir = ".bench_build/pairs"
+
 func main() {
 	log.SetFlags(0)
 	base := flag.String("base", "", "commit to compare the working tree against (required)")
-	workloads := flag.String("workloads", "cluster_gcn_k2_tcp", "workloads, comma- or space-separated")
-	seeds := flag.String("seeds", "21-26,31-34", "seeds, e.g. 21-26,31-34")
-	seconds := flag.Int("seconds", 12, "--seconds per run")
+	workloads := flag.String("workloads", "", "workloads, comma- or space-separated (required)")
+	seeds := flag.String("seeds", "", "seeds, e.g. 21-26,31-34 (required)")
 	control := flag.Bool("control", false, "also build and run a base padded to the change's yardstick placement")
-	out := flag.String("out", ".bench_build/pairs", "build and output directory")
 	flag.Parse()
-	if *base == "" {
-		log.Fatal("benchpairs: -base is required")
+	if *base == "" || *workloads == "" || *seeds == "" {
+		log.Fatal("benchpairs: -base, -workloads and -seeds are required")
 	}
 	seedList, err := parseSeeds(*seeds)
 	if err != nil {
@@ -77,7 +105,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	outDir, err := filepath.Abs(*out)
+	outDir, err := filepath.Abs(pairsDir)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,7 +142,7 @@ func main() {
 		for i, seed := range seedList {
 			for j := range sides {
 				s := sides[(i+j)%len(sides)] // rotate who goes first per seed
-				r := runOnce(s, w, seed, *seconds)
+				r := runOnce(s, w, seed)
 				line, _ := json.Marshal(r)
 				fmt.Fprintf(runsFile, "%s\n", line)
 				byside[s.name] = append(byside[s.name], r)
@@ -185,9 +213,9 @@ func pad(s *side, want uint64, outDir string) {
 
 // runOnce runs one benchmark invocation from s's checkout and parses its
 // detail line and its last line.
-func runOnce(s *side, workload string, seed, seconds int) run {
+func runOnce(s *side, workload string, seed int) run {
 	cmd := exec.Command(s.bin, "--workload", workload, "--seed", strconv.Itoa(seed),
-		"--seconds", strconv.Itoa(seconds), "--trace", "0")
+		"--seconds", strconv.Itoa(runLength), "--trace", "0")
 	cmd.Dir = s.dir
 	b, err := cmd.Output()
 	if err != nil {
@@ -205,6 +233,7 @@ func runOnce(s *side, workload string, seed, seconds int) run {
 		RawOp    map[string]float64 `json:"raw_op_quantiles_ms"`
 		RawThru  float64            `json:"raw_throughput_per_s"`
 		RawSetup []float64          `json:"raw_setups_s"`
+		LossHash string             `json:"loss_hash"`
 	}
 	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
 		switch {
@@ -221,15 +250,22 @@ func runOnce(s *side, workload string, seed, seconds int) run {
 	r.Correct, r.Failed = last.Correct, last.Failed
 	r.P50, r.Thru, r.Setup = last.Metrics["op_p50_ms"].Value, last.Metrics["throughput_per_s"].Value, last.Metrics["setup_s"].Value
 	r.RawP50, r.RawThru, r.RawSetup = detail.RawOp["p50"], detail.RawThru, median(detail.RawSetup)
+	r.LossHash = detail.LossHash
 	return r
 }
 
-// report prints one workload's table and the sentence a claim pastes.
+// report prints one workload's table, each metric's comparison of the
+// change against every other side, the loss_hash check and the sentences a
+// claim pastes.
 func report(w, commit string, seeds []int, sides []*side, byside map[string][]run) {
 	fmt.Printf("\n== %s: %d seeds (%s), base %s\n", w, len(seeds), seedRanges(seeds), commit)
-	fmt.Printf("%-8s %10s %10s %9s %12s %12s %9s %9s %7s\n", "side", "p50 ms", "raw p50", "IQR", "thru/s", "raw thru/s", "setup s", "yard%64", "failed")
+	fmt.Printf("%-8s %-17s %12s %12s %10s\n", "side", "metric", "median", "raw median", "IQR")
 	for _, s := range sides {
 		rs := byside[s.name]
+		for _, m := range metrics {
+			v := pick(rs, m.scaled)
+			fmt.Printf("%-8s %-17s %12s %12s %10s\n", s.name, m.name, m.fmtv(median(v)), m.fmtv(median(pick(rs, m.raw))), m.fmtv(iqr(v)))
+		}
 		failed := 0
 		for _, r := range rs {
 			if !r.Correct {
@@ -237,39 +273,63 @@ func report(w, commit string, seeds []int, sides []*side, byside map[string][]ru
 			}
 			failed += r.Failed
 		}
-		p50 := pick(rs, func(r run) float64 { return r.P50 })
-		fmt.Printf("%-8s %10.3f %10.3f %9.3f %12.0f %12.0f %9.4f %9d %7d\n", s.name, median(p50),
-			median(pick(rs, func(r run) float64 { return r.RawP50 })), iqr(p50),
-			median(pick(rs, func(r run) float64 { return r.Thru })),
-			median(pick(rs, func(r run) float64 { return r.RawThru })),
-			median(pick(rs, func(r run) float64 { return r.Setup })), s.yard%64, failed)
+		fmt.Printf("%-8s yardstick ≡ %d (mod 64), %d failed\n", s.name, s.yard%64, failed)
 	}
 	change := sides[len(sides)-1]
+	b := byside[change.name]
 	for _, ref := range sides[:len(sides)-1] {
-		a, b := byside[ref.name], byside[change.name]
-		wins := 0
-		for i := range a {
-			if b[i].P50 < a[i].P50 {
-				wins++
-			}
-		}
-		pa, pb := pick(a, func(r run) float64 { return r.P50 }), pick(b, func(r run) float64 { return r.P50 })
-		ra, rb := pick(a, func(r run) float64 { return r.RawP50 }), pick(b, func(r run) float64 { return r.RawP50 })
-		gap, spread := median(pa)-median(pb), iqr(pa)
-		verdict := "gap exceeds the IQR"
-		if math.Abs(gap) <= spread {
-			verdict = "gap within the IQR"
-		}
-		fmt.Printf("change vs %s: wins %d/%d, median gap %.3f ms, %s IQR %.3f ms (%s)\n", ref.name, wins, len(a), gap, ref.name, spread, verdict)
+		a := byside[ref.name]
+		fmt.Printf("change vs %s: %s\n", ref.name, hashCheck(a, b))
 		placement := fmt.Sprintf("yardsticks at ≡ %d (%s) and ≡ %d (change) (mod 64)", ref.yard%64, ref.name, change.yard%64)
 		if ref.yard%64 == change.yard%64 {
 			placement = fmt.Sprintf("both yardsticks at ≡ %d (mod 64)", change.yard%64)
 		}
-		fmt.Printf("CHANGES: `%s` `op_p50_ms` %.2f → %.2f ms scaled (%s), raw p50 %.2f → %.2f ms (%s), %s alternated pairs against %s%s on seeds %s, %d/%d, %s quartile distance %.2f ms; %s.\n",
-			w, median(pa), median(pb), pct(median(pa), median(pb)), median(ra), median(rb), pct(median(ra), median(rb)),
-			count(len(a)), map[bool]string{true: "the padded ", false: ""}[ref.name == "padded"], commit,
-			seedRanges(seeds), wins, len(a), ref.name, spread, placement)
+		for _, m := range metrics {
+			pa, pb := pick(a, m.scaled), pick(b, m.scaled)
+			wins := 0
+			for i := range pa {
+				if m.higher && pb[i] > pa[i] || !m.higher && pb[i] < pa[i] {
+					wins++
+				}
+			}
+			gain := median(pa) - median(pb) // how much better the change's median is
+			if m.higher {
+				gain = -gain
+			}
+			spread := iqr(pa)
+			verdict := "gain beyond the IQR"
+			switch {
+			case math.Abs(gain) <= spread:
+				verdict = "within the IQR"
+			case gain < 0:
+				verdict = "regression beyond the IQR"
+			}
+			fmt.Printf("  %-17s wins %d/%d, median %s → %s %s (%s), %s IQR %s (%s)\n", m.name, wins, len(pa),
+				m.fmtv(median(pa)), m.fmtv(median(pb)), m.unit, pct(median(pa), median(pb)), ref.name, m.fmtv(spread), verdict)
+			ra, rb := median(pick(a, m.raw)), median(pick(b, m.raw))
+			fmt.Printf("  CHANGES: `%s` `%s` %s → %s %s scaled (%s), raw %s → %s (%s), %s alternated pairs against %s%s on seeds %s, change better in %d/%d, %s quartile distance %s %s; %s.\n",
+				w, m.name, m.fmtv(median(pa)), m.fmtv(median(pb)), m.unit, pct(median(pa), median(pb)), m.fmtv(ra), m.fmtv(rb), pct(ra, rb),
+				count(len(pa)), map[bool]string{true: "the padded ", false: ""}[ref.name == "padded"], commit,
+				seedRanges(seeds), wins, len(pa), ref.name, m.fmtv(spread), m.unit, placement)
+		}
 	}
+}
+
+// hashCheck says whether every seed's loss_hash is the same on both sides.
+func hashCheck(a, b []run) string {
+	if a[0].LossHash == "" {
+		return "no loss_hash (a serving workload)"
+	}
+	var differ []int
+	for i := range a {
+		if a[i].LossHash != b[i].LossHash {
+			differ = append(differ, a[i].Seed)
+		}
+	}
+	if len(differ) > 0 {
+		return fmt.Sprintf("loss_hash DIFFERS on seeds %s", seedRanges(differ))
+	}
+	return fmt.Sprintf("loss_hash equal on all %d seeds", len(a))
 }
 
 func pick(rs []run, f func(run) float64) []float64 {

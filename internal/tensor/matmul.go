@@ -30,15 +30,15 @@ import "fmt"
 // and 0·NaN are NaN, as in the naive triple loop.
 //
 // Narrow shapes are dispatched on shape to kernels that form the same terms
-// in the same order with the long side as the lanes. MatMul into 2…7 columns
-// (the output layer of a 5-class model) runs rows as lanes on the vector path:
-// W's columns packed once, each worker's whole groups of eight rows through
-// dotRows one column at a time, the epilogue applied while the columns are
-// interleaved into output rows, and the rows past the last group (all of a
-// call with fewer than eight) through matmulRowVec's masked block
-// (matmulNarrowVec). The rank-1 shapes — a [dim, 1] scorer applied to every
-// row, and the two products of its backward pass — are loops over whole
-// vectors: MatMul with n = 1 is one p-ascending dot per row (dotRows),
+// in the same order with the long side as the lanes. MatMul into fewer than
+// eight columns runs rows as lanes (matmulNarrow): one p-ascending dot per row
+// and column through dotRows, W's columns packed once when there are two or
+// more, the epilogue applied while the columns are interleaved into output
+// rows. With one column — a [dim, 1] scorer applied to every row — this is
+// every path's loop; with 2…7 (the output layer of a 5-class model) the
+// vector path's, and there the rows past a worker's last group of eight, and
+// all of a call with fewer than eight, run matmulRowVec's masked block. The
+// two products of the scorer's backward pass are loops over whole vectors:
 // TMatMul with n = 1 one Axpy4 of four whole t rows per four p, MatMulT with
 // k = 1 the outer product +0 + t[i]·o[j] (DotUnrolled's first partial sum;
 // the other three stay +0). The general loops would reach the same values
@@ -65,26 +65,11 @@ func (t *Tensor) MatMulBias(o, bias *Tensor, relu bool) *Tensor {
 	if bias != nil {
 		bd = bias.data
 	}
-	if useVec && n >= 2 && n < vecMin && m >= vecMin {
-		t.matmulNarrowVec(out, o, bd, relu)
+	if n == 1 || useVec && n < vecMin && m >= vecMin {
+		t.matmulNarrow(out, o, bd, relu)
 		return out
 	}
 	ParallelForGrain(m, GrainForCost(k*n), func(rs, re int) {
-		if n == 1 {
-			// One output column: the range's sums in one call, then the
-			// epilogue on them as one row.
-			dst := out.data[rs:re]
-			dotRows(dst, t.data[rs*k:re*k], o.data)
-			if bd != nil {
-				for i := range dst {
-					dst[i] += bd[0]
-				}
-			}
-			if relu {
-				clampNegative(dst)
-			}
-			return
-		}
 		for i := rs; i < re; i++ {
 			matmulRow(out.data[i*n:(i+1)*n], t.data[i*k:(i+1)*k], o.data, bd, relu)
 		}
@@ -92,29 +77,40 @@ func (t *Tensor) MatMulBias(o, bias *Tensor, relu bool) *Tensor {
 	return out
 }
 
-// matmulNarrowVec writes out = t @ o with MatMulBias's epilogue for an o of
-// 2…7 columns, rows as lanes: o's columns are packed once into cols, and
-// each worker runs its whole groups of eight rows through dotRows one column
-// at a time into sums, [n][m], then interleaves the columns into output rows
-// with bias added and the ReLU clamp applied as matmulRow applies them. Every
-// output is still one p-ascending chain from +0, then +bias, then the clamp,
-// so its bits are matmulRow's; a worker's rows past its last group of eight
-// run matmulRow.
-func (t *Tensor) matmulNarrowVec(out, o *Tensor, bias []float32, relu bool) {
+// matmulNarrow writes out = t @ o with MatMulBias's epilogue for an o of
+// fewer than eight columns, rows as lanes: o's columns are packed once into
+// cols (a single column is o itself), and each worker runs its rows through
+// dotRows one column at a time into sums, [n][m] (out itself when n = 1),
+// then interleaves the columns into output rows with bias added and the ReLU
+// clamp applied as matmulRow applies them. Every output is still one
+// p-ascending chain from +0, then +bias, then the clamp, so its bits are
+// matmulRow's. With two or more columns a worker's rows past its last group
+// of eight run matmulRow instead: its masked block does such a row in one
+// pass, where dotRows would take it in scalar Go one column at a time.
+func (t *Tensor) matmulNarrow(out, o *Tensor, bias []float32, relu bool) {
 	m, k, n := t.Dim(0), t.Dim(1), o.Dim(1)
-	buf := GetBufUninit(n * (k + m))
-	cols, sums := buf[:n*k], buf[n*k:]
-	for p, row := 0, o.data; p < k; p++ {
-		for j, v := range row[p*n : (p+1)*n] {
-			cols[j*k+p] = v
+	cols, sums := o.data, out.data
+	var buf []float32
+	if n > 1 {
+		buf = GetBufUninit(n * (k + m))
+		cols, sums = buf[:n*k], buf[n*k:]
+		for p, row := 0, o.data; p < k; p++ {
+			for j, v := range row[p*n : (p+1)*n] {
+				cols[j*k+p] = v
+			}
 		}
 	}
+	// One column with no bias and no clamp: the sums are the output.
+	epilogue := n > 1 || bias != nil || relu
 	ParallelForGrain(m, GrainForCost(k*n), func(rs, re int) {
-		g := rs + (re-rs)&^7 // end of the whole groups of eight
+		g := re // end of the rows dotRows takes
+		if n > 1 {
+			g -= (re - rs) & 7
+		}
 		for j := 0; j < n; j++ {
 			dotRows(sums[j*m+rs:j*m+g], t.data[rs*k:g*k], cols[j*k:(j+1)*k])
 		}
-		for i := rs; i < g; i++ {
+		for i := rs; i < g && epilogue; i++ {
 			dst := out.data[i*n : (i+1)*n]
 			for j := range dst {
 				v := sums[j*m+i]
@@ -131,7 +127,7 @@ func (t *Tensor) matmulNarrowVec(out, o *Tensor, bias []float32, relu bool) {
 			matmulRow(out.data[i*n:(i+1)*n], t.data[i*k:(i+1)*k], o.data, bias, relu)
 		}
 	})
-	PutBuf(buf)
+	PutBuf(buf) // nil when n = 1: a no-op
 }
 
 // matmulRow writes one output row of MatMulBias: dst = x @ o, plus bias when

@@ -133,7 +133,7 @@ func TestDenseProductsMatchOracle(t *testing.T) {
 	})
 }
 
-// narrowGrid holds MatMulBias into 2…7 columns — matmulNarrowVec's groups of
+// narrowGrid holds MatMulBias into 1…7 columns — matmulNarrow's groups of
 // eight rows, the masked remainder and whole calls under eight rows — to
 // reference results: per shape, want is computed once at parallelism 1 and
 // got at parallelism 1, 2, 3 and 8, and the i-th results are compared under
@@ -150,7 +150,7 @@ func narrowGrid(t *testing.T, labels []string, want, got func(x, w, b *Tensor) [
 		}
 		return x
 	}
-	for n := 2; n <= 7; n++ {
+	for n := 1; n <= 7; n++ {
 		for _, m := range []int{1, 4, 7, 8, 9, 15, 17, 6000} {
 			for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 64} {
 				x := spiked(sparsify(rng, RandN(rng, 1, m, k)))
